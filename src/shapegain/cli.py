@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -26,7 +27,7 @@ from .demapper import GmiReport, per_bit_gmi_mc
 from .errors import NumericalError, ParameterError
 from .lut import export_lut
 from .rate_adapt import best_plan, load_plan, save_plan, select_dummy_bits
-from .sweep import load_run_config, rows_to_csv, run_sweep
+from .sweep import _strip_notes, load_run_config, rows_to_csv, run_sweep
 from .training import train, train_config_from_dict
 
 
@@ -102,12 +103,11 @@ def _cmd_train(args) -> int:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{args.config}: not valid JSON: {exc}") from exc
-    section = doc.get("train")
+    section = _strip_notes(doc).get("train") if isinstance(doc, dict) else None
     if not isinstance(section, dict) or "target" not in section:
         raise ParameterError(
             f"{args.config}: needs a 'train' section with an explicit target")
-    config = train_config_from_dict(
-        {k: v for k, v in section.items() if not k.startswith("_")})
+    config = train_config_from_dict(section)
     constellation, history = train(config)
     save_constellation(constellation, args.out)
     if args.history:
@@ -121,7 +121,13 @@ def _cmd_train(args) -> int:
 
 def _resolve_eval_noise(args, c) -> float:
     if args.snr_db is not None:
-        return 1.0 / db_to_linear(args.snr_db)
+        try:
+            noise_variance = 1.0 / db_to_linear(args.snr_db)
+        except (OverflowError, ZeroDivisionError):
+            noise_variance = math.nan
+        if not (math.isfinite(noise_variance) and noise_variance > 0):
+            raise ParameterError(f"--snr-db {args.snr_db} is out of range")
+        return noise_variance
     run = load_run_config(args.link_from)
     link = run.link
     if args.n_spans is not None:

@@ -9,6 +9,20 @@ the standard BICM bound
 clamped to [0, 1]; the total is the sum over bit levels. Dual-polarization
 fields duplicate the single-polarization statistics (both polarizations
 see the same effective channel).
+
+Every exact LLR in the package (llr_exact, the GMI estimators built on it
+and the Gaussian demapper in training) comes from one kernel,
+gaussian_bit_metric, in matrix form: with P_sj = exp(-|y_s - x_j|^2 / sigma^2)
+scaled by its row maximum and the bit table B (M x m), both partition sums
+of every bit level are one product
+
+    [Z0 | Z1] = P @ [1 - B | B],    L = ln Z0 - ln Z1.
+
+The row maximum contributes 1 to Z0 or Z1 of every level, so at most one
+partition of a level can underflow to zero. The LLR is then +/-inf while
+its true magnitude exceeds 744, and any clip up to MAX_LLR_CLIP = 700 maps
+both to the same +/-clip. Whenever |L| <= 700 the smaller partition is at
+least exp(-700), a normal double, so unclipped LLRs keep full precision.
 """
 
 from __future__ import annotations
@@ -19,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import logsumexp
 
 from .channel import awgn_sample
 from .constellation import Constellation
@@ -27,14 +40,81 @@ from .errors import CapabilityError, ParameterError
 
 LN2 = math.log(2.0)
 DEFAULT_LLR_CLIP = 50.0
+MAX_LLR_CLIP = 700.0
 
 _MC_CHUNK = 32768
 
+# OpenBLAS threads a GEMM once m*n*k exceeds 2**18. On the skinny products
+# below the threaded call saves no wall time and leaves its workers spinning
+# (about 0.13 s of CPU per call), so they run in row blocks under that size.
+_GEMM_UNTHREADED = 2 ** 18
 
-def _loglik(y: np.ndarray, c: Constellation, noise_variance: float) -> np.ndarray:
-    """Per-point Gaussian log-likelihoods -|y - x_j|^2 / sigma^2, shape (S, M)."""
-    d2 = np.abs(y[:, None] - c.points[None, :]) ** 2
-    return -d2 / noise_variance
+
+def check_llr_clip(llr_clip: float) -> None:
+    """Reject clips outside (0, MAX_LLR_CLIP], see the module docstring."""
+    if not 0.0 < llr_clip <= MAX_LLR_CLIP:
+        raise ParameterError(
+            f"llr_clip must be in (0, {MAX_LLR_CLIP:g}], got {llr_clip}")
+
+
+def _sq_dist(y: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """|y_s - x_j|^2 as a float64 (S, M) array.
+
+    Built in place from the real and imaginary differences, so at most two
+    (S, M) arrays exist at once and no complex (S, M) temporary is made.
+    """
+    d2 = np.subtract.outer(y.real, points.real)
+    d2 *= d2
+    im = np.subtract.outer(y.imag, points.imag)
+    im *= im
+    d2 += im
+    return d2
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b computed in row blocks that stay below _GEMM_UNTHREADED."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    step = max(1, _GEMM_UNTHREADED // (a.shape[1] * b.shape[1]))
+    for lo in range(0, a.shape[0], step):
+        np.matmul(a[lo:lo + step], b, out=out[lo:lo + step])
+    return out
+
+
+def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
+                        noise_variance: float):
+    """Unclipped exact bit LLRs of samples y (S,) against points (M,).
+
+    bits is the (M, m) label table. Returns (llr_raw, cache): llr_raw has
+    shape (S, m) and may hold +/-inf where a partition underflowed (see the
+    module docstring); NaN only arises from NaN inputs or a noise variance
+    so small that every distance overflows. cache feeds
+    gaussian_bit_metric_grad.
+    """
+    p = _sq_dist(y, points)
+    p /= -noise_variance
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    w = np.hstack([1 - bits, bits]).astype(np.float64)
+    z = _matmul_rows(p, w)
+    m = bits.shape[1]
+    with np.errstate(divide="ignore"):
+        logz = np.log(z)
+    return logz[:, :m] - logz[:, m:], (p, z, w)
+
+
+def gaussian_bit_metric_grad(dllr: np.ndarray, cache) -> np.ndarray:
+    """d loss / d loglik, shape (S, M), from d loss / d llr_raw, shape (S, m).
+
+    loglik is -|y - x_j|^2 / sigma^2. dllr must be zero wherever llr_raw
+    was clipped, which includes every infinite entry; those entries are
+    skipped rather than divided by their zero partition.
+    """
+    p, z, w = cache
+    a = np.concatenate([dllr, -dllr], axis=1)
+    np.divide(a, z, out=a, where=a != 0)
+    da = _matmul_rows(a, w.T)
+    da *= p
+    return da
 
 
 def _as_batch(y) -> tuple[np.ndarray, bool]:
@@ -47,18 +127,16 @@ def llr_exact(y, c: Constellation, noise_variance: float,
               llr_clip: float = DEFAULT_LLR_CLIP) -> np.ndarray:
     """Exact log-MAP bit LLRs for received sample(s) y.
 
-    Returns an array of shape (m,) for scalar y or (len(y), m) for a batch.
-    Log-sum-exp stabilized, clipped to +/- llr_clip.
+    Returns an array of shape (m,) for scalar y or (len(y), m) for a batch,
+    clipped to +/- llr_clip with 0 < llr_clip <= MAX_LLR_CLIP. Computed by
+    gaussian_bit_metric in matrix form; a level whose partition underflows
+    returns exactly +/- llr_clip.
     """
     if not noise_variance > 0:
         raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
+    check_llr_clip(llr_clip)
     yb, scalar = _as_batch(y)
-    ll = _loglik(yb, c, noise_variance)
-    bits = c.bits()
-    out = np.empty((yb.size, c.m))
-    for k in range(c.m):
-        mask0 = bits[:, k] == 0
-        out[:, k] = logsumexp(ll[:, mask0], axis=1) - logsumexp(ll[:, ~mask0], axis=1)
+    out, _ = gaussian_bit_metric(yb, c.points, c.bits(), noise_variance)
     np.clip(out, -llr_clip, llr_clip, out=out)
     return out[0] if scalar else out
 
@@ -69,7 +147,8 @@ def llr_maxlog(y, c: Constellation, noise_variance: float,
     if not noise_variance > 0:
         raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
     yb, scalar = _as_batch(y)
-    ll = _loglik(yb, c, noise_variance)
+    ll = _sq_dist(yb, c.points)
+    ll /= -noise_variance
     bits = c.bits()
     out = np.empty((yb.size, c.m))
     for k in range(c.m):
@@ -114,8 +193,9 @@ class GmiReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GmiReport":
+        """Parse a report dict; per-bit values must be finite and in [0, 1]."""
         try:
-            return cls(
+            report = cls(
                 per_bit=np.asarray(doc["per_bit"], dtype=np.float64),
                 total=float(doc["total"]),
                 per_bit_dualpol=np.asarray(doc["per_bit_dualpol"], dtype=np.float64),
@@ -123,8 +203,18 @@ class GmiReport:
                 n_samples=int(doc["n_samples"]),
                 stderr_total=float(doc["stderr_total"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"malformed GMI report: {exc}") from exc
+        per_bit, dual = report.per_bit, report.per_bit_dualpol
+        if per_bit.ndim != 1 or per_bit.size == 0 or dual.shape != (2 * per_bit.size,):
+            raise ParameterError(
+                f"malformed GMI report: per_bit_dualpol must hold twice the "
+                f"{per_bit.size} per_bit values, got shape {dual.shape}")
+        for name, values in (("per_bit", per_bit), ("per_bit_dualpol", dual)):
+            if not np.all((values >= 0.0) & (values <= 1.0)):
+                raise ParameterError(
+                    f"malformed GMI report: {name} values must be finite and in [0, 1]")
+        return report
 
 
 def make_report(per_bit: np.ndarray, n_samples: int, stderr_total: float) -> GmiReport:

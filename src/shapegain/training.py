@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .channel import (
     LinkConfig,
@@ -29,6 +29,7 @@ from .channel import (
     optimal_launch_power,
 )
 from .constellation import Constellation, bit_table, moments, uniform_qam
+from .demapper import check_llr_clip, gaussian_bit_metric, gaussian_bit_metric_grad
 from .errors import NumericalError, ParameterError
 
 LN2 = math.log(2.0)
@@ -111,6 +112,7 @@ class TrainConfig:
             raise ParameterError(f"unknown init {self.init!r}")
         if not self.learning_rate > 0:
             raise ParameterError("learning_rate must be positive")
+        check_llr_clip(self.llr_clip)
 
 
 def train_config_from_dict(doc: dict) -> TrainConfig:
@@ -122,8 +124,12 @@ def train_config_from_dict(doc: dict) -> TrainConfig:
     if "snr_db" in tgt:
         target: Union[SnrTarget, LinkTarget] = SnrTarget(float(tgt["snr_db"]))
     elif "link" in tgt:
+        try:
+            link = LinkConfig(**tgt["link"])
+        except TypeError as exc:
+            raise ParameterError(f"bad link config: {exc}") from exc
         target = LinkTarget(
-            link=LinkConfig(**tgt["link"]),
+            link=link,
             launch_power=tgt.get("launch_power", "optimal"),
             refresh_every=int(tgt.get("refresh_every", 200)),
         )
@@ -167,6 +173,9 @@ class GaussianDemapper:
     """Differentiable exact bit-metric receiver, no trainable state."""
 
     llr_clip: float = 50.0
+
+    def __post_init__(self):
+        check_llr_clip(self.llr_clip)
 
 
 @dataclass
@@ -265,10 +274,8 @@ class ForwardState:
     z: np.ndarray
     loss: float
     per_bit_surrogate: np.ndarray
-    # gaussian mode
-    loglik: Optional[np.ndarray] = None
-    lse0: Optional[np.ndarray] = None
-    lse1: Optional[np.ndarray] = None
+    # gaussian mode: the cache of gaussian_bit_metric
+    metric_cache: Optional[tuple] = None
     # mlp mode
     activations: Optional[list] = None
     preacts: Optional[list] = None
@@ -321,16 +328,10 @@ def forward_loss(params: MapperParams, demapper, labels: np.ndarray,
     )
 
     if state.mode == "gaussian":
-        d2 = np.abs(y[:, None] - points[None, :]) ** 2
-        ll = -d2 / noise_variance
-        lse0 = np.empty((S, m))
-        lse1 = np.empty((S, m))
-        for k in range(m):
-            mask0 = bits[:, k] == 0
-            lse0[:, k] = logsumexp(ll[:, mask0], axis=1)
-            lse1[:, k] = logsumexp(ll[:, ~mask0], axis=1)
-        llr_raw = lse0 - lse1
-        state.loglik, state.lse0, state.lse1 = ll, lse0, lse1
+        llr_raw, state.metric_cache = gaussian_bit_metric(y, points, bits, noise_variance)
+        # +/-inf marks an underflowed partition and clips exactly; NaN does not
+        if np.isnan(llr_raw).any():
+            raise NumericalError("NaN values in llr")
     else:
         x = np.column_stack([y.real, y.imag])
         activations = [x]
@@ -341,8 +342,8 @@ def forward_loss(params: MapperParams, demapper, labels: np.ndarray,
             activations.append(np.maximum(pre, 0.0))
         llr_raw = activations[-1] @ demapper.weights[-1] + demapper.biases[-1]
         state.activations, state.preacts = activations, preacts
+        _ensure_finite("llr", llr_raw)
 
-    _ensure_finite("llr", llr_raw)
     llr = np.clip(llr_raw, -clip, clip)
     z = -state.sgn * llr
     penalties = np.logaddexp(0.0, z) / LN2  # (S, m)
@@ -364,8 +365,6 @@ def backward(params: MapperParams, demapper, state: ForwardState) -> dict:
     """
     S = state.labels.size
     M = params.size
-    m = M.bit_length() - 1
-    bits = bit_table(m)
 
     # d loss / d llr
     dz = expit(state.z) / (S * LN2)
@@ -373,12 +372,7 @@ def backward(params: MapperParams, demapper, state: ForwardState) -> dict:
     dllr[np.abs(state.llr_raw) > state.llr_clip] = 0.0
 
     if state.mode == "gaussian":
-        da = np.zeros((S, M))
-        for k in range(m):
-            mask0 = bits[:, k] == 0
-            w0 = np.exp(np.where(mask0[None, :], state.loglik - state.lse0[:, k, None], -np.inf))
-            w1 = np.exp(np.where(~mask0[None, :], state.loglik - state.lse1[:, k, None], -np.inf))
-            da += dllr[:, k, None] * (w0 - w1)
+        da = gaussian_bit_metric_grad(dllr, state.metric_cache)
         dd2 = -da / state.noise_variance
         diff = state.y[:, None] - state.points[None, :]
         weighted = dd2 * diff

@@ -103,6 +103,16 @@ class TestEvalCommand:
         rc = main(["eval", "--constellation", str(bad), "--snr-db", "10"])
         assert rc == 1
 
+    @pytest.mark.parametrize("snr_db", ["1e6", "-1e6", "nan", "inf"])
+    def test_out_of_range_snr_is_parameter_error(self, tmp_path, capsys, snr_db):
+        cpath = tmp_path / "c.json"
+        main(["qam", "--m", "2", "--out", str(cpath)])
+        capsys.readouterr()
+        rc = main(["eval", "--constellation", str(cpath), "--snr-db", snr_db,
+                   "--samples", "64"])
+        assert rc == 1
+        assert "--snr-db" in capsys.readouterr().err
+
     def test_overflowing_link_is_numerical_error(self, tmp_path, capsys):
         cfg = _write_run_config(tmp_path)
         cpath = tmp_path / "c.json"
@@ -141,6 +151,16 @@ class TestAdaptCommand:
         doc = json.loads(out.read_text())
         assert doc["n_d"] == 2
         assert len(doc["dummy_positions"]) == 2
+
+    def test_short_dualpol_report_is_parameter_error(self, tmp_path, capsys):
+        cpath, rpath = self._eval_report(tmp_path, capsys)
+        doc = json.loads(rpath.read_text())
+        doc["per_bit_dualpol"] = doc["per_bit_dualpol"][:-1]
+        rpath.write_text(json.dumps(doc))
+        rc = main(["adapt", "--constellation", str(cpath), "--report",
+                   str(rpath), "--best"])
+        assert rc == 1
+        assert "per_bit_dualpol" in capsys.readouterr().err
 
     def test_mismatched_m_rejected(self, tmp_path, capsys):
         _, rpath = self._eval_report(tmp_path, capsys)
@@ -186,6 +206,26 @@ class TestTrainCommand:
         lines = hist.read_text().strip().split("\n")
         assert lines[0] == "iteration,loss,surrogate_gmi,grad_norm"
         assert len(lines) == 4  # header + 3 iterations
+
+    def _link_config(self, tmp_path, **link_extra):
+        link = {"_note": "notes may appear at any depth", "n_spans": 2,
+                "ase_var_per_span": 0.0041, "chi1": 0.3, "chi2": 0.1, **link_extra}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(
+            {"train": {"m": 2, "iterations": 2, "batch_symbols": 16,
+                       "target": {"_note": "nested", "link": link}}}))
+        return path
+
+    def test_nested_notes_are_ignored(self, tmp_path, capsys):
+        rc = main(["train", "--config", str(self._link_config(tmp_path)),
+                   "--out", str(tmp_path / "c.json")])
+        assert rc == 0
+
+    def test_unknown_link_key_is_parameter_error(self, tmp_path, capsys):
+        rc = main(["train", "--config", str(self._link_config(tmp_path, gain=2.0)),
+                   "--out", str(tmp_path / "c.json")])
+        assert rc == 1
+        assert "bad link config" in capsys.readouterr().err
 
     def test_config_without_target_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.json"

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from shapegain import (
+    Constellation,
     GmiReport,
     ParameterError,
     CapabilityError,
@@ -19,7 +21,7 @@ from shapegain import (
     per_bit_gmi_mc,
     uniform_qam,
 )
-from shapegain.demapper import make_report
+from shapegain.demapper import gaussian_bit_metric, make_report
 
 
 # ---------------------------------------------------------------- exact LLRs
@@ -71,6 +73,56 @@ class TestLlrClosedForms:
             llr_exact(0.1 + 0j, c, 0.0)
         with pytest.raises(ParameterError):
             llr_maxlog(0.1 + 0j, c, -1.0)
+
+
+def _llr_logsumexp_loop(y, c, noise_variance, llr_clip):
+    """Reference: one masked log-sum-exp per bit level and hypothesis."""
+    ll = -np.abs(y[:, None] - c.points[None, :]) ** 2 / noise_variance
+    bits = c.bits()
+    out = np.empty((y.size, c.m))
+    for k in range(c.m):
+        mask0 = bits[:, k] == 0
+        out[:, k] = logsumexp(ll[:, mask0], axis=1) - logsumexp(ll[:, ~mask0], axis=1)
+    return np.clip(out, -llr_clip, llr_clip)
+
+
+def _random_constellation(m, rng):
+    pts = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+    return Constellation(m=m, points=pts / np.sqrt(np.mean(np.abs(pts) ** 2)))
+
+
+class TestMatrixKernel:
+    @pytest.mark.parametrize("labeling", ["gray_qam", "random"])
+    @pytest.mark.parametrize("snr_db", [3.0, 17.0, 40.0])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_logsumexp_loop(self, m, snr_db, labeling):
+        rng = np.random.default_rng(1000 * m + int(snr_db))
+        c = uniform_qam(m) if labeling == "gray_qam" else _random_constellation(m, rng)
+        s2 = 1.0 / db_to_linear(snr_db)
+        y = awgn_sample(rng, c.points[rng.integers(0, c.size, 1000)], s2)
+        got = llr_exact(y, c, s2)
+        np.testing.assert_allclose(got, _llr_logsumexp_loop(y, c, s2, 50.0),
+                                   atol=1e-12, rtol=0)
+        if snr_db == 40.0:
+            raw, _ = gaussian_bit_metric(y, c.points, c.bits(), s2)
+            under = np.isinf(raw)
+            assert under.any()  # some partition underflowed to zero
+            np.testing.assert_array_equal(got[under], np.sign(raw[under]) * 50.0)
+
+        # far outside the constellation every likelihood underflows unless it
+        # is scaled by the row maximum first; log-likelihoods there are large,
+        # so the two agree to a few ulps of the nearest one
+        far = 3.0 * c.points
+        nearest = np.min(np.abs(far[:, None] - c.points) ** 2, axis=1) / s2
+        gap = np.abs(llr_exact(far, c, s2) - _llr_logsumexp_loop(far, c, s2, 50.0))
+        assert np.all(gap <= 1e-12 + 16 * np.finfo(float).eps * nearest[:, None])
+
+    def test_clip_limit(self):
+        c = uniform_qam(2)
+        assert llr_exact(0.1 + 0j, c, 1e-3, llr_clip=700.0).shape == (2,)
+        for bad in (0.0, -1.0, 701.0):
+            with pytest.raises(ParameterError):
+                llr_exact(0.1 + 0j, c, 1.0, llr_clip=bad)
 
 
 class TestMaxLog:
@@ -231,6 +283,21 @@ class TestGmiReport:
     def test_malformed_dict_rejected(self):
         with pytest.raises(ParameterError):
             GmiReport.from_dict({"per_bit": [0.5]})
+
+    @pytest.mark.parametrize("field, value", [
+        ("per_bit_dualpol", [0.9, 0.5, 0.25, 0.9, 0.5]),      # not 2 * m long
+        ("per_bit", [0.9, float("nan"), 0.25]),
+        ("per_bit_dualpol", [0.9, 0.5, 0.25, 0.9, 1.5, 0.25]),
+        ("per_bit", [0.9, -0.1, 0.25]),
+        ("per_bit", [[0.9, 0.5, 0.25]]),
+        ("per_bit", ["high", "low", "low"]),
+        ("n_samples", float("inf")),
+    ])
+    def test_inconsistent_values_rejected(self, field, value):
+        doc = self._report().to_dict()
+        doc[field] = value
+        with pytest.raises(ParameterError):
+            GmiReport.from_dict(doc)
 
     def test_stderr_scales_like_inverse_sqrt_samples(self):
         c = uniform_qam(2)

@@ -77,6 +77,11 @@ class TestTrainConfig:
         assert cfg.target.link.n_spans == 10
         assert cfg.target.refresh_every == 50
 
+    @pytest.mark.parametrize("clip", [0.0, -1.0, 701.0])
+    def test_llr_clip_outside_exact_range_rejected(self, clip):
+        with pytest.raises(ParameterError):
+            _config(llr_clip=clip)
+
     def test_from_dict_missing_target_rejected(self):
         with pytest.raises(ParameterError):
             train_config_from_dict({"m": 2, "iterations": 5})
@@ -173,6 +178,30 @@ class TestGradients:
         noise = awgn_sample(rng, np.zeros(cfg.batch_symbols), nv)
         rep = gradient_check(params, GaussianDemapper(), labels, noise, nv,
                              n_probes=8, rng=np.random.default_rng(0))
+        assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_gaussian_gradients_with_underflowed_partitions(self, m):
+        # at 40 dB most partitions underflow (infinite raw LLRs); a few
+        # samples moved onto a decision boundary keep unclipped entries in
+        # the same rows
+        cfg = _config(m=m, batch_symbols=16 * (1 << m))
+        rng = np.random.default_rng(300 + m)
+        params = init_mapper(cfg, rng)
+        labels = _balanced_labels(m, cfg.batch_symbols)
+        nv = 1.0 / db_to_linear(40.0)
+        noise = awgn_sample(rng, np.zeros(cfg.batch_symbols), nv)
+        pts = params.emit()
+        edge = labels == 0
+        noise[edge] += 0.5 * (pts[1] - pts[0])
+        _, st = forward_loss(params, GaussianDemapper(), labels, noise, nv)
+        assert np.isinf(st.llr_raw).any()
+        assert (np.abs(st.llr_raw[edge]) < st.llr_clip).any()
+        grads = backward(params, GaussianDemapper(), st)
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        assert np.any(grads["mapper.raw"] != 0.0)
+        rep = gradient_check(params, GaussianDemapper(), labels, noise, nv,
+                             n_probes=8, tolerance=1e-4, rng=np.random.default_rng(0))
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
 
     @pytest.mark.parametrize("m", [2, 3, 4])
