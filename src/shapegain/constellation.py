@@ -8,6 +8,7 @@ bit, i.e. label ``i`` carries bit ``k`` equal to ``(i >> (m - 1 - k)) & 1``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -59,7 +60,7 @@ class Constellation:
         return float(np.mean(np.abs(self.points) ** 2))
 
     def bits(self) -> np.ndarray:
-        """Bit table of shape (M, m); row i holds the bits of label i, MSB first."""
+        """Read-only bit table (M, m); row i holds the bits of label i, MSB first."""
         return bit_table(self.m)
 
 
@@ -100,11 +101,17 @@ class MomCluster:
         return len(self.member_labels)
 
 
+@functools.lru_cache(maxsize=32)
 def bit_table(m: int) -> np.ndarray:
-    """Return the (2**m, m) array of label bits, bit 0 = most significant."""
+    """Return the (2**m, m) array of label bits, bit 0 = most significant.
+
+    The table is built once per m and shared, so it is read-only.
+    """
     labels = np.arange(2 ** m)
     shifts = np.arange(m - 1, -1, -1)
-    return ((labels[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    table = ((labels[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
 
 def _gray_to_binary(g: np.ndarray) -> np.ndarray:

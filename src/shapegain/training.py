@@ -9,6 +9,19 @@ so surrogate GMI per symbol is m - loss by construction. Unit average
 power is enforced inside the forward pass (differentiable normalization),
 never by projection. Everything is plain numpy; gradients are derived by
 hand and guarded by finite-difference checks.
+
+train() keeps every trainable array (the mapper's raw points, each MLP
+weight and bias) as a named view into one float64 parameter vector, laid
+out in the order backward() produces the gradients: the mapper, then the
+MLP from its output layer back. Each iteration writes the gradients into
+one matching flat vector, checks it for non-finite values once, and Adam
+updates the parameters and both moment vectors in place. What depends
+only on the labels (the balance check, the bit table, the label signs and
+the label-ordered scatter of the transmit path) is built once per run.
+Signals stay real: points and received samples are (M, 2) and (S, 2) I/Q
+arrays, and the noise is the (S, 2) standard-normal draw awgn_sample would
+make. forward_loss, backward and adam_step are thin wrappers over the same
+step functions, so train() and a loop over them give identical bits.
 """
 
 from __future__ import annotations
@@ -22,14 +35,18 @@ from scipy.special import expit
 
 from .channel import (
     LinkConfig,
-    awgn_sample,
     db_to_linear,
     effective_snr,
     linear_to_db,
     optimal_launch_power,
 )
 from .constellation import Constellation, bit_table, moments, uniform_qam
-from .demapper import check_llr_clip, gaussian_bit_metric, gaussian_bit_metric_grad
+from .demapper import (
+    _matmul_rows,
+    check_llr_clip,
+    gaussian_bit_metric,
+    gaussian_bit_metric_grad,
+)
 from .errors import NumericalError, ParameterError
 
 LN2 = math.log(2.0)
@@ -227,12 +244,16 @@ def init_mapper(config: TrainConfig, rng: np.random.Generator,
 
 
 def trainable_arrays(params: MapperParams, demapper) -> dict:
-    """Named real-valued parameter arrays, the unit Adam operates on."""
+    """Named real-valued parameter arrays, the unit Adam operates on.
+
+    The order is that of the flat parameter vector: the mapper, then the
+    MLP layers from the output back, the order backward() produces them in.
+    """
     arrays = {"mapper.raw": params.raw}
     if isinstance(demapper, MlpDemapper):
-        for i, (w, b) in enumerate(zip(demapper.weights, demapper.biases)):
-            arrays[f"mlp.W{i}"] = w
-            arrays[f"mlp.b{i}"] = b
+        for i in range(len(demapper.weights) - 1, -1, -1):
+            arrays[f"mlp.W{i}"] = demapper.weights[i]
+            arrays[f"mlp.b{i}"] = demapper.biases[i]
     return arrays
 
 
@@ -251,39 +272,209 @@ def with_arrays(params: MapperParams, demapper, arrays: dict):
     return new_params, new_demapper
 
 
+def _views(vec: np.ndarray, shapes: dict) -> dict:
+    """Arrays of the given named shapes as consecutive views into vec."""
+    views, lo = {}, 0
+    for name, shape in shapes.items():
+        n = math.prod(shape)
+        views[name] = vec[lo:lo + n].reshape(shape)
+        lo += n
+    return views
+
+
+def _flatten(arrays: dict):
+    """Copy named arrays into one new float64 vector; returns (vec, views)."""
+    vec = np.empty(sum(np.size(a) for a in arrays.values()))
+    views = _views(vec, {name: np.shape(a) for name, a in arrays.items()})
+    for name, a in arrays.items():
+        views[name][...] = a
+    return vec, views
+
+
 # ---------------------------------------------------------------------------
 # forward / backward
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """Label-dependent invariants of a training batch, built by _make_batch."""
+
+    labels: np.ndarray   # (S,)
+    bits: np.ndarray     # (M, m) bit table
+    sgn: np.ndarray      # (S, m), 1 - 2 b_{k,s}
+    scatter: np.ndarray  # (2S,) bin of each entry of an (S, 2) array in (M, 2)
+
+    @property
+    def size(self) -> int:
+        return self.labels.size
+
+
+def _make_batch(labels, M: int) -> _Batch:
+    """Validate a label batch (every label equally often) and build its invariants."""
+    labels = np.asarray(labels)
+    counts = np.bincount(labels, minlength=M)
+    if not np.all(counts == counts[0]):
+        raise ParameterError("batch must contain every label equally often")
+    bits = bit_table(M.bit_length() - 1)
+    scatter = (2 * labels[:, None] + np.arange(2)).ravel()
+    return _Batch(labels=labels, bits=bits, sgn=1.0 - 2.0 * bits[labels],
+                 scatter=scatter)
+
+
+def _per_label_sum(batch: _Batch, g: np.ndarray, M: int) -> np.ndarray:
+    """Sum the rows of g (S, 2) by label into (M, 2), in sample order."""
+    return np.bincount(batch.scatter, weights=g.ravel(),
+                       minlength=2 * M).reshape(M, 2)
+
+
+def _complex_view(iq: np.ndarray) -> np.ndarray:
+    """(n,) complex view of an (n, 2) array of I/Q pairs."""
+    return np.ascontiguousarray(iq, dtype=np.float64).view(np.complex128)[:, 0]
+
+
 @dataclass
 class ForwardState:
-    """Everything backward() needs, cached by forward_loss."""
+    """Everything backward() needs, cached by forward_loss.
+
+    Signals are real: points_iq (M, 2) and y_iq (S, 2) hold I and Q in
+    their columns; points and y are complex views of them.
+    """
 
     mode: str
-    labels: np.ndarray
+    batch: _Batch
     noise_variance: float
     llr_clip: float
     raw: np.ndarray
     power: float
     scale: float
-    points: np.ndarray
-    y: np.ndarray
-    sgn: np.ndarray
-    llr_raw: np.ndarray
-    llr: np.ndarray
-    z: np.ndarray
-    loss: float
-    per_bit_surrogate: np.ndarray
+    points_iq: np.ndarray
+    y_iq: np.ndarray
+    llr_raw: Optional[np.ndarray] = None
+    llr: Optional[np.ndarray] = None
+    z: Optional[np.ndarray] = None
+    loss: float = 0.0
+    penalties: Optional[np.ndarray] = None  # (S, m) loss terms, in bits
     # gaussian mode: the cache of gaussian_bit_metric
     metric_cache: Optional[tuple] = None
     # mlp mode
     activations: Optional[list] = None
     preacts: Optional[list] = None
 
+    @property
+    def points(self) -> np.ndarray:
+        return _complex_view(self.points_iq)
+
+    @property
+    def y(self) -> np.ndarray:
+        return _complex_view(self.y_iq)
+
+    @property
+    def per_bit_surrogate(self) -> np.ndarray:
+        return 1.0 - self.penalties.sum(axis=0) / self.batch.size
+
 
 def _ensure_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NumericalError(f"non-finite values in {name}")
+
+
+def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
+             noise_variance: float) -> ForwardState:
+    """The surrogate loss of one batch; noise_iq (S, 2) is the real noise."""
+    if not noise_variance > 0:
+        raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
+    power = float((raw ** 2).sum(axis=1).mean())
+    if not 0.0 < power < math.inf:
+        raise NumericalError(f"mapper power is {power}, points cannot be normalized")
+    scale = power ** -0.5
+    points = scale * raw
+    _ensure_finite("points", points)
+    y = np.take(points, batch.labels, axis=0)
+    y += noise_iq
+    _ensure_finite("y", y)
+
+    clip = demapper.llr_clip
+    st = ForwardState(
+        mode="mlp" if isinstance(demapper, MlpDemapper) else "gaussian",
+        batch=batch, noise_variance=noise_variance, llr_clip=clip,
+        raw=raw, power=power, scale=scale, points_iq=points, y_iq=y,
+    )
+    if st.mode == "gaussian":
+        llr_raw, st.metric_cache = gaussian_bit_metric(
+            st.y, st.points, batch.bits, noise_variance)
+        # +/-inf marks an underflowed partition and clips exactly; NaN does not
+        if np.isnan(llr_raw).any():
+            raise NumericalError("NaN values in llr")
+    else:
+        activations = [y]
+        preacts = []
+        for w, b in zip(demapper.weights[:-1], demapper.biases[:-1]):
+            pre = activations[-1] @ w + b
+            preacts.append(pre)
+            activations.append(np.maximum(pre, 0.0))
+        llr_raw = activations[-1] @ demapper.weights[-1] + demapper.biases[-1]
+        st.activations, st.preacts = activations, preacts
+        _ensure_finite("llr", llr_raw)
+
+    llr = np.clip(llr_raw, -clip, clip)
+    z = -batch.sgn * llr
+    penalties = np.logaddexp(0.0, z) / LN2  # (S, m)
+    loss = float(penalties.sum() / batch.size)
+    _ensure_finite("loss", loss)
+
+    st.llr_raw, st.llr, st.z = llr_raw, llr, z
+    st.loss, st.penalties = loss, penalties
+    return st
+
+
+def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None:
+    """Write every gradient into grads, named views of the flat vector grad."""
+    batch = st.batch
+    M = st.raw.shape[0]
+
+    # d loss / d llr
+    dz = expit(st.z) / (batch.size * LN2)
+    dllr = -batch.sgn * dz
+    dllr[np.abs(st.llr_raw) > st.llr_clip] = 0.0
+
+    if st.mode == "gaussian":
+        # with dd2 = d loss / d |y_s - x_j|^2 = -da / noise_variance,
+        #   d loss / d y      = 2 (y * dd2.sum(1) - dd2 @ x)
+        #   d loss / d points = 2 (x * dd2.sum(0) - dd2.T @ y)   (receiver path)
+        # The rows of da sum to zero (a common shift of one sample's
+        # log-likelihoods leaves its LLRs unchanged), so the first term of
+        # d loss / d y vanishes; a column of ones gives dd2.sum(0) with dd2.T @ y.
+        da = gaussian_bit_metric_grad(dllr, st.metric_cache)
+        f = 2.0 / st.noise_variance
+        gy = _matmul_rows(da, st.points_iq)
+        gy *= f
+        ys = _matmul_rows(da.T, np.column_stack([st.y_iq, np.ones(batch.size)]))
+        dp = ys[:, :2] - st.points_iq * ys[:, 2:]
+        dp *= f
+        dp += _per_label_sum(batch, gy, M)  # transmit path
+    else:
+        dx = dllr
+        for i in range(len(demapper.weights) - 1, -1, -1):
+            np.matmul(st.activations[i].T, dx, out=grads[f"mlp.W{i}"])
+            dx.sum(axis=0, out=grads[f"mlp.b{i}"])
+            dx = dx @ demapper.weights[i].T
+            if i > 0:
+                dx = dx * (st.preacts[i - 1] > 0)
+        dp = _per_label_sum(batch, dx, M)  # transmit path: y = points[labels] + noise
+
+    # normalization chain: points = scale * raw, scale = power^(-1/2)
+    dscale = float((dp * st.raw).sum())
+    try:
+        dpower = -0.5 * st.scale ** 3 * dscale
+    except OverflowError as exc:  # a float power raises instead of giving inf
+        raise NumericalError("non-finite values in gradient mapper.raw") from exc
+    draw = grads["mapper.raw"]
+    np.multiply(dp, st.scale, out=draw)
+    draw += (2.0 / M) * st.raw * dpower
+
+    if not np.isfinite(grad).all():
+        bad = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise NumericalError(f"non-finite values in gradient {bad}")
 
 
 def forward_loss(params: MapperParams, demapper, labels: np.ndarray,
@@ -293,67 +484,13 @@ def forward_loss(params: MapperParams, demapper, labels: np.ndarray,
     `labels` must contain each of the M labels equally often; `noise` is
     the complex additive noise realization, one entry per label.
     """
-    if not noise_variance > 0:
-        raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
     labels = np.asarray(labels)
     noise = np.asarray(noise, dtype=np.complex128)
     if labels.shape != noise.shape:
         raise ParameterError("labels and noise must have matching shapes")
-    M = params.size
-    counts = np.bincount(labels, minlength=M)
-    if not np.all(counts == counts[0]):
-        raise ParameterError("batch must contain every label equally often")
-    m = M.bit_length() - 1
-    S = labels.size
-
-    raw = params.raw
-    power = float(np.mean(np.sum(raw ** 2, axis=1)))
-    if not power > 0:
-        raise NumericalError("non-finite values in points")  # all-zero mapper
-    scale = power ** -0.5
-    points = scale * (raw[:, 0] + 1j * raw[:, 1])
-    _ensure_finite("points", points)
-
-    y = points[labels] + noise
-    _ensure_finite("y", y)
-
-    bits = bit_table(m)
-    clip = demapper.llr_clip
-    state = ForwardState(
-        mode="mlp" if isinstance(demapper, MlpDemapper) else "gaussian",
-        labels=labels, noise_variance=noise_variance, llr_clip=clip,
-        raw=raw, power=power, scale=scale, points=points, y=y,
-        sgn=1.0 - 2.0 * bits[labels],
-        llr_raw=None, llr=None, z=None, loss=0.0, per_bit_surrogate=None,
-    )
-
-    if state.mode == "gaussian":
-        llr_raw, state.metric_cache = gaussian_bit_metric(y, points, bits, noise_variance)
-        # +/-inf marks an underflowed partition and clips exactly; NaN does not
-        if np.isnan(llr_raw).any():
-            raise NumericalError("NaN values in llr")
-    else:
-        x = np.column_stack([y.real, y.imag])
-        activations = [x]
-        preacts = []
-        for w, b in zip(demapper.weights[:-1], demapper.biases[:-1]):
-            pre = activations[-1] @ w + b
-            preacts.append(pre)
-            activations.append(np.maximum(pre, 0.0))
-        llr_raw = activations[-1] @ demapper.weights[-1] + demapper.biases[-1]
-        state.activations, state.preacts = activations, preacts
-        _ensure_finite("llr", llr_raw)
-
-    llr = np.clip(llr_raw, -clip, clip)
-    z = -state.sgn * llr
-    penalties = np.logaddexp(0.0, z) / LN2  # (S, m)
-    loss = float(penalties.sum() / S)
-    _ensure_finite("loss", loss)
-
-    state.llr_raw, state.llr, state.z = llr_raw, llr, z
-    state.loss = loss
-    state.per_bit_surrogate = 1.0 - penalties.sum(axis=0) / S
-    return loss, state
+    st = _forward(params.raw, demapper, _make_batch(labels, params.size),
+                  np.stack([noise.real, noise.imag], axis=-1), noise_variance)
+    return st.loss, st
 
 
 def backward(params: MapperParams, demapper, state: ForwardState) -> dict:
@@ -361,52 +498,13 @@ def backward(params: MapperParams, demapper, state: ForwardState) -> dict:
 
     The differentiable path runs through the power normalization, the
     transmit symbols, and (gaussian mode) the receiver metric itself;
-    clipped LLR entries receive zero gradient.
+    clipped LLR entries receive zero gradient. The returned arrays are
+    views into one flat vector, in trainable_arrays() order.
     """
-    S = state.labels.size
-    M = params.size
-
-    # d loss / d llr
-    dz = expit(state.z) / (S * LN2)
-    dllr = -state.sgn * dz
-    dllr[np.abs(state.llr_raw) > state.llr_clip] = 0.0
-
-    if state.mode == "gaussian":
-        da = gaussian_bit_metric_grad(dllr, state.metric_cache)
-        dd2 = -da / state.noise_variance
-        diff = state.y[:, None] - state.points[None, :]
-        weighted = dd2 * diff
-        gy = 2.0 * weighted.sum(axis=1)            # d loss / d y (complex convention)
-        gp = -2.0 * weighted.sum(axis=0)           # receiver-path d loss / d points
-        grads_mlp = {}
-    else:
-        dx = dllr
-        grads_mlp = {}
-        n_layers = len(demapper.weights)
-        for i in range(n_layers - 1, -1, -1):
-            x_in = state.activations[i]
-            grads_mlp[f"mlp.W{i}"] = x_in.T @ dx
-            grads_mlp[f"mlp.b{i}"] = dx.sum(axis=0)
-            dx = dx @ demapper.weights[i].T
-            if i > 0:
-                dx = dx * (state.preacts[i - 1] > 0)
-        gy = dx[:, 0] + 1j * dx[:, 1]
-        gp = np.zeros(M, dtype=np.complex128)
-
-    # transmit path: y = points[labels] + noise
-    gp = gp + (np.bincount(state.labels, weights=gy.real, minlength=M)
-               + 1j * np.bincount(state.labels, weights=gy.imag, minlength=M))
-    dp = np.column_stack([gp.real, gp.imag])
-
-    # normalization chain: points = scale * raw, scale = power^(-1/2)
-    dscale = float(np.sum(dp * state.raw))
-    dpower = -0.5 * state.scale ** 3 * dscale
-    draw = dp * state.scale + (2.0 / M) * state.raw * dpower
-
-    grads = {"mapper.raw": draw}
-    grads.update(grads_mlp)
-    for name, g in grads.items():
-        _ensure_finite(f"gradient {name}", g)
+    shapes = {name: a.shape for name, a in trainable_arrays(params, demapper).items()}
+    grad = np.empty(sum(math.prod(s) for s in shapes.values()))
+    grads = _views(grad, shapes)
+    _backward(demapper, state, grad, grads)
     return grads
 
 
@@ -535,20 +633,45 @@ def adam_init(arrays: dict) -> AdamState:
                      v={k: np.zeros_like(v) for k, v in arrays.items()})
 
 
+def _adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
+                 v: np.ndarray, t: int, hyper: AdamHyper,
+                 work: np.ndarray) -> None:
+    """Adam step t on flat vectors, in place; work is (2, n) scratch.
+
+        m <- beta1 m + (1 - beta1) g
+        v <- beta2 v + (1 - beta2) g g
+        theta <- theta - lr (m / c1) / (sqrt(v / c2) + eps),  ci = 1 - betai^t
+
+    evaluated left to right in exactly this order.
+    """
+    c1 = 1.0 - hyper.beta1 ** t
+    c2 = 1.0 - hyper.beta2 ** t
+    a, b = work
+    np.multiply(grad, 1.0 - hyper.beta1, out=a)
+    m *= hyper.beta1
+    m += a
+    np.multiply(grad, 1.0 - hyper.beta2, out=a)
+    a *= grad
+    v *= hyper.beta2
+    v += a
+    np.divide(m, c1, out=a)
+    a *= hyper.learning_rate
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += hyper.eps
+    a /= b
+    theta -= a
+
+
 def adam_step(arrays: dict, grads: dict, state: AdamState,
               hyper: AdamHyper):
     """One bias-corrected Adam update; returns (new arrays, new state)."""
-    t = state.t + 1
-    c1 = 1.0 - hyper.beta1 ** t
-    c2 = 1.0 - hyper.beta2 ** t
-    out, new_m, new_v = {}, {}, {}
-    for key, x in arrays.items():
-        g = grads[key]
-        mk = hyper.beta1 * state.m[key] + (1.0 - hyper.beta1) * g
-        vk = hyper.beta2 * state.v[key] + (1.0 - hyper.beta2) * g * g
-        out[key] = x - hyper.learning_rate * (mk / c1) / (np.sqrt(vk / c2) + hyper.eps)
-        new_m[key], new_v[key] = mk, vk
-    return out, AdamState(t=t, m=new_m, v=new_v)
+    theta, out = _flatten(arrays)
+    grad, _ = _flatten({k: grads[k] for k in arrays})
+    m, new_m = _flatten({k: state.m[k] for k in arrays})
+    v, new_v = _flatten({k: state.v[k] for k in arrays})
+    _adam_update(theta, grad, m, v, state.t + 1, hyper, np.empty((2, theta.size)))
+    return out, AdamState(t=state.t + 1, m=new_m, v=new_v)
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +723,18 @@ def train(config: TrainConfig):
         demapper = GaussianDemapper(llr_clip=config.llr_clip)
 
     M = 1 << config.m
-    labels = np.repeat(np.arange(M), config.batch_symbols // M)
+    S = config.batch_symbols
+    batch = _make_batch(np.repeat(np.arange(M), S // M), M)
     hyper = AdamHyper(config.learning_rate, config.adam_beta1,
                       config.adam_beta2, config.adam_eps)
-    arrays = trainable_arrays(params, demapper)
-    opt = adam_init(arrays)
+    # from here on the trainable arrays are views into theta, which Adam
+    # updates in place together with its moment vectors
+    theta, arrays = _flatten(trainable_arrays(params, demapper))
+    params, demapper = with_arrays(params, demapper, arrays)
+    grad = np.empty_like(theta)
+    grads = _views(grad, {name: a.shape for name, a in arrays.items()})
+    moments = np.zeros((2, theta.size))
+    work = np.empty((2, theta.size))
 
     refresh = (config.target.refresh_every
                if isinstance(config.target, LinkTarget) else 0)
@@ -618,17 +748,18 @@ def train(config: TrainConfig):
         if refresh and it > 0 and it % refresh == 0:
             noise_variance = config.target.resolve(
                 Constellation(m=config.m, points=params.emit(), metadata={}))
-        noise = awgn_sample(rng, np.zeros(config.batch_symbols), noise_variance)
+        # the draws of awgn_sample: noise_variance / 2 per real dimension
+        noise = rng.standard_normal((S, 2))
+        noise *= math.sqrt(noise_variance / 2.0)
         try:
-            loss, st = forward_loss(params, demapper, labels, noise, noise_variance)
-            grads = backward(params, demapper, st)
+            st = _forward(params.raw, demapper, batch, noise, noise_variance)
+            _backward(demapper, st, grad, grads)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc
-        arrays, opt = adam_step(trainable_arrays(params, demapper), grads, opt, hyper)
-        params, demapper = with_arrays(params, demapper, arrays)
-        loss_hist[it] = loss
-        gmi_hist[it] = config.m - loss
-        norm_hist[it] = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        _adam_update(theta, grad, *moments, it + 1, hyper, work)
+        loss_hist[it] = st.loss
+        gmi_hist[it] = config.m - st.loss
+        norm_hist[it] = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
 
     history = TrainHistory(loss=loss_hist, surrogate_gmi=gmi_hist,
                            grad_norm=norm_hist)

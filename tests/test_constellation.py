@@ -33,6 +33,12 @@ class TestBitTable:
         # label 8 = 1000b: only the first (most significant) bit set
         assert_array_equal(t[8], [1, 0, 0, 0])
 
+    def test_shared_table_is_read_only(self):
+        t = bit_table(3)
+        assert t is bit_table(3) is uniform_qam(3).bits()
+        with pytest.raises(ValueError):
+            t[0, 0] = 1
+
 
 class TestUniformQam:
     def test_bpsk(self):

@@ -21,7 +21,7 @@ from shapegain import (
     per_bit_gmi_mc,
     uniform_qam,
 )
-from shapegain.demapper import gaussian_bit_metric, make_report
+from shapegain.demapper import gaussian_bit_metric, gaussian_bit_metric_grad, make_report
 
 
 # ---------------------------------------------------------------- exact LLRs
@@ -116,6 +116,24 @@ class TestMatrixKernel:
         nearest = np.min(np.abs(far[:, None] - c.points) ** 2, axis=1) / s2
         gap = np.abs(llr_exact(far, c, s2) - _llr_logsumexp_loop(far, c, s2, 50.0))
         assert np.all(gap <= 1e-12 + 16 * np.finfo(float).eps * nearest[:, None])
+
+    @pytest.mark.parametrize("snr_db", [3.0, 40.0])
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_gradient_rows_sum_to_zero(self, m, snr_db):
+        # LLRs are unchanged by a common shift of one sample's log-likelihoods,
+        # so d loss / d loglik sums to zero over the points of every sample
+        rng = np.random.default_rng(m)
+        c = _random_constellation(m, rng)
+        s2 = 1.0 / db_to_linear(snr_db)
+        y = awgn_sample(rng, c.points[rng.integers(0, c.size, 500)], s2)
+        pairs = rng.integers(0, c.size, (2, 100))  # midpoints keep unclipped LLRs at 40 dB
+        y = np.concatenate([y, 0.5 * (c.points[pairs[0]] + c.points[pairs[1]])])
+        raw, cache = gaussian_bit_metric(y, c.points, c.bits(), s2)
+        dllr = rng.standard_normal(raw.shape)
+        dllr[np.abs(raw) > 50.0] = 0.0
+        da = gaussian_bit_metric_grad(dllr, cache)
+        assert np.all(np.abs(da.sum(axis=1)) <= 1e-13 * (1.0 + np.abs(da).sum(axis=1)))
+        assert np.any(da != 0.0)
 
     def test_clip_limit(self):
         c = uniform_qam(2)

@@ -1,9 +1,13 @@
 """Training engine tests: forward/backward vs finite differences, Adam, train()."""
 
+import math
+
 import numpy as np
 import pytest
 
+import shapegain.training as training
 from shapegain import (
+    Constellation,
     LinkConfig,
     NumericalError,
     ParameterError,
@@ -31,6 +35,7 @@ from shapegain.training import (
     train,
     train_config_from_dict,
     trainable_arrays,
+    with_arrays,
 )
 
 
@@ -180,7 +185,7 @@ class TestGradients:
                              n_probes=8, rng=np.random.default_rng(0))
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
 
-    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("m", [2, 4, 6])
     def test_gaussian_gradients_with_underflowed_partitions(self, m):
         # at 40 dB most partitions underflow (infinite raw LLRs); a few
         # samples moved onto a decision boundary keep unclipped entries in
@@ -314,6 +319,30 @@ class TestAdam:
         assert arrays["w"][0] == 1.0 and grads["w"][0] == 2.0
         assert state.t == 0 and state.m["w"][0] == 0.0
 
+    def test_matches_textbook_formula_bitwise(self):
+        # the in-place update keeps the formula's evaluation order exactly
+        rng = np.random.default_rng(8)
+        hyper = AdamHyper(learning_rate=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+        # parameters of the step's own size, so a one-ulp change of the step shows
+        arrays = {"a": 1e-3 * rng.normal(size=(5, 2)), "b": np.zeros(3)}
+        state = adam_init(arrays)
+        ref_x = {k: v.copy() for k, v in arrays.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in arrays.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in arrays.items()}
+        for t in range(1, 30):
+            g = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-6, 6)
+                 for k, v in arrays.items()}
+            arrays, state = adam_step(arrays, g, state, hyper)
+            c1, c2 = 1.0 - hyper.beta1 ** t, 1.0 - hyper.beta2 ** t
+            for k in ref_x:
+                ref_m[k] = hyper.beta1 * ref_m[k] + (1.0 - hyper.beta1) * g[k]
+                ref_v[k] = hyper.beta2 * ref_v[k] + (1.0 - hyper.beta2) * g[k] * g[k]
+                ref_x[k] = ref_x[k] - hyper.learning_rate * (ref_m[k] / c1) / (
+                    np.sqrt(ref_v[k] / c2) + hyper.eps)
+                np.testing.assert_array_equal(arrays[k], ref_x[k])
+                np.testing.assert_array_equal(state.m[k], ref_m[k])
+                np.testing.assert_array_equal(state.v[k], ref_v[k])
+
     def test_deterministic(self):
         def run():
             arrays = {"w": np.array([0.3, 0.7])}
@@ -394,3 +423,109 @@ class TestTrain:
         c, hist = train(cfg)
         assert c.size == 4
         assert np.all(np.isfinite(hist.grad_norm))
+
+
+def _public_api_train(config):
+    """train() spelled out with the public step functions, one call each."""
+    rng = np.random.default_rng(config.seed)
+    params = init_mapper(config, rng)
+    if config.demapper_mode == "mlp":
+        demapper = init_mlp(config.m, config.mlp_hidden, rng, config.llr_clip)
+    else:
+        demapper = GaussianDemapper(llr_clip=config.llr_clip)
+    labels = _balanced_labels(config.m, config.batch_symbols)
+    hyper = AdamHyper(config.learning_rate, config.adam_beta1,
+                      config.adam_beta2, config.adam_eps)
+    opt = adam_init(trainable_arrays(params, demapper))
+    refresh = getattr(config.target, "refresh_every", 0)
+
+    def resolve():
+        return config.target.resolve(Constellation(m=config.m, points=params.emit()))
+
+    nv = resolve()
+    loss, gmi, norm = [], [], []
+    for it in range(config.iterations):
+        if refresh and it > 0 and it % refresh == 0:
+            nv = resolve()
+        noise = awgn_sample(rng, np.zeros(config.batch_symbols), nv)
+        val, st = forward_loss(params, demapper, labels, noise, nv)
+        grads = backward(params, demapper, st)
+        arrays, opt = adam_step(trainable_arrays(params, demapper), grads, opt, hyper)
+        params, demapper = with_arrays(params, demapper, arrays)
+        loss.append(val)
+        gmi.append(config.m - val)
+        norm.append(math.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    return params.emit(), np.array(loss), np.array(gmi), np.array(norm)
+
+
+class TestTrainMatchesPublicSteps:
+    """train() keeps its per-run invariants and one flat parameter vector;
+    it must still take exactly the steps the public functions define."""
+
+    @pytest.mark.parametrize("config", [
+        _config(m=4, iterations=40, batch_symbols=256, demapper_mode="mlp",
+                mlp_hidden=(4,), seed=3),
+        _config(m=3, iterations=30, batch_symbols=128, demapper_mode="mlp",
+                mlp_hidden=(8, 8), seed=1),
+        _config(m=4, iterations=30, batch_symbols=256, seed=2),
+        _config(m=2, iterations=30, batch_symbols=64, demapper_mode="mlp",
+                mlp_hidden=(4,), seed=4,
+                target=LinkTarget(LinkConfig(n_spans=8, ase_var_per_span=0.0041,
+                                             chi1=0.3, chi2=0.1), refresh_every=7)),
+        _config(m=2, iterations=30, batch_symbols=64, seed=5,
+                target=LinkTarget(LinkConfig(n_spans=8, ase_var_per_span=0.0041,
+                                             chi1=0.3, chi2=0.1), refresh_every=7)),
+    ], ids=["mlp", "mlp-two-hidden", "gaussian", "link-mlp", "link-gaussian"])
+    def test_bit_identical(self, config):
+        c, hist = train(config)
+        points, loss, gmi, norm = _public_api_train(config)
+        np.testing.assert_array_equal(c.points, points)
+        np.testing.assert_array_equal(hist.loss, loss)
+        np.testing.assert_array_equal(hist.surrogate_gmi, gmi)
+        np.testing.assert_array_equal(hist.grad_norm, norm)
+
+
+class TestTrainNumericalErrors:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_llr_names_the_iteration(self, monkeypatch):
+        real_init = training.init_mlp
+
+        def huge_mlp(*args, **kwargs):
+            mlp = real_init(*args, **kwargs)
+            mlp.weights = [np.full_like(w, 1e300) for w in mlp.weights]
+            return mlp
+
+        monkeypatch.setattr(training, "init_mlp", huge_mlp)
+        cfg = _config(m=2, iterations=3, demapper_mode="mlp", mlp_hidden=(4,))
+        with pytest.raises(NumericalError, match=r"^iteration 0: non-finite values in llr"):
+            train(cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mapper_overflow_names_the_iteration(self, monkeypatch):
+        real_init = training.init_mapper
+
+        def overflowing_mapper(*args, **kwargs):
+            params = real_init(*args, **kwargs)
+            return MapperParams(raw=params.raw * 1e200)  # |raw|^2 overflows
+
+        monkeypatch.setattr(training, "init_mapper", overflowing_mapper)
+        for mode in ("gaussian", "mlp"):
+            cfg = _config(m=2, iterations=3, demapper_mode=mode, mlp_hidden=(4,))
+            with pytest.raises(NumericalError, match=r"^iteration 0: mapper power is inf"):
+                train(cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_names_the_iteration(self, monkeypatch):
+        # a tiny mapper normalizes to finite points, but the chain rule
+        # through scale = power^(-1/2) needs scale^3, which overflows
+        real_init = training.init_mapper
+
+        def tiny_mapper(*args, **kwargs):
+            params = real_init(*args, **kwargs)
+            return MapperParams(raw=params.raw * 1e-150)
+
+        monkeypatch.setattr(training, "init_mapper", tiny_mapper)
+        cfg = _config(m=2, iterations=3)
+        with pytest.raises(NumericalError,
+                           match=r"^iteration 0: non-finite values in gradient mapper\.raw"):
+            train(cfg)
