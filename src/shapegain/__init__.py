@@ -35,7 +35,6 @@ from .demapper import (
     GmiReport,
     gmi_oracle_quadrature,
     llr_exact,
-    llr_maxlog,
     per_bit_gmi_from_samples,
     per_bit_gmi_mc,
 )
@@ -95,5 +94,3 @@ from .training import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constellation import Moments
-from .errors import NumericalError, ParameterError, UnboundedOptimumError
+from .errors import NumericalError, ParameterError, UnboundedOptimumError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,10 @@ class LinkConfig:
     chi3: float = 0.0
     eps_accum: float = 0.0
     span_length_km: float = 100.0
-    n_channels: int = 5
     fec_rate: float = 0.75
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_spans < 1:
             raise ParameterError(f"n_spans must be >= 1, got {self.n_spans}")
         if not self.ase_var_per_span > 0:

@@ -18,16 +18,17 @@ import numpy as np
 
 from .channel import db_to_linear, effective_snr, linear_to_db, optimal_launch_power
 from .constellation import (
+    constellation_to_dict,
     load_constellation,
     moments,
     save_constellation,
     uniform_qam,
 )
 from .demapper import GmiReport, per_bit_gmi_mc
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, load_json
 from .lut import export_lut
 from .rate_adapt import best_plan, load_plan, save_plan, select_dummy_bits
-from .sweep import _strip_notes, load_run_config, rows_to_csv, run_sweep
+from .sweep import load_run_config, rows_to_csv, run_sweep
 from .training import train, train_config_from_dict
 
 
@@ -98,12 +99,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_train(args) -> int:
-    with open(args.config) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{args.config}: not valid JSON: {exc}") from exc
-    section = _strip_notes(doc).get("train") if isinstance(doc, dict) else None
+    doc = load_json(args.config)
+    section = doc.get("train") if isinstance(doc, dict) else None
     if not isinstance(section, dict) or "target" not in section:
         raise ParameterError(
             f"{args.config}: needs a 'train' section with an explicit target")
@@ -162,12 +159,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_adapt(args) -> int:
     c = load_constellation(args.constellation)
-    with open(args.report) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{args.report}: not valid JSON: {exc}") from exc
-    report = GmiReport.from_dict(doc)
+    report = GmiReport.from_dict(load_json(args.report))
     if report.m != c.m:
         raise ParameterError(
             f"report is for m = {report.m}, constellation has m = {c.m}")
@@ -213,7 +205,6 @@ def _cmd_qam(args) -> int:
         save_constellation(c, args.out)
         print(f"wrote {args.out}")
     else:
-        from .constellation import constellation_to_dict
         print(json.dumps(constellation_to_dict(c), indent=2))
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, ParameterError, load_json
 
 CONSTELLATION_FORMAT_VERSION = 1
 
@@ -279,12 +279,12 @@ def constellation_to_dict(c: Constellation) -> dict:
 
 def constellation_from_dict(doc: dict) -> Constellation:
     try:
-        m = doc["m"]
+        m = int(doc["m"])
         points = np.array([complex(re, im) for re, im in doc["points"]])
         metadata = dict(doc.get("metadata") or {})
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed constellation document: {exc}") from exc
-    return Constellation(int(m), points, metadata)
+    return Constellation(m, points, metadata)
 
 
 def save_constellation(c: Constellation, path) -> None:
@@ -295,9 +295,4 @@ def save_constellation(c: Constellation, path) -> None:
 
 
 def load_constellation(path) -> Constellation:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{path}: not valid JSON: {exc}") from exc
-    return constellation_from_dict(doc)
+    return constellation_from_dict(load_json(path))

@@ -11,7 +11,7 @@ fields duplicate the single-polarization statistics (both polarizations
 see the same effective channel).
 
 Every exact LLR in the package (llr_exact, the GMI estimators built on it
-and the Gaussian demapper in training) comes from one kernel,
+and GaussianDemapper, the exact receiver of training) comes from one kernel,
 gaussian_bit_metric, in matrix form: with P_sj = exp(-|y_s - x_j|^2 / sigma^2)
 scaled by its row maximum and the bit table B (M x m), both partition sums
 of every bit level are one product
@@ -36,7 +36,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .channel import awgn_sample
 from .constellation import Constellation
-from .errors import CapabilityError, ParameterError
+from .errors import CapabilityError, NumericalError, ParameterError
 
 LN2 = math.log(2.0)
 DEFAULT_LLR_CLIP = 50.0
@@ -117,10 +117,61 @@ def gaussian_bit_metric_grad(dllr: np.ndarray, cache) -> np.ndarray:
     return da
 
 
-def _as_batch(y) -> tuple[np.ndarray, bool]:
-    scalar = np.ndim(y) == 0
-    arr = np.atleast_1d(np.asarray(y, dtype=np.complex128))
-    return arr, scalar
+def _complex_view(iq: np.ndarray) -> np.ndarray:
+    """(n,) complex view of an (n, 2) array of I/Q pairs."""
+    return np.ascontiguousarray(iq, dtype=np.float64).view(np.complex128)[:, 0]
+
+
+@dataclass
+class GaussianDemapper:
+    """Differentiable exact bit-metric receiver, no trainable state.
+
+    Implements the receiver interface described in shapegain.training.
+    """
+
+    llr_clip: float = DEFAULT_LLR_CLIP
+
+    def __post_init__(self):
+        check_llr_clip(self.llr_clip)
+
+    def arrays(self) -> dict:
+        return {}
+
+    def with_arrays(self, arrays: dict) -> "GaussianDemapper":
+        return self
+
+    def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, bits: np.ndarray,
+                noise_variance: float):
+        """(llr_raw, cache) for samples y_iq (S, 2) against points_iq (M, 2)."""
+        llr_raw, metric = gaussian_bit_metric(_complex_view(y_iq), _complex_view(points_iq),
+                                              bits, noise_variance)
+        # +/-inf marks an underflowed partition and clips exactly; NaN does not
+        if np.isnan(llr_raw).any():
+            raise NumericalError("NaN values in llr")
+        return llr_raw, (metric, y_iq, points_iq, noise_variance)
+
+    def backward(self, dllr: np.ndarray, cache, grads: dict):
+        """(d loss / d y_iq, d loss / d points_iq through the receiver).
+
+        With dd2 = d loss / d |y_s - x_j|^2 = -da / noise_variance,
+          d loss / d y      = 2 (y * dd2.sum(1) - dd2 @ x)
+          d loss / d points = 2 (x * dd2.sum(0) - dd2.T @ y)
+        The rows of da sum to zero (a common shift of one sample's
+        log-likelihoods leaves its LLRs unchanged), so the first term of
+        d loss / d y vanishes; a column of ones gives dd2.sum(0) with dd2.T @ y.
+        """
+        metric, y_iq, points_iq, noise_variance = cache
+        da = gaussian_bit_metric_grad(dllr, metric)
+        f = 2.0 / noise_variance
+        gy = _matmul_rows(da, points_iq)
+        gy *= f
+        ys = _matmul_rows(da.T, np.column_stack([y_iq, np.ones(len(y_iq))]))
+        gp = ys[:, :2] - points_iq * ys[:, 2:]
+        gp *= f
+        return gy, gp
+
+    def kinks(self, cache) -> list:
+        return []
 
 
 def llr_exact(y, c: Constellation, noise_variance: float,
@@ -135,25 +186,9 @@ def llr_exact(y, c: Constellation, noise_variance: float,
     if not noise_variance > 0:
         raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
     check_llr_clip(llr_clip)
-    yb, scalar = _as_batch(y)
+    scalar = np.ndim(y) == 0
+    yb = np.atleast_1d(np.asarray(y, dtype=np.complex128))
     out, _ = gaussian_bit_metric(yb, c.points, c.bits(), noise_variance)
-    np.clip(out, -llr_clip, llr_clip, out=out)
-    return out[0] if scalar else out
-
-
-def llr_maxlog(y, c: Constellation, noise_variance: float,
-               llr_clip: float = DEFAULT_LLR_CLIP) -> np.ndarray:
-    """Max-log approximation: each log-sum replaced by its largest term."""
-    if not noise_variance > 0:
-        raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
-    yb, scalar = _as_batch(y)
-    ll = _sq_dist(yb, c.points)
-    ll /= -noise_variance
-    bits = c.bits()
-    out = np.empty((yb.size, c.m))
-    for k in range(c.m):
-        mask0 = bits[:, k] == 0
-        out[:, k] = ll[:, mask0].max(axis=1) - ll[:, ~mask0].max(axis=1)
     np.clip(out, -llr_clip, llr_clip, out=out)
     return out[0] if scalar else out
 

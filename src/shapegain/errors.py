@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and input-file checks shared across the package.
 
 The CLI maps these onto exit codes: parameter/usage problems exit 1,
-numerical failures exit 2, I/O problems (plain OSError) exit 3.
+numerical failures exit 2, I/O problems (plain OSError) exit 3. The checks
+below turn malformed input files into ParameterError.
 """
+
+import json
+import numbers
+from dataclasses import fields
 
 
 class ShapegainError(Exception):
@@ -31,3 +36,55 @@ class FramingError(ParameterError):
 
 class NumericalError(ShapegainError, ArithmeticError):
     """A computation produced non-finite values."""
+
+
+def load_json(path):
+    """Parse a JSON input file; keys starting with "_" are comments at any depth.
+
+    Contents that do not decode (invalid UTF-8, invalid JSON, nesting too
+    deep to parse) raise ParameterError; failing to open or read the file
+    stays an OSError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_hook=lambda obj: {
+                k: v for k, v in obj.items() if not k.startswith("_")})
+        except (ValueError, RecursionError) as exc:
+            raise ParameterError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def build_section(name: str, build, doc):
+    """build(**doc); a non-object doc, or a TypeError or ValueError from
+    build (an unknown key, a wrongly typed value), is a bad-section error."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"bad {name} config: expected an object, "
+                             f"got {type(doc).__name__}")
+    try:
+        return build(**doc)
+    except ParameterError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad {name} config: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def int_tuple(name: str, value) -> tuple:
+    """A list of integers as a tuple; anything else raises ParameterError."""
+    if not isinstance(value, (list, tuple)) or not all(_is_int(v) for v in value):
+        raise ParameterError(f"{name} must be a list of integers")
+    return tuple(value)
+
+
+def check_field_types(obj) -> None:
+    """Reject dataclass fields annotated "int" or "float" (postponed
+    annotations) holding anything else; JSON true/false are not numbers."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and not _is_int(value):
+            raise ParameterError(f"{f.name} must be an integer, got {type(value).__name__}")
+        if f.type == "float" and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Real)):
+            raise ParameterError(f"{f.name} must be a number, got {type(value).__name__}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demapper import GmiReport
-from .errors import FramingError, ParameterError
+from .errors import FramingError, ParameterError, load_json
 
 
 def _check_fec_rate(fec_rate: float) -> float:
@@ -81,7 +81,7 @@ class RateAdaptPlan:
                 per_pol_data_gmi=tuple(float(v) for v in doc["per_pol_data_gmi"]),
                 fec_rate=float(doc["fec_rate"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"malformed rate-adaptation plan: {exc}") from exc
 
 
@@ -91,12 +91,7 @@ def save_plan(plan: RateAdaptPlan, path) -> None:
 
 
 def load_plan(path) -> RateAdaptPlan:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{path}: not valid JSON: {exc}") from exc
-    return RateAdaptPlan.from_dict(doc)
+    return RateAdaptPlan.from_dict(load_json(path))
 
 
 def _weakest(per_pol: np.ndarray, count: int) -> list:

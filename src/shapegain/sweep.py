@@ -10,18 +10,25 @@ byte, serial or threaded.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .channel import LinkConfig, effective_snr, optimal_launch_power
 from .constellation import Constellation, moments, uniform_qam
-from .demapper import GmiReport, per_bit_gmi_mc
-from .errors import ParameterError, ShapegainError
+from .demapper import per_bit_gmi_mc
+from .errors import (
+    ParameterError,
+    ShapegainError,
+    build_section,
+    check_field_types,
+    int_tuple,
+    load_json,
+)
 from .rate_adapt import best_plan
 from .training import SnrTarget, TrainConfig, train, train_config_from_dict
 
@@ -52,10 +59,13 @@ class SweepSettings:
     qam_m_list: tuple = ()
 
     def __post_init__(self):
-        if not self.span_grid:
+        for name in ("span_grid", "qam_m_list"):
+            object.__setattr__(self, name, int_tuple(name, getattr(self, name)))
+        object.__setattr__(self, "schemes", tuple(self.schemes))
+        grid = self.span_grid
+        if not grid:
             raise ParameterError("span_grid must be nonempty")
-        grid = list(self.span_grid)
-        if any(int(n) < 1 for n in grid):
+        if any(n < 1 for n in grid):
             raise ParameterError("span_grid entries must be >= 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("span_grid must be strictly increasing")
@@ -78,8 +88,11 @@ class EvalSettings:
     epsilon_mom: float = 0.01
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_samples < 1:
             raise ParameterError("n_samples must be >= 1")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
         if not self.epsilon_mom > 0:
             raise ParameterError("epsilon_mom must be positive")
 
@@ -87,6 +100,10 @@ class EvalSettings:
 @dataclass(frozen=True)
 class OutputSettings:
     results_csv: Optional[str] = None
+
+    def __post_init__(self):
+        if not isinstance(self.results_csv, (str, type(None))):
+            raise ParameterError("results_csv must be a path string")
 
 
 @dataclass(frozen=True)
@@ -98,60 +115,31 @@ class RunConfig:
     output: OutputSettings = OutputSettings()
 
 
-def _strip_notes(doc):
-    """Drop documentation keys (leading underscore) from parsed JSON."""
-    if isinstance(doc, dict):
-        return {k: _strip_notes(v) for k, v in doc.items() if not k.startswith("_")}
-    if isinstance(doc, list):
-        return [_strip_notes(v) for v in doc]
-    return doc
-
-
 def load_run_config(path) -> RunConfig:
     """Parse a JSON run-configuration file (link/train/sweep/eval sections)."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{path}: not valid JSON: {exc}") from exc
-    doc = _strip_notes(doc)
-    if "link" not in doc or "train" not in doc:
+    doc = load_json(path)
+    if not isinstance(doc, dict) or "link" not in doc or "train" not in doc:
         raise ParameterError(f"{path}: config needs 'link' and 'train' sections")
-
-    link_doc = dict(doc["link"])
-    link_doc.setdefault("n_spans", 1)  # placeholder, the grid overrides it
-    try:
-        link = LinkConfig(**link_doc)
-    except TypeError as exc:
-        raise ParameterError(f"bad link config: {exc}") from exc
-
-    train_doc = dict(doc["train"])
-    # sweeps retarget every grid point, so a standalone target is optional here
-    train_doc.setdefault("target", {"snr_db": 10.0})
+    # n_spans is a placeholder, the grid overrides it
+    link = build_section("link", partial(LinkConfig, n_spans=1), doc["link"])
+    train_doc = doc["train"]
+    if isinstance(train_doc, dict) and "target" not in train_doc:
+        # sweeps retarget every grid point, so a standalone target is optional here
+        train_doc = {**train_doc, "target": {"snr_db": 10.0}}
     train_cfg = train_config_from_dict(train_doc)
-
     sweep_cfg = None
     if "sweep" in doc:
-        sw = dict(doc["sweep"])
-        sw["span_grid"] = tuple(int(n) for n in sw.get("span_grid", ()))
-        sw["schemes"] = tuple(sw.get("schemes", ("ae", "qam")))
-        if "qam_m_list" in sw:
-            sw["qam_m_list"] = tuple(int(m) for m in sw["qam_m_list"])
-        elif "qam" in sw["schemes"]:
-            fallback = [train_cfg.m] + ([train_cfg.m - 1] if train_cfg.m > 1 else [])
-            sw["qam_m_list"] = tuple(fallback)
-        try:
-            sweep_cfg = SweepSettings(**sw)
-        except TypeError as exc:
-            raise ParameterError(f"bad sweep config: {exc}") from exc
-
-    try:
-        eval_cfg = EvalSettings(**doc.get("eval", {}))
-        out_cfg = OutputSettings(**doc.get("output", {}))
-    except TypeError as exc:
-        raise ParameterError(f"bad eval/output config: {exc}") from exc
+        sweep_cfg = build_section("sweep", partial(_sweep_settings, train_cfg.m),
+                                  doc["sweep"])
     return RunConfig(link=link, train=train_cfg, sweep=sweep_cfg,
-                     eval=eval_cfg, output=out_cfg)
+                     eval=build_section("eval", EvalSettings, doc.get("eval", {})),
+                     output=build_section("output", OutputSettings, doc.get("output", {})))
+
+
+def _sweep_settings(train_m: int, /, **sw) -> SweepSettings:
+    if "qam_m_list" not in sw and "qam" in sw.get("schemes", ("ae", "qam")):
+        sw["qam_m_list"] = (train_m, train_m - 1) if train_m > 1 else (train_m,)
+    return SweepSettings(**sw)
 
 
 def _splitmix64(x: int) -> int:
@@ -263,31 +251,22 @@ def run_sweep(config: RunConfig, keep_going: bool = False, error_sink=None,
         raise ParameterError("config has no sweep section")
     tasks = [(scheme, n) for scheme in sorted(set(config.sweep.schemes))
              for n in config.sweep.span_grid]
-    outcomes = {}
 
     def _run_one(task):
-        scheme, n_spans = task
-        return evaluate_grid_point(config, scheme, n_spans)
+        try:
+            return "ok", evaluate_grid_point(config, *task)
+        except Exception as exc:  # noqa: BLE001 - classified below
+            return "err", exc
 
     threads = _thread_count()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {task: pool.submit(_run_one, task) for task in tasks}
-            for task, fut in futures.items():
-                outcomes[task] = fut
-        results = {task: _outcome(fut) for task, fut in outcomes.items()}
+            results = list(pool.map(_run_one, tasks))
     else:
-        results = {}
-        for task in tasks:
-            try:
-                results[task] = ("ok", _run_one(task))
-            except Exception as exc:  # noqa: BLE001 - classified below
-                results[task] = ("err", exc)
+        results = [_run_one(task) for task in tasks]
 
     rows = []
-    for task in tasks:
-        status, payload = results[task]
-        scheme, n_spans = task
+    for (scheme, n_spans), (status, payload) in zip(tasks, results):
         if status == "err":
             wrapped = _wrap_grid_error(scheme, n_spans, payload)
             if not keep_going:
@@ -301,13 +280,6 @@ def run_sweep(config: RunConfig, keep_going: bool = False, error_sink=None,
             detail_sink(scheme, n_spans, row, report, c)
     rows.sort(key=lambda r: (r.scheme, r.n_spans))
     return rows
-
-
-def _outcome(future):
-    exc = future.exception()
-    if exc is not None:
-        return ("err", exc)
-    return ("ok", future.result())
 
 
 def _wrap_grid_error(scheme: str, n_spans: int, exc: Exception):

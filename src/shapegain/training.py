@@ -1,7 +1,7 @@
 """Gradient-based constellation learning with hand-written reverse mode.
 
-The trainable objects are a direct M x 2 point table (the mapper) and,
-optionally, a small MLP demapper. The loss is the GMI surrogate
+The trainable objects are a direct M x 2 point table (the mapper) and the
+receiver's arrays, if it has any. The loss is the GMI surrogate
 
     loss = (1/S) sum_s sum_k log2(1 + exp(-(1 - 2 b_{k,s}) L_{k,s}))
 
@@ -10,23 +10,39 @@ power is enforced inside the forward pass (differentiable normalization),
 never by projection. Everything is plain numpy; gradients are derived by
 hand and guarded by finite-difference checks.
 
-train() keeps every trainable array (the mapper's raw points, each MLP
-weight and bias) as a named view into one float64 parameter vector, laid
-out in the order backward() produces the gradients: the mapper, then the
-MLP from its output layer back. Each iteration writes the gradients into
-one matching flat vector, checks it for non-finite values once, and Adam
-updates the parameters and both moment vectors in place. What depends
-only on the labels (the balance check, the bit table, the label signs and
-the label-ordered scatter of the transmit path) is built once per run.
-Signals stay real: points and received samples are (M, 2) and (S, 2) I/Q
-arrays, and the noise is the (S, 2) standard-normal draw awgn_sample would
-make. forward_loss, backward and adam_step are thin wrappers over the same
-step functions, so train() and a loop over them give identical bits.
+A receiver is one object with five methods; GaussianDemapper (the exact
+bit metric) and MlpDemapper (a small rectifier network) implement them, and
+training never asks which one it holds:
+
+    arrays()             named trainable arrays, in backward order
+    with_arrays(arrays)  the same receiver rebuilt from such arrays
+    forward(y_iq, points_iq, bits, noise_variance) -> (llr_raw, cache)
+                         after the receiver's own check of llr_raw
+    backward(dllr, cache, grads) -> (gy, gp)
+                         writes its parameter gradients into grads;
+                         gy = d loss / d y_iq, gp = d loss / d points_iq
+                         through the receiver, or None
+    kinks(cache)         the activation pattern (boolean arrays) that a
+                         finite-difference probe must not straddle
+
+train() keeps every trainable array (the mapper's raw points, then the
+receiver's) as a named view into one float64 parameter vector, laid out
+in the order backward() produces the gradients. Each iteration writes the
+gradients into one matching flat vector, checks it for non-finite values
+once, and Adam updates the parameters and both moment vectors in place.
+What depends only on the labels (the balance check, the bit table, the
+label signs and the label-ordered scatter of the transmit path) is built
+once per run. Signals stay real: points and received samples are (M, 2)
+and (S, 2) I/Q arrays, and the noise is the (S, 2) standard-normal draw
+awgn_sample would make. forward_loss, backward and adam_step are thin
+wrappers over the same step functions, so train() and a loop over them
+give identical bits.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -41,13 +57,8 @@ from .channel import (
     optimal_launch_power,
 )
 from .constellation import Constellation, bit_table, moments, uniform_qam
-from .demapper import (
-    _matmul_rows,
-    check_llr_clip,
-    gaussian_bit_metric,
-    gaussian_bit_metric_grad,
-)
-from .errors import NumericalError, ParameterError
+from .demapper import GaussianDemapper, _complex_view, check_llr_clip
+from .errors import NumericalError, ParameterError, build_section, check_field_types, int_tuple
 
 LN2 = math.log(2.0)
 
@@ -61,6 +72,9 @@ class SnrTarget:
     """Train against a fixed effective SNR in dB."""
 
     snr_db: float
+
+    def __post_init__(self):
+        check_field_types(self)
 
     def resolve(self, c: Constellation) -> float:
         """Noise variance for a unit-power constellation; ignores c."""
@@ -82,9 +96,12 @@ class LinkTarget:
     refresh_every: int = 200
 
     def __post_init__(self):
-        if isinstance(self.launch_power, str) and self.launch_power != "optimal":
-            raise ParameterError(
-                f"launch_power must be a number or 'optimal', got {self.launch_power!r}")
+        check_field_types(self)
+        power = self.launch_power
+        if power != "optimal" and (isinstance(power, (str, bool))
+                                   or not isinstance(power, numbers.Real)):
+            shown = repr(power) if isinstance(power, str) else type(power).__name__
+            raise ParameterError(f"launch_power must be a number or 'optimal', got {shown}")
         if self.refresh_every < 1:
             raise ParameterError("refresh_every must be >= 1")
 
@@ -114,10 +131,13 @@ class TrainConfig:
     llr_clip: float = 50.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.m < 1:
             raise ParameterError(f"m must be >= 1, got {self.m}")
         if self.iterations < 0:
             raise ParameterError("iterations must be >= 0")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
         M = 1 << self.m
         if self.batch_symbols < M or self.batch_symbols % M != 0:
             raise ParameterError(
@@ -129,35 +149,29 @@ class TrainConfig:
             raise ParameterError(f"unknown init {self.init!r}")
         if not self.learning_rate > 0:
             raise ParameterError("learning_rate must be positive")
+        object.__setattr__(self, "mlp_hidden", int_tuple("mlp_hidden", self.mlp_hidden))
+        if any(w < 1 for w in self.mlp_hidden):
+            raise ParameterError("mlp_hidden widths must be >= 1")
         check_llr_clip(self.llr_clip)
 
 
 def train_config_from_dict(doc: dict) -> TrainConfig:
     """Parse the `train` section of a run-configuration file."""
-    doc = dict(doc)
-    tgt = doc.pop("target", None)
-    if not isinstance(tgt, dict):
+    return build_section("train", _train_config, doc)
+
+
+def _train_config(target=None, **fields) -> TrainConfig:
+    if not isinstance(target, dict):
         raise ParameterError("train config needs a 'target' object")
-    if "snr_db" in tgt:
-        target: Union[SnrTarget, LinkTarget] = SnrTarget(float(tgt["snr_db"]))
-    elif "link" in tgt:
-        try:
-            link = LinkConfig(**tgt["link"])
-        except TypeError as exc:
-            raise ParameterError(f"bad link config: {exc}") from exc
-        target = LinkTarget(
-            link=link,
-            launch_power=tgt.get("launch_power", "optimal"),
-            refresh_every=int(tgt.get("refresh_every", 200)),
-        )
+    if "snr_db" in target:
+        tgt: Union[SnrTarget, LinkTarget] = SnrTarget(target["snr_db"])
+    elif "link" in target:
+        tgt = LinkTarget(link=build_section("link", LinkConfig, target["link"]),
+                         launch_power=target.get("launch_power", "optimal"),
+                         refresh_every=target.get("refresh_every", 200))
     else:
         raise ParameterError("target must contain 'snr_db' or 'link'")
-    if "mlp_hidden" in doc:
-        doc["mlp_hidden"] = tuple(int(w) for w in doc["mlp_hidden"])
-    try:
-        return TrainConfig(target=target, **doc)
-    except TypeError as exc:
-        raise ParameterError(f"bad train config: {exc}") from exc
+    return TrainConfig(target=tgt, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -171,41 +185,65 @@ class MapperParams:
     raw: np.ndarray
 
     @property
-    def raw_points(self) -> np.ndarray:
-        """Complex view of the free parameters."""
-        return self.raw[:, 0] + 1j * self.raw[:, 1]
-
-    @property
     def size(self) -> int:
         return self.raw.shape[0]
 
     def emit(self) -> np.ndarray:
         """Normalized complex points as transmitted."""
         scale = 1.0 / math.sqrt(float(np.mean(np.sum(self.raw ** 2, axis=1))))
-        return scale * self.raw_points
-
-
-@dataclass
-class GaussianDemapper:
-    """Differentiable exact bit-metric receiver, no trainable state."""
-
-    llr_clip: float = 50.0
-
-    def __post_init__(self):
-        check_llr_clip(self.llr_clip)
+        return scale * (self.raw[:, 0] + 1j * self.raw[:, 1])
 
 
 @dataclass
 class MlpDemapper:
-    """Fully-connected rectifier network mapping y = (I, Q) to m LLRs."""
+    """Fully-connected rectifier network mapping y = (I, Q) to m LLRs.
+
+    A receiver as described in the module docstring; the points do not
+    enter it, so its backward() returns gp = None.
+    """
 
     weights: list
     biases: list
     llr_clip: float = 50.0
 
-    @property
-    def n_outputs(self) -> int:
-        return self.weights[-1].shape[1]
+    def arrays(self) -> dict:
+        arrays = {}
+        for i in range(len(self.weights) - 1, -1, -1):
+            arrays[f"mlp.W{i}"] = self.weights[i]
+            arrays[f"mlp.b{i}"] = self.biases[i]
+        return arrays
+
+    def with_arrays(self, arrays: dict) -> "MlpDemapper":
+        n = len(self.weights)
+        return MlpDemapper(weights=[arrays[f"mlp.W{i}"] for i in range(n)],
+                           biases=[arrays[f"mlp.b{i}"] for i in range(n)],
+                           llr_clip=self.llr_clip)
+
+    def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, bits: np.ndarray,
+                noise_variance: float):
+        activations = [y_iq]
+        preacts = []
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            pre = activations[-1] @ w + b
+            preacts.append(pre)
+            activations.append(np.maximum(pre, 0.0))
+        llr_raw = activations[-1] @ self.weights[-1] + self.biases[-1]
+        _ensure_finite("llr", llr_raw)
+        return llr_raw, (activations, preacts)
+
+    def backward(self, dllr: np.ndarray, cache, grads: dict):
+        activations, preacts = cache
+        dx = dllr
+        for i in range(len(self.weights) - 1, -1, -1):
+            np.matmul(activations[i].T, dx, out=grads[f"mlp.W{i}"])
+            dx.sum(axis=0, out=grads[f"mlp.b{i}"])
+            dx = dx @ self.weights[i].T
+            if i > 0:
+                dx = dx * (preacts[i - 1] > 0)
+        return dx, None
+
+    def kinks(self, cache) -> list:
+        return [pre > 0 for pre in cache[1]]
 
 
 def init_mlp(m: int, hidden, rng: np.random.Generator,
@@ -247,47 +285,24 @@ def trainable_arrays(params: MapperParams, demapper) -> dict:
     """Named real-valued parameter arrays, the unit Adam operates on.
 
     The order is that of the flat parameter vector: the mapper, then the
-    MLP layers from the output back, the order backward() produces them in.
+    receiver's arrays, the order backward() produces them in.
     """
-    arrays = {"mapper.raw": params.raw}
-    if isinstance(demapper, MlpDemapper):
-        for i in range(len(demapper.weights) - 1, -1, -1):
-            arrays[f"mlp.W{i}"] = demapper.weights[i]
-            arrays[f"mlp.b{i}"] = demapper.biases[i]
-    return arrays
+    return {"mapper.raw": params.raw, **demapper.arrays()}
 
 
 def with_arrays(params: MapperParams, demapper, arrays: dict):
     """Rebuild (params, demapper) from a replacement array dict."""
-    new_params = MapperParams(raw=arrays["mapper.raw"])
-    if isinstance(demapper, MlpDemapper):
-        n = len(demapper.weights)
-        new_demapper = MlpDemapper(
-            weights=[arrays[f"mlp.W{i}"] for i in range(n)],
-            biases=[arrays[f"mlp.b{i}"] for i in range(n)],
-            llr_clip=demapper.llr_clip,
-        )
-    else:
-        new_demapper = demapper
-    return new_params, new_demapper
-
-
-def _views(vec: np.ndarray, shapes: dict) -> dict:
-    """Arrays of the given named shapes as consecutive views into vec."""
-    views, lo = {}, 0
-    for name, shape in shapes.items():
-        n = math.prod(shape)
-        views[name] = vec[lo:lo + n].reshape(shape)
-        lo += n
-    return views
+    return MapperParams(raw=arrays["mapper.raw"]), demapper.with_arrays(arrays)
 
 
 def _flatten(arrays: dict):
     """Copy named arrays into one new float64 vector; returns (vec, views)."""
     vec = np.empty(sum(np.size(a) for a in arrays.values()))
-    views = _views(vec, {name: np.shape(a) for name, a in arrays.items()})
+    views, lo = {}, 0
     for name, a in arrays.items():
+        views[name] = vec[lo:lo + np.size(a)].reshape(np.shape(a))
         views[name][...] = a
+        lo += np.size(a)
     return vec, views
 
 
@@ -327,46 +342,31 @@ def _per_label_sum(batch: _Batch, g: np.ndarray, M: int) -> np.ndarray:
                        minlength=2 * M).reshape(M, 2)
 
 
-def _complex_view(iq: np.ndarray) -> np.ndarray:
-    """(n,) complex view of an (n, 2) array of I/Q pairs."""
-    return np.ascontiguousarray(iq, dtype=np.float64).view(np.complex128)[:, 0]
-
-
 @dataclass
 class ForwardState:
     """Everything backward() needs, cached by forward_loss.
 
     Signals are real: points_iq (M, 2) and y_iq (S, 2) hold I and Q in
-    their columns; points and y are complex views of them.
+    their columns; points is a complex view of points_iq.
     """
 
-    mode: str
     batch: _Batch
-    noise_variance: float
     llr_clip: float
     raw: np.ndarray
     power: float
     scale: float
     points_iq: np.ndarray
     y_iq: np.ndarray
-    llr_raw: Optional[np.ndarray] = None
-    llr: Optional[np.ndarray] = None
-    z: Optional[np.ndarray] = None
-    loss: float = 0.0
-    penalties: Optional[np.ndarray] = None  # (S, m) loss terms, in bits
-    # gaussian mode: the cache of gaussian_bit_metric
-    metric_cache: Optional[tuple] = None
-    # mlp mode
-    activations: Optional[list] = None
-    preacts: Optional[list] = None
+    llr_raw: np.ndarray
+    llr: np.ndarray
+    z: np.ndarray
+    loss: float
+    penalties: np.ndarray  # (S, m) loss terms, in bits
+    cache: object  # the receiver's forward() cache
 
     @property
     def points(self) -> np.ndarray:
         return _complex_view(self.points_iq)
-
-    @property
-    def y(self) -> np.ndarray:
-        return _complex_view(self.y_iq)
 
     @property
     def per_bit_surrogate(self) -> np.ndarray:
@@ -393,38 +393,18 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     y += noise_iq
     _ensure_finite("y", y)
 
+    llr_raw, cache = demapper.forward(y, points, batch.bits, noise_variance)
     clip = demapper.llr_clip
-    st = ForwardState(
-        mode="mlp" if isinstance(demapper, MlpDemapper) else "gaussian",
-        batch=batch, noise_variance=noise_variance, llr_clip=clip,
-        raw=raw, power=power, scale=scale, points_iq=points, y_iq=y,
-    )
-    if st.mode == "gaussian":
-        llr_raw, st.metric_cache = gaussian_bit_metric(
-            st.y, st.points, batch.bits, noise_variance)
-        # +/-inf marks an underflowed partition and clips exactly; NaN does not
-        if np.isnan(llr_raw).any():
-            raise NumericalError("NaN values in llr")
-    else:
-        activations = [y]
-        preacts = []
-        for w, b in zip(demapper.weights[:-1], demapper.biases[:-1]):
-            pre = activations[-1] @ w + b
-            preacts.append(pre)
-            activations.append(np.maximum(pre, 0.0))
-        llr_raw = activations[-1] @ demapper.weights[-1] + demapper.biases[-1]
-        st.activations, st.preacts = activations, preacts
-        _ensure_finite("llr", llr_raw)
-
     llr = np.clip(llr_raw, -clip, clip)
     z = -batch.sgn * llr
     penalties = np.logaddexp(0.0, z) / LN2  # (S, m)
     loss = float(penalties.sum() / batch.size)
     _ensure_finite("loss", loss)
-
-    st.llr_raw, st.llr, st.z = llr_raw, llr, z
-    st.loss, st.penalties = loss, penalties
-    return st
+    return ForwardState(
+        batch=batch, llr_clip=clip,
+        raw=raw, power=power, scale=scale, points_iq=points, y_iq=y,
+        llr_raw=llr_raw, llr=llr, z=z, loss=loss, penalties=penalties, cache=cache,
+    )
 
 
 def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None:
@@ -437,30 +417,10 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
     dllr = -batch.sgn * dz
     dllr[np.abs(st.llr_raw) > st.llr_clip] = 0.0
 
-    if st.mode == "gaussian":
-        # with dd2 = d loss / d |y_s - x_j|^2 = -da / noise_variance,
-        #   d loss / d y      = 2 (y * dd2.sum(1) - dd2 @ x)
-        #   d loss / d points = 2 (x * dd2.sum(0) - dd2.T @ y)   (receiver path)
-        # The rows of da sum to zero (a common shift of one sample's
-        # log-likelihoods leaves its LLRs unchanged), so the first term of
-        # d loss / d y vanishes; a column of ones gives dd2.sum(0) with dd2.T @ y.
-        da = gaussian_bit_metric_grad(dllr, st.metric_cache)
-        f = 2.0 / st.noise_variance
-        gy = _matmul_rows(da, st.points_iq)
-        gy *= f
-        ys = _matmul_rows(da.T, np.column_stack([st.y_iq, np.ones(batch.size)]))
-        dp = ys[:, :2] - st.points_iq * ys[:, 2:]
-        dp *= f
-        dp += _per_label_sum(batch, gy, M)  # transmit path
-    else:
-        dx = dllr
-        for i in range(len(demapper.weights) - 1, -1, -1):
-            np.matmul(st.activations[i].T, dx, out=grads[f"mlp.W{i}"])
-            dx.sum(axis=0, out=grads[f"mlp.b{i}"])
-            dx = dx @ demapper.weights[i].T
-            if i > 0:
-                dx = dx * (st.preacts[i - 1] > 0)
-        dp = _per_label_sum(batch, dx, M)  # transmit path: y = points[labels] + noise
+    gy, gp = demapper.backward(dllr, st.cache, grads)
+    dp = _per_label_sum(batch, gy, M)  # transmit path: y = points[labels] + noise
+    if gp is not None:
+        dp += gp  # receiver path
 
     # normalization chain: points = scale * raw, scale = power^(-1/2)
     dscale = float((dp * st.raw).sum())
@@ -497,13 +457,11 @@ def backward(params: MapperParams, demapper, state: ForwardState) -> dict:
     """Gradients of the surrogate loss w.r.t. every trainable array.
 
     The differentiable path runs through the power normalization, the
-    transmit symbols, and (gaussian mode) the receiver metric itself;
+    transmit symbols, and the receiver when the points enter it (Gaussian);
     clipped LLR entries receive zero gradient. The returned arrays are
     views into one flat vector, in trainable_arrays() order.
     """
-    shapes = {name: a.shape for name, a in trainable_arrays(params, demapper).items()}
-    grad = np.empty(sum(math.prod(s) for s in shapes.values()))
-    grads = _views(grad, shapes)
+    grad, grads = _flatten(trainable_arrays(params, demapper))  # every entry is overwritten
     _backward(demapper, state, grad, grads)
     return grads
 
@@ -599,10 +557,7 @@ def gradient_check(params: MapperParams, demapper, labels, noise,
     def region_fn(replaced: dict) -> list:
         p2, d2 = with_arrays(params, demapper, replaced)
         _, st2 = forward_loss(p2, d2, labels, noise, noise_variance)
-        sig = [np.abs(st2.llr_raw) > st2.llr_clip]
-        if st2.preacts is not None:
-            sig.extend(pre > 0 for pre in st2.preacts)
-        return sig
+        return [np.abs(st2.llr_raw) > st2.llr_clip, *d2.kinks(st2.cache)]
 
     return finite_difference_check(loss_fn, arrays, grads, n_probes, tolerance,
                                    rng, step, region_fn=region_fn)
@@ -731,8 +686,7 @@ def train(config: TrainConfig):
     # updates in place together with its moment vectors
     theta, arrays = _flatten(trainable_arrays(params, demapper))
     params, demapper = with_arrays(params, demapper, arrays)
-    grad = np.empty_like(theta)
-    grads = _views(grad, {name: a.shape for name, a in arrays.items()})
+    grad, grads = _flatten(arrays)  # _backward overwrites every entry
     moments = np.zeros((2, theta.size))
     work = np.empty((2, theta.size))
 

@@ -4,14 +4,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shapegain import (
     GmiReport,
+    constellation_to_dict,
     load_constellation,
     parse_lut,
+    select_dummy_bits,
     uniform_qam,
 )
 from shapegain.cli import main
+from shapegain.demapper import make_report
 
 
 def _write_run_config(tmp_path, **extra):
@@ -281,3 +286,126 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert main(["qam"]) == 1
+
+
+# ------------------------------------------------------ malformed input files
+
+# small valid inputs: every run they can start is a few milliseconds long
+_RUN = {
+    "link": {"ase_var_per_span": 0.0041, "chi1": 0.3, "chi2": 0.1, "chi3": 0.0,
+             "eps_accum": 0.0, "span_length_km": 100.0, "fec_rate": 0.75},
+    "train": {"m": 2, "iterations": 2, "batch_symbols": 8, "target": {"snr_db": 10.0},
+              "demapper_mode": "mlp", "mlp_hidden": [2], "learning_rate": 0.01,
+              "adam_beta1": 0.9, "llr_clip": 50.0, "init": "qam", "seed": 1},
+    "sweep": {"span_grid": [2], "power_mode": "optimal", "schemes": ["ae", "qam"],
+              "qam_m_list": [2]},
+    "eval": {"n_samples": 64, "seed": 4, "epsilon_mom": 0.01},
+    "output": {"results_csv": "unused.csv"},
+}
+_CONSTELLATION = constellation_to_dict(uniform_qam(2))
+_REPORT = make_report(np.array([0.9, 0.6]), 64, 0.01).to_dict()
+_PLAN = select_dummy_bits(GmiReport.from_dict(_REPORT), 1, 0.75).to_dict()
+
+# (subcommand, {file flag: valid document}, other flags); outputs go to "out.*"
+_COMMANDS = [
+    ("train", {"--config": _RUN}, ["--out", "out.json", "--history", "out.csv"]),
+    ("eval", {"--constellation": _CONSTELLATION}, ["--snr-db", "5", "--samples", "64"]),
+    ("eval", {"--constellation": _CONSTELLATION, "--link-from": _RUN},
+     ["--n-spans", "2", "--samples", "64"]),
+    ("adapt", {"--constellation": _CONSTELLATION, "--report": _REPORT}, ["--best"]),
+    ("sweep", {"--config": _RUN}, ["--out", "out.csv"]),
+    ("export-lut", {"--constellation": _CONSTELLATION, "--plan": _PLAN},
+     ["--out", "out.lut"]),
+]
+_FILE_ARGS = [(i, flag) for i, (_, files, _) in enumerate(_COMMANDS) for flag in files]
+
+
+def _run(directory, index, replace_flag, content, capsys) -> int:
+    """main() on command _COMMANDS[index] with one input file's bytes replaced."""
+    command, files, flags = _COMMANDS[index]
+    argv = [command]
+    for flag, doc in files.items():
+        path = directory / f"in{flag}.json"
+        path.write_bytes(content if flag == replace_flag else json.dumps(doc).encode())
+        argv += [flag, str(path)]
+    argv += [str(directory / a) if a.startswith("out.") else a for a in flags]
+    rc = main(argv)
+    capsys.readouterr()
+    return rc
+
+
+@pytest.mark.parametrize("index, flag", _FILE_ARGS,
+                         ids=[f"{i}:{_COMMANDS[i][0]}{flag}" for i, flag in _FILE_ARGS])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["non-utf8", "deep-array"])
+def test_undecodable_input_file_is_parameter_error(tmp_path, capsys, index, flag, content):
+    assert _run(tmp_path, index, flag, content, capsys) == 1
+
+
+def _value_paths(doc, prefix=()):
+    """Key paths of every value in the nested objects of doc, doc itself first."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _value_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    return {**doc, path[0]: _replaced(doc[path[0]], path[1:], value)}
+
+
+def _lookup(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_SCALARS = {
+    "str": st.text(max_size=8),
+    "null": st.none(),
+    "bool": st.booleans(),
+    "fraction": st.floats(-1e3, 1e3).filter(lambda x: x != int(x)),
+    "int": st.integers(-3, 3),
+    "list": st.lists(st.integers(-3, 3) | st.text(max_size=3), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+}
+
+
+def _json_type(value) -> set:
+    """The strategies whose values share the JSON type of value."""
+    if isinstance(value, bool):
+        return {"bool"}
+    if isinstance(value, int):
+        return {"int"}
+    if isinstance(value, float):
+        return {"int", "fraction"}  # a JSON number may be written without a fraction
+    return {{str: "str", list: "list", dict: "object", type(None): "null"}[type(value)]}
+
+
+@st.composite
+def _wrong_type_case(draw):
+    """(command index, file flag, document with one value of the wrong JSON type)."""
+    index, flag = draw(st.sampled_from(_FILE_ARGS))
+    doc = _COMMANDS[index][1][flag]
+    path = draw(st.sampled_from(list(_value_paths(doc))))
+    kind = draw(st.sampled_from(sorted(set(_SCALARS) - _json_type(_lookup(doc, path)))))
+    return index, flag, _replaced(doc, path, draw(_SCALARS[kind]))
+
+
+_FUZZ = settings(max_examples=120, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(case=st.sampled_from(_FILE_ARGS), content=st.binary(max_size=32))
+def test_arbitrary_bytes_never_escape_main(tmp_path, capsys, case, content):
+    assert _run(tmp_path, *case, content, capsys) in (0, 1, 2, 3)
+
+
+@_FUZZ
+@given(case=_wrong_type_case())
+def test_wrongly_typed_field_never_escapes_main(tmp_path, capsys, case):
+    index, flag, doc = case
+    assert _run(tmp_path, index, flag, json.dumps(doc).encode(), capsys) in (0, 1, 2, 3)

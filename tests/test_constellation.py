@@ -261,6 +261,12 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             constellation_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value", [("m", "x"), ("points", [[10 ** 400, 0]] * 4)])
+    def test_from_dict_unconvertible_value_rejected(self, key, value):
+        doc = {**constellation_to_dict(uniform_qam(2)), key: value}
+        with pytest.raises(ParameterError):
+            constellation_from_dict(doc)
+
     def test_load_rejects_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

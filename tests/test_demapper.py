@@ -16,7 +16,6 @@ from shapegain import (
     db_to_linear,
     gmi_oracle_quadrature,
     llr_exact,
-    llr_maxlog,
     per_bit_gmi_from_samples,
     per_bit_gmi_mc,
     uniform_qam,
@@ -71,8 +70,6 @@ class TestLlrClosedForms:
         c = uniform_qam(2)
         with pytest.raises(ParameterError):
             llr_exact(0.1 + 0j, c, 0.0)
-        with pytest.raises(ParameterError):
-            llr_maxlog(0.1 + 0j, c, -1.0)
 
 
 def _llr_logsumexp_loop(y, c, noise_variance, llr_clip):
@@ -141,34 +138,6 @@ class TestMatrixKernel:
         for bad in (0.0, -1.0, 701.0):
             with pytest.raises(ParameterError):
                 llr_exact(0.1 + 0j, c, 1.0, llr_clip=bad)
-
-
-class TestMaxLog:
-    def test_equals_exact_for_bpsk(self):
-        # one point per hypothesis: the log-sum is a single term
-        c = uniform_qam(1)
-        rng = np.random.default_rng(7)
-        y = awgn_sample(rng, c.points[rng.integers(0, 2, 2000)], 1.0)
-        np.testing.assert_allclose(llr_maxlog(y, c, 1.0), llr_exact(y, c, 1.0),
-                                   atol=1e-12, rtol=0)
-
-    def test_approaches_exact_at_high_snr(self):
-        # worst case stays ~ln 2 near decision boundaries, so compare medians
-        c = uniform_qam(4)
-        rng = np.random.default_rng(8)
-        s2 = 1.0 / db_to_linear(18.0)
-        y = awgn_sample(rng, c.points[rng.integers(0, 16, 2000)], s2)
-        a = llr_exact(y, c, s2)
-        b = llr_maxlog(y, c, s2)
-        gap = np.abs(a - b)[np.abs(a) < 49.0]
-        assert np.median(gap) < 1e-9
-        assert gap.max() < 2.0 * math.log(8.0)  # log-sum excess is < ln(M/2) per side
-
-    def test_differs_from_exact_at_low_snr(self):
-        c = uniform_qam(4)
-        rng = np.random.default_rng(9)
-        y = awgn_sample(rng, c.points[rng.integers(0, 16, 2000)], 1.0)
-        assert np.max(np.abs(llr_exact(y, c, 1.0) - llr_maxlog(y, c, 1.0))) > 0.01
 
 
 # ------------------------------------------------------------- GMI estimates

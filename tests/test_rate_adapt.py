@@ -191,6 +191,12 @@ class TestPlanSerialization:
         with pytest.raises(ParameterError):
             RateAdaptPlan.from_dict({"m": 2})
 
+    @pytest.mark.parametrize("key, value", [("m", "x"), ("net_rate", 10 ** 400)])
+    def test_unconvertible_value_rejected(self, key, value):
+        doc = select_dummy_bits(_report([0.95, 0.9, 0.4, 0.05]), 2, 0.75).to_dict()
+        with pytest.raises(ParameterError):
+            RateAdaptPlan.from_dict({**doc, key: value})
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text("{not json")

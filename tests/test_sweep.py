@@ -97,6 +97,39 @@ class TestRunConfigParsing:
         with pytest.raises(ParameterError):
             load_run_config(path)
 
+    @pytest.mark.parametrize("section, key, value", [
+        (None, None, 5),
+        ("link", None, 3),
+        ("link", None, [1]),
+        ("train", None, "train"),
+        ("train", "target", {"snr_db": "abc"}),
+        ("train", "target", {"snr_db": None}),
+        ("train", "target", {"link": {"n_spans": 2, "ase_var_per_span": 0.004, "chi1": 0.3,
+                                      "chi2": 0.1}, "refresh_every": "x"}),
+        ("train", "mlp_hidden", 5),
+        ("train", "iterations", 1.5),
+        ("train", "seed", "x"),
+        ("link", "chi2", "x"),
+        ("sweep", "span_grid", "ab"),
+        ("sweep", "schemes", 5),
+        ("eval", "n_samples", 1.5),
+        ("output", "results_csv", 5),
+    ])
+    def test_wrongly_typed_value_rejected(self, tmp_path, section, key, value):
+        doc = {"link": {"ase_var_per_span": 0.004, "chi1": 0.3, "chi2": 0.1},
+               "train": {"m": 2, "iterations": 1, "batch_symbols": 16},
+               "sweep": {"span_grid": [1, 2]}}
+        if section is None:
+            doc = value
+        elif key is None:
+            doc[section] = value
+        else:
+            doc.setdefault(section, {})[key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError):
+            load_run_config(path)
+
     def test_sweep_settings_validation(self):
         with pytest.raises(ParameterError):
             SweepSettings(span_grid=())

@@ -87,6 +87,12 @@ class TestTrainConfig:
         with pytest.raises(ParameterError):
             _config(llr_clip=clip)
 
+    @pytest.mark.parametrize("field", ["m", "iterations", "batch_symbols", "seed"])
+    @pytest.mark.parametrize("value", [2.0, "2", True])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+            _config(**{field: value})
+
     def test_from_dict_missing_target_rejected(self):
         with pytest.raises(ParameterError):
             train_config_from_dict({"m": 2, "iterations": 5})
