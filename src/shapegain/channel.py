@@ -73,6 +73,21 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def noise_variance_from_db(snr_db: float, name: str = "snr_db") -> float:
+    """1 / SNR for an SNR given in dB, which must make it finite and positive.
+
+    Anything else (NaN, +/-inf, or a finite dB value whose linear SNR
+    overflows or underflows) raises ParameterError naming `name`.
+    """
+    try:
+        noise_variance = 1.0 / db_to_linear(snr_db)
+    except (OverflowError, ZeroDivisionError):
+        noise_variance = math.nan
+    if not (math.isfinite(noise_variance) and noise_variance > 0):
+        raise ParameterError(f"{name} {snr_db} is out of range")
+    return noise_variance
+
+
 def linear_to_db(x: float) -> float:
     if not x > 0:
         raise ParameterError(f"dB undefined for non-positive value {x}")
@@ -89,10 +104,21 @@ def nlin_factor(link: LinkConfig, mom: Moments) -> float:
     return max(eta, 0.0)
 
 
+def _span_accumulation(link: LinkConfig) -> float:
+    """n_spans ** (1 + eps_accum), the growth of NLIN with the span count."""
+    try:
+        return link.n_spans ** (1.0 + link.eps_accum)
+    except OverflowError as exc:
+        raise NumericalError(
+            f"NLIN accumulation overflowed: {link.n_spans} spans, "
+            f"eps_accum = {link.eps_accum}") from exc
+
+
 def _total_noise(link: LinkConfig, launch_power: float, eta: float) -> float:
     ase = link.n_spans * link.ase_var_per_span
+    growth = _span_accumulation(link)
     try:
-        nlin = launch_power ** 3 * eta * link.n_spans ** (1.0 + link.eps_accum)
+        nlin = launch_power ** 3 * eta * growth
     except OverflowError as exc:
         raise NumericalError(f"NLIN term overflowed at P = {launch_power}") from exc
     return ase + nlin
@@ -127,7 +153,7 @@ def optimal_launch_power(link: LinkConfig, mom: Moments) -> tuple[float, Effecti
             "eta(mom) <= 0: SNR grows without bound in launch power"
         )
     ase = link.n_spans * link.ase_var_per_span
-    p_opt = (ase / (2.0 * eta * link.n_spans ** (1.0 + link.eps_accum))) ** (1.0 / 3.0)
+    p_opt = (ase / (2.0 * eta * _span_accumulation(link))) ** (1.0 / 3.0)
     return p_opt, effective_snr(link, p_opt, mom)
 
 

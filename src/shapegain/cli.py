@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .channel import db_to_linear, effective_snr, linear_to_db, optimal_launch_power
+from .channel import effective_snr, linear_to_db, noise_variance_from_db, optimal_launch_power
 from .constellation import (
     constellation_to_dict,
     load_constellation,
@@ -25,7 +24,7 @@ from .constellation import (
     uniform_qam,
 )
 from .demapper import GmiReport, per_bit_gmi_mc
-from .errors import NumericalError, ParameterError, load_json
+from .errors import NumericalError, ParameterError, ShapegainError, load_json
 from .lut import export_lut
 from .rate_adapt import best_plan, load_plan, save_plan, select_dummy_bits
 from .sweep import load_run_config, rows_to_csv, run_sweep
@@ -118,13 +117,7 @@ def _cmd_train(args) -> int:
 
 def _resolve_eval_noise(args, c) -> float:
     if args.snr_db is not None:
-        try:
-            noise_variance = 1.0 / db_to_linear(args.snr_db)
-        except (OverflowError, ZeroDivisionError):
-            noise_variance = math.nan
-        if not (math.isfinite(noise_variance) and noise_variance > 0):
-            raise ParameterError(f"--snr-db {args.snr_db} is out of range")
-        return noise_variance
+        return noise_variance_from_db(args.snr_db, "--snr-db")
     run = load_run_config(args.link_from)
     link = run.link
     if args.n_spans is not None:
@@ -236,6 +229,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"shapegain: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except ShapegainError as exc:  # e.g. a sweep cell's unexpected error, wrapped
+        print(f"shapegain: error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"shapegain: I/O error: {exc}", file=sys.stderr)
         return 3

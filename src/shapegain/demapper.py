@@ -10,6 +10,16 @@ clamped to [0, 1]; the total is the sum over bit levels. Dual-polarization
 fields duplicate the single-polarization statistics (both polarizations
 see the same effective channel).
 
+The surrogate loss of training and every GMI estimate below are sums of
+these softplus terms, log2(1 + exp(z)) with z = -(1 - 2 b_k) L_k, and the
+loss gradient is their logistic sigmoid. Both come from one kernel,
+logistic, that exponentiates once: with e = exp(-|z|) in (0, 1],
+
+    log(1 + exp(z)) = max(z, 0) + log1p(e)
+    sigmoid(z)      = (1 if z >= 0 else e) / (1 + e)
+
+neither of which overflows for any finite z.
+
 Every exact LLR in the package (llr_exact, the GMI estimators built on it
 and GaussianDemapper, the exact receiver of training) comes from one kernel,
 gaussian_bit_metric, in matrix form: with P_sj = exp(-|y_s - x_j|^2 / sigma^2)
@@ -55,6 +65,23 @@ def check_llr_clip(llr_clip: float) -> None:
     if not 0.0 < llr_clip <= MAX_LLR_CLIP:
         raise ParameterError(
             f"llr_clip must be in (0, {MAX_LLR_CLIP:g}], got {llr_clip}")
+
+
+def logistic(z: np.ndarray):
+    """(log2(1 + exp(z)), 1 / (1 + exp(-z))) elementwise, from one exp.
+
+    See the module docstring for the two formulas.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    softplus = np.maximum(z, 0.0)
+    softplus += np.log1p(e)
+    softplus /= LN2
+    sigmoid = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    sigmoid /= e
+    return softplus, sigmoid
 
 
 def _sq_dist(y: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -270,8 +297,8 @@ def make_report(per_bit: np.ndarray, n_samples: int, stderr_total: float) -> Gmi
 def _bit_penalties(y, c, labels, noise_variance, llr_clip):
     """log2(1 + exp(-(1-2b) L)) per sample and bit level, shape (S, m)."""
     llr = llr_exact(y, c, noise_variance, llr_clip)
-    sign = 1.0 - 2.0 * c.bits()[labels]
-    return np.logaddexp(0.0, -sign * llr) / LN2
+    flip = 2.0 * c.bits()[labels] - 1.0
+    return logistic(flip * llr)[0]
 
 
 def per_bit_gmi_from_samples(c: Constellation, labels: np.ndarray, y: np.ndarray,

@@ -6,6 +6,7 @@ below turn malformed input files into ParameterError.
 """
 
 import json
+import math
 import numbers
 from dataclasses import fields
 
@@ -71,6 +72,13 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a double
+        return False
+
+
 def int_tuple(name: str, value) -> tuple:
     """A list of integers as a tuple; anything else raises ParameterError."""
     if not isinstance(value, (list, tuple)) or not all(_is_int(v) for v in value):
@@ -80,7 +88,8 @@ def int_tuple(name: str, value) -> tuple:
 
 def check_field_types(obj) -> None:
     """Reject dataclass fields annotated "int" or "float" (postponed
-    annotations) holding anything else; JSON true/false are not numbers."""
+    annotations) holding anything else; JSON true/false are not numbers,
+    and a float field must be finite."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type == "int" and not _is_int(value):
@@ -88,3 +97,5 @@ def check_field_types(obj) -> None:
         if f.type == "float" and (isinstance(value, bool)
                                   or not isinstance(value, numbers.Real)):
             raise ParameterError(f"{f.name} must be a number, got {type(value).__name__}")
+        if f.type == "float" and not _is_finite(value):
+            raise ParameterError(f"{f.name} must be finite, got {value}")

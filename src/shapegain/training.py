@@ -5,7 +5,10 @@ receiver's arrays, if it has any. The loss is the GMI surrogate
 
     loss = (1/S) sum_s sum_k log2(1 + exp(-(1 - 2 b_{k,s}) L_{k,s}))
 
-so surrogate GMI per symbol is m - loss by construction. Unit average
+so surrogate GMI per symbol is m - loss by construction. Each term and
+its derivative d/dz log2(1 + exp(z)) = sigmoid(z) / ln 2, with
+z = -(1 - 2 b) L, come from the one kernel demapper.logistic, which the
+forward pass calls once; backward reuses the cached sigmoid. Unit average
 power is enforced inside the forward pass (differentiable normalization),
 never by projection. Everything is plain numpy; gradients are derived by
 hand and guarded by finite-difference checks.
@@ -47,20 +50,17 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import expit
 
 from .channel import (
     LinkConfig,
-    db_to_linear,
     effective_snr,
     linear_to_db,
+    noise_variance_from_db,
     optimal_launch_power,
 )
 from .constellation import Constellation, bit_table, moments, uniform_qam
-from .demapper import GaussianDemapper, _complex_view, check_llr_clip
+from .demapper import LN2, GaussianDemapper, _complex_view, check_llr_clip, logistic
 from .errors import NumericalError, ParameterError, build_section, check_field_types, int_tuple
-
-LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +75,11 @@ class SnrTarget:
 
     def __post_init__(self):
         check_field_types(self)
+        noise_variance_from_db(self.snr_db)
 
     def resolve(self, c: Constellation) -> float:
         """Noise variance for a unit-power constellation; ignores c."""
-        return 1.0 / db_to_linear(self.snr_db)
+        return noise_variance_from_db(self.snr_db)
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,12 @@ class TrainConfig:
             raise ParameterError(f"unknown demapper_mode {self.demapper_mode!r}")
         if self.init not in ("random", "qam"):
             raise ParameterError(f"unknown init {self.init!r}")
-        if not self.learning_rate > 0:
-            raise ParameterError("learning_rate must be positive")
+        for name in ("learning_rate", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ParameterError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         object.__setattr__(self, "mlp_hidden", int_tuple("mlp_hidden", self.mlp_hidden))
         if any(w < 1 for w in self.mlp_hidden):
             raise ParameterError("mlp_hidden widths must be >= 1")
@@ -234,9 +239,10 @@ class MlpDemapper:
     def backward(self, dllr: np.ndarray, cache, grads: dict):
         activations, preacts = cache
         dx = dllr
+        ones = np.ones(len(dx))
         for i in range(len(self.weights) - 1, -1, -1):
             np.matmul(activations[i].T, dx, out=grads[f"mlp.W{i}"])
-            dx.sum(axis=0, out=grads[f"mlp.b{i}"])
+            np.matmul(ones, dx, out=grads[f"mlp.b{i}"])  # faster than dx.sum(axis=0)
             dx = dx @ self.weights[i].T
             if i > 0:
                 dx = dx * (preacts[i - 1] > 0)
@@ -316,7 +322,7 @@ class _Batch:
 
     labels: np.ndarray   # (S,)
     bits: np.ndarray     # (M, m) bit table
-    sgn: np.ndarray      # (S, m), 1 - 2 b_{k,s}
+    flip: np.ndarray     # (S, m), 2 b_{k,s} - 1, so that z = flip * L
     scatter: np.ndarray  # (2S,) bin of each entry of an (S, 2) array in (M, 2)
 
     @property
@@ -332,7 +338,7 @@ def _make_batch(labels, M: int) -> _Batch:
         raise ParameterError("batch must contain every label equally often")
     bits = bit_table(M.bit_length() - 1)
     scatter = (2 * labels[:, None] + np.arange(2)).ravel()
-    return _Batch(labels=labels, bits=bits, sgn=1.0 - 2.0 * bits[labels],
+    return _Batch(labels=labels, bits=bits, flip=2.0 * bits[labels] - 1.0,
                  scatter=scatter)
 
 
@@ -359,7 +365,7 @@ class ForwardState:
     y_iq: np.ndarray
     llr_raw: np.ndarray
     llr: np.ndarray
-    z: np.ndarray
+    sigmoid: np.ndarray  # (S, m) sigmoid(z), z = flip * llr
     loss: float
     penalties: np.ndarray  # (S, m) loss terms, in bits
     cache: object  # the receiver's forward() cache
@@ -396,14 +402,14 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     llr_raw, cache = demapper.forward(y, points, batch.bits, noise_variance)
     clip = demapper.llr_clip
     llr = np.clip(llr_raw, -clip, clip)
-    z = -batch.sgn * llr
-    penalties = np.logaddexp(0.0, z) / LN2  # (S, m)
+    penalties, sigmoid = logistic(batch.flip * llr)  # (S, m) each
     loss = float(penalties.sum() / batch.size)
     _ensure_finite("loss", loss)
     return ForwardState(
         batch=batch, llr_clip=clip,
         raw=raw, power=power, scale=scale, points_iq=points, y_iq=y,
-        llr_raw=llr_raw, llr=llr, z=z, loss=loss, penalties=penalties, cache=cache,
+        llr_raw=llr_raw, llr=llr, sigmoid=sigmoid, loss=loss, penalties=penalties,
+        cache=cache,
     )
 
 
@@ -413,8 +419,8 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
     M = st.raw.shape[0]
 
     # d loss / d llr
-    dz = expit(st.z) / (batch.size * LN2)
-    dllr = -batch.sgn * dz
+    dllr = st.sigmoid / (batch.size * LN2)  # d loss / d z
+    dllr *= batch.flip
     dllr[np.abs(st.llr_raw) > st.llr_clip] = 0.0
 
     gy, gp = demapper.backward(dllr, st.cache, grads)

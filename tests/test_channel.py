@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -10,6 +12,7 @@ from shapegain.channel import (
     effective_snr,
     linear_to_db,
     nlin_factor,
+    noise_variance_from_db,
     optimal_launch_power,
 )
 from shapegain.constellation import moments, uniform_qam
@@ -38,6 +41,14 @@ class TestDbConversions:
     def test_nonpositive_rejected(self):
         with pytest.raises(ParameterError):
             linear_to_db(0.0)
+
+    def test_noise_variance_is_inverse_linear_snr(self):
+        assert noise_variance_from_db(7.3) == 1.0 / db_to_linear(7.3)
+
+    @pytest.mark.parametrize("snr_db", [1e6, -1e308, math.inf, -math.inf, math.nan])
+    def test_noise_variance_out_of_range_rejected(self, snr_db):
+        with pytest.raises(ParameterError, match=r"^--snr-db .* is out of range$"):
+            noise_variance_from_db(snr_db, "--snr-db")
 
 
 class TestNlinFactor:
@@ -130,6 +141,13 @@ class TestOptimalLaunchPower:
             assert p_star == pytest.approx(res.x, rel=1e-6)
             assert ch.snr_linear >= -res.fun - 1e-12
 
+    def test_accumulation_overflow_is_numerical_error(self):
+        lk = link(n_spans=2, eps_accum=1e308)
+        with pytest.raises(NumericalError, match="accumulation"):
+            optimal_launch_power(lk, QAM16_MOM)
+        with pytest.raises(NumericalError, match="accumulation"):
+            effective_snr(lk, 1.0, QAM16_MOM)
+
     def test_unbounded_without_nonlinearity(self):
         with pytest.raises(UnboundedOptimumError):
             optimal_launch_power(link(chi1=0.0, chi2=0.0, chi3=0.0), QPSK_MOM)
@@ -148,6 +166,12 @@ class TestLinkConfigValidation:
     def test_bad_ase(self):
         with pytest.raises(ParameterError):
             link(ase_var_per_span=0.0)
+
+    @pytest.mark.parametrize("field", ["ase_var_per_span", "chi2", "eps_accum"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            link(**{field: value})
 
     def test_bad_fec(self):
         with pytest.raises(ParameterError):

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: subcommand behavior and exit codes."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,7 +110,7 @@ class TestEvalCommand:
         rc = main(["eval", "--constellation", str(bad), "--snr-db", "10"])
         assert rc == 1
 
-    @pytest.mark.parametrize("snr_db", ["1e6", "-1e6", "nan", "inf"])
+    @pytest.mark.parametrize("snr_db", ["1e6", "-1e6", "-1e308", "nan", "inf"])
     def test_out_of_range_snr_is_parameter_error(self, tmp_path, capsys, snr_db):
         cpath = tmp_path / "c.json"
         main(["qam", "--m", "2", "--out", str(cpath)])
@@ -240,6 +242,40 @@ class TestTrainCommand:
                    str(tmp_path / "c.json")])
         assert rc == 1
 
+    def _rejected_with_one_line(self, tmp_path, capsys, train_json: str) -> str:
+        """Run train on a config whose train section is raw JSON text; returns
+        the one error line. Any warning raised on the way fails the test."""
+        path = tmp_path / "run.json"
+        path.write_text('{"train": ' + train_json + '}')
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--config", str(path), "--out", str(tmp_path / "c.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("shapegain: error: ")
+        return err
+
+    @pytest.mark.parametrize("snr_db", ["1e6", "-1e308", "Infinity", "NaN"])
+    def test_out_of_range_snr_db_is_parameter_error(self, tmp_path, capsys, snr_db):
+        err = self._rejected_with_one_line(
+            tmp_path, capsys, '{"m": 2, "iterations": 1, "batch_symbols": 4, '
+                              '"target": {"snr_db": ' + snr_db + '}}')
+        assert "snr_db" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", "Infinity"), ("learning_rate", "NaN"), ("learning_rate", "0"),
+        ("learning_rate", "-0.1"), ("adam_eps", "Infinity"), ("adam_eps", "0.0"),
+        ("adam_eps", "-1e-8"), ("adam_beta1", "1.0"), ("adam_beta1", "-0.1"),
+        ("adam_beta1", "1e308"), ("adam_beta1", "-Infinity"), ("adam_beta2", "1.0"),
+        ("adam_beta2", "-1e308"), ("adam_beta2", "NaN"),
+    ])
+    def test_bad_adam_setting_is_parameter_error(self, tmp_path, capsys, field, value):
+        err = self._rejected_with_one_line(
+            tmp_path, capsys, '{"m": 2, "iterations": 2, "batch_symbols": 4, '
+                              '"target": {"snr_db": 10}, "' + field + '": ' + value + '}')
+        assert field in err
+
 
 class TestSweepCommand:
     def _sweep_config(self, tmp_path, with_output=True):
@@ -272,6 +308,20 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", str(cfg)])
         assert rc == 1
 
+    def test_unexpected_cell_error_exits_1_naming_the_cell(self, tmp_path, capsys,
+                                                           monkeypatch):
+        import shapegain.sweep as sweep_mod
+
+        def broken(config, scheme, n_spans):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(sweep_mod, "evaluate_grid_point", broken)
+        rc = main(["sweep", "--config", str(self._sweep_config(tmp_path))])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == [
+            "shapegain: error: grid point (scheme=qam, n_spans=2): synthetic failure"]
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
@@ -296,7 +346,8 @@ _RUN = {
              "eps_accum": 0.0, "span_length_km": 100.0, "fec_rate": 0.75},
     "train": {"m": 2, "iterations": 2, "batch_symbols": 8, "target": {"snr_db": 10.0},
               "demapper_mode": "mlp", "mlp_hidden": [2], "learning_rate": 0.01,
-              "adam_beta1": 0.9, "llr_clip": 50.0, "init": "qam", "seed": 1},
+              "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, "llr_clip": 50.0,
+              "init": "qam", "seed": 1},
     "sweep": {"span_grid": [2], "power_mode": "optimal", "schemes": ["ae", "qam"],
               "qam_m_list": [2]},
     "eval": {"n_samples": 64, "seed": 4, "epsilon_mom": 0.01},
@@ -353,6 +404,9 @@ def _value_paths(doc, prefix=()):
 def _replaced(doc, path, value):
     if not path:
         return value
+    if isinstance(doc, list):
+        return [_replaced(v, path[1:], value) if i == path[0] else v
+                for i, v in enumerate(doc)]
     return {**doc, path[0]: _replaced(doc[path[0]], path[1:], value)}
 
 
@@ -398,6 +452,23 @@ _FUZZ = settings(max_examples=120, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def _float_paths(doc, prefix=()):
+    """Key/index paths of every float value in doc, lists included."""
+    if isinstance(doc, float):
+        yield prefix
+    elif isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from _float_paths(value, prefix + (key,))
+
+
+# every float of every valid input document; int fields are left out, since
+# a huge iteration or sample count would start a long run
+_FLOAT_FIELDS = [(index, flag, path) for index, flag in _FILE_ARGS
+                 for path in _float_paths(_COMMANDS[index][1][flag])]
+_EXTREMES = [1e308, -1e308, math.inf, -math.inf, math.nan, 0.0, -0.0]
+
+
 @_FUZZ
 @given(case=st.sampled_from(_FILE_ARGS), content=st.binary(max_size=32))
 def test_arbitrary_bytes_never_escape_main(tmp_path, capsys, case, content):
@@ -408,4 +479,13 @@ def test_arbitrary_bytes_never_escape_main(tmp_path, capsys, case, content):
 @given(case=_wrong_type_case())
 def test_wrongly_typed_field_never_escapes_main(tmp_path, capsys, case):
     index, flag, doc = case
+    assert _run(tmp_path, index, flag, json.dumps(doc).encode(), capsys) in (0, 1, 2, 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(_FLOAT_FIELDS), value=st.sampled_from(_EXTREMES))
+def test_wrongly_valued_field_never_escapes_main(tmp_path, capsys, field, value):
+    index, flag, path = field
+    doc = _replaced(_COMMANDS[index][1][flag], path, value)
     assert _run(tmp_path, index, flag, json.dumps(doc).encode(), capsys) in (0, 1, 2, 3)

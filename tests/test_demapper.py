@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from shapegain import (
     Constellation,
@@ -20,7 +20,13 @@ from shapegain import (
     per_bit_gmi_mc,
     uniform_qam,
 )
-from shapegain.demapper import gaussian_bit_metric, gaussian_bit_metric_grad, make_report
+from shapegain.demapper import (
+    LN2,
+    gaussian_bit_metric,
+    gaussian_bit_metric_grad,
+    logistic,
+    make_report,
+)
 
 
 # ---------------------------------------------------------------- exact LLRs
@@ -138,6 +144,40 @@ class TestMatrixKernel:
         for bad in (0.0, -1.0, 701.0):
             with pytest.raises(ParameterError):
                 llr_exact(0.1 + 0j, c, 1.0, llr_clip=bad)
+
+
+class TestLogisticKernel:
+    # the bound was set before the kernel was written: 4 eps relative
+    BOUND = 4 * np.finfo(float).eps
+
+    def _z(self):
+        # 1 + exp(-|z|) starts to round to 1 between |z| = 36.7 and 36.8
+        special = [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 36.75, -36.75, 36.8, -36.8]
+        return np.concatenate([np.linspace(-700.0, 700.0, 140_001), special])
+
+    def test_softplus_matches_logaddexp(self):
+        z = self._z()
+        ref = np.logaddexp(0.0, z) / LN2
+        rel = np.abs(logistic(z)[0] - ref) / ref
+        assert rel.max() <= self.BOUND
+
+    def test_sigmoid_matches_expit(self):
+        z = self._z()
+        ref = expit(z)
+        rel = np.abs(logistic(z)[1] - ref) / ref
+        assert rel.max() <= self.BOUND
+
+    def test_exact_values(self):
+        sp, sig = logistic(np.array([0.0, 1e-300, -1e-300]))
+        np.testing.assert_array_equal(sig, 0.5)
+        np.testing.assert_array_equal(sp, 1.0)
+
+    def test_shape_preserved_and_input_untouched(self):
+        z = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        before = z.copy()
+        sp, sig = logistic(z)
+        assert sp.shape == sig.shape == (3, 4)
+        np.testing.assert_array_equal(z, before)
 
 
 # ------------------------------------------------------------- GMI estimates

@@ -93,6 +93,12 @@ class TestTrainConfig:
         with pytest.raises(ParameterError, match=f"{field} must be an integer"):
             _config(**{field: value})
 
+    @pytest.mark.parametrize("snr_db", [1e6, -1e308, math.inf, math.nan])
+    def test_out_of_range_snr_target_rejected_at_construction(self, snr_db):
+        # sweeps replace the target before resolving it, so this is the only check
+        with pytest.raises(ParameterError, match="snr_db"):
+            SnrTarget(snr_db)
+
     def test_from_dict_missing_target_rejected(self):
         with pytest.raises(ParameterError):
             train_config_from_dict({"m": 2, "iterations": 5})
@@ -228,6 +234,25 @@ class TestGradients:
         rep = gradient_check(params, mlp, labels, noise, nv,
                              n_probes=8, rng=np.random.default_rng(0))
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
+
+    def test_mlp_bias_gradient_is_the_column_sum(self):
+        # backward() takes each bias gradient as ones @ dx, a product in place
+        # of dx.sum(axis=0); the two agree to the rounding of an S-term sum
+        rng = np.random.default_rng(7)
+        S, m = 1024, 4
+        mlp = init_mlp(m, (16, 8), rng)
+        y = rng.standard_normal((S, 2))
+        _, cache = mlp.forward(y, None, None, 1.0)
+        dllr = rng.standard_normal((S, m))
+        grads = {k: np.empty_like(v) for k, v in mlp.arrays().items()}
+        mlp.backward(dllr.copy(), cache, grads)
+        dx = dllr
+        for i in range(len(mlp.weights) - 1, -1, -1):
+            bound = S * np.finfo(float).eps * np.abs(dx).max()
+            assert np.abs(grads[f"mlp.b{i}"] - dx.sum(axis=0)).max() <= bound
+            dx = dx @ mlp.weights[i].T
+            if i > 0:
+                dx = dx * (cache[1][i - 1] > 0)
 
     def test_checker_is_exact_on_quadratic_toy(self):
         # central differences have no error on quadratics, so any residual
