@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateInputError, ParameterError, load_json
 
@@ -48,9 +46,10 @@ class Constellation:
             raise ParameterError(
                 f"expected {2 ** self.m} points for m={self.m}, got shape {pts.shape}"
             )
-        if not np.all(np.isfinite(pts.real)) or not np.all(np.isfinite(pts.imag)):
-            raise ParameterError("constellation contains non-finite coordinates")
         object.__setattr__(self, "points", pts)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.average_power()):  # nor then any coordinate
+                raise ParameterError("constellation has non-finite points or average power")
 
     @property
     def size(self) -> int:
@@ -238,13 +237,20 @@ def detect_mom_clusters(c: Constellation, epsilon: float = 0.01) -> list[MomClus
     """
     if not epsilon > 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    dist = np.abs(c.points[:, None] - c.points[None, :])
-    adjacency = csr_matrix(dist <= epsilon)
-    n_comp, assignment = connected_components(adjacency, directed=False)
+    near = np.abs(c.points[:, None] - c.points[None, :]) <= epsilon
+    # min-label propagation: each label takes the smallest among its neighbours,
+    # then that one's own, until all are the smallest index of their component
+    root = np.arange(c.size)
+    while True:
+        step = np.where(near, root, c.size).min(axis=1)
+        step = step[step]
+        if np.array_equal(step, root):
+            break
+        root = step
 
     clusters = []
-    for comp in range(n_comp):
-        members = np.flatnonzero(assignment == comp)
+    for r in np.unique(root):
+        members = np.flatnonzero(root == r)
         if members.size < 2:
             continue
         and_bits = np.bitwise_and.reduce(members)

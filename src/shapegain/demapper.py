@@ -22,17 +22,27 @@ neither of which overflows for any finite z.
 
 Every exact LLR in the package (llr_exact, the GMI estimators built on it
 and GaussianDemapper, the exact receiver of training) comes from one kernel,
-gaussian_bit_metric, in matrix form: with P_sj = exp(-|y_s - x_j|^2 / sigma^2)
-scaled by its row maximum and the bit table B (M x m), both partition sums
-of every bit level are one product
+gaussian_bit_metric. It works points-major on l (M, S), the log-likelihoods
+ln p(y_s | x_j) up to a constant per sample. With P = exp(l - column max)
+and the bit table B (M x m), both partition sums of every bit level are one
+product, [Z0 | Z1] = P^T @ [1 - B | B], and L = ln Z0 - ln Z1.
 
-    [Z0 | Z1] = P @ [1 - B | B],    L = ln Z0 - ln Z1.
-
-The row maximum contributes 1 to Z0 or Z1 of every level, so at most one
+The maximum contributes 1 to Z0 or Z1 of every level, so at most one
 partition of a level can underflow to zero. The LLR is then +/-inf while
 its true magnitude exceeds 744, and any clip up to MAX_LLR_CLIP = 700 maps
 both to the same +/-clip. Whenever |L| <= 700 the smaller partition is at
 least exp(-700), a normal double, so unclipped LLRs keep full precision.
+
+The GEMM form of l drops |y_s|^2 / sigma^2 from -|y_s - x_j|^2 / sigma^2:
+l = [2 Re x, 2 Im x, -|x|^2] / sigma^2 @ [Re y; Im y; 1], whose derivative
+in y_s differs by a shift common to all points, which the LLRs ignore. It
+rounds relative to its terms, whose magnitudes sum to at most
+T = (2 max|y| max|x| + max|x|^2) / sigma^2. Each takes at most four
+roundings of eps/2 (input, product, two accumulations in order), so l is
+within 2 eps T and an LLR, a difference of two log-sum-exps, within 4 eps T.
+For the 1e-12 the tests demand of every LLR, the GEMM form serves while
+eps T <= 2.5e-13 (Gray QAM: 1.4e-14 at m=4 and 9.3 dB, 2.3e-13 at m=8 and
+21 dB), the subtraction form otherwise (1.2e-11 at m=4 and 40 dB).
 """
 
 from __future__ import annotations
@@ -52,11 +62,14 @@ LN2 = math.log(2.0)
 DEFAULT_LLR_CLIP = 50.0
 MAX_LLR_CLIP = 700.0
 
-_MC_CHUNK = 32768
+# the Monte-Carlo GMI runs in blocks of this many log-likelihoods, which
+# stay in a core's cache; the fixed size also fixes the summation order
+_MC_BLOCK = 2 ** 16
+_GEMM_TAU = 2.5e-13  # see the module docstring
 
 # OpenBLAS threads a GEMM once m*n*k exceeds 2**18. On the skinny products
 # below the threaded call saves no wall time and leaves its workers spinning
-# (about 0.13 s of CPU per call), so they run in row blocks under that size.
+# (about 0.13 s of CPU per call), so they run in blocks under that size.
 _GEMM_UNTHREADED = 2 ** 18
 
 
@@ -84,26 +97,42 @@ def logistic(z: np.ndarray):
     return softplus, sigmoid
 
 
-def _sq_dist(y: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """|y_s - x_j|^2 as a float64 (S, M) array.
-
-    Built in place from the real and imaginary differences, so at most two
-    (S, M) arrays exist at once and no complex (S, M) temporary is made.
-    """
-    d2 = np.subtract.outer(y.real, points.real)
-    d2 *= d2
-    im = np.subtract.outer(y.imag, points.imag)
+def _loglik(y: np.ndarray, points: np.ndarray, noise_variance: float) -> np.ndarray:
+    """l (M, S) of samples y (S,) against points (M,), see the module docstring."""
+    xmax = float(np.abs(points).max())
+    t = (2.0 * float(np.abs(y).max(initial=0.0)) + xmax) * xmax / float(noise_variance)
+    if np.finfo(np.float64).eps * t <= _GEMM_TAU:  # a Python float overflows to inf
+        x = np.empty((points.size, 3))
+        x[:, 0], x[:, 1] = points.real, points.imag
+        x[:, 2] = -0.5 * (points.real ** 2 + points.imag ** 2)
+        x /= 0.5 * noise_variance
+        ys = np.empty((3, y.size))
+        ys[0], ys[1], ys[2] = y.real, y.imag, 1.0
+        return _matmul(x, ys)
+    p = np.subtract.outer(points.real, y.real)
+    p *= p
+    im = np.subtract.outer(points.imag, y.imag)
     im *= im
-    d2 += im
-    return d2
+    p += im
+    p /= -noise_variance
+    return p
 
 
-def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b computed in row blocks that stay below _GEMM_UNTHREADED."""
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in row blocks (column blocks if a row is too long) below _GEMM_UNTHREADED.
+
+    Column blocks are row blocks of b.T @ a.T; BLAS takes transposed and
+    strided operands without a copy.
+    """
+    if a.size * b.shape[1] <= _GEMM_UNTHREADED:
+        return a @ b
     out = np.empty((a.shape[0], b.shape[1]))
+    rows = out
+    if a.shape[1] * b.shape[1] > _GEMM_UNTHREADED:
+        a, b, rows = b.T, a.T, out.T
     step = max(1, _GEMM_UNTHREADED // (a.shape[1] * b.shape[1]))
     for lo in range(0, a.shape[0], step):
-        np.matmul(a[lo:lo + step], b, out=out[lo:lo + step])
+        np.matmul(a[lo:lo + step], b, out=rows[lo:lo + step])
     return out
 
 
@@ -117,29 +146,28 @@ def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
     so small that every distance overflows. cache feeds
     gaussian_bit_metric_grad.
     """
-    p = _sq_dist(y, points)
-    p /= -noise_variance
-    p -= p.max(axis=1, keepdims=True)
+    p = _loglik(y, points, noise_variance)
+    p -= p.max(axis=0)
     np.exp(p, out=p)
-    w = np.hstack([1 - bits, bits]).astype(np.float64)
-    z = _matmul_rows(p, w)
     m = bits.shape[1]
+    w = np.concatenate([1.0 - bits, bits], axis=1)
+    z = _matmul(p.T, w)
     with np.errstate(divide="ignore"):
         logz = np.log(z)
     return logz[:, :m] - logz[:, m:], (p, z, w)
 
 
 def gaussian_bit_metric_grad(dllr: np.ndarray, cache) -> np.ndarray:
-    """d loss / d loglik, shape (S, M), from d loss / d llr_raw, shape (S, m).
+    """d loss / d loglik, shape (M, S), from d loss / d llr_raw, shape (S, m).
 
-    loglik is -|y - x_j|^2 / sigma^2. dllr must be zero wherever llr_raw
-    was clipped, which includes every infinite entry; those entries are
-    skipped rather than divided by their zero partition.
+    loglik is the (M, S) array of _loglik. dllr must be zero wherever
+    llr_raw was clipped, which includes every infinite entry; those entries
+    are skipped rather than divided by their zero partition.
     """
     p, z, w = cache
     a = np.concatenate([dllr, -dllr], axis=1)
     np.divide(a, z, out=a, where=a != 0)
-    da = _matmul_rows(a, w.T)
+    da = _matmul(w, a.T)
     da *= p
     return da
 
@@ -180,20 +208,19 @@ class GaussianDemapper:
     def backward(self, dllr: np.ndarray, cache, grads: dict):
         """(d loss / d y_iq, d loss / d points_iq through the receiver).
 
-        With dd2 = d loss / d |y_s - x_j|^2 = -da / noise_variance,
-          d loss / d y      = 2 (y * dd2.sum(1) - dd2 @ x)
-          d loss / d points = 2 (x * dd2.sum(0) - dd2.T @ y)
-        The rows of da sum to zero (a common shift of one sample's
+        With da (M, S), dd2 = d loss / d |y_s - x_j|^2 = -da / noise_variance,
+          d loss / d y      = 2 (y * dd2.sum(0) - dd2.T @ x)
+          d loss / d points = 2 (x * dd2.sum(1) - dd2 @ y)
+        The columns of da sum to zero (a common shift of one sample's
         log-likelihoods leaves its LLRs unchanged), so the first term of
-        d loss / d y vanishes; a column of ones gives dd2.sum(0) with dd2.T @ y.
+        d loss / d y vanishes.
         """
         metric, y_iq, points_iq, noise_variance = cache
         da = gaussian_bit_metric_grad(dllr, metric)
         f = 2.0 / noise_variance
-        gy = _matmul_rows(da, points_iq)
+        gy = _matmul(da.T, points_iq)
         gy *= f
-        ys = _matmul_rows(da.T, np.column_stack([y_iq, np.ones(len(y_iq))]))
-        gp = ys[:, :2] - points_iq * ys[:, 2:]
+        gp = _matmul(da, y_iq) - points_iq * da.sum(axis=1, keepdims=True)
         gp *= f
         return gy, gp
 
@@ -316,9 +343,9 @@ def per_bit_gmi_from_samples(c: Constellation, labels: np.ndarray, y: np.ndarray
     s_total = labels.size
     penalty_sums = np.zeros(c.m)
     sample_totals = np.empty(s_total)
-    # fixed-size chunks keep memory bounded and the summation order reproducible
-    for lo in range(0, s_total, _MC_CHUNK):
-        hi = min(lo + _MC_CHUNK, s_total)
+    step = max(1, _MC_BLOCK // c.size)
+    for lo in range(0, s_total, step):
+        hi = min(lo + step, s_total)
         t = _bit_penalties(y[lo:hi], c, labels[lo:hi], noise_variance, llr_clip)
         penalty_sums += t.sum(axis=0)
         sample_totals[lo:hi] = c.m - t.sum(axis=1)

@@ -384,14 +384,20 @@ def _ensure_finite(name: str, value) -> None:
         raise NumericalError(f"non-finite values in {name}")
 
 
+def _mapper_power(raw: np.ndarray) -> float:
+    """Mean power of the raw mapper points, which must be finite and positive."""
+    power = float((raw ** 2).sum(axis=1).mean())
+    if not 0.0 < power < math.inf:
+        raise NumericalError(f"mapper power is {power}, points cannot be normalized")
+    return power
+
+
 def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
              noise_variance: float) -> ForwardState:
     """The surrogate loss of one batch; noise_iq (S, 2) is the real noise."""
     if not noise_variance > 0:
         raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
-    power = float((raw ** 2).sum(axis=1).mean())
-    if not 0.0 < power < math.inf:
-        raise NumericalError(f"mapper power is {power}, points cannot be normalized")
+    power = _mapper_power(raw)
     scale = power ** -0.5
     points = scale * raw
     _ensure_finite("points", points)
@@ -698,29 +704,34 @@ def train(config: TrainConfig):
 
     refresh = (config.target.refresh_every
                if isinstance(config.target, LinkTarget) else 0)
-    noise_variance = config.target.resolve(
-        Constellation(m=config.m, points=params.emit(), metadata={}))
-
     loss_hist = np.empty(config.iterations)
     gmi_hist = np.empty(config.iterations)
     norm_hist = np.empty(config.iterations)
-    for it in range(config.iterations):
-        if refresh and it > 0 and it % refresh == 0:
-            noise_variance = config.target.resolve(
-                Constellation(m=config.m, points=params.emit(), metadata={}))
-        # the draws of awgn_sample: noise_variance / 2 per real dimension
-        noise = rng.standard_normal((S, 2))
-        noise *= math.sqrt(noise_variance / 2.0)
-        try:
-            st = _forward(params.raw, demapper, batch, noise, noise_variance)
-            _backward(demapper, st, grad, grads)
-        except NumericalError as exc:
-            raise NumericalError(f"iteration {it}: {exc}") from exc
-        _adam_update(theta, grad, *moments, it + 1, hyper, work)
-        loss_hist[it] = st.loss
-        gmi_hist[it] = config.m - st.loss
-        norm_hist[it] = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    # an overflow leaves an inf or NaN, which the checks of the step (and the
+    # power check after the last one) raise, naming the iteration, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise_variance = config.target.resolve(
+            Constellation(m=config.m, points=params.emit(), metadata={}))
+        for it in range(config.iterations):
+            try:
+                if refresh and it > 0 and it % refresh == 0:
+                    noise_variance = config.target.resolve(
+                        Constellation(m=config.m, points=params.emit(), metadata={}))
+                # the draws of awgn_sample: noise_variance / 2 per real dimension
+                noise = rng.standard_normal((S, 2))
+                noise *= math.sqrt(noise_variance / 2.0)
+                st = _forward(params.raw, demapper, batch, noise, noise_variance)
+                _backward(demapper, st, grad, grads)
+                _adam_update(theta, grad, *moments, it + 1, hyper, work)
+                if it == config.iterations - 1:
+                    _mapper_power(params.raw)
+            except NumericalError as exc:
+                raise NumericalError(f"iteration {it}: {exc}") from exc
+            loss_hist[it] = st.loss
+            gmi_hist[it] = config.m - st.loss
+            norm_hist[it] = math.sqrt(float(grad @ grad))
+        c = _emit_constellation(params, config, noise_variance)
 
     history = TrainHistory(loss=loss_hist, surrogate_gmi=gmi_hist,
                            grad_norm=norm_hist)
-    return _emit_constellation(params, config, noise_variance), history
+    return c, history

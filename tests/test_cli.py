@@ -120,6 +120,19 @@ class TestEvalCommand:
         assert rc == 1
         assert "--snr-db" in capsys.readouterr().err
 
+    def test_overflowing_constellation_power_is_parameter_error(self, tmp_path, capsys):
+        cpath = tmp_path / "huge.json"
+        doc = constellation_to_dict(uniform_qam(2))
+        doc["points"][0] = [1e308, 0.0]
+        cpath.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["eval", "--constellation", str(cpath), "--snr-db", "5",
+                       "--samples", "64"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "average power" in err
+
     def test_overflowing_link_is_numerical_error(self, tmp_path, capsys):
         cfg = _write_run_config(tmp_path)
         cpath = tmp_path / "c.json"
@@ -275,6 +288,25 @@ class TestTrainCommand:
             tmp_path, capsys, '{"m": 2, "iterations": 2, "batch_symbols": 4, '
                               '"target": {"snr_db": 10}, "' + field + '": ' + value + '}')
         assert field in err
+
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_overflowing_step_names_the_iteration(self, tmp_path, capsys, iterations):
+        # Adam's first step moves the points by about learning_rate, so their
+        # power overflows right after it; no numpy warning may precede the error
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"train": {
+            "m": 2, "iterations": iterations, "batch_symbols": 4,
+            "target": {"snr_db": 10}, "learning_rate": 1e308}}))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--config", str(path), "--out", str(tmp_path / "c.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.splitlines() == [
+            "shapegain: numerical failure: iteration "
+            f"{min(iterations - 1, 1)}: mapper power is inf, points cannot be normalized"]
 
 
 class TestSweepCommand:

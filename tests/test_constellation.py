@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from shapegain.constellation import (
     Constellation,
@@ -217,6 +221,28 @@ class TestMomClusters:
         with pytest.raises(ParameterError):
             detect_mom_clusters(uniform_qam(1), epsilon=0.0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_connected_components(self, seed):
+        # shuffled chains and blobs, against scipy's graph search as reference
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 8))
+        steps = rng.choice([0.5, 0.9, 1.5], 2 ** m) * 0.01 * np.exp(2j * np.pi * rng.random(2 ** m))
+        pts = rng.permutation(np.cumsum(steps))
+        c = make(m, pts)
+        n_comp, comp = connected_components(
+            csr_matrix(np.abs(pts[:, None] - pts[None, :]) <= 0.01), directed=False)
+        expect = [tuple(np.flatnonzero(comp == k)) for k in range(n_comp)]
+        expect = sorted((g for g in expect if len(g) > 1), key=lambda g: (-len(g), g[0]))
+        got = [cl.member_labels for cl in detect_mom_clusters(c, epsilon=0.01)]
+        assert got == expect
+        assert any(len(g) > 2 for g in got)
+
+    def test_package_import_leaves_scipy_out(self):
+        code = "import sys, shapegain; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestConstellationType:
     def test_size_mismatch_rejected(self):
@@ -226,6 +252,13 @@ class TestConstellationType:
     def test_nonfinite_rejected(self):
         with pytest.raises(ParameterError):
             make(1, [np.inf, 1.0])
+
+    @pytest.mark.parametrize("points", [[1e308, 1.0, -1.0, 1j], [1e155j, 1.0, -1.0, 1j],
+                                        [1e154] * 4])
+    def test_overflowing_power_rejected(self, points):
+        # finite coordinates whose squares, or their sum, overflow
+        with pytest.raises(ParameterError, match="average power"):
+            make(2, points)
 
     def test_metadata_preserved(self):
         c = make(1, [1.0, -1.0], generator="qam")

@@ -21,7 +21,10 @@ from shapegain import (
     uniform_qam,
 )
 from shapegain.demapper import (
+    _GEMM_UNTHREADED,
     LN2,
+    _loglik,
+    _matmul,
     gaussian_bit_metric,
     gaussian_bit_metric_grad,
     logistic,
@@ -96,7 +99,7 @@ def _random_constellation(m, rng):
 
 class TestMatrixKernel:
     @pytest.mark.parametrize("labeling", ["gray_qam", "random"])
-    @pytest.mark.parametrize("snr_db", [3.0, 17.0, 40.0])
+    @pytest.mark.parametrize("snr_db", [3.0, 17.0, 21.0, 25.0, 30.0, 40.0])
     @pytest.mark.parametrize("m", range(1, 9))
     def test_matches_logsumexp_loop(self, m, snr_db, labeling):
         rng = np.random.default_rng(1000 * m + int(snr_db))
@@ -120,11 +123,44 @@ class TestMatrixKernel:
         gap = np.abs(llr_exact(far, c, s2) - _llr_logsumexp_loop(far, c, s2, 50.0))
         assert np.all(gap <= 1e-12 + 16 * np.finfo(float).eps * nearest[:, None])
 
+    @pytest.mark.parametrize("snr_db, gemm", [(9.3, True), (40.0, False)])
+    def test_form_follows_error_bound(self, snr_db, gemm):
+        # Gray 16QAM: eps T is about 1.4e-14 at 9.3 dB and 1.2e-11 at 40 dB;
+        # the GEMM form is -|y - x|^2 / s2 plus |y|^2 / s2 in every column
+        c = uniform_qam(4)
+        rng = np.random.default_rng(7)
+        s2 = 1.0 / db_to_linear(snr_db)
+        y = awgn_sample(rng, c.points[rng.integers(0, c.size, 1000)], s2)
+        dist = np.abs(y - c.points[:, None]) ** 2 / s2
+        shift = np.abs(y) ** 2 / s2 if gemm else np.zeros(y.size)
+        np.testing.assert_allclose(_loglik(y, c.points, s2) + dist,
+                                   np.broadcast_to(shift, dist.shape),
+                                   rtol=0, atol=1e-12 * dist.max())
+
+    @pytest.mark.parametrize("shape", [(16, 3, 100_000), (100_000, 16, 8), (64, 3000, 3),
+                                       (256, 16, 20_000)])
+    def test_blocked_matmul_stays_unthreaded(self, shape, monkeypatch):
+        n, k, p = shape
+        rng = np.random.default_rng(n + p)
+        a, b = rng.standard_normal((n, k)), rng.standard_normal((k, p))
+        sizes, real = [], np.matmul
+
+        def spy(x, y, out):
+            sizes.append(x.shape[0] * x.shape[1] * y.shape[1])
+            return real(x, y, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        got, got_t = _matmul(a, b), _matmul(b.T, a.T)
+        assert n * k * p > _GEMM_UNTHREADED >= max(sizes)
+        assert got.shape == (n, p) and got.flags.c_contiguous
+        np.testing.assert_allclose(got, a @ b, rtol=0, atol=1e-13 * k)
+        np.testing.assert_allclose(got_t, (a @ b).T, rtol=0, atol=1e-13 * k)
+
     @pytest.mark.parametrize("snr_db", [3.0, 40.0])
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_gradient_rows_sum_to_zero(self, m, snr_db):
         # LLRs are unchanged by a common shift of one sample's log-likelihoods,
-        # so d loss / d loglik sums to zero over the points of every sample
+        # so d loss / d loglik (M, S) sums to zero over the points of every sample
         rng = np.random.default_rng(m)
         c = _random_constellation(m, rng)
         s2 = 1.0 / db_to_linear(snr_db)
@@ -135,7 +171,7 @@ class TestMatrixKernel:
         dllr = rng.standard_normal(raw.shape)
         dllr[np.abs(raw) > 50.0] = 0.0
         da = gaussian_bit_metric_grad(dllr, cache)
-        assert np.all(np.abs(da.sum(axis=1)) <= 1e-13 * (1.0 + np.abs(da).sum(axis=1)))
+        assert np.all(np.abs(da.sum(axis=0)) <= 1e-13 * (1.0 + np.abs(da).sum(axis=0)))
         assert np.any(da != 0.0)
 
     def test_clip_limit(self):

@@ -485,7 +485,8 @@ def _public_api_train(config):
         params, demapper = with_arrays(params, demapper, arrays)
         loss.append(val)
         gmi.append(config.m - val)
-        norm.append(math.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+        flat = np.concatenate([g.ravel() for g in grads.values()])
+        norm.append(math.sqrt(float(flat @ flat)))
     return params.emit(), np.array(loss), np.array(gmi), np.array(norm)
 
 
@@ -517,7 +518,6 @@ class TestTrainMatchesPublicSteps:
 
 
 class TestTrainNumericalErrors:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_llr_names_the_iteration(self, monkeypatch):
         real_init = training.init_mlp
 
@@ -531,7 +531,6 @@ class TestTrainNumericalErrors:
         with pytest.raises(NumericalError, match=r"^iteration 0: non-finite values in llr"):
             train(cfg)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_mapper_overflow_names_the_iteration(self, monkeypatch):
         real_init = training.init_mapper
 
@@ -545,7 +544,6 @@ class TestTrainNumericalErrors:
             with pytest.raises(NumericalError, match=r"^iteration 0: mapper power is inf"):
                 train(cfg)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gradient_names_the_iteration(self, monkeypatch):
         # a tiny mapper normalizes to finite points, but the chain rule
         # through scale = power^(-1/2) needs scale^3, which overflows
