@@ -713,13 +713,13 @@ def train(config: TrainConfig):
         noise_variance = config.target.resolve(
             Constellation(m=config.m, points=params.emit(), metadata={}))
         for it in range(config.iterations):
+            if refresh and it > 0 and it % refresh == 0:
+                noise_variance = config.target.resolve(
+                    Constellation(m=config.m, points=params.emit(), metadata={}))
+            # the draws of awgn_sample: noise_variance / 2 per real dimension
+            noise = rng.standard_normal((S, 2))
+            noise *= math.sqrt(noise_variance / 2.0)
             try:
-                if refresh and it > 0 and it % refresh == 0:
-                    noise_variance = config.target.resolve(
-                        Constellation(m=config.m, points=params.emit(), metadata={}))
-                # the draws of awgn_sample: noise_variance / 2 per real dimension
-                noise = rng.standard_normal((S, 2))
-                noise *= math.sqrt(noise_variance / 2.0)
                 st = _forward(params.raw, demapper, batch, noise, noise_variance)
                 _backward(demapper, st, grad, grads)
                 _adam_update(theta, grad, *moments, it + 1, hyper, work)

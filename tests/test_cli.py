@@ -289,7 +289,6 @@ class TestTrainCommand:
                               '"target": {"snr_db": 10}, "' + field + '": ' + value + '}')
         assert field in err
 
-
     @pytest.mark.parametrize("iterations", [1, 3])
     def test_overflowing_step_names_the_iteration(self, tmp_path, capsys, iterations):
         # Adam's first step moves the points by about learning_rate, so their

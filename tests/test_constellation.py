@@ -226,8 +226,9 @@ class TestMomClusters:
         # shuffled chains and blobs, against scipy's graph search as reference
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 8))
-        steps = rng.choice([0.5, 0.9, 1.5], 2 ** m) * 0.01 * np.exp(2j * np.pi * rng.random(2 ** m))
-        pts = rng.permutation(np.cumsum(steps))
+        # a random walk with steps of 0.5, 0.9 or 1.5 epsilon, labels shuffled
+        step = rng.choice([0.5, 0.9, 1.5], 2 ** m) * np.exp(2j * np.pi * rng.random(2 ** m))
+        pts = rng.permutation(np.cumsum(0.01 * step))
         c = make(m, pts)
         n_comp, comp = connected_components(
             csr_matrix(np.abs(pts[:, None] - pts[None, :]) <= 0.01), directed=False)
