@@ -15,6 +15,7 @@ interference scales as P**3 with a modulation-dependent factor
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,8 @@ class LinkConfig:
         check_field_types(self)
         if self.n_spans < 1:
             raise ParameterError(f"n_spans must be >= 1, got {self.n_spans}")
+        if self.n_spans > sys.float_info.max:  # exact: Python compares int and float exactly
+            raise ParameterError("n_spans must not exceed the largest double")
         if not self.ase_var_per_span > 0:
             raise ParameterError("ase_var_per_span must be positive")
         if self.chi1 < 0:
@@ -62,7 +65,11 @@ class EffectiveChannel:
     def __post_init__(self):
         if not self.snr_linear > 0 or not math.isfinite(self.snr_linear):
             raise ParameterError(f"snr_linear must be finite and positive, got {self.snr_linear}")
-        object.__setattr__(self, "noise_variance", 1.0 / self.snr_linear)
+        noise_variance = 1.0 / self.snr_linear
+        if noise_variance == math.inf:  # a subnormal SNR
+            raise ParameterError(f"snr_linear {self.snr_linear} is too small: "
+                                 "its noise variance overflows")
+        object.__setattr__(self, "noise_variance", noise_variance)
 
     @property
     def snr_db(self) -> float:
@@ -126,8 +133,8 @@ def _total_noise(link: LinkConfig, launch_power: float, eta: float) -> float:
 
 def effective_snr(link: LinkConfig, launch_power: float, mom: Moments) -> EffectiveChannel:
     """Effective SNR = P / (ASE + NLIN) at the given launch power."""
-    if not launch_power > 0:
-        raise ParameterError(f"launch_power must be positive, got {launch_power}")
+    if not 0 < launch_power < math.inf:
+        raise ParameterError(f"launch_power must be finite and positive, got {launch_power}")
     noise = _total_noise(link, launch_power, nlin_factor(link, mom))
     if noise <= 0:
         raise NumericalError("zero total noise: SNR is unbounded")

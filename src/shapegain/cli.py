@@ -131,6 +131,8 @@ def _resolve_eval_noise(args, c) -> float:
 
 
 def _cmd_eval(args) -> int:
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     c = load_constellation(args.constellation)
     noise_variance = _resolve_eval_noise(args, c)
     rng = np.random.default_rng(args.seed)

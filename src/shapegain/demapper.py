@@ -22,10 +22,13 @@ neither of which overflows for any finite z.
 
 Every exact LLR in the package (llr_exact, the GMI estimators built on it
 and GaussianDemapper, the exact receiver of training) comes from one kernel,
-gaussian_bit_metric. It works points-major on l (M, S), the log-likelihoods
-ln p(y_s | x_j) up to a constant per sample. With P = exp(l - column max)
-and the bit table B (M x m), both partition sums of every bit level are one
-product, [Z0 | Z1] = P^T @ [1 - B | B], and L = ln Z0 - ln Z1.
+gaussian_bit_metric. Its arrays keep the S samples on their last axis:
+samples and points enter as I/Q rows, y (2, S) and x (2, M), and it works
+on l (M, S), the log-likelihoods ln p(y_s | x_j) up to a constant per
+sample. With P = exp(l - column max) and the bit table B (M x m), both
+partition sums of every bit level are one product,
+[Z0; Z1] = [1 - B | B]^T @ P (2m x S), and L = ln Z0 - ln Z1 (m x S).
+llr_exact hands its callers the transpose, (S, m).
 
 The maximum contributes 1 to Z0 or Z1 of every level, so at most one
 partition of a level can underflow to zero. The LLR is then +/-inf while
@@ -98,50 +101,58 @@ def logistic(z: np.ndarray):
 
 
 def _loglik(y: np.ndarray, points: np.ndarray, noise_variance: float) -> np.ndarray:
-    """l (M, S) of samples y (S,) against points (M,), see the module docstring."""
-    xmax = float(np.abs(points).max())
-    t = (2.0 * float(np.abs(y).max(initial=0.0)) + xmax) * xmax / float(noise_variance)
+    """l (M, S) of I/Q rows y (2, S) against points (2, M), see the module docstring."""
+    xmax = _max_modulus(points)
+    t = (2.0 * _max_modulus(y) + xmax) * xmax / float(noise_variance)
     if np.finfo(np.float64).eps * t <= _GEMM_TAU:  # a Python float overflows to inf
-        x = np.empty((points.size, 3))
-        x[:, 0], x[:, 1] = points.real, points.imag
-        x[:, 2] = -0.5 * (points.real ** 2 + points.imag ** 2)
+        x = np.empty((points.shape[1], 3))
+        x[:, :2] = points.T
+        x[:, 2] = -0.5 * (points[0] ** 2 + points[1] ** 2)
         x /= 0.5 * noise_variance
-        ys = np.empty((3, y.size))
-        ys[0], ys[1], ys[2] = y.real, y.imag, 1.0
+        ys = np.empty((3, y.shape[1]))
+        ys[:2] = y
+        ys[2] = 1.0
         return _matmul(x, ys)
-    p = np.subtract.outer(points.real, y.real)
+    p = np.subtract.outer(points[0], y[0])
     p *= p
-    im = np.subtract.outer(points.imag, y.imag)
+    im = np.subtract.outer(points[1], y[1])
     im *= im
     p += im
     p /= -noise_variance
     return p
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in row blocks (column blocks if a row is too long) below _GEMM_UNTHREADED.
+def _max_modulus(iq: np.ndarray) -> float:
+    """max |I + jQ| over the columns of iq (2, n), 0 if n = 0; no square overflows."""
+    return float(np.hypot(iq[0], iq[1]).max(initial=0.0))
 
-    Column blocks are row blocks of b.T @ a.T; BLAS takes transposed and
-    strided operands without a copy.
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in blocks below _GEMM_UNTHREADED: row blocks of a or column blocks of b.
+
+    The larger operand is the one split, so BLAS packs the smaller one again
+    for every block rather than the larger one.
     """
     if a.size * b.shape[1] <= _GEMM_UNTHREADED:
         return a @ b
     out = np.empty((a.shape[0], b.shape[1]))
-    rows = out
-    if a.shape[1] * b.shape[1] > _GEMM_UNTHREADED:
-        a, b, rows = b.T, a.T, out.T
-    step = max(1, _GEMM_UNTHREADED // (a.shape[1] * b.shape[1]))
-    for lo in range(0, a.shape[0], step):
-        np.matmul(a[lo:lo + step], b, out=rows[lo:lo + step])
+    if a.size >= b.size:
+        step = max(1, _GEMM_UNTHREADED // b.size)
+        for lo in range(0, a.shape[0], step):
+            np.matmul(a[lo:lo + step], b, out=out[lo:lo + step])
+    else:
+        step = max(1, _GEMM_UNTHREADED // a.size)
+        for lo in range(0, b.shape[1], step):
+            np.matmul(a, b[:, lo:lo + step], out=out[:, lo:lo + step])
     return out
 
 
 def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
                         noise_variance: float):
-    """Unclipped exact bit LLRs of samples y (S,) against points (M,).
+    """Unclipped exact bit LLRs of I/Q rows y (2, S) against points (2, M).
 
     bits is the (M, m) label table. Returns (llr_raw, cache): llr_raw has
-    shape (S, m) and may hold +/-inf where a partition underflowed (see the
+    shape (m, S) and may hold +/-inf where a partition underflowed (see the
     module docstring); NaN only arises from NaN inputs or a noise variance
     so small that every distance overflows. cache feeds
     gaussian_bit_metric_grad.
@@ -151,30 +162,32 @@ def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
     np.exp(p, out=p)
     m = bits.shape[1]
     w = np.concatenate([1.0 - bits, bits], axis=1)
-    z = _matmul(p.T, w)
+    # z = w.T @ p, computed as the transpose of p.T @ w: BLAS runs this
+    # orientation up to twice as fast once p holds subnormals (high SNR)
+    z = _matmul(p.T, w).T
     with np.errstate(divide="ignore"):
         logz = np.log(z)
-    return logz[:, :m] - logz[:, m:], (p, z, w)
+    return np.subtract(logz[:m], logz[m:], order="C"), (p, z, w)
 
 
 def gaussian_bit_metric_grad(dllr: np.ndarray, cache) -> np.ndarray:
-    """d loss / d loglik, shape (M, S), from d loss / d llr_raw, shape (S, m).
+    """d loss / d loglik, shape (M, S), from d loss / d llr_raw, shape (m, S).
 
     loglik is the (M, S) array of _loglik. dllr must be zero wherever
     llr_raw was clipped, which includes every infinite entry; those entries
     are skipped rather than divided by their zero partition.
     """
     p, z, w = cache
-    a = np.concatenate([dllr, -dllr], axis=1)
+    a = np.concatenate([dllr, -dllr])
     np.divide(a, z, out=a, where=a != 0)
-    da = _matmul(w, a.T)
+    da = _matmul(w, a)
     da *= p
     return da
 
 
-def _complex_view(iq: np.ndarray) -> np.ndarray:
-    """(n,) complex view of an (n, 2) array of I/Q pairs."""
-    return np.ascontiguousarray(iq, dtype=np.float64).view(np.complex128)[:, 0]
+def _iq_rows(z: np.ndarray) -> np.ndarray:
+    """(2, n) I/Q rows of a complex array, a strided view where z allows one."""
+    return np.ascontiguousarray(z, dtype=np.complex128).view(np.float64).reshape(-1, 2).T
 
 
 @dataclass
@@ -197,20 +210,19 @@ class GaussianDemapper:
 
     def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, bits: np.ndarray,
                 noise_variance: float):
-        """(llr_raw, cache) for samples y_iq (S, 2) against points_iq (M, 2)."""
-        llr_raw, metric = gaussian_bit_metric(_complex_view(y_iq), _complex_view(points_iq),
-                                              bits, noise_variance)
+        """(llr_raw (m, S), cache) for I/Q rows y_iq (2, S) against points_iq (2, M)."""
+        llr_raw, metric = gaussian_bit_metric(y_iq, points_iq, bits, noise_variance)
         # +/-inf marks an underflowed partition and clips exactly; NaN does not
         if np.isnan(llr_raw).any():
             raise NumericalError("NaN values in llr")
         return llr_raw, (metric, y_iq, points_iq, noise_variance)
 
     def backward(self, dllr: np.ndarray, cache, grads: dict):
-        """(d loss / d y_iq, d loss / d points_iq through the receiver).
+        """(d loss / d y_iq (2, S), d loss / d points_iq (2, M) through the receiver).
 
         With da (M, S), dd2 = d loss / d |y_s - x_j|^2 = -da / noise_variance,
-          d loss / d y      = 2 (y * dd2.sum(0) - dd2.T @ x)
-          d loss / d points = 2 (x * dd2.sum(1) - dd2 @ y)
+          d loss / d y      = 2 (y * dd2.sum(0) - x @ dd2)
+          d loss / d points = 2 (x * dd2.sum(1) - y @ dd2.T)
         The columns of da sum to zero (a common shift of one sample's
         log-likelihoods leaves its LLRs unchanged), so the first term of
         d loss / d y vanishes.
@@ -218,14 +230,28 @@ class GaussianDemapper:
         metric, y_iq, points_iq, noise_variance = cache
         da = gaussian_bit_metric_grad(dllr, metric)
         f = 2.0 / noise_variance
-        gy = _matmul(da.T, points_iq)
+        gy = _matmul(points_iq, da)
         gy *= f
-        gp = _matmul(da, y_iq) - points_iq * da.sum(axis=1, keepdims=True)
+        gp = _matmul(y_iq, da.T)
+        gp -= points_iq * da.sum(axis=1)
         gp *= f
         return gy, gp
 
     def kinks(self, cache) -> list:
         return []
+
+
+def _clipped(llr: np.ndarray, llr_clip: float) -> np.ndarray:
+    """llr clipped to +/- llr_clip into a new array; NaN stays NaN."""
+    out = np.maximum(llr, -llr_clip)
+    np.minimum(out, llr_clip, out=out)
+    return out
+
+
+def _llr_rows(y, c: Constellation, noise_variance: float, llr_clip: float) -> np.ndarray:
+    """Clipped exact LLRs (m, S) of complex samples y (S,)."""
+    raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), noise_variance)
+    return _clipped(raw, llr_clip)
 
 
 def llr_exact(y, c: Constellation, noise_variance: float,
@@ -241,10 +267,8 @@ def llr_exact(y, c: Constellation, noise_variance: float,
         raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
     check_llr_clip(llr_clip)
     scalar = np.ndim(y) == 0
-    yb = np.atleast_1d(np.asarray(y, dtype=np.complex128))
-    out, _ = gaussian_bit_metric(yb, c.points, c.bits(), noise_variance)
-    np.clip(out, -llr_clip, llr_clip, out=out)
-    return out[0] if scalar else out
+    out = _llr_rows(np.atleast_1d(y), c, noise_variance, llr_clip)
+    return out[:, 0] if scalar else out.T
 
 
 @dataclass(frozen=True)
@@ -322,10 +346,11 @@ def make_report(per_bit: np.ndarray, n_samples: int, stderr_total: float) -> Gmi
 
 
 def _bit_penalties(y, c, labels, noise_variance, llr_clip):
-    """log2(1 + exp(-(1-2b) L)) per sample and bit level, shape (S, m)."""
-    llr = llr_exact(y, c, noise_variance, llr_clip)
-    flip = 2.0 * c.bits()[labels] - 1.0
-    return logistic(flip * llr)[0]
+    """log2(1 + exp(-(1-2b) L)) per bit level and sample, shape (m, S)."""
+    llr = _llr_rows(y, c, noise_variance, llr_clip)
+    flip = 2.0 * np.take(c.bits().T, labels, axis=1) - 1.0
+    flip *= llr
+    return logistic(flip)[0]
 
 
 def per_bit_gmi_from_samples(c: Constellation, labels: np.ndarray, y: np.ndarray,
@@ -347,8 +372,8 @@ def per_bit_gmi_from_samples(c: Constellation, labels: np.ndarray, y: np.ndarray
     for lo in range(0, s_total, step):
         hi = min(lo + step, s_total)
         t = _bit_penalties(y[lo:hi], c, labels[lo:hi], noise_variance, llr_clip)
-        penalty_sums += t.sum(axis=0)
-        sample_totals[lo:hi] = c.m - t.sum(axis=1)
+        penalty_sums += t.sum(axis=1)
+        sample_totals[lo:hi] = c.m - t.sum(axis=0)
     per_bit = np.clip(1.0 - penalty_sums / s_total, 0.0, 1.0)
     stderr = float(np.std(sample_totals, ddof=1) / math.sqrt(s_total)) if s_total > 1 else 0.0
     return make_report(per_bit, s_total, stderr)
@@ -408,6 +433,6 @@ def gmi_oracle_quadrature(c: Constellation, noise_variance: float,
     for label in range(c.size):
         y = c.points[label] + offsets
         t = _bit_penalties(y, c, np.full(offsets.size, label), noise_variance, llr_clip)
-        penalty_per_bit += w2 @ t
+        penalty_per_bit += t @ w2
     per_bit = np.clip(1.0 - penalty_per_bit / c.size, 0.0, 1.0)
     return float(per_bit.sum())

@@ -20,11 +20,13 @@ training never asks which one it holds:
     arrays()             named trainable arrays, in backward order
     with_arrays(arrays)  the same receiver rebuilt from such arrays
     forward(y_iq, points_iq, bits, noise_variance) -> (llr_raw, cache)
+                         y_iq (2, S), points_iq (2, M) and llr_raw (m, S),
                          after the receiver's own check of llr_raw
     backward(dllr, cache, grads) -> (gy, gp)
                          writes its parameter gradients into grads;
-                         gy = d loss / d y_iq, gp = d loss / d points_iq
-                         through the receiver, or None
+                         dllr (m, S); gy = d loss / d y_iq (2, S),
+                         gp = d loss / d points_iq (2, M) through the
+                         receiver, or None
     kinks(cache)         the activation pattern (boolean arrays) that a
                          finite-difference probe must not straddle
 
@@ -35,11 +37,15 @@ gradients into one matching flat vector, checks it for non-finite values
 once, and Adam updates the parameters and both moment vectors in place.
 What depends only on the labels (the balance check, the bit table, the
 label signs and the label-ordered scatter of the transmit path) is built
-once per run. Signals stay real: points and received samples are (M, 2)
-and (S, 2) I/Q arrays, and the noise is the (S, 2) standard-normal draw
-awgn_sample would make. forward_loss, backward and adam_step are thin
-wrappers over the same step functions, so train() and a loop over them
-give identical bits.
+once per run. Signals stay real, and every per-sample array of the step is
+C-contiguous with the S samples on its last axis: points and received
+samples are (2, M) and (2, S) I/Q rows, LLRs, label signs, sigmoids and
+loss terms are (m, S), and an MLP layer is (width, S). The noise is the
+standard-normal draw awgn_sample would make, transposed into (2, S). The
+mapper's power is computed once per iteration, right after the update,
+and feeds the next forward pass. forward_loss, backward and adam_step are
+thin wrappers over the same step functions, so train() and a loop over
+them give identical bits.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from .channel import (
     optimal_launch_power,
 )
 from .constellation import Constellation, bit_table, moments, uniform_qam
-from .demapper import LN2, GaussianDemapper, _complex_view, check_llr_clip, logistic
+from .demapper import LN2, GaussianDemapper, _clipped, check_llr_clip, logistic
 from .errors import NumericalError, ParameterError, build_section, check_field_types, int_tuple
 
 
@@ -226,30 +232,37 @@ class MlpDemapper:
 
     def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, bits: np.ndarray,
                 noise_variance: float):
+        """Activations and pre-activations are (width, S), like y_iq (2, S)."""
         activations = [y_iq]
         preacts = []
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            pre = activations[-1] @ w + b
+            pre = _affine(w, b, activations[-1])
             preacts.append(pre)
             activations.append(np.maximum(pre, 0.0))
-        llr_raw = activations[-1] @ self.weights[-1] + self.biases[-1]
+        llr_raw = _affine(self.weights[-1], self.biases[-1], activations[-1])
         _ensure_finite("llr", llr_raw)
         return llr_raw, (activations, preacts)
 
     def backward(self, dllr: np.ndarray, cache, grads: dict):
         activations, preacts = cache
         dx = dllr
-        ones = np.ones(len(dx))
         for i in range(len(self.weights) - 1, -1, -1):
-            np.matmul(activations[i].T, dx, out=grads[f"mlp.W{i}"])
-            np.matmul(ones, dx, out=grads[f"mlp.b{i}"])  # faster than dx.sum(axis=0)
-            dx = dx @ self.weights[i].T
+            np.matmul(activations[i], dx.T, out=grads[f"mlp.W{i}"])
+            np.sum(dx, axis=1, out=grads[f"mlp.b{i}"])
+            dx = self.weights[i] @ dx
             if i > 0:
-                dx = dx * (preacts[i - 1] > 0)
+                dx *= preacts[i - 1] > 0
         return dx, None
 
     def kinks(self, cache) -> list:
         return [pre > 0 for pre in cache[1]]
+
+
+def _affine(w: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """w.T @ a + b for a layer input a (fan_in, S), the bias added as a column."""
+    out = w.T @ a
+    out += b[:, None]
+    return out
 
 
 def init_mlp(m: int, hidden, rng: np.random.Generator,
@@ -322,8 +335,8 @@ class _Batch:
 
     labels: np.ndarray   # (S,)
     bits: np.ndarray     # (M, m) bit table
-    flip: np.ndarray     # (S, m), 2 b_{k,s} - 1, so that z = flip * L
-    scatter: np.ndarray  # (2S,) bin of each entry of an (S, 2) array in (M, 2)
+    flip: np.ndarray     # (m, S), 2 b_{k,s} - 1, so that z = flip * L
+    scatter: np.ndarray  # (2S,) bin of each entry of a (2, S) array in (M, 2)
 
     @property
     def size(self) -> int:
@@ -337,13 +350,13 @@ def _make_batch(labels, M: int) -> _Batch:
     if not np.all(counts == counts[0]):
         raise ParameterError("batch must contain every label equally often")
     bits = bit_table(M.bit_length() - 1)
-    scatter = (2 * labels[:, None] + np.arange(2)).ravel()
-    return _Batch(labels=labels, bits=bits, flip=2.0 * bits[labels] - 1.0,
-                 scatter=scatter)
+    scatter = (2 * labels + np.arange(2)[:, None]).ravel()
+    return _Batch(labels=labels, bits=bits,
+                  flip=2.0 * np.take(bits.T, labels, axis=1) - 1.0, scatter=scatter)
 
 
 def _per_label_sum(batch: _Batch, g: np.ndarray, M: int) -> np.ndarray:
-    """Sum the rows of g (S, 2) by label into (M, 2), in sample order."""
+    """Sum the columns of g (2, S) by label into (M, 2), in sample order."""
     return np.bincount(batch.scatter, weights=g.ravel(),
                        minlength=2 * M).reshape(M, 2)
 
@@ -352,8 +365,9 @@ def _per_label_sum(batch: _Batch, g: np.ndarray, M: int) -> np.ndarray:
 class ForwardState:
     """Everything backward() needs, cached by forward_loss.
 
-    Signals are real: points_iq (M, 2) and y_iq (S, 2) hold I and Q in
-    their columns; points is a complex view of points_iq.
+    Signals are real: points_iq (2, M) and y_iq (2, S) hold I and Q in
+    their rows, and every per-sample array has the samples on its last
+    axis; points is the complex form of points_iq.
     """
 
     batch: _Batch
@@ -363,20 +377,20 @@ class ForwardState:
     scale: float
     points_iq: np.ndarray
     y_iq: np.ndarray
-    llr_raw: np.ndarray
-    llr: np.ndarray
-    sigmoid: np.ndarray  # (S, m) sigmoid(z), z = flip * llr
+    llr_raw: np.ndarray  # (m, S)
+    llr: np.ndarray  # (m, S), llr_raw clipped
+    sigmoid: np.ndarray  # (m, S) sigmoid(z), z = flip * llr
     loss: float
-    penalties: np.ndarray  # (S, m) loss terms, in bits
+    penalties: np.ndarray  # (m, S) loss terms, in bits
     cache: object  # the receiver's forward() cache
 
     @property
     def points(self) -> np.ndarray:
-        return _complex_view(self.points_iq)
+        return self.points_iq[0] + 1j * self.points_iq[1]
 
     @property
     def per_bit_surrogate(self) -> np.ndarray:
-        return 1.0 - self.penalties.sum(axis=0) / self.batch.size
+        return 1.0 - self.penalties.sum(axis=1) / self.batch.size
 
 
 def _ensure_finite(name: str, value) -> None:
@@ -393,22 +407,26 @@ def _mapper_power(raw: np.ndarray) -> float:
 
 
 def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
-             noise_variance: float) -> ForwardState:
-    """The surrogate loss of one batch; noise_iq (S, 2) is the real noise."""
+             noise_variance: float, power: Optional[float] = None) -> ForwardState:
+    """The surrogate loss of one batch; noise_iq (2, S) is the real noise.
+
+    power is _mapper_power(raw) when the caller has it already.
+    """
     if not noise_variance > 0:
         raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
-    power = _mapper_power(raw)
+    if power is None:
+        power = _mapper_power(raw)
     scale = power ** -0.5
-    points = scale * raw
+    points = np.multiply(raw.T, scale, order="C")
     _ensure_finite("points", points)
-    y = np.take(points, batch.labels, axis=0)
+    y = np.take(points, batch.labels, axis=1)
     y += noise_iq
     _ensure_finite("y", y)
 
     llr_raw, cache = demapper.forward(y, points, batch.bits, noise_variance)
     clip = demapper.llr_clip
-    llr = np.clip(llr_raw, -clip, clip)
-    penalties, sigmoid = logistic(batch.flip * llr)  # (S, m) each
+    llr = _clipped(llr_raw, clip)
+    penalties, sigmoid = logistic(batch.flip * llr)  # (m, S) each
     loss = float(penalties.sum() / batch.size)
     _ensure_finite("loss", loss)
     return ForwardState(
@@ -427,12 +445,12 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
     # d loss / d llr
     dllr = st.sigmoid / (batch.size * LN2)  # d loss / d z
     dllr *= batch.flip
-    dllr[np.abs(st.llr_raw) > st.llr_clip] = 0.0
+    dllr[st.llr != st.llr_raw] = 0.0  # the clipped entries
 
     gy, gp = demapper.backward(dllr, st.cache, grads)
     dp = _per_label_sum(batch, gy, M)  # transmit path: y = points[labels] + noise
     if gp is not None:
-        dp += gp  # receiver path
+        dp += gp.T  # receiver path
 
     # normalization chain: points = scale * raw, scale = power^(-1/2)
     dscale = float((dp * st.raw).sum())
@@ -461,7 +479,7 @@ def forward_loss(params: MapperParams, demapper, labels: np.ndarray,
     if labels.shape != noise.shape:
         raise ParameterError("labels and noise must have matching shapes")
     st = _forward(params.raw, demapper, _make_batch(labels, params.size),
-                  np.stack([noise.real, noise.imag], axis=-1), noise_variance)
+                  np.stack([noise.real, noise.imag]), noise_variance)
     return st.loss, st
 
 
@@ -701,14 +719,16 @@ def train(config: TrainConfig):
     grad, grads = _flatten(arrays)  # _backward overwrites every entry
     moments = np.zeros((2, theta.size))
     work = np.empty((2, theta.size))
+    power = None  # of the current points, once an iteration has computed it
 
     refresh = (config.target.refresh_every
                if isinstance(config.target, LinkTarget) else 0)
     loss_hist = np.empty(config.iterations)
     gmi_hist = np.empty(config.iterations)
     norm_hist = np.empty(config.iterations)
-    # an overflow leaves an inf or NaN, which the checks of the step (and the
-    # power check after the last one) raise, naming the iteration, unwarned
+    # an overflow leaves an inf or NaN, which the checks of the step (the
+    # power check after the update among them) raise, naming the iteration,
+    # unwarned
     with np.errstate(over="ignore", invalid="ignore"):
         noise_variance = config.target.resolve(
             Constellation(m=config.m, points=params.emit(), metadata={}))
@@ -716,15 +736,14 @@ def train(config: TrainConfig):
             if refresh and it > 0 and it % refresh == 0:
                 noise_variance = config.target.resolve(
                     Constellation(m=config.m, points=params.emit(), metadata={}))
-            # the draws of awgn_sample: noise_variance / 2 per real dimension
-            noise = rng.standard_normal((S, 2))
-            noise *= math.sqrt(noise_variance / 2.0)
+            # the draws of awgn_sample, noise_variance / 2 per real dimension
+            noise = np.multiply(rng.standard_normal((S, 2)).T,
+                                math.sqrt(noise_variance / 2.0), order="C")
             try:
-                st = _forward(params.raw, demapper, batch, noise, noise_variance)
+                st = _forward(params.raw, demapper, batch, noise, noise_variance, power)
                 _backward(demapper, st, grad, grads)
                 _adam_update(theta, grad, *moments, it + 1, hyper, work)
-                if it == config.iterations - 1:
-                    _mapper_power(params.raw)
+                power = _mapper_power(params.raw)
             except NumericalError as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
             loss_hist[it] = st.loss

@@ -94,6 +94,11 @@ class TestEffectiveSnr:
         with pytest.raises(ParameterError):
             effective_snr(link(), 0.0, QPSK_MOM)
 
+    @pytest.mark.parametrize("power", [math.inf, math.nan, -math.inf])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(ParameterError, match="launch_power"):
+            effective_snr(link(), power, QPSK_MOM)
+
     def test_vanishing_noise_is_an_error(self):
         lk = LinkConfig(n_spans=1, ase_var_per_span=1e-308, chi1=0.0, chi2=0.0)
         with pytest.raises(NumericalError):

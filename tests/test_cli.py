@@ -133,6 +133,28 @@ class TestEvalCommand:
         assert rc == 1
         assert len(err.splitlines()) == 1 and "average power" in err
 
+    @pytest.mark.parametrize("power", ["inf", "nan", "-1"])
+    def test_unusable_launch_power_is_parameter_error(self, tmp_path, capsys, power):
+        cfg = _write_run_config(tmp_path)
+        cpath = tmp_path / "c.json"
+        main(["qam", "--m", "2", "--out", str(cpath)])
+        capsys.readouterr()
+        rc = main(["eval", "--constellation", str(cpath), "--link-from", str(cfg),
+                   "--launch-power", power, "--samples", "64"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "launch_power" in err
+
+    def test_negative_seed_is_parameter_error(self, tmp_path, capsys):
+        cpath = tmp_path / "c.json"
+        main(["qam", "--m", "2", "--out", str(cpath)])
+        capsys.readouterr()
+        rc = main(["eval", "--constellation", str(cpath), "--snr-db", "5",
+                   "--samples", "64", "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "shapegain: error: --seed must be >= 0, got -1"]
+
     def test_overflowing_link_is_numerical_error(self, tmp_path, capsys):
         cfg = _write_run_config(tmp_path)
         cpath = tmp_path / "c.json"
@@ -292,7 +314,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("iterations", [1, 3])
     def test_overflowing_step_names_the_iteration(self, tmp_path, capsys, iterations):
         # Adam's first step moves the points by about learning_rate, so their
-        # power overflows right after it; no numpy warning may precede the error
+        # power overflows right after it, in iteration 0; no numpy warning may
+        # precede the error
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"train": {
             "m": 2, "iterations": iterations, "batch_symbols": 4,
@@ -304,8 +327,8 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.splitlines() == [
-            "shapegain: numerical failure: iteration "
-            f"{min(iterations - 1, 1)}: mapper power is inf, points cannot be normalized"]
+            "shapegain: numerical failure: iteration 0: mapper power is inf, "
+            "points cannot be normalized"]
 
 
 class TestSweepCommand:
@@ -338,6 +361,16 @@ class TestSweepCommand:
         cfg = self._sweep_config(tmp_path, with_output=False)
         rc = main(["sweep", "--config", str(cfg)])
         assert rc == 1
+
+    def test_infinite_fixed_launch_power_is_parameter_error(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(_write_run_config(tmp_path).read_text().replace(
+            '"eval"', '"sweep": {"span_grid": [2], "schemes": ["qam"], "qam_m_list": [2], '
+                      '"power_mode": "fixed", "launch_power": Infinity}, "eval"'))
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "res.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "launch_power" in err
 
     def test_unexpected_cell_error_exits_1_naming_the_cell(self, tmp_path, capsys,
                                                            monkeypatch):
@@ -520,3 +553,48 @@ def test_wrongly_valued_field_never_escapes_main(tmp_path, capsys, field, value)
     index, flag, path = field
     doc = _replaced(_COMMANDS[index][1][flag], path, value)
     assert _run(tmp_path, index, flag, json.dumps(doc).encode(), capsys) in (0, 1, 2, 3)
+
+
+# ------------------------------------------------------ extreme flag values
+
+# (subcommand and flags with "{}" where the fuzzed value goes); every run
+# they can start draws at most 64 samples
+_FLAG_CASES = {
+    "--snr-db": ["eval", "--constellation", "in-c.json", "--snr-db", "{}",
+                 "--samples", "64"],
+    "--n-spans": ["eval", "--constellation", "in-c.json", "--link-from", "in-run.json",
+                  "--n-spans", "{}", "--samples", "64"],
+    "--launch-power": ["eval", "--constellation", "in-c.json", "--link-from", "in-run.json",
+                       "--n-spans", "2", "--launch-power", "{}", "--samples", "64"],
+    "--seed": ["eval", "--constellation", "in-c.json", "--snr-db", "5", "--samples", "64",
+               "--seed", "{}"],
+    "--nd": ["adapt", "--constellation", "in-c.json", "--report", "in-report.json",
+             "--nd", "{}"],
+    "--fec-rate": ["adapt", "--constellation", "in-c.json", "--report", "in-report.json",
+                   "--best", "--fec-rate", "{}"],
+    "--m": ["qam", "--m", "{}", "--out", "out.json"],
+}
+# huge, negative, zero, NaN and inf, spelled as a user would type them
+_FLAG_VALUES = st.one_of(
+    st.sampled_from(["0", "-0", "0.0", "-1", "1e308", "-1e308", "1e400", "-1e400", "inf",
+                     "-inf", "nan", "-nan", str(2 ** 63), str(2 ** 64), str(-2 ** 63),
+                     str(10 ** 400), str(-10 ** 400)]),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag=st.sampled_from(sorted(_FLAG_CASES)), value=_FLAG_VALUES)
+def test_extreme_flag_value_never_escapes_main(tmp_path, capsys, flag, value):
+    (tmp_path / "in-c.json").write_text(json.dumps(_CONSTELLATION))
+    (tmp_path / "in-run.json").write_text(json.dumps(_RUN))
+    (tmp_path / "in-report.json").write_text(json.dumps(_REPORT))
+    argv = [value if a == "{}" else str(tmp_path / a) if a.endswith(".json") else a
+            for a in _FLAG_CASES[flag]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

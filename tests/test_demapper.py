@@ -23,6 +23,7 @@ from shapegain import (
 from shapegain.demapper import (
     _GEMM_UNTHREADED,
     LN2,
+    _iq_rows,
     _loglik,
     _matmul,
     gaussian_bit_metric,
@@ -110,7 +111,8 @@ class TestMatrixKernel:
         np.testing.assert_allclose(got, _llr_logsumexp_loop(y, c, s2, 50.0),
                                    atol=1e-12, rtol=0)
         if snr_db == 40.0:
-            raw, _ = gaussian_bit_metric(y, c.points, c.bits(), s2)
+            raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), s2)
+            raw = raw.T
             under = np.isinf(raw)
             assert under.any()  # some partition underflowed to zero
             np.testing.assert_array_equal(got[under], np.sign(raw[under]) * 50.0)
@@ -133,7 +135,7 @@ class TestMatrixKernel:
         y = awgn_sample(rng, c.points[rng.integers(0, c.size, 1000)], s2)
         dist = np.abs(y - c.points[:, None]) ** 2 / s2
         shift = np.abs(y) ** 2 / s2 if gemm else np.zeros(y.size)
-        np.testing.assert_allclose(_loglik(y, c.points, s2) + dist,
+        np.testing.assert_allclose(_loglik(_iq_rows(y), _iq_rows(c.points), s2) + dist,
                                    np.broadcast_to(shift, dist.shape),
                                    rtol=0, atol=1e-12 * dist.max())
 
@@ -167,7 +169,7 @@ class TestMatrixKernel:
         y = awgn_sample(rng, c.points[rng.integers(0, c.size, 500)], s2)
         pairs = rng.integers(0, c.size, (2, 100))  # midpoints keep unclipped LLRs at 40 dB
         y = np.concatenate([y, 0.5 * (c.points[pairs[0]] + c.points[pairs[1]])])
-        raw, cache = gaussian_bit_metric(y, c.points, c.bits(), s2)
+        raw, cache = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), s2)
         dllr = rng.standard_normal(raw.shape)
         dllr[np.abs(raw) > 50.0] = 0.0
         da = gaussian_bit_metric_grad(dllr, cache)

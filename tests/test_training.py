@@ -15,6 +15,7 @@ from shapegain import (
     constellation_to_dict,
     db_to_linear,
     gmi_oracle_quadrature,
+    llr_exact,
     uniform_qam,
 )
 from shapegain.training import (
@@ -181,6 +182,46 @@ class TestForwardLoss:
             forward_loss(bad, GaussianDemapper(), labels, noise, nv)
 
 
+class TestSamplesLastLayout:
+    """The per-sample arrays of the step keep the samples on their last axis."""
+
+    @pytest.mark.parametrize("mode", ["gaussian", "mlp"])
+    def test_step_arrays_are_c_contiguous_with_samples_last(self, mode):
+        m, S = 3, 128
+        cfg = _config(m=m, batch_symbols=S, demapper_mode=mode, mlp_hidden=(8, 5))
+        rng = np.random.default_rng(11)
+        params = init_mapper(cfg, rng)
+        demapper = (init_mlp(m, cfg.mlp_hidden, rng) if mode == "mlp"
+                    else GaussianDemapper())
+        noise = awgn_sample(rng, np.zeros(S), 0.1)
+        _, st = forward_loss(params, demapper, _balanced_labels(m, S), noise, 0.1)
+        grads = {k: np.empty_like(v) for k, v in demapper.arrays().items()}
+        gy, gp = demapper.backward(np.ones((m, S)), st.cache, grads)
+        rows = {"y_iq": (st.y_iq, 2), "llr_raw": (st.llr_raw, m), "llr": (st.llr, m),
+                "sigmoid": (st.sigmoid, m), "penalties": (st.penalties, m),
+                "flip": (st.batch.flip, m), "gy": (gy, 2)}
+        if mode == "mlp":
+            activations, preacts = st.cache
+            for i, width in enumerate(cfg.mlp_hidden):
+                rows[f"activation {i + 1}"] = (activations[i + 1], width)
+                rows[f"pre-activation {i}"] = (preacts[i], width)
+            assert gp is None
+        else:
+            (p, z, _), *_ = st.cache
+            rows["loglik"] = (p, 1 << m)
+            assert z.shape == (2 * m, S)
+            assert gp.shape == (2, 1 << m)
+        for name, (a, n) in rows.items():
+            assert a.shape == (n, S), name
+            assert a.flags.c_contiguous, name
+
+    def test_llr_exact_keeps_its_shapes(self):
+        c = uniform_qam(3)
+        y = c.points[np.arange(40) % c.size] + 0.1
+        assert llr_exact(y, c, 0.1).shape == (40, 3)
+        assert llr_exact(complex(y[0]), c, 0.1).shape == (3,)
+
+
 # ------------------------------------------------------- gradient checking
 
 
@@ -213,7 +254,7 @@ class TestGradients:
         noise[edge] += 0.5 * (pts[1] - pts[0])
         _, st = forward_loss(params, GaussianDemapper(), labels, noise, nv)
         assert np.isinf(st.llr_raw).any()
-        assert (np.abs(st.llr_raw[edge]) < st.llr_clip).any()
+        assert (np.abs(st.llr_raw[:, edge]) < st.llr_clip).any()
         grads = backward(params, GaussianDemapper(), st)
         assert all(np.all(np.isfinite(g)) for g in grads.values())
         assert np.any(grads["mapper.raw"] != 0.0)
@@ -235,22 +276,22 @@ class TestGradients:
                              n_probes=8, rng=np.random.default_rng(0))
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
 
-    def test_mlp_bias_gradient_is_the_column_sum(self):
-        # backward() takes each bias gradient as ones @ dx, a product in place
-        # of dx.sum(axis=0); the two agree to the rounding of an S-term sum
+    def test_mlp_bias_gradient_is_the_sample_sum(self):
+        # each bias gradient is the sum of dx over the samples, its last axis;
+        # the two agree to the rounding of an S-term sum
         rng = np.random.default_rng(7)
         S, m = 1024, 4
         mlp = init_mlp(m, (16, 8), rng)
-        y = rng.standard_normal((S, 2))
+        y = rng.standard_normal((2, S))
         _, cache = mlp.forward(y, None, None, 1.0)
-        dllr = rng.standard_normal((S, m))
+        dllr = rng.standard_normal((m, S))
         grads = {k: np.empty_like(v) for k, v in mlp.arrays().items()}
         mlp.backward(dllr.copy(), cache, grads)
         dx = dllr
         for i in range(len(mlp.weights) - 1, -1, -1):
             bound = S * np.finfo(float).eps * np.abs(dx).max()
-            assert np.abs(grads[f"mlp.b{i}"] - dx.sum(axis=0)).max() <= bound
-            dx = dx @ mlp.weights[i].T
+            assert np.abs(grads[f"mlp.b{i}"] - dx.sum(axis=1)).max() <= bound
+            dx = mlp.weights[i] @ dx
             if i > 0:
                 dx = dx * (cache[1][i - 1] > 0)
 
