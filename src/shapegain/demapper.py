@@ -102,8 +102,8 @@ def logistic(z: np.ndarray):
 
 def _loglik(y: np.ndarray, points: np.ndarray, noise_variance: float) -> np.ndarray:
     """l (M, S) of I/Q rows y (2, S) against points (2, M), see the module docstring."""
-    xmax = _max_modulus(points)
-    t = (2.0 * _max_modulus(y) + xmax) * xmax / float(noise_variance)
+    xmax = float(np.hypot(*points).max())
+    t = (2.0 * float(np.hypot(*y).max(initial=0.0)) + xmax) * xmax / float(noise_variance)
     if np.finfo(np.float64).eps * t <= _GEMM_TAU:  # a Python float overflows to inf
         x = np.empty((points.shape[1], 3))
         x[:, :2] = points.T
@@ -120,11 +120,6 @@ def _loglik(y: np.ndarray, points: np.ndarray, noise_variance: float) -> np.ndar
     p += im
     p /= -noise_variance
     return p
-
-
-def _max_modulus(iq: np.ndarray) -> float:
-    """max |I + jQ| over the columns of iq (2, n), 0 if n = 0; no square overflows."""
-    return float(np.hypot(iq[0], iq[1]).max(initial=0.0))
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -236,10 +236,12 @@ class MlpDemapper:
         activations = [y_iq]
         preacts = []
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            pre = _affine(w, b, activations[-1])
+            pre = w.T @ activations[-1]
+            pre += b[:, None]
             preacts.append(pre)
             activations.append(np.maximum(pre, 0.0))
-        llr_raw = _affine(self.weights[-1], self.biases[-1], activations[-1])
+        llr_raw = self.weights[-1].T @ activations[-1]
+        llr_raw += self.biases[-1][:, None]
         _ensure_finite("llr", llr_raw)
         return llr_raw, (activations, preacts)
 
@@ -256,13 +258,6 @@ class MlpDemapper:
 
     def kinks(self, cache) -> list:
         return [pre > 0 for pre in cache[1]]
-
-
-def _affine(w: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """w.T @ a + b for a layer input a (fan_in, S), the bias added as a column."""
-    out = w.T @ a
-    out += b[:, None]
-    return out
 
 
 def init_mlp(m: int, hidden, rng: np.random.Generator,

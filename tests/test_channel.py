@@ -167,6 +167,8 @@ class TestLinkConfigValidation:
     def test_bad_spans(self):
         with pytest.raises(ParameterError):
             link(n_spans=0)
+        with pytest.raises(ParameterError):  # n_spans * ase_var_per_span would overflow
+            link(n_spans=10 ** 400)
 
     def test_bad_ase(self):
         with pytest.raises(ParameterError):
@@ -187,6 +189,8 @@ class TestLinkConfigValidation:
     def test_effective_channel_validates(self):
         with pytest.raises(ParameterError):
             EffectiveChannel(snr_linear=0.0)
+        with pytest.raises(ParameterError, match="noise variance overflows"):
+            EffectiveChannel(snr_linear=5e-324)  # 1 / snr is inf
 
 
 class TestAwgnSampler:
