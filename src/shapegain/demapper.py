@@ -243,12 +243,6 @@ def _clipped(llr: np.ndarray, llr_clip: float) -> np.ndarray:
     return out
 
 
-def _llr_rows(y, c: Constellation, noise_variance: float, llr_clip: float) -> np.ndarray:
-    """Clipped exact LLRs (m, S) of complex samples y (S,)."""
-    raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), noise_variance)
-    return _clipped(raw, llr_clip)
-
-
 def llr_exact(y, c: Constellation, noise_variance: float,
               llr_clip: float = DEFAULT_LLR_CLIP) -> np.ndarray:
     """Exact log-MAP bit LLRs for received sample(s) y.
@@ -262,7 +256,9 @@ def llr_exact(y, c: Constellation, noise_variance: float,
         raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
     check_llr_clip(llr_clip)
     scalar = np.ndim(y) == 0
-    out = _llr_rows(np.atleast_1d(y), c, noise_variance, llr_clip)
+    raw, _ = gaussian_bit_metric(_iq_rows(np.atleast_1d(y)), _iq_rows(c.points), c.bits(),
+                                 noise_variance)
+    out = _clipped(raw, llr_clip)
     return out[:, 0] if scalar else out.T
 
 
@@ -342,7 +338,7 @@ def make_report(per_bit: np.ndarray, n_samples: int, stderr_total: float) -> Gmi
 
 def _bit_penalties(y, c, labels, noise_variance, llr_clip):
     """log2(1 + exp(-(1-2b) L)) per bit level and sample, shape (m, S)."""
-    llr = _llr_rows(y, c, noise_variance, llr_clip)
+    llr = llr_exact(y, c, noise_variance, llr_clip).T  # a C-contiguous view
     flip = 2.0 * np.take(c.bits().T, labels, axis=1) - 1.0
     flip *= llr
     return logistic(flip)[0]

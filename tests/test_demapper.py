@@ -269,6 +269,11 @@ class TestMonteCarloGmi:
         with pytest.raises(ParameterError):
             per_bit_gmi_mc(uniform_qam(2), 0.0, 100, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("clip", [0.0, -1.0, math.nan, 701.0])
+    def test_bad_clip_rejected(self, clip):
+        with pytest.raises(ParameterError):
+            per_bit_gmi_mc(uniform_qam(2), 0.5, 100, np.random.default_rng(0), llr_clip=clip)
+
 
 class TestFromSamples:
     def test_bit_reversal_permutes_per_bit_values(self):
@@ -300,11 +305,22 @@ class TestFromSamples:
         with pytest.raises(ParameterError):
             per_bit_gmi_from_samples(c, np.zeros(4, int), np.zeros(5, complex), 1.0)
 
+    @pytest.mark.parametrize("noise_variance", [0.0, -1.0, math.nan])
+    def test_nonpositive_noise_rejected(self, noise_variance):
+        c = uniform_qam(2)
+        with pytest.raises(ParameterError):
+            per_bit_gmi_from_samples(c, np.zeros(4, int), np.zeros(4, complex), noise_variance)
+
 
 class TestQuadratureOracle:
     def test_refuses_large_constellations(self):
         with pytest.raises(CapabilityError):
             gmi_oracle_quadrature(uniform_qam(7), 1.0)
+
+    @pytest.mark.parametrize("clip", [0.0, -1.0, math.nan, 701.0])
+    def test_bad_clip_rejected(self, clip):
+        with pytest.raises(ParameterError):
+            gmi_oracle_quadrature(uniform_qam(2), 0.5, llr_clip=clip)
 
     def test_converged_in_node_count(self):
         c = uniform_qam(4)
