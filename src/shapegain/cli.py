@@ -23,7 +23,7 @@ from .constellation import (
     save_constellation,
     uniform_qam,
 )
-from .demapper import GmiReport, per_bit_gmi_mc
+from .demapper import MAX_SAMPLES, GmiReport, per_bit_gmi_mc
 from .errors import NumericalError, ParameterError, ShapegainError, load_json
 from .lut import export_lut
 from .rate_adapt import best_plan, load_plan, save_plan, select_dummy_bits
@@ -63,7 +63,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-spans", type=int, help="span count for --link-from")
     p.add_argument("--launch-power", type=float,
                    help="fixed launch power for --link-from (default: optimal)")
-    p.add_argument("--samples", type=int, default=200000)
+    p.add_argument("--samples", type=int, default=200000,
+                   help=f"Monte-Carlo sample count, at most {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="print the report as JSON")
     p.add_argument("--out", help="also write the report JSON to this path")

@@ -13,12 +13,15 @@ see the same effective channel).
 The surrogate loss of training and every GMI estimate below are sums of
 these softplus terms, log2(1 + exp(z)) with z = -(1 - 2 b_k) L_k, and the
 loss gradient is their logistic sigmoid. Both come from one kernel,
-logistic, that exponentiates once: with e = exp(-|z|) in (0, 1],
+logistic, that exponentiates once: with e = exp(z),
 
-    log(1 + exp(z)) = max(z, 0) + log1p(e)
-    sigmoid(z)      = (1 if z >= 0 else e) / (1 + e)
+    log(1 + exp(z)) = log1p(e)
+    sigmoid(z)      = e / (1 + e)
 
-neither of which overflows for any finite z.
+Every caller clips its LLRs to |L| <= MAX_LLR_CLIP = 700, so |z| <= 700
+and e lies in [exp(-700), exp(700)], normal doubles on both sides: e never
+overflows (exp does from 709.8 on) and never goes subnormal, and both
+results keep full relative precision.
 
 Every exact LLR in the package (llr_exact, the GMI estimators built on it
 and GaussianDemapper, the exact receiver of training) comes from one kernel,
@@ -64,6 +67,10 @@ from .errors import CapabilityError, NumericalError, ParameterError
 LN2 = math.log(2.0)
 DEFAULT_LLR_CLIP = 50.0
 MAX_LLR_CLIP = 700.0
+# Cap on one Monte-Carlo estimate: 10**7 samples hold 240 MB of labels and
+# samples, and their stderr is about 1e-4 bits; more is rejected before
+# anything is drawn.
+MAX_SAMPLES = 10 ** 7
 
 # the Monte-Carlo GMI runs in blocks of this many log-likelihoods, which
 # stay in a core's cache; the fixed size also fixes the summation order
@@ -86,17 +93,14 @@ def check_llr_clip(llr_clip: float) -> None:
 def logistic(z: np.ndarray):
     """(log2(1 + exp(z)), 1 / (1 + exp(-z))) elementwise, from one exp.
 
-    See the module docstring for the two formulas.
+    Requires |z| <= MAX_LLR_CLIP (clipped LLRs times +/-1); beyond 709.8
+    exp(z) overflows. See the module docstring for the two formulas.
     """
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    softplus = np.maximum(z, 0.0)
-    softplus += np.log1p(e)
+    e = np.exp(z)
+    softplus = np.log1p(e)
     softplus /= LN2
-    sigmoid = np.where(z >= 0, 1.0, e)
-    e += 1.0
-    sigmoid /= e
+    sigmoid = e + 1.0
+    np.divide(e, sigmoid, out=sigmoid)
     return softplus, sigmoid
 
 
@@ -190,6 +194,8 @@ class GaussianDemapper:
     """Differentiable exact bit-metric receiver, no trainable state.
 
     Implements the receiver interface described in shapegain.training.
+    Stacked cells (a leading cell axis, one noise variance per cell) are
+    computed one at a time, since each picks its own form of the metric.
     """
 
     llr_clip: float = DEFAULT_LLR_CLIP
@@ -206,6 +212,10 @@ class GaussianDemapper:
     def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, bits: np.ndarray,
                 noise_variance: float):
         """(llr_raw (m, S), cache) for I/Q rows y_iq (2, S) against points_iq (2, M)."""
+        if y_iq.ndim == 3:
+            cells = [self.forward(y, x, bits, nv)
+                     for y, x, nv in zip(y_iq, points_iq, noise_variance)]
+            return np.stack([llr for llr, _ in cells]), [cache for _, cache in cells]
         llr_raw, metric = gaussian_bit_metric(y_iq, points_iq, bits, noise_variance)
         # +/-inf marks an underflowed partition and clips exactly; NaN does not
         if np.isnan(llr_raw).any():
@@ -222,6 +232,9 @@ class GaussianDemapper:
         log-likelihoods leaves its LLRs unchanged), so the first term of
         d loss / d y vanishes.
         """
+        if dllr.ndim == 3:
+            cells = [self.backward(d, c, grads) for d, c in zip(dllr, cache)]
+            return np.stack([gy for gy, _ in cells]), np.stack([gp for _, gp in cells])
         metric, y_iq, points_iq, noise_variance = cache
         da = gaussian_bit_metric_grad(dllr, metric)
         f = 2.0 / noise_variance
@@ -387,12 +400,13 @@ def per_bit_gmi_mc(c: Constellation, noise_variance: float, n_samples: int,
     noise_variance : float
         Total complex noise variance (1/SNR for unit-power constellations).
     n_samples : int
-        Requested sample count, must be >= M.
+        Requested sample count, in [M, MAX_SAMPLES].
     rng : numpy Generator
         Source of the noise draws; results are deterministic per state.
     """
-    if n_samples < c.size:
-        raise ParameterError(f"n_samples must be >= M = {c.size}, got {n_samples}")
+    if not c.size <= n_samples <= MAX_SAMPLES:
+        raise ParameterError(
+            f"n_samples must be in [M = {c.size}, {MAX_SAMPLES}], got {n_samples}")
     if not noise_variance > 0:
         raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
     per_label = -(-n_samples // c.size)  # ceil division

@@ -3,9 +3,11 @@
 Every grid point (scheme, n_spans) is independent: the learned scheme
 retrains at the grid point's effective SNR with a seed derived from the
 base seed and the span count, the QAM scheme picks the best net rate over
-a list of modulation orders. Rows are assembled in (scheme, n_spans)
-order whatever the execution order, so results are reproducible byte for
-byte, serial or threaded.
+a list of modulation orders. run_sweep trains all learned cells together,
+in one training.train_many run with one cell per span count, and each of
+them equals its lone train() bit for bit; the per-cell evaluation then
+runs serially or threaded. Rows are assembled in (scheme, n_spans) order
+whatever the execution order, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .channel import LinkConfig, effective_snr, optimal_launch_power
 from .constellation import Constellation, moments, uniform_qam
-from .demapper import per_bit_gmi_mc
+from .demapper import MAX_SAMPLES, per_bit_gmi_mc
 from .errors import (
     ParameterError,
     ShapegainError,
@@ -30,7 +32,7 @@ from .errors import (
     load_json,
 )
 from .rate_adapt import best_plan
-from .training import SnrTarget, TrainConfig, train, train_config_from_dict
+from .training import SnrTarget, TrainConfig, train, train_config_from_dict, train_many
 
 _MASK64 = (1 << 64) - 1
 
@@ -89,8 +91,8 @@ class EvalSettings:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n_samples < 1:
-            raise ParameterError("n_samples must be >= 1")
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise ParameterError(f"n_samples must be in [1, {MAX_SAMPLES}], got {self.n_samples}")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
         if not self.epsilon_mom > 0:
@@ -178,33 +180,33 @@ def evaluate_grid_point(config: RunConfig, scheme: str, n_spans: int):
     """
     if config.sweep is None:
         raise ParameterError("config has no sweep section")
-    link = replace(config.link, n_spans=int(n_spans))
-    sw = config.sweep
-
-    candidates = []
     if scheme == "qam":
-        for m in sw.qam_m_list:
-            c = uniform_qam(int(m))
-            power, ch = _resolve_power(link, c, sw)
-            report = per_bit_gmi_mc(c, ch.noise_variance, config.eval.n_samples,
-                                    _eval_rng(config, n_spans, scheme, int(m)))
-            candidates.append((c, power, ch, report))
+        candidates = [uniform_qam(int(m)) for m in config.sweep.qam_m_list]
     elif scheme == "ae":
-        proxy = uniform_qam(config.train.m)
-        _, ch0 = _resolve_power(link, proxy, sw)
-        cfg = replace(config.train,
-                      seed=derive_seed(config.train.seed, n_spans),
-                      target=SnrTarget(ch0.snr_db))
-        c, _ = train(cfg)
-        power, ch = _resolve_power(link, c, sw)
-        report = per_bit_gmi_mc(c, ch.noise_variance, config.eval.n_samples,
-                                _eval_rng(config, n_spans, scheme, config.train.m))
-        candidates.append((c, power, ch, report))
+        candidates = [train(_ae_train_config(config, n_spans))[0]]
     else:
         raise ParameterError(f"unknown scheme {scheme!r}")
+    return _evaluate_cell(config, scheme, n_spans, candidates)
 
+
+def _ae_train_config(config: RunConfig, n_spans: int) -> TrainConfig:
+    """The ae cell's training config: its derived seed, and the SNR that the
+    grid point gives Gray QAM, a proxy for the untrained constellation."""
+    link = replace(config.link, n_spans=int(n_spans))
+    _, ch0 = _resolve_power(link, uniform_qam(config.train.m), config.sweep)
+    return replace(config.train, seed=derive_seed(config.train.seed, n_spans),
+                   target=SnrTarget(ch0.snr_db))
+
+
+def _evaluate_cell(config: RunConfig, scheme: str, n_spans: int, candidates: list):
+    """The cell's row from its candidate constellations: each is evaluated
+    at its own power and SNR, and the best net rate wins."""
+    link = replace(config.link, n_spans=int(n_spans))
     best = None
-    for c, power, ch, report in candidates:
+    for c in candidates:
+        power, ch = _resolve_power(link, c, config.sweep)
+        report = per_bit_gmi_mc(c, ch.noise_variance, config.eval.n_samples,
+                                _eval_rng(config, n_spans, scheme, c.m))
         plan = best_plan(report, link.fec_rate)
         if best is None or plan.net_rate > best[4].net_rate:
             best = (c, power, ch, report, plan)
@@ -221,6 +223,25 @@ def evaluate_grid_point(config: RunConfig, scheme: str, n_spans: int):
         feasible=plan.feasible,
     )
     return row, report, c
+
+
+def _train_ae_cells(config: RunConfig) -> dict:
+    """{n_spans: trained Constellation} of every ae cell, from one train_many run.
+
+    Empty when that run raises: every ae cell then trains alone in its own
+    task, whose row or error is exactly that of evaluate_grid_point.
+    """
+    configs = {}
+    for n in config.sweep.span_grid:
+        try:
+            configs[n] = _ae_train_config(config, n)
+        except Exception:  # noqa: BLE001 - the cell's own task raises it again
+            continue
+    try:
+        trained = train_many(configs.values())
+    except Exception:  # noqa: BLE001 - see the docstring
+        return {}
+    return {n: c for n, (c, _) in zip(configs, trained)}
 
 
 def _thread_count() -> int:
@@ -244,21 +265,26 @@ def run_sweep(config: RunConfig, keep_going: bool = False, error_sink=None,
     keep_going is set, in which case the point is skipped and reported to
     error_sink(scheme, n_spans, exception). detail_sink, if given,
     receives (scheme, n_spans, row, report, constellation) per cell.
-    Parallelism is capped by the SHAPEGAIN_THREADS environment variable
-    (absent means serial); results do not depend on the thread count.
+    The ae cells train together first; the SHAPEGAIN_THREADS environment
+    variable then caps the parallelism of the per-cell evaluation (absent
+    means serial); results do not depend on the thread count.
     """
     if config.sweep is None:
         raise ParameterError("config has no sweep section")
+    threads = _thread_count()
     tasks = [(scheme, n) for scheme in sorted(set(config.sweep.schemes))
              for n in config.sweep.span_grid]
+    trained = _train_ae_cells(config) if "ae" in config.sweep.schemes else {}
 
     def _run_one(task):
+        scheme, n_spans = task
         try:
-            return "ok", evaluate_grid_point(config, *task)
+            if scheme == "ae" and n_spans in trained:
+                return "ok", _evaluate_cell(config, scheme, n_spans, [trained[n_spans]])
+            return "ok", evaluate_grid_point(config, scheme, n_spans)
         except Exception as exc:  # noqa: BLE001 - classified below
             return "err", exc
 
-    threads = _thread_count()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_one, tasks))

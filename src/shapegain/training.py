@@ -30,29 +30,40 @@ training never asks which one it holds:
     kinks(cache)         the activation pattern (boolean arrays) that a
                          finite-difference probe must not straddle
 
-train() keeps every trainable array (the mapper's raw points, then the
-receiver's) as a named view into one float64 parameter vector, laid out
-in the order backward() produces the gradients. Each iteration writes the
-gradients into one matching flat vector, checks it for non-finite values
-once, and Adam updates the parameters and both moment vectors in place.
+train_many() trains K cells whose configs differ only in seed and target
+in one loop, and train() is train_many() of one config. Every array of
+the loop carries a leading cell axis K: the raw points are (K, M, 2), an
+MLP weight (K, fan_in, fan_out), the received samples (K, 2, S), and the
+LLRs, sigmoids and loss terms (K, m, S); receivers take the same shapes
+with that axis (noise_variance then holds one value per cell) or without
+it, as the public step wrappers call them. Cell k draws from its own
+default_rng(seed) in the order a lone run would, and its per-cell scalars
+(power, scale, noise variance) stay Python floats, so it ends bit for bit
+where train() of its config ends.
+
+The loop keeps every trainable array (the mapper's raw points, then the
+receiver's) as a named view into one float64 parameter array (K, n), laid
+out in the order backward() produces the gradients. Each iteration writes
+the gradients into one matching array, checks it for non-finite values
+once, and Adam updates the parameters and both moment arrays in place.
 What depends only on the labels (the balance check, the bit table, the
-label signs and the label-ordered scatter of the transmit path) is built
-once per run. Signals stay real, and every per-sample array of the step is
-C-contiguous with the S samples on its last axis: points and received
-samples are (2, M) and (2, S) I/Q rows, LLRs, label signs, sigmoids and
-loss terms are (m, S), and an MLP layer is (width, S). The noise is the
-standard-normal draw awgn_sample would make, transposed into (2, S). The
-mapper's power is computed once per iteration, right after the update,
-and feeds the next forward pass. forward_loss, backward and adam_step are
-thin wrappers over the same step functions, so train() and a loop over
-them give identical bits.
+label signs and the order that groups each label's samples into one run)
+is built once per run. Signals stay real, and every per-sample array of
+the step is C-contiguous with the S samples on its last axis: points and
+received samples are (2, M) and (2, S) I/Q rows, LLRs, label signs,
+sigmoids and loss terms are (m, S), and an MLP layer is (width, S). The
+noise is the standard-normal draw awgn_sample would make, transposed into
+(2, S). The mapper's power is computed once per iteration, right after
+the update, and feeds the next forward pass. forward_loss, backward and
+adam_step are thin wrappers over the same step functions, so train() and
+a loop over them give identical bits.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -71,6 +82,14 @@ from .errors import NumericalError, ParameterError, build_section, check_field_t
 
 # ---------------------------------------------------------------------------
 # configuration
+
+# Caps on the work one config can ask for: a million iterations of the
+# default batch take about 4 minutes at m = 4 (MLP receiver) and 1.5 hours
+# at m = 8 (Gaussian), and a batch of 2**16 symbols keeps the (M, S)
+# log-likelihoods of m = 8 near 134 MB. Larger values are rejected when the
+# config is built, before any array is allocated.
+MAX_ITERATIONS = 10 ** 6
+MAX_BATCH_SYMBOLS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -141,8 +160,9 @@ class TrainConfig:
         check_field_types(self)
         if self.m < 1:
             raise ParameterError(f"m must be >= 1, got {self.m}")
-        if self.iterations < 0:
-            raise ParameterError("iterations must be >= 0")
+        if not 0 <= self.iterations <= MAX_ITERATIONS:
+            raise ParameterError(
+                f"iterations must be in [0, {MAX_ITERATIONS}], got {self.iterations}")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
         M = 1 << self.m
@@ -150,6 +170,9 @@ class TrainConfig:
             raise ParameterError(
                 f"batch_symbols must be a positive multiple of M = {M}, "
                 f"got {self.batch_symbols}")
+        if self.batch_symbols > MAX_BATCH_SYMBOLS:
+            raise ParameterError(
+                f"batch_symbols must be <= {MAX_BATCH_SYMBOLS}, got {self.batch_symbols}")
         if self.demapper_mode not in ("gaussian", "mlp"):
             raise ParameterError(f"unknown demapper_mode {self.demapper_mode!r}")
         if self.init not in ("random", "qam"):
@@ -191,13 +214,17 @@ def _train_config(target=None, **fields) -> TrainConfig:
 
 @dataclass
 class MapperParams:
-    """Free (pre-normalization) constellation coordinates, shape (M, 2)."""
+    """Free (pre-normalization) constellation coordinates, shape (M, 2).
+
+    In the stacked training loop raw is (K, M, 2), one table per cell;
+    emit() needs a single table.
+    """
 
     raw: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.raw.shape[0]
+        return self.raw.shape[-2]
 
     def emit(self) -> np.ndarray:
         """Normalized complex points as transmitted."""
@@ -210,7 +237,9 @@ class MlpDemapper:
     """Fully-connected rectifier network mapping y = (I, Q) to m LLRs.
 
     A receiver as described in the module docstring; the points do not
-    enter it, so its backward() returns gp = None.
+    enter it, so its backward() returns gp = None. Its arrays are stacked,
+    weights (K, fan_in, fan_out) and biases (K, fan_out), when its inputs
+    carry the cell axis.
     """
 
     weights: list
@@ -232,16 +261,16 @@ class MlpDemapper:
 
     def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, bits: np.ndarray,
                 noise_variance: float):
-        """Activations and pre-activations are (width, S), like y_iq (2, S)."""
+        """Activations and pre-activations are (..., width, S), like y_iq (..., 2, S)."""
         activations = [y_iq]
         preacts = []
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            pre = w.T @ activations[-1]
-            pre += b[:, None]
+            pre = w.swapaxes(-1, -2) @ activations[-1]
+            pre += b[..., None]
             preacts.append(pre)
             activations.append(np.maximum(pre, 0.0))
-        llr_raw = self.weights[-1].T @ activations[-1]
-        llr_raw += self.biases[-1][:, None]
+        llr_raw = self.weights[-1].swapaxes(-1, -2) @ activations[-1]
+        llr_raw += self.biases[-1][..., None]
         _ensure_finite("llr", llr_raw)
         return llr_raw, (activations, preacts)
 
@@ -249,8 +278,8 @@ class MlpDemapper:
         activations, preacts = cache
         dx = dllr
         for i in range(len(self.weights) - 1, -1, -1):
-            np.matmul(activations[i], dx.T, out=grads[f"mlp.W{i}"])
-            np.sum(dx, axis=1, out=grads[f"mlp.b{i}"])
+            np.matmul(activations[i], dx.swapaxes(-1, -2), out=grads[f"mlp.W{i}"])
+            np.sum(dx, axis=-1, out=grads[f"mlp.b{i}"])
             dx = self.weights[i] @ dx
             if i > 0:
                 dx *= preacts[i - 1] > 0
@@ -309,14 +338,20 @@ def with_arrays(params: MapperParams, demapper, arrays: dict):
     return MapperParams(raw=arrays["mapper.raw"]), demapper.with_arrays(arrays)
 
 
-def _flatten(arrays: dict):
-    """Copy named arrays into one new float64 vector; returns (vec, views)."""
-    vec = np.empty(sum(np.size(a) for a in arrays.values()))
+def _flatten(arrays: dict, cells: tuple = ()):
+    """Copy named arrays into one new float64 array; returns (vec, views).
+
+    cells is () for one unstacked set of arrays, which gives a vector, or
+    (K,) for arrays that all carry the cell axis, which gives (K, n) with
+    one row per cell.
+    """
+    sizes = {name: math.prod(np.shape(a)[len(cells):]) for name, a in arrays.items()}
+    vec = np.empty(cells + (sum(sizes.values()),))
     views, lo = {}, 0
     for name, a in arrays.items():
-        views[name] = vec[lo:lo + np.size(a)].reshape(np.shape(a))
+        views[name] = vec[..., lo:lo + sizes[name]].reshape(np.shape(a))
         views[name][...] = a
-        lo += np.size(a)
+        lo += sizes[name]
     return vec, views
 
 
@@ -331,7 +366,7 @@ class _Batch:
     labels: np.ndarray   # (S,)
     bits: np.ndarray     # (M, m) bit table
     flip: np.ndarray     # (m, S), 2 b_{k,s} - 1, so that z = flip * L
-    scatter: np.ndarray  # (2S,) bin of each entry of a (2, S) array in (M, 2)
+    order: Union[slice, np.ndarray]  # stable sample order that sorts the labels
 
     @property
     def size(self) -> int:
@@ -345,15 +380,21 @@ def _make_batch(labels, M: int) -> _Batch:
     if not np.all(counts == counts[0]):
         raise ParameterError("batch must contain every label equally often")
     bits = bit_table(M.bit_length() - 1)
-    scatter = (2 * labels + np.arange(2)[:, None]).ravel()
+    # a sorted batch (train()'s) is its own order, and indexing by a slice
+    # takes no copy
+    order = (slice(None) if np.all(labels[:-1] <= labels[1:])
+             else np.argsort(labels, kind="stable"))
     return _Batch(labels=labels, bits=bits,
-                  flip=2.0 * np.take(bits.T, labels, axis=1) - 1.0, scatter=scatter)
+                  flip=2.0 * np.take(bits.T, labels, axis=1) - 1.0, order=order)
 
 
 def _per_label_sum(batch: _Batch, g: np.ndarray, M: int) -> np.ndarray:
-    """Sum the columns of g (2, S) by label into (M, 2), in sample order."""
-    return np.bincount(batch.scatter, weights=g.ravel(),
-                       minlength=2 * M).reshape(M, 2)
+    """Sum the columns of g (..., 2, S) by label into (..., 2, M).
+
+    Each label's samples form one run in batch order, summed in sample order.
+    """
+    runs = g[..., batch.order]
+    return runs.reshape(*runs.shape[:-1], M, -1).sum(axis=-1)
 
 
 @dataclass
@@ -362,30 +403,32 @@ class ForwardState:
 
     Signals are real: points_iq (2, M) and y_iq (2, S) hold I and Q in
     their rows, and every per-sample array has the samples on its last
-    axis; points is the complex form of points_iq.
+    axis; points is the complex form of points_iq. Arrays carry the cell
+    axis first in the stacked loop; power and scale hold one Python float
+    per cell, and loss is one value per cell.
     """
 
     batch: _Batch
     llr_clip: float
     raw: np.ndarray
-    power: float
-    scale: float
+    power: list
+    scale: list
     points_iq: np.ndarray
     y_iq: np.ndarray
     llr_raw: np.ndarray  # (m, S)
     llr: np.ndarray  # (m, S), llr_raw clipped
     sigmoid: np.ndarray  # (m, S) sigmoid(z), z = flip * llr
-    loss: float
+    loss: np.ndarray
     penalties: np.ndarray  # (m, S) loss terms, in bits
     cache: object  # the receiver's forward() cache
 
     @property
     def points(self) -> np.ndarray:
-        return self.points_iq[0] + 1j * self.points_iq[1]
+        return self.points_iq[..., 0, :] + 1j * self.points_iq[..., 1, :]
 
     @property
     def per_bit_surrogate(self) -> np.ndarray:
-        return 1.0 - self.penalties.sum(axis=1) / self.batch.size
+        return 1.0 - self.penalties.sum(axis=-1) / self.batch.size
 
 
 def _ensure_finite(name: str, value) -> None:
@@ -393,36 +436,50 @@ def _ensure_finite(name: str, value) -> None:
         raise NumericalError(f"non-finite values in {name}")
 
 
-def _mapper_power(raw: np.ndarray) -> float:
-    """Mean power of the raw mapper points, which must be finite and positive."""
-    power = float((raw ** 2).sum(axis=1).mean())
-    if not 0.0 < power < math.inf:
-        raise NumericalError(f"mapper power is {power}, points cannot be normalized")
-    return power
+def _mapper_power(raw: np.ndarray) -> list:
+    """Mean power of each cell's raw mapper points, which must be finite and
+    positive, as Python floats."""
+    powers = (raw ** 2).sum(axis=-1).mean(axis=-1).reshape(-1).tolist()
+    for power in powers:
+        if not 0.0 < power < math.inf:
+            raise NumericalError(f"mapper power is {power}, points cannot be normalized")
+    return powers
+
+
+def _per_cell(values: list, like: np.ndarray) -> np.ndarray:
+    """One float per cell as an operand that scales each cell of like."""
+    return np.array(values).reshape((-1,) + (1,) * (like.ndim - 1))
 
 
 def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
-             noise_variance: float, power: Optional[float] = None) -> ForwardState:
-    """The surrogate loss of one batch; noise_iq (2, S) is the real noise.
+             noise_variance: list, power: Optional[list] = None) -> ForwardState:
+    """The surrogate loss of one batch per cell.
 
-    power is _mapper_power(raw) when the caller has it already.
+    raw is (M, 2) and noise_iq, the real noise, (2, S), or (K, M, 2) and
+    (K, 2, S) for K stacked cells. noise_variance and power hold one Python
+    float per cell; power is _mapper_power(raw) when the caller has it
+    already. The scale power ** -0.5 is taken in Python: numpy's array power
+    rounds it differently.
     """
-    if not noise_variance > 0:
-        raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
+    for v in noise_variance:
+        if not v > 0:
+            raise ParameterError(f"noise_variance must be positive, got {v}")
     if power is None:
         power = _mapper_power(raw)
-    scale = power ** -0.5
-    points = np.multiply(raw.T, scale, order="C")
+    scale = [p ** -0.5 for p in power]
+    points = np.multiply(raw.swapaxes(-1, -2), _per_cell(scale, raw), order="C")
     _ensure_finite("points", points)
-    y = np.take(points, batch.labels, axis=1)
+    y = np.take(points, batch.labels, axis=-1)
     y += noise_iq
     _ensure_finite("y", y)
 
-    llr_raw, cache = demapper.forward(y, points, batch.bits, noise_variance)
+    stacked = raw.ndim == 3
+    llr_raw, cache = demapper.forward(y, points, batch.bits,
+                                      noise_variance if stacked else noise_variance[0])
     clip = demapper.llr_clip
     llr = _clipped(llr_raw, clip)
-    penalties, sigmoid = logistic(batch.flip * llr)  # (m, S) each
-    loss = float(penalties.sum() / batch.size)
+    penalties, sigmoid = logistic(batch.flip * llr)  # (..., m, S) each
+    loss = penalties.reshape(*penalties.shape[:-2], -1).sum(axis=-1) / batch.size
     _ensure_finite("loss", loss)
     return ForwardState(
         batch=batch, llr_clip=clip,
@@ -433,9 +490,10 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
 
 
 def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None:
-    """Write every gradient into grads, named views of the flat vector grad."""
+    """Write every gradient into grads, named views of the flat array grad."""
     batch = st.batch
-    M = st.raw.shape[0]
+    raw = st.raw
+    M = raw.shape[-2]
 
     # d loss / d llr
     dllr = st.sigmoid / (batch.size * LN2)  # d loss / d z
@@ -445,17 +503,20 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
     gy, gp = demapper.backward(dllr, st.cache, grads)
     dp = _per_label_sum(batch, gy, M)  # transmit path: y = points[labels] + noise
     if gp is not None:
-        dp += gp.T  # receiver path
+        dp += gp  # receiver path
+    dp = dp.swapaxes(-1, -2)  # (..., M, 2), the layout of raw
 
     # normalization chain: points = scale * raw, scale = power^(-1/2)
-    dscale = float((dp * st.raw).sum())
+    dscale = np.multiply(dp, raw, order="C")
+    dscale = dscale.reshape(*dscale.shape[:-2], -1).sum(axis=-1)
     try:
-        dpower = -0.5 * st.scale ** 3 * dscale
+        dpower = [-0.5 * s ** 3 * d
+                  for s, d in zip(st.scale, dscale.reshape(-1).tolist())]
     except OverflowError as exc:  # a float power raises instead of giving inf
         raise NumericalError("non-finite values in gradient mapper.raw") from exc
     draw = grads["mapper.raw"]
-    np.multiply(dp, st.scale, out=draw)
-    draw += (2.0 / M) * st.raw * dpower
+    np.multiply(dp, _per_cell(st.scale, raw), out=draw)
+    draw += (2.0 / M) * raw * _per_cell(dpower, raw)
 
     if not np.isfinite(grad).all():
         bad = next(name for name, g in grads.items() if not np.isfinite(g).all())
@@ -466,16 +527,17 @@ def forward_loss(params: MapperParams, demapper, labels: np.ndarray,
                  noise: np.ndarray, noise_variance: float):
     """Surrogate loss (bits/symbol) plus cached intermediates.
 
-    `labels` must contain each of the M labels equally often; `noise` is
-    the complex additive noise realization, one entry per label.
+    `labels` must contain each of the M labels equally often, in any
+    order; `noise` is the complex additive noise realization, one entry
+    per label.
     """
     labels = np.asarray(labels)
     noise = np.asarray(noise, dtype=np.complex128)
     if labels.shape != noise.shape:
         raise ParameterError("labels and noise must have matching shapes")
     st = _forward(params.raw, demapper, _make_batch(labels, params.size),
-                  np.stack([noise.real, noise.imag]), noise_variance)
-    return st.loss, st
+                  np.stack([noise.real, noise.imag]), [noise_variance])
+    return float(st.loss), st
 
 
 def backward(params: MapperParams, demapper, state: ForwardState) -> dict:
@@ -695,45 +757,74 @@ def train(config: TrainConfig):
     Fresh noise is drawn every iteration; batches contain every label
     batch_symbols/M times. Deterministic for a fixed config (seed included).
     """
-    rng = np.random.default_rng(config.seed)
-    params = init_mapper(config, rng)
-    if config.demapper_mode == "mlp":
-        demapper = init_mlp(config.m, config.mlp_hidden, rng, config.llr_clip)
-    else:
-        demapper = GaussianDemapper(llr_clip=config.llr_clip)
+    return train_many([config])[0]
 
-    M = 1 << config.m
-    S = config.batch_symbols
+
+def train_many(configs) -> list:
+    """Train one cell per config in one loop; returns [(Constellation, TrainHistory)].
+
+    The configs may differ only in seed and target. Every array of the
+    step carries a leading cell axis (see the module docstring), so the
+    numpy calls of an iteration serve all cells at once, and each cell's
+    result equals train() of its config bit for bit. A NumericalError names
+    the iteration, not the cell; train the configs alone to find it.
+    """
+    configs = list(configs)
+    if not configs:
+        return []
+    first = configs[0]
+    for config in configs[1:]:
+        if replace(config, seed=first.seed, target=first.target) != first:
+            raise ParameterError("stacked training configs may differ only in seed and target")
+    K = len(configs)
+    rngs = [np.random.default_rng(config.seed) for config in configs]
+    cells = []
+    for config, rng in zip(configs, rngs):
+        params = init_mapper(config, rng)
+        if config.demapper_mode == "mlp":
+            demapper = init_mlp(config.m, config.mlp_hidden, rng, config.llr_clip)
+        else:
+            demapper = GaussianDemapper(llr_clip=config.llr_clip)
+        cells.append(trainable_arrays(params, demapper))
+
+    M = 1 << first.m
+    S = first.batch_symbols
     batch = _make_batch(np.repeat(np.arange(M), S // M), M)
-    hyper = AdamHyper(config.learning_rate, config.adam_beta1,
-                      config.adam_beta2, config.adam_eps)
-    # from here on the trainable arrays are views into theta, which Adam
-    # updates in place together with its moment vectors
-    theta, arrays = _flatten(trainable_arrays(params, demapper))
+    hyper = AdamHyper(first.learning_rate, first.adam_beta1,
+                      first.adam_beta2, first.adam_eps)
+    # from here on the trainable arrays are views into theta (K, n), which
+    # Adam updates in place together with its moment arrays
+    theta, arrays = _flatten({name: np.stack([cell[name] for cell in cells])
+                              for name in cells[0]}, (K,))
     params, demapper = with_arrays(params, demapper, arrays)
-    grad, grads = _flatten(arrays)  # _backward overwrites every entry
-    moments = np.zeros((2, theta.size))
-    work = np.empty((2, theta.size))
+    grad, grads = _flatten(arrays, (K,))  # _backward overwrites every entry
+    moments = np.zeros((2,) + theta.shape)
+    work = np.empty((2,) + theta.shape)
+    noise = np.empty((K, 2, S))
     power = None  # of the current points, once an iteration has computed it
 
-    refresh = (config.target.refresh_every
-               if isinstance(config.target, LinkTarget) else 0)
-    loss_hist = np.empty(config.iterations)
-    gmi_hist = np.empty(config.iterations)
-    norm_hist = np.empty(config.iterations)
+    def resolve(k: int) -> float:
+        points = MapperParams(raw=params.raw[k]).emit()
+        return configs[k].target.resolve(Constellation(m=first.m, points=points, metadata={}))
+
+    refresh = [(k, config.target.refresh_every) for k, config in enumerate(configs)
+               if isinstance(config.target, LinkTarget)]
+    loss_hist = np.empty((K, first.iterations))
+    gmi_hist = np.empty((K, first.iterations))
+    norm_hist = np.empty((K, first.iterations))
     # an overflow leaves an inf or NaN, which the checks of the step (the
     # power check after the update among them) raise, naming the iteration,
     # unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        noise_variance = config.target.resolve(
-            Constellation(m=config.m, points=params.emit(), metadata={}))
-        for it in range(config.iterations):
-            if refresh and it > 0 and it % refresh == 0:
-                noise_variance = config.target.resolve(
-                    Constellation(m=config.m, points=params.emit(), metadata={}))
+        noise_variance = [resolve(k) for k in range(K)]
+        for it in range(first.iterations):
+            for k, every in refresh:
+                if it > 0 and it % every == 0:
+                    noise_variance[k] = resolve(k)
             # the draws of awgn_sample, noise_variance / 2 per real dimension
-            noise = np.multiply(rng.standard_normal((S, 2)).T,
-                                math.sqrt(noise_variance / 2.0), order="C")
+            for k, rng in enumerate(rngs):
+                np.multiply(rng.standard_normal((S, 2)).T,
+                            math.sqrt(noise_variance[k] / 2.0), out=noise[k])
             try:
                 st = _forward(params.raw, demapper, batch, noise, noise_variance, power)
                 _backward(demapper, st, grad, grads)
@@ -741,11 +832,14 @@ def train(config: TrainConfig):
                 power = _mapper_power(params.raw)
             except NumericalError as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
-            loss_hist[it] = st.loss
-            gmi_hist[it] = config.m - st.loss
-            norm_hist[it] = math.sqrt(float(grad @ grad))
-        c = _emit_constellation(params, config, noise_variance)
+            loss_hist[:, it] = st.loss
+            gmi_hist[:, it] = first.m - st.loss
+            for k in range(K):
+                norm_hist[k, it] = math.sqrt(float(grad[k] @ grad[k]))
+        constellations = [
+            _emit_constellation(MapperParams(raw=params.raw[k]), config, noise_variance[k])
+            for k, config in enumerate(configs)]
 
-    history = TrainHistory(loss=loss_hist, surrogate_gmi=gmi_hist,
-                           grad_norm=norm_hist)
-    return c, history
+    return [(c, TrainHistory(loss=loss_hist[k], surrogate_gmi=gmi_hist[k],
+                             grad_norm=norm_hist[k]))
+            for k, c in enumerate(constellations)]

@@ -18,7 +18,8 @@ from shapegain import (
     uniform_qam,
 )
 from shapegain.cli import main
-from shapegain.demapper import make_report
+from shapegain.demapper import MAX_SAMPLES, make_report
+from shapegain.training import MAX_BATCH_SYMBOLS, MAX_ITERATIONS
 
 
 def _write_run_config(tmp_path, **extra):
@@ -526,8 +527,8 @@ def _float_paths(doc, prefix=()):
             yield from _float_paths(value, prefix + (key,))
 
 
-# every float of every valid input document; int fields are left out, since
-# a huge iteration or sample count would start a long run
+# every float of every valid input document; int fields are fuzzed below,
+# where no value can start a long run
 _FLOAT_FIELDS = [(index, flag, path) for index, flag in _FILE_ARGS
                  for path in _float_paths(_COMMANDS[index][1][flag])]
 _EXTREMES = [1e308, -1e308, math.inf, -math.inf, math.nan, 0.0, -0.0]
@@ -598,3 +599,45 @@ def test_extreme_flag_value_never_escapes_main(tmp_path, capsys, flag, value):
         rc = main(argv)
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------- capped int values
+
+# the counts that size a run, with their caps; fuzzed values are either small
+# enough to finish at once or above the cap, never a long run in between
+_CAPPED = {
+    ("train", "iterations"): MAX_ITERATIONS,
+    ("train", "batch_symbols"): MAX_BATCH_SYMBOLS,
+    ("eval", "n_samples"): MAX_SAMPLES,
+    "--samples": MAX_SAMPLES,
+}
+
+
+def _small_or_above(cap):
+    return st.one_of(st.integers(max_value=64), st.integers(min_value=cap + 1),
+                     st.sampled_from([cap + 1, 2 ** 63, 2 ** 64, 10 ** 400]))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(sorted(_CAPPED, key=str)).flatmap(
+    lambda field: st.tuples(st.just(field), _small_or_above(_CAPPED[field]))))
+def test_capped_count_never_escapes_main(tmp_path, capsys, case):
+    field, value = case
+    if field == "--samples":
+        (tmp_path / "c.json").write_text(json.dumps(_CONSTELLATION))
+        argv = ["eval", "--constellation", str(tmp_path / "c.json"), "--snr-db", "5",
+                "--samples", str(value)]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps(_replaced(_RUN, field, value)))
+        argv = ["sweep", "--config", str(tmp_path / "run.json"),
+                "--out", str(tmp_path / "out.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if value > _CAPPED[field]:
+        assert rc == 1, err
+        assert ("n_samples" if field == "--samples" else field[1]) in err, err

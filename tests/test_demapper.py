@@ -23,6 +23,8 @@ from shapegain import (
 from shapegain.demapper import (
     _GEMM_UNTHREADED,
     LN2,
+    MAX_LLR_CLIP,
+    MAX_SAMPLES,
     _iq_rows,
     _loglik,
     _matmul,
@@ -210,6 +212,15 @@ class TestLogisticKernel:
         np.testing.assert_array_equal(sig, 0.5)
         np.testing.assert_array_equal(sp, 1.0)
 
+    def test_clip_limits_are_finite_and_exact(self):
+        # every caller keeps |z| <= MAX_LLR_CLIP, where exp(z) is a normal double
+        clip = MAX_LLR_CLIP
+        sp, sig = logistic(np.array([clip, -clip]))
+        assert np.all(np.isfinite(sp)) and np.all(np.isfinite(sig))
+        assert sp[0] == clip / LN2 and sig[0] == 1.0
+        tail = np.exp(-clip)
+        assert sp[1] == tail / LN2 and sig[1] == tail
+
     def test_shape_preserved_and_input_untouched(self):
         z = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
         before = z.copy()
@@ -222,6 +233,12 @@ class TestLogisticKernel:
 
 
 class TestMonteCarloGmi:
+    @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10 ** 400])
+    def test_sample_cap(self, n):
+        # rejected before the generator is touched, so nothing is drawn
+        with pytest.raises(ParameterError, match="n_samples"):
+            per_bit_gmi_mc(uniform_qam(2), 0.1, n, rng=None)
+
     def test_qpsk_matches_quadrature_oracle(self):
         c = uniform_qam(2)
         s2 = 1.0 / db_to_linear(6.0)

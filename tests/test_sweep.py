@@ -8,6 +8,7 @@ import pytest
 
 from shapegain import (
     LinkConfig,
+    NumericalError,
     ParameterError,
     ShapegainError,
     best_plan,
@@ -29,7 +30,8 @@ from shapegain.sweep import (
     rows_to_csv,
     run_sweep,
 )
-from shapegain.training import SnrTarget, TrainConfig
+from shapegain.demapper import MAX_SAMPLES
+from shapegain.training import MapperParams, SnrTarget, TrainConfig
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.json"
 
@@ -139,6 +141,11 @@ class TestRunConfigParsing:
             SweepSettings(span_grid=(2, 4), power_mode="fixed", qam_m_list=(2,))
         with pytest.raises(ParameterError):
             SweepSettings(span_grid=(2, 4), schemes=("qam",))  # needs m list
+
+    def test_sample_cap(self):
+        EvalSettings(n_samples=MAX_SAMPLES)
+        with pytest.raises(ParameterError, match="n_samples"):
+            EvalSettings(n_samples=MAX_SAMPLES + 1)
 
 
 class TestDeriveSeed:
@@ -283,6 +290,69 @@ class TestRunSweep:
         run_sweep(_tiny_config(),
                   detail_sink=lambda s, n, row, rep, c: cells.append((s, n)))
         assert sorted(cells) == [("ae", 2), ("ae", 5), ("qam", 2), ("qam", 5)]
+
+
+class TestStackedTraining:
+    """run_sweep trains the ae cells in one train_many run; a failure there
+    sends every ae cell back to training alone, as evaluate_grid_point does."""
+
+    @staticmethod
+    def _config():
+        return _tiny_config(train=TrainConfig(m=2, target=SnrTarget(10.0), iterations=5,
+                                              batch_symbols=64, seed=3))
+
+    def test_ae_cells_train_in_one_stacked_run(self, monkeypatch):
+        import shapegain.sweep as sweep_mod
+        config = self._config()
+        cells = [evaluate_grid_point(config, s, n)[0]
+                 for s in ("ae", "qam") for n in (2, 5)]
+        real = sweep_mod.train_many
+        runs = []
+
+        def recorded(configs):
+            configs = list(configs)
+            runs.append([c.seed for c in configs])
+            return real(configs)
+
+        def lone_train(config):
+            raise AssertionError("an ae cell trained alone")
+
+        monkeypatch.setattr(sweep_mod, "train_many", recorded)
+        monkeypatch.setattr(sweep_mod, "train", lone_train)
+        assert run_sweep(config) == cells
+        assert runs == [[derive_seed(3, 2), derive_seed(3, 5)]]
+
+    @staticmethod
+    def _break_ae_cell(monkeypatch, n_spans):
+        """Make the training of the ae cell at n_spans overflow at iteration 0."""
+        import shapegain.training as training
+        real = training.init_mapper
+        seed = derive_seed(3, n_spans)
+
+        def init_mapper(config, rng, *args, **kwargs):
+            params = real(config, rng, *args, **kwargs)
+            if config.seed == seed:
+                return MapperParams(raw=params.raw * 1e200)  # |raw|^2 overflows
+            return params
+
+        monkeypatch.setattr(training, "init_mapper", init_mapper)
+
+    def test_failing_cell_is_skipped_alone(self, monkeypatch):
+        config = self._config()
+        clean = run_sweep(config)
+        self._break_ae_cell(monkeypatch, 5)
+        seen = []
+        rows = run_sweep(config, keep_going=True,
+                         error_sink=lambda s, n, e: seen.append((s, n, e)))
+        assert [(s, n) for s, n, _ in seen] == [("ae", 5)]
+        assert isinstance(seen[0][2], NumericalError)
+        assert rows == [r for r in clean if (r.scheme, r.n_spans) != ("ae", 5)]
+
+    def test_failing_cell_is_named(self, monkeypatch):
+        self._break_ae_cell(monkeypatch, 5)
+        with pytest.raises(NumericalError,
+                           match=r"scheme=ae, n_spans=5\): iteration 0: mapper power is inf"):
+            run_sweep(self._config())
 
 
 class TestCsvAndReach:

@@ -1,6 +1,8 @@
 """Training engine tests: forward/backward vs finite differences, Adam, train()."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from shapegain.training import (
     init_mlp,
     train,
     train_config_from_dict,
+    train_many,
     trainable_arrays,
     with_arrays,
 )
@@ -103,6 +106,16 @@ class TestTrainConfig:
     def test_from_dict_missing_target_rejected(self):
         with pytest.raises(ParameterError):
             train_config_from_dict({"m": 2, "iterations": 5})
+
+    def test_work_caps(self):
+        _config(iterations=training.MAX_ITERATIONS,
+                batch_symbols=training.MAX_BATCH_SYMBOLS)
+        for field, value in [("iterations", training.MAX_ITERATIONS + 1),
+                             ("iterations", 10 ** 400),
+                             ("batch_symbols", 2 * training.MAX_BATCH_SYMBOLS),
+                             ("batch_symbols", 4 ** 400)]:
+            with pytest.raises(ParameterError, match=field):
+                _config(**{field: value})
 
 
 class TestInitMapper:
@@ -180,6 +193,41 @@ class TestForwardLoss:
         bad.raw[0, 0] = np.nan
         with pytest.raises(NumericalError):
             forward_loss(bad, GaussianDemapper(), labels, noise, nv)
+
+
+class TestLabelOrder:
+    """Batches may list their labels in any order; a sorted batch (train()'s)
+    sums each label's samples as one run, and a shuffled one is sorted
+    stably first."""
+
+    def test_per_label_sum_of_shuffled_labels(self):
+        M, S = 8, 256
+        rng = np.random.default_rng(12)
+        labels = rng.permutation(np.repeat(np.arange(M), S // M))
+        g = rng.standard_normal((3, 2, S))
+        got = training._per_label_sum(training._make_batch(labels, M), g, M)
+        assert got.shape == (3, 2, M)
+        for j in range(M):
+            np.testing.assert_array_equal(got[..., j], g[..., labels == j].sum(axis=-1))
+
+    @pytest.mark.parametrize("mode", ["gaussian", "mlp"])
+    def test_shuffled_batch_takes_the_same_step(self, mode):
+        m, S = 3, 128
+        cfg = _config(m=m, batch_symbols=S, demapper_mode=mode, mlp_hidden=(8,))
+        rng = np.random.default_rng(13)
+        params = init_mapper(cfg, rng)
+        demapper = init_mlp(m, (8,), rng) if mode == "mlp" else GaussianDemapper()
+        labels = _balanced_labels(m, S)
+        noise = awgn_sample(rng, np.zeros(S), 0.2)
+        perm = rng.permutation(S)
+        loss, st = forward_loss(params, demapper, labels, noise, 0.2)
+        loss_p, st_p = forward_loss(params, demapper, labels[perm], noise[perm], 0.2)
+        assert loss_p == pytest.approx(loss, rel=1e-13)
+        grads = backward(params, demapper, st)
+        grads_p = backward(params, demapper, st_p)
+        for name, g in grads.items():
+            np.testing.assert_allclose(grads_p[name], g, rtol=1e-10, atol=1e-14,
+                                       err_msg=name)
 
 
 class TestSamplesLastLayout:
@@ -556,6 +604,61 @@ class TestTrainMatchesPublicSteps:
         np.testing.assert_array_equal(hist.loss, loss)
         np.testing.assert_array_equal(hist.surrogate_gmi, gmi)
         np.testing.assert_array_equal(hist.grad_norm, norm)
+
+
+_EXAMPLE = Path(__file__).resolve().parent.parent / "configs" / "example.json"
+_LINK = LinkConfig(n_spans=8, ase_var_per_span=0.0041, chi1=0.3, chi2=0.1)
+
+
+def _example_ae_configs(iterations):
+    """The training configs of the shipped example sweep's six ae cells."""
+    from shapegain.sweep import _ae_train_config, load_run_config
+
+    rc = load_run_config(_EXAMPLE)
+    rc = replace(rc, train=replace(rc.train, iterations=iterations))
+    return [_ae_train_config(rc, n) for n in rc.sweep.span_grid]
+
+
+class TestTrainMany:
+    """Cells trained together end exactly where each one trained alone does."""
+
+    @pytest.mark.parametrize("configs", [
+        _example_ae_configs(25),
+        [_config(m=4, iterations=20, batch_symbols=256, seed=s, target=SnrTarget(db))
+         for s, db in [(0, 9.3), (1, 12.0), (7, 4.0)]],
+        [_config(m=2, iterations=20, batch_symbols=64, demapper_mode="mlp",
+                 mlp_hidden=(4,), seed=s, target=t)
+         for s, t in [(4, LinkTarget(_LINK, refresh_every=7)),
+                      (5, SnrTarget(8.0)),
+                      (6, LinkTarget(replace(_LINK, n_spans=20), refresh_every=3))]],
+        [_config(m=2, iterations=20, batch_symbols=64, seed=s,
+                 target=LinkTarget(_LINK, launch_power=p, refresh_every=6))
+         for s, p in [(1, "optimal"), (2, 0.01)]],
+    ], ids=["example-ae-cells", "gaussian", "link-mlp", "link-gaussian"])
+    def test_each_cell_equals_its_lone_run(self, configs):
+        together = train_many(configs)
+        assert len(together) == len(configs)
+        for config, (c, hist) in zip(configs, together):
+            c_alone, hist_alone = train(config)
+            np.testing.assert_array_equal(c.points, c_alone.points)
+            assert c.metadata == c_alone.metadata
+            np.testing.assert_array_equal(hist.loss, hist_alone.loss)
+            np.testing.assert_array_equal(hist.surrogate_gmi, hist_alone.surrogate_gmi)
+            np.testing.assert_array_equal(hist.grad_norm, hist_alone.grad_norm)
+
+    @pytest.mark.parametrize("change", [
+        {"m": 3}, {"iterations": 11}, {"batch_symbols": 128}, {"demapper_mode": "mlp"},
+        {"mlp_hidden": (8,)}, {"learning_rate": 2e-3}, {"adam_beta2": 0.99},
+        {"init": "random"}, {"llr_clip": 20.0},
+    ])
+    def test_configs_differing_beyond_seed_and_target_rejected(self, change):
+        base = _config(iterations=10, seed=1)
+        other = replace(base, seed=2, target=SnrTarget(5.0), **change)
+        with pytest.raises(ParameterError, match="seed and target"):
+            train_many([base, other])
+
+    def test_no_configs(self):
+        assert train_many([]) == []
 
 
 class TestTrainNumericalErrors:
