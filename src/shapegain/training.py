@@ -810,7 +810,6 @@ def train_many(configs) -> list:
     refresh = [(k, config.target.refresh_every) for k, config in enumerate(configs)
                if isinstance(config.target, LinkTarget)]
     loss_hist = np.empty((K, first.iterations))
-    gmi_hist = np.empty((K, first.iterations))
     norm_hist = np.empty((K, first.iterations))
     # an overflow leaves an inf or NaN, which the checks of the step (the
     # power check after the update among them) raise, naming the iteration,
@@ -833,13 +832,13 @@ def train_many(configs) -> list:
             except NumericalError as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
             loss_hist[:, it] = st.loss
-            gmi_hist[:, it] = first.m - st.loss
             for k in range(K):
                 norm_hist[k, it] = math.sqrt(float(grad[k] @ grad[k]))
         constellations = [
             _emit_constellation(MapperParams(raw=params.raw[k]), config, noise_variance[k])
             for k, config in enumerate(configs)]
 
+    gmi_hist = first.m - loss_hist
     return [(c, TrainHistory(loss=loss_hist[k], surrogate_gmi=gmi_hist[k],
                              grad_norm=norm_hist[k]))
             for k, c in enumerate(constellations)]
