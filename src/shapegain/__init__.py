@@ -91,7 +91,6 @@ from .training import (
     init_mlp,
     train,
     train_config_from_dict,
-    train_many,
 )
 
 __version__ = "0.1.0"

@@ -3,11 +3,13 @@
 Every grid point (scheme, n_spans) is independent: the learned scheme
 retrains at the grid point's effective SNR with a seed derived from the
 base seed and the span count, the QAM scheme picks the best net rate over
-a list of modulation orders. run_sweep trains all learned cells together,
-in one training.train_many run with one cell per span count, and each of
-them equals its lone train() bit for bit; the per-cell evaluation then
-runs serially or threaded. Rows are assembled in (scheme, n_spans) order
-whatever the execution order, so results are reproducible byte for byte.
+a list of modulation orders. With an MLP receiver, run_sweep trains all
+learned cells together, in one training.train_many run with one cell per
+span count, and each of them equals its lone train() bit for bit; with
+the Gaussian receiver each learned cell trains alone in its own task.
+The per-cell tasks run serially or threaded. Rows are assembled in
+(scheme, n_spans) order whatever the execution order, so results are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -228,9 +230,16 @@ def _evaluate_cell(config: RunConfig, scheme: str, n_spans: int, candidates: lis
 def _train_ae_cells(config: RunConfig) -> dict:
     """{n_spans: trained Constellation} of every ae cell, from one train_many run.
 
-    Empty when that run raises: every ae cell then trains alone in its own
+    Only MLP-receiver cells are stacked: their step is many small calls,
+    whose fixed cost K cells share. The Gaussian receiver computes stacked
+    cells one at a time, so stacking would batch nothing, would hold every
+    cell's (M, S) likelihoods until backward, and would take its large GEMMs
+    out of the threaded per-cell tasks. Empty for Gaussian cells and when
+    the stacked run raises: every ae cell then trains alone in its own
     task, whose row or error is exactly that of evaluate_grid_point.
     """
+    if config.train.demapper_mode != "mlp":
+        return {}
     configs = {}
     for n in config.sweep.span_grid:
         try:
@@ -265,9 +274,11 @@ def run_sweep(config: RunConfig, keep_going: bool = False, error_sink=None,
     keep_going is set, in which case the point is skipped and reported to
     error_sink(scheme, n_spans, exception). detail_sink, if given,
     receives (scheme, n_spans, row, report, constellation) per cell.
-    The ae cells train together first; the SHAPEGAIN_THREADS environment
-    variable then caps the parallelism of the per-cell evaluation (absent
-    means serial); results do not depend on the thread count.
+    With an MLP receiver the ae cells train together first. The
+    SHAPEGAIN_THREADS environment variable caps the parallelism of the
+    per-cell tasks (absent means serial): the evaluation, and with the
+    Gaussian receiver the ae cells' training too. Results do not depend on
+    the thread count.
     """
     if config.sweep is None:
         raise ParameterError("config has no sweep section")

@@ -86,8 +86,10 @@ from .errors import NumericalError, ParameterError, build_section, check_field_t
 # Caps on the work one config can ask for: a million iterations of the
 # default batch take about 4 minutes at m = 4 (MLP receiver) and 1.5 hours
 # at m = 8 (Gaussian), and a batch of 2**16 symbols keeps the (M, S)
-# log-likelihoods of m = 8 near 134 MB. Larger values are rejected when the
-# config is built, before any array is allocated.
+# log-likelihoods of m = 8 near 134 MB per cell; a Gaussian train_many run
+# of K cells holds K of them until backward, so sweeps train Gaussian cells
+# alone. Larger values are rejected when the config is built, before any
+# array is allocated.
 MAX_ITERATIONS = 10 ** 6
 MAX_BATCH_SYMBOLS = 2 ** 16
 

@@ -293,13 +293,15 @@ class TestRunSweep:
 
 
 class TestStackedTraining:
-    """run_sweep trains the ae cells in one train_many run; a failure there
-    sends every ae cell back to training alone, as evaluate_grid_point does."""
+    """With an MLP receiver run_sweep trains the ae cells in one train_many
+    run; a failure there sends every ae cell back to training alone, as
+    evaluate_grid_point does. Gaussian-receiver cells always train alone."""
 
     @staticmethod
-    def _config():
+    def _config(mode="mlp"):
         return _tiny_config(train=TrainConfig(m=2, target=SnrTarget(10.0), iterations=5,
-                                              batch_symbols=64, seed=3))
+                                              batch_symbols=64, seed=3, demapper_mode=mode,
+                                              mlp_hidden=(4,)))
 
     def test_ae_cells_train_in_one_stacked_run(self, monkeypatch):
         import shapegain.sweep as sweep_mod
@@ -322,6 +324,28 @@ class TestStackedTraining:
         assert run_sweep(config) == cells
         assert runs == [[derive_seed(3, 2), derive_seed(3, 5)]]
 
+    def test_gaussian_cells_train_alone(self, monkeypatch):
+        import shapegain.sweep as sweep_mod
+        config = self._config("gaussian")
+        cells = [evaluate_grid_point(config, s, n)[0]
+                 for s in ("ae", "qam") for n in (2, 5)]
+        real = sweep_mod.train
+        runs, seeds = [], []
+
+        def stacked(configs):
+            runs.append(list(configs))
+            raise AssertionError("Gaussian cells trained in a stacked run")
+
+        def lone_train(config):
+            seeds.append(config.seed)
+            return real(config)
+
+        monkeypatch.setattr(sweep_mod, "train_many", stacked)
+        monkeypatch.setattr(sweep_mod, "train", lone_train)
+        assert run_sweep(config) == cells
+        assert runs == []
+        assert seeds == [derive_seed(3, 2), derive_seed(3, 5)]
+
     @staticmethod
     def _break_ae_cell(monkeypatch, n_spans):
         """Make the training of the ae cell at n_spans overflow at iteration 0."""
@@ -337,8 +361,9 @@ class TestStackedTraining:
 
         monkeypatch.setattr(training, "init_mapper", init_mapper)
 
-    def test_failing_cell_is_skipped_alone(self, monkeypatch):
-        config = self._config()
+    @pytest.mark.parametrize("mode", ["mlp", "gaussian"])
+    def test_failing_cell_is_skipped_alone(self, monkeypatch, mode):
+        config = self._config(mode)
         clean = run_sweep(config)
         self._break_ae_cell(monkeypatch, 5)
         seen = []
@@ -348,11 +373,12 @@ class TestStackedTraining:
         assert isinstance(seen[0][2], NumericalError)
         assert rows == [r for r in clean if (r.scheme, r.n_spans) != ("ae", 5)]
 
-    def test_failing_cell_is_named(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["mlp", "gaussian"])
+    def test_failing_cell_is_named(self, monkeypatch, mode):
         self._break_ae_cell(monkeypatch, 5)
         with pytest.raises(NumericalError,
                            match=r"scheme=ae, n_spans=5\): iteration 0: mapper power is inf"):
-            run_sweep(self._config())
+            run_sweep(self._config(mode))
 
 
 class TestCsvAndReach:
