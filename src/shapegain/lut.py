@@ -81,6 +81,13 @@ def export_lut(c: Constellation, plan: RateAdaptPlan, path) -> None:
         fh.write(render_lut(c, plan.dummy_mask()))
 
 
+def _number(kind, text: str, where: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParameterError(f"{where}: {text!r} is not a valid {kind.__name__}") from None
+
+
 def parse_lut_text(text: str) -> LutDocument:
     m = None
     dual_mask = None
@@ -94,7 +101,7 @@ def parse_lut_text(text: str) -> LutDocument:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("m="):
-                m = int(body[2:])
+                m = _number(int, body[2:], f"line {lineno}: m")
             elif body.startswith("dual_pol_dummy_mask="):
                 dual_mask = body.split("=", 1)[1]
             elif body.startswith("table="):
@@ -136,7 +143,8 @@ def parse_lut_text(text: str) -> LutDocument:
                 raise ParameterError(
                     f"table {name}: row mask {row_mask!r} disagrees with the "
                     f"dual-pol mask")
-            pts[label] = complex(float(re_s), float(im_s))
+            where = f"table {name}: row {label}"
+            pts[label] = complex(_number(float, re_s, where), _number(float, im_s, where))
         if points is None:
             points = pts
         elif not np.array_equal(points, pts):
@@ -147,5 +155,9 @@ def parse_lut_text(text: str) -> LutDocument:
 
 
 def parse_lut(path) -> LutDocument:
-    with open(path) as fh:
-        return parse_lut_text(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_lut_text(text)

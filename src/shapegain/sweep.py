@@ -6,16 +6,13 @@ base seed and the span count, the QAM scheme picks the best net rate over
 a list of modulation orders. With an MLP receiver, run_sweep trains all
 learned cells together, in one training.train_many run with one cell per
 span count, and each of them equals its lone train() bit for bit; with
-the Gaussian receiver each learned cell trains alone in its own task.
-The per-cell tasks run serially or threaded. Rows are assembled in
-(scheme, n_spans) order whatever the execution order, so results are
-reproducible byte for byte.
+the Gaussian receiver each learned cell trains alone. The cells then run
+one by one in (scheme, n_spans) order, so results are reproducible byte
+for byte.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
@@ -37,8 +34,6 @@ from .rate_adapt import best_plan
 from .training import SnrTarget, TrainConfig, train, train_config_from_dict, train_many
 
 _MASK64 = (1 << 64) - 1
-
-ENV_THREADS = "SHAPEGAIN_THREADS"
 
 
 @dataclass(frozen=True)
@@ -232,11 +227,10 @@ def _train_ae_cells(config: RunConfig) -> dict:
 
     Only MLP-receiver cells are stacked: their step is many small calls,
     whose fixed cost K cells share. The Gaussian receiver computes stacked
-    cells one at a time, so stacking would batch nothing, would hold every
-    cell's (M, S) likelihoods until backward, and would take its large GEMMs
-    out of the threaded per-cell tasks. Empty for Gaussian cells and when
-    the stacked run raises: every ae cell then trains alone in its own
-    task, whose row or error is exactly that of evaluate_grid_point.
+    cells one at a time, so stacking would batch nothing and would hold
+    every cell's (M, S) likelihoods until backward. Empty for Gaussian
+    cells and when the stacked run raises: every ae cell then trains alone
+    in evaluate_grid_point, whose row or error is exactly the cell's.
     """
     if config.train.demapper_mode != "mlp":
         return {}
@@ -244,7 +238,7 @@ def _train_ae_cells(config: RunConfig) -> dict:
     for n in config.sweep.span_grid:
         try:
             configs[n] = _ae_train_config(config, n)
-        except Exception:  # noqa: BLE001 - the cell's own task raises it again
+        except Exception:  # noqa: BLE001 - the cell raises it again when it runs
             continue
     try:
         trained = train_many(configs.values())
@@ -253,69 +247,39 @@ def _train_ae_cells(config: RunConfig) -> dict:
     return {n: c for n, (c, _) in zip(configs, trained)}
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(ENV_THREADS)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(f"{ENV_THREADS} must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ParameterError(f"{ENV_THREADS} must be a positive integer, got {raw!r}")
-    return n
-
-
 def run_sweep(config: RunConfig, keep_going: bool = False, error_sink=None,
               detail_sink=None) -> list:
-    """Evaluate the whole grid; rows come back sorted by (scheme, n_spans).
+    """Evaluate the whole grid, one cell after another in (scheme, n_spans)
+    order, which is the order of the rows returned.
 
-    A failing grid point raises an error naming the point, unless
-    keep_going is set, in which case the point is skipped and reported to
-    error_sink(scheme, n_spans, exception). detail_sink, if given,
-    receives (scheme, n_spans, row, report, constellation) per cell.
-    With an MLP receiver the ae cells train together first. The
-    SHAPEGAIN_THREADS environment variable caps the parallelism of the
-    per-cell tasks (absent means serial): the evaluation, and with the
-    Gaussian receiver the ae cells' training too. Results do not depend on
-    the thread count.
+    A failing grid point raises an error naming the point, and no later
+    point is computed, unless keep_going is set, in which case the point is
+    skipped and reported to error_sink(scheme, n_spans, exception).
+    detail_sink, if given, receives (scheme, n_spans, row, report,
+    constellation) per cell. With an MLP receiver the ae cells train
+    together first.
     """
     if config.sweep is None:
         raise ParameterError("config has no sweep section")
-    threads = _thread_count()
-    tasks = [(scheme, n) for scheme in sorted(set(config.sweep.schemes))
-             for n in config.sweep.span_grid]
     trained = _train_ae_cells(config) if "ae" in config.sweep.schemes else {}
-
-    def _run_one(task):
-        scheme, n_spans = task
-        try:
-            if scheme == "ae" and n_spans in trained:
-                return "ok", _evaluate_cell(config, scheme, n_spans, [trained[n_spans]])
-            return "ok", evaluate_grid_point(config, scheme, n_spans)
-        except Exception as exc:  # noqa: BLE001 - classified below
-            return "err", exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_one, tasks))
-    else:
-        results = [_run_one(task) for task in tasks]
-
     rows = []
-    for (scheme, n_spans), (status, payload) in zip(tasks, results):
-        if status == "err":
-            wrapped = _wrap_grid_error(scheme, n_spans, payload)
-            if not keep_going:
-                raise wrapped from payload
-            if error_sink is not None:
-                error_sink(scheme, n_spans, wrapped)
-            continue
-        row, report, c = payload
-        rows.append(row)
-        if detail_sink is not None:
-            detail_sink(scheme, n_spans, row, report, c)
-    rows.sort(key=lambda r: (r.scheme, r.n_spans))
+    for scheme in sorted(set(config.sweep.schemes)):
+        for n_spans in config.sweep.span_grid:
+            try:
+                if scheme == "ae" and n_spans in trained:
+                    cell = _evaluate_cell(config, scheme, n_spans, [trained[n_spans]])
+                else:
+                    cell = evaluate_grid_point(config, scheme, n_spans)
+            except Exception as exc:  # noqa: BLE001 - classified by _wrap_grid_error
+                wrapped = _wrap_grid_error(scheme, n_spans, exc)
+                if not keep_going:
+                    raise wrapped from exc
+                if error_sink is not None:
+                    error_sink(scheme, n_spans, wrapped)
+                continue
+            rows.append(cell[0])
+            if detail_sink is not None:
+                detail_sink(scheme, n_spans, *cell)
     return rows
 
 

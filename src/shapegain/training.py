@@ -85,13 +85,16 @@ from .errors import NumericalError, ParameterError, build_section, check_field_t
 
 # Caps on the work one config can ask for: a million iterations of the
 # default batch take about 4 minutes at m = 4 (MLP receiver) and 1.5 hours
-# at m = 8 (Gaussian), and a batch of 2**16 symbols keeps the (M, S)
-# log-likelihoods of m = 8 near 134 MB per cell; a Gaussian train_many run
-# of K cells holds K of them until backward, so sweeps train Gaussian cells
-# alone. Larger values are rejected when the config is built, before any
-# array is allocated.
+# at m = 8 (Gaussian). A batch holds at most 2**16 symbols, so m <= 16.
+# The largest training arrays of a cell, the Gaussian receiver's (M, S)
+# log-likelihoods and the MLP receiver's (width, S) activations summed over
+# its hidden layers, hold at most 2**24 entries: 134 MB, m = 8 at the
+# largest batch. A Gaussian train_many run of K cells holds K of them until
+# backward, so sweeps train Gaussian cells alone. Larger values are
+# rejected when the config is built, before any array is allocated.
 MAX_ITERATIONS = 10 ** 6
 MAX_BATCH_SYMBOLS = 2 ** 16
+MAX_CELL_ENTRIES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -160,21 +163,26 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.m < 1:
-            raise ParameterError(f"m must be >= 1, got {self.m}")
+        max_m = MAX_BATCH_SYMBOLS.bit_length() - 1
+        if not 1 <= self.m <= max_m:
+            raise ParameterError(f"m must be in [1, {max_m}], got {self.m}")
         if not 0 <= self.iterations <= MAX_ITERATIONS:
             raise ParameterError(
                 f"iterations must be in [0, {MAX_ITERATIONS}], got {self.iterations}")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
         M = 1 << self.m
+        if self.batch_symbols > MAX_BATCH_SYMBOLS:
+            raise ParameterError(
+                f"batch_symbols must be <= {MAX_BATCH_SYMBOLS}, got {self.batch_symbols}")
+        if self.demapper_mode == "gaussian" and M * self.batch_symbols > MAX_CELL_ENTRIES:
+            raise ParameterError(
+                f"2**m * batch_symbols must be <= {MAX_CELL_ENTRIES} with the gaussian "
+                f"receiver, got {M} * {self.batch_symbols}")
         if self.batch_symbols < M or self.batch_symbols % M != 0:
             raise ParameterError(
                 f"batch_symbols must be a positive multiple of M = {M}, "
                 f"got {self.batch_symbols}")
-        if self.batch_symbols > MAX_BATCH_SYMBOLS:
-            raise ParameterError(
-                f"batch_symbols must be <= {MAX_BATCH_SYMBOLS}, got {self.batch_symbols}")
         if self.demapper_mode not in ("gaussian", "mlp"):
             raise ParameterError(f"unknown demapper_mode {self.demapper_mode!r}")
         if self.init not in ("random", "qam"):
@@ -188,6 +196,11 @@ class TrainConfig:
         object.__setattr__(self, "mlp_hidden", int_tuple("mlp_hidden", self.mlp_hidden))
         if any(w < 1 for w in self.mlp_hidden):
             raise ParameterError("mlp_hidden widths must be >= 1")
+        units = sum(self.mlp_hidden)
+        if self.demapper_mode == "mlp" and units * self.batch_symbols > MAX_CELL_ENTRIES:
+            raise ParameterError(
+                f"sum(mlp_hidden) * batch_symbols must be <= {MAX_CELL_ENTRIES} with the "
+                f"mlp receiver, got {units} * {self.batch_symbols}")
         check_llr_clip(self.llr_clip)
 
 
@@ -378,6 +391,9 @@ class _Batch:
 def _make_batch(labels, M: int) -> _Batch:
     """Validate a label batch (every label equally often) and build its invariants."""
     labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" or (
+            labels.size and not 0 <= labels.min() <= labels.max() < M):
+        raise ParameterError(f"labels must be integers in [0, {M})")
     counts = np.bincount(labels, minlength=M)
     if not np.all(counts == counts[0]):
         raise ParameterError("batch must contain every label equally often")

@@ -274,10 +274,9 @@ def test_criterion_7_launch_power_optimality_identity():
 # --------------------------------------------------------------- criterion 8
 
 
-def test_criterion_8_reach_sweep_beats_uniform_qam(monkeypatch):
+def test_criterion_8_reach_sweep_beats_uniform_qam():
     with _criterion(8):
         t0 = time.monotonic()
-        monkeypatch.delenv("SHAPEGAIN_THREADS", raising=False)  # serial budget
         rc = load_run_config(EXAMPLE_CONFIG)
         # the criterion is about this exact shipped setup; pin its shape so
         # config drift cannot silently weaken the comparison

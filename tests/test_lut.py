@@ -151,6 +151,21 @@ class TestParseValidation:
         with pytest.raises(ParameterError):
             parse_lut_text("\n".join(lines))
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("# m=2", "# m=x"),
+        lambda text: text.replace(",0.70", ",abc", 1),
+        lambda text: text.replace("# shapegain", "# \xff shapegain").encode("latin-1"),
+    ], ids=["non-integer m", "non-numeric coordinate", "not utf-8"])
+    def test_undecodable_value_rejected(self, tmp_path, edit):
+        body = edit(self._valid_text())
+        path = tmp_path / "bad.lut"
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body, encoding="utf-8")
+        with pytest.raises(ParameterError):
+            parse_lut(path)
+
     def test_blank_lines_are_tolerated(self):
         text = self._valid_text().replace("# table=XY\n", "# table=XY\n\n")
         doc = parse_lut_text(text)

@@ -1,6 +1,7 @@
 """Sweep orchestration tests: config parsing, seeding, grid evaluation, CSV."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -239,21 +240,12 @@ class TestRunSweep:
         config = _tiny_config()
         assert rows_to_csv(run_sweep(config)) == rows_to_csv(run_sweep(config))
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_stale_environment_leaves_csv_unchanged(self, monkeypatch):
+        # earlier versions read a thread count from the environment
         config = _tiny_config()
-        monkeypatch.delenv("SHAPEGAIN_THREADS", raising=False)
-        serial = rows_to_csv(run_sweep(config))
-        monkeypatch.setenv("SHAPEGAIN_THREADS", "4")
-        threaded = rows_to_csv(run_sweep(config))
-        assert serial == threaded
-
-    def test_invalid_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("SHAPEGAIN_THREADS", "many")
-        with pytest.raises(ParameterError):
-            run_sweep(_tiny_config())
-        monkeypatch.setenv("SHAPEGAIN_THREADS", "0")
-        with pytest.raises(ParameterError):
-            run_sweep(_tiny_config())
+        clean = rows_to_csv(run_sweep(config))
+        monkeypatch.setenv("SHAPEGAIN_" + "THREADS", "many")
+        assert rows_to_csv(run_sweep(config)) == clean
 
     def test_failing_point_names_the_grid_cell(self, monkeypatch):
         import shapegain.sweep as sweep_mod
@@ -284,6 +276,25 @@ class TestRunSweep:
         assert seen == [("qam", 5)]
         assert [(r.scheme, r.n_spans) for r in rows] == [
             ("ae", 2), ("ae", 5), ("qam", 2)]
+
+    @pytest.mark.parametrize("mode", ["mlp", "gaussian"])
+    def test_first_failing_cell_stops_the_sweep(self, monkeypatch, mode):
+        import shapegain.sweep as sweep_mod
+        real = sweep_mod._evaluate_cell
+        cells = []
+
+        def spy(config, scheme, n_spans, candidates):
+            cells.append((scheme, n_spans))
+            if (scheme, n_spans) == ("ae", 5):
+                raise ParameterError("synthetic failure")
+            return real(config, scheme, n_spans, candidates)
+
+        monkeypatch.setattr(sweep_mod, "_evaluate_cell", spy)
+        config = _tiny_config(train=replace(_tiny_config().train, demapper_mode=mode,
+                                            mlp_hidden=(4,)))
+        with pytest.raises(ParameterError, match=r"scheme=ae, n_spans=5"):
+            run_sweep(config)
+        assert cells == [("ae", 2), ("ae", 5)]
 
     def test_detail_sink_sees_every_cell(self):
         cells = []

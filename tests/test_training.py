@@ -108,14 +108,28 @@ class TestTrainConfig:
             train_config_from_dict({"m": 2, "iterations": 5})
 
     def test_work_caps(self):
-        _config(iterations=training.MAX_ITERATIONS,
-                batch_symbols=training.MAX_BATCH_SYMBOLS)
-        for field, value in [("iterations", training.MAX_ITERATIONS + 1),
-                             ("iterations", 10 ** 400),
-                             ("batch_symbols", 2 * training.MAX_BATCH_SYMBOLS),
-                             ("batch_symbols", 4 ** 400)]:
-            with pytest.raises(ParameterError, match=field):
-                _config(**{field: value})
+        cap, big = training.MAX_CELL_ENTRIES, training.MAX_BATCH_SYMBOLS
+        mlp = dict(batch_symbols=64, demapper_mode="mlp")
+        _config(iterations=training.MAX_ITERATIONS, batch_symbols=big)
+        _config(m=8, batch_symbols=big)
+        _config(m=16, batch_symbols=big, demapper_mode="mlp")
+        _config(**mlp, mlp_hidden=(cap // 64,))
+        _config(mlp_hidden=(10 ** 6,))  # unused by the gaussian receiver
+        for match, kw in [("iterations", dict(iterations=training.MAX_ITERATIONS + 1)),
+                          ("iterations", dict(iterations=10 ** 400)),
+                          ("batch_symbols", dict(batch_symbols=2 * big)),
+                          ("batch_symbols", dict(batch_symbols=4 ** 400)),
+                          ("batch_symbols", dict(m=9, batch_symbols=big)),
+                          ("batch_symbols", dict(m=16, batch_symbols=big)),
+                          ("mlp_hidden", dict(mlp, mlp_hidden=(cap // 64 + 1,))),
+                          ("mlp_hidden", dict(mlp, mlp_hidden=(10 ** 6,))),
+                          ("mlp_hidden", dict(mlp, mlp_hidden=(cap // 128, cap // 128, 1))),
+                          ("m must be in", dict(m=0)),
+                          ("m must be in", dict(m=17)),
+                          ("m must be in", dict(m=2 ** 40)),
+                          ("m must be in", dict(m=10 ** 400))]:
+            with pytest.raises(ParameterError, match=match):
+                _config(**kw)
 
 
 class TestInitMapper:
@@ -185,6 +199,15 @@ class TestForwardLoss:
         labels = labels.copy()
         labels[labels == 3] = 0
         with pytest.raises(ParameterError):
+            forward_loss(params, GaussianDemapper(), labels, noise, nv)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2, 3, 4], [0, 1, 2, -1]],
+                             ids=["label equal to M", "negative label"])
+    def test_label_out_of_range_rejected(self, labels):
+        params, _, _, nv = self._setup(m=2, batch=4)
+        labels = np.array(labels)
+        noise = np.zeros(labels.size, complex)
+        with pytest.raises(ParameterError, match=r"labels must be integers in \[0, 4\)"):
             forward_loss(params, GaussianDemapper(), labels, noise, nv)
 
     def test_nan_parameters_raise_numerical_error(self):
