@@ -9,6 +9,7 @@ throughout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -44,7 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="shapegain",
                      description="Shaped-constellation training, GMI "
                                  "evaluation, rate adaptation, reach sweeps.")

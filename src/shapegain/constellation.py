@@ -113,6 +113,19 @@ def bit_table(m: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=32)
+def partition_weights(m: int) -> np.ndarray:
+    """Return [1 - B | B] (2**m, 2m) as float64, B = bit_table(m), read-only.
+
+    Column k selects the labels whose bit k is 0, column m + k those whose
+    bit k is 1; the Gaussian bit metric sums its likelihoods with it.
+    """
+    bits = bit_table(m)
+    weights = np.concatenate([1.0 - bits, bits], axis=1)
+    weights.flags.writeable = False
+    return weights
+
+
 def _gray_to_binary(g: np.ndarray) -> np.ndarray:
     b = g.copy()
     shift = 1

@@ -28,16 +28,36 @@ and GaussianDemapper, the exact receiver of training) comes from one kernel,
 gaussian_bit_metric. Its arrays keep the S samples on their last axis:
 samples and points enter as I/Q rows, y (2, S) and x (2, M), and it works
 on l (M, S), the log-likelihoods ln p(y_s | x_j) up to a constant per
-sample. With P = exp(l - column max) and the bit table B (M x m), both
-partition sums of every bit level are one product,
-[Z0; Z1] = [1 - B | B]^T @ P (2m x S), and L = ln Z0 - ln Z1 (m x S).
+sample. With P = exp(l - column max) (or its floored form, below) and the
+bit table B (M x m), both partition sums of every bit level are one
+product, [Z0; Z1] = [1 - B | B]^T @ P (2m x S), and L = ln Z0 - ln Z1 (m x S).
 llr_exact hands its callers the transpose, (S, m).
 
-The maximum contributes 1 to Z0 or Z1 of every level, so at most one
-partition of a level can underflow to zero. The LLR is then +/-inf while
-its true magnitude exceeds 744, and any clip up to MAX_LLR_CLIP = 700 maps
-both to the same +/-clip. Whenever |L| <= 700 the smaller partition is at
-least exp(-700), a normal double, so unclipped LLRs keep full precision.
+numpy's exp is fast only for arguments from -707 up: below, through the
+subnormal results down to -745, it takes 20-190 times as long per element,
+and 6-20 times beyond (numpy 2.4, x86-64); BLAS also multiplies subnormal
+entries many times slower. A sample's log-likelihoods span at most
+D = (max|y| + max|x|)^2 / sigma^2, from the two radii _loglik uses. If
+D <= 700, every l - column max is >= -700 and P = exp(l - column max) as
+above. Otherwise each column is shifted so that its maximum is +64, the
+entries below -700 are noted, clamped to -700, exponentiated and set to 0:
+every exp argument lies in [-700, 64], P holds no subnormal, and the
+partition with the maximum lies in [e^64, (M/2) e^64], far from overflow.
+A partition is 0 only when all its entries were dropped, i.e. lie more than
+764 below the maximum. The LLR is then +/-inf while its true magnitude
+exceeds 700, and any clip up to MAX_LLR_CLIP = 700 maps both to the same
++/-clip. Whenever |L| <= 700 the smaller partition is at least e^(64-700),
+a normal double, and its dropped entries, each below e^-700, sum to at most
+(M/2) e^-700 of it, a relative error of at most (M/2) e^-64 < 6e-24 for
+m <= 16: unclipped LLRs keep full precision. The shift cancels in the
+gradient's ratios P / Z.
+
+gmi_oracle_quadrature drops the product nodes of weight w_i w_j / pi below
+1e-21. Of the default 48 x 48 grid it keeps 1224 of 2304 nodes, and the
+dropped weights sum to 2.1e-20; with penalties of at most 700 / ln 2 bits
+(clip 700) each level moves by at most 2.2e-17 bits. The kept penalties are
+summed in the full grid's order, with zeros at the dropped nodes, so the
+rounding of the sum does not change either.
 
 The GEMM form of l drops |y_s|^2 / sigma^2 from -|y_s - x_j|^2 / sigma^2:
 l = [2 Re x, 2 Im x, -|x|^2] / sigma^2 @ [Re y; Im y; 1], whose derivative
@@ -61,7 +81,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .channel import awgn_sample
-from .constellation import Constellation
+from .constellation import Constellation, partition_weights
 from .errors import CapabilityError, NumericalError, ParameterError
 
 LN2 = math.log(2.0)
@@ -76,6 +96,12 @@ MAX_SAMPLES = 10 ** 7
 # stay in a core's cache; the fixed size also fixes the summation order
 _MC_BLOCK = 2 ** 16
 _GEMM_TAU = 2.5e-13  # see the module docstring
+_EPS = float(np.finfo(np.float64).eps)
+# the floored exp of gaussian_bit_metric, see the module docstring
+_EXP_FLOOR = -MAX_LLR_CLIP
+_EXP_SHIFT = 64.0
+# product nodes of the quadrature oracle below this weight are dropped
+_QUAD_MIN_WEIGHT = 1e-21
 
 # OpenBLAS threads a GEMM once m*n*k exceeds 2**18. On the skinny products
 # below the threaded call saves no wall time and leaves its workers spinning
@@ -104,11 +130,20 @@ def logistic(z: np.ndarray):
     return softplus, sigmoid
 
 
-def _loglik(y: np.ndarray, points: np.ndarray, noise_variance: float) -> np.ndarray:
-    """l (M, S) of I/Q rows y (2, S) against points (2, M), see the module docstring."""
-    xmax = float(np.hypot(*points).max())
-    t = (2.0 * float(np.hypot(*y).max(initial=0.0)) + xmax) * xmax / float(noise_variance)
-    if np.finfo(np.float64).eps * t <= _GEMM_TAU:  # a Python float overflows to inf
+def _radii(y: np.ndarray, points: np.ndarray):
+    """(max |y_s|, max |x_j|) of I/Q rows y (2, S) and points (2, M)."""
+    return float(np.hypot(*y).max(initial=0.0)), float(np.hypot(*points).max())
+
+
+def _loglik(y: np.ndarray, points: np.ndarray, noise_variance: float,
+            radii=None) -> np.ndarray:
+    """l (M, S) of I/Q rows y (2, S) against points (2, M), see the module docstring.
+
+    radii is _radii(y, points), passed by callers that already hold it.
+    """
+    ymax, xmax = _radii(y, points) if radii is None else radii
+    t = (2.0 * ymax + xmax) * xmax / float(noise_variance)
+    if _EPS * t <= _GEMM_TAU:  # a Python float overflows to inf
         x = np.empty((points.shape[1], 3))
         x[:, :2] = points.T
         x[:, 2] = -0.5 * (points[0] ** 2 + points[1] ** 2)
@@ -150,19 +185,32 @@ def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
                         noise_variance: float):
     """Unclipped exact bit LLRs of I/Q rows y (2, S) against points (2, M).
 
-    bits is the (M, m) label table. Returns (llr_raw, cache): llr_raw has
+    bits is the (M, m) label table bit_table(m); the partition sums use
+    its cached partition_weights(m). Returns (llr_raw, cache): llr_raw has
     shape (m, S) and may hold +/-inf where a partition underflowed (see the
     module docstring); NaN only arises from NaN inputs or a noise variance
     so small that every distance overflows. cache feeds
     gaussian_bit_metric_grad.
     """
-    p = _loglik(y, points, noise_variance)
-    p -= p.max(axis=0)
-    np.exp(p, out=p)
+    radii = _radii(y, points)
+    p = _loglik(y, points, noise_variance, radii)
+    top = p.max(axis=0)
+    reach = radii[0] + radii[1]
+    if reach * reach / float(noise_variance) <= -_EXP_FLOOR:
+        p -= top
+        np.exp(p, out=p)
+    else:
+        top -= _EXP_SHIFT
+        p -= top
+        keep = p >= _EXP_FLOOR
+        np.maximum(p, _EXP_FLOOR, out=p)
+        np.exp(p, out=p)
+        p *= keep
     m = bits.shape[1]
-    w = np.concatenate([1.0 - bits, bits], axis=1)
-    # z = w.T @ p, computed as the transpose of p.T @ w: BLAS runs this
-    # orientation up to twice as fast once p holds subnormals (high SNR)
+    w = partition_weights(m)
+    # z = w.T @ p, computed as the transpose of p.T @ w; with p free of
+    # subnormals neither orientation is faster throughout (M, S from
+    # (4, 16384) to (256, 256)), and this one fixes the training's rounding
     z = _matmul(p.T, w).T
     with np.errstate(divide="ignore"):
         logz = np.log(z)
@@ -439,11 +487,14 @@ def gmi_oracle_quadrature(c: Constellation, noise_variance: float,
     # E[f(n)] over complex n with E|n|^2 = v: n = sqrt(v) * (t1 + j t2), weight w1*w2/pi
     offsets = math.sqrt(noise_variance) * (nodes[:, None] + 1j * nodes[None, :]).ravel()
     w2 = (weights[:, None] * weights[None, :]).ravel() / math.pi
+    kept = np.flatnonzero(w2 >= _QUAD_MIN_WEIGHT)  # see the module docstring
+    offsets = offsets[kept]
 
     penalty_per_bit = np.zeros(c.m)
+    t = np.zeros((c.m, w2.size))
     for label in range(c.size):
         y = c.points[label] + offsets
-        t = _bit_penalties(y, c, np.full(offsets.size, label), noise_variance, llr_clip)
+        t[:, kept] = _bit_penalties(y, c, np.full(offsets.size, label), noise_variance, llr_clip)
         penalty_per_bit += t @ w2
     per_bit = np.clip(1.0 - penalty_per_bit / c.size, 0.0, 1.0)
     return float(per_bit.sum())

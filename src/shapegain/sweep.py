@@ -3,12 +3,13 @@
 Every grid point (scheme, n_spans) is independent: the learned scheme
 retrains at the grid point's effective SNR with a seed derived from the
 base seed and the span count, the QAM scheme picks the best net rate over
-a list of modulation orders. With an MLP receiver, run_sweep trains all
-learned cells together, in one training.train_many run with one cell per
-span count, and each of them equals its lone train() bit for bit; with
-the Gaussian receiver each learned cell trains alone. The cells then run
-one by one in (scheme, n_spans) order, so results are reproducible byte
-for byte.
+a list of modulation orders. With an MLP receiver, run_sweep trains the
+learned cells together, in training.train_many runs with one cell per
+span count and as many cells per run as the per-cell array budget allows
+(one run for the shipped config), and each of them equals its lone
+train() bit for bit; with the Gaussian receiver each learned cell trains
+alone. The cells then run one by one in (scheme, n_spans) order, so
+results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ from .errors import (
     load_json,
 )
 from .rate_adapt import best_plan
-from .training import SnrTarget, TrainConfig, train, train_config_from_dict, train_many
+from .training import (
+    MAX_CELL_ENTRIES,
+    SnrTarget,
+    TrainConfig,
+    train,
+    train_config_from_dict,
+    train_many,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -223,14 +231,17 @@ def _evaluate_cell(config: RunConfig, scheme: str, n_spans: int, candidates: lis
 
 
 def _train_ae_cells(config: RunConfig) -> dict:
-    """{n_spans: trained Constellation} of every ae cell, from one train_many run.
+    """{n_spans: trained Constellation} of the ae cells, from train_many runs.
 
     Only MLP-receiver cells are stacked: their step is many small calls,
     whose fixed cost K cells share. The Gaussian receiver computes stacked
     cells one at a time, so stacking would batch nothing and would hold
-    every cell's (M, S) likelihoods until backward. Empty for Gaussian
-    cells and when the stacked run raises: every ae cell then trains alone
-    in evaluate_grid_point, whose row or error is exactly the cell's.
+    every cell's (M, S) likelihoods until backward. A stacked run takes as
+    many cells, in span order, as keep their summed sum(mlp_hidden) *
+    batch_symbols within MAX_CELL_ENTRIES, the budget of a lone cell.
+    Empty for Gaussian cells; a cell is missing when its run raises, and
+    then trains alone in evaluate_grid_point, whose row or error is
+    exactly the cell's.
     """
     if config.train.demapper_mode != "mlp":
         return {}
@@ -240,11 +251,17 @@ def _train_ae_cells(config: RunConfig) -> dict:
             configs[n] = _ae_train_config(config, n)
         except Exception:  # noqa: BLE001 - the cell raises it again when it runs
             continue
-    try:
-        trained = train_many(configs.values())
-    except Exception:  # noqa: BLE001 - see the docstring
-        return {}
-    return {n: c for n, (c, _) in zip(configs, trained)}
+    entries = sum(config.train.mlp_hidden) * config.train.batch_symbols
+    per_run = MAX_CELL_ENTRIES // max(1, entries)
+    spans, trained = list(configs), {}
+    for lo in range(0, len(spans), per_run):
+        chunk = spans[lo:lo + per_run]
+        try:
+            runs = train_many([configs[n] for n in chunk])
+        except Exception:  # noqa: BLE001 - see the docstring
+            continue
+        trained.update((n, c) for n, (c, _) in zip(chunk, runs))
+    return trained
 
 
 def run_sweep(config: RunConfig, keep_going: bool = False, error_sink=None,

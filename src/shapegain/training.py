@@ -89,9 +89,10 @@ from .errors import NumericalError, ParameterError, build_section, check_field_t
 # The largest training arrays of a cell, the Gaussian receiver's (M, S)
 # log-likelihoods and the MLP receiver's (width, S) activations summed over
 # its hidden layers, hold at most 2**24 entries: 134 MB, m = 8 at the
-# largest batch. A Gaussian train_many run of K cells holds K of them until
-# backward, so sweeps train Gaussian cells alone. Larger values are
-# rejected when the config is built, before any array is allocated.
+# largest batch. A train_many run of K cells holds K of them, so sweeps
+# train Gaussian cells alone and stack MLP cells in runs whose summed
+# entries stay within the same budget. Larger values are rejected when the
+# config is built, before any array is allocated.
 MAX_ITERATIONS = 10 ** 6
 MAX_BATCH_SYMBOLS = 2 ** 16
 MAX_CELL_ENTRIES = 2 ** 24

@@ -17,7 +17,7 @@ from shapegain import (
     select_dummy_bits,
     uniform_qam,
 )
-from shapegain.cli import main
+from shapegain.cli import _build_parser, _UsageError, main
 from shapegain.demapper import MAX_SAMPLES, make_report
 from shapegain.training import MAX_BATCH_SYMBOLS, MAX_CELL_ENTRIES, MAX_ITERATIONS
 
@@ -401,6 +401,25 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert main(["qam"]) == 1
+
+    def test_parser_built_once_and_left_unchanged(self, tmp_path, capsys):
+        # main reuses one parser per process: a usage error followed by a
+        # valid command returns 1 then 0, and the usage text stays that of
+        # a freshly built parser
+        bad = ["qam", "--m", "2", "--frobnicate"]
+        fresh = _build_parser.__wrapped__()
+        with pytest.raises(_UsageError) as caught:
+            fresh.parse_args(bad)
+        expected = caught.value.parser.format_usage()
+        assert main(bad) == 1
+        first = capsys.readouterr().err
+        assert first.startswith(expected)
+        assert main(["qam", "--m", "2", "--out", str(tmp_path / "q.json")]) == 0
+        capsys.readouterr()
+        assert main(bad) == 1
+        assert capsys.readouterr().err == first
+        assert _build_parser() is _build_parser()
+        assert _build_parser().format_help() == fresh.format_help()
 
 
 # ------------------------------------------------------ malformed input files

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy.special import expit, logsumexp
 
 from shapegain import (
@@ -25,6 +26,7 @@ from shapegain.demapper import (
     LN2,
     MAX_LLR_CLIP,
     MAX_SAMPLES,
+    _bit_penalties,
     _iq_rows,
     _loglik,
     _matmul,
@@ -177,6 +179,39 @@ class TestMatrixKernel:
         da = gaussian_bit_metric_grad(dllr, cache)
         assert np.all(np.abs(da.sum(axis=0)) <= 1e-13 * (1.0 + np.abs(da).sum(axis=0)))
         assert np.any(da != 0.0)
+
+    def test_floored_exp_keeps_large_llrs_accurate(self):
+        # 256QAM at 35 dB, samples spread over the square the points span:
+        # every block takes the floored exp (spread bound far above 700), and
+        # LLRs of magnitude 600-700 are the ones whose small partition sums
+        # likelihoods 600-764 below the largest
+        c = uniform_qam(8)
+        rng = np.random.default_rng(8)
+        s2 = 1.0 / db_to_linear(35.0)
+        y = rng.uniform(-1.2, 1.2, 20_000) + 1j * rng.uniform(-1.2, 1.2, 20_000)
+        ref = _llr_logsumexp_loop(y, c, s2, MAX_LLR_CLIP)
+        large = (np.abs(ref) >= 600.0) & (np.abs(ref) <= 700.0)
+        rows = large.any(axis=1)
+        assert large.sum() >= 1000
+        reach = np.abs(y).max() + np.abs(c.points).max()
+        assert reach ** 2 / s2 > MAX_LLR_CLIP
+        got = llr_exact(y[rows], c, s2, llr_clip=MAX_LLR_CLIP)
+        np.testing.assert_allclose(got, ref[rows], atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("m, snr_db", [(2, 3.0), (4, 9.3), (6, 15.0)])
+    def test_small_spread_block_is_unshifted(self, m, snr_db):
+        # spread bound (max|y| + max|x|)^2 / s2 <= 700: exp(l - column max)
+        # exactly, as before the floored exp existed
+        c = uniform_qam(m)
+        rng = np.random.default_rng(m)
+        s2 = 1.0 / db_to_linear(snr_db)
+        y = _iq_rows(awgn_sample(rng, c.points[rng.integers(0, c.size, 2000)], s2))
+        x = _iq_rows(c.points)
+        reach = np.hypot(*y).max() + np.hypot(*x).max()
+        assert reach ** 2 / s2 <= MAX_LLR_CLIP
+        l = _loglik(y, x, s2)
+        _, (p, _, _) = gaussian_bit_metric(y, x, c.bits(), s2)
+        np.testing.assert_array_equal(p, np.exp(l - l.max(axis=0)))
 
     def test_clip_limit(self):
         c = uniform_qam(2)
@@ -345,6 +380,25 @@ class TestQuadratureOracle:
         a = gmi_oracle_quadrature(c, s2, n_nodes=48)
         b = gmi_oracle_quadrature(c, s2, n_nodes=96)
         assert abs(a - b) < 1e-6
+
+    @pytest.mark.parametrize("clip", [50.0, 700.0])
+    @pytest.mark.parametrize("snr_db", [0.0, 9.3, 40.0])
+    @pytest.mark.parametrize("m", [1, 2, 4, 6])
+    def test_pruned_grid_equals_full_grid(self, m, snr_db, clip):
+        # the oracle skips product nodes of weight below 1e-21 (2.1e-20 of
+        # the mass at 48 nodes); the full 48 x 48 grid, summed here
+        c = uniform_qam(m)
+        s2 = 1.0 / db_to_linear(snr_db)
+        nodes, weights = hermgauss(48)
+        offsets = math.sqrt(s2) * (nodes[:, None] + 1j * nodes[None, :]).ravel()
+        w2 = (weights[:, None] * weights[None, :]).ravel() / math.pi
+        penalty = np.zeros(c.m)
+        for label in range(c.size):
+            t = _bit_penalties(c.points[label] + offsets, c, np.full(offsets.size, label),
+                               s2, clip)
+            penalty += t @ w2
+        full = float(np.clip(1.0 - penalty / c.size, 0.0, 1.0).sum())
+        assert gmi_oracle_quadrature(c, s2, llr_clip=clip) == pytest.approx(full, abs=1e-16)
 
     def test_qpsk_equals_twice_bpsk(self):
         # QPSK is two orthogonal BPSKs at half the per-dimension energy

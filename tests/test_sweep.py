@@ -335,6 +335,31 @@ class TestStackedTraining:
         assert run_sweep(config) == cells
         assert runs == [[derive_seed(3, 2), derive_seed(3, 5)]]
 
+    def test_cells_beyond_the_budget_train_in_runs(self, monkeypatch):
+        # each cell holds sum(mlp_hidden) * batch_symbols = 4 * 64 entries;
+        # with a budget of two cells the three ae cells train in two runs
+        import shapegain.sweep as sweep_mod
+        base = self._config()
+        config = replace(base, sweep=replace(base.sweep, span_grid=(2, 5, 8)))
+        cells = [evaluate_grid_point(config, s, n)[0]
+                 for s in ("ae", "qam") for n in (2, 5, 8)]
+        real = sweep_mod.train_many
+        runs = []
+
+        def recorded(configs):
+            configs = list(configs)
+            runs.append([c.seed for c in configs])
+            return real(configs)
+
+        def lone_train(config):
+            raise AssertionError("an ae cell trained alone")
+
+        monkeypatch.setattr(sweep_mod, "train_many", recorded)
+        monkeypatch.setattr(sweep_mod, "train", lone_train)
+        monkeypatch.setattr(sweep_mod, "MAX_CELL_ENTRIES", 2 * 4 * 64 + 255)
+        assert run_sweep(config) == cells
+        assert runs == [[derive_seed(3, 2), derive_seed(3, 5)], [derive_seed(3, 8)]]
+
     def test_gaussian_cells_train_alone(self, monkeypatch):
         import shapegain.sweep as sweep_mod
         config = self._config("gaussian")
