@@ -25,7 +25,6 @@ from .constellation import (
     constellation_to_dict,
     detect_mom_clusters,
     load_constellation,
-    min_distance,
     moments,
     normalize,
     save_constellation,
@@ -73,7 +72,6 @@ from .sweep import (
 )
 from .training import (
     AdamHyper,
-    AdamState,
     GaussianDemapper,
     GradCheckReport,
     LinkTarget,
@@ -82,8 +80,6 @@ from .training import (
     SnrTarget,
     TrainConfig,
     TrainHistory,
-    adam_init,
-    adam_step,
     backward,
     forward_loss,
     gradient_check,

@@ -225,13 +225,6 @@ def moments(c: Constellation) -> Moments:
     return Moments(mu2=mu2, mu4_hat=mu4 / mu2 ** 2, mu6_hat=mu6 / mu2 ** 3)
 
 
-def min_distance(c: Constellation) -> float:
-    """Minimum pairwise Euclidean distance (0.0 for coincident points)."""
-    d = np.abs(c.points[:, None] - c.points[None, :])
-    iu = np.triu_indices(c.size, k=1)
-    return float(d[iu].min())
-
-
 def detect_mom_clusters(c: Constellation, epsilon: float = 0.01) -> list[MomCluster]:
     """Find groups of labels merged onto (virtually) the same point.
 

@@ -234,11 +234,11 @@ def _train_ae_cells(config: RunConfig) -> dict:
     """{n_spans: trained Constellation} of the ae cells, from train_many runs.
 
     Only MLP-receiver cells are stacked: their step is many small calls,
-    whose fixed cost K cells share. The Gaussian receiver computes stacked
-    cells one at a time, so stacking would batch nothing and would hold
-    every cell's (M, S) likelihoods until backward. A stacked run takes as
-    many cells, in span order, as keep their summed sum(mlp_hidden) *
-    batch_symbols within MAX_CELL_ENTRIES, the budget of a lone cell.
+    whose fixed cost K cells share. train_many refuses to stack Gaussian
+    cells: their metric is computed one cell at a time, so stacking would
+    batch nothing. A stacked run takes as many cells, in span order, as
+    keep their summed sum(mlp_hidden) * batch_symbols within
+    MAX_CELL_ENTRIES, the budget of a lone cell.
     Empty for Gaussian cells; a cell is missing when its run raises, and
     then trains alone in evaluate_grid_point, whose row or error is
     exactly the cell's.

@@ -30,22 +30,28 @@ training never asks which one it holds:
     kinks(cache)         the activation pattern (boolean arrays) that a
                          finite-difference probe must not straddle
 
-train_many() trains K cells whose configs differ only in seed and target
-in one loop, and train() is train_many() of one config. Every array of
-the loop carries a leading cell axis K: the raw points are (K, M, 2), an
-MLP weight (K, fan_in, fan_out), the received samples (K, 2, S), and the
-LLRs, sigmoids and loss terms (K, m, S); receivers take the same shapes
-with that axis (noise_variance then holds one value per cell) or without
-it, as the public step wrappers call them. Cell k draws from its own
-default_rng(seed) in the order a lone run would, and its per-cell scalars
-(power, scale, noise variance) stay Python floats, so it ends bit for bit
-where train() of its config ends.
+train() trains one cell, and train_many() trains K cells whose configs
+differ only in seed and target in the same loop; train() is train_many()
+of one config. The cell axis exists only in stacked runs, which need an
+MLP receiver: there every array of the loop carries a leading axis K, the
+raw points are (K, M, 2), an MLP weight (K, fan_in, fan_out), the
+received samples (K, 2, S), and the LLRs, sigmoids and loss terms
+(K, m, S), and MlpDemapper takes the same shapes (noise_variance then
+holds one value per cell). A lone run, Gaussian or MLP, has no cell axis;
+its arrays have the shapes the public step wrappers use. The loop reaches
+cell k through reshape(K, ...) views, in either kind of run. Cell k draws
+from its own default_rng(seed) in the order a lone run would, and its
+per-cell scalars (power, scale, noise variance) stay Python floats, so it
+ends bit for bit where train() of its config ends. A Gaussian receiver
+has nothing to batch across cells, since each cell picks its own form of
+the bit metric, so train_many() refuses to stack Gaussian cells.
 
 The loop keeps every trainable array (the mapper's raw points, then the
-receiver's) as a named view into one float64 parameter array (K, n), laid
-out in the order backward() produces the gradients. Each iteration writes
-the gradients into one matching array, checks it for non-finite values
-once, and Adam updates the parameters and both moment arrays in place.
+receiver's) as a named view into one float64 parameter array, (n,) or
+(K, n), laid out in the order backward() produces the gradients. Each
+iteration writes the gradients into one matching array, checks it for
+non-finite values once, and Adam updates the parameters and both moment
+arrays in place.
 What depends only on the labels (the balance check, the bit table, the
 label signs and the order that groups each label's samples into one run)
 is built once per run. Signals stay real, and every per-sample array of
@@ -53,10 +59,12 @@ the step is C-contiguous with the S samples on its last axis: points and
 received samples are (2, M) and (2, S) I/Q rows, LLRs, label signs,
 sigmoids and loss terms are (m, S), and an MLP layer is (width, S). The
 noise is the standard-normal draw awgn_sample would make, transposed into
-(2, S). The mapper's power is computed once per iteration, right after
-the update, and feeds the next forward pass. forward_loss, backward and
-adam_step are thin wrappers over the same step functions, so train() and
-a loop over them give identical bits.
+(2, S); train()'s batch is sorted by label, so the transmitted samples
+are one broadcast sum of the points and that noise viewed as (2, M, S/M).
+The mapper's power is computed once per iteration, right after the
+update, and feeds the next forward pass. forward_loss and backward are
+thin wrappers over the same step functions, so train() and a loop over
+them and the Adam update give identical bits.
 """
 
 from __future__ import annotations
@@ -89,10 +97,10 @@ from .errors import NumericalError, ParameterError, build_section, check_field_t
 # The largest training arrays of a cell, the Gaussian receiver's (M, S)
 # log-likelihoods and the MLP receiver's (width, S) activations summed over
 # its hidden layers, hold at most 2**24 entries: 134 MB, m = 8 at the
-# largest batch. A train_many run of K cells holds K of them, so sweeps
-# train Gaussian cells alone and stack MLP cells in runs whose summed
-# entries stay within the same budget. Larger values are rejected when the
-# config is built, before any array is allocated.
+# largest batch. A stacked train_many run of K cells holds K of them; only
+# MLP cells stack, and sweeps stack them in runs whose summed entries stay
+# within the same budget. Larger values are rejected when the config is
+# built, before any array is allocated.
 MAX_ITERATIONS = 10 ** 6
 MAX_BATCH_SYMBOLS = 2 ** 16
 MAX_CELL_ENTRIES = 2 ** 24
@@ -475,7 +483,7 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     """The surrogate loss of one batch per cell.
 
     raw is (M, 2) and noise_iq, the real noise, (2, S), or (K, M, 2) and
-    (K, 2, S) for K stacked cells. noise_variance and power hold one Python
+    (K, 2, S) for K stacked MLP cells. noise_variance and power hold one Python
     float per cell; power is _mapper_power(raw) when the caller has it
     already. The scale power ** -0.5 is taken in Python: numpy's array power
     rounds it differently.
@@ -488,8 +496,12 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     scale = [p ** -0.5 for p in power]
     points = np.multiply(raw.swapaxes(-1, -2), _per_cell(scale, raw), order="C")
     _ensure_finite("points", points)
-    y = np.take(points, batch.labels, axis=-1)
-    y += noise_iq
+    if isinstance(batch.order, slice):  # sorted: label j owns the j-th run of S/M samples
+        runs = noise_iq.reshape(*noise_iq.shape[:-1], raw.shape[-2], -1)
+        y = np.add(points[..., None], runs).reshape(noise_iq.shape)
+    else:
+        y = np.take(points, batch.labels, axis=-1)
+        y += noise_iq
     _ensure_finite("y", y)
 
     stacked = raw.ndim == 3
@@ -517,7 +529,9 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
     # d loss / d llr
     dllr = st.sigmoid / (batch.size * LN2)  # d loss / d z
     dllr *= batch.flip
-    dllr[st.llr != st.llr_raw] = 0.0  # the clipped entries
+    clipped = st.llr != st.llr_raw
+    if clipped.any():  # most batches clip nothing
+        dllr[clipped] = 0.0
 
     gy, gp = demapper.backward(dllr, st.cache, grads)
     dp = _per_label_sum(batch, gy, M)  # transmit path: y = points[labels] + noise
@@ -681,19 +695,6 @@ class AdamHyper:
     eps: float = 1e-8
 
 
-@dataclass
-class AdamState:
-    t: int
-    m: dict
-    v: dict
-
-
-def adam_init(arrays: dict) -> AdamState:
-    return AdamState(t=0,
-                     m={k: np.zeros_like(v) for k, v in arrays.items()},
-                     v={k: np.zeros_like(v) for k, v in arrays.items()})
-
-
 def _adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
                  v: np.ndarray, t: int, hyper: AdamHyper,
                  work: np.ndarray) -> None:
@@ -722,17 +723,6 @@ def _adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
     b += hyper.eps
     a /= b
     theta -= a
-
-
-def adam_step(arrays: dict, grads: dict, state: AdamState,
-              hyper: AdamHyper):
-    """One bias-corrected Adam update; returns (new arrays, new state)."""
-    theta, out = _flatten(arrays)
-    grad, _ = _flatten({k: grads[k] for k in arrays})
-    m, new_m = _flatten({k: state.m[k] for k in arrays})
-    v, new_v = _flatten({k: state.v[k] for k in arrays})
-    _adam_update(theta, grad, m, v, state.t + 1, hyper, np.empty((2, theta.size)))
-    return out, AdamState(t=state.t + 1, m=new_m, v=new_v)
 
 
 # ---------------------------------------------------------------------------
@@ -782,11 +772,12 @@ def train(config: TrainConfig):
 def train_many(configs) -> list:
     """Train one cell per config in one loop; returns [(Constellation, TrainHistory)].
 
-    The configs may differ only in seed and target. Every array of the
-    step carries a leading cell axis (see the module docstring), so the
-    numpy calls of an iteration serve all cells at once, and each cell's
-    result equals train() of its config bit for bit. A NumericalError names
-    the iteration, not the cell; train the configs alone to find it.
+    The configs may differ only in seed and target, and two or more need
+    an MLP receiver. Stacked cells share one leading cell axis (see the
+    module docstring), so the numpy calls of an iteration serve all cells
+    at once, and each cell's result equals train() of its config bit for
+    bit. A NumericalError names the iteration, not the cell; train the
+    configs alone to find it.
     """
     configs = list(configs)
     if not configs:
@@ -796,6 +787,9 @@ def train_many(configs) -> list:
         if replace(config, seed=first.seed, target=first.target) != first:
             raise ParameterError("stacked training configs may differ only in seed and target")
     K = len(configs)
+    if K > 1 and first.demapper_mode != "mlp":
+        raise ParameterError("only cells with an mlp receiver train stacked; "
+                             f"train {first.demapper_mode} cells alone")
     rngs = [np.random.default_rng(config.seed) for config in configs]
     cells = []
     for config, rng in zip(configs, rngs):
@@ -811,19 +805,27 @@ def train_many(configs) -> list:
     batch = _make_batch(np.repeat(np.arange(M), S // M), M)
     hyper = AdamHyper(first.learning_rate, first.adam_beta1,
                       first.adam_beta2, first.adam_eps)
-    # from here on the trainable arrays are views into theta (K, n), which
-    # Adam updates in place together with its moment arrays
-    theta, arrays = _flatten({name: np.stack([cell[name] for cell in cells])
-                              for name in cells[0]}, (K,))
+    axis = (K,) if K > 1 else ()  # the cell axis of a stacked run
+
+    def per_cell(a: np.ndarray) -> np.ndarray:
+        """A view of a with the cell axis first, which a lone run lacks."""
+        return a.reshape((K,) + a.shape[len(axis):])
+
+    # from here on the trainable arrays are views into theta, (n,) or
+    # (K, n), which Adam updates in place together with its moment arrays
+    theta, arrays = _flatten({name: np.reshape([cell[name] for cell in cells],
+                                                axis + cells[0][name].shape)
+                              for name in cells[0]}, axis)
     params, demapper = with_arrays(params, demapper, arrays)
-    grad, grads = _flatten(arrays, (K,))  # _backward overwrites every entry
+    grad, grads = _flatten(arrays, axis)  # _backward overwrites every entry
     moments = np.zeros((2,) + theta.shape)
     work = np.empty((2,) + theta.shape)
-    noise = np.empty((K, 2, S))
+    noise = np.empty(axis + (2, S))
     power = None  # of the current points, once an iteration has computed it
+    raws, noises, grad_rows = per_cell(params.raw), per_cell(noise), per_cell(grad)
 
     def resolve(k: int) -> float:
-        points = MapperParams(raw=params.raw[k]).emit()
+        points = MapperParams(raw=raws[k]).emit()
         return configs[k].target.resolve(Constellation(m=first.m, points=points, metadata={}))
 
     refresh = [(k, config.target.refresh_every) for k, config in enumerate(configs)
@@ -842,7 +844,7 @@ def train_many(configs) -> list:
             # the draws of awgn_sample, noise_variance / 2 per real dimension
             for k, rng in enumerate(rngs):
                 np.multiply(rng.standard_normal((S, 2)).T,
-                            math.sqrt(noise_variance[k] / 2.0), out=noise[k])
+                            math.sqrt(noise_variance[k] / 2.0), out=noises[k])
             try:
                 st = _forward(params.raw, demapper, batch, noise, noise_variance, power)
                 _backward(demapper, st, grad, grads)
@@ -852,9 +854,9 @@ def train_many(configs) -> list:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
             loss_hist[:, it] = st.loss
             for k in range(K):
-                norm_hist[k, it] = math.sqrt(float(grad[k] @ grad[k]))
+                norm_hist[k, it] = math.sqrt(float(grad_rows[k] @ grad_rows[k]))
         constellations = [
-            _emit_constellation(MapperParams(raw=params.raw[k]), config, noise_variance[k])
+            _emit_constellation(MapperParams(raw=raws[k]), config, noise_variance[k])
             for k, config in enumerate(configs)]
 
     gmi_hist = first.m - loss_hist

@@ -15,7 +15,6 @@ from shapegain.constellation import (
     constellation_to_dict,
     detect_mom_clusters,
     load_constellation,
-    min_distance,
     moments,
     normalize,
     save_constellation,
@@ -160,18 +159,6 @@ class TestNormalizeAndMoments:
         assert mom.mu6_hat >= 1.0 - 1e-12
 
 
-class TestMinDistance:
-    def test_bpsk(self):
-        assert min_distance(uniform_qam(1)) == pytest.approx(2.0)
-
-    def test_qpsk(self):
-        assert min_distance(uniform_qam(2)) == pytest.approx(np.sqrt(2.0))
-
-    def test_coincident(self):
-        c = make(1, [1.0, 1.0])
-        assert min_distance(c) == 0.0
-
-
 class TestMomClusters:
     def test_no_clusters_above_epsilon(self):
         assert detect_mom_clusters(uniform_qam(2), epsilon=0.1) == []
@@ -203,7 +190,9 @@ class TestMomClusters:
 
     def test_epsilon_below_min_distance_empty(self):
         c = uniform_qam(3)
-        assert detect_mom_clusters(c, epsilon=0.99 * min_distance(c)) == []
+        gaps = np.abs(c.points[:, None] - c.points[None, :])
+        min_distance = gaps[np.triu_indices(c.size, k=1)].min()
+        assert detect_mom_clusters(c, epsilon=0.99 * min_distance) == []
 
     def test_epsilon_above_max_distance_single_cluster(self):
         c = uniform_qam(3)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import expit, logsumexp
 
@@ -30,6 +32,7 @@ from shapegain.demapper import (
     _iq_rows,
     _loglik,
     _matmul,
+    _radii,
     gaussian_bit_metric,
     gaussian_bit_metric_grad,
     logistic,
@@ -210,7 +213,7 @@ class TestMatrixKernel:
         reach = np.hypot(*y).max() + np.hypot(*x).max()
         assert reach ** 2 / s2 <= MAX_LLR_CLIP
         l = _loglik(y, x, s2)
-        _, (p, _, _) = gaussian_bit_metric(y, x, c.bits(), s2)
+        _, (p, *_) = gaussian_bit_metric(y, x, c.bits(), s2)
         np.testing.assert_array_equal(p, np.exp(l - l.max(axis=0)))
 
     def test_clip_limit(self):
@@ -219,6 +222,61 @@ class TestMatrixKernel:
         for bad in (0.0, -1.0, 701.0):
             with pytest.raises(ParameterError):
                 llr_exact(0.1 + 0j, c, 1.0, llr_clip=bad)
+
+    @pytest.mark.parametrize("m, snr_db", [(m, s) for m in range(1, 7)
+                                           for s in (0.0, 5.0, 10.0, 15.0)]
+                             + [(1, 20.0), (2, 20.0)])
+    def test_unshifted_block_divides_without_mask(self, m, snr_db):
+        # every partition of an unshifted block is at least e^-700, so the
+        # division without a mask gives the masked one's bits, signed zeros
+        # included
+        c = uniform_qam(m)
+        rng = np.random.default_rng(50 + m)
+        s2 = 1.0 / db_to_linear(snr_db)
+        y = awgn_sample(rng, c.points[rng.integers(0, c.size, 1000)], s2)
+        raw, cache = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), s2)
+        p, z, w, floored = cache
+        assert not floored
+        dllr = rng.standard_normal(raw.shape)
+        dllr[:, ::5] = 0.0  # as the clipped entries are
+        masked = gaussian_bit_metric_grad(dllr, (p, z, w, True))
+        assert gaussian_bit_metric_grad(dllr, cache).tobytes() == masked.tobytes()
+
+
+# I or Q components of magnitude 1e-150 to 1e150, either sign: their squares
+# are normal doubles
+_COMPONENT = st.builds(lambda mag, negative: -mag if negative else mag,
+                       st.floats(1e-150, 1e150), st.booleans())
+_IQ_ROWS = st.lists(st.tuples(_COMPONENT, _COMPONENT), min_size=1, max_size=40).map(
+    lambda pairs: np.array(pairs).T.copy())
+
+
+class TestRadii:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(y=_IQ_ROWS, x=_IQ_ROWS)
+    def test_within_four_ulp_of_hypot(self, y, x):
+        for got, rows in zip(_radii(y, x), (y, x)):
+            want = np.hypot(rows[0], rows[1]).max()
+            assert abs(got - want) <= 4 * np.spacing(want)
+
+    def test_overflow_selects_subtraction_form_and_floored_exp(self):
+        # one sample whose squared norm overflows: hypot gives 1e155, the
+        # radius inf, which must select the forms that hold for any input
+        c = uniform_qam(4)
+        rng = np.random.default_rng(11)
+        s2 = 1.0 / db_to_linear(9.3)
+        y = awgn_sample(rng, c.points[rng.integers(0, c.size, 200)], s2)
+        y[0] = 1e155
+        y, x = _iq_rows(y), _iq_rows(c.points)
+        assert np.hypot(*y).max() == 1e155
+        # the far sample's squares overflow, as its distances do in the
+        # subtraction form, and its log-likelihoods, all -inf, leave NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _radii(y, x)[0] == math.inf
+            dist = (x[0][:, None] - y[0]) ** 2 + (x[1][:, None] - y[1]) ** 2
+            np.testing.assert_array_equal(_loglik(y, x, s2), dist / -s2)
+            _, (_, _, _, floored) = gaussian_bit_metric(y, x, c.bits(), s2)
+        assert floored
 
 
 class TestLogisticKernel:
