@@ -139,17 +139,13 @@ def _radius(rows: np.ndarray) -> float:
 def _radii(y: np.ndarray, points: np.ndarray):
     """(max |y_s|, max |x_j|) of I/Q rows y (2, S) and points (2, M).
 
-    Each radius is one sqrt of the largest squared norm rather than a hypot
-    per element, a third of the time at S = 1024. For finite components of
-    magnitude 1e-150 to 1e150 it lies within a few ulp of hypot's, and both
-    bounds it feeds absorb that. The spread bound D may fall short of the
-    true one by a few ulp, so an exp argument may lie a few ulp of 700
-    below -700: still far from -707, where exp slows down, and from the
-    subnormals. The GEMM bound T is a threshold with a factor of four to
-    spare, which a relative change of 1e-15 does not use up. A squared norm
-    that overflows gives inf, and then T (inf, or NaN when max |x| = 0) and
-    D = inf select the subtraction form and the floored exp, the forms that
-    hold for any finite input.
+    One sqrt of the largest squared norm, a third of hypot's time at
+    S = 1024, within a few ulp of hypot for components of magnitude 1e-150
+    to 1e150. The bounds absorb that: an exp argument may then undercut -700
+    by a few ulp, far above -707, and T's threshold has a factor of four to
+    spare. A squared norm that overflows gives inf, so T (inf, or NaN when
+    max |x| = 0) and D = inf select the subtraction form and the floored
+    exp, the forms that hold for any finite input.
     """
     return _radius(y), _radius(points)
 

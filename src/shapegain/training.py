@@ -30,21 +30,18 @@ training never asks which one it holds:
     kinks(cache)         the activation pattern (boolean arrays) that a
                          finite-difference probe must not straddle
 
-train() trains one cell, and train_many() trains K cells whose configs
-differ only in seed and target in the same loop; train() is train_many()
-of one config. The cell axis exists only in stacked runs, which need an
-MLP receiver: there every array of the loop carries a leading axis K, the
-raw points are (K, M, 2), an MLP weight (K, fan_in, fan_out), the
-received samples (K, 2, S), and the LLRs, sigmoids and loss terms
-(K, m, S), and MlpDemapper takes the same shapes (noise_variance then
-holds one value per cell). A lone run, Gaussian or MLP, has no cell axis;
-its arrays have the shapes the public step wrappers use. The loop reaches
-cell k through reshape(K, ...) views, in either kind of run. Cell k draws
-from its own default_rng(seed) in the order a lone run would, and its
-per-cell scalars (power, scale, noise variance) stay Python floats, so it
-ends bit for bit where train() of its config ends. A Gaussian receiver
-has nothing to batch across cells, since each cell picks its own form of
-the bit metric, so train_many() refuses to stack Gaussian cells.
+train_many() trains K cells whose configs differ only in seed and target
+in one loop, and train() is train_many() of one config. Only a stacked
+run (K > 1, MLP receivers only: a Gaussian cell picks its own form of the
+bit metric, so stacking batches nothing) carries a leading cell axis K
+on every array: the raw points are (K, M, 2), an MLP weight
+(K, fan_in, fan_out), the received samples (K, 2, S), and the LLRs,
+sigmoids and loss terms (K, m, S); noise_variance then holds one value
+per cell. A lone run has the shapes of the public step wrappers, and the
+loop reaches cell k through reshape(K, ...) views. Cell k draws from its
+own default_rng(seed) in the order a lone run would, and its per-cell
+scalars (power, scale, noise variance) stay Python floats, so it ends
+bit for bit where train() of its config ends.
 
 The loop keeps every trainable array (the mapper's raw points, then the
 receiver's) as a named view into one float64 parameter array, (n,) or
@@ -806,11 +803,6 @@ def train_many(configs) -> list:
     hyper = AdamHyper(first.learning_rate, first.adam_beta1,
                       first.adam_beta2, first.adam_eps)
     axis = (K,) if K > 1 else ()  # the cell axis of a stacked run
-
-    def per_cell(a: np.ndarray) -> np.ndarray:
-        """A view of a with the cell axis first, which a lone run lacks."""
-        return a.reshape((K,) + a.shape[len(axis):])
-
     # from here on the trainable arrays are views into theta, (n,) or
     # (K, n), which Adam updates in place together with its moment arrays
     theta, arrays = _flatten({name: np.reshape([cell[name] for cell in cells],
@@ -822,7 +814,9 @@ def train_many(configs) -> list:
     work = np.empty((2,) + theta.shape)
     noise = np.empty(axis + (2, S))
     power = None  # of the current points, once an iteration has computed it
-    raws, noises, grad_rows = per_cell(params.raw), per_cell(noise), per_cell(grad)
+    # cell k's raw points, noise and gradient, as views with the cell axis first
+    raws, noises, grad_rows = (a.reshape((K,) + a.shape[len(axis):])
+                               for a in (params.raw, noise, grad))
 
     def resolve(k: int) -> float:
         points = MapperParams(raw=raws[k]).emit()
