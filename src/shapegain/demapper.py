@@ -313,7 +313,9 @@ class GaussianDemapper:
 
 def _clipped(llr: np.ndarray, llr_clip: float) -> np.ndarray:
     """llr clipped to +/- llr_clip into a new array; NaN stays NaN."""
-    return np.clip(llr, -llr_clip, llr_clip)
+    out = np.maximum(llr, -llr_clip)
+    np.minimum(out, llr_clip, out=out)
+    return out
 
 
 def llr_exact(y, c: Constellation, noise_variance: float,

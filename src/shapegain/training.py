@@ -56,10 +56,8 @@ the step is C-contiguous with the S samples on its last axis: points and
 received samples are (2, M) and (2, S) I/Q rows, LLRs, label signs,
 sigmoids and loss terms are (m, S), and an MLP layer is (width, S). The
 noise is the standard-normal draw awgn_sample would make, transposed into
-(2, S); train()'s batch is sorted by label, so the transmitted samples
-are one broadcast sum of the points and that noise viewed as (2, M, S/M).
-The mapper's power is computed once per iteration, right after the
-update, and feeds the next forward pass. forward_loss and backward are
+(2, S). The mapper's power is computed once per iteration, right after
+the update, and feeds the next forward pass. forward_loss and backward are
 thin wrappers over the same step functions, so train() and a loop over
 them and the Adam update give identical bits.
 """
@@ -493,12 +491,8 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     scale = [p ** -0.5 for p in power]
     points = np.multiply(raw.swapaxes(-1, -2), _per_cell(scale, raw), order="C")
     _ensure_finite("points", points)
-    if isinstance(batch.order, slice):  # sorted: label j owns the j-th run of S/M samples
-        runs = noise_iq.reshape(*noise_iq.shape[:-1], raw.shape[-2], -1)
-        y = np.add(points[..., None], runs).reshape(noise_iq.shape)
-    else:
-        y = np.take(points, batch.labels, axis=-1)
-        y += noise_iq
+    y = np.take(points, batch.labels, axis=-1)
+    y += noise_iq
     _ensure_finite("y", y)
 
     stacked = raw.ndim == 3
@@ -526,9 +520,7 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
     # d loss / d llr
     dllr = st.sigmoid / (batch.size * LN2)  # d loss / d z
     dllr *= batch.flip
-    clipped = st.llr != st.llr_raw
-    if clipped.any():  # most batches clip nothing
-        dllr[clipped] = 0.0
+    dllr[st.llr != st.llr_raw] = 0.0  # the clipped entries
 
     gy, gp = demapper.backward(dllr, st.cache, grads)
     dp = _per_label_sum(batch, gy, M)  # transmit path: y = points[labels] + noise

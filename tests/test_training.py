@@ -245,7 +245,6 @@ class TestLabelOrder:
         perm = rng.permutation(S)
         loss, st = forward_loss(params, demapper, labels, noise, 0.2)
         loss_p, st_p = forward_loss(params, demapper, labels[perm], noise[perm], 0.2)
-        # the sorted batch's broadcast sum transmits the same samples as np.take
         np.testing.assert_array_equal(st_p.y_iq, st.y_iq[:, perm])
         assert loss_p == pytest.approx(loss, rel=1e-13)
         grads = backward(params, demapper, st)
