@@ -7,26 +7,20 @@ and sweep net rate against distance on a span-based fiber link model.
 """
 
 from .channel import (
-    EffectiveChannel,
     LinkConfig,
     awgn_sample,
     db_to_linear,
     effective_snr,
-    linear_to_db,
     nlin_factor,
     optimal_launch_power,
 )
 from .constellation import (
     Constellation,
-    MomCluster,
     Moments,
-    bit_table,
-    constellation_from_dict,
     constellation_to_dict,
     detect_mom_clusters,
     load_constellation,
     moments,
-    normalize,
     save_constellation,
     uniform_qam,
 )
@@ -39,12 +33,10 @@ from .demapper import (
 )
 from .errors import (
     CapabilityError,
-    DegenerateInputError,
     FramingError,
     NumericalError,
     ParameterError,
     ShapegainError,
-    UnboundedOptimumError,
 )
 from .lut import LutDocument, export_lut, parse_lut, render_lut
 from .rate_adapt import (
@@ -61,32 +53,19 @@ from .sweep import (
     EvalSettings,
     OutputSettings,
     RunConfig,
-    SweepRow,
     SweepSettings,
-    derive_seed,
-    evaluate_grid_point,
     load_run_config,
-    max_reach,
     rows_to_csv,
     run_sweep,
 )
 from .training import (
-    AdamHyper,
     GaussianDemapper,
-    GradCheckReport,
-    LinkTarget,
-    MapperParams,
-    MlpDemapper,
     SnrTarget,
     TrainConfig,
-    TrainHistory,
-    backward,
-    forward_loss,
     gradient_check,
     init_mapper,
     init_mlp,
     train,
-    train_config_from_dict,
 )
 
 __version__ = "0.1.0"

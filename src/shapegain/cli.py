@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import effective_snr, linear_to_db, noise_variance_from_db, optimal_launch_power
+from .channel import launch_channel, linear_to_db, noise_variance_from_db
 from .constellation import (
     constellation_to_dict,
     load_constellation,
@@ -122,21 +122,18 @@ def _cmd_train(args) -> int:
 def _resolve_eval_noise(args, c) -> float:
     if args.snr_db is not None:
         return noise_variance_from_db(args.snr_db, "--snr-db")
-    run = load_run_config(args.link_from)
-    link = run.link
+    link = load_run_config(args.link_from).link
     if args.n_spans is not None:
         link = replace(link, n_spans=args.n_spans)
-    mom = moments(c)
-    if args.launch_power is not None:
-        ch = effective_snr(link, args.launch_power, mom)
-    else:
-        _, ch = optimal_launch_power(link, mom)
-    return ch.noise_variance
+    power = "optimal" if args.launch_power is None else args.launch_power
+    return launch_channel(link, moments(c), power)[1].noise_variance
 
 
 def _cmd_eval(args) -> int:
     if args.seed < 0:
         raise ParameterError(f"--seed must be >= 0, got {args.seed}")
+    if args.link_from is None and (args.launch_power, args.n_spans) != (None, None):
+        raise ParameterError("--launch-power and --n-spans need --link-from")
     c = load_constellation(args.constellation)
     noise_variance = _resolve_eval_noise(args, c)
     rng = np.random.default_rng(args.seed)

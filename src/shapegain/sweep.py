@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from .channel import LinkConfig, effective_snr, optimal_launch_power
-from .constellation import Constellation, moments, uniform_qam
+from .channel import LinkConfig, check_launch_power, launch_channel
+from .constellation import moments, uniform_qam
 from .demapper import MAX_SAMPLES, per_bit_gmi_mc
 from .errors import (
     ParameterError,
@@ -60,8 +60,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepSettings:
     span_grid: tuple
-    power_mode: str = "optimal"
-    launch_power: Optional[float] = None
+    launch_power: Union[float, str] = "optimal"
     schemes: tuple = ("ae", "qam")
     qam_m_list: tuple = ()
 
@@ -76,11 +75,7 @@ class SweepSettings:
             raise ParameterError("span_grid entries must be >= 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("span_grid must be strictly increasing")
-        if self.power_mode not in ("fixed", "optimal"):
-            raise ParameterError(f"unknown power_mode {self.power_mode!r}")
-        if self.power_mode == "fixed" and (
-                self.launch_power is None or not self.launch_power > 0):
-            raise ParameterError("fixed power_mode needs a positive launch_power")
+        check_launch_power(self.launch_power)
         if not self.schemes or not set(self.schemes) <= {"ae", "qam"}:
             raise ParameterError(
                 f"schemes must be a nonempty subset of ae/qam, got {self.schemes}")
@@ -161,14 +156,6 @@ def derive_seed(base_seed: int, n_spans: int) -> int:
     return (base_seed ^ _splitmix64(n_spans)) & _MASK64
 
 
-def _resolve_power(link: LinkConfig, c: Constellation, sweep: SweepSettings):
-    mom = moments(c)
-    if sweep.power_mode == "optimal":
-        return optimal_launch_power(link, mom)
-    power = float(sweep.launch_power)
-    return power, effective_snr(link, power, mom)
-
-
 def _eval_rng(config: RunConfig, n_spans: int, scheme: str, m: int):
     code = 0 if scheme == "ae" else 1
     return np.random.default_rng([config.eval.seed, n_spans, code, m])
@@ -198,7 +185,8 @@ def _ae_train_config(config: RunConfig, n_spans: int) -> TrainConfig:
     """The ae cell's training config: its derived seed, and the SNR that the
     grid point gives Gray QAM, a proxy for the untrained constellation."""
     link = replace(config.link, n_spans=int(n_spans))
-    _, ch0 = _resolve_power(link, uniform_qam(config.train.m), config.sweep)
+    _, ch0 = launch_channel(link, moments(uniform_qam(config.train.m)),
+                            config.sweep.launch_power)
     return replace(config.train, seed=derive_seed(config.train.seed, n_spans),
                    target=SnrTarget(ch0.snr_db))
 
@@ -209,7 +197,7 @@ def _evaluate_cell(config: RunConfig, scheme: str, n_spans: int, candidates: lis
     link = replace(config.link, n_spans=int(n_spans))
     best = None
     for c in candidates:
-        power, ch = _resolve_power(link, c, config.sweep)
+        power, ch = launch_channel(link, moments(c), config.sweep.launch_power)
         report = per_bit_gmi_mc(c, ch.noise_variance, config.eval.n_samples,
                                 _eval_rng(config, n_spans, scheme, c.m))
         plan = best_plan(report, link.fec_rate)

@@ -65,7 +65,6 @@ them and the Adam update give identical bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
@@ -73,10 +72,10 @@ import numpy as np
 
 from .channel import (
     LinkConfig,
-    effective_snr,
+    check_launch_power,
+    launch_channel,
     linear_to_db,
     noise_variance_from_db,
-    optimal_launch_power,
 )
 from .constellation import Constellation, bit_table, moments, uniform_qam
 from .demapper import LN2, GaussianDemapper, _clipped, check_llr_clip, logistic
@@ -132,21 +131,12 @@ class LinkTarget:
 
     def __post_init__(self):
         check_field_types(self)
-        power = self.launch_power
-        if power != "optimal" and (isinstance(power, (str, bool))
-                                   or not isinstance(power, numbers.Real)):
-            shown = repr(power) if isinstance(power, str) else type(power).__name__
-            raise ParameterError(f"launch_power must be a number or 'optimal', got {shown}")
+        check_launch_power(self.launch_power)
         if self.refresh_every < 1:
             raise ParameterError("refresh_every must be >= 1")
 
     def resolve(self, c: Constellation) -> float:
-        mom = moments(c)
-        if self.launch_power == "optimal":
-            _, ch = optimal_launch_power(self.link, mom)
-        else:
-            ch = effective_snr(self.link, float(self.launch_power), mom)
-        return ch.noise_variance
+        return launch_channel(self.link, moments(c), self.launch_power)[1].noise_variance
 
 
 @dataclass(frozen=True)
@@ -425,15 +415,13 @@ class ForwardState:
 
     Signals are real: points_iq (2, M) and y_iq (2, S) hold I and Q in
     their rows, and every per-sample array has the samples on its last
-    axis; points is the complex form of points_iq. Arrays carry the cell
-    axis first in the stacked loop; power and scale hold one Python float
-    per cell, and loss is one value per cell.
+    axis. Arrays carry the cell axis first in the stacked loop; scale holds
+    one Python float per cell, and loss is one value per cell.
     """
 
     batch: _Batch
     llr_clip: float
     raw: np.ndarray
-    power: list
     scale: list
     points_iq: np.ndarray
     y_iq: np.ndarray
@@ -443,14 +431,6 @@ class ForwardState:
     loss: np.ndarray
     penalties: np.ndarray  # (m, S) loss terms, in bits
     cache: object  # the receiver's forward() cache
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.points_iq[..., 0, :] + 1j * self.points_iq[..., 1, :]
-
-    @property
-    def per_bit_surrogate(self) -> np.ndarray:
-        return 1.0 - self.penalties.sum(axis=-1) / self.batch.size
 
 
 def _ensure_finite(name: str, value) -> None:
@@ -505,7 +485,7 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     _ensure_finite("loss", loss)
     return ForwardState(
         batch=batch, llr_clip=clip,
-        raw=raw, power=power, scale=scale, points_iq=points, y_iq=y,
+        raw=raw, scale=scale, points_iq=points, y_iq=y,
         llr_raw=llr_raw, llr=llr, sigmoid=sigmoid, loss=loss, penalties=penalties,
         cache=cache,
     )

@@ -146,6 +146,18 @@ class TestEvalCommand:
         assert rc == 1
         assert len(err.splitlines()) == 1 and "launch_power" in err
 
+    @pytest.mark.parametrize("flags", [["--launch-power", "-3", "--n-spans", "0"],
+                                       ["--launch-power", "0.1"], ["--n-spans", "8"]])
+    def test_link_flags_need_link_from(self, tmp_path, capsys, flags):
+        cpath = tmp_path / "c.json"
+        main(["qam", "--m", "2", "--out", str(cpath)])
+        capsys.readouterr()
+        rc = main(["eval", "--constellation", str(cpath), "--snr-db", "5",
+                   "--samples", "64", *flags])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "shapegain: error: --launch-power and --n-spans need --link-from"]
+
     def test_negative_seed_is_parameter_error(self, tmp_path, capsys):
         cpath = tmp_path / "c.json"
         main(["qam", "--m", "2", "--out", str(cpath)])
@@ -367,7 +379,7 @@ class TestSweepCommand:
         path = tmp_path / "run.json"
         path.write_text(_write_run_config(tmp_path).read_text().replace(
             '"eval"', '"sweep": {"span_grid": [2], "schemes": ["qam"], "qam_m_list": [2], '
-                      '"power_mode": "fixed", "launch_power": Infinity}, "eval"'))
+                      '"launch_power": Infinity}, "eval"'))
         rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "res.csv")])
         err = capsys.readouterr().err
         assert rc == 1
@@ -432,7 +444,7 @@ _RUN = {
               "demapper_mode": "mlp", "mlp_hidden": [2], "learning_rate": 0.01,
               "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, "llr_clip": 50.0,
               "init": "qam", "seed": 1},
-    "sweep": {"span_grid": [2], "power_mode": "optimal", "schemes": ["ae", "qam"],
+    "sweep": {"span_grid": [2], "launch_power": "optimal", "schemes": ["ae", "qam"],
               "qam_m_list": [2]},
     "eval": {"n_samples": 64, "seed": 4, "epsilon_mom": 0.01},
     "output": {"results_csv": "unused.csv"},

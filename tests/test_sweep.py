@@ -139,7 +139,7 @@ class TestRunConfigParsing:
         with pytest.raises(ParameterError):
             SweepSettings(span_grid=(4, 2), qam_m_list=(2,))
         with pytest.raises(ParameterError):
-            SweepSettings(span_grid=(2, 4), power_mode="fixed", qam_m_list=(2,))
+            SweepSettings(span_grid=(2, 4), launch_power=0.0, qam_m_list=(2,))
         with pytest.raises(ParameterError):
             SweepSettings(span_grid=(2, 4), schemes=("qam",))  # needs m list
 
