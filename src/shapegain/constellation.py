@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateInputError, ParameterError, load_json
 
 CONSTELLATION_FORMAT_VERSION = 1
+MAX_QAM_M = 10  # the largest order uniform_qam builds
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,15 @@ def partition_weights(m: int) -> np.ndarray:
     return weights
 
 
+def check_labels(labels, size: int) -> np.ndarray:
+    """labels as an array; ParameterError unless they are integers in [0, size)."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" or (
+            labels.size and not 0 <= labels.min() <= labels.max() < size):
+        raise ParameterError(f"labels must be integers in [0, {size})")
+    return labels
+
+
 def _gray_to_binary(g: np.ndarray) -> np.ndarray:
     b = g.copy()
     shift = 1
@@ -159,8 +169,8 @@ def uniform_qam(m: int) -> Constellation:
     -------
     Constellation
     """
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= 10:
-        raise ParameterError(f"m must be an integer in [1, 10], got {m!r}")
+    if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_QAM_M:
+        raise ParameterError(f"m must be an integer in [1, {MAX_QAM_M}], got {m!r}")
     n_i = (m + 1) // 2
     n_q = m - n_i
     w, h = 2 ** n_i, 2 ** n_q

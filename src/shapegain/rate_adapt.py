@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constellation import check_labels
 from .demapper import GmiReport
 from .errors import FramingError, ParameterError, load_json
 
@@ -71,11 +72,14 @@ class RateAdaptPlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RateAdaptPlan":
+        """The plan of a document; ParameterError unless m >= 1 and its n_d
+        distinct dummy_positions lie in [0, 2m)."""
         try:
-            return cls(
+            positions = [int(i) for i in doc["dummy_positions"]]
+            plan = cls(
                 m=int(doc["m"]),
                 n_d=int(doc["n_d"]),
-                dummy_positions=frozenset(int(i) for i in doc["dummy_positions"]),
+                dummy_positions=frozenset(positions),
                 net_rate=float(doc["net_rate"]),
                 data_gmi=float(doc["data_gmi"]),
                 per_pol_data_gmi=tuple(float(v) for v in doc["per_pol_data_gmi"]),
@@ -83,6 +87,18 @@ class RateAdaptPlan:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"malformed rate-adaptation plan: {exc}") from exc
+        m = plan.m
+        if m < 1:
+            problem = f"m must be >= 1, got {m}"
+        elif not all(0 <= i < 2 * m for i in positions):
+            problem = f"dummy_positions must lie in [0, {2 * m}), got {positions}"
+        elif len(plan.dummy_positions) != len(positions):
+            problem = f"dummy_positions repeat a level: {positions}"
+        elif plan.n_d != len(positions):
+            problem = f"n_d is {plan.n_d} but {len(positions)} dummy_positions are given"
+        else:
+            return plan
+        raise ParameterError(f"malformed rate-adaptation plan: {problem}")
 
 
 def save_plan(plan: RateAdaptPlan, path) -> None:
@@ -210,7 +226,7 @@ def extract_data_bits(labels: np.ndarray, plan: RateAdaptPlan, m: int) -> np.nda
     """Inverse of assemble_labels: strip dummy levels from label pairs."""
     if m != plan.m:
         raise ParameterError(f"plan is for m = {plan.m}, got m = {m}")
-    labels = np.asarray(labels)
+    labels = check_labels(labels, 1 << m)
     if labels.ndim != 2 or labels.shape[1] != 2:
         raise ParameterError("labels must have shape (n, 2)")
     shifts = np.arange(m - 1, -1, -1)

@@ -3,13 +3,10 @@
 Every grid point (scheme, n_spans) is independent: the learned scheme
 retrains at the grid point's effective SNR with a seed derived from the
 base seed and the span count, the QAM scheme picks the best net rate over
-a list of modulation orders. With an MLP receiver, run_sweep trains the
-learned cells together, in training.train_many runs with one cell per
-span count and as many cells per run as the per-cell array budget allows
-(one run for the shipped config), and each of them equals its lone
-train() bit for bit; with the Gaussian receiver each learned cell trains
-alone. The cells then run one by one in (scheme, n_spans) order, so
-results are reproducible byte for byte.
+a list of modulation orders. run_sweep first trains every learned cell in
+one training.train_many call, which sizes its own runs, and each cell
+equals its lone train() bit for bit. The cells then run one by one in
+(scheme, n_spans) order, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .channel import LinkConfig, check_launch_power, launch_channel
-from .constellation import moments, uniform_qam
+from .constellation import MAX_QAM_M, moments, uniform_qam
 from .demapper import MAX_SAMPLES, per_bit_gmi_mc
 from .errors import (
     ParameterError,
@@ -32,14 +29,7 @@ from .errors import (
     load_json,
 )
 from .rate_adapt import best_plan
-from .training import (
-    MAX_CELL_ENTRIES,
-    SnrTarget,
-    TrainConfig,
-    train,
-    train_config_from_dict,
-    train_many,
-)
+from .training import SnrTarget, TrainConfig, train, train_config_from_dict, train_many
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,6 +71,9 @@ class SweepSettings:
                 f"schemes must be a nonempty subset of ae/qam, got {self.schemes}")
         if "qam" in self.schemes and not self.qam_m_list:
             raise ParameterError("qam scheme requires a nonempty qam_m_list")
+        if not all(1 <= m <= MAX_QAM_M for m in self.qam_m_list):
+            raise ParameterError(f"qam_m_list entries must be in [1, {MAX_QAM_M}], "
+                                 f"got {list(self.qam_m_list)}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +134,11 @@ def load_run_config(path) -> RunConfig:
 def _sweep_settings(train_m: int, /, **sw) -> SweepSettings:
     if "qam_m_list" not in sw and "qam" in sw.get("schemes", ("ae", "qam")):
         sw["qam_m_list"] = (train_m, train_m - 1) if train_m > 1 else (train_m,)
-    return SweepSettings(**sw)
+    settings = SweepSettings(**sw)
+    # the ae cell's SNR proxy is Gray QAM of the trained order
+    if "ae" in settings.schemes and train_m > MAX_QAM_M:
+        raise ParameterError(f"the ae scheme needs train.m <= {MAX_QAM_M}, got {train_m}")
+    return settings
 
 
 def _splitmix64(x: int) -> int:
@@ -219,37 +216,23 @@ def _evaluate_cell(config: RunConfig, scheme: str, n_spans: int, candidates: lis
 
 
 def _train_ae_cells(config: RunConfig) -> dict:
-    """{n_spans: trained Constellation} of the ae cells, from train_many runs.
+    """{n_spans: trained Constellation} of the ae cells, from one train_many call.
 
-    Only MLP-receiver cells are stacked: their step is many small calls,
-    whose fixed cost K cells share. train_many refuses to stack Gaussian
-    cells: their metric is computed one cell at a time, so stacking would
-    batch nothing. A stacked run takes as many cells, in span order, as
-    keep their summed sum(mlp_hidden) * batch_symbols within
-    MAX_CELL_ENTRIES, the budget of a lone cell.
-    Empty for Gaussian cells; a cell is missing when its run raises, and
-    then trains alone in evaluate_grid_point, whose row or error is
-    exactly the cell's.
+    A cell whose training config cannot be built is missing, and so is
+    every cell when the call raises; a missing cell trains alone in
+    evaluate_grid_point, whose row or error is exactly the cell's.
     """
-    if config.train.demapper_mode != "mlp":
-        return {}
     configs = {}
     for n in config.sweep.span_grid:
         try:
             configs[n] = _ae_train_config(config, n)
         except Exception:  # noqa: BLE001 - the cell raises it again when it runs
             continue
-    entries = sum(config.train.mlp_hidden) * config.train.batch_symbols
-    per_run = MAX_CELL_ENTRIES // max(1, entries)
-    spans, trained = list(configs), {}
-    for lo in range(0, len(spans), per_run):
-        chunk = spans[lo:lo + per_run]
-        try:
-            runs = train_many([configs[n] for n in chunk])
-        except Exception:  # noqa: BLE001 - see the docstring
-            continue
-        trained.update((n, c) for n, (c, _) in zip(chunk, runs))
-    return trained
+    try:
+        runs = train_many(configs.values())
+    except Exception:  # noqa: BLE001 - see the docstring
+        return {}
+    return {n: c for n, (c, _) in zip(configs, runs)}
 
 
 def run_sweep(config: RunConfig, keep_going: bool = False, error_sink=None,
@@ -261,8 +244,7 @@ def run_sweep(config: RunConfig, keep_going: bool = False, error_sink=None,
     point is computed, unless keep_going is set, in which case the point is
     skipped and reported to error_sink(scheme, n_spans, exception).
     detail_sink, if given, receives (scheme, n_spans, row, report,
-    constellation) per cell. With an MLP receiver the ae cells train
-    together first.
+    constellation) per cell. The ae cells train together first.
     """
     if config.sweep is None:
         raise ParameterError("config has no sweep section")

@@ -30,18 +30,21 @@ training never asks which one it holds:
     kinks(cache)         the activation pattern (boolean arrays) that a
                          finite-difference probe must not straddle
 
-train_many() trains K cells whose configs differ only in seed and target
-in one loop, and train() is train_many() of one config. Only a stacked
-run (K > 1, MLP receivers only: a Gaussian cell picks its own form of the
-bit metric, so stacking batches nothing) carries a leading cell axis K
-on every array: the raw points are (K, M, 2), an MLP weight
-(K, fan_in, fan_out), the received samples (K, 2, S), and the LLRs,
-sigmoids and loss terms (K, m, S); noise_variance then holds one value
-per cell. A lone run has the shapes of the public step wrappers, and the
-loop reaches cell k through reshape(K, ...) views. Cell k draws from its
-own default_rng(seed) in the order a lone run would, and its per-cell
-scalars (power, scale, noise variance) stay Python floats, so it ends
-bit for bit where train() of its config ends.
+train_many() trains cells whose configs differ only in seed and target,
+and sizes its own runs: MLP cells stack, in config order, as many per run
+as keep their summed entries (TrainConfig.cell_entries) within
+MAX_CELL_ENTRIES, the budget of one cell; Gaussian cells run one per run,
+because each picks its own form of the bit metric, so stacking batches
+nothing. train() is one run of one config. Only a stacked run (K > 1)
+carries a leading cell axis K on every array: the raw points are
+(K, M, 2), an MLP weight (K, fan_in, fan_out), the received samples
+(K, 2, S), and the LLRs, sigmoids and loss terms (K, m, S);
+noise_variance then holds one value per cell. A lone run has the shapes
+of the public step wrappers, and the loop reaches cell k through
+reshape(K, ...) views. Cell k draws from its own default_rng(seed) in the
+order a lone run would, and its per-cell scalars (power, scale, noise
+variance) stay Python floats, so it ends bit for bit where train() of its
+config ends.
 
 The loop keeps every trainable array (the mapper's raw points, then the
 receiver's) as a named view into one float64 parameter array, (n,) or
@@ -77,7 +80,7 @@ from .channel import (
     linear_to_db,
     noise_variance_from_db,
 )
-from .constellation import Constellation, bit_table, moments, uniform_qam
+from .constellation import Constellation, bit_table, check_labels, moments, uniform_qam
 from .demapper import LN2, GaussianDemapper, _clipped, check_llr_clip, logistic
 from .errors import NumericalError, ParameterError, build_section, check_field_types, int_tuple
 
@@ -91,10 +94,9 @@ from .errors import NumericalError, ParameterError, build_section, check_field_t
 # The largest training arrays of a cell, the Gaussian receiver's (M, S)
 # log-likelihoods and the MLP receiver's (width, S) activations summed over
 # its hidden layers, hold at most 2**24 entries: 134 MB, m = 8 at the
-# largest batch. A stacked train_many run of K cells holds K of them; only
-# MLP cells stack, and sweeps stack them in runs whose summed entries stay
-# within the same budget. Larger values are rejected when the config is
-# built, before any array is allocated.
+# largest batch. train_many stacks MLP cells in runs whose summed entries
+# stay within the same budget. Larger values are rejected when the config
+# is built, before any array is allocated.
 MAX_ITERATIONS = 10 ** 6
 MAX_BATCH_SYMBOLS = 2 ** 16
 MAX_CELL_ENTRIES = 2 ** 24
@@ -169,10 +171,6 @@ class TrainConfig:
         if self.batch_symbols > MAX_BATCH_SYMBOLS:
             raise ParameterError(
                 f"batch_symbols must be <= {MAX_BATCH_SYMBOLS}, got {self.batch_symbols}")
-        if self.demapper_mode == "gaussian" and M * self.batch_symbols > MAX_CELL_ENTRIES:
-            raise ParameterError(
-                f"2**m * batch_symbols must be <= {MAX_CELL_ENTRIES} with the gaussian "
-                f"receiver, got {M} * {self.batch_symbols}")
         if self.batch_symbols < M or self.batch_symbols % M != 0:
             raise ParameterError(
                 f"batch_symbols must be a positive multiple of M = {M}, "
@@ -190,12 +188,21 @@ class TrainConfig:
         object.__setattr__(self, "mlp_hidden", int_tuple("mlp_hidden", self.mlp_hidden))
         if any(w < 1 for w in self.mlp_hidden):
             raise ParameterError("mlp_hidden widths must be >= 1")
-        units = sum(self.mlp_hidden)
-        if self.demapper_mode == "mlp" and units * self.batch_symbols > MAX_CELL_ENTRIES:
+        if self.cell_entries > MAX_CELL_ENTRIES:
+            units = "2**m" if self.demapper_mode == "gaussian" else "sum(mlp_hidden)"
             raise ParameterError(
-                f"sum(mlp_hidden) * batch_symbols must be <= {MAX_CELL_ENTRIES} with the "
-                f"mlp receiver, got {units} * {self.batch_symbols}")
+                f"{units} * batch_symbols must be <= {MAX_CELL_ENTRIES} with the "
+                f"{self.demapper_mode} receiver, got "
+                f"{self.cell_entries // self.batch_symbols} * {self.batch_symbols}")
         check_llr_clip(self.llr_clip)
+
+    @property
+    def cell_entries(self) -> int:
+        """Entries of the cell's largest training arrays: the Gaussian
+        receiver's (M, S) log-likelihoods, or the MLP receiver's (width, S)
+        activations summed over its hidden layers."""
+        units = 1 << self.m if self.demapper_mode == "gaussian" else sum(self.mlp_hidden)
+        return units * self.batch_symbols
 
 
 def train_config_from_dict(doc: dict) -> TrainConfig:
@@ -384,10 +391,7 @@ class _Batch:
 
 def _make_batch(labels, M: int) -> _Batch:
     """Validate a label batch (every label equally often) and build its invariants."""
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "iu" or (
-            labels.size and not 0 <= labels.min() <= labels.max() < M):
-        raise ParameterError(f"labels must be integers in [0, {M})")
+    labels = check_labels(labels, M)
     counts = np.bincount(labels, minlength=M)
     if not np.all(counts == counts[0]):
         raise ParameterError("batch must contain every label equally often")
@@ -735,30 +739,36 @@ def train(config: TrainConfig):
     Fresh noise is drawn every iteration; batches contain every label
     batch_symbols/M times. Deterministic for a fixed config (seed included).
     """
-    return train_many([config])[0]
+    return _train_run([config])[0]
 
 
 def train_many(configs) -> list:
-    """Train one cell per config in one loop; returns [(Constellation, TrainHistory)].
+    """Train one cell per config; returns [(Constellation, TrainHistory)] in
+    config order.
 
-    The configs may differ only in seed and target, and two or more need
-    an MLP receiver. Stacked cells share one leading cell axis (see the
-    module docstring), so the numpy calls of an iteration serve all cells
-    at once, and each cell's result equals train() of its config bit for
-    bit. A NumericalError names the iteration, not the cell; train the
-    configs alone to find it.
+    The configs may differ only in seed and target, for either receiver.
+    The runs are sized here (see the module docstring): MLP cells stack, in
+    config order, as many per run as MAX_CELL_ENTRIES holds, and Gaussian
+    cells run one per run. Each cell's result equals train() of its config
+    bit for bit. A NumericalError names the iteration, not the cell; train
+    the configs alone to find it.
     """
     configs = list(configs)
-    if not configs:
-        return []
-    first = configs[0]
     for config in configs[1:]:
-        if replace(config, seed=first.seed, target=first.target) != first:
+        if replace(config, seed=configs[0].seed, target=configs[0].target) != configs[0]:
             raise ParameterError("stacked training configs may differ only in seed and target")
+    per_run = 1
+    if configs and configs[0].demapper_mode == "mlp":
+        per_run = MAX_CELL_ENTRIES // configs[0].cell_entries
+    return [cell for lo in range(0, len(configs), per_run)
+            for cell in _train_run(configs[lo:lo + per_run])]
+
+
+def _train_run(configs: list) -> list:
+    """One training loop over K cells whose configs differ only in seed and
+    target; K > 1 needs MLP receivers within the MAX_CELL_ENTRIES budget."""
+    first = configs[0]
     K = len(configs)
-    if K > 1 and first.demapper_mode != "mlp":
-        raise ParameterError("only cells with an mlp receiver train stacked; "
-                             f"train {first.demapper_mode} cells alone")
     rngs = [np.random.default_rng(config.seed) for config in configs]
     cells = []
     for config, rng in zip(configs, rngs):

@@ -246,6 +246,27 @@ class TestExportLutCommand:
         np.testing.assert_allclose(doc.constellation.points,
                                    uniform_qam(2).points)
 
+    @pytest.mark.parametrize("change", [
+        {"n_d": 1, "dummy_positions": [99]},
+        {"n_d": 2, "dummy_positions": [3, 3]},
+    ], ids=["out-of-range", "repeated"])
+    def test_inconsistent_plan_exits_1_without_a_table(self, tmp_path, capsys, change):
+        cpath = tmp_path / "c.json"
+        ppath = tmp_path / "plan.json"
+        lpath = tmp_path / "table.csv"
+        main(["qam", "--m", "4", "--out", str(cpath)])
+        report = make_report(np.array([0.95, 0.9, 0.4, 0.05]), 4000, 0.01)
+        ppath.write_text(json.dumps({**select_dummy_bits(report, 2, 0.75).to_dict(),
+                                     **change}))
+        capsys.readouterr()
+        rc = main(["export-lut", "--constellation", str(cpath),
+                   "--plan", str(ppath), "--out", str(lpath)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert "malformed rate-adaptation plan" in err
+        assert not lpath.exists()
+
 
 class TestTrainCommand:
     def test_writes_constellation_and_history(self, tmp_path, capsys):
@@ -384,6 +405,31 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and "launch_power" in err
+
+    @pytest.mark.parametrize("train_m, sweep, name", [
+        (2, {"schemes": ["ae", "qam"], "qam_m_list": [12]}, "qam_m_list"),
+        (2, {"schemes": ["ae", "qam"], "qam_m_list": [2, 0]}, "qam_m_list"),
+        (11, {"schemes": ["ae", "qam"]}, "qam_m_list"),  # defaults to [11, 10]
+        (11, {"schemes": ["ae"]}, "train.m"),
+    ], ids=["order-12", "order-0", "default-order-11", "ae-order-11"])
+    def test_qam_order_out_of_range_exits_1_before_training(
+            self, tmp_path, capsys, monkeypatch, train_m, sweep, name):
+        import shapegain.sweep as sweep_mod
+
+        def spy(configs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(sweep_mod, "train_many", spy)
+        cfg = _write_run_config(tmp_path, sweep={"span_grid": [2, 4], **sweep})
+        doc = json.loads(cfg.read_text())
+        doc["train"].update(m=train_m, batch_symbols=1 << train_m)
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "res.csv"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--keep-going"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and name in err, err
+        assert not out.exists()
 
     def test_unexpected_cell_error_exits_1_naming_the_cell(self, tmp_path, capsys,
                                                            monkeypatch):

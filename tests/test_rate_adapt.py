@@ -197,6 +197,22 @@ class TestPlanSerialization:
         with pytest.raises(ParameterError):
             RateAdaptPlan.from_dict({**doc, key: value})
 
+    @pytest.mark.parametrize("change, match", [
+        ({"n_d": 1, "dummy_positions": [99]}, r"dummy_positions must lie in \[0, 8\)"),
+        ({"n_d": 1, "dummy_positions": [-1]}, r"dummy_positions must lie in \[0, 8\)"),
+        ({"n_d": 2, "dummy_positions": [3, 3]}, "repeat a level"),
+        ({"n_d": 3, "dummy_positions": [3, 7]}, "n_d is 3 but 2 dummy_positions"),
+        ({"n_d": 1, "dummy_positions": [3, 7]}, "n_d is 1 but 2 dummy_positions"),
+        ({"m": 0, "n_d": 0, "dummy_positions": []}, "m must be >= 1"),
+        ({"m": -3, "n_d": 0, "dummy_positions": []}, "m must be >= 1"),
+    ])
+    def test_inconsistent_plan_rejected(self, tmp_path, change, match):
+        doc = select_dummy_bits(_report([0.95, 0.9, 0.4, 0.05]), 2, 0.75).to_dict()
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({**doc, **change}))
+        with pytest.raises(ParameterError, match=match):
+            load_plan(path)
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text("{not json")
@@ -278,6 +294,14 @@ class TestFraming:
         plan = self._plan(2, 0)
         with pytest.raises(ParameterError):
             extract_data_bits(np.zeros(6, int), plan, 2)
+
+    @pytest.mark.parametrize("labels", [
+        [[7, -1]], [[4, 0]], [[0, 1 << 40]], [[1.0, 2.0]], [["a", "b"]],
+    ], ids=["negative", "too-large", "huge", "float", "str"])
+    def test_labels_outside_the_alphabet_rejected(self, labels):
+        plan = self._plan(2, 1)
+        with pytest.raises(ParameterError, match=r"labels must be integers in \[0, 4\)"):
+            extract_data_bits(labels, plan, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 10), st.integers(0, 40),

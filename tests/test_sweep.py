@@ -304,9 +304,9 @@ class TestRunSweep:
 
 
 class TestStackedTraining:
-    """With an MLP receiver run_sweep trains the ae cells in one train_many
-    run; a failure there sends every ae cell back to training alone, as
-    evaluate_grid_point does. Gaussian-receiver cells always train alone."""
+    """run_sweep trains the ae cells in one train_many call, which sizes its
+    own runs; a failure there sends every ae cell back to training alone, as
+    evaluate_grid_point does."""
 
     @staticmethod
     def _config(mode="mlp"):
@@ -314,9 +314,10 @@ class TestStackedTraining:
                                               batch_symbols=64, seed=3, demapper_mode=mode,
                                               mlp_hidden=(4,)))
 
-    def test_ae_cells_train_in_one_stacked_run(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["mlp", "gaussian"])
+    def test_ae_cells_train_in_one_train_many_call(self, monkeypatch, mode):
         import shapegain.sweep as sweep_mod
-        config = self._config()
+        config = self._config(mode)
         cells = [evaluate_grid_point(config, s, n)[0]
                  for s in ("ae", "qam") for n in (2, 5)]
         real = sweep_mod.train_many
@@ -334,53 +335,6 @@ class TestStackedTraining:
         monkeypatch.setattr(sweep_mod, "train", lone_train)
         assert run_sweep(config) == cells
         assert runs == [[derive_seed(3, 2), derive_seed(3, 5)]]
-
-    def test_cells_beyond_the_budget_train_in_runs(self, monkeypatch):
-        # each cell holds sum(mlp_hidden) * batch_symbols = 4 * 64 entries;
-        # with a budget of two cells the three ae cells train in two runs
-        import shapegain.sweep as sweep_mod
-        base = self._config()
-        config = replace(base, sweep=replace(base.sweep, span_grid=(2, 5, 8)))
-        cells = [evaluate_grid_point(config, s, n)[0]
-                 for s in ("ae", "qam") for n in (2, 5, 8)]
-        real = sweep_mod.train_many
-        runs = []
-
-        def recorded(configs):
-            configs = list(configs)
-            runs.append([c.seed for c in configs])
-            return real(configs)
-
-        def lone_train(config):
-            raise AssertionError("an ae cell trained alone")
-
-        monkeypatch.setattr(sweep_mod, "train_many", recorded)
-        monkeypatch.setattr(sweep_mod, "train", lone_train)
-        monkeypatch.setattr(sweep_mod, "MAX_CELL_ENTRIES", 2 * 4 * 64 + 255)
-        assert run_sweep(config) == cells
-        assert runs == [[derive_seed(3, 2), derive_seed(3, 5)], [derive_seed(3, 8)]]
-
-    def test_gaussian_cells_train_alone(self, monkeypatch):
-        import shapegain.sweep as sweep_mod
-        config = self._config("gaussian")
-        cells = [evaluate_grid_point(config, s, n)[0]
-                 for s in ("ae", "qam") for n in (2, 5)]
-        real = sweep_mod.train
-        runs, seeds = [], []
-
-        def stacked(configs):
-            runs.append(list(configs))
-            raise AssertionError("Gaussian cells trained in a stacked run")
-
-        def lone_train(config):
-            seeds.append(config.seed)
-            return real(config)
-
-        monkeypatch.setattr(sweep_mod, "train_many", stacked)
-        monkeypatch.setattr(sweep_mod, "train", lone_train)
-        assert run_sweep(config) == cells
-        assert runs == []
-        assert seeds == [derive_seed(3, 2), derive_seed(3, 5)]
 
     @staticmethod
     def _break_ae_cell(monkeypatch, n_spans):

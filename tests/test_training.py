@@ -665,6 +665,16 @@ def _example_ae_configs(iterations):
 class TestTrainMany:
     """Cells trained together end exactly where each one trained alone does."""
 
+    @staticmethod
+    def _assert_lone_results(configs, results):
+        for config, (c, hist) in zip(configs, results, strict=True):
+            c_alone, hist_alone = train(config)
+            np.testing.assert_array_equal(c.points, c_alone.points)
+            assert c.metadata == c_alone.metadata
+            np.testing.assert_array_equal(hist.loss, hist_alone.loss)
+            np.testing.assert_array_equal(hist.surrogate_gmi, hist_alone.surrogate_gmi)
+            np.testing.assert_array_equal(hist.grad_norm, hist_alone.grad_norm)
+
     @pytest.mark.parametrize("configs", [
         _example_ae_configs(25),
         [_config(m=2, iterations=20, batch_symbols=64, demapper_mode="mlp",
@@ -674,15 +684,7 @@ class TestTrainMany:
                       (6, LinkTarget(replace(_LINK, n_spans=20), refresh_every=3))]],
     ], ids=["example-ae-cells", "link-mlp"])
     def test_each_cell_equals_its_lone_run(self, configs):
-        together = train_many(configs)
-        assert len(together) == len(configs)
-        for config, (c, hist) in zip(configs, together):
-            c_alone, hist_alone = train(config)
-            np.testing.assert_array_equal(c.points, c_alone.points)
-            assert c.metadata == c_alone.metadata
-            np.testing.assert_array_equal(hist.loss, hist_alone.loss)
-            np.testing.assert_array_equal(hist.surrogate_gmi, hist_alone.surrogate_gmi)
-            np.testing.assert_array_equal(hist.grad_norm, hist_alone.grad_norm)
+        self._assert_lone_results(configs, train_many(configs))
 
     @pytest.mark.parametrize("change", [
         {"m": 3}, {"iterations": 11}, {"batch_symbols": 128}, {"demapper_mode": "mlp"},
@@ -698,6 +700,19 @@ class TestTrainMany:
     def test_no_configs(self):
         assert train_many([]) == []
 
+    @staticmethod
+    def _runs(monkeypatch, configs):
+        """train_many(configs), and the seeds of each _train_run it made."""
+        real = training._train_run
+        runs = []
+
+        def recorded(run_configs):
+            runs.append([c.seed for c in run_configs])
+            return real(run_configs)
+
+        monkeypatch.setattr(training, "_train_run", recorded)
+        return train_many(configs), runs
+
     @pytest.mark.parametrize("configs", [
         [_config(m=4, iterations=20, batch_symbols=256, seed=s, target=SnrTarget(db))
          for s, db in [(0, 9.3), (1, 12.0), (7, 4.0)]],
@@ -705,13 +720,23 @@ class TestTrainMany:
                  target=LinkTarget(_LINK, launch_power=p, refresh_every=6))
          for s, p in [(1, "optimal"), (2, 0.01)]],
     ], ids=["gaussian", "link-gaussian"])
-    def test_stacked_gaussian_cells_rejected(self, configs):
+    def test_gaussian_cells_run_one_per_run(self, monkeypatch, configs):
         # each Gaussian cell picks its own form of the bit metric, so stacking
-        # batches nothing; such cells train alone
-        with pytest.raises(ParameterError, match="train gaussian cells alone"):
-            train_many(configs)
-        c, _ = train_many(configs[:1])[0]
-        assert c.size == 1 << configs[0].m
+        # batches nothing
+        results, runs = self._runs(monkeypatch, configs)
+        assert runs == [[c.seed] for c in configs]
+        self._assert_lone_results(configs, results)
+
+    def test_mlp_cells_beyond_the_budget_train_in_runs(self, monkeypatch):
+        # each cell holds sum(mlp_hidden) * batch_symbols = 4 * 64 entries;
+        # with a budget of two cells three cells train in two runs, in order
+        configs = [_config(m=2, iterations=10, batch_symbols=64, demapper_mode="mlp",
+                           mlp_hidden=(4,), seed=s, target=SnrTarget(db))
+                   for s, db in [(5, 8.0), (2, 12.0), (9, 4.0)]]
+        monkeypatch.setattr(training, "MAX_CELL_ENTRIES", 2 * 4 * 64 + 255)
+        results, runs = self._runs(monkeypatch, configs)
+        assert runs == [[5, 2], [9]]
+        self._assert_lone_results(configs, results)
 
     def test_lone_gaussian_run_has_no_cell_axis(self, monkeypatch):
         # the receiver sees one cell's I/Q rows, samples (2, S) and points (2, M)
