@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, load_json
+from .errors import (DegenerateInputError, ParameterError, check_field_types, check_value,
+                     float_tuple, load_json, reading)
 
 CONSTELLATION_FORMAT_VERSION = 1
 MAX_QAM_M = 10  # the largest order uniform_qam builds
@@ -40,13 +41,12 @@ class Constellation:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
+        check_field_types(self)
+        if self.m < 1:
             raise ParameterError(f"m must be an integer >= 1, got {self.m!r}")
         pts = np.asarray(self.points, dtype=np.complex128)
-        if pts.shape != (2 ** self.m,):
-            raise ParameterError(
-                f"expected {2 ** self.m} points for m={self.m}, got shape {pts.shape}"
-            )
+        if self.m > 62 or pts.shape != (2 ** self.m,):  # no array holds 2^63 points
+            raise ParameterError(f"expected 2^{self.m} points, got shape {pts.shape}")
         object.__setattr__(self, "points", pts)
         with np.errstate(over="ignore"):
             if not np.isfinite(self.average_power()):  # nor then any coordinate
@@ -299,14 +299,25 @@ def constellation_to_dict(c: Constellation) -> dict:
     }
 
 
-def constellation_from_dict(doc: dict) -> Constellation:
-    try:
-        m = int(doc["m"])
-        points = np.array([complex(re, im) for re, im in doc["points"]])
-        metadata = dict(doc.get("metadata") or {})
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"malformed constellation document: {exc}") from exc
-    return Constellation(m, points, metadata)
+def constellation_from_dict(doc) -> Constellation:
+    """The constellation of a document constellation_to_dict wrote;
+    ParameterError unless it has version 1, an integer m, points as [I, Q]
+    pairs of finite numbers, no key but these and metadata, and metadata,
+    if present, is an object (its contents are free-form)."""
+    with reading("constellation document", doc, ("version", "m", "points"), ("metadata",)):
+        check_value("version", "int", doc["version"])
+        if doc["version"] != CONSTELLATION_FORMAT_VERSION:
+            raise ParameterError(
+                f"version must be {CONSTELLATION_FORMAT_VERSION}, got {doc['version']}")
+        pairs = doc["points"]
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise ParameterError("points must be a list of [I, Q] pairs")
+        iq = np.array(float_tuple("points", [x for p in pairs for x in p]))
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ParameterError(f"metadata must be an object, got {type(metadata).__name__}")
+        return Constellation(doc["m"], iq.view(np.complex128), dict(metadata))
 
 
 def save_constellation(c: Constellation, path) -> None:

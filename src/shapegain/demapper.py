@@ -75,14 +75,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .channel import awgn_sample
 from .constellation import Constellation, partition_weights
-from .errors import CapabilityError, NumericalError, ParameterError
+from .errors import (CapabilityError, NumericalError, ParameterError, check_field_types,
+                     float_tuple, reading)
 
 LN2 = math.log(2.0)
 DEFAULT_LLR_CLIP = 50.0
@@ -371,28 +372,27 @@ class GmiReport:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "GmiReport":
-        """Parse a report dict; per-bit values must be finite and in [0, 1]."""
-        try:
-            report = cls(
-                per_bit=np.asarray(doc["per_bit"], dtype=np.float64),
-                total=float(doc["total"]),
-                per_bit_dualpol=np.asarray(doc["per_bit_dualpol"], dtype=np.float64),
-                total_dualpol=float(doc["total_dualpol"]),
-                n_samples=int(doc["n_samples"]),
-                stderr_total=float(doc["stderr_total"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"malformed GMI report: {exc}") from exc
-        per_bit, dual = report.per_bit, report.per_bit_dualpol
-        if per_bit.ndim != 1 or per_bit.size == 0 or dual.shape != (2 * per_bit.size,):
-            raise ParameterError(
-                f"malformed GMI report: per_bit_dualpol must hold twice the "
-                f"{per_bit.size} per_bit values, got shape {dual.shape}")
-        for name, values in (("per_bit", per_bit), ("per_bit_dualpol", dual)):
-            if not np.all((values >= 0.0) & (values <= 1.0)):
+    def from_dict(cls, doc) -> "GmiReport":
+        """The report of a document to_dict wrote; ParameterError unless it has
+        to_dict's keys and no other, n_samples >= 1 is an integer, the totals
+        are finite, stderr_total >= 0, and the per-bit values lie in [0, 1],
+        per_bit_dualpol holding twice as many as per_bit."""
+        with reading("GMI report", doc, [f.name for f in fields(cls)]):
+            arrays = {key: np.array(float_tuple(key, doc[key]))
+                      for key in ("per_bit", "per_bit_dualpol")}
+            report = cls(**{**doc, **arrays})
+            check_field_types(report)
+            per_bit, dual = report.per_bit, report.per_bit_dualpol
+            if per_bit.size == 0 or dual.shape != (2 * per_bit.size,):
                 raise ParameterError(
-                    f"malformed GMI report: {name} values must be finite and in [0, 1]")
+                    f"per_bit_dualpol must hold twice the {per_bit.size} per_bit "
+                    f"values, got shape {dual.shape}")
+            for name, values in (("per_bit", per_bit), ("per_bit_dualpol", dual)):
+                if not np.all((values >= 0.0) & (values <= 1.0)):
+                    raise ParameterError(f"{name} values must lie in [0, 1]")
+            if report.n_samples < 1 or report.stderr_total < 0:
+                raise ParameterError(f"need n_samples >= 1 and stderr_total >= 0, got "
+                                     f"{report.n_samples} and {report.stderr_total}")
         return report
 
 

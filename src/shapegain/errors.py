@@ -5,6 +5,7 @@ numerical failures exit 2, I/O problems (plain OSError) exit 3. The checks
 below turn malformed input files into ParameterError.
 """
 
+import contextlib
 import json
 import math
 import numbers
@@ -86,16 +87,45 @@ def int_tuple(name: str, value) -> tuple:
     return tuple(value)
 
 
+def float_tuple(name: str, value) -> tuple:
+    """A list of finite JSON numbers (int, float) as a tuple of floats, else ParameterError."""
+    if not isinstance(value, (list, tuple)) or not {type(v) for v in value} <= {int, float}:
+        raise ParameterError(f"{name} must be a list of numbers")
+    if not all(map(_is_finite, value)):
+        raise ParameterError(f"{name} must be a list of finite numbers")
+    return tuple(map(float, value))
+
+
+def check_value(name: str, kind: str, value) -> None:
+    """Reject a value of kind "int" that is not an integer, or of kind
+    "float" that is not a finite number; JSON true/false are not numbers."""
+    if kind == "int" and not _is_int(value):
+        raise ParameterError(f"{name} must be an integer, got {type(value).__name__}")
+    if kind == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ParameterError(f"{name} must be a number, got {type(value).__name__}")
+    if kind == "float" and not _is_finite(value):
+        raise ParameterError(f"{name} must be finite, got {value}")
+
+
 def check_field_types(obj) -> None:
-    """Reject dataclass fields annotated "int" or "float" (postponed
-    annotations) holding anything else; JSON true/false are not numbers,
-    and a float field must be finite."""
+    """check_value on each field of a dataclass with postponed annotations,
+    the annotation ("int", "float") naming the kind."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type == "int" and not _is_int(value):
-            raise ParameterError(f"{f.name} must be an integer, got {type(value).__name__}")
-        if f.type == "float" and (isinstance(value, bool)
-                                  or not isinstance(value, numbers.Real)):
-            raise ParameterError(f"{f.name} must be a number, got {type(value).__name__}")
-        if f.type == "float" and not _is_finite(value):
-            raise ParameterError(f"{f.name} must be finite, got {value}")
+        check_value(f.name, f.type, getattr(obj, f.name))
+
+
+@contextlib.contextmanager
+def reading(what: str, doc, keys, optional=()):
+    """Require doc to be an object with every key of keys and no key but
+    these and optional ones; a ParameterError, or an integer too large for
+    a double, raised then or in the block becomes "malformed {what}: ..."."""
+    try:
+        if not isinstance(doc, dict):
+            raise ParameterError(f"expected an object, got {type(doc).__name__}")
+        unknown, missing = set(doc) - set(keys) - set(optional), set(keys) - set(doc)
+        if unknown or missing:
+            raise ParameterError(f"unknown keys {sorted(unknown, key=str)}, "
+                                 f"missing keys {sorted(missing)}")
+        yield
+    except (ParameterError, OverflowError) as exc:
+        raise ParameterError(f"malformed {what}: {exc}") from exc

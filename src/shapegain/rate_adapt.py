@@ -11,13 +11,14 @@ stay those the channel model and demapper assume.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .constellation import check_labels
 from .demapper import GmiReport
-from .errors import FramingError, ParameterError, load_json
+from .errors import (FramingError, ParameterError, check_field_types, check_value, float_tuple,
+                     int_tuple, load_json, reading)
 
 
 def _check_fec_rate(fec_rate: float) -> float:
@@ -37,15 +38,25 @@ def net_rate(m: int, n_d: int, fec_rate: float) -> float:
 
 @dataclass(frozen=True)
 class RateAdaptPlan:
-    """Outcome of dummy-level selection for one constellation/SNR point."""
+    """Outcome of dummy-level selection for one constellation/SNR point;
+    n_d, net_rate and data_gmi are derived from the fields."""
 
     m: int
-    n_d: int
     dummy_positions: frozenset
-    net_rate: float
-    data_gmi: float
     per_pol_data_gmi: tuple
     fec_rate: float
+
+    @property
+    def n_d(self) -> int:
+        return len(self.dummy_positions)
+
+    @property
+    def net_rate(self) -> float:
+        return net_rate(self.m, self.n_d, self.fec_rate)
+
+    @property
+    def data_gmi(self) -> float:
+        return self.per_pol_data_gmi[0] + self.per_pol_data_gmi[1]
 
     @property
     def feasible(self) -> bool:
@@ -71,34 +82,34 @@ class RateAdaptPlan:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RateAdaptPlan":
-        """The plan of a document; ParameterError unless m >= 1 and its n_d
-        distinct dummy_positions lie in [0, 2m)."""
-        try:
-            positions = [int(i) for i in doc["dummy_positions"]]
-            plan = cls(
-                m=int(doc["m"]),
-                n_d=int(doc["n_d"]),
-                dummy_positions=frozenset(positions),
-                net_rate=float(doc["net_rate"]),
-                data_gmi=float(doc["data_gmi"]),
-                per_pol_data_gmi=tuple(float(v) for v in doc["per_pol_data_gmi"]),
-                fec_rate=float(doc["fec_rate"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"malformed rate-adaptation plan: {exc}") from exc
-        m = plan.m
-        if m < 1:
-            problem = f"m must be >= 1, got {m}"
-        elif not all(0 <= i < 2 * m for i in positions):
-            problem = f"dummy_positions must lie in [0, {2 * m}), got {positions}"
-        elif len(plan.dummy_positions) != len(positions):
-            problem = f"dummy_positions repeat a level: {positions}"
-        elif plan.n_d != len(positions):
-            problem = f"n_d is {plan.n_d} but {len(positions)} dummy_positions are given"
-        else:
-            return plan
-        raise ParameterError(f"malformed rate-adaptation plan: {problem}")
+    def from_dict(cls, doc) -> "RateAdaptPlan":
+        """The plan of a document to_dict wrote; ParameterError unless its
+        keys are to_dict's, its fields are well typed and in range, and its
+        n_d, net_rate and data_gmi equal the values derived from them."""
+        with reading("rate-adaptation plan", doc, [f.name for f in fields(cls)] + [*_DERIVED]):
+            positions = int_tuple("dummy_positions", doc["dummy_positions"])
+            plan = cls(doc["m"], frozenset(positions),
+                       float_tuple("per_pol_data_gmi", doc["per_pol_data_gmi"]), doc["fec_rate"])
+            check_field_types(plan)
+            if not all(0 <= i < 2 * plan.m for i in positions):
+                raise ParameterError(
+                    f"dummy_positions must lie in [0, {2 * plan.m}), got {list(positions)}")
+            if plan.n_d != len(positions):
+                raise ParameterError(f"dummy_positions repeat a level: {list(positions)}")
+            if len(plan.per_pol_data_gmi) != 2:
+                raise ParameterError("per_pol_data_gmi must hold one value per polarization")
+            for key, (kind, rule) in _DERIVED.items():  # net_rate checks m and fec_rate
+                value, derived = doc[key], getattr(plan, key)
+                check_value(key, kind, value)
+                if value != derived:
+                    raise ParameterError(f"{key} is {value!r} but {derived!r} {rule}")
+        return plan
+
+
+# the fields of a plan file beyond RateAdaptPlan's own: {key: (kind, how it is derived)}
+_DERIVED = {"n_d": ("int", "dummy_positions are given"),
+            "net_rate": ("float", "is (2m - n_d) * fec_rate"),
+            "data_gmi": ("float", "is the sum of per_pol_data_gmi")}
 
 
 def save_plan(plan: RateAdaptPlan, path) -> None:
@@ -121,17 +132,11 @@ def _build_plan(report: GmiReport, picks_x: list, picks_y: list,
     m = report.m
     dual = report.per_bit_dualpol
     dummy = frozenset(picks_x) | frozenset(m + i for i in picks_y)
-    n_d = len(dummy)
+    # summed over the kept levels directly so the all-dummy plan's data GMI is 0.0 exactly
     data_x = float(sum(dual[i] for i in range(m) if i not in dummy))
     data_y = float(sum(dual[i] for i in range(m, 2 * m) if i not in dummy))
-    return RateAdaptPlan(
-        m=m, n_d=n_d, dummy_positions=dummy,
-        net_rate=net_rate(m, n_d, fec_rate),
-        # summed over the kept levels directly so the all-dummy plan is 0.0 exactly
-        data_gmi=data_x + data_y,
-        per_pol_data_gmi=(data_x, data_y),
-        fec_rate=fec_rate,
-    )
+    return RateAdaptPlan(m=m, dummy_positions=dummy, per_pol_data_gmi=(data_x, data_y),
+                         fec_rate=fec_rate)
 
 
 def select_dummy_bits(report: GmiReport, n_d: int,

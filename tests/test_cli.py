@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from shapegain import (
@@ -249,7 +249,13 @@ class TestExportLutCommand:
     @pytest.mark.parametrize("change", [
         {"n_d": 1, "dummy_positions": [99]},
         {"n_d": 2, "dummy_positions": [3, 3]},
-    ], ids=["out-of-range", "repeated"])
+        {"m": 4.7},
+        {"m": True},
+        {"dummy_positions": [3.9, 7]},
+        {"per_pol_data_gmi": [1.0, 1.0, 5.0]},
+        {"fec_rate": 7.0, "net_rate": -5.0},
+    ], ids=["out-of-range", "repeated", "fractional-m", "boolean-m", "fractional-position",
+            "three-polarizations", "fec-rate-above-1"])
     def test_inconsistent_plan_exits_1_without_a_table(self, tmp_path, capsys, change):
         cpath = tmp_path / "c.json"
         ppath = tmp_path / "plan.json"
@@ -580,14 +586,38 @@ def _json_type(value) -> set:
     return {{str: "str", list: "list", dict: "object", type(None): "null"}[type(value)]}
 
 
+def _wrong_typed(draw, doc, path):
+    """doc with the value at path replaced by a value of another JSON type."""
+    kind = draw(st.sampled_from(sorted(set(_SCALARS) - _json_type(_lookup(doc, path)))))
+    return _replaced(doc, path, draw(_SCALARS[kind]))
+
+
 @st.composite
 def _wrong_type_case(draw):
     """(command index, file flag, document with one value of the wrong JSON type)."""
     index, flag = draw(st.sampled_from(_FILE_ARGS))
     doc = _COMMANDS[index][1][flag]
     path = draw(st.sampled_from(list(_value_paths(doc))))
-    kind = draw(st.sampled_from(sorted(set(_SCALARS) - _json_type(_lookup(doc, path)))))
-    return index, flag, _replaced(doc, path, draw(_SCALARS[kind]))
+    return index, flag, _wrong_typed(draw, doc, path)
+
+
+# the documents the program writes and reads back, which are held to the
+# writer's types and keys; only a constellation's metadata is free-form
+_DOC_ARGS = [(i, flag) for i, flag in _FILE_ARGS
+             if flag in ("--constellation", "--report", "--plan")]
+
+
+def _typed(path) -> bool:
+    return path[:1] != ("metadata",) or len(path) == 1
+
+
+@st.composite
+def _strict_wrong_type_case(draw):
+    """A _wrong_type_case in a read-back document, outside free-form metadata."""
+    index, flag = draw(st.sampled_from(_DOC_ARGS))
+    doc = _COMMANDS[index][1][flag]
+    path = draw(st.sampled_from([p for p in _value_paths(doc) if _typed(p)]))
+    return index, flag, _wrong_typed(draw, doc, path)
 
 
 _FUZZ = settings(max_examples=120, deadline=None,
@@ -631,6 +661,38 @@ def test_wrongly_valued_field_never_escapes_main(tmp_path, capsys, field, value)
     index, flag, path = field
     doc = _replaced(_COMMANDS[index][1][flag], path, value)
     assert _run(tmp_path, index, flag, json.dumps(doc).encode(), capsys) in (0, 1, 2, 3)
+
+
+@_FUZZ
+@given(case=_strict_wrong_type_case())
+def test_wrongly_typed_document_field_exits_1(tmp_path, capsys, case):
+    index, flag, doc = case
+    assert _run(tmp_path, index, flag, json.dumps(doc).encode(), capsys) == 1
+
+
+@_FUZZ
+@given(case=st.sampled_from(_DOC_ARGS),
+       key=st.text(min_size=1, max_size=8).filter(lambda key: not key.startswith("_")),
+       value=st.one_of(*_SCALARS.values()))
+def test_unknown_document_key_exits_1(tmp_path, capsys, case, key, value):
+    index, flag = case
+    doc = _COMMANDS[index][1][flag]
+    assume(key not in doc)
+    assert _run(tmp_path, index, flag, json.dumps({**doc, key: value}).encode(), capsys) == 1
+
+
+_DOC_FLOAT_FIELDS = [(index, flag, path) for index, flag, path in _FLOAT_FIELDS
+                     if (index, flag) in _DOC_ARGS and _typed(path)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", _DOC_FLOAT_FIELDS, ids=[
+    f"{i}:{_COMMANDS[i][0]}{flag}:{'.'.join(map(str, path))}"
+    for i, flag, path in _DOC_FLOAT_FIELDS])
+def test_non_finite_document_number_exits_1(tmp_path, capsys, field, value):
+    index, flag, path = field
+    doc = _replaced(_COMMANDS[index][1][flag], path, value)
+    assert _run(tmp_path, index, flag, json.dumps(doc).encode(), capsys) == 1
 
 
 # ------------------------------------------------------ extreme flag values

@@ -284,11 +284,24 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             constellation_from_dict(doc)
 
-    @pytest.mark.parametrize("key, value", [("m", "x"), ("points", [[10 ** 400, 0]] * 4)])
+    @pytest.mark.parametrize("key, value", [
+        ("m", "x"), ("points", [[10 ** 400, 0]] * 4), ("m", 2.9), ("m", True), ("version", 99),
+        ("version", True), ("metadata", 0), ("points", [[True, False]] * 4),
+        ("points", [[1.0, 0.0, 0.0]] * 4), ("extra", 1), ("m", 20_000)])
     def test_from_dict_unconvertible_value_rejected(self, key, value):
         doc = {**constellation_to_dict(uniform_qam(2)), key: value}
         with pytest.raises(ParameterError):
             constellation_from_dict(doc)
+
+    def test_from_dict_needs_version_but_not_metadata(self):
+        doc = constellation_to_dict(uniform_qam(2))
+        assert constellation_from_dict({k: v for k, v in doc.items() if k != "metadata"}).m == 2
+        with pytest.raises(ParameterError, match=r"missing keys \['version'\]"):
+            constellation_from_dict({k: v for k, v in doc.items() if k != "version"})
+
+    def test_bool_m_rejected(self):
+        with pytest.raises(ParameterError, match="m must be an integer"):
+            Constellation(m=True, points=np.array([1.0, -1.0]))
 
     def test_load_rejects_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -494,6 +494,12 @@ class TestGmiReport:
         with pytest.raises(ParameterError):
             GmiReport.from_dict({"per_bit": [0.5]})
 
+    def test_asymmetric_dual_pol_report_reads_back(self):
+        doc = {**self._report().to_dict(), "per_bit_dualpol": [0.9, 0.5, 0.25, 0.1, 0.2, 0.3]}
+        back = GmiReport.from_dict(doc)
+        assert back.per_bit_dualpol.tolist() == doc["per_bit_dualpol"]
+        assert back.to_dict() == doc
+
     @pytest.mark.parametrize("field, value", [
         ("per_bit_dualpol", [0.9, 0.5, 0.25, 0.9, 0.5]),      # not 2 * m long
         ("per_bit", [0.9, float("nan"), 0.25]),
@@ -502,6 +508,15 @@ class TestGmiReport:
         ("per_bit", [[0.9, 0.5, 0.25]]),
         ("per_bit", ["high", "low", "low"]),
         ("n_samples", float("inf")),
+        ("n_samples", 3.9),
+        ("n_samples", -7),
+        ("total", "1.7"),
+        ("total_dualpol", True),
+        ("total", float("nan")),
+        ("stderr_total", float("inf")),
+        ("stderr_total", -0.1),
+        ("per_bit", [0.9, True, 0.25]),
+        ("extra", 1),
     ])
     def test_inconsistent_values_rejected(self, field, value):
         doc = self._report().to_dict()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapegain import (
     ParameterError,
@@ -170,3 +172,67 @@ class TestParseValidation:
         text = self._valid_text().replace("# table=XY\n", "# table=XY\n\n")
         doc = parse_lut_text(text)
         assert doc.m == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda text, x: text.replace("# m=2", "# m=0_2"),
+        lambda text, x: text.replace("# m=2", "# m=\u0662"),
+        lambda text, x: text.replace(f",{x},", f",{x[:4]}_{x[4:]},", 1),
+        lambda text, x: text.replace(f",{x},", f",+{x},", 1),
+        lambda text, x: text.replace(f",{x},", f",{x}0,", 1),
+    ], ids=["underscored m", "arabic-indic m", "underscored coordinate", "signed coordinate",
+            "trailing zero"])
+    def test_other_spelling_of_a_value_rejected(self, edit):
+        text = self._valid_text()
+        x = text.splitlines()[5].split(",")[1]
+        edited = edit(text, x)
+        assert edited != text
+        with pytest.raises(ParameterError, match="not a shapegain LUT: expected"):
+            parse_lut_text(edited)
+
+    @pytest.mark.parametrize("m", ["1000000000", "-1", "0", "4"])  # 4: 16 rows > 14 lines
+    def test_m_beyond_the_lines_rejected_before_building(self, m):
+        with pytest.raises(ParameterError, match=f"m = {m} does not fit"):
+            parse_lut_text(self._valid_text().replace("# m=2", f"# m={m}"))
+
+    def test_mismatch_names_the_first_differing_line(self):
+        lines = self._valid_text().split("\n")
+        lines[5], lines[6] = lines[6], lines[5]
+        text = "\r\n".join(lines[:5] + ["", "  "] + lines[5:])
+        with pytest.raises(ParameterError, match=f"but line 8 reads {lines[5]!r}"):
+            parse_lut_text(text)
+
+    def test_truncated_and_extended_tables_rejected(self):
+        lines = self._valid_text().strip().split("\n")
+        with pytest.raises(ParameterError, match=f"expected {lines[-1]!r}, but the text ends"):
+            parse_lut_text("\n".join(lines[:-1] + ["", ""]))
+        with pytest.raises(ParameterError, match="expected the end of the table, but line 15"):
+            parse_lut_text("\n".join(lines + [lines[-1]]))
+
+
+def _normalized(text: str) -> list:
+    return [line.strip() for line in text.splitlines() if line.strip()]
+
+
+@st.composite
+def _edited_lut(draw):
+    """A LUT of m = 1..4 with shared or split masks, and one character
+    inserted, deleted or replaced."""
+    m = draw(st.integers(1, 4))
+    mask_x = draw(st.text("01", min_size=m, max_size=m))
+    mask_y = draw(st.sampled_from([mask_x, ("1" if mask_x[0] == "0" else "0") + mask_x[1:]]))
+    text = render_lut(uniform_qam(m), mask_x + mask_y)
+    at = draw(st.integers(0, len(text) - 1))
+    char = draw(st.sampled_from("0123456789.-+e_ ,#=XYm\n\r\t") | st.characters())
+    op = draw(st.sampled_from(["insert", "delete", "replace"]))
+    tail = text[at:] if op == "insert" else text[at + 1:]
+    return text[:at] + ("" if op == "delete" else char) + tail
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=_edited_lut())
+def test_one_character_edit_is_rejected_or_read_exactly(text):
+    try:
+        doc = parse_lut_text(text)
+    except ParameterError:
+        return
+    assert _normalized(render_lut(doc.constellation, doc.dual_pol_mask)) == _normalized(text)

@@ -205,6 +205,17 @@ class TestPlanSerialization:
         ({"n_d": 1, "dummy_positions": [3, 7]}, "n_d is 1 but 2 dummy_positions"),
         ({"m": 0, "n_d": 0, "dummy_positions": []}, "m must be >= 1"),
         ({"m": -3, "n_d": 0, "dummy_positions": []}, "m must be >= 1"),
+        ({"m": 4.7}, "m must be an integer"),
+        ({"m": True}, "m must be an integer"),
+        ({"dummy_positions": [3.9, 7]}, "dummy_positions must be a list of integers"),
+        ({"per_pol_data_gmi": [1.0, 1.0, 5.0]}, "one value per polarization"),
+        ({"fec_rate": 7.0, "net_rate": -5.0}, r"fec_rate must be in \(0, 1\]"),
+        ({"n_d": 2.0}, "n_d must be an integer"),
+        ({"net_rate": 4.0}, r"net_rate is 4.0 but 4.5 is \(2m - n_d\) \* fec_rate"),
+        ({"data_gmi": True}, "data_gmi must be a number"),
+        ({"data_gmi": 4.0}, "data_gmi is 4.0 but 4.5 is the sum of per_pol_data_gmi"),
+        ({"per_pol_data_gmi": [2.25, float("nan")]}, "per_pol_data_gmi must be a list of finite"),
+        ({"comment": "x"}, r"unknown keys \['comment'\]"),
     ])
     def test_inconsistent_plan_rejected(self, tmp_path, change, match):
         doc = select_dummy_bits(_report([0.95, 0.9, 0.4, 0.05]), 2, 0.75).to_dict()
@@ -212,6 +223,12 @@ class TestPlanSerialization:
         path.write_text(json.dumps({**doc, **change}))
         with pytest.raises(ParameterError, match=match):
             load_plan(path)
+
+    def test_derived_values_compare_as_numbers(self):
+        plan = select_dummy_bits(_report([0.5, 0.5]), 0, 1.0)
+        doc = {**plan.to_dict(), "net_rate": 4, "data_gmi": 2}
+        assert (plan.net_rate, plan.data_gmi) == (4.0, 2.0)
+        assert RateAdaptPlan.from_dict(doc) == plan
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "plan.json"
