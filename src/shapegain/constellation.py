@@ -169,7 +169,8 @@ def uniform_qam(m: int) -> Constellation:
     -------
     Constellation
     """
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_QAM_M:
+    check_value("m", "int", m)
+    if not 1 <= m <= MAX_QAM_M:
         raise ParameterError(f"m must be an integer in [1, {MAX_QAM_M}], got {m!r}")
     n_i = (m + 1) // 2
     n_q = m - n_i

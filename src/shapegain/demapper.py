@@ -375,8 +375,9 @@ class GmiReport:
     def from_dict(cls, doc) -> "GmiReport":
         """The report of a document to_dict wrote; ParameterError unless it has
         to_dict's keys and no other, n_samples >= 1 is an integer, the totals
-        are finite, stderr_total >= 0, and the per-bit values lie in [0, 1],
-        per_bit_dualpol holding twice as many as per_bit."""
+        are finite, stderr_total >= 0, the per-bit values lie in [0, 1],
+        per_bit_dualpol holding twice as many as per_bit, and the totals are
+        make_report's: total = sum(per_bit), total_dualpol = 2 * total."""
         with reading("GMI report", doc, [f.name for f in fields(cls)]):
             arrays = {key: np.array(float_tuple(key, doc[key]))
                       for key in ("per_bit", "per_bit_dualpol")}
@@ -393,6 +394,11 @@ class GmiReport:
             if report.n_samples < 1 or report.stderr_total < 0:
                 raise ParameterError(f"need n_samples >= 1 and stderr_total >= 0, got "
                                      f"{report.n_samples} and {report.stderr_total}")
+            total = float(per_bit.sum())
+            for name, want in (("total", total), ("total_dualpol", 2.0 * total)):
+                if getattr(report, name) != want:
+                    raise ParameterError(f"{name} must be {want!r} for these per_bit "
+                                         f"values, got {getattr(report, name)!r}")
         return report
 
 

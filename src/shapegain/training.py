@@ -37,7 +37,7 @@ MAX_CELL_ENTRIES, the budget of one cell; Gaussian cells run one per run,
 because each picks its own form of the bit metric, so stacking batches
 nothing. train() is one run of one config. Only a stacked run (K > 1)
 carries a leading cell axis K on every array: the raw points are
-(K, M, 2), an MLP weight (K, fan_in, fan_out), the received samples
+(K, M, 2), an MLP layer (K, fan_in + 1, fan_out), the received samples
 (K, 2, S), and the LLRs, sigmoids and loss terms (K, m, S);
 noise_variance then holds one value per cell. A lone run has the shapes
 of the public step wrappers, and the loop reaches cell k through
@@ -57,12 +57,16 @@ label signs and the order that groups each label's samples into one run)
 is built once per run. Signals stay real, and every per-sample array of
 the step is C-contiguous with the S samples on its last axis: points and
 received samples are (2, M) and (2, S) I/Q rows, LLRs, label signs,
-sigmoids and loss terms are (m, S), and an MLP layer is (width, S). The
-noise is the standard-normal draw awgn_sample would make, transposed into
-(2, S). The mapper's power is computed once per iteration, right after
-the update, and feeds the next forward pass. forward_loss and backward are
-thin wrappers over the same step functions, so train() and a loop over
-them and the Adam update give identical bits.
+sigmoids and loss terms are (m, S), and an MLP layer's input is
+(fan_in + 1, S), a ones row last that meets the layer's bias row (see
+MlpDemapper). The noise is the standard-normal draw awgn_sample would
+make, transposed into (2, S). The mapper's power is computed once per
+iteration, right after the update, and feeds the next forward pass. The
+LLRs are clipped only
+when one lies beyond the clip (any NaN or +/-inf counts as beyond): else
+llr is llr_raw itself, and backward skips the mask of the clipped entries.
+forward_loss and backward are thin wrappers over the same step functions,
+so train() and a loop over them and the Adam update give identical bits.
 """
 
 from __future__ import annotations
@@ -253,69 +257,78 @@ class MlpDemapper:
     """Fully-connected rectifier network mapping y = (I, Q) to m LLRs.
 
     A receiver as described in the module docstring; the points do not
-    enter it, so its backward() returns gp = None. Its arrays are stacked,
-    weights (K, fan_in, fan_out) and biases (K, fan_out), when its inputs
-    carry the cell axis.
+    enter it, so its backward() returns gp = None. Layer i is one
+    (fan_in + 1, fan_out) array, the weights in its first fan_in rows and
+    the bias in its last. Each layer's input (y, then each rectified hidden
+    layer) is (fan_in + 1, S) with a constant ones row last, so one GEMM
+    gives a layer's output bias included, and in backward the GEMM that
+    gives the weight gradient also gives the bias gradient, the sum of dx
+    over the samples. The layers are stacked, (K, fan_in + 1, fan_out),
+    when the inputs carry the cell axis.
     """
 
-    weights: list
-    biases: list
+    layers: list
     llr_clip: float = 50.0
 
     def arrays(self) -> dict:
-        arrays = {}
-        for i in range(len(self.weights) - 1, -1, -1):
-            arrays[f"mlp.W{i}"] = self.weights[i]
-            arrays[f"mlp.b{i}"] = self.biases[i]
-        return arrays
+        return {f"mlp.layer{i}": self.layers[i] for i in range(len(self.layers) - 1, -1, -1)}
 
     def with_arrays(self, arrays: dict) -> "MlpDemapper":
-        n = len(self.weights)
-        return MlpDemapper(weights=[arrays[f"mlp.W{i}"] for i in range(n)],
-                           biases=[arrays[f"mlp.b{i}"] for i in range(n)],
+        return MlpDemapper(layers=[arrays[f"mlp.layer{i}"] for i in range(len(self.layers))],
                            llr_clip=self.llr_clip)
 
     def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, bits: np.ndarray,
                 noise_variance: float):
-        """Activations and pre-activations are (..., width, S), like y_iq (..., 2, S)."""
-        activations = [y_iq]
-        preacts = []
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            pre = w.swapaxes(-1, -2) @ activations[-1]
-            pre += b[..., None]
-            preacts.append(pre)
-            activations.append(np.maximum(pre, 0.0))
-        llr_raw = self.weights[-1].swapaxes(-1, -2) @ activations[-1]
-        llr_raw += self.biases[-1][..., None]
+        """The cache is the list of layer inputs, (..., fan_in + 1, S) each;
+        the rectifier is applied in place, as h > 0 exactly where its
+        pre-activation is."""
+        lead, samples = y_iq.shape[:-2], y_iq.shape[-1]
+        x = _with_ones_row(y_iq.shape)
+        x[..., :-1, :] = y_iq
+        inputs = [x]
+        for layer in self.layers[:-1]:
+            x = _with_ones_row(lead + (layer.shape[-1], samples))
+            h = x[..., :-1, :]
+            np.matmul(layer.swapaxes(-1, -2), inputs[-1], out=h)
+            np.maximum(h, 0.0, out=h)
+            inputs.append(x)
+        llr_raw = self.layers[-1].swapaxes(-1, -2) @ inputs[-1]
         _ensure_finite("llr", llr_raw)
-        return llr_raw, (activations, preacts)
+        return llr_raw, inputs
 
     def backward(self, dllr: np.ndarray, cache, grads: dict):
-        activations, preacts = cache
         dx = dllr
-        for i in range(len(self.weights) - 1, -1, -1):
-            np.matmul(activations[i], dx.swapaxes(-1, -2), out=grads[f"mlp.W{i}"])
-            np.sum(dx, axis=-1, out=grads[f"mlp.b{i}"])
-            dx = self.weights[i] @ dx
+        for i in range(len(self.layers) - 1, -1, -1):
+            np.matmul(cache[i], dx.swapaxes(-1, -2), out=grads[f"mlp.layer{i}"])
+            dx = self.layers[i][..., :-1, :] @ dx
             if i > 0:
-                dx *= preacts[i - 1] > 0
+                dx *= cache[i][..., :-1, :] > 0
         return dx, None
 
     def kinks(self, cache) -> list:
-        return [pre > 0 for pre in cache[1]]
+        return [x[..., :-1, :] > 0 for x in cache[1:]]
+
+
+def _with_ones_row(shape: tuple) -> np.ndarray:
+    """An array for a layer input of shape (..., n, S) with a ones row
+    appended, (..., n + 1, S); only that last row is initialized."""
+    x = np.empty(shape[:-2] + (shape[-2] + 1, shape[-1]))
+    x[..., -1, :] = 1.0
+    return x
 
 
 def init_mlp(m: int, hidden, rng: np.random.Generator,
              llr_clip: float = 50.0) -> MlpDemapper:
-    """He-initialized rectifier MLP with the given hidden widths."""
+    """He-initialized rectifier MLP with the given hidden widths and zero biases."""
     widths = [2, *[int(w) for w in hidden], m]
-    ws, bs = [], []
+    layers = []
     last = len(widths) - 2
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         gain = 1.0 if i == last else 2.0  # He gain under the rectifier, plain for the linear head
-        ws.append(rng.standard_normal((fan_in, fan_out)) * math.sqrt(gain / fan_in))
-        bs.append(np.zeros(fan_out))
-    return MlpDemapper(weights=ws, biases=bs, llr_clip=llr_clip)
+        layer = np.zeros((fan_in + 1, fan_out))
+        layer[:-1] = rng.standard_normal((fan_in, fan_out)) * math.sqrt(gain / fan_in)
+        layers.append(layer)
+    return MlpDemapper(layers=layers, llr_clip=llr_clip)
 
 
 def init_mapper(config: TrainConfig, rng: np.random.Generator,
@@ -382,6 +395,7 @@ class _Batch:
     labels: np.ndarray   # (S,)
     bits: np.ndarray     # (M, m) bit table
     flip: np.ndarray     # (m, S), 2 b_{k,s} - 1, so that z = flip * L
+    flip_norm: np.ndarray  # (m, S), flip * S ln 2, so that d loss / d L = sigmoid / flip_norm
     order: Union[slice, np.ndarray]  # stable sample order that sorts the labels
 
     @property
@@ -400,8 +414,9 @@ def _make_batch(labels, M: int) -> _Batch:
     # takes no copy
     order = (slice(None) if np.all(labels[:-1] <= labels[1:])
              else np.argsort(labels, kind="stable"))
-    return _Batch(labels=labels, bits=bits,
-                  flip=2.0 * np.take(bits.T, labels, axis=1) - 1.0, order=order)
+    flip = 2.0 * np.take(bits.T, labels, axis=1) - 1.0
+    return _Batch(labels=labels, bits=bits, flip=flip,
+                  flip_norm=flip * (labels.size * LN2), order=order)
 
 
 def _per_label_sum(batch: _Batch, g: np.ndarray, M: int) -> np.ndarray:
@@ -430,7 +445,7 @@ class ForwardState:
     points_iq: np.ndarray
     y_iq: np.ndarray
     llr_raw: np.ndarray  # (m, S)
-    llr: np.ndarray  # (m, S), llr_raw clipped
+    llr: np.ndarray  # (m, S), llr_raw clipped; llr_raw itself when nothing clips
     sigmoid: np.ndarray  # (m, S) sigmoid(z), z = flip * llr
     loss: np.ndarray
     penalties: np.ndarray  # (m, S) loss terms, in bits
@@ -445,7 +460,7 @@ def _ensure_finite(name: str, value) -> None:
 def _mapper_power(raw: np.ndarray) -> list:
     """Mean power of each cell's raw mapper points, which must be finite and
     positive, as Python floats."""
-    powers = (raw ** 2).sum(axis=-1).mean(axis=-1).reshape(-1).tolist()
+    powers = ((raw ** 2).sum(axis=-1).sum(axis=-1) / raw.shape[-2]).reshape(-1).tolist()
     for power in powers:
         if not 0.0 < power < math.inf:
             raise NumericalError(f"mapper power is {power}, points cannot be normalized")
@@ -483,7 +498,8 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     llr_raw, cache = demapper.forward(y, points, batch.bits,
                                       noise_variance if stacked else noise_variance[0])
     clip = demapper.llr_clip
-    llr = _clipped(llr_raw, clip)
+    # NaN and +/-inf fail the test and are clipped
+    llr = llr_raw if -clip <= llr_raw.min() and llr_raw.max() <= clip else _clipped(llr_raw, clip)
     penalties, sigmoid = logistic(batch.flip * llr)  # (..., m, S) each
     loss = penalties.reshape(*penalties.shape[:-2], -1).sum(axis=-1) / batch.size
     _ensure_finite("loss", loss)
@@ -501,10 +517,9 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
     raw = st.raw
     M = raw.shape[-2]
 
-    # d loss / d llr
-    dllr = st.sigmoid / (batch.size * LN2)  # d loss / d z
-    dllr *= batch.flip
-    dllr[st.llr != st.llr_raw] = 0.0  # the clipped entries
+    dllr = st.sigmoid / batch.flip_norm  # d loss / d llr
+    if st.llr is not st.llr_raw:
+        dllr[st.llr != st.llr_raw] = 0.0  # the clipped entries
 
     gy, gp = demapper.backward(dllr, st.cache, grads)
     dp = _per_label_sum(batch, gy, M)  # transmit path: y = points[labels] + noise
@@ -807,7 +822,7 @@ def _train_run(configs: list) -> list:
     refresh = [(k, config.target.refresh_every) for k, config in enumerate(configs)
                if isinstance(config.target, LinkTarget)]
     loss_hist = np.empty((K, first.iterations))
-    norm_hist = np.empty((K, first.iterations))
+    sq_norm_hist = np.empty((K, first.iterations))
     # an overflow leaves an inf or NaN, which the checks of the step (the
     # power check after the update among them) raise, naming the iteration,
     # unwarned
@@ -829,13 +844,14 @@ def _train_run(configs: list) -> list:
             except NumericalError as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
             loss_hist[:, it] = st.loss
-            for k in range(K):
-                norm_hist[k, it] = math.sqrt(float(grad_rows[k] @ grad_rows[k]))
+            sq_norm_hist[:, it] = np.matmul(grad_rows[:, None, :],
+                                            grad_rows[:, :, None]).reshape(K)
         constellations = [
             _emit_constellation(MapperParams(raw=raws[k]), config, noise_variance[k])
             for k, config in enumerate(configs)]
 
     gmi_hist = first.m - loss_hist
+    norm_hist = np.sqrt(sq_norm_hist)
     return [(c, TrainHistory(loss=loss_hist[k], surrogate_gmi=gmi_hist[k],
                              grad_norm=norm_hist[k]))
             for k, c in enumerate(constellations)]

@@ -217,6 +217,20 @@ class TestAdaptCommand:
         assert rc == 1
         assert "per_bit_dualpol" in capsys.readouterr().err
 
+    def test_totals_not_summing_the_per_bit_values_are_parameter_error(
+            self, tmp_path, capsys):
+        cpath = tmp_path / "c.json"
+        main(["qam", "--m", "2", "--out", str(cpath)])
+        rpath = tmp_path / "report.json"
+        rpath.write_text(json.dumps(
+            {"per_bit": [0.9, 0.6], "total": 1.99, "per_bit_dualpol": [0.9, 0.6, 0.9, 0.6],
+             "total_dualpol": 0.01, "n_samples": 4000, "stderr_total": 0.01}))
+        capsys.readouterr()
+        rc = main(["adapt", "--constellation", str(cpath), "--report", str(rpath), "--best"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "total" in err, err
+
     def test_mismatched_m_rejected(self, tmp_path, capsys):
         _, rpath = self._eval_report(tmp_path, capsys)
         other = tmp_path / "c8.json"

@@ -119,6 +119,11 @@ class TestUniformQam:
         with pytest.raises(ParameterError):
             uniform_qam(m)
 
+    @pytest.mark.parametrize("m", [True, False, 4.0])
+    def test_non_integer_m_rejected(self, m):
+        with pytest.raises(ParameterError, match="m must be an integer"):
+            uniform_qam(m)
+
 
 class TestNormalizeAndMoments:
     def test_normalize_scales(self):

@@ -517,6 +517,8 @@ class TestGmiReport:
         ("stderr_total", -0.1),
         ("per_bit", [0.9, True, 0.25]),
         ("extra", 1),
+        ("total", 1.6),                                        # not sum(per_bit)
+        ("total_dualpol", 3.29),                               # not 2 * total
     ])
     def test_inconsistent_values_rejected(self, field, value):
         doc = self._report().to_dict()

@@ -302,6 +302,31 @@ class TestRunSweep:
                   detail_sink=lambda s, n, row, rep, c: cells.append((s, n)))
         assert sorted(cells) == [("ae", 2), ("ae", 5), ("qam", 2), ("qam", 5)]
 
+    def test_example_csv_at_smoke_scale_is_pinned(self):
+        # the shipped example with training and evaluation cut short; a change
+        # that keeps the program's outputs must leave these bytes as they are
+        config = load_run_config(REPO_CONFIG)
+        config = replace(config, train=replace(config.train, iterations=300),
+                         eval=replace(config.eval, n_samples=20000))
+        assert rows_to_csv(run_sweep(config)) == _SMOKE_CSV
+
+
+_SMOKE_CSV = """\
+scheme,n_spans,distance_km,launch_power,snr_eff_db,n_d,data_gmi,net_rate,feasible
+ae,4,400,0.207165,9.25382,2,5.10058,4.5,true
+ae,8,800,0.203164,6.15882,4,3.13599,3,true
+ae,12,1200,0.20408,4.41744,8,0,0,true
+ae,16,1600,0.208269,3.25629,8,0,0,true
+ae,20,2000,0.202651,2.16843,8,0,0,true
+ae,24,2400,0.210478,1.5412,8,0,0,true
+qam,4,400,0.206739,9.24487,1,5.31559,5.25,true
+qam,8,800,0.203169,6.15893,4,1.59798,1.5,true
+qam,12,1200,0.206739,4.47366,8,0,0,true
+qam,16,1600,0.206739,3.22427,8,0,0,true
+qam,20,2000,0.206739,2.25517,8,0,0,true
+qam,24,2400,0.206739,1.46336,8,0,0,true
+"""
+
 
 class TestStackedTraining:
     """run_sweep trains the ae cells in one train_many call, which sizes its

@@ -20,6 +20,7 @@ from shapegain import (
     llr_exact,
     uniform_qam,
 )
+from shapegain.demapper import _clipped
 from shapegain.training import (
     AdamHyper,
     GaussianDemapper,
@@ -274,10 +275,11 @@ class TestSamplesLastLayout:
                 "sigmoid": (st.sigmoid, m), "penalties": (st.penalties, m),
                 "flip": (st.batch.flip, m), "gy": (gy, 2)}
         if mode == "mlp":
-            activations, preacts = st.cache
-            for i, width in enumerate(cfg.mlp_hidden):
-                rows[f"activation {i + 1}"] = (activations[i + 1], width)
-                rows[f"pre-activation {i}"] = (preacts[i], width)
+            # each layer input carries a ones row below its fan_in rows
+            for i, fan_in in enumerate((2, *cfg.mlp_hidden)):
+                rows[f"layer input {i}"] = (st.cache[i], fan_in + 1)
+                np.testing.assert_array_equal(st.cache[i][-1], 1.0)
+            np.testing.assert_array_equal(st.cache[0][:-1], st.y_iq)
             assert gp is None
         else:
             (p, z, *_), *_ = st.cache
@@ -350,8 +352,9 @@ class TestGradients:
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
 
     def test_mlp_bias_gradient_is_the_sample_sum(self):
-        # each bias gradient is the sum of dx over the samples, its last axis;
-        # the two agree to the rounding of an S-term sum
+        # each bias gradient, the last row of its layer's gradient, is the sum
+        # of dx over the samples, its last axis; the two agree to the rounding
+        # of an S-term sum
         rng = np.random.default_rng(7)
         S, m = 1024, 4
         mlp = init_mlp(m, (16, 8), rng)
@@ -361,12 +364,51 @@ class TestGradients:
         grads = {k: np.empty_like(v) for k, v in mlp.arrays().items()}
         mlp.backward(dllr.copy(), cache, grads)
         dx = dllr
-        for i in range(len(mlp.weights) - 1, -1, -1):
+        for i in range(len(mlp.layers) - 1, -1, -1):
             bound = S * np.finfo(float).eps * np.abs(dx).max()
-            assert np.abs(grads[f"mlp.b{i}"] - dx.sum(axis=1)).max() <= bound
-            dx = mlp.weights[i] @ dx
+            assert np.abs(grads[f"mlp.layer{i}"][-1] - dx.sum(axis=1)).max() <= bound
+            dx = mlp.layers[i][:-1] @ dx
             if i > 0:
-                dx = dx * (cache[1][i - 1] > 0)
+                dx = dx * (cache[i][:-1] > 0)
+
+    @pytest.mark.parametrize("mode", ["gaussian", "mlp"])
+    def test_unclipped_batch_skips_the_clip_with_the_same_bits(self, mode):
+        m, S = 3, 128
+        cfg = _config(m=m, batch_symbols=S, demapper_mode=mode, mlp_hidden=(8,))
+        rng = np.random.default_rng(17)
+        params = init_mapper(cfg, rng)
+        demapper = init_mlp(m, (8,), rng) if mode == "mlp" else GaussianDemapper()
+        noise = awgn_sample(rng, np.zeros(S), 0.2)
+        _, st = forward_loss(params, demapper, _balanced_labels(m, S), noise, 0.2)
+        clipped = _clipped(st.llr_raw, st.llr_clip)
+        assert st.llr is st.llr_raw
+        np.testing.assert_array_equal(st.llr, clipped)
+        # the state the unconditional clip gives takes backward's masked path
+        masked = backward(params, demapper, replace(st, llr=clipped))
+        for name, g in backward(params, demapper, st).items():
+            np.testing.assert_array_equal(g, masked[name], err_msg=name)
+
+    def test_mlp_llrs_past_the_clip_get_zero_gradient(self):
+        m, S = 2, 64
+        cfg = _config(m=m, batch_symbols=S, demapper_mode="mlp", mlp_hidden=(8,))
+        rng = np.random.default_rng(18)
+        params = init_mapper(cfg, rng)
+        mlp = init_mlp(m, (8,), rng, llr_clip=5.0)
+        mlp.layers[-1] *= 40.0  # some LLRs beyond the clip, others not
+        noise = awgn_sample(rng, np.zeros(S), 0.5)
+        _, st = forward_loss(params, mlp, _balanced_labels(m, S), noise, 0.5)
+        beyond = np.abs(st.llr_raw) > st.llr_clip
+        assert beyond.any() and not beyond.all()
+        seen = []
+        real = mlp.backward
+
+        def spy(dllr, cache, grads):
+            seen.append(dllr.copy())
+            return real(dllr, cache, grads)
+
+        mlp.backward = spy
+        backward(params, mlp, st)
+        np.testing.assert_array_equal(seen[0] == 0.0, beyond)
 
     def test_checker_is_exact_on_quadratic_toy(self):
         # central differences have no error on quadratics, so any residual
@@ -758,7 +800,7 @@ class TestTrainNumericalErrors:
 
         def huge_mlp(*args, **kwargs):
             mlp = real_init(*args, **kwargs)
-            mlp.weights = [np.full_like(w, 1e300) for w in mlp.weights]
+            mlp.layers = [np.full_like(w, 1e300) for w in mlp.layers]
             return mlp
 
         monkeypatch.setattr(training, "init_mlp", huge_mlp)
