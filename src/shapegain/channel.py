@@ -200,6 +200,7 @@ def awgn_sample(rng: np.random.Generator, x, noise_variance: float):
         raise ParameterError(f"noise_variance must be >= 0, got {noise_variance}")
     arr = np.asarray(x, dtype=np.complex128)
     draws = rng.standard_normal((*arr.shape, 2))
-    noise = math.sqrt(noise_variance / 2.0) * (draws[..., 0] + 1j * draws[..., 1])
-    out = arr + noise
+    draws *= math.sqrt(noise_variance / 2.0)
+    out = draws.view(np.complex128)[..., 0]  # the (I, Q) pairs as complex noise
+    out += arr
     return complex(out) if np.ndim(x) == 0 else out

@@ -31,7 +31,10 @@ on l (M, S), the log-likelihoods ln p(y_s | x_j) up to a constant per
 sample. With P = exp(l - column max) (or its floored form, below) and the
 bit table B (M x m), both partition sums of every bit level are one
 product, [Z0; Z1] = [1 - B | B]^T @ P (2m x S), and L = ln Z0 - ln Z1 (m x S).
-llr_exact hands its callers the transpose, (S, m).
+The product is taken as the transpose of P^T @ [1 - B | B], which fixes its
+rounding, and copied once into C order, so that the log, the difference and
+the gradient's division all run along contiguous rows. llr_exact hands its
+callers the transpose of L, (S, m).
 
 numpy's exp is fast only for arguments from -707 up: below, through the
 subnormal results down to -745, it takes 20-190 times as long per element,
@@ -50,7 +53,9 @@ exceeds 700, and any clip up to MAX_LLR_CLIP = 700 maps both to the same
 a normal double, and its dropped entries, each below e^-700, sum to at most
 (M/2) e^-700 of it, a relative error of at most (M/2) e^-64 < 6e-24 for
 m <= 16: unclipped LLRs keep full precision. The shift cancels in the
-gradient's ratios P / Z.
+gradient's ratios P / Z. Only a floored block can take the log of 0, so
+only its log runs with the divide-by-zero warning off: unfloored, every
+partition is at least e^-700.
 
 gmi_oracle_quadrature drops the product nodes of weight w_i w_j / pi below
 1e-21. Of the default 48 x 48 grid it keeps 1224 of 2304 nodes, and the
@@ -117,6 +122,13 @@ def check_llr_clip(llr_clip: float) -> None:
             f"llr_clip must be in (0, {MAX_LLR_CLIP:g}], got {llr_clip}")
 
 
+def _log2_1p(e: np.ndarray, out=None) -> np.ndarray:
+    """log2(1 + e) elementwise, as log1p(e) / ln 2; out may be e."""
+    out = np.log1p(e, out=out)
+    out /= LN2
+    return out
+
+
 def logistic(z: np.ndarray):
     """(log2(1 + exp(z)), 1 / (1 + exp(-z))) elementwise, from one exp.
 
@@ -124,8 +136,7 @@ def logistic(z: np.ndarray):
     exp(z) overflows. See the module docstring for the two formulas.
     """
     e = np.exp(z)
-    softplus = np.log1p(e)
-    softplus /= LN2
+    softplus = _log2_1p(e)
     sigmoid = e + 1.0
     np.divide(e, sigmoid, out=sigmoid)
     return softplus, sigmoid
@@ -227,11 +238,16 @@ def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
     w = partition_weights(m)
     # z = w.T @ p, computed as the transpose of p.T @ w; with p free of
     # subnormals neither orientation is faster throughout (M, S from
-    # (4, 16384) to (256, 256)), and this one fixes the training's rounding
-    z = _matmul(p.T, w).T
-    with np.errstate(divide="ignore"):
+    # (4, 16384) to (256, 256)), and this one fixes the training's rounding.
+    # One copy of the (S, 2m) product into C order serves the log, the LLR
+    # difference and the gradient's division, which all run along rows.
+    z = np.ascontiguousarray(_matmul(p.T, w).T)
+    if floored:  # a partition whose entries were all dropped is 0
+        with np.errstate(divide="ignore"):
+            logz = np.log(z)
+    else:  # every partition is at least e^-700
         logz = np.log(z)
-    return np.subtract(logz[:m], logz[m:], order="C"), (p, z, w, floored)
+    return logz[:m] - logz[m:], (p, z, w, floored)
 
 
 def gaussian_bit_metric_grad(dllr: np.ndarray, cache) -> np.ndarray:
@@ -283,10 +299,12 @@ class GaussianDemapper:
                 noise_variance: float):
         """(llr_raw (m, S), cache) for I/Q rows y_iq (2, S) against points_iq (2, M)."""
         llr_raw, metric = gaussian_bit_metric(y_iq, points_iq, bits, noise_variance)
-        # +/-inf marks an underflowed partition and clips exactly; NaN does not
+        return llr_raw, (metric, y_iq, points_iq, noise_variance)
+
+    def check_llr(self, llr_raw: np.ndarray) -> None:
+        """+/-inf marks an underflowed partition and clips exactly; NaN does not."""
         if np.isnan(llr_raw).any():
             raise NumericalError("NaN values in llr")
-        return llr_raw, (metric, y_iq, points_iq, noise_variance)
 
     def backward(self, dllr: np.ndarray, cache, grads: dict):
         """(d loss / d y_iq (2, S), d loss / d points_iq (2, M) through the receiver).
@@ -420,9 +438,11 @@ def make_report(per_bit: np.ndarray, n_samples: int, stderr_total: float) -> Gmi
 def _bit_penalties(y, c, labels, noise_variance, llr_clip):
     """log2(1 + exp(-(1-2b) L)) per bit level and sample, shape (m, S)."""
     llr = llr_exact(y, c, noise_variance, llr_clip).T  # a C-contiguous view
-    flip = 2.0 * np.take(c.bits().T, labels, axis=1) - 1.0
-    flip *= llr
-    return logistic(flip)[0]
+    z = 2.0 * np.take(c.bits().T, labels, axis=1) - 1.0
+    z *= llr
+    # the softplus of logistic, without the sigmoid, in place
+    np.exp(z, out=z)
+    return _log2_1p(z, out=z)
 
 
 def per_bit_gmi_from_samples(c: Constellation, labels: np.ndarray, y: np.ndarray,

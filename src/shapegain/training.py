@@ -13,15 +13,18 @@ power is enforced inside the forward pass (differentiable normalization),
 never by projection. Everything is plain numpy; gradients are derived by
 hand and guarded by finite-difference checks.
 
-A receiver is one object with five methods; GaussianDemapper (the exact
+A receiver is one object with six methods; GaussianDemapper (the exact
 bit metric) and MlpDemapper (a small rectifier network) implement them, and
 training never asks which one it holds:
 
     arrays()             named trainable arrays, in backward order
     with_arrays(arrays)  the same receiver rebuilt from such arrays
     forward(y_iq, points_iq, bits, noise_variance) -> (llr_raw, cache)
-                         y_iq (2, S), points_iq (2, M) and llr_raw (m, S),
-                         after the receiver's own check of llr_raw
+                         y_iq (2, S), points_iq (2, M) and llr_raw (m, S)
+    check_llr(llr_raw)   raises NumericalError on LLRs the loss cannot
+                         take: NaN, and for the MLP +/-inf too; called
+                         only when some LLR lies beyond the clip, since
+                         otherwise every LLR is finite
     backward(dllr, cache, grads) -> (gy, gp)
                          writes its parameter gradients into grads;
                          dllr (m, S); gy = d loss / d y_iq (2, S),
@@ -62,9 +65,9 @@ sigmoids and loss terms are (m, S), and an MLP layer's input is
 MlpDemapper). The noise is the standard-normal draw awgn_sample would
 make, transposed into (2, S). The mapper's power is computed once per
 iteration, right after the update, and feeds the next forward pass. The
-LLRs are clipped only
-when one lies beyond the clip (any NaN or +/-inf counts as beyond): else
-llr is llr_raw itself, and backward skips the mask of the clipped entries.
+LLRs are checked and clipped only when one lies beyond the clip (any NaN
+or +/-inf counts as beyond): else every LLR is finite, llr is llr_raw
+itself, and backward skips the mask of the clipped entries.
 forward_loss and backward are thin wrappers over the same step functions,
 so train() and a loop over them and the Adam update give identical bits.
 """
@@ -293,8 +296,10 @@ class MlpDemapper:
             np.maximum(h, 0.0, out=h)
             inputs.append(x)
         llr_raw = self.layers[-1].swapaxes(-1, -2) @ inputs[-1]
-        _ensure_finite("llr", llr_raw)
         return llr_raw, inputs
+
+    def check_llr(self, llr_raw: np.ndarray) -> None:
+        _ensure_finite("llr", llr_raw)
 
     def backward(self, dllr: np.ndarray, cache, grads: dict):
         dx = dllr
@@ -467,8 +472,11 @@ def _mapper_power(raw: np.ndarray) -> list:
     return powers
 
 
-def _per_cell(values: list, like: np.ndarray) -> np.ndarray:
-    """One float per cell as an operand that scales each cell of like."""
+def _per_cell(values: list, like: np.ndarray):
+    """One float per cell as an operand that scales each cell of like: the
+    Python float itself for a lone cell."""
+    if len(values) == 1:
+        return values[0]
     return np.array(values).reshape((-1,) + (1,) * (like.ndim - 1))
 
 
@@ -498,8 +506,11 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     llr_raw, cache = demapper.forward(y, points, batch.bits,
                                       noise_variance if stacked else noise_variance[0])
     clip = demapper.llr_clip
-    # NaN and +/-inf fail the test and are clipped
-    llr = llr_raw if -clip <= llr_raw.min() and llr_raw.max() <= clip else _clipped(llr_raw, clip)
+    if -clip <= llr_raw.min() and llr_raw.max() <= clip:  # so every LLR is finite
+        llr = llr_raw
+    else:  # NaN and +/-inf fail the test, and the receiver rules on them
+        demapper.check_llr(llr_raw)
+        llr = _clipped(llr_raw, clip)
     penalties, sigmoid = logistic(batch.flip * llr)  # (..., m, S) each
     loss = penalties.reshape(*penalties.shape[:-2], -1).sum(axis=-1) / batch.size
     _ensure_finite("loss", loss)

@@ -519,7 +519,11 @@ class TestGmiReport:
         ("extra", 1),
         ("total", 1.6),                                        # not sum(per_bit)
         ("total_dualpol", 3.29),                               # not 2 * total
-    ])
+    ], ids=[  # the ids pytest generated before they were pinned; a new case gets its own
+        "per_bit_dualpol-value0", "per_bit-value1", "per_bit_dualpol-value2", "per_bit-value3",
+        "per_bit-value4", "per_bit-value5", "n_samples-inf", "n_samples-3.9", "n_samples--7",
+        "total-1.7", "total_dualpol-True", "total-nan", "stderr_total-inf",
+        "stderr_total--0.1", "per_bit-value14", "extra-1", "total-1.6", "total_dualpol-3.29"])
     def test_inconsistent_values_rejected(self, field, value):
         doc = self._report().to_dict()
         doc[field] = value

@@ -212,6 +212,27 @@ class TestForwardLoss:
         with pytest.raises(ParameterError, match=r"labels must be integers in \[0, 4\)"):
             forward_loss(params, GaussianDemapper(), labels, noise, nv)
 
+    def test_nan_gaussian_llr_raises_numerical_error(self):
+        # every sample lies 0.14 off its point, and each squared distance
+        # over a subnormal noise variance overflows: a sample's
+        # log-likelihoods are all -inf and its LLRs NaN
+        params, labels, _, _ = self._setup(m=2, batch=64)
+        noise = np.full(64, 0.1 + 0.1j)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=r"^NaN values in llr$"):
+            forward_loss(params, GaussianDemapper(), labels, noise, 1e-320)
+
+    def test_underflowed_gaussian_llr_clips_without_raising(self):
+        # on the points themselves only the own point's distance stays
+        # finite: the other partition of every level is 0, its LLR +/-inf
+        params, labels, _, _ = self._setup(m=2, batch=64)
+        with np.errstate(over="ignore"):
+            loss, st = forward_loss(params, GaussianDemapper(), labels,
+                                    np.zeros(64, complex), 1e-320)
+        assert np.isinf(st.llr_raw).all()
+        np.testing.assert_array_equal(st.llr, np.sign(st.llr_raw) * st.llr_clip)
+        assert 0.0 <= loss < 1e-12
+
     def test_nan_parameters_raise_numerical_error(self):
         params, labels, noise, nv = self._setup(m=2, batch=64)
         bad = MapperParams(raw=params.raw.copy())
@@ -284,7 +305,7 @@ class TestSamplesLastLayout:
         else:
             (p, z, *_), *_ = st.cache
             rows["loglik"] = (p, 1 << m)
-            assert z.shape == (2 * m, S)
+            rows["partitions"] = (z, 2 * m)
             assert gp.shape == (2, 1 << m)
         for name, (a, n) in rows.items():
             assert a.shape == (n, S), name
@@ -807,6 +828,25 @@ class TestTrainNumericalErrors:
         cfg = _config(m=2, iterations=3, demapper_mode="mlp", mlp_hidden=(4,))
         with pytest.raises(NumericalError, match=r"^iteration 0: non-finite values in llr"):
             train(cfg)
+
+    def test_nan_gaussian_llr_names_the_iteration(self, monkeypatch):
+        # a subnormal noise variance, with noise draws scaled up so that each
+        # sample lies off every point: all squared distances over the
+        # variance overflow, and every LLR is NaN
+        real_rng = np.random.default_rng
+
+        class FarNoise:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def standard_normal(self, shape):
+                draws = self._rng.standard_normal(shape)
+                return draws * 1e160 if shape == (64, 2) else draws  # the noise
+
+        monkeypatch.setattr(np.random, "default_rng", FarNoise)
+        monkeypatch.setattr(SnrTarget, "resolve", lambda self, c: 1e-320)
+        with pytest.raises(NumericalError, match=r"^iteration 0: NaN values in llr$"):
+            train(_config(m=2, iterations=3, batch_symbols=64))
 
     def test_mapper_overflow_names_the_iteration(self, monkeypatch):
         real_init = training.init_mapper
