@@ -62,7 +62,6 @@ from .training import (
     GaussianDemapper,
     SnrTarget,
     TrainConfig,
-    gradient_check,
     init_mapper,
     init_mlp,
     train,

@@ -31,10 +31,9 @@ on l (M, S), the log-likelihoods ln p(y_s | x_j) up to a constant per
 sample. With P = exp(l - column max) (or its floored form, below) and the
 bit table B (M x m), both partition sums of every bit level are one
 product, [Z0; Z1] = [1 - B | B]^T @ P (2m x S), and L = ln Z0 - ln Z1 (m x S).
-The product is taken as the transpose of P^T @ [1 - B | B], which fixes its
-rounding, and copied once into C order, so that the log, the difference and
-the gradient's division all run along contiguous rows. llr_exact hands its
-callers the transpose of L, (S, m).
+The product is C-ordered, so the log, the difference and the gradient's
+division all run along contiguous rows. llr_exact hands its callers the
+transpose of L, (S, m).
 
 numpy's exp is fast only for arguments from -707 up: below, through the
 subnormal results down to -745, it takes 20-190 times as long per element,
@@ -236,12 +235,7 @@ def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
         p *= keep
     m = bits.shape[1]
     w = partition_weights(m)
-    # z = w.T @ p, computed as the transpose of p.T @ w; with p free of
-    # subnormals neither orientation is faster throughout (M, S from
-    # (4, 16384) to (256, 256)), and this one fixes the training's rounding.
-    # One copy of the (S, 2m) product into C order serves the log, the LLR
-    # difference and the gradient's division, which all run along rows.
-    z = np.ascontiguousarray(_matmul(p.T, w).T)
+    z = _matmul(w.T, p)
     if floored:  # a partition whose entries were all dropped is 0
         with np.errstate(divide="ignore"):
             logz = np.log(z)
@@ -326,9 +320,6 @@ class GaussianDemapper:
         gp *= f
         return gy, gp
 
-    def kinks(self, cache) -> list:
-        return []
-
 
 def _clipped(llr: np.ndarray, llr_clip: float) -> np.ndarray:
     """llr clipped to +/- llr_clip into a new array; NaN stays NaN."""
@@ -393,22 +384,21 @@ class GmiReport:
     def from_dict(cls, doc) -> "GmiReport":
         """The report of a document to_dict wrote; ParameterError unless it has
         to_dict's keys and no other, n_samples >= 1 is an integer, the totals
-        are finite, stderr_total >= 0, the per-bit values lie in [0, 1],
-        per_bit_dualpol holding twice as many as per_bit, and the totals are
-        make_report's: total = sum(per_bit), total_dualpol = 2 * total."""
+        are finite, stderr_total >= 0, the per-bit values lie in [0, 1], and
+        the derived fields are make_report's: per_bit_dualpol is per_bit
+        twice, total = sum(per_bit) and total_dualpol = 2 * total."""
         with reading("GMI report", doc, [f.name for f in fields(cls)]):
             arrays = {key: np.array(float_tuple(key, doc[key]))
                       for key in ("per_bit", "per_bit_dualpol")}
             report = cls(**{**doc, **arrays})
             check_field_types(report)
             per_bit, dual = report.per_bit, report.per_bit_dualpol
-            if per_bit.size == 0 or dual.shape != (2 * per_bit.size,):
+            if not np.all((per_bit >= 0.0) & (per_bit <= 1.0)):
+                raise ParameterError("per_bit values must lie in [0, 1]")
+            if per_bit.size == 0 or not np.array_equal(dual, np.concatenate([per_bit, per_bit])):
                 raise ParameterError(
-                    f"per_bit_dualpol must hold twice the {per_bit.size} per_bit "
-                    f"values, got shape {dual.shape}")
-            for name, values in (("per_bit", per_bit), ("per_bit_dualpol", dual)):
-                if not np.all((values >= 0.0) & (values <= 1.0)):
-                    raise ParameterError(f"{name} values must lie in [0, 1]")
+                    f"per_bit_dualpol must be the {per_bit.size} per_bit values twice, "
+                    f"got {dual.tolist()}")
             if report.n_samples < 1 or report.stderr_total < 0:
                 raise ParameterError(f"need n_samples >= 1 and stderr_total >= 0, got "
                                      f"{report.n_samples} and {report.stderr_total}")

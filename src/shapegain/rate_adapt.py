@@ -169,19 +169,14 @@ def select_dummy_bits(report: GmiReport, n_d: int,
 def best_plan(report: GmiReport, fec_rate: float) -> RateAdaptPlan:
     """Feasible plan with the largest net rate.
 
-    Feasibility means data_gmi >= net_rate. All n_d in [0, 2m] are tried
-    (feasibility need not be monotone in n_d); if nothing qualifies the
-    all-dummy plan is returned, which is feasible at net rate zero.
+    Feasibility means data_gmi >= net_rate. The net rate
+    (2m - n_d) * fec_rate falls strictly with n_d, so the first feasible
+    plan in n_d order is the one; feasibility need not be monotone in n_d,
+    so the plans are tried in that order rather than bisected. The
+    all-dummy plan, n_d = 2m, is always feasible: data_gmi 0 >= net rate 0.
     """
-    _check_fec_rate(fec_rate)
-    best = None
-    for n_d in range(2 * report.m + 1):
-        plan = select_dummy_bits(report, n_d, fec_rate)
-        if plan.feasible and (best is None or plan.net_rate > best.net_rate):
-            best = plan
-    if best is None:
-        best = select_dummy_bits(report, 2 * report.m, fec_rate)
-    return best
+    plans = (select_dummy_bits(report, n_d, fec_rate) for n_d in range(2 * report.m + 1))
+    return next(plan for plan in plans if plan.feasible)
 
 
 def _labels_from_bits(bits: np.ndarray) -> np.ndarray:

@@ -11,9 +11,9 @@ z = -(1 - 2 b) L, come from the one kernel demapper.logistic, which the
 forward pass calls once; backward reuses the cached sigmoid. Unit average
 power is enforced inside the forward pass (differentiable normalization),
 never by projection. Everything is plain numpy; gradients are derived by
-hand and guarded by finite-difference checks.
+hand and guarded by finite-difference checks (tests/stepcheck.py).
 
-A receiver is one object with six methods; GaussianDemapper (the exact
+A receiver is one object with five methods; GaussianDemapper (the exact
 bit metric) and MlpDemapper (a small rectifier network) implement them, and
 training never asks which one it holds:
 
@@ -30,8 +30,6 @@ training never asks which one it holds:
                          dllr (m, S); gy = d loss / d y_iq (2, S),
                          gp = d loss / d points_iq (2, M) through the
                          receiver, or None
-    kinks(cache)         the activation pattern (boolean arrays) that a
-                         finite-difference probe must not straddle
 
 train_many() trains cells whose configs differ only in seed and target,
 and sizes its own runs: MLP cells stack, in config order, as many per run
@@ -42,12 +40,11 @@ nothing. train() is one run of one config. Only a stacked run (K > 1)
 carries a leading cell axis K on every array: the raw points are
 (K, M, 2), an MLP layer (K, fan_in + 1, fan_out), the received samples
 (K, 2, S), and the LLRs, sigmoids and loss terms (K, m, S);
-noise_variance then holds one value per cell. A lone run has the shapes
-of the public step wrappers, and the loop reaches cell k through
-reshape(K, ...) views. Cell k draws from its own default_rng(seed) in the
-order a lone run would, and its per-cell scalars (power, scale, noise
-variance) stay Python floats, so it ends bit for bit where train() of its
-config ends.
+noise_variance then holds one value per cell. A lone run has no cell
+axis, and the loop reaches cell k through reshape(K, ...) views. Cell k
+draws from its own default_rng(seed) in the order a lone run would, and
+its per-cell scalars (power, scale, noise variance) stay Python floats,
+so it ends bit for bit where train() of its config ends.
 
 The loop keeps every trainable array (the mapper's raw points, then the
 receiver's) as a named view into one float64 parameter array, (n,) or
@@ -68,15 +65,13 @@ iteration, right after the update, and feeds the next forward pass. The
 LLRs are checked and clipped only when one lies beyond the clip (any NaN
 or +/-inf counts as beyond): else every LLR is finite, llr is llr_raw
 itself, and backward skips the mask of the clipped entries.
-forward_loss and backward are thin wrappers over the same step functions,
-so train() and a loop over them and the Adam update give identical bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -310,9 +305,6 @@ class MlpDemapper:
                 dx *= cache[i][..., :-1, :] > 0
         return dx, None
 
-    def kinks(self, cache) -> list:
-        return [x[..., :-1, :] > 0 for x in cache[1:]]
-
 
 def _with_ones_row(shape: tuple) -> np.ndarray:
     """An array for a layer input of shape (..., n, S) with a ones row
@@ -435,7 +427,7 @@ def _per_label_sum(batch: _Batch, g: np.ndarray, M: int) -> np.ndarray:
 
 @dataclass
 class ForwardState:
-    """Everything backward() needs, cached by forward_loss.
+    """Everything backward() needs, cached by _forward.
 
     Signals are real: points_iq (2, M) and y_iq (2, S) hold I and Q in
     their rows, and every per-sample array has the samples on its last
@@ -444,7 +436,6 @@ class ForwardState:
     """
 
     batch: _Batch
-    llr_clip: float
     raw: np.ndarray
     scale: list
     points_iq: np.ndarray
@@ -515,7 +506,7 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     loss = penalties.reshape(*penalties.shape[:-2], -1).sum(axis=-1) / batch.size
     _ensure_finite("loss", loss)
     return ForwardState(
-        batch=batch, llr_clip=clip,
+        batch=batch,
         raw=raw, scale=scale, points_iq=points, y_iq=y,
         llr_raw=llr_raw, llr=llr, sigmoid=sigmoid, loss=loss, penalties=penalties,
         cache=cache,
@@ -553,133 +544,6 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
     if not np.isfinite(grad).all():
         bad = next(name for name, g in grads.items() if not np.isfinite(g).all())
         raise NumericalError(f"non-finite values in gradient {bad}")
-
-
-def forward_loss(params: MapperParams, demapper, labels: np.ndarray,
-                 noise: np.ndarray, noise_variance: float):
-    """Surrogate loss (bits/symbol) plus cached intermediates.
-
-    `labels` must contain each of the M labels equally often, in any
-    order; `noise` is the complex additive noise realization, one entry
-    per label.
-    """
-    labels = np.asarray(labels)
-    noise = np.asarray(noise, dtype=np.complex128)
-    if labels.shape != noise.shape:
-        raise ParameterError("labels and noise must have matching shapes")
-    st = _forward(params.raw, demapper, _make_batch(labels, params.size),
-                  np.stack([noise.real, noise.imag]), [noise_variance])
-    return float(st.loss), st
-
-
-def backward(params: MapperParams, demapper, state: ForwardState) -> dict:
-    """Gradients of the surrogate loss w.r.t. every trainable array.
-
-    The differentiable path runs through the power normalization, the
-    transmit symbols, and the receiver when the points enter it (Gaussian);
-    clipped LLR entries receive zero gradient. The returned arrays are
-    views into one flat vector, in trainable_arrays() order.
-    """
-    grad, grads = _flatten(trainable_arrays(params, demapper))  # every entry is overwritten
-    _backward(demapper, state, grad, grads)
-    return grads
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-
-
-@dataclass(frozen=True)
-class GradProbe:
-    array: str
-    index: tuple
-    analytic: float
-    numeric: float
-    rel_err: float
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    probes: list
-    max_rel_err: float
-    passed: bool
-
-
-def finite_difference_check(loss_fn: Callable[[dict], float], arrays: dict,
-                            grads: dict, n_probes: int, tolerance: float,
-                            rng: np.random.Generator, step: float = 1e-5,
-                            region_fn: Optional[Callable[[dict], list]] = None
-                            ) -> GradCheckReport:
-    """Probe random coordinates of `arrays` with central differences.
-
-    loss_fn maps an array dict to a scalar loss; grads holds the analytic
-    gradients under test. Relative error per probe is
-    |g_analytic - g_fd| / max(1e-8, |g_fd|).
-
-    A piecewise-linear model is non-differentiable exactly where an
-    activation changes state, and a central difference straddling such a
-    kink measures a mixture of two slopes rather than either one. When
-    region_fn is given it must return the activation pattern (a list of
-    boolean arrays) at an array setting; probes whose two evaluation
-    points land in different patterns are discarded and another
-    coordinate is drawn instead.
-    """
-    if not tolerance > 0:
-        raise ParameterError("tolerance must be positive")
-    coords = [(name, idx) for name in sorted(arrays)
-              for idx in np.ndindex(arrays[name].shape)]
-    take = min(n_probes, len(coords))
-    probes = []
-    for ci in rng.permutation(len(coords)):
-        if len(probes) == take:
-            break
-        name, idx = coords[int(ci)]
-        bumped = {k: v.copy() for k, v in arrays.items()}
-        bumped[name][idx] += step
-        up = loss_fn(bumped)
-        sig_up = region_fn(bumped) if region_fn is not None else None
-        bumped[name][idx] -= 2.0 * step
-        down = loss_fn(bumped)
-        if region_fn is not None:
-            sig_down = region_fn(bumped)
-            if not all(np.array_equal(a, b) for a, b in zip(sig_up, sig_down)):
-                continue
-        g_fd = (up - down) / (2.0 * step)
-        g_an = float(grads[name][idx])
-        rel = abs(g_an - g_fd) / max(1e-8, abs(g_fd))
-        probes.append(GradProbe(name, idx, g_an, g_fd, rel))
-    worst = max(p.rel_err for p in probes) if probes else 0.0
-    return GradCheckReport(probes=probes, max_rel_err=worst, passed=worst < tolerance)
-
-
-def gradient_check(params: MapperParams, demapper, labels, noise,
-                   noise_variance: float, n_probes: int = 20,
-                   tolerance: float = 1e-4,
-                   rng: Optional[np.random.Generator] = None,
-                   step: float = 1e-5) -> GradCheckReport:
-    """Finite-difference check of backward() on a fixed batch.
-
-    Kinks of the model (rectifier sign flips, LLR clip saturation) make
-    central differences meaningless at isolated points; probes straddling
-    one are redrawn, see finite_difference_check.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    arrays = trainable_arrays(params, demapper)
-    _, st = forward_loss(params, demapper, labels, noise, noise_variance)
-    grads = backward(params, demapper, st)
-
-    def loss_fn(replaced: dict) -> float:
-        p2, d2 = with_arrays(params, demapper, replaced)
-        val, _ = forward_loss(p2, d2, labels, noise, noise_variance)
-        return val
-
-    def region_fn(replaced: dict) -> list:
-        p2, d2 = with_arrays(params, demapper, replaced)
-        _, st2 = forward_loss(p2, d2, labels, noise, noise_variance)
-        return [np.abs(st2.llr_raw) > st2.llr_clip, *d2.kinks(st2.cache)]
-
-    return finite_difference_check(loss_fn, arrays, grads, n_probes, tolerance,
-                                   rng, step, region_fn=region_fn)
 
 
 # ---------------------------------------------------------------------------

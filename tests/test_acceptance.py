@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 from shapegain import (
@@ -39,7 +40,6 @@ from shapegain import (
     extract_data_bits,
     assemble_labels,
     gmi_oracle_quadrature,
-    gradient_check,
     init_mapper,
     init_mlp,
     llr_exact,
@@ -59,6 +59,7 @@ from shapegain import (
     uniform_qam,
 )
 from shapegain.demapper import make_report
+from stepcheck import gradient_check
 
 EXAMPLE_CONFIG = Path(__file__).parent.parent / "configs" / "example.json"
 
@@ -143,6 +144,21 @@ def test_criterion_2_llr_closed_forms():
 # --------------------------------------------------------------- criterion 3
 
 
+def _criterion_3_report(mode: str, m: int):
+    cfg = TrainConfig(m=m, target=SnrTarget(8.0), iterations=1,
+                      batch_symbols=16 * (1 << m),
+                      demapper_mode=mode, mlp_hidden=(16, 16))
+    rng = np.random.default_rng(100 * (mode == "mlp") + m)
+    params = init_mapper(cfg, rng)
+    dem = (GaussianDemapper() if mode == "gaussian"
+           else init_mlp(m, cfg.mlp_hidden, rng, cfg.llr_clip))
+    labels = np.repeat(np.arange(1 << m), 16)
+    noise = awgn_sample(rng, np.zeros(cfg.batch_symbols), _nv(8.0))
+    return gradient_check(params, dem, labels, noise, _nv(8.0),
+                          n_probes=20, tolerance=1e-4,
+                          rng=np.random.default_rng(m))
+
+
 def test_criterion_3_gradient_check_both_demappers():
     with _criterion(3):
         t0 = time.monotonic()
@@ -150,24 +166,28 @@ def test_criterion_3_gradient_check_both_demappers():
         worst = 0.0
         for mode in ("gaussian", "mlp"):
             for m in (2, 3, 4):
-                cfg = TrainConfig(m=m, target=SnrTarget(8.0), iterations=1,
-                                  batch_symbols=16 * (1 << m),
-                                  demapper_mode=mode, mlp_hidden=(16, 16))
-                rng = np.random.default_rng(100 * (mode == "mlp") + m)
-                params = init_mapper(cfg, rng)
-                dem = (GaussianDemapper() if mode == "gaussian"
-                       else init_mlp(m, cfg.mlp_hidden, rng, cfg.llr_clip))
-                labels = np.repeat(np.arange(1 << m), 16)
-                noise = awgn_sample(rng, np.zeros(cfg.batch_symbols), _nv(8.0))
-                rep = gradient_check(params, dem, labels, noise, _nv(8.0),
-                                     n_probes=20, tolerance=1e-4,
-                                     rng=np.random.default_rng(m))
+                rep = _criterion_3_report(mode, m)
                 all_passed &= rep.passed
                 worst = max(worst, rep.max_rel_err)
         dt = time.monotonic() - t0
         _verdict(3, all_passed and dt < 30.0,
                  f"gaussian+mlp, M in {{4,8,16}}, 20 probes each: max rel err "
                  f"{worst:.2e} (tol 1e-4), {dt:.1f}s (budget 30s)")
+
+
+# Each case's probe count and worst error, exactly: a change to the checker
+# or to the training step it differentiates moves them.
+@pytest.mark.parametrize("mode, m, n_probes, max_rel_err", [
+    ("gaussian", 2, 8, "1.5570734848878974e-09"),
+    ("gaussian", 3, 16, "1.9789512533772474e-09"),
+    ("gaussian", 4, 20, "1.7980431752857044e-09"),
+    ("mlp", 2, 20, "8.066926092374688e-09"),
+    ("mlp", 3, 20, "4.326230216066772e-08"),
+    ("mlp", 4, 20, "1.0365812467911392e-07"),
+])
+def test_criterion_3_probe_pins(mode, m, n_probes, max_rel_err):
+    rep = _criterion_3_report(mode, m)
+    assert (len(rep.probes), repr(rep.max_rel_err)) == (n_probes, max_rel_err)
 
 
 # --------------------------------------------------------------- criterion 4

@@ -217,6 +217,21 @@ class TestAdaptCommand:
         assert rc == 1
         assert "per_bit_dualpol" in capsys.readouterr().err
 
+    def test_dualpol_not_per_bit_twice_is_parameter_error(self, tmp_path, capsys):
+        # planned from per_bit_dualpol, this report would give n_d = 2 at
+        # 1.5 b/sym; its per_bit values give n_d = 4 at 0.0
+        cpath = tmp_path / "c.json"
+        main(["qam", "--m", "2", "--out", str(cpath)])
+        rpath = tmp_path / "report.json"
+        rpath.write_text(json.dumps(
+            {"per_bit": [0.5, 0.5], "total": 1.0, "per_bit_dualpol": [0.0, 1.0, 1.0, 0.0],
+             "total_dualpol": 2.0, "n_samples": 4000, "stderr_total": 0.01}))
+        capsys.readouterr()
+        rc = main(["adapt", "--constellation", str(cpath), "--report", str(rpath), "--best"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "per_bit_dualpol" in err, err
+
     def test_totals_not_summing_the_per_bit_values_are_parameter_error(
             self, tmp_path, capsys):
         cpath = tmp_path / "c.json"

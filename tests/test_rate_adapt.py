@@ -171,6 +171,19 @@ class TestBestPlan:
                 if other.feasible:
                     assert plan.net_rate >= other.net_rate
 
+    def test_is_the_exhaustive_maximum_over_n_d(self):
+        # best_plan stops at the first feasible n_d; the search over every
+        # n_d, keeping the first of the largest net rates, must agree
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            m = int(rng.integers(1, 9))
+            fec_rate = float(rng.choice([0.5, 2 / 3, 0.75, 5 / 6, 1.0]))
+            pb_x, pb_y = np.round(rng.uniform(0.0, 1.0, (2, m)), 3)
+            rep = _report(pb_x) if rng.random() < 0.5 else _asym_report(pb_x, pb_y)
+            plans = [select_dummy_bits(rep, n_d, fec_rate) for n_d in range(2 * m + 1)]
+            exhaustive = max((p for p in plans if p.feasible), key=lambda p: p.net_rate)
+            assert best_plan(rep, fec_rate) == exhaustive
+
 
 # ------------------------------------------------------------ serialization
 

@@ -1,12 +1,14 @@
 """Training engine tests: forward/backward vs finite differences, Adam, train()."""
 
+import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shapegain
 import shapegain.training as training
 from shapegain import (
     Constellation,
@@ -20,7 +22,7 @@ from shapegain import (
     llr_exact,
     uniform_qam,
 )
-from shapegain.demapper import _clipped
+from shapegain.demapper import DEFAULT_LLR_CLIP, _clipped
 from shapegain.training import (
     AdamHyper,
     GaussianDemapper,
@@ -30,10 +32,6 @@ from shapegain.training import (
     TrainConfig,
     _adam_update,
     _flatten,
-    backward,
-    finite_difference_check,
-    forward_loss,
-    gradient_check,
     init_mapper,
     init_mlp,
     train,
@@ -42,6 +40,7 @@ from shapegain.training import (
     trainable_arrays,
     with_arrays,
 )
+from stepcheck import backward, finite_difference_check, forward_loss, gradient_check
 
 
 def _config(**kw):
@@ -230,7 +229,7 @@ class TestForwardLoss:
             loss, st = forward_loss(params, GaussianDemapper(), labels,
                                     np.zeros(64, complex), 1e-320)
         assert np.isinf(st.llr_raw).all()
-        np.testing.assert_array_equal(st.llr, np.sign(st.llr_raw) * st.llr_clip)
+        np.testing.assert_array_equal(st.llr, np.sign(st.llr_raw) * DEFAULT_LLR_CLIP)
         assert 0.0 <= loss < 1e-12
 
     def test_nan_parameters_raise_numerical_error(self):
@@ -350,7 +349,7 @@ class TestGradients:
         noise[edge] += 0.5 * (pts[1] - pts[0])
         _, st = forward_loss(params, GaussianDemapper(), labels, noise, nv)
         assert np.isinf(st.llr_raw).any()
-        assert (np.abs(st.llr_raw[:, edge]) < st.llr_clip).any()
+        assert (np.abs(st.llr_raw[:, edge]) < DEFAULT_LLR_CLIP).any()
         grads = backward(params, GaussianDemapper(), st)
         assert all(np.all(np.isfinite(g)) for g in grads.values())
         assert np.any(grads["mapper.raw"] != 0.0)
@@ -371,6 +370,29 @@ class TestGradients:
         rep = gradient_check(params, mlp, labels, noise, nv,
                              n_probes=8, rng=np.random.default_rng(0))
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
+
+    @pytest.mark.parametrize("kink", ["rectifier", "clip"])
+    def test_gradient_check_redraws_probes_across_a_kink(self, kink):
+        # one hidden unit's pre-activation, or one LLR's distance to the
+        # clip, is 1e-7, well inside the 1e-5 step: probes that move it
+        # across must be redrawn, else their differences mix two slopes
+        m, S = 2, 64
+        rng = np.random.default_rng(31)
+        params = init_mapper(_config(m=m, batch_symbols=S), rng)
+        mlp = init_mlp(m, (4,), rng)
+        labels = _balanced_labels(m, S)
+        noise = awgn_sample(rng, np.zeros(S), 0.2)
+        _, st = forward_loss(params, mlp, labels, noise, 0.2)
+        if kink == "rectifier":
+            pre = mlp.layers[0].T @ st.cache[0]
+            mlp.layers[0][-1, 0] -= pre[0, 0] - 1e-7
+        else:
+            mlp.llr_clip = float(np.abs(st.llr_raw[0]).max() - 1e-7)
+        n_coords = sum(a.size for a in trainable_arrays(params, mlp).values())
+        rep = gradient_check(params, mlp, labels, noise, 0.2, n_probes=n_coords,
+                             rng=np.random.default_rng(0))
+        assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
+        assert 0 < len(rep.probes) < n_coords
 
     def test_mlp_bias_gradient_is_the_sample_sum(self):
         # each bias gradient, the last row of its layer's gradient, is the sum
@@ -401,7 +423,7 @@ class TestGradients:
         demapper = init_mlp(m, (8,), rng) if mode == "mlp" else GaussianDemapper()
         noise = awgn_sample(rng, np.zeros(S), 0.2)
         _, st = forward_loss(params, demapper, _balanced_labels(m, S), noise, 0.2)
-        clipped = _clipped(st.llr_raw, st.llr_clip)
+        clipped = _clipped(st.llr_raw, demapper.llr_clip)
         assert st.llr is st.llr_raw
         np.testing.assert_array_equal(st.llr, clipped)
         # the state the unconditional clip gives takes backward's masked path
@@ -418,7 +440,7 @@ class TestGradients:
         mlp.layers[-1] *= 40.0  # some LLRs beyond the clip, others not
         noise = awgn_sample(rng, np.zeros(S), 0.5)
         _, st = forward_loss(params, mlp, _balanced_labels(m, S), noise, 0.5)
-        beyond = np.abs(st.llr_raw) > st.llr_clip
+        beyond = np.abs(st.llr_raw) > mlp.llr_clip
         assert beyond.any() and not beyond.all()
         seen = []
         real = mlp.backward
@@ -495,6 +517,21 @@ class TestGradients:
         assert set(grads) == set(trainable_arrays(params, mlp))
         for key, g in grads.items():
             assert g.shape == trainable_arrays(params, mlp)[key].shape
+
+
+class TestPackageSurface:
+    @pytest.mark.parametrize("receiver", [GaussianDemapper, training.MlpDemapper])
+    def test_receiver_has_the_five_interface_methods(self, receiver):
+        methods = {name for name, _ in inspect.getmembers(receiver, inspect.isfunction)
+                   if not name.startswith("_")}
+        assert methods == {"arrays", "with_arrays", "forward", "check_llr", "backward"}
+
+    def test_step_check_harness_is_not_in_the_package(self):
+        assert not hasattr(shapegain, "gradient_check")
+        for name in ("forward_loss", "backward", "GradProbe", "GradCheckReport",
+                     "finite_difference_check", "gradient_check"):
+            assert not hasattr(training, name), name
+        assert "llr_clip" not in {f.name for f in fields(training.ForwardState)}
 
 
 # --------------------------------------------------------------------- Adam
@@ -652,7 +689,7 @@ class TestTrain:
 
 
 def _public_api_train(config):
-    """train() spelled out with the public step functions, one call each."""
+    """train() spelled out with the step functions of stepcheck, one call each."""
     rng = np.random.default_rng(config.seed)
     params = init_mapper(config, rng)
     if config.demapper_mode == "mlp":
@@ -687,7 +724,7 @@ def _public_api_train(config):
 
 class TestTrainMatchesPublicSteps:
     """train() keeps its per-run invariants and one flat parameter vector;
-    it must still take exactly the steps the public functions define."""
+    it must still take exactly the steps stepcheck's functions define."""
 
     @pytest.mark.parametrize("config", [
         _config(m=4, iterations=40, batch_symbols=256, demapper_mode="mlp",
