@@ -6,9 +6,9 @@ the standard BICM bound
 
     I_k = 1 - E[log2(1 + exp(-(1 - 2 b_k) L_k))]
 
-clamped to [0, 1]; the total is the sum over bit levels. Dual-polarization
-fields duplicate the single-polarization statistics (both polarizations
-see the same effective channel).
+clamped to [0, 1]; the total is the sum over bit levels. Both
+polarizations see the same effective channel, so a GmiReport stores the
+single-polarization values only and derives its dual-polarization ones.
 
 The surrogate loss of training and every GMI estimate below are sums of
 these softplus terms, log2(1 + exp(z)) with z = -(1 - 2 b_k) L_k, and the
@@ -86,8 +86,8 @@ from numpy.polynomial.hermite import hermgauss
 
 from .channel import awgn_sample
 from .constellation import Constellation, partition_weights
-from .errors import (CapabilityError, NumericalError, ParameterError, check_field_types,
-                     float_tuple, reading)
+from .errors import (CapabilityError, NumericalError, ParameterError, check_derived,
+                     check_field_types, float_tuple, reading)
 
 LN2 = math.log(2.0)
 DEFAULT_LLR_CLIP = 50.0
@@ -351,21 +351,31 @@ def llr_exact(y, c: Constellation, noise_variance: float,
 class GmiReport:
     """Per-bit-level GMI estimates (bits/level) with Monte-Carlo error bar.
 
+    Both polarizations see the same channel, so per_bit is all that is
+    measured. The total and the dual-polarization values are derived:
     per_bit_dualpol concatenates polarization X (levels 0..m-1) and Y
-    (levels m..2m-1); with identical per-polarization statistics it is two
-    copies of per_bit and total_dualpol == 2 * total.
+    (levels m..2m-1), two copies of per_bit, and total_dualpol is 2 * total.
     """
 
     per_bit: np.ndarray
-    total: float
-    per_bit_dualpol: np.ndarray
-    total_dualpol: float
     n_samples: int
     stderr_total: float
 
     @property
     def m(self) -> int:
         return len(self.per_bit)
+
+    @property
+    def total(self) -> float:
+        return float(self.per_bit.sum())
+
+    @property
+    def per_bit_dualpol(self) -> np.ndarray:
+        return np.concatenate([self.per_bit, self.per_bit])
+
+    @property
+    def total_dualpol(self) -> float:
+        return 2.0 * self.total
 
     def to_dict(self) -> dict:
         return {
@@ -383,46 +393,35 @@ class GmiReport:
     @classmethod
     def from_dict(cls, doc) -> "GmiReport":
         """The report of a document to_dict wrote; ParameterError unless it has
-        to_dict's keys and no other, n_samples >= 1 is an integer, the totals
-        are finite, stderr_total >= 0, the per-bit values lie in [0, 1], and
-        the derived fields are make_report's: per_bit_dualpol is per_bit
-        twice, total = sum(per_bit) and total_dualpol = 2 * total."""
-        with reading("GMI report", doc, [f.name for f in fields(cls)]):
-            arrays = {key: np.array(float_tuple(key, doc[key]))
-                      for key in ("per_bit", "per_bit_dualpol")}
-            report = cls(**{**doc, **arrays})
+        to_dict's keys and no other, n_samples >= 1 is an integer,
+        stderr_total >= 0 is finite, the per-bit values lie in [0, 1], and
+        total, per_bit_dualpol and total_dualpol equal the properties."""
+        with reading("GMI report", doc, [f.name for f in fields(cls)]
+                     + ["per_bit_dualpol", *_DERIVED]):
+            report = cls(np.array(float_tuple("per_bit", doc["per_bit"])), doc["n_samples"],
+                         doc["stderr_total"])
             check_field_types(report)
-            per_bit, dual = report.per_bit, report.per_bit_dualpol
+            per_bit, dual = report.per_bit, float_tuple("per_bit_dualpol", doc["per_bit_dualpol"])
             if not np.all((per_bit >= 0.0) & (per_bit <= 1.0)):
                 raise ParameterError("per_bit values must lie in [0, 1]")
-            if per_bit.size == 0 or not np.array_equal(dual, np.concatenate([per_bit, per_bit])):
-                raise ParameterError(
-                    f"per_bit_dualpol must be the {per_bit.size} per_bit values twice, "
-                    f"got {dual.tolist()}")
+            if per_bit.size == 0 or not np.array_equal(dual, report.per_bit_dualpol):
+                raise ParameterError(f"per_bit_dualpol must be the {per_bit.size} per_bit "
+                                     f"values twice, got {list(dual)}")
             if report.n_samples < 1 or report.stderr_total < 0:
                 raise ParameterError(f"need n_samples >= 1 and stderr_total >= 0, got "
                                      f"{report.n_samples} and {report.stderr_total}")
-            total = float(per_bit.sum())
-            for name, want in (("total", total), ("total_dualpol", 2.0 * total)):
-                if getattr(report, name) != want:
-                    raise ParameterError(f"{name} must be {want!r} for these per_bit "
-                                         f"values, got {getattr(report, name)!r}")
+            check_derived(doc, report, _DERIVED)
         return report
+
+
+# the keys of a report file derived from per_bit: {key: (kind, how it is derived)}
+_DERIVED = {"total": ("float", "is the sum of per_bit"),
+            "total_dualpol": ("float", "is 2 * total")}
 
 
 def make_report(per_bit: np.ndarray, n_samples: int, stderr_total: float) -> GmiReport:
     """Assemble a GmiReport from clamped single-polarization per-bit values."""
-    per_bit = np.asarray(per_bit, dtype=np.float64)
-    total = float(per_bit.sum())
-    dual = np.concatenate([per_bit, per_bit])
-    return GmiReport(
-        per_bit=per_bit,
-        total=total,
-        per_bit_dualpol=dual,
-        total_dualpol=2.0 * total,
-        n_samples=int(n_samples),
-        stderr_total=float(stderr_total),
-    )
+    return GmiReport(np.asarray(per_bit, dtype=np.float64), int(n_samples), float(stderr_total))
 
 
 def _bit_penalties(y, c, labels, noise_variance, llr_clip):

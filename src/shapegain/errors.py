@@ -114,6 +114,16 @@ def check_field_types(obj) -> None:
         check_value(f.name, f.type, getattr(obj, f.name))
 
 
+def check_derived(doc, obj, derived: dict) -> None:
+    """Require each key of derived, {key: (kind, how obj derives it)}, to hold
+    in doc a value of that kind equal to obj's attribute of that name."""
+    for key, (kind, rule) in derived.items():
+        value, want = doc[key], getattr(obj, key)
+        check_value(key, kind, value)
+        if value != want:
+            raise ParameterError(f"{key} is {value!r} but {want!r} {rule}")
+
+
 @contextlib.contextmanager
 def reading(what: str, doc, keys, optional=()):
     """Require doc to be an object with every key of keys and no key but

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constellation import check_labels
 from .demapper import GmiReport
-from .errors import (FramingError, ParameterError, check_field_types, check_value, float_tuple,
+from .errors import (FramingError, ParameterError, check_derived, check_field_types, float_tuple,
                      int_tuple, load_json, reading)
 
 
@@ -98,11 +98,7 @@ class RateAdaptPlan:
                 raise ParameterError(f"dummy_positions repeat a level: {list(positions)}")
             if len(plan.per_pol_data_gmi) != 2:
                 raise ParameterError("per_pol_data_gmi must hold one value per polarization")
-            for key, (kind, rule) in _DERIVED.items():  # net_rate checks m and fec_rate
-                value, derived = doc[key], getattr(plan, key)
-                check_value(key, kind, value)
-                if value != derived:
-                    raise ParameterError(f"{key} is {value!r} but {derived!r} {rule}")
+            check_derived(doc, plan, _DERIVED)  # net_rate checks m and fec_rate
         return plan
 
 
@@ -121,49 +117,25 @@ def load_plan(path) -> RateAdaptPlan:
     return RateAdaptPlan.from_dict(load_json(path))
 
 
-def _weakest(per_pol: np.ndarray, count: int) -> list:
-    """Indices of the `count` smallest entries, ties to the lowest index."""
-    order = np.argsort(per_pol, kind="stable")
-    return [int(i) for i in order[:count]]
-
-
-def _build_plan(report: GmiReport, picks_x: list, picks_y: list,
-                fec_rate: float) -> RateAdaptPlan:
-    m = report.m
-    dual = report.per_bit_dualpol
-    dummy = frozenset(picks_x) | frozenset(m + i for i in picks_y)
-    # summed over the kept levels directly so the all-dummy plan's data GMI is 0.0 exactly
-    data_x = float(sum(dual[i] for i in range(m) if i not in dummy))
-    data_y = float(sum(dual[i] for i in range(m, 2 * m) if i not in dummy))
-    return RateAdaptPlan(m=m, dummy_positions=dummy, per_pol_data_gmi=(data_x, data_y),
-                         fec_rate=fec_rate)
-
-
 def select_dummy_bits(report: GmiReport, n_d: int,
                       fec_rate: float) -> RateAdaptPlan:
     """Mark the n_d weakest bit levels as dummies, balanced across pols.
 
-    Even n_d puts n_d/2 dummies in each polarization (the levels with the
-    smallest per-bit GMI, ties to the lowest index). Odd n_d tries the
-    extra dummy on either polarization and keeps the split whose
-    per-polarization data GMIs are closest; an exact tie puts it on X.
+    Both polarizations carry the report's per_bit values, so X takes the
+    n_d - n_d // 2 levels with the smallest per-bit GMI and Y the n_d // 2
+    smallest, ties to the lowest index: an odd n_d puts its extra dummy on X.
     """
     m = report.m
     if not 0 <= n_d <= 2 * m:
         raise ParameterError(f"n_d must lie in [0, {2 * m}], got {n_d}")
     _check_fec_rate(fec_rate)
-    pb_x = report.per_bit_dualpol[:m]
-    pb_y = report.per_bit_dualpol[m:]
-    if n_d % 2 == 0:
-        half = n_d // 2
-        return _build_plan(report, _weakest(pb_x, half), _weakest(pb_y, half),
-                           fec_rate)
-    hi, lo = n_d // 2 + 1, n_d // 2
-    heavy_x = _build_plan(report, _weakest(pb_x, hi), _weakest(pb_y, lo), fec_rate)
-    heavy_y = _build_plan(report, _weakest(pb_x, lo), _weakest(pb_y, hi), fec_rate)
-    gap_x = abs(heavy_x.per_pol_data_gmi[0] - heavy_x.per_pol_data_gmi[1])
-    gap_y = abs(heavy_y.per_pol_data_gmi[0] - heavy_y.per_pol_data_gmi[1])
-    return heavy_x if gap_x <= gap_y else heavy_y
+    weakest = [int(i) for i in np.argsort(report.per_bit, kind="stable")]
+    dummy = frozenset(weakest[:n_d - n_d // 2]) | frozenset(m + i for i in weakest[:n_d // 2])
+    # summed over the kept levels in index order, so the all-dummy plan's data GMI is 0.0 exactly
+    per_pol = tuple(float(sum(report.per_bit[i] for i in range(m) if pol + i not in dummy))
+                    for pol in (0, m))
+    return RateAdaptPlan(m=m, dummy_positions=dummy, per_pol_data_gmi=per_pol,
+                         fec_rate=fec_rate)
 
 
 def best_plan(report: GmiReport, fec_rate: float) -> RateAdaptPlan:

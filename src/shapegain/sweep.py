@@ -126,8 +126,14 @@ def load_run_config(path) -> RunConfig:
     if "sweep" in doc:
         sweep_cfg = build_section("sweep", partial(_sweep_settings, train_cfg.m),
                                   doc["sweep"])
-    return RunConfig(link=link, train=train_cfg, sweep=sweep_cfg,
-                     eval=build_section("eval", EvalSettings, doc.get("eval", {})),
+    eval_cfg = build_section("eval", EvalSettings, doc.get("eval", {}))
+    if sweep_cfg is not None:
+        orders = {"ae": [train_cfg.m], "qam": sweep_cfg.qam_m_list}
+        m = max(max(orders[scheme]) for scheme in sweep_cfg.schemes)
+        if eval_cfg.n_samples < 1 << m:
+            raise ParameterError(f"eval.n_samples must be at least M = {1 << m}, the largest "
+                                 f"constellation the sweep evaluates, got {eval_cfg.n_samples}")
+    return RunConfig(link=link, train=train_cfg, sweep=sweep_cfg, eval=eval_cfg,
                      output=build_section("output", OutputSettings, doc.get("output", {})))
 
 

@@ -466,6 +466,34 @@ class TestSweepCommand:
         assert len(err.splitlines()) == 1 and name in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("train_m, sweep", [
+        (3, {"schemes": ["ae", "qam"], "qam_m_list": [2]}),   # the trained M = 8
+        (2, {"schemes": ["ae", "qam"], "qam_m_list": [3]}),   # QAM's largest M = 8
+        (3, {"schemes": ["qam"], "qam_m_list": [3, 2]}),
+    ], ids=["ae-order", "qam-order", "qam-only"])
+    def test_too_few_eval_samples_exit_1_before_training(self, tmp_path, capsys, monkeypatch,
+                                                         train_m, sweep):
+        import shapegain.sweep as sweep_mod
+
+        def spy(configs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(sweep_mod, "train_many", spy)
+        cfg = _write_run_config(tmp_path, sweep={"span_grid": [2, 4], **sweep})
+        doc = json.loads(cfg.read_text())
+        doc["train"].update(m=train_m, batch_symbols=1 << train_m)
+        doc["eval"]["n_samples"] = 7
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "res.csv"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--keep-going"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "eval.n_samples" in err and "M = 8" in err, err
+        assert not out.exists()
+        doc["eval"]["n_samples"] = 8  # the bound itself loads
+        cfg.write_text(json.dumps(doc))
+        assert sweep_mod.load_run_config(cfg).eval.n_samples == 8
+
     def test_unexpected_cell_error_exits_1_naming_the_cell(self, tmp_path, capsys,
                                                            monkeypatch):
         import shapegain.sweep as sweep_mod

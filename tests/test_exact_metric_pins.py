@@ -1,9 +1,10 @@
-"""Byte pins of the exact bit metric's callers.
+"""Byte pins of the exact bit metric's callers, and of the plan and LUT files.
 
 gaussian_bit_metric backs the Gaussian receiver of training, llr_exact and
 every GMI estimate. These expected values were generated before a rewrite
 of the metric's internals that kept every output bit; a change to the
-metric that moves one of them moves the program's results.
+metric that moves one of them moves the program's results. The plan and
+LUT pins were generated before dummy selection lost its second split rule.
 """
 
 import hashlib
@@ -21,6 +22,8 @@ from shapegain import (
     train,
     uniform_qam,
 )
+from shapegain.cli import main
+from shapegain.demapper import make_report
 
 # the SNR at which Gray 16QAM's quadrature GMI is 3.0 bits (criterion 4)
 GRAY16_3BIT_SNR_DB = 9.308632135959519
@@ -70,6 +73,24 @@ def test_scalar_llr_calls_are_pinned():
     assert _sha256(got) == _SCALAR_LLR_SHA256
 
 
+# a fixed m=4 report whose levels 1 and 3 tie; odd n_d puts its extra dummy
+# on X, so its LUT has separate X and Y tables
+_PLAN_REPORT = [0.91, 0.37, 0.62, 0.37]
+
+
+@pytest.mark.parametrize("n_d", range(9))
+def test_plan_and_lut_files_are_pinned(tmp_path, n_d):
+    c, r, p, lut = (str(tmp_path / name) for name in ("c.json", "r.json", "p.json", "l.csv"))
+    assert main(["qam", "--m", "4", "--out", c]) == 0
+    with open(r, "w") as fh:
+        fh.write(make_report(np.array(_PLAN_REPORT), 10_000, 0.001).to_json() + "\n")
+    assert main(["adapt", "--constellation", c, "--report", r, "--nd", str(n_d),
+                 "--fec-rate", "0.75", "--out", p]) == 0
+    assert main(["export-lut", "--constellation", c, "--plan", p, "--out", lut]) == 0
+    with open(p, "rb") as plan_fh, open(lut, "rb") as lut_fh:
+        assert (_sha256(plan_fh.read()), _sha256(lut_fh.read())) == _PLAN_AND_LUT[n_d]
+
+
 _TRAIN_POINTS_SHA256 = "9ed61a7a85307644c5211292005f9df6c54875542a31a9cc4cef7b0f079d3d0c"
 _TRAIN_HISTORY_SHA256 = "c327187a0d8ba60d7ae8408a63f8d424f13ef19adc67014aaa170a0ae56dcdcd"
 _MC_REPORTS = {
@@ -88,3 +109,23 @@ _QUADRATURE = {
     6: "4.677997560324393",
 }
 _SCALAR_LLR_SHA256 = "4839b20a62a56351dcd06765ffe97a750e55367f9e8647683ef08b74c5a525e0"
+_PLAN_AND_LUT = [  # (plan JSON, LUT text) by n_d
+    ("3269f9fab549ed55981321301db88f960986a245afe04604da3257b05dcb24d8",
+     "48428c404497a0b78f0f37fe8c762119c599db07db4f0c931fd407ea354c5ef9"),
+    ("862de945e406874ac20adf43f10c91a7e847dff0e061884e3ee64820d83b6fbf",
+     "164643fc2527ef89ef25ba588ec02fd954c744003e5f9c3788fd2abbed7cc19e"),
+    ("0f94143863f65f98c5f7dfffea4833157896522a741c359dbafeb28530489b6a",
+     "f20c9c7cb0da04e9ceed6ed6c4af15fb59e43dee70fc26746bbae67a91ffbfcc"),
+    ("d3920bd4529ad36a28706d83d659f7ba4ef7cd8a1e027343fd006af611cc13aa",
+     "12f552fb56cf03983af9a9c2d2b527e6c27ed9cdad648486efe5572dbc87d02c"),
+    ("8758b1a317be162f0dbe7e0c7df1558595c33d3661420cb9cb7df9e3cd9f51c0",
+     "067b37c3e504828485b74506c4e30e8b8c3d8b683eabc4d76f603ffe2c7dcbbc"),
+    ("8e2e3495a3a26a900bab31afe7ead9b160d4b701798428d4f92d0d3e4a414e6f",
+     "59e6667c13b71b9edeea7f006e8dbe65dce59ef719c2f353f6e494fa8e0e87df"),
+    ("5c8fc212c5b70f49d33d50ec7f70573fda155eeb3481b5cfa52432da8fe867ce",
+     "3f4c50958bbefec62a0cf7d043c6dceaf92209d86acf1cb3a27352b319961ede"),
+    ("cf8744014bed1212861d274560fb730a763aca494526d36939d2365acdb13763",
+     "8bd305dc26f466f63837ec113c2e921fba585a26f71f03249a83929ff069002e"),
+    ("08aa502d125efd03bc9c39d56e18a194283d0789e082ffbbe122ed704c41ab87",
+     "cbe4011c65abe6ae78511347302b00d241a6de60f4201cb472e621dd7ce52e68"),
+]

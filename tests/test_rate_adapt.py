@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from shapegain import (
     FramingError,
-    GmiReport,
     ParameterError,
     RateAdaptPlan,
     assemble_labels,
@@ -27,17 +26,6 @@ from shapegain.demapper import make_report
 def _report(per_bit):
     return make_report(np.asarray(per_bit, float), n_samples=10_000,
                        stderr_total=0.001)
-
-
-def _asym_report(pb_x, pb_y):
-    """Report with different per-polarization statistics (not produced by the
-    estimators, but the plan machinery must still handle it)."""
-    pb_x = np.asarray(pb_x, float)
-    pb_y = np.asarray(pb_y, float)
-    dual = np.concatenate([pb_x, pb_y])
-    return GmiReport(per_bit=pb_x, total=float(pb_x.sum()),
-                     per_bit_dualpol=dual, total_dualpol=float(dual.sum()),
-                     n_samples=10_000, stderr_total=0.001)
 
 
 # ---------------------------------------------------------------- net rate
@@ -81,14 +69,6 @@ class TestSelectDummyBits:
         assert plan.dummy_positions == frozenset({2, 3, 7})
         assert plan.n_d == 3
 
-    def test_odd_count_balances_per_pol_data_gmi(self):
-        # the split rule evens out the polarizations: sacrificing X's 0.8
-        # level leaves 0.9 vs 1.0, while dropping Y's weakest would leave
-        # a lopsided 1.7 vs 0.9
-        plan = select_dummy_bits(_asym_report([0.9, 0.8], [0.9, 0.1]), 1, 0.75)
-        assert plan.dummy_positions == frozenset({1})
-        assert plan.per_pol_data_gmi == (pytest.approx(0.9), pytest.approx(1.0))
-
     def test_ties_resolve_to_lowest_index(self):
         plan = select_dummy_bits(_report([0.5, 0.5, 0.5]), 2, 0.75)
         assert plan.dummy_positions == frozenset({0, 3})
@@ -115,9 +95,8 @@ class TestSelectDummyBits:
         rng = np.random.default_rng(17)
         for _ in range(40):
             m = int(rng.integers(2, 5))
-            pb_x = np.round(rng.uniform(0.0, 1.0, m), 3)
-            pb_y = np.round(rng.uniform(0.0, 1.0, m), 3)
-            rep = _asym_report(pb_x, pb_y)
+            pb_x = pb_y = np.round(rng.uniform(0.0, 1.0, m), 3)
+            rep = _report(pb_x)
             for n_d in range(2 * m + 1):
                 plan = select_dummy_bits(rep, n_d, 0.75)
 
@@ -136,6 +115,39 @@ class TestSelectDummyBits:
                     dx, dy = hx if abs(hx[0] - hx[1]) <= abs(hy[0] - hy[1]) else hy
                 assert plan.per_pol_data_gmi[0] == pytest.approx(dx, abs=1e-12)
                 assert plan.per_pol_data_gmi[1] == pytest.approx(dy, abs=1e-12)
+
+    def test_split_rule_equals_the_two_split_comparison(self):
+        """The X-heavy split picks the plan that building both splits of an
+        odd n_d and keeping the smaller per-pol gap (ties to X) picked."""
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            m = int(rng.integers(1, 9))
+            # few decimals, so that levels tie
+            rep = _report(np.round(rng.uniform(0.0, 1.0, m), int(rng.integers(1, 4))))
+            for n_d in range(2 * m + 1):
+                assert select_dummy_bits(rep, n_d, 0.75) == _two_split_plan(rep, n_d, 0.75)
+
+
+def _two_split_plan(report, n_d, fec_rate):
+    """Dummy selection as it was when a report could differ per polarization."""
+    m, dual = report.m, report.per_bit_dualpol
+    order_x, order_y = (np.argsort(dual[lo:lo + m], kind="stable").tolist() for lo in (0, m))
+
+    def build(count_x, count_y):
+        dummy = frozenset(order_x[:count_x]) | frozenset(m + i for i in order_y[:count_y])
+        data = tuple(float(sum(dual[i] for i in range(lo, lo + m) if i not in dummy))
+                     for lo in (0, m))
+        return RateAdaptPlan(m=m, dummy_positions=dummy, per_pol_data_gmi=data,
+                             fec_rate=fec_rate)
+
+    if n_d % 2 == 0:
+        return build(n_d // 2, n_d // 2)
+    heavy_x, heavy_y = build(n_d // 2 + 1, n_d // 2), build(n_d // 2, n_d // 2 + 1)
+
+    def gap(plan):
+        return abs(plan.per_pol_data_gmi[0] - plan.per_pol_data_gmi[1])
+
+    return heavy_x if gap(heavy_x) <= gap(heavy_y) else heavy_y
 
 
 class TestBestPlan:
@@ -178,8 +190,7 @@ class TestBestPlan:
         for _ in range(300):
             m = int(rng.integers(1, 9))
             fec_rate = float(rng.choice([0.5, 2 / 3, 0.75, 5 / 6, 1.0]))
-            pb_x, pb_y = np.round(rng.uniform(0.0, 1.0, (2, m)), 3)
-            rep = _report(pb_x) if rng.random() < 0.5 else _asym_report(pb_x, pb_y)
+            rep = _report(np.round(rng.uniform(0.0, 1.0, m), 3))
             plans = [select_dummy_bits(rep, n_d, fec_rate) for n_d in range(2 * m + 1)]
             exhaustive = max((p for p in plans if p.feasible), key=lambda p: p.net_rate)
             assert best_plan(rep, fec_rate) == exhaustive

@@ -533,6 +533,15 @@ class TestPackageSurface:
             assert not hasattr(training, name), name
         assert "llr_clip" not in {f.name for f in fields(training.ForwardState)}
 
+    def test_gmi_report_stores_only_its_per_bit_values(self):
+        # the totals and the dual-pol copy are properties derived from per_bit
+        assert tuple(f.name for f in fields(shapegain.GmiReport)) == (
+            "per_bit", "n_samples", "stderr_total")
+
+    def test_make_report_keeps_its_three_arguments(self):
+        params = inspect.signature(shapegain.demapper.make_report).parameters
+        assert list(params) == ["per_bit", "n_samples", "stderr_total"]
+
 
 # --------------------------------------------------------------------- Adam
 
