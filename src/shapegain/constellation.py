@@ -21,7 +21,7 @@ CONSTELLATION_FORMAT_VERSION = 1
 MAX_QAM_M = 10  # the largest order uniform_qam builds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """M = 2**m complex points indexed by their m-bit label.
 

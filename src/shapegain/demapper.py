@@ -347,7 +347,7 @@ def llr_exact(y, c: Constellation, noise_variance: float,
     return out[:, 0] if scalar else out.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmiReport:
     """Per-bit-level GMI estimates (bits/level) with Monte-Carlo error bar.
 

@@ -31,7 +31,7 @@ from .errors import ParameterError
 from .rate_adapt import RateAdaptPlan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LutDocument:
     constellation: Constellation
     dual_pol_mask: str

@@ -52,18 +52,18 @@ receiver's) as a named view into one float64 parameter array, (n,) or
 iteration writes the gradients into one matching array, checks it for
 non-finite values once, and Adam updates the parameters and both moment
 arrays in place.
-What depends only on the labels (the balance check, the bit table, the
-label signs and the order that groups each label's samples into one run)
-is built once per run. Signals stay real, and every per-sample array of
-the step is C-contiguous with the S samples on its last axis: points and
-received samples are (2, M) and (2, S) I/Q rows, LLRs, label signs,
-sigmoids and loss terms are (m, S), and an MLP layer's input is
-(fan_in + 1, S), a ones row last that meets the layer's bias row (see
-MlpDemapper). The noise is the standard-normal draw awgn_sample would
-make, transposed into (2, S). The mapper's power is computed once per
-iteration, right after the update, and feeds the next forward pass. The
-LLRs are checked and clipped only when one lies beyond the clip (any NaN
-or +/-inf counts as beyond): else every LLR is finite, llr is llr_raw
+The batch lists every label S // M times in sorted order, so each label's
+samples form one run; what depends only on the labels (the bit table and
+the label signs) is built once per run. Signals stay real, and every
+per-sample array of the step is C-contiguous with the S samples on its
+last axis: points and received samples are (2, M) and (2, S) I/Q rows,
+LLRs, label signs, sigmoids and loss terms are (m, S), and an MLP layer's
+input is (fan_in + 1, S), a ones row last that meets the layer's bias row
+(see MlpDemapper). The noise is the standard-normal draw awgn_sample
+would make, transposed into (2, S). The mapper's power is computed once
+per iteration, right after the update, and feeds the next forward pass.
+The LLRs are checked and clipped only when one lies beyond the clip (any
+NaN or +/-inf counts as beyond): else every LLR is finite, llr is llr_raw
 itself, and backward skips the mask of the clipped entries.
 """
 
@@ -82,7 +82,7 @@ from .channel import (
     linear_to_db,
     noise_variance_from_db,
 )
-from .constellation import Constellation, bit_table, check_labels, moments, uniform_qam
+from .constellation import Constellation, bit_table, moments, uniform_qam
 from .demapper import LN2, GaussianDemapper, _clipped, check_llr_clip, logistic
 from .errors import NumericalError, ParameterError, build_section, check_field_types, int_tuple
 
@@ -230,24 +230,11 @@ def _train_config(target=None, **fields) -> TrainConfig:
 # trainable objects
 
 
-@dataclass
-class MapperParams:
-    """Free (pre-normalization) constellation coordinates, shape (M, 2).
-
-    In the stacked training loop raw is (K, M, 2), one table per cell;
-    emit() needs a single table.
-    """
-
-    raw: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.raw.shape[-2]
-
-    def emit(self) -> np.ndarray:
-        """Normalized complex points as transmitted."""
-        scale = 1.0 / math.sqrt(float(np.mean(np.sum(self.raw ** 2, axis=1))))
-        return scale * (self.raw[:, 0] + 1j * self.raw[:, 1])
+def emit(raw: np.ndarray) -> np.ndarray:
+    """Normalized complex points as transmitted, from one (M, 2) table of
+    free (pre-normalization) coordinates."""
+    scale = 1.0 / math.sqrt(float(np.mean(np.sum(raw ** 2, axis=1))))
+    return scale * (raw[:, 0] + 1j * raw[:, 1])
 
 
 @dataclass
@@ -328,13 +315,10 @@ def init_mlp(m: int, hidden, rng: np.random.Generator,
     return MlpDemapper(layers=layers, llr_clip=llr_clip)
 
 
-def init_mapper(config: TrainConfig, rng: np.random.Generator,
-                jitter: float = 0.01) -> MapperParams:
-    """Initial free points: circular Gaussian or jittered Gray QAM.
-
-    `jitter` only applies to init="qam"; pass 0.0 to start exactly on the
-    QAM grid (useful in tests).
-    """
+def init_mapper(config: TrainConfig, rng: np.random.Generator) -> np.ndarray:
+    """Initial free points, an (M, 2) float64 table: circular Gaussian at
+    unit power, or Gray QAM plus 0.01 times a standard-normal draw per
+    coordinate."""
     M = 1 << config.m
     if config.init == "random":
         raw = rng.standard_normal((M, 2))
@@ -342,26 +326,26 @@ def init_mapper(config: TrainConfig, rng: np.random.Generator,
     else:
         base = uniform_qam(config.m).points
         raw = np.column_stack([base.real, base.imag])
-        raw = raw + jitter * rng.standard_normal((M, 2))
+        raw = raw + 0.01 * rng.standard_normal((M, 2))
     if not np.all(np.isfinite(raw)):
         raise NumericalError("non-finite values in initial mapper parameters")
     if np.unique(raw, axis=0).shape[0] < 2:
         raise ParameterError("initial mapper must contain at least two distinct points")
-    return MapperParams(raw=raw)
+    return raw
 
 
-def trainable_arrays(params: MapperParams, demapper) -> dict:
+def trainable_arrays(raw: np.ndarray, demapper) -> dict:
     """Named real-valued parameter arrays, the unit Adam operates on.
 
     The order is that of the flat parameter vector: the mapper, then the
     receiver's arrays, the order backward() produces them in.
     """
-    return {"mapper.raw": params.raw, **demapper.arrays()}
+    return {"mapper.raw": raw, **demapper.arrays()}
 
 
-def with_arrays(params: MapperParams, demapper, arrays: dict):
-    """Rebuild (params, demapper) from a replacement array dict."""
-    return MapperParams(raw=arrays["mapper.raw"]), demapper.with_arrays(arrays)
+def with_arrays(demapper, arrays: dict):
+    """Rebuild (raw, demapper) from a replacement array dict."""
+    return arrays["mapper.raw"], demapper.with_arrays(arrays)
 
 
 def _flatten(arrays: dict, cells: tuple = ()):
@@ -389,40 +373,24 @@ def _flatten(arrays: dict, cells: tuple = ()):
 class _Batch:
     """Label-dependent invariants of a training batch, built by _make_batch."""
 
-    labels: np.ndarray   # (S,)
+    labels: np.ndarray   # (S,), each label S // M times, sorted
     bits: np.ndarray     # (M, m) bit table
     flip: np.ndarray     # (m, S), 2 b_{k,s} - 1, so that z = flip * L
     flip_norm: np.ndarray  # (m, S), flip * S ln 2, so that d loss / d L = sigmoid / flip_norm
-    order: Union[slice, np.ndarray]  # stable sample order that sorts the labels
 
     @property
     def size(self) -> int:
         return self.labels.size
 
 
-def _make_batch(labels, M: int) -> _Batch:
-    """Validate a label batch (every label equally often) and build its invariants."""
-    labels = check_labels(labels, M)
-    counts = np.bincount(labels, minlength=M)
-    if not np.all(counts == counts[0]):
-        raise ParameterError("batch must contain every label equally often")
+def _make_batch(M: int, S: int) -> _Batch:
+    """The batch of S symbols that lists each of the M labels S // M times,
+    in sorted order, and its invariants."""
+    labels = np.repeat(np.arange(M), S // M)
     bits = bit_table(M.bit_length() - 1)
-    # a sorted batch (train()'s) is its own order, and indexing by a slice
-    # takes no copy
-    order = (slice(None) if np.all(labels[:-1] <= labels[1:])
-             else np.argsort(labels, kind="stable"))
     flip = 2.0 * np.take(bits.T, labels, axis=1) - 1.0
-    return _Batch(labels=labels, bits=bits, flip=flip,
-                  flip_norm=flip * (labels.size * LN2), order=order)
+    return _Batch(labels=labels, bits=bits, flip=flip, flip_norm=flip * (S * LN2))
 
-
-def _per_label_sum(batch: _Batch, g: np.ndarray, M: int) -> np.ndarray:
-    """Sum the columns of g (..., 2, S) by label into (..., 2, M).
-
-    Each label's samples form one run in batch order, summed in sample order.
-    """
-    runs = g[..., batch.order]
-    return runs.reshape(*runs.shape[:-1], M, -1).sum(axis=-1)
 
 
 @dataclass
@@ -515,16 +483,17 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
 
 def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None:
     """Write every gradient into grads, named views of the flat array grad."""
-    batch = st.batch
     raw = st.raw
     M = raw.shape[-2]
 
-    dllr = st.sigmoid / batch.flip_norm  # d loss / d llr
+    dllr = st.sigmoid / st.batch.flip_norm  # d loss / d llr
     if st.llr is not st.llr_raw:
         dllr[st.llr != st.llr_raw] = 0.0  # the clipped entries
 
     gy, gp = demapper.backward(dllr, st.cache, grads)
-    dp = _per_label_sum(batch, gy, M)  # transmit path: y = points[labels] + noise
+    # transmit path, y = points[labels] + noise: each label's samples form
+    # one run of the batch, summed in sample order into (..., 2, M)
+    dp = gy.reshape(*gy.shape[:-1], M, -1).sum(axis=-1)
     if gp is not None:
         dp += gp  # receiver path
     dp = dp.swapaxes(-1, -2)  # (..., M, 2), the layout of raw
@@ -550,18 +519,11 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
 # Adam
 
 
-@dataclass(frozen=True)
-class AdamHyper:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
 def _adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
-                 v: np.ndarray, t: int, hyper: AdamHyper,
+                 v: np.ndarray, t: int, config: TrainConfig,
                  work: np.ndarray) -> None:
-    """Adam step t on flat vectors, in place; work is (2, n) scratch.
+    """Adam step t on flat vectors, in place, with the config's learning
+    rate and adam_beta1/2/eps; work is (2, n) scratch.
 
         m <- beta1 m + (1 - beta1) g
         v <- beta2 v + (1 - beta2) g g
@@ -569,21 +531,22 @@ def _adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
 
     evaluated left to right in exactly this order.
     """
-    c1 = 1.0 - hyper.beta1 ** t
-    c2 = 1.0 - hyper.beta2 ** t
+    beta1, beta2 = config.adam_beta1, config.adam_beta2
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
     a, b = work
-    np.multiply(grad, 1.0 - hyper.beta1, out=a)
-    m *= hyper.beta1
+    np.multiply(grad, 1.0 - beta1, out=a)
+    m *= beta1
     m += a
-    np.multiply(grad, 1.0 - hyper.beta2, out=a)
+    np.multiply(grad, 1.0 - beta2, out=a)
     a *= grad
-    v *= hyper.beta2
+    v *= beta2
     v += a
     np.divide(m, c1, out=a)
-    a *= hyper.learning_rate
+    a *= config.learning_rate
     np.divide(v, c2, out=b)
     np.sqrt(b, out=b)
-    b += hyper.eps
+    b += config.adam_eps
     a /= b
     theta -= a
 
@@ -598,9 +561,6 @@ class TrainHistory:
     surrogate_gmi: np.ndarray
     grad_norm: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.loss)
-
     def to_csv(self) -> str:
         lines = ["iteration,loss,surrogate_gmi,grad_norm"]
         for i in range(len(self.loss)):
@@ -609,9 +569,8 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def _emit_constellation(params: MapperParams, config: TrainConfig,
+def _emit_constellation(raw: np.ndarray, config: TrainConfig,
                         noise_variance: float) -> Constellation:
-    points = params.emit()
     meta = {
         "generator": "train",
         "trained_snr_db": linear_to_db(1.0 / noise_variance),
@@ -620,7 +579,7 @@ def _emit_constellation(params: MapperParams, config: TrainConfig,
         "iterations": config.iterations,
         "init": config.init,
     }
-    return Constellation(m=config.m, points=points, metadata=meta)
+    return Constellation(m=config.m, points=emit(raw), metadata=meta)
 
 
 def train(config: TrainConfig):
@@ -662,25 +621,22 @@ def _train_run(configs: list) -> list:
     rngs = [np.random.default_rng(config.seed) for config in configs]
     cells = []
     for config, rng in zip(configs, rngs):
-        params = init_mapper(config, rng)
+        raw = init_mapper(config, rng)
         if config.demapper_mode == "mlp":
             demapper = init_mlp(config.m, config.mlp_hidden, rng, config.llr_clip)
         else:
             demapper = GaussianDemapper(llr_clip=config.llr_clip)
-        cells.append(trainable_arrays(params, demapper))
+        cells.append(trainable_arrays(raw, demapper))
 
-    M = 1 << first.m
     S = first.batch_symbols
-    batch = _make_batch(np.repeat(np.arange(M), S // M), M)
-    hyper = AdamHyper(first.learning_rate, first.adam_beta1,
-                      first.adam_beta2, first.adam_eps)
+    batch = _make_batch(1 << first.m, S)
     axis = (K,) if K > 1 else ()  # the cell axis of a stacked run
     # from here on the trainable arrays are views into theta, (n,) or
     # (K, n), which Adam updates in place together with its moment arrays
     theta, arrays = _flatten({name: np.reshape([cell[name] for cell in cells],
                                                 axis + cells[0][name].shape)
                               for name in cells[0]}, axis)
-    params, demapper = with_arrays(params, demapper, arrays)
+    raw, demapper = with_arrays(demapper, arrays)
     grad, grads = _flatten(arrays, axis)  # _backward overwrites every entry
     moments = np.zeros((2,) + theta.shape)
     work = np.empty((2,) + theta.shape)
@@ -688,11 +644,11 @@ def _train_run(configs: list) -> list:
     power = None  # of the current points, once an iteration has computed it
     # cell k's raw points, noise and gradient, as views with the cell axis first
     raws, noises, grad_rows = (a.reshape((K,) + a.shape[len(axis):])
-                               for a in (params.raw, noise, grad))
+                               for a in (raw, noise, grad))
 
     def resolve(k: int) -> float:
-        points = MapperParams(raw=raws[k]).emit()
-        return configs[k].target.resolve(Constellation(m=first.m, points=points, metadata={}))
+        return configs[k].target.resolve(
+            Constellation(m=first.m, points=emit(raws[k]), metadata={}))
 
     refresh = [(k, config.target.refresh_every) for k, config in enumerate(configs)
                if isinstance(config.target, LinkTarget)]
@@ -712,17 +668,17 @@ def _train_run(configs: list) -> list:
                 np.multiply(rng.standard_normal((S, 2)).T,
                             math.sqrt(noise_variance[k] / 2.0), out=noises[k])
             try:
-                st = _forward(params.raw, demapper, batch, noise, noise_variance, power)
+                st = _forward(raw, demapper, batch, noise, noise_variance, power)
                 _backward(demapper, st, grad, grads)
-                _adam_update(theta, grad, *moments, it + 1, hyper, work)
-                power = _mapper_power(params.raw)
+                _adam_update(theta, grad, *moments, it + 1, first, work)
+                power = _mapper_power(raw)
             except NumericalError as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
             loss_hist[:, it] = st.loss
             sq_norm_hist[:, it] = np.matmul(grad_rows[:, None, :],
                                             grad_rows[:, :, None]).reshape(K)
         constellations = [
-            _emit_constellation(MapperParams(raw=raws[k]), config, noise_variance[k])
+            _emit_constellation(raws[k], config, noise_variance[k])
             for k, config in enumerate(configs)]
 
     gmi_hist = first.m - loss_hist

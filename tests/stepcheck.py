@@ -14,10 +14,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from shapegain.constellation import check_labels
 from shapegain.errors import ParameterError
 from shapegain.training import (
     ForwardState,
-    MapperParams,
     MlpDemapper,
     _backward,
     _flatten,
@@ -28,24 +28,28 @@ from shapegain.training import (
 )
 
 
-def forward_loss(params: MapperParams, demapper, labels: np.ndarray,
+def forward_loss(raw: np.ndarray, demapper, labels: np.ndarray,
                  noise: np.ndarray, noise_variance: float):
     """Surrogate loss (bits/symbol) plus cached intermediates.
 
-    `labels` must contain each of the M labels equally often, in any
-    order; `noise` is the complex additive noise realization, one entry
-    per label.
+    raw is the (M, 2) mapper table. `labels` must be train()'s batch: each
+    of the M labels S // M times, in sorted order, since the step sums each
+    label's samples as one run; `noise` is the complex additive noise
+    realization, one entry per label.
     """
     labels = np.asarray(labels)
     noise = np.asarray(noise, dtype=np.complex128)
     if labels.shape != noise.shape:
         raise ParameterError("labels and noise must have matching shapes")
-    st = _forward(params.raw, demapper, _make_batch(labels, params.size),
-                  np.stack([noise.real, noise.imag]), [noise_variance])
+    M = raw.shape[0]
+    batch = _make_batch(M, labels.size)
+    if not np.array_equal(check_labels(labels, M), batch.labels):
+        raise ParameterError("labels must list each label S // M times, in sorted order")
+    st = _forward(raw, demapper, batch, np.stack([noise.real, noise.imag]), [noise_variance])
     return float(st.loss), st
 
 
-def backward(params: MapperParams, demapper, state: ForwardState) -> dict:
+def backward(raw: np.ndarray, demapper, state: ForwardState) -> dict:
     """Gradients of the surrogate loss w.r.t. every trainable array.
 
     The differentiable path runs through the power normalization, the
@@ -53,7 +57,7 @@ def backward(params: MapperParams, demapper, state: ForwardState) -> dict:
     clipped LLR entries receive zero gradient. The returned arrays are
     views into one flat vector, in trainable_arrays() order.
     """
-    grad, grads = _flatten(trainable_arrays(params, demapper))  # every entry is overwritten
+    grad, grads = _flatten(trainable_arrays(raw, demapper))  # every entry is overwritten
     _backward(demapper, state, grad, grads)
     return grads
 
@@ -130,7 +134,7 @@ def _activation_pattern(demapper, st: ForwardState) -> list:
     return pattern
 
 
-def gradient_check(params: MapperParams, demapper, labels, noise,
+def gradient_check(raw: np.ndarray, demapper, labels, noise,
                    noise_variance: float, n_probes: int = 20,
                    tolerance: float = 1e-4,
                    rng: Optional[np.random.Generator] = None,
@@ -142,18 +146,18 @@ def gradient_check(params: MapperParams, demapper, labels, noise,
     one are redrawn, see finite_difference_check.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    arrays = trainable_arrays(params, demapper)
-    _, st = forward_loss(params, demapper, labels, noise, noise_variance)
-    grads = backward(params, demapper, st)
+    arrays = trainable_arrays(raw, demapper)
+    _, st = forward_loss(raw, demapper, labels, noise, noise_variance)
+    grads = backward(raw, demapper, st)
 
     def loss_fn(replaced: dict) -> float:
-        p2, d2 = with_arrays(params, demapper, replaced)
-        val, _ = forward_loss(p2, d2, labels, noise, noise_variance)
+        r2, d2 = with_arrays(demapper, replaced)
+        val, _ = forward_loss(r2, d2, labels, noise, noise_variance)
         return val
 
     def region_fn(replaced: dict) -> list:
-        p2, d2 = with_arrays(params, demapper, replaced)
-        _, st2 = forward_loss(p2, d2, labels, noise, noise_variance)
+        r2, d2 = with_arrays(demapper, replaced)
+        _, st2 = forward_loss(r2, d2, labels, noise, noise_variance)
         return _activation_pattern(d2, st2)
 
     return finite_difference_check(loss_fn, arrays, grads, n_probes, tolerance,

@@ -149,12 +149,12 @@ def _criterion_3_report(mode: str, m: int):
                       batch_symbols=16 * (1 << m),
                       demapper_mode=mode, mlp_hidden=(16, 16))
     rng = np.random.default_rng(100 * (mode == "mlp") + m)
-    params = init_mapper(cfg, rng)
+    raw = init_mapper(cfg, rng)
     dem = (GaussianDemapper() if mode == "gaussian"
            else init_mlp(m, cfg.mlp_hidden, rng, cfg.llr_clip))
     labels = np.repeat(np.arange(1 << m), 16)
     noise = awgn_sample(rng, np.zeros(cfg.batch_symbols), _nv(8.0))
-    return gradient_check(params, dem, labels, noise, _nv(8.0),
+    return gradient_check(raw, dem, labels, noise, _nv(8.0),
                           n_probes=20, tolerance=1e-4,
                           rng=np.random.default_rng(m))
 

@@ -20,7 +20,9 @@ from shapegain.constellation import (
     save_constellation,
     uniform_qam,
 )
+from shapegain.demapper import make_report
 from shapegain.errors import DegenerateInputError, ParameterError
+from shapegain.lut import LutDocument
 
 
 def make(m, points, **meta):
@@ -258,6 +260,16 @@ class TestConstellationType:
     def test_metadata_preserved(self):
         c = make(1, [1.0, -1.0], generator="qam")
         assert c.metadata["generator"] == "qam"
+
+    def test_array_holding_records_compare_by_identity(self):
+        # a field-wise == would compare ndarrays inside a tuple and raise
+        records = [(uniform_qam(2), uniform_qam(2)),
+                   (make_report(np.array([0.5]), 10, 0.1),
+                    make_report(np.array([0.5]), 10, 0.1)),
+                   (LutDocument(uniform_qam(2), "0000"), LutDocument(uniform_qam(2), "0000"))]
+        for a, b in records:
+            assert a == a and a != b
+            assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestSerialization:

@@ -4,15 +4,20 @@ gaussian_bit_metric backs the Gaussian receiver of training, llr_exact and
 every GMI estimate. These expected values were generated before a rewrite
 of the metric's internals that kept every output bit; a change to the
 metric that moves one of them moves the program's results. The plan and
-LUT pins were generated before dummy selection lost its second split rule.
+LUT pins were generated before dummy selection lost its second split rule,
+and the MLP training pins before the training loop lost its mapper and
+optimizer wrapper classes.
 """
 
 import hashlib
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shapegain import (
+    LinkConfig,
     SnrTarget,
     TrainConfig,
     db_to_linear,
@@ -24,6 +29,8 @@ from shapegain import (
 )
 from shapegain.cli import main
 from shapegain.demapper import make_report
+from shapegain.sweep import _ae_train_config, load_run_config
+from shapegain.training import LinkTarget, train_many
 
 # the SNR at which Gray 16QAM's quadrature GMI is 3.0 bits (criterion 4)
 GRAY16_3BIT_SNR_DB = 9.308632135959519
@@ -43,6 +50,27 @@ def test_lone_gaussian_training_is_pinned():
     c, history = train(config)
     assert _sha256(c.points.tobytes()) == _TRAIN_POINTS_SHA256
     assert _sha256(history.to_csv().encode()) == _TRAIN_HISTORY_SHA256
+
+
+def test_stacked_mlp_training_of_the_example_cells_is_pinned():
+    # the shipped example sweep's six ae cells, stacked into one MLP run
+    rc = load_run_config(Path(__file__).resolve().parent.parent / "configs" / "example.json")
+    rc = replace(rc, train=replace(rc.train, iterations=300))
+    results = train_many([_ae_train_config(rc, n) for n in rc.sweep.span_grid])
+    assert len(results) == 6
+    assert _sha256(b"".join(c.points.tobytes() for c, _ in results)) == _MANY_POINTS_SHA256
+    assert (_sha256(b"".join(h.to_csv().encode() for _, h in results))
+            == _MANY_HISTORY_SHA256)
+
+
+def test_lone_mlp_training_on_a_link_is_pinned():
+    link = LinkConfig(n_spans=8, ase_var_per_span=0.0041, chi1=0.3, chi2=0.1)
+    config = TrainConfig(m=3, target=LinkTarget(link, refresh_every=7), iterations=300,
+                         batch_symbols=256, demapper_mode="mlp", mlp_hidden=(16, 8),
+                         init="random", learning_rate=2e-3, seed=4)
+    c, history = train(config)
+    assert _sha256(c.points.tobytes()) == _MLP_POINTS_SHA256
+    assert _sha256(history.to_csv().encode()) == _MLP_HISTORY_SHA256
 
 
 # (m, SNR in dB): low SNR, criterion 4's SNR, and two cases whose blocks
@@ -93,6 +121,10 @@ def test_plan_and_lut_files_are_pinned(tmp_path, n_d):
 
 _TRAIN_POINTS_SHA256 = "9ed61a7a85307644c5211292005f9df6c54875542a31a9cc4cef7b0f079d3d0c"
 _TRAIN_HISTORY_SHA256 = "c327187a0d8ba60d7ae8408a63f8d424f13ef19adc67014aaa170a0ae56dcdcd"
+_MANY_POINTS_SHA256 = "9746d0b3e9228bfcab92a5c82d05e2e2437370530595ad686aff39069cfd490a"
+_MANY_HISTORY_SHA256 = "63ba6b1013d770a2a737c21986643f8e9df45d590d02d68f8723d63e95fac9c3"
+_MLP_POINTS_SHA256 = "57d1ee7ceeb78d3816346ff43b2adf014da6b8e83c9d0bd8cb5539a78bb5e7db"
+_MLP_HISTORY_SHA256 = "e147d591a35563e429b871e5edd4cb61a077c0f942fc9db85188c55e3c9bef56"
 _MC_REPORTS = {
     (2, 3.0): ("1.4422300789635616",
               "cda48e8ab921d24e8b21a3d10ec0a2a9c9923d08566aa9ccd14339314278121b"),

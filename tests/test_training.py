@@ -24,14 +24,13 @@ from shapegain import (
 )
 from shapegain.demapper import DEFAULT_LLR_CLIP, _clipped
 from shapegain.training import (
-    AdamHyper,
     GaussianDemapper,
     LinkTarget,
-    MapperParams,
     SnrTarget,
     TrainConfig,
     _adam_update,
     _flatten,
+    emit,
     init_mapper,
     init_mlp,
     train,
@@ -133,26 +132,19 @@ class TestTrainConfig:
 
 
 class TestInitMapper:
-    def test_qam_init_with_zero_jitter_is_gray_qam(self):
-        # emit() renormalizes, so allow one ulp of scale noise
-        for m in (1, 2, 3, 4, 6):
-            cfg = _config(m=m, batch_symbols=1 << m, init="qam")
-            params = init_mapper(cfg, np.random.default_rng(0), jitter=0.0)
-            np.testing.assert_allclose(params.emit(), uniform_qam(m).points,
-                                       rtol=0, atol=1e-15)
-
     def test_qam_init_default_jitter_stays_close(self):
         cfg = _config(m=4, init="qam")
-        params = init_mapper(cfg, np.random.default_rng(1))
+        raw = init_mapper(cfg, np.random.default_rng(1))
+        assert raw.shape == (16, 2) and raw.dtype == np.float64
         ref = uniform_qam(4).points
-        assert np.max(np.abs(params.emit() - ref)) < 0.1
-        assert np.any(params.emit() != ref)
+        assert np.max(np.abs(emit(raw) - ref)) < 0.1
+        assert np.any(emit(raw) != ref)
 
     def test_random_init_unit_power_and_seed_determinism(self):
         cfg = _config(m=3, batch_symbols=64, init="random")
-        a = init_mapper(cfg, np.random.default_rng(4)).emit()
-        b = init_mapper(cfg, np.random.default_rng(4)).emit()
-        c = init_mapper(cfg, np.random.default_rng(5)).emit()
+        a = emit(init_mapper(cfg, np.random.default_rng(4)))
+        b = emit(init_mapper(cfg, np.random.default_rng(4)))
+        c = emit(init_mapper(cfg, np.random.default_rng(5)))
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
         assert np.mean(np.abs(a) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -166,114 +158,85 @@ class TestForwardLoss:
     def _setup(self, m=2, batch=64, snr_db=10.0, seed=0):
         cfg = _config(m=m, batch_symbols=batch)
         rng = np.random.default_rng(seed)
-        params = init_mapper(cfg, rng)
+        raw = init_mapper(cfg, rng)
         labels = _balanced_labels(m, batch)
         nv = 1.0 / db_to_linear(snr_db)
         noise = awgn_sample(rng, np.zeros(batch), nv)
-        return params, labels, noise, nv
+        return raw, labels, noise, nv
 
     def test_surrogate_identity_loss_plus_gmi_is_m(self):
-        params, labels, noise, nv = self._setup(m=3, batch=128)
-        loss, st = forward_loss(params, GaussianDemapper(), labels, noise, nv)
+        raw, labels, noise, nv = self._setup(m=3, batch=128)
+        loss, st = forward_loss(raw, GaussianDemapper(), labels, noise, nv)
         per_bit_surrogate = 1.0 - st.penalties.sum(axis=-1) / labels.size
         assert float(per_bit_surrogate.sum()) == pytest.approx(3.0 - loss, abs=1e-12)
 
     def test_transmitted_points_have_unit_power(self):
-        params, labels, noise, nv = self._setup(m=4, batch=256)
-        _, st = forward_loss(params, GaussianDemapper(), labels, noise, nv)
+        raw, labels, noise, nv = self._setup(m=4, batch=256)
+        _, st = forward_loss(raw, GaussianDemapper(), labels, noise, nv)
         assert (st.points_iq ** 2).sum(axis=0).mean() == pytest.approx(1.0, abs=1e-12)
 
     def test_noiseless_batch_loss_is_tiny(self):
-        params, labels, _, _ = self._setup(m=2, batch=64)
-        loss, _ = forward_loss(params, GaussianDemapper(), labels,
+        raw, labels, _, _ = self._setup(m=2, batch=64)
+        loss, _ = forward_loss(raw, GaussianDemapper(), labels,
                                np.zeros(64, complex), 1e-4)
         assert loss < 1e-12
 
     def test_overwhelming_noise_loss_approaches_m(self):
-        params, labels, noise, _ = self._setup(m=2, batch=64)
-        loss, _ = forward_loss(params, GaussianDemapper(), labels,
+        raw, labels, noise, _ = self._setup(m=2, batch=64)
+        loss, _ = forward_loss(raw, GaussianDemapper(), labels,
                                1e4 * noise, 1e8)
         assert loss == pytest.approx(2.0, abs=0.01)
 
+    def test_shuffled_labels_rejected(self):
+        # the step sums each label's samples as one run of the batch
+        raw, labels, noise, nv = self._setup(m=2, batch=64)
+        shuffled = np.random.default_rng(12).permutation(labels)
+        with pytest.raises(ParameterError, match="sorted order"):
+            forward_loss(raw, GaussianDemapper(), shuffled, noise, nv)
+
     def test_unbalanced_labels_rejected(self):
-        params, labels, noise, nv = self._setup(m=2, batch=64)
+        raw, labels, noise, nv = self._setup(m=2, batch=64)
         labels = labels.copy()
         labels[labels == 3] = 0
         with pytest.raises(ParameterError):
-            forward_loss(params, GaussianDemapper(), labels, noise, nv)
+            forward_loss(raw, GaussianDemapper(), labels, noise, nv)
 
     @pytest.mark.parametrize("labels", [[0, 1, 2, 3, 4], [0, 1, 2, -1]],
                              ids=["label equal to M", "negative label"])
     def test_label_out_of_range_rejected(self, labels):
-        params, _, _, nv = self._setup(m=2, batch=4)
+        raw, _, _, nv = self._setup(m=2, batch=4)
         labels = np.array(labels)
         noise = np.zeros(labels.size, complex)
         with pytest.raises(ParameterError, match=r"labels must be integers in \[0, 4\)"):
-            forward_loss(params, GaussianDemapper(), labels, noise, nv)
+            forward_loss(raw, GaussianDemapper(), labels, noise, nv)
 
     def test_nan_gaussian_llr_raises_numerical_error(self):
         # every sample lies 0.14 off its point, and each squared distance
         # over a subnormal noise variance overflows: a sample's
         # log-likelihoods are all -inf and its LLRs NaN
-        params, labels, _, _ = self._setup(m=2, batch=64)
+        raw, labels, _, _ = self._setup(m=2, batch=64)
         noise = np.full(64, 0.1 + 0.1j)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalError, match=r"^NaN values in llr$"):
-            forward_loss(params, GaussianDemapper(), labels, noise, 1e-320)
+            forward_loss(raw, GaussianDemapper(), labels, noise, 1e-320)
 
     def test_underflowed_gaussian_llr_clips_without_raising(self):
         # on the points themselves only the own point's distance stays
         # finite: the other partition of every level is 0, its LLR +/-inf
-        params, labels, _, _ = self._setup(m=2, batch=64)
+        raw, labels, _, _ = self._setup(m=2, batch=64)
         with np.errstate(over="ignore"):
-            loss, st = forward_loss(params, GaussianDemapper(), labels,
+            loss, st = forward_loss(raw, GaussianDemapper(), labels,
                                     np.zeros(64, complex), 1e-320)
         assert np.isinf(st.llr_raw).all()
         np.testing.assert_array_equal(st.llr, np.sign(st.llr_raw) * DEFAULT_LLR_CLIP)
         assert 0.0 <= loss < 1e-12
 
     def test_nan_parameters_raise_numerical_error(self):
-        params, labels, noise, nv = self._setup(m=2, batch=64)
-        bad = MapperParams(raw=params.raw.copy())
-        bad.raw[0, 0] = np.nan
+        raw, labels, noise, nv = self._setup(m=2, batch=64)
+        bad = raw.copy()
+        bad[0, 0] = np.nan
         with pytest.raises(NumericalError):
             forward_loss(bad, GaussianDemapper(), labels, noise, nv)
-
-
-class TestLabelOrder:
-    """Batches may list their labels in any order; a sorted batch (train()'s)
-    sums each label's samples as one run, and a shuffled one is sorted
-    stably first."""
-
-    def test_per_label_sum_of_shuffled_labels(self):
-        M, S = 8, 256
-        rng = np.random.default_rng(12)
-        labels = rng.permutation(np.repeat(np.arange(M), S // M))
-        g = rng.standard_normal((3, 2, S))
-        got = training._per_label_sum(training._make_batch(labels, M), g, M)
-        assert got.shape == (3, 2, M)
-        for j in range(M):
-            np.testing.assert_array_equal(got[..., j], g[..., labels == j].sum(axis=-1))
-
-    @pytest.mark.parametrize("mode", ["gaussian", "mlp"])
-    def test_shuffled_batch_takes_the_same_step(self, mode):
-        m, S = 3, 128
-        cfg = _config(m=m, batch_symbols=S, demapper_mode=mode, mlp_hidden=(8,))
-        rng = np.random.default_rng(13)
-        params = init_mapper(cfg, rng)
-        demapper = init_mlp(m, (8,), rng) if mode == "mlp" else GaussianDemapper()
-        labels = _balanced_labels(m, S)
-        noise = awgn_sample(rng, np.zeros(S), 0.2)
-        perm = rng.permutation(S)
-        loss, st = forward_loss(params, demapper, labels, noise, 0.2)
-        loss_p, st_p = forward_loss(params, demapper, labels[perm], noise[perm], 0.2)
-        np.testing.assert_array_equal(st_p.y_iq, st.y_iq[:, perm])
-        assert loss_p == pytest.approx(loss, rel=1e-13)
-        grads = backward(params, demapper, st)
-        grads_p = backward(params, demapper, st_p)
-        for name, g in grads.items():
-            np.testing.assert_allclose(grads_p[name], g, rtol=1e-10, atol=1e-14,
-                                       err_msg=name)
 
 
 class TestSamplesLastLayout:
@@ -284,11 +247,11 @@ class TestSamplesLastLayout:
         m, S = 3, 128
         cfg = _config(m=m, batch_symbols=S, demapper_mode=mode, mlp_hidden=(8, 5))
         rng = np.random.default_rng(11)
-        params = init_mapper(cfg, rng)
+        raw = init_mapper(cfg, rng)
         demapper = (init_mlp(m, cfg.mlp_hidden, rng) if mode == "mlp"
                     else GaussianDemapper())
         noise = awgn_sample(rng, np.zeros(S), 0.1)
-        _, st = forward_loss(params, demapper, _balanced_labels(m, S), noise, 0.1)
+        _, st = forward_loss(raw, demapper, _balanced_labels(m, S), noise, 0.1)
         grads = {k: np.empty_like(v) for k, v in demapper.arrays().items()}
         gy, gp = demapper.backward(np.ones((m, S)), st.cache, grads)
         rows = {"y_iq": (st.y_iq, 2), "llr_raw": (st.llr_raw, m), "llr": (st.llr, m),
@@ -325,11 +288,11 @@ class TestGradients:
     def test_gaussian_demapper_gradients(self, m):
         cfg = _config(m=m, batch_symbols=16 * (1 << m))
         rng = np.random.default_rng(100 + m)
-        params = init_mapper(cfg, rng)
+        raw = init_mapper(cfg, rng)
         labels = _balanced_labels(m, cfg.batch_symbols)
         nv = 1.0 / db_to_linear(8.0)
         noise = awgn_sample(rng, np.zeros(cfg.batch_symbols), nv)
-        rep = gradient_check(params, GaussianDemapper(), labels, noise, nv,
+        rep = gradient_check(raw, GaussianDemapper(), labels, noise, nv,
                              n_probes=8, rng=np.random.default_rng(0))
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
 
@@ -340,20 +303,20 @@ class TestGradients:
         # the same rows
         cfg = _config(m=m, batch_symbols=16 * (1 << m))
         rng = np.random.default_rng(300 + m)
-        params = init_mapper(cfg, rng)
+        raw = init_mapper(cfg, rng)
         labels = _balanced_labels(m, cfg.batch_symbols)
         nv = 1.0 / db_to_linear(40.0)
         noise = awgn_sample(rng, np.zeros(cfg.batch_symbols), nv)
-        pts = params.emit()
+        pts = emit(raw)
         edge = labels == 0
         noise[edge] += 0.5 * (pts[1] - pts[0])
-        _, st = forward_loss(params, GaussianDemapper(), labels, noise, nv)
+        _, st = forward_loss(raw, GaussianDemapper(), labels, noise, nv)
         assert np.isinf(st.llr_raw).any()
         assert (np.abs(st.llr_raw[:, edge]) < DEFAULT_LLR_CLIP).any()
-        grads = backward(params, GaussianDemapper(), st)
+        grads = backward(raw, GaussianDemapper(), st)
         assert all(np.all(np.isfinite(g)) for g in grads.values())
         assert np.any(grads["mapper.raw"] != 0.0)
-        rep = gradient_check(params, GaussianDemapper(), labels, noise, nv,
+        rep = gradient_check(raw, GaussianDemapper(), labels, noise, nv,
                              n_probes=8, tolerance=1e-4, rng=np.random.default_rng(0))
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
 
@@ -362,12 +325,12 @@ class TestGradients:
         cfg = _config(m=m, batch_symbols=16 * (1 << m), demapper_mode="mlp",
                       mlp_hidden=(16, 16))
         rng = np.random.default_rng(200 + m)
-        params = init_mapper(cfg, rng)
+        raw = init_mapper(cfg, rng)
         mlp = init_mlp(m, cfg.mlp_hidden, rng, cfg.llr_clip)
         labels = _balanced_labels(m, cfg.batch_symbols)
         nv = 1.0 / db_to_linear(8.0)
         noise = awgn_sample(rng, np.zeros(cfg.batch_symbols), nv)
-        rep = gradient_check(params, mlp, labels, noise, nv,
+        rep = gradient_check(raw, mlp, labels, noise, nv,
                              n_probes=8, rng=np.random.default_rng(0))
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
 
@@ -378,18 +341,18 @@ class TestGradients:
         # across must be redrawn, else their differences mix two slopes
         m, S = 2, 64
         rng = np.random.default_rng(31)
-        params = init_mapper(_config(m=m, batch_symbols=S), rng)
+        raw = init_mapper(_config(m=m, batch_symbols=S), rng)
         mlp = init_mlp(m, (4,), rng)
         labels = _balanced_labels(m, S)
         noise = awgn_sample(rng, np.zeros(S), 0.2)
-        _, st = forward_loss(params, mlp, labels, noise, 0.2)
+        _, st = forward_loss(raw, mlp, labels, noise, 0.2)
         if kink == "rectifier":
             pre = mlp.layers[0].T @ st.cache[0]
             mlp.layers[0][-1, 0] -= pre[0, 0] - 1e-7
         else:
             mlp.llr_clip = float(np.abs(st.llr_raw[0]).max() - 1e-7)
-        n_coords = sum(a.size for a in trainable_arrays(params, mlp).values())
-        rep = gradient_check(params, mlp, labels, noise, 0.2, n_probes=n_coords,
+        n_coords = sum(a.size for a in trainable_arrays(raw, mlp).values())
+        rep = gradient_check(raw, mlp, labels, noise, 0.2, n_probes=n_coords,
                              rng=np.random.default_rng(0))
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
         assert 0 < len(rep.probes) < n_coords
@@ -419,27 +382,27 @@ class TestGradients:
         m, S = 3, 128
         cfg = _config(m=m, batch_symbols=S, demapper_mode=mode, mlp_hidden=(8,))
         rng = np.random.default_rng(17)
-        params = init_mapper(cfg, rng)
+        raw = init_mapper(cfg, rng)
         demapper = init_mlp(m, (8,), rng) if mode == "mlp" else GaussianDemapper()
         noise = awgn_sample(rng, np.zeros(S), 0.2)
-        _, st = forward_loss(params, demapper, _balanced_labels(m, S), noise, 0.2)
+        _, st = forward_loss(raw, demapper, _balanced_labels(m, S), noise, 0.2)
         clipped = _clipped(st.llr_raw, demapper.llr_clip)
         assert st.llr is st.llr_raw
         np.testing.assert_array_equal(st.llr, clipped)
         # the state the unconditional clip gives takes backward's masked path
-        masked = backward(params, demapper, replace(st, llr=clipped))
-        for name, g in backward(params, demapper, st).items():
+        masked = backward(raw, demapper, replace(st, llr=clipped))
+        for name, g in backward(raw, demapper, st).items():
             np.testing.assert_array_equal(g, masked[name], err_msg=name)
 
     def test_mlp_llrs_past_the_clip_get_zero_gradient(self):
         m, S = 2, 64
         cfg = _config(m=m, batch_symbols=S, demapper_mode="mlp", mlp_hidden=(8,))
         rng = np.random.default_rng(18)
-        params = init_mapper(cfg, rng)
+        raw = init_mapper(cfg, rng)
         mlp = init_mlp(m, (8,), rng, llr_clip=5.0)
         mlp.layers[-1] *= 40.0  # some LLRs beyond the clip, others not
         noise = awgn_sample(rng, np.zeros(S), 0.5)
-        _, st = forward_loss(params, mlp, _balanced_labels(m, S), noise, 0.5)
+        _, st = forward_loss(raw, mlp, _balanced_labels(m, S), noise, 0.5)
         beyond = np.abs(st.llr_raw) > mlp.llr_clip
         assert beyond.any() and not beyond.all()
         seen = []
@@ -450,7 +413,7 @@ class TestGradients:
             return real(dllr, cache, grads)
 
         mlp.backward = spy
-        backward(params, mlp, st)
+        backward(raw, mlp, st)
         np.testing.assert_array_equal(seen[0] == 0.0, beyond)
 
     def test_checker_is_exact_on_quadratic_toy(self):
@@ -508,15 +471,15 @@ class TestGradients:
     def test_backward_returns_all_trainable_arrays(self):
         cfg = _config(m=2, batch_symbols=64, demapper_mode="mlp", mlp_hidden=(8,))
         rng = np.random.default_rng(5)
-        params = init_mapper(cfg, rng)
+        raw = init_mapper(cfg, rng)
         mlp = init_mlp(2, (8,), rng, 50.0)
         labels = _balanced_labels(2, 64)
         noise = awgn_sample(rng, np.zeros(64), 0.1)
-        _, st = forward_loss(params, mlp, labels, noise, 0.1)
-        grads = backward(params, mlp, st)
-        assert set(grads) == set(trainable_arrays(params, mlp))
+        _, st = forward_loss(raw, mlp, labels, noise, 0.1)
+        grads = backward(raw, mlp, st)
+        assert set(grads) == set(trainable_arrays(raw, mlp))
         for key, g in grads.items():
-            assert g.shape == trainable_arrays(params, mlp)[key].shape
+            assert g.shape == trainable_arrays(raw, mlp)[key].shape
 
 
 class TestPackageSurface:
@@ -550,35 +513,34 @@ class _Adam:
     """The training loop's Adam: _adam_update on one flat copy of named
     arrays, with its moments as named views too."""
 
-    def __init__(self, arrays: dict, hyper: AdamHyper):
+    def __init__(self, arrays: dict, config: TrainConfig):
         self.theta, self.arrays = _flatten(arrays)
         zeros = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.m, self.m_views = _flatten(zeros)
         self.v, self.v_views = _flatten(zeros)
         self.work = np.empty((2, self.theta.size))
-        self.hyper = hyper
+        self.config = config
         self.t = 0
 
     def step(self, grads: dict) -> dict:
         """One update from named gradients; returns the updated named arrays."""
         grad, _ = _flatten({k: grads[k] for k in self.arrays})
         self.t += 1
-        _adam_update(self.theta, grad, self.m, self.v, self.t, self.hyper, self.work)
+        _adam_update(self.theta, grad, self.m, self.v, self.t, self.config, self.work)
         return self.arrays
 
 
 class TestAdam:
     def test_zero_gradient_is_a_fixed_point(self):
         arrays = {"w": np.array([1.0, -2.0, 3.0])}
-        opt = _Adam(arrays, AdamHyper())
+        opt = _Adam(arrays, _config())
         out = opt.step({"w": np.zeros(3)})
         np.testing.assert_array_equal(out["w"], arrays["w"])
         assert not opt.m.any() and not opt.v.any()
 
     def test_constant_gradient_moves_lr_per_step(self):
         # with g constant, m-hat/(sqrt(v-hat)+eps) == sign(g) at every step
-        hyper = AdamHyper(learning_rate=1e-3)
-        opt = _Adam({"w": np.array([0.5, -0.25])}, hyper)
+        opt = _Adam({"w": np.array([0.5, -0.25])}, _config(learning_rate=1e-3))
         g = {"w": np.array([3.0, -0.7])}
         for _ in range(500):
             arrays = opt.step(g)
@@ -589,17 +551,18 @@ class TestAdam:
         # the update writes theta, its moments and its scratch, never the gradient
         theta, m, v = np.array([1.0]), np.zeros(1), np.zeros(1)
         grad = np.array([2.0])
-        _adam_update(theta, grad, m, v, 1, AdamHyper(), np.empty((2, 1)))
+        _adam_update(theta, grad, m, v, 1, _config(), np.empty((2, 1)))
         assert grad[0] == 2.0
         assert theta[0] != 1.0 and m[0] != 0.0 and v[0] != 0.0
 
     def test_matches_textbook_formula_bitwise(self):
         # the in-place update keeps the formula's evaluation order exactly
         rng = np.random.default_rng(8)
-        hyper = AdamHyper(learning_rate=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+        cfg = _config(learning_rate=3e-3, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-7)
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         # parameters of the step's own size, so a one-ulp change of the step shows
         arrays = {"a": 1e-3 * rng.normal(size=(5, 2)), "b": np.zeros(3)}
-        opt = _Adam(arrays, hyper)
+        opt = _Adam(arrays, cfg)
         ref_x = {k: v.copy() for k, v in arrays.items()}
         ref_m = {k: np.zeros_like(v) for k, v in arrays.items()}
         ref_v = {k: np.zeros_like(v) for k, v in arrays.items()}
@@ -607,19 +570,19 @@ class TestAdam:
             g = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-6, 6)
                  for k, v in arrays.items()}
             arrays = opt.step(g)
-            c1, c2 = 1.0 - hyper.beta1 ** t, 1.0 - hyper.beta2 ** t
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             for k in ref_x:
-                ref_m[k] = hyper.beta1 * ref_m[k] + (1.0 - hyper.beta1) * g[k]
-                ref_v[k] = hyper.beta2 * ref_v[k] + (1.0 - hyper.beta2) * g[k] * g[k]
-                ref_x[k] = ref_x[k] - hyper.learning_rate * (ref_m[k] / c1) / (
-                    np.sqrt(ref_v[k] / c2) + hyper.eps)
+                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g[k]
+                ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * g[k] * g[k]
+                ref_x[k] = ref_x[k] - cfg.learning_rate * (ref_m[k] / c1) / (
+                    np.sqrt(ref_v[k] / c2) + cfg.adam_eps)
                 np.testing.assert_array_equal(arrays[k], ref_x[k])
                 np.testing.assert_array_equal(opt.m_views[k], ref_m[k])
                 np.testing.assert_array_equal(opt.v_views[k], ref_v[k])
 
     def test_deterministic(self):
         def run():
-            opt = _Adam({"w": np.array([0.3, 0.7])}, AdamHyper())
+            opt = _Adam({"w": np.array([0.3, 0.7])}, _config())
             for i in range(50):
                 arrays = opt.step({"w": np.array([np.sin(i), np.cos(i)])})
             return arrays["w"].copy()
@@ -634,9 +597,9 @@ class TestTrain:
     def test_zero_iterations_returns_normalized_init(self):
         cfg = _config(m=2, iterations=0, batch_symbols=64, seed=3)
         c, hist = train(cfg)
-        expect = init_mapper(cfg, np.random.default_rng(3)).emit()
+        expect = emit(init_mapper(cfg, np.random.default_rng(3)))
         np.testing.assert_array_equal(c.points, expect)
-        assert len(hist) == 0
+        assert hist.loss.size == 0
 
     def test_seed_determinism_and_sensitivity(self):
         cfg = _config(m=2, iterations=30, batch_symbols=64, seed=1)
@@ -649,7 +612,7 @@ class TestTrain:
     def test_history_shape_and_identity(self):
         cfg = _config(m=3, iterations=25, batch_symbols=128)
         _, hist = train(cfg)
-        assert len(hist) == 25
+        assert hist.loss.size == 25
         assert np.all(np.isfinite(hist.loss))
         np.testing.assert_allclose(hist.surrogate_gmi, 3.0 - hist.loss, atol=1e-12)
         csv = hist.to_csv()
@@ -686,7 +649,7 @@ class TestTrain:
         cfg = _config(m=2, iterations=45, batch_symbols=64,
                       target=LinkTarget(link, refresh_every=20))
         c, hist = train(cfg)
-        assert len(hist) == 45
+        assert hist.loss.size == 45
         assert np.isfinite(c.metadata["trained_snr_db"])
 
     def test_mlp_mode_trains(self):
@@ -700,20 +663,18 @@ class TestTrain:
 def _public_api_train(config):
     """train() spelled out with the step functions of stepcheck, one call each."""
     rng = np.random.default_rng(config.seed)
-    params = init_mapper(config, rng)
+    raw = init_mapper(config, rng)
     if config.demapper_mode == "mlp":
         demapper = init_mlp(config.m, config.mlp_hidden, rng, config.llr_clip)
     else:
         demapper = GaussianDemapper(llr_clip=config.llr_clip)
     labels = _balanced_labels(config.m, config.batch_symbols)
-    hyper = AdamHyper(config.learning_rate, config.adam_beta1,
-                      config.adam_beta2, config.adam_eps)
-    opt = _Adam(trainable_arrays(params, demapper), hyper)
-    params, demapper = with_arrays(params, demapper, opt.arrays)
+    opt = _Adam(trainable_arrays(raw, demapper), config)
+    raw, demapper = with_arrays(demapper, opt.arrays)
     refresh = getattr(config.target, "refresh_every", 0)
 
     def resolve():
-        return config.target.resolve(Constellation(m=config.m, points=params.emit()))
+        return config.target.resolve(Constellation(m=config.m, points=emit(raw)))
 
     nv = resolve()
     loss, gmi, norm = [], [], []
@@ -721,14 +682,14 @@ def _public_api_train(config):
         if refresh and it > 0 and it % refresh == 0:
             nv = resolve()
         noise = awgn_sample(rng, np.zeros(config.batch_symbols), nv)
-        val, st = forward_loss(params, demapper, labels, noise, nv)
-        grads = backward(params, demapper, st)
-        params, demapper = with_arrays(params, demapper, opt.step(grads))
+        val, st = forward_loss(raw, demapper, labels, noise, nv)
+        grads = backward(raw, demapper, st)
+        raw, demapper = with_arrays(demapper, opt.step(grads))
         loss.append(val)
         gmi.append(config.m - val)
         flat = np.concatenate([g.ravel() for g in grads.values()])
         norm.append(math.sqrt(float(flat @ flat)))
-    return params.emit(), np.array(loss), np.array(gmi), np.array(norm)
+    return emit(raw), np.array(loss), np.array(gmi), np.array(norm)
 
 
 class TestTrainMatchesPublicSteps:
@@ -898,8 +859,7 @@ class TestTrainNumericalErrors:
         real_init = training.init_mapper
 
         def overflowing_mapper(*args, **kwargs):
-            params = real_init(*args, **kwargs)
-            return MapperParams(raw=params.raw * 1e200)  # |raw|^2 overflows
+            return real_init(*args, **kwargs) * 1e200  # |raw|^2 overflows
 
         monkeypatch.setattr(training, "init_mapper", overflowing_mapper)
         for mode in ("gaussian", "mlp"):
@@ -913,8 +873,7 @@ class TestTrainNumericalErrors:
         real_init = training.init_mapper
 
         def tiny_mapper(*args, **kwargs):
-            params = real_init(*args, **kwargs)
-            return MapperParams(raw=params.raw * 1e-150)
+            return real_init(*args, **kwargs) * 1e-150
 
         monkeypatch.setattr(training, "init_mapper", tiny_mapper)
         cfg = _config(m=2, iterations=3)
