@@ -128,17 +128,18 @@ def _log2_1p(e: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def logistic(z: np.ndarray):
+def logistic(z: np.ndarray, out=(None, None)):
     """(log2(1 + exp(z)), 1 / (1 + exp(-z))) elementwise, from one exp.
 
     Requires |z| <= MAX_LLR_CLIP (clipped LLRs times +/-1); beyond 709.8
-    exp(z) overflows. See the module docstring for the two formulas.
+    exp(z) overflows. See the module docstring for the two formulas. The
+    results go into out = (softplus, sigmoid) where given, else into new
+    arrays; softplus may be z itself.
     """
-    e = np.exp(z)
-    softplus = _log2_1p(e)
-    sigmoid = e + 1.0
+    e = np.exp(z, out=out[0])
+    sigmoid = np.add(e, 1.0, out=out[1])
     np.divide(e, sigmoid, out=sigmoid)
-    return softplus, sigmoid
+    return _log2_1p(e, out=e), sigmoid
 
 
 def _radius(rows: np.ndarray) -> float:
@@ -290,8 +291,9 @@ class GaussianDemapper:
         return self
 
     def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, bits: np.ndarray,
-                noise_variance: float):
-        """(llr_raw (m, S), cache) for I/Q rows y_iq (2, S) against points_iq (2, M)."""
+                noise_variance: float, work):
+        """(llr_raw (m, S), cache) for I/Q rows y_iq (2, S) against points_iq (2, M);
+        work goes unused, as the bit metric allocates its own arrays."""
         llr_raw, metric = gaussian_bit_metric(y_iq, points_iq, bits, noise_variance)
         return llr_raw, (metric, y_iq, points_iq, noise_variance)
 
@@ -300,7 +302,7 @@ class GaussianDemapper:
         if np.isnan(llr_raw).any():
             raise NumericalError("NaN values in llr")
 
-    def backward(self, dllr: np.ndarray, cache, grads: dict):
+    def backward(self, dllr: np.ndarray, cache, grads: dict, work):
         """(d loss / d y_iq (2, S), d loss / d points_iq (2, M) through the receiver).
 
         With da (M, S), dd2 = d loss / d |y_s - x_j|^2 = -da / noise_variance,

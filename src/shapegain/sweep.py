@@ -225,8 +225,11 @@ def _train_ae_cells(config: RunConfig) -> dict:
     """{n_spans: trained Constellation} of the ae cells, from one train_many call.
 
     A cell whose training config cannot be built is missing, and so is
-    every cell when the call raises; a missing cell trains alone in
-    evaluate_grid_point, whose row or error is exactly the cell's.
+    every cell when the call raises a ShapegainError; a missing cell trains
+    alone in evaluate_grid_point, whose row or error is exactly the cell's.
+    Any other exception propagates: it is a fault of the program, or a
+    MemoryError that training alone would meet too, since a stacked run
+    stays within MAX_CELL_ENTRIES, the budget of one cell.
     """
     configs = {}
     for n in config.sweep.span_grid:
@@ -236,7 +239,7 @@ def _train_ae_cells(config: RunConfig) -> dict:
             continue
     try:
         runs = train_many(configs.values())
-    except Exception:  # noqa: BLE001 - see the docstring
+    except ShapegainError:
         return {}
     return {n: c for n, (c, _) in zip(configs, runs)}
 

@@ -19,13 +19,14 @@ training never asks which one it holds:
 
     arrays()             named trainable arrays, in backward order
     with_arrays(arrays)  the same receiver rebuilt from such arrays
-    forward(y_iq, points_iq, bits, noise_variance) -> (llr_raw, cache)
-                         y_iq (2, S), points_iq (2, M) and llr_raw (m, S)
+    forward(y_iq, points_iq, bits, noise_variance, work) -> (llr_raw, cache)
+                         y_iq (2, S), points_iq (2, M) and llr_raw (m, S);
+                         work is the step's workspace (below)
     check_llr(llr_raw)   raises NumericalError on LLRs the loss cannot
                          take: NaN, and for the MLP +/-inf too; called
                          only when some LLR lies beyond the clip, since
                          otherwise every LLR is finite
-    backward(dllr, cache, grads) -> (gy, gp)
+    backward(dllr, cache, grads, work) -> (gy, gp)
                          writes its parameter gradients into grads;
                          dllr (m, S); gy = d loss / d y_iq (2, S),
                          gp = d loss / d points_iq (2, M) through the
@@ -54,14 +55,19 @@ non-finite values once, and Adam updates the parameters and both moment
 arrays in place.
 The batch lists every label S // M times in sorted order, so each label's
 samples form one run; what depends only on the labels (the bit table and
-the label signs) is built once per run. Signals stay real, and every
+the label signs, the latter with the cell axis) is built once per run. Signals stay real, and every
 per-sample array of the step is C-contiguous with the S samples on its
 last axis: points and received samples are (2, M) and (2, S) I/Q rows,
 LLRs, label signs, sigmoids and loss terms are (m, S), and an MLP layer's
 input is (fan_in + 1, S), a ones row last that meets the layer's bias row
-(see MlpDemapper). The noise is the standard-normal draw awgn_sample
-would make, transposed into (2, S). The mapper's power is computed once
-per iteration, right after the update, and feeds the next forward pass.
+(see MlpDemapper). These arrays, and the MLP receiver's own, are the
+run's Workspace: each is allocated once per run, on the first step, and
+overwritten by every later step, so the state a step returns is valid
+only until the next step. The Gaussian bit metric allocates its own
+(M, S) arrays, and the clipped path its clipped LLRs and mask. The noise
+is the standard-normal draw awgn_sample would make, transposed into
+(2, S). The mapper's power is computed once per iteration, right after
+the update, and feeds the next forward pass.
 The LLRs are checked and clipped only when one lies beyond the clip (any
 NaN or +/-inf counts as beyond): else every LLR is finite, llr is llr_raw
 itself, and backward skips the mask of the clipped entries.
@@ -263,33 +269,37 @@ class MlpDemapper:
                            llr_clip=self.llr_clip)
 
     def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, bits: np.ndarray,
-                noise_variance: float):
+                noise_variance: float, work: Workspace):
         """The cache is the list of layer inputs, (..., fan_in + 1, S) each;
         the rectifier is applied in place, as h > 0 exactly where its
-        pre-activation is."""
+        pre-activation is. The layer inputs and the LLRs are work's arrays."""
         lead, samples = y_iq.shape[:-2], y_iq.shape[-1]
-        x = _with_ones_row(y_iq.shape)
+        x = work("mlp.input0", y_iq.shape, _with_ones_row)
         x[..., :-1, :] = y_iq
         inputs = [x]
-        for layer in self.layers[:-1]:
-            x = _with_ones_row(lead + (layer.shape[-1], samples))
+        for i, layer in enumerate(self.layers[:-1], 1):
+            x = work(f"mlp.input{i}", lead + (layer.shape[-1], samples), _with_ones_row)
             h = x[..., :-1, :]
             np.matmul(layer.swapaxes(-1, -2), inputs[-1], out=h)
             np.maximum(h, 0.0, out=h)
             inputs.append(x)
-        llr_raw = self.layers[-1].swapaxes(-1, -2) @ inputs[-1]
+        head = self.layers[-1]
+        llr_raw = np.matmul(head.swapaxes(-1, -2), inputs[-1],
+                            out=work("mlp.llr", lead + (head.shape[-1], samples)))
         return llr_raw, inputs
 
     def check_llr(self, llr_raw: np.ndarray) -> None:
         _ensure_finite("llr", llr_raw)
 
-    def backward(self, dllr: np.ndarray, cache, grads: dict):
+    def backward(self, dllr: np.ndarray, cache, grads: dict, work: Workspace):
+        """Each layer's dx and rectifier mask are work's arrays."""
         dx = dllr
         for i in range(len(self.layers) - 1, -1, -1):
             np.matmul(cache[i], dx.swapaxes(-1, -2), out=grads[f"mlp.layer{i}"])
-            dx = self.layers[i][..., :-1, :] @ dx
+            h = cache[i][..., :-1, :]  # the layer's input without its ones row
+            dx = np.matmul(self.layers[i][..., :-1, :], dx, out=work(f"mlp.dx{i}", h.shape))
             if i > 0:
-                dx *= cache[i][..., :-1, :] > 0
+                dx *= np.greater(h, 0.0, out=work(f"mlp.mask{i}", h.shape, _empty_mask))
         return dx, None
 
 
@@ -299,6 +309,32 @@ def _with_ones_row(shape: tuple) -> np.ndarray:
     x = np.empty(shape[:-2] + (shape[-2] + 1, shape[-1]))
     x[..., -1, :] = 1.0
     return x
+
+
+def _empty_mask(shape: tuple) -> np.ndarray:
+    return np.empty(shape, dtype=bool)
+
+
+class Workspace:
+    """The per-sample arrays of a training step, by name.
+
+    work(name, shape, make) returns make(shape) on the first request for
+    name and the same array on every later one; shape and make must not
+    change between requests. The training loop passes one workspace to
+    every step of a run, so each array is allocated once and a step's state
+    is valid only until the next step; a step outside the loop takes a
+    fresh workspace, and its state is its own.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, name: str, shape: tuple, make=np.empty) -> np.ndarray:
+        try:
+            return self._arrays[name]
+        except KeyError:
+            array = self._arrays[name] = make(shape)
+            return array
 
 
 def init_mlp(m: int, hidden, rng: np.random.Generator,
@@ -375,20 +411,23 @@ class _Batch:
 
     labels: np.ndarray   # (S,), each label S // M times, sorted
     bits: np.ndarray     # (M, m) bit table
-    flip: np.ndarray     # (m, S), 2 b_{k,s} - 1, so that z = flip * L
-    flip_norm: np.ndarray  # (m, S), flip * S ln 2, so that d loss / d L = sigmoid / flip_norm
+    flip: np.ndarray     # (..., m, S), 2 b_{k,s} - 1, so that z = flip * L
+    flip_norm: np.ndarray  # (..., m, S), flip * S ln 2, so that d loss / d L = sigmoid / flip_norm
 
     @property
     def size(self) -> int:
         return self.labels.size
 
 
-def _make_batch(M: int, S: int) -> _Batch:
+def _make_batch(M: int, S: int, cells: tuple = ()) -> _Batch:
     """The batch of S symbols that lists each of the M labels S // M times,
-    in sorted order, and its invariants."""
+    in sorted order, and its invariants. The label signs carry the cell
+    axis, cells = (K,) in a stacked run: the step multiplies them with its
+    (K, m, S) arrays, and same-shape operands multiply faster than
+    broadcast ones."""
     labels = np.repeat(np.arange(M), S // M)
     bits = bit_table(M.bit_length() - 1)
-    flip = 2.0 * np.take(bits.T, labels, axis=1) - 1.0
+    flip = np.tile(2.0 * np.take(bits.T, labels, axis=1) - 1.0, cells + (1, 1))
     return _Batch(labels=labels, bits=bits, flip=flip, flip_norm=flip * (S * LN2))
 
 
@@ -400,7 +439,8 @@ class ForwardState:
     Signals are real: points_iq (2, M) and y_iq (2, S) hold I and Q in
     their rows, and every per-sample array has the samples on its last
     axis. Arrays carry the cell axis first in the stacked loop; scale holds
-    one Python float per cell, and loss is one value per cell.
+    one Python float per cell, and loss is one value per cell. The
+    per-sample arrays are work's, which backward() writes into as well.
     """
 
     batch: _Batch
@@ -414,6 +454,7 @@ class ForwardState:
     loss: np.ndarray
     penalties: np.ndarray  # (m, S) loss terms, in bits
     cache: object  # the receiver's forward() cache
+    work: Workspace
 
 
 def _ensure_finite(name: str, value) -> None:
@@ -440,14 +481,16 @@ def _per_cell(values: list, like: np.ndarray):
 
 
 def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
-             noise_variance: list, power: Optional[list] = None) -> ForwardState:
+             noise_variance: list, work: Workspace,
+             power: Optional[list] = None) -> ForwardState:
     """The surrogate loss of one batch per cell.
 
     raw is (M, 2) and noise_iq, the real noise, (2, S), or (K, M, 2) and
     (K, 2, S) for K stacked MLP cells. noise_variance and power hold one Python
     float per cell; power is _mapper_power(raw) when the caller has it
     already. The scale power ** -0.5 is taken in Python: numpy's array power
-    rounds it differently.
+    rounds it differently. The received samples, the LLRs' products with
+    the label signs, the loss terms and the sigmoids are work's arrays.
     """
     for v in noise_variance:
         if not v > 0:
@@ -457,27 +500,30 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     scale = [p ** -0.5 for p in power]
     points = np.multiply(raw.swapaxes(-1, -2), _per_cell(scale, raw), order="C")
     _ensure_finite("points", points)
-    y = np.take(points, batch.labels, axis=-1)
+    # every label is in range, and "clip" takes without buffering its output
+    y = np.take(points, batch.labels, axis=-1, out=work("y", noise_iq.shape), mode="clip")
     y += noise_iq
     _ensure_finite("y", y)
 
     stacked = raw.ndim == 3
     llr_raw, cache = demapper.forward(y, points, batch.bits,
-                                      noise_variance if stacked else noise_variance[0])
+                                      noise_variance if stacked else noise_variance[0], work)
     clip = demapper.llr_clip
     if -clip <= llr_raw.min() and llr_raw.max() <= clip:  # so every LLR is finite
         llr = llr_raw
     else:  # NaN and +/-inf fail the test, and the receiver rules on them
         demapper.check_llr(llr_raw)
         llr = _clipped(llr_raw, clip)
-    penalties, sigmoid = logistic(batch.flip * llr)  # (..., m, S) each
+    # z = flip * llr goes where its loss terms will, (..., m, S) each
+    z = np.multiply(batch.flip, llr, out=work("penalties", llr.shape))
+    penalties, sigmoid = logistic(z, (z, work("sigmoid", llr.shape)))
     loss = penalties.reshape(*penalties.shape[:-2], -1).sum(axis=-1) / batch.size
     _ensure_finite("loss", loss)
     return ForwardState(
         batch=batch,
         raw=raw, scale=scale, points_iq=points, y_iq=y,
         llr_raw=llr_raw, llr=llr, sigmoid=sigmoid, loss=loss, penalties=penalties,
-        cache=cache,
+        cache=cache, work=work,
     )
 
 
@@ -486,11 +532,12 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
     raw = st.raw
     M = raw.shape[-2]
 
-    dllr = st.sigmoid / st.batch.flip_norm  # d loss / d llr
+    dllr = np.divide(st.sigmoid, st.batch.flip_norm,  # d loss / d llr
+                     out=st.work("dllr", st.sigmoid.shape))
     if st.llr is not st.llr_raw:
         dllr[st.llr != st.llr_raw] = 0.0  # the clipped entries
 
-    gy, gp = demapper.backward(dllr, st.cache, grads)
+    gy, gp = demapper.backward(dllr, st.cache, grads, st.work)
     # transmit path, y = points[labels] + noise: each label's samples form
     # one run of the batch, summed in sample order into (..., 2, M)
     dp = gy.reshape(*gy.shape[:-1], M, -1).sum(axis=-1)
@@ -521,9 +568,9 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
 
 def _adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
                  v: np.ndarray, t: int, config: TrainConfig,
-                 work: np.ndarray) -> None:
+                 scratch: np.ndarray) -> None:
     """Adam step t on flat vectors, in place, with the config's learning
-    rate and adam_beta1/2/eps; work is (2, n) scratch.
+    rate and adam_beta1/2/eps; scratch is (2, n).
 
         m <- beta1 m + (1 - beta1) g
         v <- beta2 v + (1 - beta2) g g
@@ -534,7 +581,7 @@ def _adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
     beta1, beta2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    a, b = work
+    a, b = scratch
     np.multiply(grad, 1.0 - beta1, out=a)
     m *= beta1
     m += a
@@ -629,8 +676,8 @@ def _train_run(configs: list) -> list:
         cells.append(trainable_arrays(raw, demapper))
 
     S = first.batch_symbols
-    batch = _make_batch(1 << first.m, S)
     axis = (K,) if K > 1 else ()  # the cell axis of a stacked run
+    batch = _make_batch(1 << first.m, S, axis)
     # from here on the trainable arrays are views into theta, (n,) or
     # (K, n), which Adam updates in place together with its moment arrays
     theta, arrays = _flatten({name: np.reshape([cell[name] for cell in cells],
@@ -639,8 +686,9 @@ def _train_run(configs: list) -> list:
     raw, demapper = with_arrays(demapper, arrays)
     grad, grads = _flatten(arrays, axis)  # _backward overwrites every entry
     moments = np.zeros((2,) + theta.shape)
-    work = np.empty((2,) + theta.shape)
+    adam_scratch = np.empty((2,) + theta.shape)
     noise = np.empty(axis + (2, S))
+    work = Workspace()
     power = None  # of the current points, once an iteration has computed it
     # cell k's raw points, noise and gradient, as views with the cell axis first
     raws, noises, grad_rows = (a.reshape((K,) + a.shape[len(axis):])
@@ -668,9 +716,9 @@ def _train_run(configs: list) -> list:
                 np.multiply(rng.standard_normal((S, 2)).T,
                             math.sqrt(noise_variance[k] / 2.0), out=noises[k])
             try:
-                st = _forward(raw, demapper, batch, noise, noise_variance, power)
+                st = _forward(raw, demapper, batch, noise, noise_variance, work, power)
                 _backward(demapper, st, grad, grads)
-                _adam_update(theta, grad, *moments, it + 1, first, work)
+                _adam_update(theta, grad, *moments, it + 1, first, adam_scratch)
                 power = _mapper_power(raw)
             except NumericalError as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc

@@ -19,6 +19,7 @@ from shapegain.errors import ParameterError
 from shapegain.training import (
     ForwardState,
     MlpDemapper,
+    Workspace,
     _backward,
     _flatten,
     _forward,
@@ -35,7 +36,8 @@ def forward_loss(raw: np.ndarray, demapper, labels: np.ndarray,
     raw is the (M, 2) mapper table. `labels` must be train()'s batch: each
     of the M labels S // M times, in sorted order, since the step sums each
     label's samples as one run; `noise` is the complex additive noise
-    realization, one entry per label.
+    realization, one entry per label. Each call takes a fresh workspace, so
+    the states of two calls share no array.
     """
     labels = np.asarray(labels)
     noise = np.asarray(noise, dtype=np.complex128)
@@ -45,7 +47,8 @@ def forward_loss(raw: np.ndarray, demapper, labels: np.ndarray,
     batch = _make_batch(M, labels.size)
     if not np.array_equal(check_labels(labels, M), batch.labels):
         raise ParameterError("labels must list each label S // M times, in sorted order")
-    st = _forward(raw, demapper, batch, np.stack([noise.real, noise.imag]), [noise_variance])
+    st = _forward(raw, demapper, batch, np.stack([noise.real, noise.imag]), [noise_variance],
+                  Workspace())
     return float(st.loss), st
 
 

@@ -330,8 +330,8 @@ qam,24,2400,0.206739,1.46336,8,0,0,true
 
 class TestStackedTraining:
     """run_sweep trains the ae cells in one train_many call, which sizes its
-    own runs; a failure there sends every ae cell back to training alone, as
-    evaluate_grid_point does."""
+    own runs; a ShapegainError there sends every ae cell back to training
+    alone, as evaluate_grid_point does, and any other exception propagates."""
 
     @staticmethod
     def _config(mode="mlp"):
@@ -387,6 +387,21 @@ class TestStackedTraining:
         assert [(s, n) for s, n, _ in seen] == [("ae", 5)]
         assert isinstance(seen[0][2], NumericalError)
         assert rows == [r for r in clean if (r.scheme, r.n_spans) != ("ae", 5)]
+
+    def test_fault_in_the_stacked_run_propagates(self, monkeypatch):
+        # a fault of the program is not retried cell by cell, where it would
+        # show only as a slower sweep with the same rows
+        import shapegain.training as training
+        real = training._train_run
+
+        def faulty(configs):
+            if len(configs) > 1:
+                raise TypeError("fault in the stacked run")
+            return real(configs)
+
+        monkeypatch.setattr(training, "_train_run", faulty)
+        with pytest.raises(TypeError, match="fault in the stacked run"):
+            run_sweep(self._config("mlp"))
 
     @pytest.mark.parametrize("mode", ["mlp", "gaussian"])
     def test_failing_cell_is_named(self, monkeypatch, mode):

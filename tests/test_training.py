@@ -28,6 +28,7 @@ from shapegain.training import (
     LinkTarget,
     SnrTarget,
     TrainConfig,
+    Workspace,
     _adam_update,
     _flatten,
     emit,
@@ -253,7 +254,7 @@ class TestSamplesLastLayout:
         noise = awgn_sample(rng, np.zeros(S), 0.1)
         _, st = forward_loss(raw, demapper, _balanced_labels(m, S), noise, 0.1)
         grads = {k: np.empty_like(v) for k, v in demapper.arrays().items()}
-        gy, gp = demapper.backward(np.ones((m, S)), st.cache, grads)
+        gy, gp = demapper.backward(np.ones((m, S)), st.cache, grads, st.work)
         rows = {"y_iq": (st.y_iq, 2), "llr_raw": (st.llr_raw, m), "llr": (st.llr, m),
                 "sigmoid": (st.sigmoid, m), "penalties": (st.penalties, m),
                 "flip": (st.batch.flip, m), "gy": (gy, 2)}
@@ -365,10 +366,11 @@ class TestGradients:
         S, m = 1024, 4
         mlp = init_mlp(m, (16, 8), rng)
         y = rng.standard_normal((2, S))
-        _, cache = mlp.forward(y, None, None, 1.0)
+        work = Workspace()
+        _, cache = mlp.forward(y, None, None, 1.0, work)
         dllr = rng.standard_normal((m, S))
         grads = {k: np.empty_like(v) for k, v in mlp.arrays().items()}
-        mlp.backward(dllr.copy(), cache, grads)
+        mlp.backward(dllr.copy(), cache, grads, work)
         dx = dllr
         for i in range(len(mlp.layers) - 1, -1, -1):
             bound = S * np.finfo(float).eps * np.abs(dx).max()
@@ -408,9 +410,9 @@ class TestGradients:
         seen = []
         real = mlp.backward
 
-        def spy(dllr, cache, grads):
+        def spy(dllr, cache, grads, work):
             seen.append(dllr.copy())
-            return real(dllr, cache, grads)
+            return real(dllr, cache, grads, work)
 
         mlp.backward = spy
         backward(raw, mlp, st)
@@ -660,6 +662,19 @@ class TestTrain:
         assert np.all(np.isfinite(hist.grad_norm))
 
 
+def _count_clips(monkeypatch) -> list:
+    """Count the step's calls of _clipped, made only when some LLR lies
+    beyond the clip; returns the one-entry list holding the count."""
+    real, calls = training._clipped, [0]
+
+    def counted(llr, llr_clip):
+        calls[0] += 1
+        return real(llr, llr_clip)
+
+    monkeypatch.setattr(training, "_clipped", counted)
+    return calls
+
+
 def _public_api_train(config):
     """train() spelled out with the step functions of stepcheck, one call each."""
     rng = np.random.default_rng(config.seed)
@@ -696,22 +711,31 @@ class TestTrainMatchesPublicSteps:
     """train() keeps its per-run invariants and one flat parameter vector;
     it must still take exactly the steps stepcheck's functions define."""
 
-    @pytest.mark.parametrize("config", [
-        _config(m=4, iterations=40, batch_symbols=256, demapper_mode="mlp",
-                mlp_hidden=(4,), seed=3),
-        _config(m=3, iterations=30, batch_symbols=128, demapper_mode="mlp",
-                mlp_hidden=(8, 8), seed=1),
-        _config(m=4, iterations=30, batch_symbols=256, seed=2),
-        _config(m=2, iterations=30, batch_symbols=64, demapper_mode="mlp",
-                mlp_hidden=(4,), seed=4,
-                target=LinkTarget(LinkConfig(n_spans=8, ase_var_per_span=0.0041,
-                                             chi1=0.3, chi2=0.1), refresh_every=7)),
-        _config(m=2, iterations=30, batch_symbols=64, seed=5,
-                target=LinkTarget(LinkConfig(n_spans=8, ase_var_per_span=0.0041,
-                                             chi1=0.3, chi2=0.1), refresh_every=7)),
-    ], ids=["mlp", "mlp-two-hidden", "gaussian", "link-mlp", "link-gaussian"])
-    def test_bit_identical(self, config):
+    @pytest.mark.parametrize("config, clips", [
+        (_config(m=4, iterations=40, batch_symbols=256, demapper_mode="mlp",
+                 mlp_hidden=(4,), seed=3), False),
+        (_config(m=3, iterations=30, batch_symbols=128, demapper_mode="mlp",
+                 mlp_hidden=(8, 8), seed=1), False),
+        (_config(m=4, iterations=30, batch_symbols=256, seed=2), False),
+        (_config(m=2, iterations=30, batch_symbols=64, demapper_mode="mlp",
+                 mlp_hidden=(4,), seed=4,
+                 target=LinkTarget(LinkConfig(n_spans=8, ase_var_per_span=0.0041,
+                                              chi1=0.3, chi2=0.1), refresh_every=7)), False),
+        (_config(m=2, iterations=30, batch_symbols=64, seed=5,
+                 target=LinkTarget(LinkConfig(n_spans=8, ase_var_per_span=0.0041,
+                                              chi1=0.3, chi2=0.1), refresh_every=7)), False),
+        # about half of the LLRs lie beyond these clips in every step, and the
+        # step zeros their entries of the workspace's dllr
+        (_config(m=2, iterations=30, batch_symbols=64, seed=6, llr_clip=20.0), True),
+        (_config(m=2, iterations=30, batch_symbols=64, demapper_mode="mlp",
+                 mlp_hidden=(4,), seed=7, llr_clip=0.5), True),
+    ], ids=["mlp", "mlp-two-hidden", "gaussian", "link-mlp", "link-gaussian",
+            "gaussian-clipping", "mlp-clipping"])
+    def test_bit_identical(self, monkeypatch, config, clips):
+        clip_calls = _count_clips(monkeypatch)
         c, hist = train(config)
+        if clips:
+            assert clip_calls[0] > 0
         points, loss, gmi, norm = _public_api_train(config)
         np.testing.assert_array_equal(c.points, points)
         np.testing.assert_array_equal(hist.loss, loss)
@@ -745,16 +769,24 @@ class TestTrainMany:
             np.testing.assert_array_equal(hist.surrogate_gmi, hist_alone.surrogate_gmi)
             np.testing.assert_array_equal(hist.grad_norm, hist_alone.grad_norm)
 
-    @pytest.mark.parametrize("configs", [
-        _example_ae_configs(25),
-        [_config(m=2, iterations=20, batch_symbols=64, demapper_mode="mlp",
-                 mlp_hidden=(4,), seed=s, target=t)
-         for s, t in [(4, LinkTarget(_LINK, refresh_every=7)),
-                      (5, SnrTarget(8.0)),
-                      (6, LinkTarget(replace(_LINK, n_spans=20), refresh_every=3))]],
-    ], ids=["example-ae-cells", "link-mlp"])
-    def test_each_cell_equals_its_lone_run(self, configs):
-        self._assert_lone_results(configs, train_many(configs))
+    @pytest.mark.parametrize("configs, clips", [
+        (_example_ae_configs(25), False),
+        ([_config(m=2, iterations=20, batch_symbols=64, demapper_mode="mlp",
+                  mlp_hidden=(4,), seed=s, target=t)
+          for s, t in [(4, LinkTarget(_LINK, refresh_every=7)),
+                       (5, SnrTarget(8.0)),
+                       (6, LinkTarget(replace(_LINK, n_spans=20), refresh_every=3))]], False),
+        # about 40 % of the LLRs lie beyond the clip in every step
+        ([_config(m=2, iterations=20, batch_symbols=64, demapper_mode="mlp",
+                  mlp_hidden=(4,), seed=s, target=SnrTarget(db), llr_clip=0.5)
+          for s, db in [(8, 6.0), (9, 10.0), (10, 14.0)]], True),
+    ], ids=["example-ae-cells", "link-mlp", "mlp-clipping"])
+    def test_each_cell_equals_its_lone_run(self, monkeypatch, configs, clips):
+        clip_calls = _count_clips(monkeypatch)
+        results = train_many(configs)
+        if clips:
+            assert clip_calls[0] > 0
+        self._assert_lone_results(configs, results)
 
     @pytest.mark.parametrize("change", [
         {"m": 3}, {"iterations": 11}, {"batch_symbols": 128}, {"demapper_mode": "mlp"},
@@ -813,13 +845,65 @@ class TestTrainMany:
         shapes = []
         real = GaussianDemapper.forward
 
-        def spy(self, y_iq, points_iq, bits, noise_variance):
+        def spy(self, y_iq, points_iq, bits, noise_variance, work):
             shapes.append((y_iq.shape, points_iq.shape, type(noise_variance)))
-            return real(self, y_iq, points_iq, bits, noise_variance)
+            return real(self, y_iq, points_iq, bits, noise_variance, work)
 
         monkeypatch.setattr(GaussianDemapper, "forward", spy)
         train(_config(m=3, iterations=4, batch_symbols=64))
         assert shapes == [((2, 64), (2, 8), float)] * 4
+
+
+class TestWorkspace:
+    """A run's steps fill arrays allocated once; a step outside the loop
+    takes its own."""
+
+    @staticmethod
+    def _address(a: np.ndarray) -> int:
+        return a.__array_interface__["data"][0]
+
+    @pytest.mark.parametrize("configs", [
+        [_config(m=3, iterations=6, batch_symbols=64, seed=1)],
+        [_config(m=2, iterations=6, batch_symbols=64, demapper_mode="mlp",
+                 mlp_hidden=(4, 3), seed=2)],
+        [_config(m=2, iterations=6, batch_symbols=64, demapper_mode="mlp",
+                 mlp_hidden=(4,), seed=s, target=SnrTarget(db))
+         for s, db in [(3, 8.0), (4, 10.0), (5, 12.0)]],
+    ], ids=["gaussian", "mlp", "stacked-mlp"])
+    def test_step_arrays_keep_one_address_per_run(self, monkeypatch, configs):
+        real = training._forward
+        seen = []
+
+        def recorded(*args, **kwargs):
+            st = real(*args, **kwargs)
+            arrays = [st.y_iq, st.sigmoid, st.penalties]
+            if configs[0].demapper_mode == "mlp":
+                arrays += st.cache  # the layer inputs
+            seen.append((st.y_iq.shape, tuple(self._address(a) for a in arrays)))
+            return st
+
+        monkeypatch.setattr(training, "_forward", recorded)
+        train_many(configs)
+        stacked = (len(configs),) if len(configs) > 1 else ()
+        assert len(seen) == 6
+        assert set(seen) == {(stacked + (2, 64), seen[0][1])}
+
+    @pytest.mark.parametrize("mode", ["gaussian", "mlp"])
+    def test_steps_outside_the_loop_share_no_memory(self, mode):
+        m, S = 2, 64
+        rng = np.random.default_rng(21)
+        raw = init_mapper(_config(m=m, batch_symbols=S), rng)
+        demapper = init_mlp(m, (4,), rng) if mode == "mlp" else GaussianDemapper()
+        noise = awgn_sample(rng, np.zeros(S), 0.1)
+        first, second = (forward_loss(raw, demapper, _balanced_labels(m, S), noise, 0.1)[1]
+                         for _ in range(2))
+        names = ["y_iq", "llr_raw", "sigmoid", "penalties"]
+        pairs = [(getattr(first, n), getattr(second, n)) for n in names]
+        if mode == "mlp":
+            pairs += zip(first.cache, second.cache)  # the layer inputs
+        for a, b in pairs:
+            np.testing.assert_array_equal(a, b)
+            assert not np.shares_memory(a, b)
 
 
 class TestTrainNumericalErrors:
