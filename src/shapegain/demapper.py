@@ -45,16 +45,21 @@ above. Otherwise each column is shifted so that its maximum is +64, the
 entries below -700 are noted, clamped to -700, exponentiated and set to 0:
 every exp argument lies in [-700, 64], P holds no subnormal, and the
 partition with the maximum lies in [e^64, (M/2) e^64], far from overflow.
+(Dropping them as -inf needs no mask, but exp(-inf) takes about nine times
+as long as exp(-700), and from about 25 dB most entries are dropped.)
 A partition is 0 only when all its entries were dropped, i.e. lie more than
-764 below the maximum. The LLR is then +/-inf while its true magnitude
-exceeds 700, and any clip up to MAX_LLR_CLIP = 700 maps both to the same
-+/-clip. Whenever |L| <= 700 the smaller partition is at least e^(64-700),
-a normal double, and its dropped entries, each below e^-700, sum to at most
-(M/2) e^-700 of it, a relative error of at most (M/2) e^-64 < 6e-24 for
-m <= 16: unclipped LLRs keep full precision. The shift cancels in the
-gradient's ratios P / Z. Only a floored block can take the log of 0, so
-only its log runs with the divide-by-zero warning off: unfloored, every
-partition is at least e^-700.
+764 below the maximum; it is raised to the smallest normal double,
+e^-708.4, before the log. The LLR is then finite, of magnitude at least
+64 + 708.4 = 772.4, while its true magnitude exceeds 764, and any clip up
+to MAX_LLR_CLIP = 700 maps both to the same +/-clip. Whenever |L| <= 700
+the smaller partition is at least e^(64-700), a normal double, and its
+dropped entries, each below e^-700, sum to at most (M/2) e^-700 of it, a
+relative error of at most (M/2) e^-64 < 6e-24 for m <= 16: unclipped LLRs
+keep full precision. The shift cancels in the gradient's ratios P / Z.
+So every LLR is finite unless an input is NaN or a distance overflows,
+and the gradient divides by the partitions without a mask: each is at
+least e^-700 but a raised one, whose LLR is clipped, so that d loss / d L
+is 0 and so is the quotient, with the sign of the zero.
 
 gmi_oracle_quadrature drops the product nodes of weight w_i w_j / pi below
 1e-21. Of the default 48 x 48 grid it keeps 1224 of 2304 nodes, and the
@@ -85,9 +90,9 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .channel import awgn_sample
-from .constellation import Constellation, partition_weights
-from .errors import (CapabilityError, NumericalError, ParameterError, check_derived,
-                     check_field_types, float_tuple, reading)
+from .constellation import Constellation, check_labels, partition_weights
+from .errors import (CapabilityError, ParameterError, check_derived, check_field_types,
+                     check_value, float_tuple, reading)
 
 LN2 = math.log(2.0)
 DEFAULT_LLR_CLIP = 50.0
@@ -102,6 +107,7 @@ MAX_SAMPLES = 10 ** 7
 _MC_BLOCK = 2 ** 16
 _GEMM_TAU = 2.5e-13  # see the module docstring
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 # the floored exp of gaussian_bit_metric, see the module docstring
 _EXP_FLOOR = -MAX_LLR_CLIP
 _EXP_SHIFT = 64.0
@@ -119,6 +125,13 @@ def check_llr_clip(llr_clip: float) -> None:
     if not 0.0 < llr_clip <= MAX_LLR_CLIP:
         raise ParameterError(
             f"llr_clip must be in (0, {MAX_LLR_CLIP:g}], got {llr_clip}")
+
+
+def _check_noise_variance(noise_variance: float) -> None:
+    """Reject a noise variance that is not finite and positive."""
+    if not 0.0 < noise_variance < math.inf:
+        raise ParameterError(
+            f"noise_variance must be finite and positive, got {noise_variance}")
 
 
 def _log2_1p(e: np.ndarray, out=None) -> np.ndarray:
@@ -214,9 +227,9 @@ def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
 
     bits is the (M, m) label table bit_table(m); the partition sums use
     its cached partition_weights(m). Returns (llr_raw, cache): llr_raw has
-    shape (m, S) and may hold +/-inf where a partition underflowed (see the
-    module docstring); NaN only arises from NaN inputs or a noise variance
-    so small that every distance overflows. cache feeds
+    shape (m, S) and is finite, beyond MAX_LLR_CLIP where a partition
+    underflowed (see the module docstring); NaN only arises from NaN inputs
+    or a noise variance so small that every distance overflows. cache feeds
     gaussian_bit_metric_grad.
     """
     ymax, xmax = radii = _radii(y, points)
@@ -238,28 +251,22 @@ def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
     w = partition_weights(m)
     z = _matmul(w.T, p)
     if floored:  # a partition whose entries were all dropped is 0
-        with np.errstate(divide="ignore"):
-            logz = np.log(z)
-    else:  # every partition is at least e^-700
-        logz = np.log(z)
-    return logz[:m] - logz[m:], (p, z, w, floored)
+        np.maximum(z, _TINY, out=z)
+    logz = np.log(z)
+    return logz[:m] - logz[m:], (p, z, w)
 
 
 def gaussian_bit_metric_grad(dllr: np.ndarray, cache) -> np.ndarray:
     """d loss / d loglik, shape (M, S), from d loss / d llr_raw, shape (m, S).
 
     loglik is the (M, S) array of _loglik. dllr must be zero wherever
-    llr_raw was clipped, which includes every infinite entry. Where the
-    exp was floored, those entries are skipped rather than divided by their
-    zero partition; otherwise every partition is at least e^-700 and the
-    division needs no mask.
+    llr_raw was clipped, which includes every entry whose partition
+    underflowed; then the division by the partitions needs no mask (see
+    the module docstring).
     """
-    p, z, w, floored = cache
+    p, z, w = cache
     a = np.concatenate([dllr, -dllr])
-    if floored:
-        np.divide(a, z, out=a, where=a != 0)
-    else:
-        a /= z
+    a /= z
     da = _matmul(w, a)
     da *= p
     return da
@@ -296,11 +303,6 @@ class GaussianDemapper:
         work goes unused, as the bit metric allocates its own arrays."""
         llr_raw, metric = gaussian_bit_metric(y_iq, points_iq, bits, noise_variance)
         return llr_raw, (metric, y_iq, points_iq, noise_variance)
-
-    def check_llr(self, llr_raw: np.ndarray) -> None:
-        """+/-inf marks an underflowed partition and clips exactly; NaN does not."""
-        if np.isnan(llr_raw).any():
-            raise NumericalError("NaN values in llr")
 
     def backward(self, dllr: np.ndarray, cache, grads: dict, work):
         """(d loss / d y_iq (2, S), d loss / d points_iq (2, M) through the receiver).
@@ -339,8 +341,7 @@ def llr_exact(y, c: Constellation, noise_variance: float,
     gaussian_bit_metric in matrix form; a level whose partition underflows
     returns exactly +/- llr_clip.
     """
-    if not noise_variance > 0:
-        raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
+    _check_noise_variance(noise_variance)
     check_llr_clip(llr_clip)
     scalar = np.ndim(y) == 0
     raw, _ = gaussian_bit_metric(_iq_rows(np.atleast_1d(y)), _iq_rows(c.points), c.bits(),
@@ -439,16 +440,20 @@ def _bit_penalties(y, c, labels, noise_variance, llr_clip):
 def per_bit_gmi_from_samples(c: Constellation, labels: np.ndarray, y: np.ndarray,
                              noise_variance: float,
                              llr_clip: float = DEFAULT_LLR_CLIP) -> GmiReport:
-    """Deterministic GMI estimate from given (label, received sample) pairs.
+    """Deterministic GMI estimate from given (label, received sample) pairs,
+    at least one, each label an integer in [0, M).
 
     This is the estimation core of per_bit_gmi_mc; it is exposed so tests
     can replay identical noise realizations against modified labelings.
     """
-    labels = np.asarray(labels)
+    labels = check_labels(labels, c.size)
     y = np.asarray(y, dtype=np.complex128)
     if labels.shape != y.shape:
         raise ParameterError("labels and samples must have matching shapes")
     s_total = labels.size
+    if s_total == 0:
+        raise ParameterError("need at least one sample")
+    _check_noise_variance(noise_variance)
     penalty_sums = np.zeros(c.m)
     sample_totals = np.empty(s_total)
     step = max(1, _MC_BLOCK // c.size)
@@ -486,8 +491,7 @@ def per_bit_gmi_mc(c: Constellation, noise_variance: float, n_samples: int,
     if not c.size <= n_samples <= MAX_SAMPLES:
         raise ParameterError(
             f"n_samples must be in [M = {c.size}, {MAX_SAMPLES}], got {n_samples}")
-    if not noise_variance > 0:
-        raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
+    _check_noise_variance(noise_variance)
     per_label = -(-n_samples // c.size)  # ceil division
     labels = np.repeat(np.arange(c.size), per_label)
     y = awgn_sample(rng, c.points[labels], noise_variance)
@@ -499,15 +503,17 @@ def gmi_oracle_quadrature(c: Constellation, noise_variance: float,
                           llr_clip: float = DEFAULT_LLR_CLIP) -> float:
     """Deterministic GMI via 2-D Gauss-Hermite quadrature over the noise.
 
-    Integrates the same per-bit integrand as per_bit_gmi_mc with n_nodes
+    Integrates the same per-bit integrand as per_bit_gmi_mc with n_nodes >= 1
     Hermite nodes per noise dimension (node span far exceeds +/-6 sigma at
     the default order). Intended as an independent oracle for Monte-Carlo
     validation; limited to M <= 64 since the cost grows as M^2 * n_nodes^2.
     """
     if c.size > 64:
         raise CapabilityError(f"quadrature oracle supports M <= 64, got M = {c.size}")
-    if not noise_variance > 0:
-        raise ParameterError(f"noise_variance must be positive, got {noise_variance}")
+    _check_noise_variance(noise_variance)
+    check_value("n_nodes", "int", n_nodes)
+    if n_nodes < 1:
+        raise ParameterError(f"n_nodes must be >= 1, got {n_nodes}")
     nodes, weights = hermgauss(n_nodes)
     # E[f(n)] over complex n with E|n|^2 = v: n = sqrt(v) * (t1 + j t2), weight w1*w2/pi
     offsets = math.sqrt(noise_variance) * (nodes[:, None] + 1j * nodes[None, :]).ravel()

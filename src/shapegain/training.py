@@ -13,7 +13,7 @@ power is enforced inside the forward pass (differentiable normalization),
 never by projection. Everything is plain numpy; gradients are derived by
 hand and guarded by finite-difference checks (tests/stepcheck.py).
 
-A receiver is one object with five methods; GaussianDemapper (the exact
+A receiver is one object with four methods; GaussianDemapper (the exact
 bit metric) and MlpDemapper (a small rectifier network) implement them, and
 training never asks which one it holds:
 
@@ -21,16 +21,16 @@ training never asks which one it holds:
     with_arrays(arrays)  the same receiver rebuilt from such arrays
     forward(y_iq, points_iq, bits, noise_variance, work) -> (llr_raw, cache)
                          y_iq (2, S), points_iq (2, M) and llr_raw (m, S);
-                         work is the step's workspace (below)
-    check_llr(llr_raw)   raises NumericalError on LLRs the loss cannot
-                         take: NaN, and for the MLP +/-inf too; called
-                         only when some LLR lies beyond the clip, since
-                         otherwise every LLR is finite
+                         work is the run's Workspace
     backward(dllr, cache, grads, work) -> (gy, gp)
                          writes its parameter gradients into grads;
                          dllr (m, S); gy = d loss / d y_iq (2, S),
                          gp = d loss / d points_iq (2, M) through the
                          receiver, or None
+
+Both receivers' LLRs are finite unless the step has failed: one rule in
+the forward pass rejects a NaN or +/-inf LLR with NumericalError, and the
+LLRs beyond the clip are clipped, their entries of dllr zero.
 
 train_many() trains cells whose configs differ only in seed and target,
 and sizes its own runs: MLP cells stack, in config order, as many per run
@@ -52,25 +52,11 @@ receiver's) as a named view into one float64 parameter array, (n,) or
 (K, n), laid out in the order backward() produces the gradients. Each
 iteration writes the gradients into one matching array, checks it for
 non-finite values once, and Adam updates the parameters and both moment
-arrays in place.
-The batch lists every label S // M times in sorted order, so each label's
-samples form one run; what depends only on the labels (the bit table and
-the label signs, the latter with the cell axis) is built once per run. Signals stay real, and every
-per-sample array of the step is C-contiguous with the S samples on its
-last axis: points and received samples are (2, M) and (2, S) I/Q rows,
-LLRs, label signs, sigmoids and loss terms are (m, S), and an MLP layer's
-input is (fan_in + 1, S), a ones row last that meets the layer's bias row
-(see MlpDemapper). These arrays, and the MLP receiver's own, are the
-run's Workspace: each is allocated once per run, on the first step, and
-overwritten by every later step, so the state a step returns is valid
-only until the next step. The Gaussian bit metric allocates its own
-(M, S) arrays, and the clipped path its clipped LLRs and mask. The noise
-is the standard-normal draw awgn_sample would make, transposed into
-(2, S). The mapper's power is computed once per iteration, right after
-the update, and feeds the next forward pass.
-The LLRs are checked and clipped only when one lies beyond the clip (any
-NaN or +/-inf counts as beyond): else every LLR is finite, llr is llr_raw
-itself, and backward skips the mask of the clipped entries.
+arrays in place. The batch lists every label S // M times in sorted order,
+so each label's samples form one run, and what depends only on the labels
+is built once per run. The step's per-sample arrays keep the samples on
+their last axis (ForwardState) and live in the run's Workspace; README's
+Performance section says what that saves.
 """
 
 from __future__ import annotations
@@ -89,7 +75,8 @@ from .channel import (
     noise_variance_from_db,
 )
 from .constellation import Constellation, bit_table, moments, uniform_qam
-from .demapper import LN2, GaussianDemapper, _clipped, check_llr_clip, logistic
+from .demapper import (LN2, GaussianDemapper, _check_noise_variance, _clipped, check_llr_clip,
+                       logistic)
 from .errors import NumericalError, ParameterError, build_section, check_field_types, int_tuple
 
 
@@ -287,9 +274,6 @@ class MlpDemapper:
         llr_raw = np.matmul(head.swapaxes(-1, -2), inputs[-1],
                             out=work("mlp.llr", lead + (head.shape[-1], samples)))
         return llr_raw, inputs
-
-    def check_llr(self, llr_raw: np.ndarray) -> None:
-        _ensure_finite("llr", llr_raw)
 
     def backward(self, dllr: np.ndarray, cache, grads: dict, work: Workspace):
         """Each layer's dx and rectifier mask are work's arrays."""
@@ -493,8 +477,7 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     the label signs, the loss terms and the sigmoids are work's arrays.
     """
     for v in noise_variance:
-        if not v > 0:
-            raise ParameterError(f"noise_variance must be positive, got {v}")
+        _check_noise_variance(v)
     if power is None:
         power = _mapper_power(raw)
     scale = [p ** -0.5 for p in power]
@@ -511,8 +494,8 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     clip = demapper.llr_clip
     if -clip <= llr_raw.min() and llr_raw.max() <= clip:  # so every LLR is finite
         llr = llr_raw
-    else:  # NaN and +/-inf fail the test, and the receiver rules on them
-        demapper.check_llr(llr_raw)
+    else:  # NaN and +/-inf fail the test
+        _ensure_finite("llr", llr_raw)
         llr = _clipped(llr_raw, clip)
     # z = flip * llr goes where its loss terms will, (..., m, S) each
     z = np.multiply(batch.flip, llr, out=work("penalties", llr.shape))

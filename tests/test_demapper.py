@@ -105,6 +105,25 @@ def _random_constellation(m, rng):
     return Constellation(m=m, points=pts / np.sqrt(np.mean(np.abs(pts) ** 2)))
 
 
+def _floored(p):
+    """Whether gaussian_bit_metric took the floored exp, read from its P:
+    each column's maximum is 1.0 unshifted and about e^64 floored."""
+    top = p.max(axis=0)
+    floored = top[0] != 1.0
+    if floored:
+        np.testing.assert_allclose(top, math.exp(64.0), rtol=1e-9)
+    else:
+        np.testing.assert_array_equal(top, 1.0)
+    return floored
+
+
+def _emptied(z, m):
+    """(m, S) mask of the bit levels with a partition whose entries were all
+    dropped, which the metric raises to the smallest normal double."""
+    empty = z == np.finfo(float).tiny
+    return empty[:m] | empty[m:]
+
+
 class TestMatrixKernel:
     @pytest.mark.parametrize("labeling", ["gray_qam", "random"])
     @pytest.mark.parametrize("snr_db", [3.0, 17.0, 21.0, 25.0, 30.0, 40.0])
@@ -118,11 +137,12 @@ class TestMatrixKernel:
         np.testing.assert_allclose(got, _llr_logsumexp_loop(y, c, s2, 50.0),
                                    atol=1e-12, rtol=0)
         if snr_db == 40.0:
-            raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), s2)
-            raw = raw.T
-            under = np.isinf(raw)
+            raw, (_, z, _) = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), s2)
+            under = _emptied(z, c.m)
             assert under.any()  # some partition underflowed to zero
-            np.testing.assert_array_equal(got[under], np.sign(raw[under]) * 50.0)
+            assert np.isfinite(raw).all()
+            assert np.all(np.abs(raw[under]) > MAX_LLR_CLIP)
+            np.testing.assert_array_equal(got.T[under], np.sign(raw[under]) * 50.0)
 
         # far outside the constellation every likelihood underflows unless it
         # is scaled by the row maximum first; log-likelihoods there are large,
@@ -225,21 +245,29 @@ class TestMatrixKernel:
 
     @pytest.mark.parametrize("m, snr_db", [(m, s) for m in range(1, 7)
                                            for s in (0.0, 5.0, 10.0, 15.0)]
-                             + [(1, 20.0), (2, 20.0)])
+                             + [(1, 20.0), (2, 20.0), (4, 40.0), (8, 21.0)])
     def test_unshifted_block_divides_without_mask(self, m, snr_db):
-        # every partition of an unshifted block is at least e^-700, so the
-        # division without a mask gives the masked one's bits, signed zeros
-        # included
+        # the last two cases take the floored exp, and at 40 dB some of
+        # their partitions are raised from 0, all of whose LLRs lie beyond
+        # the clip; every other partition is at least e^-700. With zeros
+        # on the clipped entries, the division without a mask gives the
+        # bits of the masked division, signed zeros included
         c = uniform_qam(m)
         rng = np.random.default_rng(50 + m)
         s2 = 1.0 / db_to_linear(snr_db)
         y = awgn_sample(rng, c.points[rng.integers(0, c.size, 1000)], s2)
         raw, cache = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), s2)
-        p, z, w, floored = cache
-        assert not floored
+        p, z, w = cache
+        assert _floored(p) == (snr_db > 20.0)
+        assert _emptied(z, m).any() == (snr_db == 40.0)
         dllr = rng.standard_normal(raw.shape)
-        dllr[:, ::5] = 0.0  # as the clipped entries are
-        masked = gaussian_bit_metric_grad(dllr, (p, z, w, True))
+        dllr[:, ::5] = 0.0
+        dllr[:, 1::5] = -0.0
+        dllr[np.abs(raw) > 50.0] = 0.0  # as the clipped entries are
+        a = np.concatenate([dllr, -dllr])
+        np.divide(a, z, out=a, where=a != 0)
+        masked = _matmul(w, a)
+        masked *= p
         assert gaussian_bit_metric_grad(dllr, cache).tobytes() == masked.tobytes()
 
 
@@ -275,8 +303,9 @@ class TestRadii:
             assert _radii(y, x)[0] == math.inf
             dist = (x[0][:, None] - y[0]) ** 2 + (x[1][:, None] - y[1]) ** 2
             np.testing.assert_array_equal(_loglik(y, x, s2), dist / -s2)
-            _, (_, _, _, floored) = gaussian_bit_metric(y, x, c.bits(), s2)
-        assert floored
+            _, (p, _, _) = gaussian_bit_metric(y, x, c.bits(), s2)
+        assert np.isnan(p[:, 0]).all()
+        assert _floored(p[:, 1:])
 
 
 class TestLogisticKernel:
@@ -421,6 +450,14 @@ class TestFromSamples:
         with pytest.raises(ParameterError):
             per_bit_gmi_from_samples(c, np.zeros(4, int), np.zeros(4, complex), noise_variance)
 
+    @pytest.mark.parametrize("labels, message", [
+        (np.array([-1]), "labels must be integers"), (np.array([4]), "labels must be integers"),
+        (np.array([0.5]), "labels must be integers"), (np.zeros(0, int), "at least one sample")],
+        ids=["-1", "M", "0.5", "empty"])
+    def test_bad_labels_rejected(self, labels, message):
+        with pytest.raises(ParameterError, match=message):
+            per_bit_gmi_from_samples(uniform_qam(2), labels, np.full(labels.shape, 0.1 + 0j), 0.5)
+
 
 class TestQuadratureOracle:
     def test_refuses_large_constellations(self):
@@ -431,6 +468,12 @@ class TestQuadratureOracle:
     def test_bad_clip_rejected(self, clip):
         with pytest.raises(ParameterError):
             gmi_oracle_quadrature(uniform_qam(2), 0.5, llr_clip=clip)
+
+    @pytest.mark.parametrize("n_nodes", [0, -3, 2.5, True, "48"],
+                             ids=["0", "-3", "2.5", "True", "str"])
+    def test_bad_node_count_rejected(self, n_nodes):
+        with pytest.raises(ParameterError, match="n_nodes"):
+            gmi_oracle_quadrature(uniform_qam(2), 0.5, n_nodes=n_nodes)
 
     def test_converged_in_node_count(self):
         c = uniform_qam(4)
@@ -464,6 +507,23 @@ class TestQuadratureOracle:
         qpsk = gmi_oracle_quadrature(uniform_qam(2), s2)
         bpsk = gmi_oracle_quadrature(uniform_qam(1), 2.0 * s2)
         assert qpsk == pytest.approx(2.0 * bpsk, abs=1e-9)
+
+
+_NOISE_VARIANCE_ENTRY_POINTS = {
+    "llr_exact": lambda nv: llr_exact(0.1 + 0j, uniform_qam(2), nv),
+    "per_bit_gmi_mc": lambda nv: per_bit_gmi_mc(uniform_qam(2), nv, 100,
+                                                np.random.default_rng(0)),
+    "per_bit_gmi_from_samples": lambda nv: per_bit_gmi_from_samples(
+        uniform_qam(2), np.arange(4), np.full(4, 0.1 + 0j), nv),
+    "gmi_oracle_quadrature": lambda nv: gmi_oracle_quadrature(uniform_qam(2), nv),
+}
+
+
+@pytest.mark.parametrize("noise_variance", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("entry", list(_NOISE_VARIANCE_ENTRY_POINTS))
+def test_noise_variance_must_be_finite_and_positive(entry, noise_variance):
+    with pytest.raises(ParameterError, match="^noise_variance must be finite and positive"):
+        _NOISE_VARIANCE_ENTRY_POINTS[entry](noise_variance)
 
 
 # ------------------------------------------------------------------- reports

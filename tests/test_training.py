@@ -22,7 +22,7 @@ from shapegain import (
     llr_exact,
     uniform_qam,
 )
-from shapegain.demapper import DEFAULT_LLR_CLIP, _clipped
+from shapegain.demapper import DEFAULT_LLR_CLIP, MAX_LLR_CLIP, _clipped
 from shapegain.training import (
     GaussianDemapper,
     LinkTarget,
@@ -51,6 +51,11 @@ def _config(**kw):
 
 def _balanced_labels(m, batch):
     return np.repeat(np.arange(1 << m), batch // (1 << m))
+
+
+def _public_methods(cls):
+    return {name for name, _ in inspect.getmembers(cls, inspect.isfunction)
+            if not name.startswith("_")}
 
 
 # ------------------------------------------------------------------ configs
@@ -218,17 +223,19 @@ class TestForwardLoss:
         raw, labels, _, _ = self._setup(m=2, batch=64)
         noise = np.full(64, 0.1 + 0.1j)
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalError, match=r"^NaN values in llr$"):
+                pytest.raises(NumericalError, match=r"^non-finite values in llr$"):
             forward_loss(raw, GaussianDemapper(), labels, noise, 1e-320)
 
     def test_underflowed_gaussian_llr_clips_without_raising(self):
         # on the points themselves only the own point's distance stays
-        # finite: the other partition of every level is 0, its LLR +/-inf
+        # finite: the other partition of every level is 0, raised to the
+        # smallest normal double, and its LLR lies beyond any clip
         raw, labels, _, _ = self._setup(m=2, batch=64)
         with np.errstate(over="ignore"):
             loss, st = forward_loss(raw, GaussianDemapper(), labels,
                                     np.zeros(64, complex), 1e-320)
-        assert np.isinf(st.llr_raw).all()
+        assert np.isfinite(st.llr_raw).all()
+        assert (np.abs(st.llr_raw) > MAX_LLR_CLIP).all()
         np.testing.assert_array_equal(st.llr, np.sign(st.llr_raw) * DEFAULT_LLR_CLIP)
         assert 0.0 <= loss < 1e-12
 
@@ -299,9 +306,9 @@ class TestGradients:
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_gaussian_gradients_with_underflowed_partitions(self, m):
-        # at 40 dB most partitions underflow (infinite raw LLRs); a few
-        # samples moved onto a decision boundary keep unclipped entries in
-        # the same rows
+        # at 40 dB most partitions underflow (raised to the smallest normal
+        # double, their LLRs beyond the clip); a few samples moved onto a
+        # decision boundary keep unclipped entries in the same rows
         cfg = _config(m=m, batch_symbols=16 * (1 << m))
         rng = np.random.default_rng(300 + m)
         raw = init_mapper(cfg, rng)
@@ -312,7 +319,9 @@ class TestGradients:
         edge = labels == 0
         noise[edge] += 0.5 * (pts[1] - pts[0])
         _, st = forward_loss(raw, GaussianDemapper(), labels, noise, nv)
-        assert np.isinf(st.llr_raw).any()
+        (_, z, _), *_ = st.cache
+        assert (z == np.finfo(float).tiny).any()
+        assert np.isfinite(st.llr_raw).all()
         assert (np.abs(st.llr_raw[:, edge]) < DEFAULT_LLR_CLIP).any()
         grads = backward(raw, GaussianDemapper(), st)
         assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -486,10 +495,47 @@ class TestGradients:
 
 class TestPackageSurface:
     @pytest.mark.parametrize("receiver", [GaussianDemapper, training.MlpDemapper])
-    def test_receiver_has_the_five_interface_methods(self, receiver):
-        methods = {name for name, _ in inspect.getmembers(receiver, inspect.isfunction)
-                   if not name.startswith("_")}
-        assert methods == {"arrays", "with_arrays", "forward", "check_llr", "backward"}
+    def test_receiver_has_the_four_interface_methods(self, receiver):
+        assert _public_methods(receiver) == {"arrays", "with_arrays", "forward", "backward"}
+
+    def test_four_methods_train_through_a_clipping_step(self):
+        # a receiver with the interface and nothing else, GaussianDemapper
+        # behind a wrapper, on a 40 dB step whose LLRs clip but for those of
+        # the samples moved onto a decision boundary
+        class FourMethods:
+            def __init__(self, inner):
+                self.inner, self.llr_clip = inner, inner.llr_clip
+
+            def arrays(self):
+                return self.inner.arrays()
+
+            def with_arrays(self, arrays):
+                return FourMethods(self.inner.with_arrays(arrays))
+
+            def forward(self, *args):
+                return self.inner.forward(*args)
+
+            def backward(self, *args):
+                return self.inner.backward(*args)
+
+        assert _public_methods(FourMethods) == _public_methods(GaussianDemapper)
+        cfg = _config(m=3, batch_symbols=128)
+        rng = np.random.default_rng(21)
+        raw = init_mapper(cfg, rng)
+        labels = _balanced_labels(3, 128)
+        nv = 1.0 / db_to_linear(40.0)
+        noise = awgn_sample(rng, np.zeros(128), nv)
+        pts = emit(raw)
+        noise[labels == 0] += 0.5 * (pts[1] - pts[0])
+        steps = []
+        for receiver in (FourMethods(GaussianDemapper()), GaussianDemapper()):
+            loss, st = forward_loss(raw, receiver, labels, noise, nv)
+            steps.append((loss, st.llr, backward(raw, receiver, st)["mapper.raw"]))
+        (loss, llr, grad), want = steps
+        assert (np.abs(llr) == DEFAULT_LLR_CLIP).any()
+        assert np.isfinite(grad).all() and np.any(grad != 0.0)
+        assert (loss, llr.tobytes(), grad.tobytes()) == (want[0], want[1].tobytes(),
+                                                         want[2].tobytes())
 
     def test_step_check_harness_is_not_in_the_package(self):
         assert not hasattr(shapegain, "gradient_check")
@@ -936,7 +982,7 @@ class TestTrainNumericalErrors:
 
         monkeypatch.setattr(np.random, "default_rng", FarNoise)
         monkeypatch.setattr(SnrTarget, "resolve", lambda self, c: 1e-320)
-        with pytest.raises(NumericalError, match=r"^iteration 0: NaN values in llr$"):
+        with pytest.raises(NumericalError, match=r"^iteration 0: non-finite values in llr$"):
             train(_config(m=2, iterations=3, batch_symbols=64))
 
     def test_mapper_overflow_names_the_iteration(self, monkeypatch):
