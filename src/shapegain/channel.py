@@ -196,8 +196,8 @@ def awgn_sample(rng: np.random.Generator, x, noise_variance: float):
     caller-supplied generator (noise_variance/2 per real dimension), so the
     result is deterministic for a given generator state.
     """
-    if noise_variance < 0:
-        raise ParameterError(f"noise_variance must be >= 0, got {noise_variance}")
+    if not 0 <= noise_variance < math.inf:  # 0 is noise-free
+        raise ParameterError(f"noise_variance must be finite and >= 0, got {noise_variance}")
     arr = np.asarray(x, dtype=np.complex128)
     draws = rng.standard_normal((*arr.shape, 2))
     draws *= math.sqrt(noise_variance / 2.0)

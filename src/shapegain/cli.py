@@ -25,7 +25,7 @@ from .constellation import (
     uniform_qam,
 )
 from .demapper import MAX_SAMPLES, GmiReport, per_bit_gmi_mc
-from .errors import NumericalError, ParameterError, ShapegainError, load_json
+from .errors import NumericalError, ParameterError, ShapegainError, build_section, load_json
 from .lut import export_lut
 from .rate_adapt import best_plan, load_plan, save_plan, select_dummy_bits
 from .sweep import load_run_config, rows_to_csv, run_sweep
@@ -101,13 +101,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _train_section(train, **other_sections):
+    """The train section alone, its target required: train reads no other."""
+    return train_config_from_dict(train)
+
+
 def _cmd_train(args) -> int:
-    doc = load_json(args.config)
-    section = doc.get("train") if isinstance(doc, dict) else None
-    if not isinstance(section, dict) or "target" not in section:
-        raise ParameterError(
-            f"{args.config}: needs a 'train' section with an explicit target")
-    config = train_config_from_dict(section)
+    config = build_section("run config", _train_section, load_json(args.config))
     constellation, history = train(config)
     save_constellation(constellation, args.out)
     if args.history:

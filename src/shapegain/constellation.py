@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateInputError, ParameterError, check_field_types, check_value,
-                     float_tuple, load_json, reading)
+from .errors import (DegenerateInputError, ParameterError, build_section, check_field_types,
+                     check_value, float_tuple, load_json)
 
 CONSTELLATION_FORMAT_VERSION = 1
 MAX_QAM_M = 10  # the largest order uniform_qam builds
@@ -270,12 +270,8 @@ def detect_mom_clusters(c: Constellation, epsilon: float = 0.01) -> list[MomClus
         members = np.flatnonzero(root == r)
         if members.size < 2:
             continue
-        and_bits = np.bitwise_and.reduce(members)
-        or_bits = np.bitwise_or.reduce(members)
-        varying = int(and_bits ^ or_bits)
-        ambiguous = tuple(
-            k for k in range(c.m) if (varying >> (c.m - 1 - k)) & 1
-        )
+        rows = c.bits()[members]
+        ambiguous = tuple(int(k) for k in np.flatnonzero(rows.min(axis=0) != rows.max(axis=0)))
         clusters.append(
             MomCluster(
                 member_labels=tuple(int(i) for i in members),
@@ -305,20 +301,20 @@ def constellation_from_dict(doc) -> Constellation:
     ParameterError unless it has version 1, an integer m, points as [I, Q]
     pairs of finite numbers, no key but these and metadata, and metadata,
     if present, is an object (its contents are free-form)."""
-    with reading("constellation document", doc, ("version", "m", "points"), ("metadata",)):
-        check_value("version", "int", doc["version"])
-        if doc["version"] != CONSTELLATION_FORMAT_VERSION:
-            raise ParameterError(
-                f"version must be {CONSTELLATION_FORMAT_VERSION}, got {doc['version']}")
-        pairs = doc["points"]
-        if not isinstance(pairs, list) or not all(
-                isinstance(p, list) and len(p) == 2 for p in pairs):
-            raise ParameterError("points must be a list of [I, Q] pairs")
-        iq = np.array(float_tuple("points", [x for p in pairs for x in p]))
-        metadata = doc.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise ParameterError(f"metadata must be an object, got {type(metadata).__name__}")
-        return Constellation(doc["m"], iq.view(np.complex128), dict(metadata))
+    return build_section("constellation document", _constellation, doc)
+
+
+def _constellation(version, m, points, metadata={}) -> Constellation:  # noqa: B006, copied
+    check_value("version", "int", version)
+    if version != CONSTELLATION_FORMAT_VERSION:
+        raise ParameterError(f"version must be {CONSTELLATION_FORMAT_VERSION}, got {version}")
+    if not isinstance(points, list) or not all(isinstance(p, list) and len(p) == 2
+                                               for p in points):
+        raise ParameterError("points must be a list of [I, Q] pairs")
+    if not isinstance(metadata, dict):
+        raise ParameterError(f"metadata must be an object, got {type(metadata).__name__}")
+    iq = np.array(float_tuple("points", [x for p in points for x in p]))
+    return Constellation(m, iq.view(np.complex128), dict(metadata))
 
 
 def save_constellation(c: Constellation, path) -> None:

@@ -84,15 +84,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .channel import awgn_sample
 from .constellation import Constellation, check_labels, partition_weights
-from .errors import (CapabilityError, ParameterError, check_derived, check_field_types,
-                     check_value, float_tuple, reading)
+from .errors import (CapabilityError, ParameterError, build_section, check_field_types,
+                     check_value, check_written, float_tuple)
 
 LN2 = math.log(2.0)
 DEFAULT_LLR_CLIP = 50.0
@@ -397,29 +397,19 @@ class GmiReport:
     def from_dict(cls, doc) -> "GmiReport":
         """The report of a document to_dict wrote; ParameterError unless it has
         to_dict's keys and no other, n_samples >= 1 is an integer,
-        stderr_total >= 0 is finite, the per-bit values lie in [0, 1], and
-        total, per_bit_dualpol and total_dualpol equal the properties."""
-        with reading("GMI report", doc, [f.name for f in fields(cls)]
-                     + ["per_bit_dualpol", *_DERIVED]):
-            report = cls(np.array(float_tuple("per_bit", doc["per_bit"])), doc["n_samples"],
-                         doc["stderr_total"])
+        stderr_total >= 0 is finite, per_bit holds values in [0, 1], and the
+        document is what to_dict writes for this report."""
+        def build(per_bit, total, per_bit_dualpol, total_dualpol, n_samples, stderr_total):
+            report = cls(np.array(float_tuple("per_bit", per_bit)), n_samples, stderr_total)
             check_field_types(report)
-            per_bit, dual = report.per_bit, float_tuple("per_bit_dualpol", doc["per_bit_dualpol"])
-            if not np.all((per_bit >= 0.0) & (per_bit <= 1.0)):
-                raise ParameterError("per_bit values must lie in [0, 1]")
-            if per_bit.size == 0 or not np.array_equal(dual, report.per_bit_dualpol):
-                raise ParameterError(f"per_bit_dualpol must be the {per_bit.size} per_bit "
-                                     f"values twice, got {list(dual)}")
+            if report.m == 0 or not np.all((report.per_bit >= 0.0) & (report.per_bit <= 1.0)):
+                raise ParameterError("per_bit must hold values in [0, 1], at least one")
             if report.n_samples < 1 or report.stderr_total < 0:
                 raise ParameterError(f"need n_samples >= 1 and stderr_total >= 0, got "
                                      f"{report.n_samples} and {report.stderr_total}")
-            check_derived(doc, report, _DERIVED)
-        return report
-
-
-# the keys of a report file derived from per_bit: {key: (kind, how it is derived)}
-_DERIVED = {"total": ("float", "is the sum of per_bit"),
-            "total_dualpol": ("float", "is 2 * total")}
+            check_written(doc, report.to_dict())
+            return report
+        return build_section("GMI report", build, doc)
 
 
 def make_report(per_bit: np.ndarray, n_samples: int, stderr_total: float) -> GmiReport:
@@ -488,6 +478,7 @@ def per_bit_gmi_mc(c: Constellation, noise_variance: float, n_samples: int,
     rng : numpy Generator
         Source of the noise draws; results are deterministic per state.
     """
+    check_value("n_samples", "int", n_samples)
     if not c.size <= n_samples <= MAX_SAMPLES:
         raise ParameterError(
             f"n_samples must be in [M = {c.size}, {MAX_SAMPLES}], got {n_samples}")

@@ -5,7 +5,6 @@ numerical failures exit 2, I/O problems (plain OSError) exit 3. The checks
 below turn malformed input files into ParameterError.
 """
 
-import contextlib
 import json
 import math
 import numbers
@@ -56,17 +55,16 @@ def load_json(path):
 
 
 def build_section(name: str, build, doc):
-    """build(**doc); a non-object doc, or a TypeError or ValueError from
-    build (an unknown key, a wrongly typed value), is a bad-section error."""
-    if not isinstance(doc, dict):
-        raise ParameterError(f"bad {name} config: expected an object, "
-                             f"got {type(doc).__name__}")
+    """build(**doc), the one reader of a JSON object: a non-object doc, or a
+    ParameterError, TypeError, ValueError or OverflowError from build (an
+    unknown or missing key, a wrongly typed or out-of-range value), is a
+    "bad {name}: ..." ParameterError."""
     try:
+        if not isinstance(doc, dict):
+            raise ParameterError(f"expected an object, got {type(doc).__name__}")
         return build(**doc)
-    except ParameterError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"bad {name} config: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # ParameterError is a ValueError
+        raise ParameterError(f"bad {name}: {exc}") from exc
 
 
 def _is_int(value) -> bool:
@@ -114,28 +112,19 @@ def check_field_types(obj) -> None:
         check_value(f.name, f.type, getattr(obj, f.name))
 
 
-def check_derived(doc, obj, derived: dict) -> None:
-    """Require each key of derived, {key: (kind, how obj derives it)}, to hold
-    in doc a value of that kind equal to obj's attribute of that name."""
-    for key, (kind, rule) in derived.items():
-        value, want = doc[key], getattr(obj, key)
-        check_value(key, kind, value)
-        if value != want:
-            raise ParameterError(f"{key} is {value!r} but {want!r} {rule}")
+def _as_written(value, want) -> bool:
+    """value equals want and has its JSON type, a float also read as an
+    integer; lists compare element by element."""
+    if isinstance(want, list):
+        return (isinstance(value, list) and len(value) == len(want)
+                and all(map(_as_written, value, want)))
+    kinds = (int, float) if type(want) is float else (type(want),)
+    return type(value) in kinds and value == want
 
 
-@contextlib.contextmanager
-def reading(what: str, doc, keys, optional=()):
-    """Require doc to be an object with every key of keys and no key but
-    these and optional ones; a ParameterError, or an integer too large for
-    a double, raised then or in the block becomes "malformed {what}: ..."."""
-    try:
-        if not isinstance(doc, dict):
-            raise ParameterError(f"expected an object, got {type(doc).__name__}")
-        unknown, missing = set(doc) - set(keys) - set(optional), set(keys) - set(doc)
-        if unknown or missing:
-            raise ParameterError(f"unknown keys {sorted(unknown, key=str)}, "
-                                 f"missing keys {sorted(missing)}")
-        yield
-    except (ParameterError, OverflowError) as exc:
-        raise ParameterError(f"malformed {what}: {exc}") from exc
+def check_written(doc: dict, written: dict) -> None:
+    """Require doc to hold, key by key, what the writer wrote for the
+    object read from it: equal values, a boolean only where one was written."""
+    for key, want in written.items():
+        if not _as_written(doc[key], want):
+            raise ParameterError(f"{key} is {doc[key]!r} but would be written as {want!r}")

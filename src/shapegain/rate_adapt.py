@@ -11,14 +11,14 @@ stay those the channel model and demapper assume.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import check_labels
+from .constellation import bit_table, check_labels
 from .demapper import GmiReport
-from .errors import (FramingError, ParameterError, check_derived, check_field_types, float_tuple,
-                     int_tuple, load_json, reading)
+from .errors import (FramingError, ParameterError, build_section, check_field_types, check_value,
+                     check_written, float_tuple, int_tuple, load_json)
 
 
 def _check_fec_rate(fec_rate: float) -> float:
@@ -84,28 +84,22 @@ class RateAdaptPlan:
     @classmethod
     def from_dict(cls, doc) -> "RateAdaptPlan":
         """The plan of a document to_dict wrote; ParameterError unless its
-        keys are to_dict's, its fields are well typed and in range, and its
-        n_d, net_rate and data_gmi equal the values derived from them."""
-        with reading("rate-adaptation plan", doc, [f.name for f in fields(cls)] + [*_DERIVED]):
-            positions = int_tuple("dummy_positions", doc["dummy_positions"])
-            plan = cls(doc["m"], frozenset(positions),
-                       float_tuple("per_pol_data_gmi", doc["per_pol_data_gmi"]), doc["fec_rate"])
+        keys are to_dict's, its fields are well typed and in range, and it is
+        what to_dict writes for this plan (dummy_positions distinct and sorted,
+        n_d, net_rate and data_gmi derived from the fields)."""
+        def build(m, n_d, dummy_positions, net_rate, data_gmi, per_pol_data_gmi, fec_rate):
+            positions = int_tuple("dummy_positions", dummy_positions)
+            plan = cls(m, frozenset(positions), float_tuple("per_pol_data_gmi", per_pol_data_gmi),
+                       fec_rate)
             check_field_types(plan)
             if not all(0 <= i < 2 * plan.m for i in positions):
                 raise ParameterError(
                     f"dummy_positions must lie in [0, {2 * plan.m}), got {list(positions)}")
-            if plan.n_d != len(positions):
-                raise ParameterError(f"dummy_positions repeat a level: {list(positions)}")
             if len(plan.per_pol_data_gmi) != 2:
                 raise ParameterError("per_pol_data_gmi must hold one value per polarization")
-            check_derived(doc, plan, _DERIVED)  # net_rate checks m and fec_rate
-        return plan
-
-
-# the fields of a plan file beyond RateAdaptPlan's own: {key: (kind, how it is derived)}
-_DERIVED = {"n_d": ("int", "dummy_positions are given"),
-            "net_rate": ("float", "is (2m - n_d) * fec_rate"),
-            "data_gmi": ("float", "is the sum of per_pol_data_gmi")}
+            check_written(doc, plan.to_dict())  # net_rate checks m and fec_rate
+            return plan
+        return build_section("rate-adaptation plan", build, doc)
 
 
 def save_plan(plan: RateAdaptPlan, path) -> None:
@@ -126,6 +120,7 @@ def select_dummy_bits(report: GmiReport, n_d: int,
     smallest, ties to the lowest index: an odd n_d puts its extra dummy on X.
     """
     m = report.m
+    check_value("n_d", "int", n_d)
     if not 0 <= n_d <= 2 * m:
         raise ParameterError(f"n_d must lie in [0, {2 * m}], got {n_d}")
     _check_fec_rate(fec_rate)
@@ -168,11 +163,12 @@ def assemble_labels(data_bits, plan: RateAdaptPlan, m: int,
     """
     if m != plan.m:
         raise ParameterError(f"plan is for m = {plan.m}, got m = {m}")
-    data_bits = np.asarray(data_bits, dtype=np.uint8)
+    data_bits = np.asarray(data_bits)
     if data_bits.ndim != 1:
         raise ParameterError("data_bits must be a flat bit stream")
-    if data_bits.size and data_bits.max() > 1:
+    if data_bits.dtype.kind not in "biuf" or not np.all((data_bits == 0) | (data_bits == 1)):
         raise ParameterError("data_bits must contain only 0 and 1")
+    data_bits = data_bits.astype(np.uint8)
     per_sym = 2 * m - plan.n_d
     if per_sym == 0:
         if data_bits.size:
@@ -201,9 +197,6 @@ def extract_data_bits(labels: np.ndarray, plan: RateAdaptPlan, m: int) -> np.nda
     labels = check_labels(labels, 1 << m)
     if labels.ndim != 2 or labels.shape[1] != 2:
         raise ParameterError("labels must have shape (n, 2)")
-    shifts = np.arange(m - 1, -1, -1)
-    bits_x = (labels[:, 0:1] >> shifts) & 1
-    bits_y = (labels[:, 1:2] >> shifts) & 1
-    frame = np.concatenate([bits_x, bits_y], axis=1).astype(np.uint8)
+    frame = bit_table(m)[labels].reshape(len(labels), 2 * m)
     data_levels = [i for i in range(2 * m) if i not in plan.dummy_positions]
     return frame[:, data_levels].reshape(-1)

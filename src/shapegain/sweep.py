@@ -111,30 +111,30 @@ class RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse a JSON run-configuration file (link/train/sweep/eval sections)."""
-    doc = load_json(path)
-    if not isinstance(doc, dict) or "link" not in doc or "train" not in doc:
-        raise ParameterError(f"{path}: config needs 'link' and 'train' sections")
+    """Parse a JSON run-configuration file (link/train/sweep/eval/output sections)."""
+    return build_section("run config", _run_config, load_json(path))
+
+
+def _run_config(link, train, sweep=None, eval={}, output={}) -> RunConfig:  # noqa: B006
+    """A run config from its sections; the {} defaults are read, never mutated."""
     # n_spans is a placeholder, the grid overrides it
-    link = build_section("link", partial(LinkConfig, n_spans=1), doc["link"])
-    train_doc = doc["train"]
-    if isinstance(train_doc, dict) and "target" not in train_doc:
+    link_cfg = build_section("link config", partial(LinkConfig, n_spans=1), link)
+    if isinstance(train, dict) and "target" not in train:
         # sweeps retarget every grid point, so a standalone target is optional here
-        train_doc = {**train_doc, "target": {"snr_db": 10.0}}
-    train_cfg = train_config_from_dict(train_doc)
+        train = {**train, "target": {"snr_db": 10.0}}
+    train_cfg = train_config_from_dict(train)
     sweep_cfg = None
-    if "sweep" in doc:
-        sweep_cfg = build_section("sweep", partial(_sweep_settings, train_cfg.m),
-                                  doc["sweep"])
-    eval_cfg = build_section("eval", EvalSettings, doc.get("eval", {}))
+    if sweep is not None:
+        sweep_cfg = build_section("sweep config", partial(_sweep_settings, train_cfg.m), sweep)
+    eval_cfg = build_section("eval config", EvalSettings, eval)
     if sweep_cfg is not None:
         orders = {"ae": [train_cfg.m], "qam": sweep_cfg.qam_m_list}
         m = max(max(orders[scheme]) for scheme in sweep_cfg.schemes)
         if eval_cfg.n_samples < 1 << m:
             raise ParameterError(f"eval.n_samples must be at least M = {1 << m}, the largest "
                                  f"constellation the sweep evaluates, got {eval_cfg.n_samples}")
-    return RunConfig(link=link, train=train_cfg, sweep=sweep_cfg, eval=eval_cfg,
-                     output=build_section("output", OutputSettings, doc.get("output", {})))
+    return RunConfig(link=link_cfg, train=train_cfg, sweep=sweep_cfg, eval=eval_cfg,
+                     output=build_section("output config", OutputSettings, output))
 
 
 def _sweep_settings(train_m: int, /, **sw) -> SweepSettings:

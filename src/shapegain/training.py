@@ -75,8 +75,8 @@ from .channel import (
     noise_variance_from_db,
 )
 from .constellation import Constellation, bit_table, moments, uniform_qam
-from .demapper import (LN2, GaussianDemapper, _check_noise_variance, _clipped, check_llr_clip,
-                       logistic)
+from .demapper import (DEFAULT_LLR_CLIP, LN2, GaussianDemapper, _check_noise_variance, _clipped,
+                       check_llr_clip, logistic)
 from .errors import NumericalError, ParameterError, build_section, check_field_types, int_tuple
 
 
@@ -150,7 +150,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     init: str = "qam"
-    llr_clip: float = 50.0
+    llr_clip: float = DEFAULT_LLR_CLIP
 
     def __post_init__(self):
         check_field_types(self)
@@ -202,21 +202,18 @@ class TrainConfig:
 
 def train_config_from_dict(doc: dict) -> TrainConfig:
     """Parse the `train` section of a run-configuration file."""
-    return build_section("train", _train_config, doc)
+    return build_section("train config", _train_config, doc)
 
 
-def _train_config(target=None, **fields) -> TrainConfig:
-    if not isinstance(target, dict):
-        raise ParameterError("train config needs a 'target' object")
-    if "snr_db" in target:
-        tgt: Union[SnrTarget, LinkTarget] = SnrTarget(target["snr_db"])
-    elif "link" in target:
-        tgt = LinkTarget(link=build_section("link", LinkConfig, target["link"]),
-                         launch_power=target.get("launch_power", "optimal"),
-                         refresh_every=target.get("refresh_every", 200))
-    else:
-        raise ParameterError("target must contain 'snr_db' or 'link'")
-    return TrainConfig(target=tgt, **fields)
+def _train_config(target, **fields) -> TrainConfig:
+    return TrainConfig(target=build_section("target config", _target, target), **fields)
+
+
+def _target(**fields) -> Union[SnrTarget, LinkTarget]:
+    if "link" in fields:
+        return LinkTarget(link=build_section("link config", LinkConfig, fields.pop("link")),
+                          **fields)
+    return SnrTarget(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ class MlpDemapper:
     """
 
     layers: list
-    llr_clip: float = 50.0
+    llr_clip: float = DEFAULT_LLR_CLIP
 
     def arrays(self) -> dict:
         return {f"mlp.layer{i}": self.layers[i] for i in range(len(self.layers) - 1, -1, -1)}
@@ -322,7 +319,7 @@ class Workspace:
 
 
 def init_mlp(m: int, hidden, rng: np.random.Generator,
-             llr_clip: float = 50.0) -> MlpDemapper:
+             llr_clip: float = DEFAULT_LLR_CLIP) -> MlpDemapper:
     """He-initialized rectifier MLP with the given hidden widths and zero biases."""
     widths = [2, *[int(w) for w in hidden], m]
     layers = []

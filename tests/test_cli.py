@@ -283,8 +283,9 @@ class TestExportLutCommand:
         {"dummy_positions": [3.9, 7]},
         {"per_pol_data_gmi": [1.0, 1.0, 5.0]},
         {"fec_rate": 7.0, "net_rate": -5.0},
+        {"dummy_positions": [7, 3]},
     ], ids=["out-of-range", "repeated", "fractional-m", "boolean-m", "fractional-position",
-            "three-polarizations", "fec-rate-above-1"])
+            "three-polarizations", "fec-rate-above-1", "unsorted-positions"])
     def test_inconsistent_plan_exits_1_without_a_table(self, tmp_path, capsys, change):
         cpath = tmp_path / "c.json"
         ppath = tmp_path / "plan.json"
@@ -299,7 +300,7 @@ class TestExportLutCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1
-        assert "malformed rate-adaptation plan" in err
+        assert "bad rate-adaptation plan" in err and any(key in err for key in change), err
         assert not lpath.exists()
 
 
@@ -576,16 +577,20 @@ _COMMANDS = [
 _FILE_ARGS = [(i, flag) for i, (_, files, _) in enumerate(_COMMANDS) for flag in files]
 
 
-def _run(directory, index, replace_flag, content, capsys) -> int:
-    """main() on command _COMMANDS[index] with one input file's bytes replaced."""
+def _argv(directory, index, replace_flag, content) -> list:
+    """Command _COMMANDS[index] with its input files written, one file's bytes replaced."""
     command, files, flags = _COMMANDS[index]
     argv = [command]
     for flag, doc in files.items():
         path = directory / f"in{flag}.json"
         path.write_bytes(content if flag == replace_flag else json.dumps(doc).encode())
         argv += [flag, str(path)]
-    argv += [str(directory / a) if a.startswith("out.") else a for a in flags]
-    rc = main(argv)
+    return argv + [str(directory / a) if a.startswith("out.") else a for a in flags]
+
+
+def _run(directory, index, replace_flag, content, capsys) -> int:
+    """main() on _argv(...), its output discarded."""
+    rc = main(_argv(directory, index, replace_flag, content))
     capsys.readouterr()
     return rc
 
@@ -736,6 +741,28 @@ def test_unknown_document_key_exits_1(tmp_path, capsys, case, key, value):
     doc = _COMMANDS[index][1][flag]
     assume(key not in doc)
     assert _run(tmp_path, index, flag, json.dumps({**doc, key: value}).encode(), capsys) == 1
+
+
+# every object of every input document that its command reads: train reads
+# only the train section, and a constellation's metadata is free-form inside
+_OBJECT_PATHS = [(index, flag, path) for index, flag in _FILE_ARGS
+                 for path in _value_paths(_COMMANDS[index][1][flag])
+                 if isinstance(_lookup(_COMMANDS[index][1][flag], path), dict)
+                 and path[:1] != ("metadata",)
+                 and (_COMMANDS[index][0] != "train" or path[:1] == ("train",))]
+
+
+@pytest.mark.parametrize("case", _OBJECT_PATHS, ids=[
+    f"{i}:{_COMMANDS[i][0]}{flag}:{'.'.join(path) or '<root>'}" for i, flag, path in _OBJECT_PATHS])
+def test_unknown_key_in_any_object_exits_1(tmp_path, capsys, case):
+    index, flag, path = case
+    doc = _COMMANDS[index][1][flag]
+    doc = _replaced(doc, path, {**_lookup(doc, path), "bogus": 1})
+    capsys.readouterr()
+    rc = main(_argv(tmp_path, index, flag, json.dumps(doc).encode()))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and "bogus" in err, err
 
 
 _DOC_FLOAT_FIELDS = [(index, flag, path) for index, flag, path in _FLOAT_FIELDS

@@ -21,6 +21,7 @@ from shapegain import (
     llr_exact,
     per_bit_gmi_from_samples,
     per_bit_gmi_mc,
+    select_dummy_bits,
     uniform_qam,
 )
 from shapegain.demapper import (
@@ -524,6 +525,19 @@ _NOISE_VARIANCE_ENTRY_POINTS = {
 def test_noise_variance_must_be_finite_and_positive(entry, noise_variance):
     with pytest.raises(ParameterError, match="^noise_variance must be finite and positive"):
         _NOISE_VARIANCE_ENTRY_POINTS[entry](noise_variance)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: per_bit_gmi_mc(uniform_qam(2), 0.5, 2.5, np.random.default_rng(0)),
+     "n_samples must be an integer"),
+    (lambda: select_dummy_bits(make_report(np.array([0.9, 0.5]), 64, 0.0), 1.5, 0.75),
+     "n_d must be an integer"),
+    (lambda: awgn_sample(np.random.default_rng(0), 0.0, math.nan), "noise_variance"),
+    (lambda: awgn_sample(np.random.default_rng(0), 0.0, math.inf), "noise_variance"),
+], ids=["mc-fractional-samples", "fractional-dummy-count", "awgn-nan", "awgn-inf"])
+def test_library_counts_and_variances_are_checked(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()
 
 
 # ------------------------------------------------------------------- reports

@@ -224,9 +224,9 @@ class TestPlanSerialization:
     @pytest.mark.parametrize("change, match", [
         ({"n_d": 1, "dummy_positions": [99]}, r"dummy_positions must lie in \[0, 8\)"),
         ({"n_d": 1, "dummy_positions": [-1]}, r"dummy_positions must lie in \[0, 8\)"),
-        ({"n_d": 2, "dummy_positions": [3, 3]}, "repeat a level"),
-        ({"n_d": 3, "dummy_positions": [3, 7]}, "n_d is 3 but 2 dummy_positions"),
-        ({"n_d": 1, "dummy_positions": [3, 7]}, "n_d is 1 but 2 dummy_positions"),
+        ({"n_d": 2, "dummy_positions": [3, 3]}, "n_d is 2 but would be written as 1"),
+        ({"n_d": 3, "dummy_positions": [3, 7]}, "n_d is 3 but would be written as 2"),
+        ({"n_d": 1, "dummy_positions": [3, 7]}, "n_d is 1 but would be written as 2"),
         ({"m": 0, "n_d": 0, "dummy_positions": []}, "m must be >= 1"),
         ({"m": -3, "n_d": 0, "dummy_positions": []}, "m must be >= 1"),
         ({"m": 4.7}, "m must be an integer"),
@@ -234,13 +234,26 @@ class TestPlanSerialization:
         ({"dummy_positions": [3.9, 7]}, "dummy_positions must be a list of integers"),
         ({"per_pol_data_gmi": [1.0, 1.0, 5.0]}, "one value per polarization"),
         ({"fec_rate": 7.0, "net_rate": -5.0}, r"fec_rate must be in \(0, 1\]"),
-        ({"n_d": 2.0}, "n_d must be an integer"),
-        ({"net_rate": 4.0}, r"net_rate is 4.0 but 4.5 is \(2m - n_d\) \* fec_rate"),
-        ({"data_gmi": True}, "data_gmi must be a number"),
-        ({"data_gmi": 4.0}, "data_gmi is 4.0 but 4.5 is the sum of per_pol_data_gmi"),
+        ({"n_d": 2.0}, "n_d is 2.0 but would be written as 2"),
+        ({"net_rate": 4.0}, "net_rate is 4.0 but would be written as 4.5"),
+        ({"data_gmi": True}, "data_gmi is True but would be written as 4.5"),
+        ({"data_gmi": 4.0}, "data_gmi is 4.0 but would be written as 4.5"),
         ({"per_pol_data_gmi": [2.25, float("nan")]}, "per_pol_data_gmi must be a list of finite"),
-        ({"comment": "x"}, r"unknown keys \['comment'\]"),
-    ])
+        ({"comment": "x"}, "unexpected keyword argument 'comment'"),
+        ({"dummy_positions": [7, 3]}, r"dummy_positions is \[7, 3\] but would be written as \[3"),
+    ], ids=[  # the ids pytest generated before they were pinned; a new case gets its own
+        r"change0-dummy_positions must lie in \[0, 8\)",
+        r"change1-dummy_positions must lie in \[0, 8\)", "change2-repeat a level",
+        "change3-n_d is 3 but 2 dummy_positions", "change4-n_d is 1 but 2 dummy_positions",
+        "change5-m must be >= 1", "change6-m must be >= 1", "change7-m must be an integer",
+        "change8-m must be an integer", "change9-dummy_positions must be a list of integers",
+        "change10-one value per polarization", r"change11-fec_rate must be in \(0, 1\]",
+        "change12-n_d must be an integer",
+        r"change13-net_rate is 4.0 but 4.5 is \(2m - n_d\) \* fec_rate",
+        "change14-data_gmi must be a number",
+        "change15-data_gmi is 4.0 but 4.5 is the sum of per_pol_data_gmi",
+        "change16-per_pol_data_gmi must be a list of finite",
+        r"change17-unknown keys \['comment'\]", "unsorted-dummy-positions"])
     def test_inconsistent_plan_rejected(self, tmp_path, change, match):
         doc = select_dummy_bits(_report([0.95, 0.9, 0.4, 0.05]), 2, 0.75).to_dict()
         path = tmp_path / "plan.json"
@@ -330,6 +343,12 @@ class TestFraming:
         with pytest.raises(ParameterError):
             assemble_labels(np.array([0, 1, 2, 0]), plan, 2,
                             np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bit", [0.5, 256, -1, "1"], ids=["0.5", "256", "-1", "str"])
+    def test_non_bit_values_rejected(self, bit):
+        plan = self._plan(2, 0)
+        with pytest.raises(ParameterError, match="data_bits must contain only 0 and 1"):
+            assemble_labels([bit, 1, 0, 1], plan, 2, np.random.default_rng(0))
 
     def test_bad_label_shape_rejected(self):
         plan = self._plan(2, 0)
