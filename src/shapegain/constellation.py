@@ -114,6 +114,11 @@ def bit_table(m: int) -> np.ndarray:
     return table
 
 
+def labels_from_bits(bits: np.ndarray) -> np.ndarray:
+    """Inverse of bit_table: int64 labels of 0/1 rows (..., m), bit 0 = most significant."""
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
+
+
 @functools.lru_cache(maxsize=32)
 def partition_weights(m: int) -> np.ndarray:
     """Return [1 - B | B] (2**m, 2m) as float64, B = bit_table(m), read-only.

@@ -41,25 +41,23 @@ and 6-20 times beyond (numpy 2.4, x86-64); BLAS also multiplies subnormal
 entries many times slower. A sample's log-likelihoods span at most
 D = (max|y| + max|x|)^2 / sigma^2, from the two radii _loglik uses. If
 D <= 700, every l - column max is >= -700 and P = exp(l - column max) as
-above. Otherwise each column is shifted so that its maximum is +64, the
-entries below -700 are noted, clamped to -700, exponentiated and set to 0:
-every exp argument lies in [-700, 64], P holds no subnormal, and the
-partition with the maximum lies in [e^64, (M/2) e^64], far from overflow.
-(Dropping them as -inf needs no mask, but exp(-inf) takes about nine times
-as long as exp(-700), and from about 25 dB most entries are dropped.)
-A partition is 0 only when all its entries were dropped, i.e. lie more than
-764 below the maximum; it is raised to the smallest normal double,
-e^-708.4, before the log. The LLR is then finite, of magnitude at least
-64 + 708.4 = 772.4, while its true magnitude exceeds 764, and any clip up
-to MAX_LLR_CLIP = 700 maps both to the same +/-clip. Whenever |L| <= 700
-the smaller partition is at least e^(64-700), a normal double, and its
-dropped entries, each below e^-700, sum to at most (M/2) e^-700 of it, a
-relative error of at most (M/2) e^-64 < 6e-24 for m <= 16: unclipped LLRs
-keep full precision. The shift cancels in the gradient's ratios P / Z.
-So every LLR is finite unless an input is NaN or a distance overflows,
-and the gradient divides by the partitions without a mask: each is at
-least e^-700 but a raised one, whose LLR is clipped, so that d loss / d L
-is 0 and so is the quotient, with the sign of the zero.
+above. Otherwise each column is shifted so that its maximum is +64, and
+the entries below -700 are clamped to -700 before the exp, so they count
+as e^-700: every exp argument lies in [-700, 64], P holds no subnormal,
+and the partition with the maximum lies in [e^64, (M/2) e^64], far from
+overflow. (Setting them to -inf instead, so that they count as 0, costs
+about nine times as much per exp, and from about 25 dB most entries are
+clamped.) Every partition is then at least e^-700. One whose entries were
+all clamped, i.e. lie more than 764 below the maximum, holds at most
+(M/2) e^-700, so its LLR has magnitude at least 764 - ln(M/2) > 700 for
+m <= 62, as the true one does, and any clip up to MAX_LLR_CLIP = 700 maps
+both to the same +/-clip. Whenever |L| <= 700 the smaller partition is at
+least e^(64-700), a normal double, and its clamped entries, each off by
+less than e^-700, move it by at most (M/2) e^-700, a relative error of at
+most (M/2) e^-64 < 6e-24 for m <= 16: unclipped LLRs keep full precision.
+The shift cancels in the gradient's ratios P / Z. So every LLR is finite
+unless an input is NaN or a distance overflows, and the gradient divides
+by the partitions, each at least e^-700, without a mask.
 
 gmi_oracle_quadrature drops the product nodes of weight w_i w_j / pi below
 1e-21. Of the default 48 x 48 grid it keeps 1224 of 2304 nodes, and the
@@ -107,7 +105,6 @@ MAX_SAMPLES = 10 ** 7
 _MC_BLOCK = 2 ** 16
 _GEMM_TAU = 2.5e-13  # see the module docstring
 _EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).tiny)
 # the floored exp of gaussian_bit_metric, see the module docstring
 _EXP_FLOOR = -MAX_LLR_CLIP
 _EXP_SHIFT = 64.0
@@ -227,31 +224,25 @@ def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
 
     bits is the (M, m) label table bit_table(m); the partition sums use
     its cached partition_weights(m). Returns (llr_raw, cache): llr_raw has
-    shape (m, S) and is finite, beyond MAX_LLR_CLIP where a partition
-    underflowed (see the module docstring); NaN only arises from NaN inputs
-    or a noise variance so small that every distance overflows. cache feeds
-    gaussian_bit_metric_grad.
+    shape (m, S) and is finite, beyond MAX_LLR_CLIP where a partition's
+    entries were all clamped (see the module docstring); NaN only arises
+    from NaN inputs or a noise variance so small that every distance
+    overflows. cache feeds gaussian_bit_metric_grad.
     """
     ymax, xmax = radii = _radii(y, points)
     p = _loglik(y, points, noise_variance, radii)
     top = p.max(axis=0)
     spread = (ymax + xmax) * (ymax + xmax) / float(noise_variance)
-    floored = not spread <= -_EXP_FLOOR
-    if not floored:  # every l - top is >= _EXP_FLOOR
+    if spread <= -_EXP_FLOOR:  # every l - top is >= _EXP_FLOOR
         p -= top
-        np.exp(p, out=p)
-    else:
+    else:  # floored
         top -= _EXP_SHIFT
         p -= top
-        keep = p >= _EXP_FLOOR
         np.maximum(p, _EXP_FLOOR, out=p)
-        np.exp(p, out=p)
-        p *= keep
+    np.exp(p, out=p)
     m = bits.shape[1]
     w = partition_weights(m)
     z = _matmul(w.T, p)
-    if floored:  # a partition whose entries were all dropped is 0
-        np.maximum(z, _TINY, out=z)
     logz = np.log(z)
     return logz[:m] - logz[m:], (p, z, w)
 
@@ -259,10 +250,9 @@ def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
 def gaussian_bit_metric_grad(dllr: np.ndarray, cache) -> np.ndarray:
     """d loss / d loglik, shape (M, S), from d loss / d llr_raw, shape (m, S).
 
-    loglik is the (M, S) array of _loglik. dllr must be zero wherever
-    llr_raw was clipped, which includes every entry whose partition
-    underflowed; then the division by the partitions needs no mask (see
-    the module docstring).
+    loglik is the (M, S) array of _loglik. Every partition is at least
+    e^-700, so the division by them needs no mask (see the module
+    docstring); dllr is zero wherever llr_raw was clipped.
     """
     p, z, w = cache
     a = np.concatenate([dllr, -dllr])
@@ -338,8 +328,8 @@ def llr_exact(y, c: Constellation, noise_variance: float,
 
     Returns an array of shape (m,) for scalar y or (len(y), m) for a batch,
     clipped to +/- llr_clip with 0 < llr_clip <= MAX_LLR_CLIP. Computed by
-    gaussian_bit_metric in matrix form; a level whose partition underflows
-    returns exactly +/- llr_clip.
+    gaussian_bit_metric in matrix form; a level with a partition of clamped
+    entries only returns exactly +/- llr_clip.
     """
     _check_noise_variance(noise_variance)
     check_llr_clip(llr_clip)

@@ -8,6 +8,7 @@ below turn malformed input files into ParameterError.
 import json
 import math
 import numbers
+import re
 from dataclasses import fields
 
 
@@ -54,17 +55,38 @@ def load_json(path):
             raise ParameterError(f"{path}: not valid JSON: {exc}") from exc
 
 
+# what Python says when a call's keywords do not bind: the key is quoted
+_UNKNOWN_KEY = re.compile(r"got an unexpected keyword argument '(.*?)'(?=$|\.)")
+_MISSING_KEY = re.compile(r"missing \d+ required (?:positional|keyword-only) arguments?: '(\w+)'")
+
+
 def build_section(name: str, build, doc):
     """build(**doc), the one reader of a JSON object: a non-object doc, or a
     ParameterError, TypeError, ValueError or OverflowError from build (an
     unknown or missing key, a wrongly typed or out-of-range value), is a
-    "bad {name}: ..." ParameterError."""
+    "bad {name}: ..." ParameterError. A key that build or the constructor it
+    passes the keys to does not take is an "unknown key 'k'", one that it
+    requires a "missing key 'k'"; any other TypeError keeps its text."""
     try:
         if not isinstance(doc, dict):
             raise ParameterError(f"expected an object, got {type(doc).__name__}")
         return build(**doc)
-    except (TypeError, ValueError, OverflowError) as exc:  # ParameterError is a ValueError
+    except TypeError as exc:
+        raise ParameterError(f"bad {name}: {_key_error(str(exc), doc) or exc}") from exc
+    except (ValueError, OverflowError) as exc:  # ParameterError is a ValueError
         raise ParameterError(f"bad {name}: {exc}") from exc
+
+
+def _key_error(text: str, doc: dict):
+    """The message for a TypeError text that names a key of doc as
+    unexpected ("unknown key 'k'") or one not in doc as missing ("missing
+    key 'k'"), else None."""
+    unknown, missing = _UNKNOWN_KEY.search(text), _MISSING_KEY.search(text)
+    if unknown and unknown[1] in doc:
+        return f"unknown key {unknown[1]!r}"
+    if missing and missing[1] not in doc:
+        return f"missing key {missing[1]!r}"
+    return None
 
 
 def _is_int(value) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import bit_table, check_labels
+from .constellation import bit_table, check_labels, labels_from_bits
 from .demapper import GmiReport
 from .errors import (FramingError, ParameterError, build_section, check_field_types, check_value,
                      check_written, float_tuple, int_tuple, load_json)
@@ -146,13 +146,6 @@ def best_plan(report: GmiReport, fec_rate: float) -> RateAdaptPlan:
     return next(plan for plan in plans if plan.feasible)
 
 
-def _labels_from_bits(bits: np.ndarray) -> np.ndarray:
-    """Rows of 0/1 (MSB first) to label integers."""
-    m = bits.shape[1]
-    weights = 1 << np.arange(m - 1, -1, -1)
-    return bits @ weights
-
-
 def assemble_labels(data_bits, plan: RateAdaptPlan, m: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Frame a data bit stream into dual-pol label pairs, shape (n, 2).
@@ -184,10 +177,7 @@ def assemble_labels(data_bits, plan: RateAdaptPlan, m: int,
     frame[:, data_levels] = data_bits.reshape(n_sym, per_sym)
     for level in sorted(plan.dummy_positions):
         frame[:, level] = rng.integers(0, 2, size=n_sym, dtype=np.uint8)
-    labels = np.empty((n_sym, 2), dtype=np.int64)
-    labels[:, 0] = _labels_from_bits(frame[:, :m])
-    labels[:, 1] = _labels_from_bits(frame[:, m:])
-    return labels
+    return labels_from_bits(frame.reshape(n_sym, 2, m))
 
 
 def extract_data_bits(labels: np.ndarray, plan: RateAdaptPlan, m: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -762,7 +763,36 @@ def test_unknown_key_in_any_object_exits_1(tmp_path, capsys, case):
     rc = main(_argv(tmp_path, index, flag, json.dumps(doc).encode()))
     err = capsys.readouterr().err
     assert rc == 1
-    assert len(err.splitlines()) == 1 and "bogus" in err, err
+    assert len(err.splitlines()) == 1 and "unknown key 'bogus'" in err, err
+    assert not re.search(r"__init__\(\)|\b_\w", err), err
+
+
+# a required key of each kind of object that some command reads
+_MISSING_KEYS = [(0, "--config", (), "train"), (0, "--config", ("train",), "m"),
+                 (0, "--config", ("train",), "target"),
+                 (0, "--config", ("train", "target"), "snr_db"),
+                 (1, "--constellation", (), "points"), (2, "--link-from", (), "link"),
+                 (2, "--link-from", ("link",), "ase_var_per_span"),
+                 (3, "--report", (), "per_bit"), (4, "--config", (), "link"),
+                 (4, "--config", ("sweep",), "span_grid"),
+                 (4, "--config", ("train",), "iterations"),
+                 (5, "--plan", (), "dummy_positions")]
+
+
+@pytest.mark.parametrize("case", _MISSING_KEYS, ids=[
+    f"{i}:{_COMMANDS[i][0]}{flag}:{'.'.join(path + (key,))}"
+    for i, flag, path, key in _MISSING_KEYS])
+def test_missing_key_in_any_object_exits_1(tmp_path, capsys, case):
+    index, flag, path, key = case
+    doc = _COMMANDS[index][1][flag]
+    obj = _lookup(doc, path)
+    doc = _replaced(doc, path, {k: v for k, v in obj.items() if k != key})
+    capsys.readouterr()
+    rc = main(_argv(tmp_path, index, flag, json.dumps(doc).encode()))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and f"missing key '{key}'" in err, err
+    assert not re.search(r"__init__\(\)|\b_\w", err), err
 
 
 _DOC_FLOAT_FIELDS = [(index, flag, path) for index, flag, path in _FLOAT_FIELDS

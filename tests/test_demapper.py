@@ -24,6 +24,7 @@ from shapegain import (
     select_dummy_bits,
     uniform_qam,
 )
+from shapegain.constellation import MAX_QAM_M
 from shapegain.demapper import (
     _GEMM_UNTHREADED,
     LN2,
@@ -119,16 +120,16 @@ def _floored(p):
 
 
 def _emptied(z, m):
-    """(m, S) mask of the bit levels with a partition whose entries were all
-    dropped, which the metric raises to the smallest normal double."""
-    empty = z == np.finfo(float).tiny
+    """(m, S) mask of the bit levels with a partition of at most M e^-700,
+    which holds every partition whose entries were all clamped to e^-700."""
+    empty = z <= (1 << m) * math.exp(-700.0)
     return empty[:m] | empty[m:]
 
 
 class TestMatrixKernel:
     @pytest.mark.parametrize("labeling", ["gray_qam", "random"])
     @pytest.mark.parametrize("snr_db", [3.0, 17.0, 21.0, 25.0, 30.0, 40.0])
-    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("m", range(1, MAX_QAM_M + 1))
     def test_matches_logsumexp_loop(self, m, snr_db, labeling):
         rng = np.random.default_rng(1000 * m + int(snr_db))
         c = uniform_qam(m) if labeling == "gray_qam" else _random_constellation(m, rng)
@@ -140,7 +141,7 @@ class TestMatrixKernel:
         if snr_db == 40.0:
             raw, (_, z, _) = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), s2)
             under = _emptied(z, c.m)
-            assert under.any()  # some partition underflowed to zero
+            assert under.any()  # some partition holds only clamped entries
             assert np.isfinite(raw).all()
             assert np.all(np.abs(raw[under]) > MAX_LLR_CLIP)
             np.testing.assert_array_equal(got.T[under], np.sign(raw[under]) * 50.0)
@@ -249,8 +250,8 @@ class TestMatrixKernel:
                              + [(1, 20.0), (2, 20.0), (4, 40.0), (8, 21.0)])
     def test_unshifted_block_divides_without_mask(self, m, snr_db):
         # the last two cases take the floored exp, and at 40 dB some of
-        # their partitions are raised from 0, all of whose LLRs lie beyond
-        # the clip; every other partition is at least e^-700. With zeros
+        # their partitions hold only clamped entries, all of whose LLRs lie
+        # beyond the clip; every partition is at least e^-700. With zeros
         # on the clipped entries, the division without a mask gives the
         # bits of the masked division, signed zeros included
         c = uniform_qam(m)

@@ -3,10 +3,12 @@
 gaussian_bit_metric backs the Gaussian receiver of training, llr_exact and
 every GMI estimate. These expected values were generated before a rewrite
 of the metric's internals that kept every output bit; a change to the
-metric that moves one of them moves the program's results. The plan and
-LUT pins were generated before dummy selection lost its second split rule,
-and the MLP training pins before the training loop lost its mapper and
-optimizer wrapper classes.
+metric that moves one of them moves the program's results. The heavily
+floored cases (MC at m=6 and 30 dB, quadrature at m=4 and 40 dB, and the
+floored LLRs) were generated before the floored exp lost its drop mask.
+The plan and LUT pins were generated before dummy selection lost its
+second split rule, and the MLP training pins before the training loop
+lost its mapper and optimizer wrapper classes.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ from shapegain import (
     LinkConfig,
     SnrTarget,
     TrainConfig,
+    awgn_sample,
     db_to_linear,
     gmi_oracle_quadrature,
     llr_exact,
@@ -28,7 +31,7 @@ from shapegain import (
     uniform_qam,
 )
 from shapegain.cli import main
-from shapegain.demapper import make_report
+from shapegain.demapper import MAX_LLR_CLIP, make_report
 from shapegain.sweep import _ae_train_config, load_run_config
 from shapegain.training import LinkTarget, train_many
 
@@ -73,20 +76,33 @@ def test_lone_mlp_training_on_a_link_is_pinned():
     assert _sha256(history.to_csv().encode()) == _MLP_HISTORY_SHA256
 
 
-# (m, SNR in dB): low SNR, criterion 4's SNR, and two cases whose blocks
-# take the floored exp (40 dB at m=4, 21 dB at m=8)
-@pytest.mark.parametrize("m, snr_db", [(2, 3.0), (4, 9.3), (4, 40.0), (8, 21.0)],
-                         ids=["m2-3dB", "m4-9.3dB", "m4-40dB", "m8-21dB"])
+# (m, SNR in dB): low SNR, criterion 4's SNR, and three cases whose blocks
+# take the floored exp (40 dB at m=4, 21 dB at m=8, and 30 dB at m=6,
+# where most entries are clamped)
+@pytest.mark.parametrize("m, snr_db", [(2, 3.0), (4, 9.3), (4, 40.0), (8, 21.0), (6, 30.0)],
+                         ids=["m2-3dB", "m4-9.3dB", "m4-40dB", "m8-21dB", "m6-30dB"])
 def test_monte_carlo_reports_are_pinned(m, snr_db):
     rep = per_bit_gmi_mc(uniform_qam(m), _nv(snr_db), 20_000,
                          np.random.default_rng([m, int(snr_db * 10)]))
     assert (repr(rep.total), _sha256(rep.to_json().encode())) == _MC_REPORTS[m, snr_db]
 
 
-@pytest.mark.parametrize("m, snr_db", [(2, 3.0), (4, 9.3), (6, 15.0)],
-                         ids=["m2-3dB", "m4-9.3dB", "m6-15dB"])
+@pytest.mark.parametrize("m, snr_db", [(2, 3.0), (4, 9.3), (6, 15.0), (4, 40.0)],
+                         ids=["m2-3dB", "m4-9.3dB", "m6-15dB", "m4-40dB"])
 def test_quadrature_oracle_is_pinned(m, snr_db):
-    assert repr(gmi_oracle_quadrature(uniform_qam(m), _nv(snr_db))) == _QUADRATURE[m]
+    assert repr(gmi_oracle_quadrature(uniform_qam(m), _nv(snr_db))) == _QUADRATURE[m, snr_db]
+
+
+# heavily floored blocks whose GMI saturates at m bits: most LLRs lie
+# between 50 and 700, where a partition may hold clamped entries, and at
+# m=10 a third clip at 700
+@pytest.mark.parametrize("m, snr_db", [(6, 30.0), (10, 40.0)], ids=["m6-30dB", "m10-40dB"])
+def test_floored_llrs_are_pinned(m, snr_db):
+    c = uniform_qam(m)
+    rng = np.random.default_rng([m, int(snr_db * 10)])
+    y = awgn_sample(rng, c.points[rng.integers(0, c.size, 2000)], _nv(snr_db))
+    got = llr_exact(y, c, _nv(snr_db), llr_clip=MAX_LLR_CLIP)
+    assert _sha256(got.tobytes()) == _FLOORED_LLR_SHA256[m, snr_db]
 
 
 def test_scalar_llr_calls_are_pinned():
@@ -134,11 +150,18 @@ _MC_REPORTS = {
               "177ca3229abf6d36e58b54cfda20e01284c68cc760e8ff9c4a43ca43c79c1571"),
     (8, 21.0): ("6.551093022317053",
               "9af81c6de94a7a2eee267aaa5a6f76160937d92444d928dd2edcf17d54599623"),
+    (6, 30.0): ("6.0",
+              "6841beb0d6b492e662cabfda799be8fa2f84de9bde43230b1d2d1139463c5ae9"),
 }
 _QUADRATURE = {
-    2: "1.441321671592549",
-    4: "2.9979202646993137",
-    6: "4.677997560324393",
+    (2, 3.0): "1.441321671592549",
+    (4, 9.3): "2.9979202646993137",
+    (6, 15.0): "4.677997560324393",
+    (4, 40.0): "4.0",
+}
+_FLOORED_LLR_SHA256 = {
+    (6, 30.0): "836b0fa4dff0acb654b31d6afbbc3fccf2647b2c41856b8d5c42036c19165370",
+    (10, 40.0): "5f04a184ee374cef4c5deadea46dabd5f1292c37b79594ba051a058ae19ed66d",
 }
 _SCALAR_LLR_SHA256 = "4839b20a62a56351dcd06765ffe97a750e55367f9e8647683ef08b74c5a525e0"
 _PLAN_AND_LUT = [  # (plan JSON, LUT text) by n_d

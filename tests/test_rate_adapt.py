@@ -239,7 +239,7 @@ class TestPlanSerialization:
         ({"data_gmi": True}, "data_gmi is True but would be written as 4.5"),
         ({"data_gmi": 4.0}, "data_gmi is 4.0 but would be written as 4.5"),
         ({"per_pol_data_gmi": [2.25, float("nan")]}, "per_pol_data_gmi must be a list of finite"),
-        ({"comment": "x"}, "unexpected keyword argument 'comment'"),
+        ({"comment": "x"}, "unknown key 'comment'"),
         ({"dummy_positions": [7, 3]}, r"dummy_positions is \[7, 3\] but would be written as \[3"),
     ], ids=[  # the ids pytest generated before they were pinned; a new case gets its own
         r"change0-dummy_positions must lie in \[0, 8\)",

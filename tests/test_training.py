@@ -228,8 +228,8 @@ class TestForwardLoss:
 
     def test_underflowed_gaussian_llr_clips_without_raising(self):
         # on the points themselves only the own point's distance stays
-        # finite: the other partition of every level is 0, raised to the
-        # smallest normal double, and its LLR lies beyond any clip
+        # finite: the other partition of every level holds only entries
+        # clamped to e^-700, and its LLR lies beyond any clip
         raw, labels, _, _ = self._setup(m=2, batch=64)
         with np.errstate(over="ignore"):
             loss, st = forward_loss(raw, GaussianDemapper(), labels,
@@ -306,8 +306,8 @@ class TestGradients:
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_gaussian_gradients_with_underflowed_partitions(self, m):
-        # at 40 dB most partitions underflow (raised to the smallest normal
-        # double, their LLRs beyond the clip); a few samples moved onto a
+        # at 40 dB most partitions have all their entries clamped (at most
+        # (M/2) e^-700, their LLRs beyond the clip); a few samples moved onto a
         # decision boundary keep unclipped entries in the same rows
         cfg = _config(m=m, batch_symbols=16 * (1 << m))
         rng = np.random.default_rng(300 + m)
@@ -320,7 +320,7 @@ class TestGradients:
         noise[edge] += 0.5 * (pts[1] - pts[0])
         _, st = forward_loss(raw, GaussianDemapper(), labels, noise, nv)
         (_, z, _), *_ = st.cache
-        assert (z == np.finfo(float).tiny).any()
+        assert (z <= (1 << m) * math.exp(-700.0)).any()
         assert np.isfinite(st.llr_raw).all()
         assert (np.abs(st.llr_raw[:, edge]) < DEFAULT_LLR_CLIP).any()
         grads = backward(raw, GaussianDemapper(), st)
