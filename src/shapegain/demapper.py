@@ -59,12 +59,14 @@ The shift cancels in the gradient's ratios P / Z. So every LLR is finite
 unless an input is NaN or a distance overflows, and the gradient divides
 by the partitions, each at least e^-700, without a mask.
 
-gmi_oracle_quadrature drops the product nodes of weight w_i w_j / pi below
-1e-21. Of the default 48 x 48 grid it keeps 1224 of 2304 nodes, and the
-dropped weights sum to 2.1e-20; with penalties of at most 700 / ln 2 bits
-(clip 700) each level moves by at most 2.2e-17 bits. The kept penalties are
-summed in the full grid's order, with zeros at the dropped nodes, so the
-rounding of the sum does not change either.
+gauss_hermite_grid is the one Gauss-Hermite product grid, of
+gmi_oracle_quadrature and of training's noise-free batch. The oracle drops
+the product nodes of weight w_i w_j / pi below 1e-21. Of the default
+48 x 48 grid it keeps 1224 of 2304 nodes, and the dropped weights sum to
+2.1e-20; with penalties of at most 700 / ln 2 bits (clip 700) each level
+moves by at most 2.2e-17 bits. The kept penalties are summed in the full
+grid's order, with zeros at the dropped nodes, so the rounding of the sum
+does not change either.
 
 The GEMM form of l drops |y_s|^2 / sigma^2 from -|y_s - x_j|^2 / sigma^2:
 l = [2 Re x, 2 Im x, -|x|^2] / sigma^2 @ [Re y; Im y; 1], whose derivative
@@ -479,6 +481,19 @@ def per_bit_gmi_mc(c: Constellation, noise_variance: float, n_samples: int,
     return per_bit_gmi_from_samples(c, labels, y, noise_variance, llr_clip)
 
 
+def gauss_hermite_grid(n1: int, n2: int):
+    """The n1 x n2 Gauss-Hermite product grid for complex noise of unit variance.
+
+    Returns (offsets, weights), each of n1 * n2 entries, the second node
+    index running fastest: offsets t1 + j t2 over the nodes of hermgauss(n1)
+    and hermgauss(n2), and weights w1 w2 / pi, which sum to 1, so that
+    E[f(n)] over n with E|n|^2 = v is sum_i weights_i f(sqrt(v) offsets_i).
+    """
+    (t1, w1), (t2, w2) = hermgauss(n1), hermgauss(n2)
+    weights = (w1[:, None] * w2[None, :]).ravel() / math.pi
+    return (t1[:, None] + 1j * t2[None, :]).ravel(), weights
+
+
 def gmi_oracle_quadrature(c: Constellation, noise_variance: float,
                           n_nodes: int = 48,
                           llr_clip: float = DEFAULT_LLR_CLIP) -> float:
@@ -495,12 +510,9 @@ def gmi_oracle_quadrature(c: Constellation, noise_variance: float,
     check_value("n_nodes", "int", n_nodes)
     if n_nodes < 1:
         raise ParameterError(f"n_nodes must be >= 1, got {n_nodes}")
-    nodes, weights = hermgauss(n_nodes)
-    # E[f(n)] over complex n with E|n|^2 = v: n = sqrt(v) * (t1 + j t2), weight w1*w2/pi
-    offsets = math.sqrt(noise_variance) * (nodes[:, None] + 1j * nodes[None, :]).ravel()
-    w2 = (weights[:, None] * weights[None, :]).ravel() / math.pi
+    offsets, w2 = gauss_hermite_grid(n_nodes, n_nodes)
     kept = np.flatnonzero(w2 >= _QUAD_MIN_WEIGHT)  # see the module docstring
-    offsets = offsets[kept]
+    offsets = math.sqrt(noise_variance) * offsets[kept]
 
     penalty_per_bit = np.zeros(c.m)
     t = np.zeros((c.m, w2.size))

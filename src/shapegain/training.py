@@ -3,15 +3,17 @@
 The trainable objects are a direct M x 2 point table (the mapper) and the
 receiver's arrays, if it has any. The loss is the GMI surrogate
 
-    loss = (1/S) sum_s sum_k log2(1 + exp(-(1 - 2 b_{k,s}) L_{k,s}))
+    loss = (1/S) sum_s w_s sum_k log2(1 + exp(-(1 - 2 b_{k,s}) L_{k,s}))
 
-so surrogate GMI per symbol is m - loss by construction. Each term and
-its derivative d/dz log2(1 + exp(z)) = sigmoid(z) / ln 2, with
-z = -(1 - 2 b) L, come from the one kernel demapper.logistic, which the
-forward pass calls once; backward reuses the cached sigmoid. Unit average
-power is enforced inside the forward pass (differentiable normalization),
-never by projection. Everything is plain numpy; gradients are derived by
-hand and guarded by finite-difference checks (tests/stepcheck.py).
+so surrogate GMI per symbol is m - loss by construction. When a label's
+S/M samples factor as n1 x n2 with n1, n2 >= 8, they take the fixed
+Gauss-Hermite grid of noise offsets of those orders, and w_s is S/M times
+the node's weight; otherwise every w_s is 1 and fresh noise is drawn every
+iteration. Each term and its derivative sigmoid(z) / ln 2, z = -(1 - 2 b) L,
+come from the one kernel demapper.logistic. Unit average power is enforced
+inside the forward pass (differentiable normalization), never by
+projection. Gradients are derived by hand and guarded by finite-difference
+checks (tests/stepcheck.py).
 
 A receiver is one object with four methods; GaussianDemapper (the exact
 bit metric) and MlpDemapper (a small rectifier network) implement them, and
@@ -28,35 +30,16 @@ training never asks which one it holds:
                          gp = d loss / d points_iq (2, M) through the
                          receiver, or None
 
-Both receivers' LLRs are finite unless the step has failed: one rule in
-the forward pass rejects a NaN or +/-inf LLR with NumericalError, and the
-LLRs beyond the clip are clipped, their entries of dllr zero.
+A NaN or +/-inf LLR fails the step with NumericalError; LLRs beyond the
+clip are clipped, their entries of dllr zero.
 
-train_many() trains cells whose configs differ only in seed and target,
-and sizes its own runs: MLP cells stack, in config order, as many per run
-as keep their summed entries (TrainConfig.cell_entries) within
-MAX_CELL_ENTRIES, the budget of one cell; Gaussian cells run one per run,
-because each picks its own form of the bit metric, so stacking batches
-nothing. train() is one run of one config. Only a stacked run (K > 1)
-carries a leading cell axis K on every array: the raw points are
-(K, M, 2), an MLP layer (K, fan_in + 1, fan_out), the received samples
-(K, 2, S), and the LLRs, sigmoids and loss terms (K, m, S);
-noise_variance then holds one value per cell. A lone run has no cell
-axis, and the loop reaches cell k through reshape(K, ...) views. Cell k
-draws from its own default_rng(seed) in the order a lone run would, and
-its per-cell scalars (power, scale, noise variance) stay Python floats,
-so it ends bit for bit where train() of its config ends.
-
-The loop keeps every trainable array (the mapper's raw points, then the
-receiver's) as a named view into one float64 parameter array, (n,) or
-(K, n), laid out in the order backward() produces the gradients. Each
-iteration writes the gradients into one matching array, checks it for
-non-finite values once, and Adam updates the parameters and both moment
-arrays in place. The batch lists every label S // M times in sorted order,
-so each label's samples form one run, and what depends only on the labels
-is built once per run. The step's per-sample arrays keep the samples on
-their last axis (ForwardState) and live in the run's Workspace; README's
-Performance section says what that saves.
+train_many() trains cells whose configs differ only in seed and target.
+MLP cells stack along a leading cell axis K, as many per run as keep their
+summed entries (TrainConfig.cell_entries) within MAX_CELL_ENTRIES; Gaussian
+cells run one per run. Cell k keeps its own default_rng(seed) and its
+scalars as Python floats, so it ends bit for bit where train() of its
+config ends. README's Performance section describes the loop's layout: one
+flat parameter array updated in place, the sorted batch, the workspace.
 """
 
 from __future__ import annotations
@@ -76,7 +59,7 @@ from .channel import (
 )
 from .constellation import Constellation, bit_table, moments, uniform_qam
 from .demapper import (DEFAULT_LLR_CLIP, LN2, GaussianDemapper, _check_noise_variance, _clipped,
-                       check_llr_clip, logistic)
+                       check_llr_clip, gauss_hermite_grid, logistic)
 from .errors import NumericalError, ParameterError, build_section, check_field_types, int_tuple
 
 
@@ -198,6 +181,14 @@ class TrainConfig:
         activations summed over its hidden layers."""
         units = 1 << self.m if self.demapper_mode == "gaussian" else sum(self.mlp_hidden)
         return units * self.batch_symbols
+
+
+def _grid_shape(n: int) -> Optional[tuple]:
+    """The Gauss-Hermite grid of a label's n training samples: (n1, n2),
+    n1 <= n2, the most nearly square factors n1 * n2 = n, or None if
+    n1 < 8, too few nodes, and the samples draw their noise."""
+    n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return (n1, n // n1) if n1 >= 8 else None
 
 
 def train_config_from_dict(doc: dict) -> TrainConfig:
@@ -393,23 +384,42 @@ class _Batch:
     labels: np.ndarray   # (S,), each label S // M times, sorted
     bits: np.ndarray     # (M, m) bit table
     flip: np.ndarray     # (..., m, S), 2 b_{k,s} - 1, so that z = flip * L
-    flip_norm: np.ndarray  # (..., m, S), flip * S ln 2, so that d loss / d L = sigmoid / flip_norm
+    # (..., m, S), flip * S ln 2 (divided by weight if given), so that
+    # d loss / d L = sigmoid / flip_norm
+    flip_norm: np.ndarray
+    # the Gauss-Hermite batch only: the unit noise offsets (2, S), each
+    # label's grid, and the samples' weights (S,), S/M times the grid's
+    weight: Optional[np.ndarray] = None
+    offsets: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
         return self.labels.size
 
 
-def _make_batch(M: int, S: int, cells: tuple = ()) -> _Batch:
+def _make_batch(M: int, S: int, cells: tuple = (), grid: Optional[tuple] = None) -> _Batch:
     """The batch of S symbols that lists each of the M labels S // M times,
     in sorted order, and its invariants. The label signs carry the cell
     axis, cells = (K,) in a stacked run: the step multiplies them with its
     (K, m, S) arrays, and same-shape operands multiply faster than
-    broadcast ones."""
+    broadcast ones. With a grid (n1, n2), n1 n2 = S // M, each label's
+    samples take its Gauss-Hermite offsets, and their weights fold into
+    flip_norm."""
     labels = np.repeat(np.arange(M), S // M)
     bits = bit_table(M.bit_length() - 1)
     flip = np.tile(2.0 * np.take(bits.T, labels, axis=1) - 1.0, cells + (1, 1))
-    return _Batch(labels=labels, bits=bits, flip=flip, flip_norm=flip * (S * LN2))
+    flip_norm = flip * (S * LN2)
+    weight = offsets = None
+    if grid is not None:
+        unit, weight = gauss_hermite_grid(*grid)
+        weight = np.tile(weight * (S // M), M)
+        offsets = np.tile([unit.real, unit.imag], M)
+        # the largest grid (m=1, 2^16 symbols) has weights near 3e-313, where
+        # flip_norm overflows to inf: those nodes get no gradient
+        with np.errstate(over="ignore"):
+            flip_norm /= weight
+    return _Batch(labels=labels, bits=bits, flip=flip, flip_norm=flip_norm,
+                  weight=weight, offsets=offsets)
 
 
 
@@ -433,7 +443,7 @@ class ForwardState:
     llr: np.ndarray  # (m, S), llr_raw clipped; llr_raw itself when nothing clips
     sigmoid: np.ndarray  # (m, S) sigmoid(z), z = flip * llr
     loss: np.ndarray
-    penalties: np.ndarray  # (m, S) loss terms, in bits
+    penalties: np.ndarray  # (m, S) loss terms, in bits, times the batch's weights
     cache: object  # the receiver's forward() cache
     work: Workspace
 
@@ -497,6 +507,8 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     # z = flip * llr goes where its loss terms will, (..., m, S) each
     z = np.multiply(batch.flip, llr, out=work("penalties", llr.shape))
     penalties, sigmoid = logistic(z, (z, work("sigmoid", llr.shape)))
+    if batch.weight is not None:
+        penalties *= batch.weight
     loss = penalties.reshape(*penalties.shape[:-2], -1).sum(axis=-1) / batch.size
     _ensure_finite("loss", loss)
     return ForwardState(
@@ -612,8 +624,11 @@ def _emit_constellation(raw: np.ndarray, config: TrainConfig,
 def train(config: TrainConfig):
     """Run the full optimization; returns (Constellation, TrainHistory).
 
-    Fresh noise is drawn every iteration; batches contain every label
-    batch_symbols/M times. Deterministic for a fixed config (seed included).
+    Batches contain every label batch_symbols/M times. If those S/M
+    samples factor as n1 x n2 with n1, n2 >= 8, they take fixed
+    Gauss-Hermite noise offsets, rescaled at each refresh of a link target;
+    otherwise fresh noise is drawn every iteration. Deterministic for a
+    fixed config (seed included).
     """
     return _train_run([config])[0]
 
@@ -657,7 +672,7 @@ def _train_run(configs: list) -> list:
 
     S = first.batch_symbols
     axis = (K,) if K > 1 else ()  # the cell axis of a stacked run
-    batch = _make_batch(1 << first.m, S, axis)
+    batch = _make_batch(1 << first.m, S, axis, _grid_shape(S >> first.m))
     # from here on the trainable arrays are views into theta, (n,) or
     # (K, n), which Adam updates in place together with its moment arrays
     theta, arrays = _flatten({name: np.reshape([cell[name] for cell in cells],
@@ -678,6 +693,9 @@ def _train_run(configs: list) -> list:
         return configs[k].target.resolve(
             Constellation(m=first.m, points=emit(raws[k]), metadata={}))
 
+    def place_grid(k: int) -> None:
+        np.multiply(batch.offsets, math.sqrt(noise_variance[k]), out=noises[k])
+
     refresh = [(k, config.target.refresh_every) for k, config in enumerate(configs)
                if isinstance(config.target, LinkTarget)]
     loss_hist = np.empty((K, first.iterations))
@@ -687,14 +705,21 @@ def _train_run(configs: list) -> list:
     # unwarned
     with np.errstate(over="ignore", invalid="ignore"):
         noise_variance = [resolve(k) for k in range(K)]
+        quadrature = batch.offsets is not None  # else the rngs draw the noise
+        if quadrature:
+            for k in range(K):
+                place_grid(k)
         for it in range(first.iterations):
             for k, every in refresh:
                 if it > 0 and it % every == 0:
                     noise_variance[k] = resolve(k)
-            # the draws of awgn_sample, noise_variance / 2 per real dimension
-            for k, rng in enumerate(rngs):
-                np.multiply(rng.standard_normal((S, 2)).T,
-                            math.sqrt(noise_variance[k] / 2.0), out=noises[k])
+                    if quadrature:
+                        place_grid(k)
+            if not quadrature:
+                # the draws of awgn_sample, noise_variance / 2 per real dimension
+                for k, rng in enumerate(rngs):
+                    np.multiply(rng.standard_normal((S, 2)).T,
+                                math.sqrt(noise_variance[k] / 2.0), out=noises[k])
             try:
                 st = _forward(raw, demapper, batch, noise, noise_variance, work, power)
                 _backward(demapper, st, grad, grads)

@@ -4,11 +4,13 @@ forward_loss and backward run one step of the package's training loop
 through the same step functions train() runs, so train() and a loop over
 them and the Adam update give identical bits. gradient_check compares
 backward() with central differences of forward_loss on a fixed batch; it
-backs acceptance criterion 3.
+backs acceptance criterion 3. Either runs on a batch of given noise or,
+with noise None, on train's Gauss-Hermite batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,6 +25,7 @@ from shapegain.training import (
     _backward,
     _flatten,
     _forward,
+    _grid_shape,
     _make_batch,
     trainable_arrays,
     with_arrays,
@@ -36,19 +39,29 @@ def forward_loss(raw: np.ndarray, demapper, labels: np.ndarray,
     raw is the (M, 2) mapper table. `labels` must be train()'s batch: each
     of the M labels S // M times, in sorted order, since the step sums each
     label's samples as one run; `noise` is the complex additive noise
-    realization, one entry per label. Each call takes a fresh workspace, so
-    the states of two calls share no array.
+    realization, one entry per label, or None for train's Gauss-Hermite
+    batch, whose noise is its unit offsets times sqrt(noise_variance); that
+    needs S // M = n1 n2 samples per label with n1, n2 >= 8. Each call takes a fresh workspace, so the states of two calls
+    share no array.
     """
     labels = np.asarray(labels)
-    noise = np.asarray(noise, dtype=np.complex128)
-    if labels.shape != noise.shape:
-        raise ParameterError("labels and noise must have matching shapes")
     M = raw.shape[0]
-    batch = _make_batch(M, labels.size)
+    grid = None
+    if noise is None:
+        grid = _grid_shape(labels.size // M)
+        if grid is None:
+            raise ParameterError("the Gauss-Hermite batch needs at least 8 x 8 samples per label")
+    batch = _make_batch(M, labels.size, grid=grid)
+    if noise is None:
+        noise_iq = batch.offsets * math.sqrt(noise_variance)
+    else:
+        noise = np.asarray(noise, dtype=np.complex128)
+        if labels.shape != noise.shape:
+            raise ParameterError("labels and noise must have matching shapes")
+        noise_iq = np.stack([noise.real, noise.imag])
     if not np.array_equal(check_labels(labels, M), batch.labels):
         raise ParameterError("labels must list each label S // M times, in sorted order")
-    st = _forward(raw, demapper, batch, np.stack([noise.real, noise.imag]), [noise_variance],
-                  Workspace())
+    st = _forward(raw, demapper, batch, noise_iq, [noise_variance], Workspace())
     return float(st.loss), st
 
 
@@ -142,7 +155,8 @@ def gradient_check(raw: np.ndarray, demapper, labels, noise,
                    tolerance: float = 1e-4,
                    rng: Optional[np.random.Generator] = None,
                    step: float = 1e-5) -> GradCheckReport:
-    """Finite-difference check of backward() on a fixed batch.
+    """Finite-difference check of backward() on a fixed batch: the given
+    noise, or the Gauss-Hermite batch for noise None (see forward_loss).
 
     Kinks of the model (rectifier sign flips, LLR clip saturation) make
     central differences meaningless at isolated points; probes straddling

@@ -35,6 +35,7 @@ from shapegain.demapper import (
     _loglik,
     _matmul,
     _radii,
+    gauss_hermite_grid,
     gaussian_bit_metric,
     gaussian_bit_metric_grad,
     logistic,
@@ -502,6 +503,19 @@ class TestQuadratureOracle:
             penalty += t @ w2
         full = float(np.clip(1.0 - penalty / c.size, 0.0, 1.0).sum())
         assert gmi_oracle_quadrature(c, s2, llr_clip=clip) == pytest.approx(full, abs=1e-16)
+
+    @pytest.mark.parametrize("n1, n2", [(8, 8), (8, 12), (48, 48)])
+    def test_grid_is_the_hermite_product(self, n1, n2):
+        # the grid shared by the oracle and the training batch: the second
+        # node index runs fastest
+        offsets, weights = gauss_hermite_grid(n1, n2)
+        (t1, w1), (t2, w2) = hermgauss(n1), hermgauss(n2)
+        np.testing.assert_array_equal(offsets.real, np.repeat(t1, n2))
+        np.testing.assert_array_equal(offsets.imag, np.tile(t2, n1))
+        np.testing.assert_array_equal(weights, np.outer(w1, w2).ravel() / math.pi)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+        # unit complex variance: E|t1 + j t2|^2 = 1
+        assert weights @ np.abs(offsets) ** 2 == pytest.approx(1.0, abs=1e-14)
 
     def test_qpsk_equals_twice_bpsk(self):
         # QPSK is two orthogonal BPSKs at half the per-dimension energy

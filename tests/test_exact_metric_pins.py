@@ -8,7 +8,10 @@ floored cases (MC at m=6 and 30 dB, quadrature at m=4 and 40 dB, and the
 floored LLRs) were generated before the floored exp lost its drop mask.
 The plan and LUT pins were generated before dummy selection lost its
 second split rule, and the MLP training pins before the training loop
-lost its mapper and optimizer wrapper classes.
+lost its mapper and optimizer wrapper classes. The floored penalty pins
+and the drawn-noise training pins were generated before training's batch
+took Gauss-Hermite noise offsets; the lone Gaussian and the stacked
+example pins were regenerated with that batch, which they use.
 """
 
 import hashlib
@@ -31,7 +34,7 @@ from shapegain import (
     uniform_qam,
 )
 from shapegain.cli import main
-from shapegain.demapper import MAX_LLR_CLIP, make_report
+from shapegain.demapper import MAX_LLR_CLIP, _bit_penalties, make_report
 from shapegain.sweep import _ae_train_config, load_run_config
 from shapegain.training import LinkTarget, train_many
 
@@ -47,23 +50,42 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_lone_gaussian_training_is_pinned():
+def _lone_gaussian_digests(batch_symbols: int) -> tuple:
     config = TrainConfig(m=4, target=SnrTarget(GRAY16_3BIT_SNR_DB), iterations=100,
-                         batch_symbols=1024, learning_rate=2e-3, seed=1)
+                         batch_symbols=batch_symbols, learning_rate=2e-3, seed=1)
     c, history = train(config)
-    assert _sha256(c.points.tobytes()) == _TRAIN_POINTS_SHA256
-    assert _sha256(history.to_csv().encode()) == _TRAIN_HISTORY_SHA256
+    return _sha256(c.points.tobytes()), _sha256(history.to_csv().encode())
+
+
+def test_lone_gaussian_training_is_pinned():
+    # 64 samples per label, the 8 x 8 Gauss-Hermite batch
+    assert _lone_gaussian_digests(1024) == (_TRAIN_POINTS_SHA256, _TRAIN_HISTORY_SHA256)
+
+
+def test_lone_gaussian_training_with_drawn_noise_is_pinned():
+    # 32 samples per label, too few for the grid: fresh noise every iteration
+    assert _lone_gaussian_digests(512) == (_DRAWN_TRAIN_POINTS_SHA256,
+                                           _DRAWN_TRAIN_HISTORY_SHA256)
+
+
+def _example_cells_digests(batch_symbols: int) -> tuple:
+    """The shipped example sweep's six ae cells, stacked into one MLP run."""
+    rc = load_run_config(Path(__file__).resolve().parent.parent / "configs" / "example.json")
+    rc = replace(rc, train=replace(rc.train, iterations=300, batch_symbols=batch_symbols))
+    results = train_many([_ae_train_config(rc, n) for n in rc.sweep.span_grid])
+    assert len(results) == 6
+    return (_sha256(b"".join(c.points.tobytes() for c, _ in results)),
+            _sha256(b"".join(h.to_csv().encode() for _, h in results)))
 
 
 def test_stacked_mlp_training_of_the_example_cells_is_pinned():
-    # the shipped example sweep's six ae cells, stacked into one MLP run
-    rc = load_run_config(Path(__file__).resolve().parent.parent / "configs" / "example.json")
-    rc = replace(rc, train=replace(rc.train, iterations=300))
-    results = train_many([_ae_train_config(rc, n) for n in rc.sweep.span_grid])
-    assert len(results) == 6
-    assert _sha256(b"".join(c.points.tobytes() for c, _ in results)) == _MANY_POINTS_SHA256
-    assert (_sha256(b"".join(h.to_csv().encode() for _, h in results))
-            == _MANY_HISTORY_SHA256)
+    # the example's batch, 64 samples per label
+    assert _example_cells_digests(1024) == (_MANY_POINTS_SHA256, _MANY_HISTORY_SHA256)
+
+
+def test_stacked_mlp_training_with_drawn_noise_is_pinned():
+    assert _example_cells_digests(512) == (_DRAWN_MANY_POINTS_SHA256,
+                                           _DRAWN_MANY_HISTORY_SHA256)
 
 
 def test_lone_mlp_training_on_a_link_is_pinned():
@@ -105,6 +127,21 @@ def test_floored_llrs_are_pinned(m, snr_db):
     assert _sha256(got.tobytes()) == _FLOORED_LLR_SHA256[m, snr_db]
 
 
+# the GMI pins of these two cases read exactly m bits, since every penalty
+# log2(1 + e^-|L|) with |L| >= 50 rounds away against 1; the penalties
+# themselves keep the bits of the LLRs behind them. At m=6 and 30 dB 83 %
+# come from unclipped LLRs, and all but 0.03 % lie below 1e-20; at m=4 and
+# 40 dB every LLR clips at 700, so that pin holds the clip and the signs.
+@pytest.mark.parametrize("m, snr_db", [(6, 30.0), (4, 40.0)], ids=["m6-30dB", "m4-40dB"])
+def test_floored_penalties_are_pinned(m, snr_db):
+    c = uniform_qam(m)
+    rng = np.random.default_rng([m, int(snr_db * 10)])
+    labels = rng.integers(0, c.size, 2000)
+    y = awgn_sample(rng, c.points[labels], _nv(snr_db))
+    got = _bit_penalties(y, c, labels, _nv(snr_db), MAX_LLR_CLIP)
+    assert _sha256(got.tobytes()) == _FLOORED_PENALTY_SHA256[m, snr_db]
+
+
 def test_scalar_llr_calls_are_pinned():
     # noise variances from 1e-4 to 3 reach the GEMM and the subtraction
     # form of the log-likelihoods, the floored exp and the clip
@@ -135,10 +172,14 @@ def test_plan_and_lut_files_are_pinned(tmp_path, n_d):
         assert (_sha256(plan_fh.read()), _sha256(lut_fh.read())) == _PLAN_AND_LUT[n_d]
 
 
-_TRAIN_POINTS_SHA256 = "9ed61a7a85307644c5211292005f9df6c54875542a31a9cc4cef7b0f079d3d0c"
-_TRAIN_HISTORY_SHA256 = "c327187a0d8ba60d7ae8408a63f8d424f13ef19adc67014aaa170a0ae56dcdcd"
-_MANY_POINTS_SHA256 = "9746d0b3e9228bfcab92a5c82d05e2e2437370530595ad686aff39069cfd490a"
-_MANY_HISTORY_SHA256 = "63ba6b1013d770a2a737c21986643f8e9df45d590d02d68f8723d63e95fac9c3"
+_TRAIN_POINTS_SHA256 = "1e9e800250563acb3c13de4eaec39b0b97f4b895e5b3ad9c18b31a9ee69a4bad"
+_TRAIN_HISTORY_SHA256 = "06afcf8ea57a67f0da925b9eb730382bdeeec3fb69e81b58b65197e5569a5726"
+_DRAWN_TRAIN_POINTS_SHA256 = "e259ad461fbcc2c29e16bb5b75f5adb456ee081321241379f0261074aec41eae"
+_DRAWN_TRAIN_HISTORY_SHA256 = "8b2c608c0d2e9b73b2240d171fa81a4d2f15ccdfd4cd6e312581634612a03bec"
+_MANY_POINTS_SHA256 = "fb3c50e5698d03e51eb31b40c7725a967c2114194500dc0bc6be0f5ab17a194a"
+_MANY_HISTORY_SHA256 = "333815b4df4390317d9e22eac5e001d7bf669ad5f32bd1d752ccf9a3ecdc31d1"
+_DRAWN_MANY_POINTS_SHA256 = "23e3aabc6118b4d90242077d48590c190a7feee727c7fadbbc227edc1103c4cd"
+_DRAWN_MANY_HISTORY_SHA256 = "2f957adb47e82b096f411f7ef83d9fdcf522468b9d91a6799379178128b1ae92"
 _MLP_POINTS_SHA256 = "57d1ee7ceeb78d3816346ff43b2adf014da6b8e83c9d0bd8cb5539a78bb5e7db"
 _MLP_HISTORY_SHA256 = "e147d591a35563e429b871e5edd4cb61a077c0f942fc9db85188c55e3c9bef56"
 _MC_REPORTS = {
@@ -162,6 +203,10 @@ _QUADRATURE = {
 _FLOORED_LLR_SHA256 = {
     (6, 30.0): "836b0fa4dff0acb654b31d6afbbc3fccf2647b2c41856b8d5c42036c19165370",
     (10, 40.0): "5f04a184ee374cef4c5deadea46dabd5f1292c37b79594ba051a058ae19ed66d",
+}
+_FLOORED_PENALTY_SHA256 = {
+    (6, 30.0): "3bad9c7e2115b0f06f7461aab998e7909115adbf7178371df45ce6c201b7e80f",
+    (4, 40.0): "abebb9ca9337d80707b4999936672249e620322631f18a515255c490158cda99",
 }
 _SCALAR_LLR_SHA256 = "4839b20a62a56351dcd06765ffe97a750e55367f9e8647683ef08b74c5a525e0"
 _PLAN_AND_LUT = [  # (plan JSON, LUT text) by n_d

@@ -313,12 +313,12 @@ class TestRunSweep:
 
 _SMOKE_CSV = """\
 scheme,n_spans,distance_km,launch_power,snr_eff_db,n_d,data_gmi,net_rate,feasible
-ae,4,400,0.207165,9.25382,2,5.10058,4.5,true
-ae,8,800,0.203164,6.15882,4,3.13599,3,true
-ae,12,1200,0.20408,4.41744,8,0,0,true
-ae,16,1600,0.208269,3.25629,8,0,0,true
-ae,20,2000,0.202651,2.16843,8,0,0,true
-ae,24,2400,0.210478,1.5412,8,0,0,true
+ae,4,400,0.207103,9.25251,2,5.11473,4.5,true
+ae,8,800,0.204061,6.17796,4,3.15859,3,true
+ae,12,1200,0.203913,4.41389,8,0,0,true
+ae,16,1600,0.207036,3.23051,8,0,0,true
+ae,20,2000,0.20247,2.16455,8,0,0,true
+ae,24,2400,0.209544,1.52189,8,0,0,true
 qam,4,400,0.206739,9.24487,1,5.31559,5.25,true
 qam,8,800,0.203169,6.15893,4,1.59798,1.5,true
 qam,12,1200,0.206739,4.47366,8,0,0,true

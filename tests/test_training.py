@@ -20,6 +20,7 @@ from shapegain import (
     db_to_linear,
     gmi_oracle_quadrature,
     llr_exact,
+    per_bit_gmi_mc,
     uniform_qam,
 )
 from shapegain.demapper import DEFAULT_LLR_CLIP, MAX_LLR_CLIP, _clipped
@@ -73,6 +74,14 @@ class TestTrainConfig:
     def test_bad_init_rejected(self):
         with pytest.raises(ParameterError):
             _config(init="fourier")
+
+    # samples per label: 32 = 4 x 8, 56 = 7 x 8 and the prime 67 give fewer
+    # than 8 nodes on one axis, so those batches draw their noise
+    @pytest.mark.parametrize("n, shape", [(64, (8, 8)), (96, (8, 12)), (128, (8, 16)),
+                                          (256, (16, 16)), (32, None), (56, None),
+                                          (67, None), (1, None)])
+    def test_grid_shape_is_the_most_nearly_square(self, n, shape):
+        assert training._grid_shape(n) == shape
 
     def test_from_dict_snr_target(self):
         cfg = train_config_from_dict(
@@ -366,6 +375,30 @@ class TestGradients:
                              rng=np.random.default_rng(0))
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
         assert 0 < len(rep.probes) < n_coords
+
+    @pytest.mark.parametrize("mode", ["gaussian", "mlp"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_quadrature_batch_gradients(self, mode, m):
+        # criterion 3's setup and tolerance, on the weighted loss of train's
+        # Gauss-Hermite batch with its 8 x 8 nodes per label
+        cfg = _config(m=m, batch_symbols=64 << m, demapper_mode=mode, mlp_hidden=(16, 16))
+        rng = np.random.default_rng(100 * (mode == "mlp") + m)
+        raw = init_mapper(cfg, rng)
+        dem = GaussianDemapper() if mode == "gaussian" else init_mlp(m, cfg.mlp_hidden, rng)
+        rep = gradient_check(raw, dem, _balanced_labels(m, cfg.batch_symbols), None,
+                             1.0 / db_to_linear(8.0), n_probes=20, tolerance=1e-4,
+                             rng=np.random.default_rng(m))
+        assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
+
+    @pytest.mark.parametrize("m, snr_db", [(2, 3.0), (4, 9.3), (4, 14.0)])
+    def test_quadrature_batch_loss_is_the_oracle_on_its_grid(self, m, snr_db):
+        # the weighted loss of the Gaussian receiver is m minus the quadrature
+        # GMI on the same 8 x 8 grid (no level clamps at these SNRs)
+        raw = init_mapper(_config(m=m, batch_symbols=64 << m), np.random.default_rng(m))
+        nv = 1.0 / db_to_linear(snr_db)
+        loss, _ = forward_loss(raw, GaussianDemapper(), _balanced_labels(m, 64 << m), None, nv)
+        oracle = gmi_oracle_quadrature(Constellation(m=m, points=emit(raw)), nv, n_nodes=8)
+        assert m - loss == pytest.approx(oracle, abs=1e-12)
 
     def test_mlp_bias_gradient_is_the_sample_sum(self):
         # each bias gradient, the last row of its layer's gradient, is the sum
@@ -742,7 +775,9 @@ def _public_api_train(config):
     for it in range(config.iterations):
         if refresh and it > 0 and it % refresh == 0:
             nv = resolve()
-        noise = awgn_sample(rng, np.zeros(config.batch_symbols), nv)
+        noise = None  # the Gauss-Hermite batch
+        if training._grid_shape(config.batch_symbols >> config.m) is None:
+            noise = awgn_sample(rng, np.zeros(config.batch_symbols), nv)
         val, st = forward_loss(raw, demapper, labels, noise, nv)
         grads = backward(raw, demapper, st)
         raw, demapper = with_arrays(demapper, opt.step(grads))
@@ -775,8 +810,17 @@ class TestTrainMatchesPublicSteps:
         (_config(m=2, iterations=30, batch_symbols=64, seed=6, llr_clip=20.0), True),
         (_config(m=2, iterations=30, batch_symbols=64, demapper_mode="mlp",
                  mlp_hidden=(4,), seed=7, llr_clip=0.5), True),
+        # the Gauss-Hermite batch: its offsets are rescaled at every refresh
+        (_config(m=2, iterations=30, batch_symbols=256, demapper_mode="mlp",
+                 mlp_hidden=(4,), seed=4,
+                 target=LinkTarget(LinkConfig(n_spans=8, ase_var_per_span=0.0041,
+                                              chi1=0.3, chi2=0.1), refresh_every=7)), False),
+        (_config(m=3, iterations=30, batch_symbols=768, seed=2,
+                 target=LinkTarget(LinkConfig(n_spans=8, ase_var_per_span=0.0041,
+                                              chi1=0.3, chi2=0.1), refresh_every=7)), False),
     ], ids=["mlp", "mlp-two-hidden", "gaussian", "link-mlp", "link-gaussian",
-            "gaussian-clipping", "mlp-clipping"])
+            "gaussian-clipping", "mlp-clipping", "quadrature-link-mlp",
+            "quadrature-link-gaussian"])
     def test_bit_identical(self, monkeypatch, config, clips):
         clip_calls = _count_clips(monkeypatch)
         c, hist = train(config)
@@ -826,7 +870,13 @@ class TestTrainMany:
         ([_config(m=2, iterations=20, batch_symbols=64, demapper_mode="mlp",
                   mlp_hidden=(4,), seed=s, target=SnrTarget(db), llr_clip=0.5)
           for s, db in [(8, 6.0), (9, 10.0), (10, 14.0)]], True),
-    ], ids=["example-ae-cells", "link-mlp", "mlp-clipping"])
+        # the offsets of the link cells are rescaled at each refresh
+        ([_config(m=2, iterations=20, batch_symbols=256, demapper_mode="mlp",
+                  mlp_hidden=(4,), seed=s, target=t)
+          for s, t in [(4, LinkTarget(_LINK, refresh_every=7)),
+                       (5, SnrTarget(8.0)),
+                       (6, LinkTarget(replace(_LINK, n_spans=20), refresh_every=3))]], False),
+    ], ids=["example-ae-cells", "link-mlp", "mlp-clipping", "link-mlp-quadrature"])
     def test_each_cell_equals_its_lone_run(self, monkeypatch, configs, clips):
         clip_calls = _count_clips(monkeypatch)
         results = train_many(configs)
@@ -1010,3 +1060,28 @@ class TestTrainNumericalErrors:
         with pytest.raises(NumericalError,
                            match=r"^iteration 0: non-finite values in gradient mapper\.raw"):
             train(cfg)
+
+
+class TestQuadratureTraining:
+    """A constellation trained on the fixed Gauss-Hermite batch does not
+    exploit its nodes: Monte-Carlo GMI and the 48-node oracle agree on it."""
+
+    @pytest.mark.parametrize("config", [
+        # criterion 4's setup: Gray 16QAM's 3-bit SNR, 5000 iterations
+        TrainConfig(m=4, target=SnrTarget(9.308632135959519), iterations=5000,
+                    batch_symbols=1024, learning_rate=2e-3, seed=0),
+        _example_ae_configs(6000)[1],  # the 8-span cell, in full
+    ], ids=["criterion-4-gaussian", "example-8-spans-mlp"])
+    def test_monte_carlo_and_oracle_agree(self, config):
+        c, _ = train(config)
+        nv = config.target.resolve(c)
+        rep = per_bit_gmi_mc(c, nv, 200_000, np.random.default_rng(4))
+        assert abs(rep.total - gmi_oracle_quadrature(c, nv)) <= 4.0 * rep.stderr_total
+
+    def test_largest_grid_trains_unwarned(self, recwarn):
+        # 2^16 symbols at m=1 make a 128 x 256 grid whose smallest weights,
+        # about 3e-313, overflow flip_norm to inf: no gradient, no warning
+        config = _config(m=1, batch_symbols=1 << 16, iterations=2)
+        _, history = train(config)
+        assert np.isfinite(history.loss).all()
+        assert not recwarn.list
