@@ -18,13 +18,13 @@ logistic, that exponentiates once: with e = exp(z),
     log(1 + exp(z)) = log1p(e)
     sigmoid(z)      = e / (1 + e)
 
-Every caller clips its LLRs to |L| <= MAX_LLR_CLIP = 700, so |z| <= 700
-and e lies in [exp(-700), exp(700)], normal doubles on both sides: e never
-overflows (exp does from 709.8 on) and never goes subnormal, and both
-results keep full relative precision.
+Every caller clips its LLRs to |L| <= LLR_CLIP = 50, so |z| <= 50 and e
+lies in [e^-50, e^50]: e never overflows (exp does from 709.8 on) and never
+goes subnormal, and both results keep full relative precision, as they do
+for any |z| <= 700.
 
-Every exact LLR in the package (llr_exact, the GMI estimators built on it
-and GaussianDemapper, the exact receiver of training) comes from one kernel,
+Every exact LLR in the package (llr_exact, the GMI estimators and
+GaussianDemapper, the exact receiver of training) comes from one kernel,
 gaussian_bit_metric. Its arrays keep the S samples on their last axis:
 samples and points enter as I/Q rows, y (2, S) and x (2, M), and it works
 on l (M, S), the log-likelihoods ln p(y_s | x_j) up to a constant per
@@ -50,9 +50,9 @@ about nine times as much per exp, and from about 25 dB most entries are
 clamped.) Every partition is then at least e^-700. One whose entries were
 all clamped, i.e. lie more than 764 below the maximum, holds at most
 (M/2) e^-700, so its LLR has magnitude at least 764 - ln(M/2) > 700 for
-m <= 62, as the true one does, and any clip up to MAX_LLR_CLIP = 700 maps
-both to the same +/-clip. Whenever |L| <= 700 the smaller partition is at
-least e^(64-700), a normal double, and its clamped entries, each off by
+m <= 62, as the true one does, and the clip maps both to the same
++/-LLR_CLIP. Whenever |L| <= 700 the smaller partition is at least
+e^(64-700), a normal double, and its clamped entries, each off by
 less than e^-700, move it by at most (M/2) e^-700, a relative error of at
 most (M/2) e^-64 < 6e-24 for m <= 16: unclipped LLRs keep full precision.
 The shift cancels in the gradient's ratios P / Z. So every LLR is finite
@@ -63,10 +63,10 @@ gauss_hermite_grid is the one Gauss-Hermite product grid, of
 gmi_oracle_quadrature and of training's noise-free batch. The oracle drops
 the product nodes of weight w_i w_j / pi below 1e-21. Of the default
 48 x 48 grid it keeps 1224 of 2304 nodes, and the dropped weights sum to
-2.1e-20; with penalties of at most 700 / ln 2 bits (clip 700) each level
-moves by at most 2.2e-17 bits. The kept penalties are summed in the full
-grid's order, with zeros at the dropped nodes, so the rounding of the sum
-does not change either.
+2.1e-20; with penalties of at most log2(1 + e^LLR_CLIP) = 72.2 bits each
+level moves by at most 1.6e-18 bits. The kept penalties are summed in the
+full grid's order, with zeros at the dropped nodes, so the rounding of the
+sum does not change either.
 
 The GEMM form of l drops |y_s|^2 / sigma^2 from -|y_s - x_j|^2 / sigma^2:
 l = [2 Re x, 2 Im x, -|x|^2] / sigma^2 @ [Re y; Im y; 1], whose derivative
@@ -95,8 +95,8 @@ from .errors import (CapabilityError, ParameterError, build_section, check_field
                      check_value, check_written, float_tuple)
 
 LN2 = math.log(2.0)
-DEFAULT_LLR_CLIP = 50.0
-MAX_LLR_CLIP = 700.0
+# the saturation of every LLR the package uses, see the module docstring
+LLR_CLIP = 50.0
 # Cap on one Monte-Carlo estimate: 10**7 samples hold 240 MB of labels and
 # samples, and their stderr is about 1e-4 bits; more is rejected before
 # anything is drawn.
@@ -108,7 +108,7 @@ _MC_BLOCK = 2 ** 16
 _GEMM_TAU = 2.5e-13  # see the module docstring
 _EPS = float(np.finfo(np.float64).eps)
 # the floored exp of gaussian_bit_metric, see the module docstring
-_EXP_FLOOR = -MAX_LLR_CLIP
+_EXP_FLOOR = -700.0
 _EXP_SHIFT = 64.0
 # product nodes of the quadrature oracle below this weight are dropped
 _QUAD_MIN_WEIGHT = 1e-21
@@ -117,13 +117,6 @@ _QUAD_MIN_WEIGHT = 1e-21
 # below the threaded call saves no wall time and leaves its workers spinning
 # (about 0.13 s of CPU per call), so they run in blocks under that size.
 _GEMM_UNTHREADED = 2 ** 18
-
-
-def check_llr_clip(llr_clip: float) -> None:
-    """Reject clips outside (0, MAX_LLR_CLIP], see the module docstring."""
-    if not 0.0 < llr_clip <= MAX_LLR_CLIP:
-        raise ParameterError(
-            f"llr_clip must be in (0, {MAX_LLR_CLIP:g}], got {llr_clip}")
 
 
 def _check_noise_variance(noise_variance: float) -> None:
@@ -143,9 +136,9 @@ def _log2_1p(e: np.ndarray, out=None) -> np.ndarray:
 def logistic(z: np.ndarray, out=(None, None)):
     """(log2(1 + exp(z)), 1 / (1 + exp(-z))) elementwise, from one exp.
 
-    Requires |z| <= MAX_LLR_CLIP (clipped LLRs times +/-1); beyond 709.8
-    exp(z) overflows. See the module docstring for the two formulas. The
-    results go into out = (softplus, sigmoid) where given, else into new
+    Requires |z| <= 700, as LLRs clipped to LLR_CLIP times +/-1 are; beyond
+    709.8 exp(z) overflows. See the module docstring for the two formulas.
+    The results go into out = (softplus, sigmoid) where given, else into new
     arrays; softplus may be z itself.
     """
     e = np.exp(z, out=out[0])
@@ -226,7 +219,7 @@ def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
 
     bits is the (M, m) label table bit_table(m); the partition sums use
     its cached partition_weights(m). Returns (llr_raw, cache): llr_raw has
-    shape (m, S) and is finite, beyond MAX_LLR_CLIP where a partition's
+    shape (m, S) and is finite, beyond 700 where a partition's
     entries were all clamped (see the module docstring); NaN only arises
     from NaN inputs or a noise variance so small that every distance
     overflows. cache feeds gaussian_bit_metric_grad.
@@ -269,7 +262,6 @@ def _iq_rows(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z, dtype=np.complex128).view(np.float64).reshape(-1, 2).T
 
 
-@dataclass
 class GaussianDemapper:
     """Differentiable exact bit-metric receiver, no trainable state.
 
@@ -277,11 +269,6 @@ class GaussianDemapper:
     one cell's arrays, without the cell axis: training stacks only cells
     with an MLP receiver, and trains a Gaussian cell alone.
     """
-
-    llr_clip: float = DEFAULT_LLR_CLIP
-
-    def __post_init__(self):
-        check_llr_clip(self.llr_clip)
 
     def arrays(self) -> dict:
         return {}
@@ -317,28 +304,26 @@ class GaussianDemapper:
         return gy, gp
 
 
-def _clipped(llr: np.ndarray, llr_clip: float) -> np.ndarray:
-    """llr clipped to +/- llr_clip into a new array; NaN stays NaN."""
-    out = np.maximum(llr, -llr_clip)
-    np.minimum(out, llr_clip, out=out)
+def _clipped(llr: np.ndarray, clip: float) -> np.ndarray:
+    """llr clipped to +/- clip into a new array; NaN stays NaN."""
+    out = np.maximum(llr, -clip)
+    np.minimum(out, clip, out=out)
     return out
 
 
-def llr_exact(y, c: Constellation, noise_variance: float,
-              llr_clip: float = DEFAULT_LLR_CLIP) -> np.ndarray:
+def llr_exact(y, c: Constellation, noise_variance: float) -> np.ndarray:
     """Exact log-MAP bit LLRs for received sample(s) y.
 
     Returns an array of shape (m,) for scalar y or (len(y), m) for a batch,
-    clipped to +/- llr_clip with 0 < llr_clip <= MAX_LLR_CLIP. Computed by
-    gaussian_bit_metric in matrix form; a level with a partition of clamped
-    entries only returns exactly +/- llr_clip.
+    clipped to +/- LLR_CLIP. Computed by gaussian_bit_metric in matrix form;
+    a level with a partition of clamped entries only returns exactly
+    +/- LLR_CLIP.
     """
     _check_noise_variance(noise_variance)
-    check_llr_clip(llr_clip)
     scalar = np.ndim(y) == 0
     raw, _ = gaussian_bit_metric(_iq_rows(np.atleast_1d(y)), _iq_rows(c.points), c.bits(),
                                  noise_variance)
-    out = _clipped(raw, llr_clip)
+    out = _clipped(raw, LLR_CLIP)
     return out[:, 0] if scalar else out.T
 
 
@@ -409,19 +394,19 @@ def make_report(per_bit: np.ndarray, n_samples: int, stderr_total: float) -> Gmi
     return GmiReport(np.asarray(per_bit, dtype=np.float64), int(n_samples), float(stderr_total))
 
 
-def _bit_penalties(y, c, labels, noise_variance, llr_clip):
-    """log2(1 + exp(-(1-2b) L)) per bit level and sample, shape (m, S)."""
-    llr = llr_exact(y, c, noise_variance, llr_clip).T  # a C-contiguous view
+def _bit_penalties(y, c, labels, noise_variance, clip):
+    """log2(1 + exp(-(1-2b) L)) per bit level and sample, shape (m, S), of
+    the exact LLRs L of samples y clipped to +/- clip."""
+    raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), noise_variance)
     z = 2.0 * np.take(c.bits().T, labels, axis=1) - 1.0
-    z *= llr
+    z *= _clipped(raw, clip)
     # the softplus of logistic, without the sigmoid, in place
     np.exp(z, out=z)
     return _log2_1p(z, out=z)
 
 
 def per_bit_gmi_from_samples(c: Constellation, labels: np.ndarray, y: np.ndarray,
-                             noise_variance: float,
-                             llr_clip: float = DEFAULT_LLR_CLIP) -> GmiReport:
+                             noise_variance: float) -> GmiReport:
     """Deterministic GMI estimate from given (label, received sample) pairs,
     at least one, each label an integer in [0, M).
 
@@ -441,7 +426,7 @@ def per_bit_gmi_from_samples(c: Constellation, labels: np.ndarray, y: np.ndarray
     step = max(1, _MC_BLOCK // c.size)
     for lo in range(0, s_total, step):
         hi = min(lo + step, s_total)
-        t = _bit_penalties(y[lo:hi], c, labels[lo:hi], noise_variance, llr_clip)
+        t = _bit_penalties(y[lo:hi], c, labels[lo:hi], noise_variance, LLR_CLIP)
         penalty_sums += t.sum(axis=1)
         sample_totals[lo:hi] = c.m - t.sum(axis=0)
     per_bit = np.clip(1.0 - penalty_sums / s_total, 0.0, 1.0)
@@ -450,8 +435,7 @@ def per_bit_gmi_from_samples(c: Constellation, labels: np.ndarray, y: np.ndarray
 
 
 def per_bit_gmi_mc(c: Constellation, noise_variance: float, n_samples: int,
-                   rng: np.random.Generator,
-                   llr_clip: float = DEFAULT_LLR_CLIP) -> GmiReport:
+                   rng: np.random.Generator) -> GmiReport:
     """Monte-Carlo per-bit GMI over the AWGN channel.
 
     Samples are stratified: n_samples is rounded up to a multiple of M and
@@ -478,7 +462,7 @@ def per_bit_gmi_mc(c: Constellation, noise_variance: float, n_samples: int,
     per_label = -(-n_samples // c.size)  # ceil division
     labels = np.repeat(np.arange(c.size), per_label)
     y = awgn_sample(rng, c.points[labels], noise_variance)
-    return per_bit_gmi_from_samples(c, labels, y, noise_variance, llr_clip)
+    return per_bit_gmi_from_samples(c, labels, y, noise_variance)
 
 
 def gauss_hermite_grid(n1: int, n2: int):
@@ -495,8 +479,7 @@ def gauss_hermite_grid(n1: int, n2: int):
 
 
 def gmi_oracle_quadrature(c: Constellation, noise_variance: float,
-                          n_nodes: int = 48,
-                          llr_clip: float = DEFAULT_LLR_CLIP) -> float:
+                          n_nodes: int = 48) -> float:
     """Deterministic GMI via 2-D Gauss-Hermite quadrature over the noise.
 
     Integrates the same per-bit integrand as per_bit_gmi_mc with n_nodes >= 1
@@ -518,7 +501,7 @@ def gmi_oracle_quadrature(c: Constellation, noise_variance: float,
     t = np.zeros((c.m, w2.size))
     for label in range(c.size):
         y = c.points[label] + offsets
-        t[:, kept] = _bit_penalties(y, c, np.full(offsets.size, label), noise_variance, llr_clip)
+        t[:, kept] = _bit_penalties(y, c, np.full(offsets.size, label), noise_variance, LLR_CLIP)
         penalty_per_bit += t @ w2
     per_bit = np.clip(1.0 - penalty_per_bit / c.size, 0.0, 1.0)
     return float(per_bit.sum())

@@ -30,8 +30,8 @@ training never asks which one it holds:
                          gp = d loss / d points_iq (2, M) through the
                          receiver, or None
 
-A NaN or +/-inf LLR fails the step with NumericalError; LLRs beyond the
-clip are clipped, their entries of dllr zero.
+A NaN or +/-inf LLR fails the step with NumericalError; LLRs beyond
+demapper.LLR_CLIP are clipped, their entries of dllr zero.
 
 train_many() trains cells whose configs differ only in seed and target.
 MLP cells stack along a leading cell axis K, as many per run as keep their
@@ -57,9 +57,8 @@ from .channel import (
     linear_to_db,
     noise_variance_from_db,
 )
-from .constellation import Constellation, bit_table, moments, uniform_qam
-from .demapper import (DEFAULT_LLR_CLIP, LN2, GaussianDemapper, _check_noise_variance, _clipped,
-                       check_llr_clip, gauss_hermite_grid, logistic)
+from .constellation import MAX_QAM_M, Constellation, bit_table, moments, uniform_qam
+from .demapper import LLR_CLIP, LN2, GaussianDemapper, _clipped, gauss_hermite_grid, logistic
 from .errors import NumericalError, ParameterError, build_section, check_field_types, int_tuple
 
 
@@ -133,7 +132,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     init: str = "qam"
-    llr_clip: float = DEFAULT_LLR_CLIP
 
     def __post_init__(self):
         check_field_types(self)
@@ -172,7 +170,9 @@ class TrainConfig:
                 f"{units} * batch_symbols must be <= {MAX_CELL_ENTRIES} with the "
                 f"{self.demapper_mode} receiver, got "
                 f"{self.cell_entries // self.batch_symbols} * {self.batch_symbols}")
-        check_llr_clip(self.llr_clip)
+        if self.init == "qam" and self.m > MAX_QAM_M:
+            raise ParameterError(
+                f"init 'qam' needs m <= MAX_QAM_M = {MAX_QAM_M}, got {self.m}")
 
     @property
     def cell_entries(self) -> int:
@@ -234,14 +234,12 @@ class MlpDemapper:
     """
 
     layers: list
-    llr_clip: float = DEFAULT_LLR_CLIP
 
     def arrays(self) -> dict:
         return {f"mlp.layer{i}": self.layers[i] for i in range(len(self.layers) - 1, -1, -1)}
 
     def with_arrays(self, arrays: dict) -> "MlpDemapper":
-        return MlpDemapper(layers=[arrays[f"mlp.layer{i}"] for i in range(len(self.layers))],
-                           llr_clip=self.llr_clip)
+        return MlpDemapper(layers=[arrays[f"mlp.layer{i}"] for i in range(len(self.layers))])
 
     def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, bits: np.ndarray,
                 noise_variance: float, work: Workspace):
@@ -309,8 +307,7 @@ class Workspace:
             return array
 
 
-def init_mlp(m: int, hidden, rng: np.random.Generator,
-             llr_clip: float = DEFAULT_LLR_CLIP) -> MlpDemapper:
+def init_mlp(m: int, hidden, rng: np.random.Generator) -> MlpDemapper:
     """He-initialized rectifier MLP with the given hidden widths and zero biases."""
     widths = [2, *[int(w) for w in hidden], m]
     layers = []
@@ -320,7 +317,7 @@ def init_mlp(m: int, hidden, rng: np.random.Generator,
         layer = np.zeros((fan_in + 1, fan_out))
         layer[:-1] = rng.standard_normal((fan_in, fan_out)) * math.sqrt(gain / fan_in)
         layers.append(layer)
-    return MlpDemapper(layers=layers, llr_clip=llr_clip)
+    return MlpDemapper(layers=layers)
 
 
 def init_mapper(config: TrainConfig, rng: np.random.Generator) -> np.ndarray:
@@ -477,14 +474,13 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     """The surrogate loss of one batch per cell.
 
     raw is (M, 2) and noise_iq, the real noise, (2, S), or (K, M, 2) and
-    (K, 2, S) for K stacked MLP cells. noise_variance and power hold one Python
-    float per cell; power is _mapper_power(raw) when the caller has it
-    already. The scale power ** -0.5 is taken in Python: numpy's array power
-    rounds it differently. The received samples, the LLRs' products with
-    the label signs, the loss terms and the sigmoids are work's arrays.
+    (K, 2, S) for K stacked MLP cells. noise_variance (finite and positive,
+    as the targets resolve it) and power hold one Python float per cell;
+    power is _mapper_power(raw) when the caller has it already. The scale
+    power ** -0.5 is taken in Python: numpy's array power rounds it
+    differently. The received samples, the LLRs' products with the label
+    signs, the loss terms and the sigmoids are work's arrays.
     """
-    for v in noise_variance:
-        _check_noise_variance(v)
     if power is None:
         power = _mapper_power(raw)
     scale = [p ** -0.5 for p in power]
@@ -498,12 +494,11 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     stacked = raw.ndim == 3
     llr_raw, cache = demapper.forward(y, points, batch.bits,
                                       noise_variance if stacked else noise_variance[0], work)
-    clip = demapper.llr_clip
-    if -clip <= llr_raw.min() and llr_raw.max() <= clip:  # so every LLR is finite
+    if -LLR_CLIP <= llr_raw.min() and llr_raw.max() <= LLR_CLIP:  # so every LLR is finite
         llr = llr_raw
     else:  # NaN and +/-inf fail the test
         _ensure_finite("llr", llr_raw)
-        llr = _clipped(llr_raw, clip)
+        llr = _clipped(llr_raw, LLR_CLIP)
     # z = flip * llr goes where its loss terms will, (..., m, S) each
     z = np.multiply(batch.flip, llr, out=work("penalties", llr.shape))
     penalties, sigmoid = logistic(z, (z, work("sigmoid", llr.shape)))
@@ -665,9 +660,9 @@ def _train_run(configs: list) -> list:
     for config, rng in zip(configs, rngs):
         raw = init_mapper(config, rng)
         if config.demapper_mode == "mlp":
-            demapper = init_mlp(config.m, config.mlp_hidden, rng, config.llr_clip)
+            demapper = init_mlp(config.m, config.mlp_hidden, rng)
         else:
-            demapper = GaussianDemapper(llr_clip=config.llr_clip)
+            demapper = GaussianDemapper()
         cells.append(trainable_arrays(raw, demapper))
 
     S = first.batch_symbols

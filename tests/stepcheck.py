@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from shapegain.constellation import check_labels
+from shapegain.demapper import LLR_CLIP, _check_noise_variance
 from shapegain.errors import ParameterError
 from shapegain.training import (
     ForwardState,
@@ -41,9 +42,11 @@ def forward_loss(raw: np.ndarray, demapper, labels: np.ndarray,
     label's samples as one run; `noise` is the complex additive noise
     realization, one entry per label, or None for train's Gauss-Hermite
     batch, whose noise is its unit offsets times sqrt(noise_variance); that
-    needs S // M = n1 n2 samples per label with n1, n2 >= 8. Each call takes a fresh workspace, so the states of two calls
-    share no array.
+    needs S // M = n1 n2 samples per label with n1, n2 >= 8. noise_variance
+    must be finite and positive, which the step itself does not check. Each
+    call takes a fresh workspace, so the states of two calls share no array.
     """
+    _check_noise_variance(noise_variance)
     labels = np.asarray(labels)
     M = raw.shape[0]
     grid = None
@@ -144,7 +147,7 @@ def finite_difference_check(loss_fn: Callable[[dict], float], arrays: dict,
 def _activation_pattern(demapper, st: ForwardState) -> list:
     """The LLR clip saturation, then for an MLP the sign of each rectified
     hidden layer (its cached input to the next layer, ones row dropped)."""
-    pattern = [np.abs(st.llr_raw) > demapper.llr_clip]
+    pattern = [np.abs(st.llr_raw) > LLR_CLIP]
     if isinstance(demapper, MlpDemapper):
         pattern += [x[..., :-1, :] > 0 for x in st.cache[1:]]
     return pattern

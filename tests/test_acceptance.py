@@ -151,7 +151,7 @@ def _criterion_3_report(mode: str, m: int):
     rng = np.random.default_rng(100 * (mode == "mlp") + m)
     raw = init_mapper(cfg, rng)
     dem = (GaussianDemapper() if mode == "gaussian"
-           else init_mlp(m, cfg.mlp_hidden, rng, cfg.llr_clip))
+           else init_mlp(m, cfg.mlp_hidden, rng))
     labels = np.repeat(np.arange(1 << m), 16)
     noise = awgn_sample(rng, np.zeros(cfg.batch_symbols), _nv(8.0))
     return gradient_check(raw, dem, labels, noise, _nv(8.0),

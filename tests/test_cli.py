@@ -382,6 +382,19 @@ class TestTrainCommand:
                               '"target": {"snr_db": 10}, "' + field + '": ' + value + '}')
         assert field in err
 
+    def test_llr_clip_is_rejected(self, tmp_path, capsys):
+        # the LLR saturation is the constant demapper.LLR_CLIP, no setting
+        err = self._rejected_with_one_line(
+            tmp_path, capsys, '{"m": 2, "iterations": 1, "batch_symbols": 4, '
+                              '"target": {"snr_db": 10}, "llr_clip": 50.0}')
+        assert "llr_clip" in err
+
+    def test_qam_init_above_max_qam_m_is_parameter_error(self, tmp_path, capsys):
+        err = self._rejected_with_one_line(
+            tmp_path, capsys, '{"m": 11, "iterations": 1, "batch_symbols": 2048, '
+                              '"target": {"snr_db": 10}}')
+        assert "init" in err and "MAX_QAM_M" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("iterations", [1, 3])
     def test_overflowing_step_names_the_iteration(self, tmp_path, capsys, iterations):
         # Adam's first step moves the points by about learning_rate, so their
@@ -459,7 +472,8 @@ class TestSweepCommand:
         monkeypatch.setattr(sweep_mod, "train_many", spy)
         cfg = _write_run_config(tmp_path, sweep={"span_grid": [2, 4], **sweep})
         doc = json.loads(cfg.read_text())
-        doc["train"].update(m=train_m, batch_symbols=1 << train_m)
+        # random, since the train section refuses init "qam" above m = 10
+        doc["train"].update(m=train_m, batch_symbols=1 << train_m, init="random")
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "res.csv"
         rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--keep-going"])
@@ -553,8 +567,8 @@ _RUN = {
              "eps_accum": 0.0, "span_length_km": 100.0, "fec_rate": 0.75},
     "train": {"m": 2, "iterations": 2, "batch_symbols": 8, "target": {"snr_db": 10.0},
               "demapper_mode": "mlp", "mlp_hidden": [2], "learning_rate": 0.01,
-              "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, "llr_clip": 50.0,
-              "init": "qam", "seed": 1},
+              "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, "init": "qam",
+              "seed": 1},
     "sweep": {"span_grid": [2], "launch_power": "optimal", "schemes": ["ae", "qam"],
               "qam_m_list": [2]},
     "eval": {"n_samples": 64, "seed": 4, "epsilon_mom": 0.01},

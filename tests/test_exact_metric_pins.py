@@ -34,12 +34,15 @@ from shapegain import (
     uniform_qam,
 )
 from shapegain.cli import main
-from shapegain.demapper import MAX_LLR_CLIP, _bit_penalties, make_report
+from shapegain.demapper import _bit_penalties, _iq_rows, gaussian_bit_metric, make_report
 from shapegain.sweep import _ae_train_config, load_run_config
 from shapegain.training import LinkTarget, train_many
 
 # the SNR at which Gray 16QAM's quadrature GMI is 3.0 bits (criterion 4)
 GRAY16_3BIT_SNR_DB = 9.308632135959519
+# the floored pins clip their LLRs at the exp floor's bound, 700, not at
+# the package's LLR_CLIP of 50, so that they hold the bits behind the clip
+WIDE_CLIP = 700.0
 
 
 def _nv(snr_db: float) -> float:
@@ -123,7 +126,8 @@ def test_floored_llrs_are_pinned(m, snr_db):
     c = uniform_qam(m)
     rng = np.random.default_rng([m, int(snr_db * 10)])
     y = awgn_sample(rng, c.points[rng.integers(0, c.size, 2000)], _nv(snr_db))
-    got = llr_exact(y, c, _nv(snr_db), llr_clip=MAX_LLR_CLIP)
+    raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), _nv(snr_db))
+    got = np.clip(raw, -WIDE_CLIP, WIDE_CLIP).T  # the (S, m) layout of llr_exact
     assert _sha256(got.tobytes()) == _FLOORED_LLR_SHA256[m, snr_db]
 
 
@@ -138,7 +142,7 @@ def test_floored_penalties_are_pinned(m, snr_db):
     rng = np.random.default_rng([m, int(snr_db * 10)])
     labels = rng.integers(0, c.size, 2000)
     y = awgn_sample(rng, c.points[labels], _nv(snr_db))
-    got = _bit_penalties(y, c, labels, _nv(snr_db), MAX_LLR_CLIP)
+    got = _bit_penalties(y, c, labels, _nv(snr_db), WIDE_CLIP)
     assert _sha256(got.tobytes()) == _FLOORED_PENALTY_SHA256[m, snr_db]
 
 
