@@ -80,7 +80,6 @@ class SweepSettings:
 class EvalSettings:
     n_samples: int = 200000
     seed: int = 0
-    epsilon_mom: float = 0.01
 
     def __post_init__(self):
         check_field_types(self)
@@ -88,8 +87,6 @@ class EvalSettings:
             raise ParameterError(f"n_samples must be in [1, {MAX_SAMPLES}], got {self.n_samples}")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
-        if not self.epsilon_mom > 0:
-            raise ParameterError("epsilon_mom must be positive")
 
 
 @dataclass(frozen=True)

@@ -127,9 +127,6 @@ class TrainConfig:
     demapper_mode: str = "gaussian"
     mlp_hidden: tuple = (64, 64)
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     init: str = "qam"
 
@@ -155,13 +152,11 @@ class TrainConfig:
             raise ParameterError(f"unknown demapper_mode {self.demapper_mode!r}")
         if self.init not in ("random", "qam"):
             raise ParameterError(f"unknown init {self.init!r}")
-        for name in ("learning_rate", "adam_eps"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ParameterError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
         object.__setattr__(self, "mlp_hidden", int_tuple("mlp_hidden", self.mlp_hidden))
+        if not self.mlp_hidden:
+            raise ParameterError("mlp_hidden must list at least one width")
         if any(w < 1 for w in self.mlp_hidden):
             raise ParameterError("mlp_hidden widths must be >= 1")
         if self.cell_entries > MAX_CELL_ENTRIES:
@@ -445,11 +440,6 @@ class ForwardState:
     work: Workspace
 
 
-def _ensure_finite(name: str, value) -> None:
-    if not np.isfinite(value).all():
-        raise NumericalError(f"non-finite values in {name}")
-
-
 def _mapper_power(raw: np.ndarray) -> list:
     """Mean power of each cell's raw mapper points, which must be finite and
     positive, as Python floats."""
@@ -479,17 +469,17 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     power is _mapper_power(raw) when the caller has it already. The scale
     power ** -0.5 is taken in Python: numpy's array power rounds it
     differently. The received samples, the LLRs' products with the label
-    signs, the loss terms and the sigmoids are work's arrays.
+    signs, the loss terms and the sigmoids are work's arrays. Only the LLRs
+    are checked: a finite power gives finite points, a non-finite received
+    sample shows in the LLRs, and clipped LLRs give finite loss terms.
     """
     if power is None:
         power = _mapper_power(raw)
     scale = [p ** -0.5 for p in power]
     points = np.multiply(raw.swapaxes(-1, -2), _per_cell(scale, raw), order="C")
-    _ensure_finite("points", points)
     # every label is in range, and "clip" takes without buffering its output
     y = np.take(points, batch.labels, axis=-1, out=work("y", noise_iq.shape), mode="clip")
     y += noise_iq
-    _ensure_finite("y", y)
 
     stacked = raw.ndim == 3
     llr_raw, cache = demapper.forward(y, points, batch.bits,
@@ -497,7 +487,8 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     if -LLR_CLIP <= llr_raw.min() and llr_raw.max() <= LLR_CLIP:  # so every LLR is finite
         llr = llr_raw
     else:  # NaN and +/-inf fail the test
-        _ensure_finite("llr", llr_raw)
+        if not np.isfinite(llr_raw).all():
+            raise NumericalError("non-finite values in llr")
         llr = _clipped(llr_raw, LLR_CLIP)
     # z = flip * llr goes where its loss terms will, (..., m, S) each
     z = np.multiply(batch.flip, llr, out=work("penalties", llr.shape))
@@ -505,7 +496,6 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     if batch.weight is not None:
         penalties *= batch.weight
     loss = penalties.reshape(*penalties.shape[:-2], -1).sum(axis=-1) / batch.size
-    _ensure_finite("loss", loss)
     return ForwardState(
         batch=batch,
         raw=raw, scale=scale, points_iq=points, y_iq=y,
@@ -552,12 +542,15 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
 # ---------------------------------------------------------------------------
 # Adam
 
+# Adam's decays and offset as Kingma and Ba (ICLR 2015) recommend them
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def _adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
                  v: np.ndarray, t: int, config: TrainConfig,
                  scratch: np.ndarray) -> None:
     """Adam step t on flat vectors, in place, with the config's learning
-    rate and adam_beta1/2/eps; scratch is (2, n).
+    rate and ADAM_BETA1/2 and ADAM_EPS; scratch is (2, n).
 
         m <- beta1 m + (1 - beta1) g
         v <- beta2 v + (1 - beta2) g g
@@ -565,22 +558,21 @@ def _adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
 
     evaluated left to right in exactly this order.
     """
-    beta1, beta2 = config.adam_beta1, config.adam_beta2
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     a, b = scratch
-    np.multiply(grad, 1.0 - beta1, out=a)
-    m *= beta1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
+    m *= ADAM_BETA1
     m += a
-    np.multiply(grad, 1.0 - beta2, out=a)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
     a *= grad
-    v *= beta2
+    v *= ADAM_BETA2
     v += a
     np.divide(m, c1, out=a)
     a *= config.learning_rate
     np.divide(v, c2, out=b)
     np.sqrt(b, out=b)
-    b += config.adam_eps
+    b += ADAM_EPS
     a /= b
     theta -= a
 

@@ -371,10 +371,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", "Infinity"), ("learning_rate", "NaN"), ("learning_rate", "0"),
-        ("learning_rate", "-0.1"), ("adam_eps", "Infinity"), ("adam_eps", "0.0"),
-        ("adam_eps", "-1e-8"), ("adam_beta1", "1.0"), ("adam_beta1", "-0.1"),
-        ("adam_beta1", "1e308"), ("adam_beta1", "-Infinity"), ("adam_beta2", "1.0"),
-        ("adam_beta2", "-1e308"), ("adam_beta2", "NaN"),
+        ("learning_rate", "-0.1"),
     ])
     def test_bad_adam_setting_is_parameter_error(self, tmp_path, capsys, field, value):
         err = self._rejected_with_one_line(
@@ -383,11 +380,13 @@ class TestTrainCommand:
         assert field in err
 
     def test_llr_clip_is_rejected(self, tmp_path, capsys):
-        # the LLR saturation is the constant demapper.LLR_CLIP, no setting
-        err = self._rejected_with_one_line(
-            tmp_path, capsys, '{"m": 2, "iterations": 1, "batch_symbols": 4, '
-                              '"target": {"snr_db": 10}, "llr_clip": 50.0}')
-        assert "llr_clip" in err
+        # the LLR saturation is the constant demapper.LLR_CLIP, and Adam's
+        # decays and offset are the constants training.ADAM_*, no settings
+        for key in ("llr_clip", "adam_beta1", "adam_beta2", "adam_eps"):
+            err = self._rejected_with_one_line(
+                tmp_path, capsys, '{"m": 2, "iterations": 1, "batch_symbols": 4, '
+                                  '"target": {"snr_db": 10}, "' + key + '": 0.5}')
+            assert key in err
 
     def test_qam_init_above_max_qam_m_is_parameter_error(self, tmp_path, capsys):
         err = self._rejected_with_one_line(
@@ -567,11 +566,10 @@ _RUN = {
              "eps_accum": 0.0, "span_length_km": 100.0, "fec_rate": 0.75},
     "train": {"m": 2, "iterations": 2, "batch_symbols": 8, "target": {"snr_db": 10.0},
               "demapper_mode": "mlp", "mlp_hidden": [2], "learning_rate": 0.01,
-              "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, "init": "qam",
-              "seed": 1},
+              "init": "qam", "seed": 1},
     "sweep": {"span_grid": [2], "launch_power": "optimal", "schemes": ["ae", "qam"],
               "qam_m_list": [2]},
-    "eval": {"n_samples": 64, "seed": 4, "epsilon_mom": 0.01},
+    "eval": {"n_samples": 64, "seed": 4},
     "output": {"results_csv": "unused.csv"},
 }
 _CONSTELLATION = constellation_to_dict(uniform_qam(2))
@@ -866,6 +864,17 @@ def test_extreme_flag_value_never_escapes_main(tmp_path, capsys, flag, value):
         rc = main(argv)
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_empty_mlp_hidden_is_parameter_error(tmp_path, capsys, command):
+    # a receiver without hidden layers has no entries to size the sweep's runs by
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_replaced(_RUN, ("train", "mlp_hidden"), [])))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and "mlp_hidden" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------- capped int values

@@ -131,3 +131,16 @@ def test_power_mode_is_rejected(tmp_path, capsys, old):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "power_mode" in err
     assert not out.exists()
+
+
+def test_epsilon_mom_is_rejected(tmp_path, capsys):
+    # nothing read the cluster-merge distance; detect_mom_clusters takes its own
+    path = _write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["eval"]["epsilon_mom"] = 0.01
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "res.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "epsilon_mom" in err
+    assert not out.exists()

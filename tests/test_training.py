@@ -83,6 +83,11 @@ class TestTrainConfig:
     def test_grid_shape_is_the_most_nearly_square(self, n, shape):
         assert training._grid_shape(n) == shape
 
+    def test_empty_mlp_hidden_rejected(self):
+        # a receiver needs a hidden layer, and the stacked runs are sized by its widths
+        with pytest.raises(ParameterError, match="^mlp_hidden must list at least one width$"):
+            _config(demapper_mode="mlp", mlp_hidden=())
+
     def test_from_dict_snr_target(self):
         cfg = train_config_from_dict(
             {"m": 3, "target": {"snr_db": 7.5}, "iterations": 5,
@@ -232,6 +237,19 @@ class TestForwardLoss:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalError, match=r"^non-finite values in llr$"):
             forward_loss(raw, GaussianDemapper(), labels, noise, 1e-320)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["gaussian", "mlp"])
+    def test_non_finite_noise_fails_in_the_llrs(self, mode, bad):
+        # the step checks no received sample: a NaN or inf one shows in its LLRs
+        raw, labels, noise, nv = self._setup(m=2, batch=64)
+        demapper = (init_mlp(2, (8,), np.random.default_rng(3)) if mode == "mlp"
+                    else GaussianDemapper())
+        noise = noise.copy()
+        noise[5] = bad
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=r"^non-finite values in llr$"):
+            forward_loss(raw, demapper, labels, noise, nv)
 
     def test_underflowed_gaussian_llr_clips_without_raising(self):
         # on the points themselves only the own point's distance stays
@@ -638,8 +656,9 @@ class TestAdam:
     def test_matches_textbook_formula_bitwise(self):
         # the in-place update keeps the formula's evaluation order exactly
         rng = np.random.default_rng(8)
-        cfg = _config(learning_rate=3e-3, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-7)
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        cfg = _config(learning_rate=3e-3)
+        b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
+        assert (b1, b2, eps) == (0.9, 0.999, 1e-8)
         # parameters of the step's own size, so a one-ulp change of the step shows
         arrays = {"a": 1e-3 * rng.normal(size=(5, 2)), "b": np.zeros(3)}
         opt = _Adam(arrays, cfg)
@@ -655,7 +674,7 @@ class TestAdam:
                 ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g[k]
                 ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * g[k] * g[k]
                 ref_x[k] = ref_x[k] - cfg.learning_rate * (ref_m[k] / c1) / (
-                    np.sqrt(ref_v[k] / c2) + cfg.adam_eps)
+                    np.sqrt(ref_v[k] / c2) + eps)
                 np.testing.assert_array_equal(arrays[k], ref_x[k])
                 np.testing.assert_array_equal(opt.m_views[k], ref_m[k])
                 np.testing.assert_array_equal(opt.v_views[k], ref_v[k])
@@ -887,8 +906,9 @@ class TestTrainMany:
 
     @pytest.mark.parametrize("change", [
         {"m": 3}, {"iterations": 11}, {"batch_symbols": 128}, {"demapper_mode": "mlp"},
-        {"mlp_hidden": (8,)}, {"learning_rate": 2e-3}, {"adam_beta2": 0.99},
-        {"init": "random"}, {"adam_eps": 1e-7},
+        {"mlp_hidden": (8,)}, {"learning_rate": 2e-3},
+        {"mlp_hidden": (32, 96)},  # the same cell entries as the default (64, 64)
+        {"init": "random"}, {"learning_rate": math.nextafter(1e-3, 1.0)},
     ])
     def test_configs_differing_beyond_seed_and_target_rejected(self, change):
         base = _config(iterations=10, seed=1)
