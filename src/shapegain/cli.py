@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--snr-db", type=float, help="effective SNR in dB")
     src.add_argument("--link-from", help="run config whose link section sets the SNR")
-    p.add_argument("--n-spans", type=int, help="span count for --link-from")
+    p.add_argument("--n-spans", type=int, help="span count, required with --link-from")
     p.add_argument("--launch-power", type=float,
                    help="fixed launch power for --link-from (default: optimal)")
     p.add_argument("--samples", type=int, default=200000,
@@ -122,9 +122,7 @@ def _cmd_train(args) -> int:
 def _resolve_eval_noise(args, c) -> float:
     if args.snr_db is not None:
         return noise_variance_from_db(args.snr_db, "--snr-db")
-    link = load_run_config(args.link_from).link
-    if args.n_spans is not None:
-        link = replace(link, n_spans=args.n_spans)
+    link = replace(load_run_config(args.link_from).link, n_spans=args.n_spans)
     power = "optimal" if args.launch_power is None else args.launch_power
     return launch_channel(link, moments(c), power)[1].noise_variance
 
@@ -134,6 +132,8 @@ def _cmd_eval(args) -> int:
         raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     if args.link_from is None and (args.launch_power, args.n_spans) != (None, None):
         raise ParameterError("--launch-power and --n-spans need --link-from")
+    if args.link_from is not None and args.n_spans is None:
+        raise ParameterError("--link-from needs --n-spans")
     c = load_constellation(args.constellation)
     noise_variance = _resolve_eval_noise(args, c)
     rng = np.random.default_rng(args.seed)
@@ -226,13 +226,10 @@ def main(argv=None) -> int:
         exc.parser.print_usage(sys.stderr)
         print(f"shapegain: error: {exc}", file=sys.stderr)
         return 1
-    except ParameterError as exc:
-        print(f"shapegain: error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"shapegain: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ShapegainError as exc:  # e.g. a sweep cell's unexpected error, wrapped
+    except ShapegainError as exc:  # a ParameterError, or a sweep cell's error wrapped
         print(f"shapegain: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -18,10 +18,10 @@ logistic, that exponentiates once: with e = exp(z),
     log(1 + exp(z)) = log1p(e)
     sigmoid(z)      = e / (1 + e)
 
-Every caller clips its LLRs to |L| <= LLR_CLIP = 50, so |z| <= 50 and e
-lies in [e^-50, e^50]: e never overflows (exp does from 709.8 on) and never
-goes subnormal, and both results keep full relative precision, as they do
-for any |z| <= 700.
+clip_llr clips every LLR to |L| <= LLR_CLIP = 50 (and fails a NaN or
++/-inf one), so |z| <= 50 and e lies in [e^-50, e^50]: e never overflows
+(exp does from 709.8 on) and never goes subnormal, and both results keep
+full relative precision, as they do for any |z| <= 700.
 
 Every exact LLR in the package (llr_exact, the GMI estimators and
 GaussianDemapper, the exact receiver of training) comes from one kernel,
@@ -91,8 +91,8 @@ from numpy.polynomial.hermite import hermgauss
 
 from .channel import awgn_sample
 from .constellation import Constellation, check_labels, partition_weights
-from .errors import (CapabilityError, ParameterError, build_section, check_field_types,
-                     check_value, check_written, float_tuple)
+from .errors import (CapabilityError, NumericalError, ParameterError, build_section,
+                     check_field_types, check_value, check_written, float_tuple)
 
 LN2 = math.log(2.0)
 # the saturation of every LLR the package uses, see the module docstring
@@ -304,11 +304,15 @@ class GaussianDemapper:
         return gy, gp
 
 
-def _clipped(llr: np.ndarray, clip: float) -> np.ndarray:
-    """llr clipped to +/- clip into a new array; NaN stays NaN."""
-    out = np.maximum(llr, -clip)
-    np.minimum(out, clip, out=out)
-    return out
+def clip_llr(llr_raw: np.ndarray) -> np.ndarray:
+    """llr_raw clipped to +/- LLR_CLIP into a new array, or llr_raw itself
+    when no entry lies beyond; NaN or +/-inf raises NumericalError."""
+    if -LLR_CLIP <= llr_raw.min(initial=math.inf) and llr_raw.max(initial=-math.inf) <= LLR_CLIP:
+        return llr_raw
+    if not np.isfinite(llr_raw).all():  # NaN fails the test above as well
+        raise NumericalError("non-finite values in llr")
+    out = np.maximum(llr_raw, -LLR_CLIP)
+    return np.minimum(out, LLR_CLIP, out=out)
 
 
 def llr_exact(y, c: Constellation, noise_variance: float) -> np.ndarray:
@@ -323,7 +327,7 @@ def llr_exact(y, c: Constellation, noise_variance: float) -> np.ndarray:
     scalar = np.ndim(y) == 0
     raw, _ = gaussian_bit_metric(_iq_rows(np.atleast_1d(y)), _iq_rows(c.points), c.bits(),
                                  noise_variance)
-    out = _clipped(raw, LLR_CLIP)
+    out = clip_llr(raw)
     return out[:, 0] if scalar else out.T
 
 
@@ -394,12 +398,12 @@ def make_report(per_bit: np.ndarray, n_samples: int, stderr_total: float) -> Gmi
     return GmiReport(np.asarray(per_bit, dtype=np.float64), int(n_samples), float(stderr_total))
 
 
-def _bit_penalties(y, c, labels, noise_variance, clip):
+def _bit_penalties(y, c, labels, noise_variance):
     """log2(1 + exp(-(1-2b) L)) per bit level and sample, shape (m, S), of
-    the exact LLRs L of samples y clipped to +/- clip."""
+    the exact LLRs L of samples y, clipped by clip_llr."""
     raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), noise_variance)
     z = 2.0 * np.take(c.bits().T, labels, axis=1) - 1.0
-    z *= _clipped(raw, clip)
+    z *= clip_llr(raw)
     # the softplus of logistic, without the sigmoid, in place
     np.exp(z, out=z)
     return _log2_1p(z, out=z)
@@ -426,7 +430,7 @@ def per_bit_gmi_from_samples(c: Constellation, labels: np.ndarray, y: np.ndarray
     step = max(1, _MC_BLOCK // c.size)
     for lo in range(0, s_total, step):
         hi = min(lo + step, s_total)
-        t = _bit_penalties(y[lo:hi], c, labels[lo:hi], noise_variance, LLR_CLIP)
+        t = _bit_penalties(y[lo:hi], c, labels[lo:hi], noise_variance)
         penalty_sums += t.sum(axis=1)
         sample_totals[lo:hi] = c.m - t.sum(axis=0)
     per_bit = np.clip(1.0 - penalty_sums / s_total, 0.0, 1.0)
@@ -465,6 +469,11 @@ def per_bit_gmi_mc(c: Constellation, noise_variance: float, n_samples: int,
     return per_bit_gmi_from_samples(c, labels, y, noise_variance)
 
 
+# numpy's hermgauss gives non-finite nodes from order 372 on (numpy 2.4); 256
+# serves every power-of-two training batch: 2**15 samples per label are 128 x 256
+MAX_HERMITE_ORDER = 256
+
+
 def gauss_hermite_grid(n1: int, n2: int):
     """The n1 x n2 Gauss-Hermite product grid for complex noise of unit variance.
 
@@ -472,7 +481,11 @@ def gauss_hermite_grid(n1: int, n2: int):
     index running fastest: offsets t1 + j t2 over the nodes of hermgauss(n1)
     and hermgauss(n2), and weights w1 w2 / pi, which sum to 1, so that
     E[f(n)] over n with E|n|^2 = v is sum_i weights_i f(sqrt(v) offsets_i).
+    An order above MAX_HERMITE_ORDER raises CapabilityError.
     """
+    if max(n1, n2) > MAX_HERMITE_ORDER:
+        raise CapabilityError(f"Gauss-Hermite n_nodes must be <= {MAX_HERMITE_ORDER} per "
+                              f"dimension, got {n1} x {n2}")
     (t1, w1), (t2, w2) = hermgauss(n1), hermgauss(n2)
     weights = (w1[:, None] * w2[None, :]).ravel() / math.pi
     return (t1[:, None] + 1j * t2[None, :]).ravel(), weights
@@ -482,10 +495,11 @@ def gmi_oracle_quadrature(c: Constellation, noise_variance: float,
                           n_nodes: int = 48) -> float:
     """Deterministic GMI via 2-D Gauss-Hermite quadrature over the noise.
 
-    Integrates the same per-bit integrand as per_bit_gmi_mc with n_nodes >= 1
-    Hermite nodes per noise dimension (node span far exceeds +/-6 sigma at
-    the default order). Intended as an independent oracle for Monte-Carlo
-    validation; limited to M <= 64 since the cost grows as M^2 * n_nodes^2.
+    Integrates the same per-bit integrand as per_bit_gmi_mc with n_nodes in
+    [1, MAX_HERMITE_ORDER] Hermite nodes per noise dimension (node span far
+    exceeds +/-6 sigma at the default order). Intended as an independent
+    oracle for Monte-Carlo validation; limited to M <= 64 since the cost
+    grows as M^2 * n_nodes^2.
     """
     if c.size > 64:
         raise CapabilityError(f"quadrature oracle supports M <= 64, got M = {c.size}")
@@ -501,7 +515,7 @@ def gmi_oracle_quadrature(c: Constellation, noise_variance: float,
     t = np.zeros((c.m, w2.size))
     for label in range(c.size):
         y = c.points[label] + offsets
-        t[:, kept] = _bit_penalties(y, c, np.full(offsets.size, label), noise_variance, LLR_CLIP)
+        t[:, kept] = _bit_penalties(y, c, np.full(offsets.size, label), noise_variance)
         penalty_per_bit += t @ w2
     per_bit = np.clip(1.0 - penalty_per_bit / c.size, 0.0, 1.0)
     return float(per_bit.sum())

@@ -57,6 +57,9 @@ class SweepSettings:
     def __post_init__(self):
         for name in ("span_grid", "qam_m_list"):
             object.__setattr__(self, name, int_tuple(name, getattr(self, name)))
+        if not isinstance(self.schemes, (list, tuple)) or not all(
+                isinstance(s, str) for s in self.schemes):
+            raise ParameterError("schemes must be a list of strings")
         object.__setattr__(self, "schemes", tuple(self.schemes))
         grid = self.span_grid
         if not grid:
@@ -74,6 +77,9 @@ class SweepSettings:
         if not all(1 <= m <= MAX_QAM_M for m in self.qam_m_list):
             raise ParameterError(f"qam_m_list entries must be in [1, {MAX_QAM_M}], "
                                  f"got {list(self.qam_m_list)}")
+        if len(set(self.qam_m_list)) < len(self.qam_m_list):
+            raise ParameterError(f"qam_m_list must not repeat an order, got "
+                                 f"{list(self.qam_m_list)}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,8 @@ def _run_config(link, train, sweep=None, eval={}, output={}) -> RunConfig:  # no
 
 
 def _sweep_settings(train_m: int, /, **sw) -> SweepSettings:
-    if "qam_m_list" not in sw and "qam" in sw.get("schemes", ("ae", "qam")):
+    schemes = sw.get("schemes", ("ae", "qam"))  # SweepSettings checks its type
+    if "qam_m_list" not in sw and isinstance(schemes, (list, tuple)) and "qam" in schemes:
         sw["qam_m_list"] = (train_m, train_m - 1) if train_m > 1 else (train_m,)
     settings = SweepSettings(**sw)
     # the ae cell's SNR proxy is Gray QAM of the trained order

@@ -6,7 +6,7 @@ receiver's arrays, if it has any. The loss is the GMI surrogate
     loss = (1/S) sum_s w_s sum_k log2(1 + exp(-(1 - 2 b_{k,s}) L_{k,s}))
 
 so surrogate GMI per symbol is m - loss by construction. When a label's
-S/M samples factor as n1 x n2 with n1, n2 >= 8, they take the fixed
+S/M samples factor as n1 x n2 with 8 <= n1, n2 <= 256, they take the fixed
 Gauss-Hermite grid of noise offsets of those orders, and w_s is S/M times
 the node's weight; otherwise every w_s is 1 and fresh noise is drawn every
 iteration. Each term and its derivative sigmoid(z) / ln 2, z = -(1 - 2 b) L,
@@ -30,8 +30,8 @@ training never asks which one it holds:
                          gp = d loss / d points_iq (2, M) through the
                          receiver, or None
 
-A NaN or +/-inf LLR fails the step with NumericalError; LLRs beyond
-demapper.LLR_CLIP are clipped, their entries of dllr zero.
+demapper.clip_llr clips the LLRs to +/- LLR_CLIP, their clipped entries of
+dllr zero, and fails the step on a NaN or +/-inf one with NumericalError.
 
 train_many() trains cells whose configs differ only in seed and target.
 MLP cells stack along a leading cell axis K, as many per run as keep their
@@ -58,7 +58,8 @@ from .channel import (
     noise_variance_from_db,
 )
 from .constellation import MAX_QAM_M, Constellation, bit_table, moments, uniform_qam
-from .demapper import LLR_CLIP, LN2, GaussianDemapper, _clipped, gauss_hermite_grid, logistic
+from .demapper import (LN2, MAX_HERMITE_ORDER, GaussianDemapper, clip_llr,
+                       gauss_hermite_grid, logistic)
 from .errors import NumericalError, ParameterError, build_section, check_field_types, int_tuple
 
 
@@ -84,6 +85,7 @@ class SnrTarget:
     """Train against a fixed effective SNR in dB."""
 
     snr_db: float
+    refresh_every = 0  # a class attribute, not a field: the SNR is never refreshed
 
     def __post_init__(self):
         check_field_types(self)
@@ -181,9 +183,10 @@ class TrainConfig:
 def _grid_shape(n: int) -> Optional[tuple]:
     """The Gauss-Hermite grid of a label's n training samples: (n1, n2),
     n1 <= n2, the most nearly square factors n1 * n2 = n, or None if
-    n1 < 8, too few nodes, and the samples draw their noise."""
+    n1 < 8, too few nodes, or n2 > MAX_HERMITE_ORDER, and the samples draw
+    their noise."""
     n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
-    return (n1, n // n1) if n1 >= 8 else None
+    return (n1, n // n1) if n1 >= 8 and n // n1 <= MAX_HERMITE_ORDER else None
 
 
 def train_config_from_dict(doc: dict) -> TrainConfig:
@@ -484,12 +487,7 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     stacked = raw.ndim == 3
     llr_raw, cache = demapper.forward(y, points, batch.bits,
                                       noise_variance if stacked else noise_variance[0], work)
-    if -LLR_CLIP <= llr_raw.min() and llr_raw.max() <= LLR_CLIP:  # so every LLR is finite
-        llr = llr_raw
-    else:  # NaN and +/-inf fail the test
-        if not np.isfinite(llr_raw).all():
-            raise NumericalError("non-finite values in llr")
-        llr = _clipped(llr_raw, LLR_CLIP)
+    llr = clip_llr(llr_raw)
     # z = flip * llr goes where its loss terms will, (..., m, S) each
     z = np.multiply(batch.flip, llr, out=work("penalties", llr.shape))
     penalties, sigmoid = logistic(z, (z, work("sigmoid", llr.shape)))
@@ -612,7 +610,7 @@ def train(config: TrainConfig):
     """Run the full optimization; returns (Constellation, TrainHistory).
 
     Batches contain every label batch_symbols/M times. If those S/M
-    samples factor as n1 x n2 with n1, n2 >= 8, they take fixed
+    samples factor as n1 x n2 with 8 <= n1, n2 <= 256, they take fixed
     Gauss-Hermite noise offsets, rescaled at each refresh of a link target;
     otherwise fresh noise is drawn every iteration. Deterministic for a
     fixed config (seed included).
@@ -684,7 +682,7 @@ def _train_run(configs: list) -> list:
         np.multiply(batch.offsets, math.sqrt(noise_variance[k]), out=noises[k])
 
     refresh = [(k, config.target.refresh_every) for k, config in enumerate(configs)
-               if isinstance(config.target, LinkTarget)]
+               if config.target.refresh_every]
     loss_hist = np.empty((K, first.iterations))
     sq_norm_hist = np.empty((K, first.iterations))
     # an overflow leaves an inf or NaN, which the checks of the step (the

@@ -142,10 +142,23 @@ class TestEvalCommand:
         main(["qam", "--m", "2", "--out", str(cpath)])
         capsys.readouterr()
         rc = main(["eval", "--constellation", str(cpath), "--link-from", str(cfg),
-                   "--launch-power", power, "--samples", "64"])
+                   "--n-spans", "2", "--launch-power", power, "--samples", "64"])
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and "launch_power" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--launch-power", "0.1"]])
+    def test_link_from_needs_n_spans(self, tmp_path, capsys, flags):
+        # the link section's span count is a placeholder the grid overrides
+        cfg = _write_run_config(tmp_path)
+        cpath = tmp_path / "c.json"
+        main(["qam", "--m", "2", "--out", str(cpath)])
+        capsys.readouterr()
+        rc = main(["eval", "--constellation", str(cpath), "--link-from", str(cfg),
+                   "--samples", "64", *flags])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "shapegain: error: --link-from needs --n-spans"]
 
     @pytest.mark.parametrize("flags", [["--launch-power", "-3", "--n-spans", "0"],
                                        ["--launch-power", "0.1"], ["--n-spans", "8"]])
@@ -174,7 +187,7 @@ class TestEvalCommand:
         cpath = tmp_path / "c.json"
         main(["qam", "--m", "2", "--out", str(cpath)])
         rc = main(["eval", "--constellation", str(cpath),
-                   "--link-from", str(cfg), "--launch-power", "1e150",
+                   "--link-from", str(cfg), "--n-spans", "2", "--launch-power", "1e150",
                    "--samples", "2000"])
         assert rc == 2
 
@@ -661,10 +674,18 @@ def _json_type(value) -> set:
     return {{str: "str", list: "list", dict: "object", type(None): "null"}[type(value)]}
 
 
+# lists that a list field's own JSON type still admits: empty, nested, of booleans
+_ODD_LISTS = [[], [[2]], [True]]
+
+
 def _wrong_typed(draw, doc, path):
-    """doc with the value at path replaced by a value of another JSON type."""
-    kind = draw(st.sampled_from(sorted(set(_SCALARS) - _json_type(_lookup(doc, path)))))
-    return _replaced(doc, path, draw(_SCALARS[kind]))
+    """doc with the value at path replaced by a value of another JSON type,
+    or, for a list, by one of _ODD_LISTS."""
+    value = _lookup(doc, path)
+    kinds = sorted(set(_SCALARS) - _json_type(value)) + ["odd"] * isinstance(value, list)
+    kind = draw(st.sampled_from(kinds))
+    return _replaced(doc, path, draw(st.sampled_from(_ODD_LISTS) if kind == "odd"
+                                     else _SCALARS[kind]))
 
 
 @st.composite
@@ -674,6 +695,30 @@ def _wrong_type_case(draw):
     doc = _COMMANDS[index][1][flag]
     path = draw(st.sampled_from(list(_value_paths(doc))))
     return index, flag, _wrong_typed(draw, doc, path)
+
+
+# the list fields of a run config, each read by the sweep command
+_LIST_FIELDS = [("train", "mlp_hidden"), ("sweep", "span_grid"), ("sweep", "schemes"),
+                ("sweep", "qam_m_list")]
+
+
+@pytest.mark.parametrize("value", [*_ODD_LISTS, "ae"], ids=["empty", "nested", "bool", "str"])
+@pytest.mark.parametrize("path", _LIST_FIELDS, ids=[key for _, key in _LIST_FIELDS])
+def test_odd_list_field_exits_1_naming_it(tmp_path, capsys, path, value):
+    doc = _replaced(_RUN, path, value)
+    capsys.readouterr()
+    assert main(_argv(tmp_path, 4, "--config", json.dumps(doc).encode())) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and path[1] in err, err
+
+
+def test_repeated_qam_order_exits_1(tmp_path, capsys):
+    doc = _replaced(_RUN, ("sweep", "qam_m_list"), [2, 2])
+    capsys.readouterr()
+    assert main(_argv(tmp_path, 4, "--config", json.dumps(doc).encode())) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "shapegain: error: bad run config: bad sweep config: qam_m_list must not repeat "
+        "an order, got [2, 2]"]
 
 
 # the documents the program writes and reads back, which are held to the

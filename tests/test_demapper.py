@@ -16,6 +16,7 @@ from shapegain import (
     GmiReport,
     ParameterError,
     CapabilityError,
+    NumericalError,
     awgn_sample,
     db_to_linear,
     gmi_oracle_quadrature,
@@ -30,12 +31,14 @@ from shapegain.demapper import (
     _GEMM_UNTHREADED,
     LLR_CLIP,
     LN2,
+    MAX_HERMITE_ORDER,
     MAX_SAMPLES,
     _bit_penalties,
     _iq_rows,
     _loglik,
     _matmul,
     _radii,
+    clip_llr,
     gauss_hermite_grid,
     gaussian_bit_metric,
     gaussian_bit_metric_grad,
@@ -311,6 +314,53 @@ class TestRadii:
         assert _floored(p[:, 1:])
 
 
+class TestClipLlr:
+    """clip_llr, the one clip of training, llr_exact and both GMI estimators."""
+
+    @pytest.mark.parametrize("shape", [(2, 5), (3, 0)], ids=["in-range", "empty"])
+    def test_llrs_within_the_clip_are_returned_themselves(self, shape):
+        llr = np.linspace(-LLR_CLIP, LLR_CLIP, math.prod(shape)).reshape(shape)
+        assert clip_llr(llr) is llr
+
+    def test_clipped_llrs_are_a_new_array_of_the_clipped_bytes(self):
+        llr = np.array([[-700.0, -50.0, -1e-300], [49.9, 50.0 + 1e-12, 1e308]])
+        before = llr.copy()
+        out = clip_llr(llr)
+        assert out is not llr
+        assert out.tobytes() == np.clip(before, -LLR_CLIP, LLR_CLIP).tobytes()
+        np.testing.assert_array_equal(llr, before)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("other", [0.0, 700.0], ids=["within", "beyond"])
+    def test_non_finite_llr_is_numerical_error(self, bad, other):
+        with pytest.raises(NumericalError, match="^non-finite values in llr$"):
+            clip_llr(np.array([[other, bad], [1.0, -2.0]]))
+
+    def test_nan_sample_is_numerical_error_in_llr_exact(self):
+        c = uniform_qam(4)
+        with pytest.raises(NumericalError):
+            llr_exact(complex(math.nan, 0.0), c, 0.5)
+        with pytest.raises(NumericalError):
+            llr_exact(np.array([0.1, math.nan, 0.3j]), c, 0.5)
+
+    def test_nan_sample_is_numerical_error_in_the_monte_carlo_estimate(self):
+        c = uniform_qam(2)
+        y = c.points.copy()
+        y[2] = complex(0.0, math.nan)
+        with pytest.raises(NumericalError):
+            per_bit_gmi_from_samples(c, np.arange(c.size), y, 0.5)
+
+    def test_overflowing_noise_is_numerical_error_in_the_oracle(self):
+        # offsets of 1e154 and more: their squared distances overflow, and
+        # every log-likelihood of such a node is -inf, its LLRs NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                gmi_oracle_quadrature(uniform_qam(2), 1e308)
+
+    def test_empty_batch_gives_no_llrs(self):
+        assert llr_exact(np.zeros(0, dtype=complex), uniform_qam(3), 0.5).shape == (0, 3)
+
+
 class TestLogisticKernel:
     # the bound was set before the kernel was written: 4 eps relative
     BOUND = 4 * np.finfo(float).eps
@@ -469,6 +519,15 @@ class TestQuadratureOracle:
         with pytest.raises(ParameterError, match="n_nodes"):
             gmi_oracle_quadrature(uniform_qam(2), 0.5, n_nodes=n_nodes)
 
+    def test_order_beyond_the_hermite_cap_is_capability_error(self):
+        # numpy's hermgauss gives non-finite nodes from order 372 on
+        with pytest.raises(CapabilityError, match="n_nodes"):
+            gmi_oracle_quadrature(uniform_qam(2), 0.5, n_nodes=MAX_HERMITE_ORDER + 1)
+        with pytest.raises(CapabilityError, match="8 x 401"):
+            gauss_hermite_grid(8, 401)
+        assert math.isfinite(gmi_oracle_quadrature(uniform_qam(2), 0.5,
+                                                   n_nodes=MAX_HERMITE_ORDER))
+
     def test_converged_in_node_count(self):
         c = uniform_qam(4)
         s2 = 1.0 / db_to_linear(10.0)
@@ -492,8 +551,7 @@ class TestQuadratureOracle:
         w2 = (weights[:, None] * weights[None, :]).ravel() / math.pi
         penalty = np.zeros(c.m)
         for label in range(c.size):
-            t = _bit_penalties(c.points[label] + offsets, c, np.full(offsets.size, label),
-                               s2, clip)
+            t = _bit_penalties(c.points[label] + offsets, c, np.full(offsets.size, label), s2)
             penalty += t @ w2
         full = float(np.clip(1.0 - penalty / c.size, 0.0, 1.0).sum())
         assert gmi_oracle_quadrature(c, s2) == pytest.approx(full, abs=1e-16)

@@ -15,6 +15,7 @@ example pins were regenerated with that batch, which they use.
 """
 
 import hashlib
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from shapegain import (
     uniform_qam,
 )
 from shapegain.cli import main
-from shapegain.demapper import _bit_penalties, _iq_rows, gaussian_bit_metric, make_report
+from shapegain.demapper import _iq_rows, gaussian_bit_metric, make_report
 from shapegain.sweep import _ae_train_config, load_run_config
 from shapegain.training import LinkTarget, train_many
 
@@ -142,7 +143,11 @@ def test_floored_penalties_are_pinned(m, snr_db):
     rng = np.random.default_rng([m, int(snr_db * 10)])
     labels = rng.integers(0, c.size, 2000)
     y = awgn_sample(rng, c.points[labels], _nv(snr_db))
-    got = _bit_penalties(y, c, labels, _nv(snr_db), WIDE_CLIP)
+    raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), _nv(snr_db))
+    # the estimators' penalties, log2(1 + exp(z)) with z the label-signed LLR
+    got = 2.0 * np.take(c.bits().T, labels, axis=1) - 1.0
+    got *= np.clip(raw, -WIDE_CLIP, WIDE_CLIP)
+    got = np.log1p(np.exp(got)) / math.log(2.0)
     assert _sha256(got.tobytes()) == _FLOORED_PENALTY_SHA256[m, snr_db]
 
 

@@ -23,7 +23,7 @@ from shapegain import (
     per_bit_gmi_mc,
     uniform_qam,
 )
-from shapegain.demapper import LLR_CLIP, _clipped
+from shapegain.demapper import LLR_CLIP, clip_llr
 from shapegain.training import (
     GaussianDemapper,
     LinkTarget,
@@ -76,12 +76,26 @@ class TestTrainConfig:
             _config(init="fourier")
 
     # samples per label: 32 = 4 x 8, 56 = 7 x 8 and the prime 67 give fewer
-    # than 8 nodes on one axis, so those batches draw their noise
+    # than 8 nodes on one axis, and 3208 = 8 x 401 more than the 256 of
+    # MAX_HERMITE_ORDER on one, so those batches draw their noise
     @pytest.mark.parametrize("n, shape", [(64, (8, 8)), (96, (8, 12)), (128, (8, 16)),
-                                          (256, (16, 16)), (32, None), (56, None),
-                                          (67, None), (1, None)])
+                                          (256, (16, 16)), (2 ** 15, (128, 256)),
+                                          (32, None), (56, None), (67, None), (1, None),
+                                          (3208, None)])
     def test_grid_shape_is_the_most_nearly_square(self, n, shape):
         assert training._grid_shape(n) == shape
+
+    def test_batch_beyond_the_hermite_cap_draws_noise(self):
+        # 8 x 401 nodes per label: numpy's hermgauss(401) is not finite
+        _, hist = train(_config(m=2, batch_symbols=4 * 3208, iterations=1))
+        assert np.isfinite(hist.loss).all()
+
+    def test_snr_target_is_never_refreshed_and_has_no_such_key(self):
+        assert SnrTarget(10.0).refresh_every == 0
+        assert [f.name for f in fields(SnrTarget)] == ["snr_db"]
+        with pytest.raises(ParameterError, match="unknown key 'refresh_every'"):
+            train_config_from_dict({"m": 2, "iterations": 1, "batch_symbols": 64,
+                                    "target": {"snr_db": 10.0, "refresh_every": 5}})
 
     def test_empty_mlp_hidden_rejected(self):
         # a receiver needs a hidden layer, and the stacked runs are sized by its widths
@@ -447,10 +461,12 @@ class TestGradients:
         demapper = init_mlp(m, (8,), rng) if mode == "mlp" else GaussianDemapper()
         noise = awgn_sample(rng, np.zeros(S), 0.2)
         _, st = forward_loss(raw, demapper, _balanced_labels(m, S), noise, 0.2)
-        clipped = _clipped(st.llr_raw, LLR_CLIP)
         assert st.llr is st.llr_raw
+        assert clip_llr(st.llr_raw) is st.llr_raw
+        # a clipped copy, which an unconditional clip would give, takes
+        # backward's masked path
+        clipped = np.clip(st.llr_raw, -LLR_CLIP, LLR_CLIP)
         np.testing.assert_array_equal(st.llr, clipped)
-        # the state the unconditional clip gives takes backward's masked path
         masked = backward(raw, demapper, replace(st, llr=clipped))
         for name, g in backward(raw, demapper, st).items():
             np.testing.assert_array_equal(g, masked[name], err_msg=name)
@@ -760,15 +776,17 @@ class TestTrain:
 
 
 def _count_clips(monkeypatch) -> list:
-    """Count the step's calls of _clipped, made only when some LLR lies
-    beyond the clip; returns the one-entry list holding the count."""
-    real, calls = training._clipped, [0]
+    """Count the step's calls of clip_llr that return a new array, made only
+    when some LLR lies beyond the clip; returns the one-entry list holding
+    the count."""
+    real, calls = training.clip_llr, [0]
 
-    def counted(llr, clip):
-        calls[0] += 1
-        return real(llr, clip)
+    def counted(llr_raw):
+        llr = real(llr_raw)
+        calls[0] += llr is not llr_raw
+        return llr
 
-    monkeypatch.setattr(training, "_clipped", counted)
+    monkeypatch.setattr(training, "clip_llr", counted)
     return calls
 
 
@@ -783,7 +801,7 @@ def _public_api_train(config):
     labels = _balanced_labels(config.m, config.batch_symbols)
     opt = _Adam(trainable_arrays(raw, demapper), config)
     raw, demapper = with_arrays(demapper, opt.arrays)
-    refresh = getattr(config.target, "refresh_every", 0)
+    refresh = config.target.refresh_every
 
     def resolve():
         return config.target.resolve(Constellation(m=config.m, points=emit(raw)))
