@@ -133,18 +133,19 @@ def _log2_1p(e: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def logistic(z: np.ndarray, out=(None, None)):
+def logistic(z: np.ndarray, out=(None, None), softplus: bool = True):
     """(log2(1 + exp(z)), 1 / (1 + exp(-z))) elementwise, from one exp.
 
     Requires |z| <= 700, as LLRs clipped to LLR_CLIP times +/-1 are; beyond
     709.8 exp(z) overflows. See the module docstring for the two formulas.
     The results go into out = (softplus, sigmoid) where given, else into new
-    arrays; softplus may be z itself.
+    arrays; softplus may be z itself. Without softplus the first result is
+    None, out[0] holds exp(z), and the sigmoid has the same bytes.
     """
     e = np.exp(z, out=out[0])
     sigmoid = np.add(e, 1.0, out=out[1])
     np.divide(e, sigmoid, out=sigmoid)
-    return _log2_1p(e, out=e), sigmoid
+    return _log2_1p(e, out=e) if softplus else None, sigmoid
 
 
 def _radius(rows: np.ndarray) -> float:
@@ -307,9 +308,10 @@ class GaussianDemapper:
 def clip_llr(llr_raw: np.ndarray) -> np.ndarray:
     """llr_raw clipped to +/- LLR_CLIP into a new array, or llr_raw itself
     when no entry lies beyond; NaN or +/-inf raises NumericalError."""
-    if -LLR_CLIP <= llr_raw.min(initial=math.inf) and llr_raw.max(initial=-math.inf) <= LLR_CLIP:
+    lo, hi = llr_raw.min(initial=math.inf), llr_raw.max(initial=-math.inf)
+    if -LLR_CLIP <= lo and hi <= LLR_CLIP:
         return llr_raw
-    if not np.isfinite(llr_raw).all():  # NaN fails the test above as well
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN propagates to both
         raise NumericalError("non-finite values in llr")
     out = np.maximum(llr_raw, -LLR_CLIP)
     return np.minimum(out, LLR_CLIP, out=out)

@@ -72,6 +72,8 @@ class SweepSettings:
         if not self.schemes or not set(self.schemes) <= {"ae", "qam"}:
             raise ParameterError(
                 f"schemes must be a nonempty subset of ae/qam, got {self.schemes}")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ParameterError(f"schemes must not repeat a scheme, got {list(self.schemes)}")
         if "qam" in self.schemes and not self.qam_m_list:
             raise ParameterError("qam scheme requires a nonempty qam_m_list")
         if not all(1 <= m <= MAX_QAM_M for m in self.qam_m_list):
@@ -263,7 +265,7 @@ def run_sweep(config: RunConfig, keep_going: bool = False, error_sink=None,
         raise ParameterError("config has no sweep section")
     trained = _train_ae_cells(config) if "ae" in config.sweep.schemes else {}
     rows = []
-    for scheme in sorted(set(config.sweep.schemes)):
+    for scheme in sorted(config.sweep.schemes):
         for n_spans in config.sweep.span_grid:
             try:
                 if scheme == "ae" and n_spans in trained:

@@ -38,8 +38,9 @@ MLP cells stack along a leading cell axis K, as many per run as keep their
 summed entries (TrainConfig.cell_entries) within MAX_CELL_ENTRIES; Gaussian
 cells run one per run. Cell k keeps its own default_rng(seed) and its
 scalars as Python floats, so it ends bit for bit where train() of its
-config ends. README's Performance section describes the loop's layout: one
-flat parameter array updated in place, the sorted batch, the workspace.
+config ends; only its history is strided (TrainHistory). README's
+Performance section describes the loop's layout: one flat parameter array
+updated in place, the sorted batch, the workspace.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ from .errors import NumericalError, ParameterError, build_section, check_field_t
 MAX_ITERATIONS = 10 ** 6
 MAX_BATCH_SYMBOLS = 2 ** 16
 MAX_CELL_ENTRIES = 2 ** 24
+HISTORY_STRIDE = 100  # train_many's, see TrainHistory
 
 
 @dataclass(frozen=True)
@@ -437,8 +439,8 @@ class ForwardState:
     llr_raw: np.ndarray  # (m, S)
     llr: np.ndarray  # (m, S), llr_raw clipped; llr_raw itself when nothing clips
     sigmoid: np.ndarray  # (m, S) sigmoid(z), z = flip * llr
-    loss: np.ndarray
-    penalties: np.ndarray  # (m, S) loss terms, in bits, times the batch's weights
+    loss: Optional[np.ndarray]  # None when the step skipped the loss
+    penalties: Optional[np.ndarray]  # (m, S) loss terms in bits, times the weights
     cache: object  # the receiver's forward() cache
     work: Workspace
 
@@ -463,8 +465,8 @@ def _per_cell(values: list, like: np.ndarray):
 
 def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
              noise_variance: list, work: Workspace,
-             power: Optional[list] = None) -> ForwardState:
-    """The surrogate loss of one batch per cell.
+             power: Optional[list] = None, with_loss: bool = True) -> ForwardState:
+    """The loss gradient's sigmoids of one batch per cell, and its loss if with_loss.
 
     raw is (M, 2) and noise_iq, the real noise, (2, S), or (K, M, 2) and
     (K, 2, S) for K stacked MLP cells. noise_variance (finite and positive,
@@ -490,10 +492,11 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     llr = clip_llr(llr_raw)
     # z = flip * llr goes where its loss terms will, (..., m, S) each
     z = np.multiply(batch.flip, llr, out=work("penalties", llr.shape))
-    penalties, sigmoid = logistic(z, (z, work("sigmoid", llr.shape)))
-    if batch.weight is not None:
+    penalties, sigmoid = logistic(z, (z, work("sigmoid", llr.shape)), softplus=with_loss)
+    if with_loss and batch.weight is not None:
         penalties *= batch.weight
-    loss = penalties.reshape(*penalties.shape[:-2], -1).sum(axis=-1) / batch.size
+    loss = (penalties.reshape(*penalties.shape[:-2], -1).sum(axis=-1) / batch.size
+            if with_loss else None)
     return ForwardState(
         batch=batch,
         raw=raw, scale=scale, points_iq=points, y_iq=y,
@@ -581,14 +584,19 @@ def _adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
 
 @dataclass
 class TrainHistory:
+    """Loss, surrogate GMI (m - loss) and gradient norm at the listed
+    iterations: every one for train(); for train_many(), train()'s rows at
+    every HISTORY_STRIDE-th and the last."""
+
+    iteration: np.ndarray
     loss: np.ndarray
     surrogate_gmi: np.ndarray
     grad_norm: np.ndarray
 
     def to_csv(self) -> str:
         lines = ["iteration,loss,surrogate_gmi,grad_norm"]
-        for i in range(len(self.loss)):
-            lines.append(f"{i},{float(self.loss[i])!r},{float(self.surrogate_gmi[i])!r},"
+        for i, it in enumerate(self.iteration.tolist()):
+            lines.append(f"{it},{float(self.loss[i])!r},{float(self.surrogate_gmi[i])!r},"
                          f"{float(self.grad_norm[i])!r}")
         return "\n".join(lines) + "\n"
 
@@ -615,7 +623,7 @@ def train(config: TrainConfig):
     otherwise fresh noise is drawn every iteration. Deterministic for a
     fixed config (seed included).
     """
-    return _train_run([config])[0]
+    return _train_run([config], 1)[0]
 
 
 def train_many(configs) -> list:
@@ -625,9 +633,10 @@ def train_many(configs) -> list:
     The configs may differ only in seed and target, for either receiver.
     The runs are sized here (see the module docstring): MLP cells stack, in
     config order, as many per run as MAX_CELL_ENTRIES holds, and Gaussian
-    cells run one per run. Each cell's result equals train() of its config
-    bit for bit. A NumericalError names the iteration, not the cell; train
-    the configs alone to find it.
+    cells run one per run. Each cell's points equal train()'s of its config
+    bit for bit, and its history is train()'s rows at every
+    HISTORY_STRIDE-th iteration and the last. A NumericalError names the
+    iteration, not the cell; train the configs alone to find it.
     """
     configs = list(configs)
     for config in configs[1:]:
@@ -637,12 +646,13 @@ def train_many(configs) -> list:
     if configs and configs[0].demapper_mode == "mlp":
         per_run = MAX_CELL_ENTRIES // configs[0].cell_entries
     return [cell for lo in range(0, len(configs), per_run)
-            for cell in _train_run(configs[lo:lo + per_run])]
+            for cell in _train_run(configs[lo:lo + per_run], HISTORY_STRIDE)]
 
 
-def _train_run(configs: list) -> list:
+def _train_run(configs: list, stride: int) -> list:
     """One training loop over K cells whose configs differ only in seed and
-    target; K > 1 needs MLP receivers within the MAX_CELL_ENTRIES budget."""
+    target; K > 1 needs MLP receivers within the MAX_CELL_ENTRIES budget.
+    Only every stride-th iteration and the last compute their loss."""
     first = configs[0]
     K = len(configs)
     rngs = [np.random.default_rng(config.seed) for config in configs]
@@ -683,8 +693,9 @@ def _train_run(configs: list) -> list:
 
     refresh = [(k, config.target.refresh_every) for k, config in enumerate(configs)
                if config.target.refresh_every]
-    loss_hist = np.empty((K, first.iterations))
-    sq_norm_hist = np.empty((K, first.iterations))
+    n = first.iterations
+    rows = {it: row for row, it in enumerate(sorted({*range(0, n, stride), *range(n)[-1:]}))}
+    loss_hist, sq_norm_hist = np.empty((2, K, len(rows)))
     # an overflow leaves an inf or NaN, which the checks of the step (the
     # power check after the update among them) raise, naming the iteration,
     # unwarned
@@ -694,7 +705,7 @@ def _train_run(configs: list) -> list:
         if quadrature:
             for k in range(K):
                 place_grid(k)
-        for it in range(first.iterations):
+        for it in range(n):
             for k, every in refresh:
                 if it > 0 and it % every == 0:
                     noise_variance[k] = resolve(k)
@@ -706,21 +717,21 @@ def _train_run(configs: list) -> list:
                     np.multiply(rng.standard_normal((S, 2)).T,
                                 math.sqrt(noise_variance[k] / 2.0), out=noises[k])
             try:
-                st = _forward(raw, demapper, batch, noise, noise_variance, work, power)
+                st = _forward(raw, demapper, batch, noise, noise_variance, work, power, it in rows)
                 _backward(demapper, st, grad, grads)
                 _adam_update(theta, grad, *moments, it + 1, first, adam_scratch)
                 power = _mapper_power(raw)
             except NumericalError as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
-            loss_hist[:, it] = st.loss
-            sq_norm_hist[:, it] = np.matmul(grad_rows[:, None, :],
-                                            grad_rows[:, :, None]).reshape(K)
+            if it in rows:
+                loss_hist[:, rows[it]] = st.loss
+                sq_norm_hist[:, rows[it]] = np.matmul(grad_rows[:, None, :],
+                                                      grad_rows[:, :, None]).reshape(K)
         constellations = [
             _emit_constellation(raws[k], config, noise_variance[k])
             for k, config in enumerate(configs)]
 
-    gmi_hist = first.m - loss_hist
-    norm_hist = np.sqrt(sq_norm_hist)
-    return [(c, TrainHistory(loss=loss_hist[k], surrogate_gmi=gmi_hist[k],
-                             grad_norm=norm_hist[k]))
+    return [(c, TrainHistory(iteration=np.fromiter(rows, int), loss=loss_hist[k],
+                             surrogate_gmi=first.m - loss_hist[k],
+                             grad_norm=np.sqrt(sq_norm_hist[k])))
             for k, c in enumerate(constellations)]

@@ -721,6 +721,16 @@ def test_repeated_qam_order_exits_1(tmp_path, capsys):
         "an order, got [2, 2]"]
 
 
+@pytest.mark.parametrize("schemes", [["ae", "ae"], ["qam", "ae", "qam"]], ids=["ae", "qam"])
+def test_repeated_scheme_exits_1(tmp_path, capsys, schemes):
+    doc = _replaced(_RUN, ("sweep", "schemes"), schemes)
+    capsys.readouterr()
+    assert main(_argv(tmp_path, 4, "--config", json.dumps(doc).encode())) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "shapegain: error: bad run config: bad sweep config: schemes must not repeat "
+        f"a scheme, got {schemes}"]
+
+
 # the documents the program writes and reads back, which are held to the
 # writer's types and keys; only a constellation's metadata is free-form
 _DOC_ARGS = [(i, flag) for i, flag in _FILE_ARGS

@@ -73,7 +73,8 @@ def test_lone_gaussian_training_with_drawn_noise_is_pinned():
 
 
 def _example_cells_digests(batch_symbols: int) -> tuple:
-    """The shipped example sweep's six ae cells, stacked into one MLP run."""
+    """The shipped example sweep's six ae cells, stacked into one MLP run;
+    their histories hold iterations 0, 100, 200 and 299."""
     rc = load_run_config(Path(__file__).resolve().parent.parent / "configs" / "example.json")
     rc = replace(rc, train=replace(rc.train, iterations=300, batch_symbols=batch_symbols))
     results = train_many([_ae_train_config(rc, n) for n in rc.sweep.span_grid])
@@ -186,9 +187,9 @@ _TRAIN_HISTORY_SHA256 = "06afcf8ea57a67f0da925b9eb730382bdeeec3fb69e81b58b65197e
 _DRAWN_TRAIN_POINTS_SHA256 = "e259ad461fbcc2c29e16bb5b75f5adb456ee081321241379f0261074aec41eae"
 _DRAWN_TRAIN_HISTORY_SHA256 = "8b2c608c0d2e9b73b2240d171fa81a4d2f15ccdfd4cd6e312581634612a03bec"
 _MANY_POINTS_SHA256 = "fb3c50e5698d03e51eb31b40c7725a967c2114194500dc0bc6be0f5ab17a194a"
-_MANY_HISTORY_SHA256 = "333815b4df4390317d9e22eac5e001d7bf669ad5f32bd1d752ccf9a3ecdc31d1"
+_MANY_HISTORY_SHA256 = "60783532cd0a7394b5b0272456eeca5cbe70eedb7bbefb9b05b079b876bb7e4f"
 _DRAWN_MANY_POINTS_SHA256 = "23e3aabc6118b4d90242077d48590c190a7feee727c7fadbbc227edc1103c4cd"
-_DRAWN_MANY_HISTORY_SHA256 = "2f957adb47e82b096f411f7ef83d9fdcf522468b9d91a6799379178128b1ae92"
+_DRAWN_MANY_HISTORY_SHA256 = "185e9282401fe7afc7c9ce0c1f959be37d5226160b37c64abb7d5ffd5e5c340d"
 _MLP_POINTS_SHA256 = "57d1ee7ceeb78d3816346ff43b2adf014da6b8e83c9d0bd8cb5539a78bb5e7db"
 _MLP_HISTORY_SHA256 = "e147d591a35563e429b871e5edd4cb61a077c0f942fc9db85188c55e3c9bef56"
 _MC_REPORTS = {

@@ -143,6 +143,12 @@ class TestRunConfigParsing:
         with pytest.raises(ParameterError):
             SweepSettings(span_grid=(2, 4), schemes=("qam",))  # needs m list
 
+    @pytest.mark.parametrize("schemes", [["ae", "ae"], ("qam", "ae", "qam")],
+                             ids=["list", "tuple"])
+    def test_repeated_scheme_rejected(self, schemes):
+        with pytest.raises(ParameterError, match=r"^schemes must not repeat a scheme, got \["):
+            SweepSettings(span_grid=(2, 4), schemes=schemes, qam_m_list=(2,))
+
     def test_sample_cap(self):
         EvalSettings(n_samples=MAX_SAMPLES)
         with pytest.raises(ParameterError, match="n_samples"):
@@ -394,10 +400,10 @@ class TestStackedTraining:
         import shapegain.training as training
         real = training._train_run
 
-        def faulty(configs):
+        def faulty(configs, stride):
             if len(configs) > 1:
                 raise TypeError("fault in the stacked run")
-            return real(configs)
+            return real(configs, stride)
 
         monkeypatch.setattr(training, "_train_run", faulty)
         with pytest.raises(TypeError, match="fault in the stacked run"):

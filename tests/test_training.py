@@ -23,11 +23,13 @@ from shapegain import (
     per_bit_gmi_mc,
     uniform_qam,
 )
+import shapegain.demapper as demapper
 from shapegain.demapper import LLR_CLIP, clip_llr
 from shapegain.training import (
     GaussianDemapper,
     LinkTarget,
     SnrTarget,
+    HISTORY_STRIDE,
     TrainConfig,
     Workspace,
     _adam_update,
@@ -888,13 +890,19 @@ class TestTrainMany:
 
     @staticmethod
     def _assert_lone_results(configs, results):
+        # the lone run records every iteration, the stacked one every
+        # HISTORY_STRIDE-th and the last, with the lone run's values there
         for config, (c, hist) in zip(configs, results, strict=True):
             c_alone, hist_alone = train(config)
             np.testing.assert_array_equal(c.points, c_alone.points)
             assert c.metadata == c_alone.metadata
-            np.testing.assert_array_equal(hist.loss, hist_alone.loss)
-            np.testing.assert_array_equal(hist.surrogate_gmi, hist_alone.surrogate_gmi)
-            np.testing.assert_array_equal(hist.grad_norm, hist_alone.grad_norm)
+            n = config.iterations
+            assert hist_alone.iteration.tolist() == list(range(n))
+            at = [it for it in range(n) if it % HISTORY_STRIDE == 0 or it == n - 1]
+            assert hist.iteration.tolist() == at
+            np.testing.assert_array_equal(hist.loss, hist_alone.loss[at])
+            np.testing.assert_array_equal(hist.surrogate_gmi, hist_alone.surrogate_gmi[at])
+            np.testing.assert_array_equal(hist.grad_norm, hist_alone.grad_norm[at])
 
     @pytest.mark.parametrize("configs, clips", [
         (_example_ae_configs(25), False),
@@ -937,15 +945,53 @@ class TestTrainMany:
     def test_no_configs(self):
         assert train_many([]) == []
 
+    @pytest.mark.parametrize("iterations, recorded", [
+        (0, []), (1, [0]), (100, [0, 99]), (101, [0, 100]),
+    ])
+    def test_history_is_recorded_at_the_stride_and_the_last_iteration(
+            self, iterations, recorded):
+        configs = [_config(m=2, iterations=iterations, batch_symbols=64,
+                           demapper_mode="mlp", mlp_hidden=(4,), seed=s) for s in (1, 2)]
+        for _, hist in train_many(configs):
+            assert hist.iteration.tolist() == recorded
+            assert hist.loss.shape == hist.surrogate_gmi.shape == hist.grad_norm.shape == (
+                len(recorded),)
+            assert hist.to_csv().splitlines()[1:] == [
+                f"{it},{loss!r},{gmi!r},{norm!r}" for it, loss, gmi, norm in zip(
+                    recorded, hist.loss.tolist(), hist.surrogate_gmi.tolist(),
+                    hist.grad_norm.tolist())]
+
+    def test_stacked_steps_take_the_softplus_only_where_history_is_recorded(
+            self, monkeypatch):
+        # the six example cells stack into one run, and the loss terms of
+        # its 250 steps are computed at iterations 0, 100, 200 and 249 only
+        real_forward, real_softplus = training._forward, demapper._log2_1p
+        steps, softplus_at = [0], []
+
+        def forward(*args, **kwargs):
+            st = real_forward(*args, **kwargs)
+            steps[0] += 1
+            return st
+
+        def softplus(*args, **kwargs):
+            softplus_at.append(steps[0])
+            return real_softplus(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_forward", forward)
+        monkeypatch.setattr(demapper, "_log2_1p", softplus)
+        train_many(_example_ae_configs(250))
+        assert steps[0] == 250
+        assert softplus_at == [0, 100, 200, 249]
+
     @staticmethod
     def _runs(monkeypatch, configs):
         """train_many(configs), and the seeds of each _train_run it made."""
         real = training._train_run
         runs = []
 
-        def recorded(run_configs):
+        def recorded(run_configs, stride):
             runs.append([c.seed for c in run_configs])
-            return real(run_configs)
+            return real(run_configs, stride)
 
         monkeypatch.setattr(training, "_train_run", recorded)
         return train_many(configs), runs
@@ -1007,14 +1053,16 @@ class TestWorkspace:
     ], ids=["gaussian", "mlp", "stacked-mlp"])
     def test_step_arrays_keep_one_address_per_run(self, monkeypatch, configs):
         real = training._forward
-        seen = []
+        seen, penalties = [], []
 
         def recorded(*args, **kwargs):
             st = real(*args, **kwargs)
-            arrays = [st.y_iq, st.sigmoid, st.penalties]
+            arrays = [st.y_iq, st.sigmoid]
             if configs[0].demapper_mode == "mlp":
                 arrays += st.cache  # the layer inputs
             seen.append((st.y_iq.shape, tuple(self._address(a) for a in arrays)))
+            if st.penalties is not None:  # the steps train_many records
+                penalties.append(self._address(st.penalties))
             return st
 
         monkeypatch.setattr(training, "_forward", recorded)
@@ -1022,6 +1070,7 @@ class TestWorkspace:
         stacked = (len(configs),) if len(configs) > 1 else ()
         assert len(seen) == 6
         assert set(seen) == {(stacked + (2, 64), seen[0][1])}
+        assert len(penalties) == 2 and len(set(penalties)) == 1  # iterations 0 and 5
 
     @pytest.mark.parametrize("mode", ["gaussian", "mlp"])
     def test_steps_outside_the_loop_share_no_memory(self, mode):
