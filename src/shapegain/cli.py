@@ -180,7 +180,7 @@ def _cmd_sweep(args) -> int:
     def _report_error(scheme, n_spans, exc):
         print(f"shapegain: skipped {exc}", file=sys.stderr)
 
-    rows = run_sweep(config, keep_going=args.keep_going, error_sink=_report_error)
+    rows = run_sweep(config, error_sink=_report_error if args.keep_going else None)
     with open(out_path, "w") as fh:
         fh.write(rows_to_csv(rows))
     print(f"wrote {out_path} ({len(rows)} rows)")

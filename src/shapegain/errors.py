@@ -44,15 +44,27 @@ def load_json(path):
     """Parse a JSON input file; keys starting with "_" are comments at any depth.
 
     Contents that do not decode (invalid UTF-8, invalid JSON, nesting too
-    deep to parse) raise ParameterError; failing to open or read the file
-    stays an OSError.
+    deep to parse) raise ParameterError, and so does an object that repeats
+    a key other than a comment; failing to open or read the file stays an
+    OSError.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_hook=lambda obj: {
-                k: v for k, v in obj.items() if not k.startswith("_")})
-        except (ValueError, RecursionError) as exc:
-            raise ParameterError(f"{path}: not valid JSON: {exc}") from exc
+            return json.load(fh, object_pairs_hook=_json_object)
+        except (ValueError, RecursionError) as exc:  # a ParameterError is a ValueError
+            reason = exc if isinstance(exc, ParameterError) else f"not valid JSON: {exc}"
+            raise ParameterError(f"{path}: {reason}") from exc
+
+
+def _json_object(pairs: list) -> dict:
+    """A decoded JSON object without its comments; a repeated key raises."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParameterError(f"repeated key {key!r}")
+        if not key.startswith("_"):
+            obj[key] = value
+    return obj
 
 
 # what Python says when a call's keywords do not bind: the key is quoted

@@ -146,11 +146,7 @@ def _sweep_settings(train_m: int, /, **sw) -> SweepSettings:
     schemes = sw.get("schemes", ("ae", "qam"))  # SweepSettings checks its type
     if "qam_m_list" not in sw and isinstance(schemes, (list, tuple)) and "qam" in schemes:
         sw["qam_m_list"] = (train_m, train_m - 1) if train_m > 1 else (train_m,)
-    settings = SweepSettings(**sw)
-    # the ae cell's SNR proxy is Gray QAM of the trained order
-    if "ae" in settings.schemes and train_m > MAX_QAM_M:
-        raise ParameterError(f"the ae scheme needs train.m <= {MAX_QAM_M}, got {train_m}")
-    return settings
+    return SweepSettings(**sw)
 
 
 def _splitmix64(x: int) -> int:
@@ -250,13 +246,12 @@ def _train_ae_cells(config: RunConfig) -> dict:
     return {n: c for n, (c, _) in zip(configs, runs)}
 
 
-def run_sweep(config: RunConfig, keep_going: bool = False, error_sink=None,
-              detail_sink=None) -> list:
+def run_sweep(config: RunConfig, error_sink=None, detail_sink=None) -> list:
     """Evaluate the whole grid, one cell after another in (scheme, n_spans)
     order, which is the order of the rows returned.
 
     A failing grid point raises an error naming the point, and no later
-    point is computed, unless keep_going is set, in which case the point is
+    point is computed, unless error_sink is given: then the point is
     skipped and reported to error_sink(scheme, n_spans, exception).
     detail_sink, if given, receives (scheme, n_spans, row, report,
     constellation) per cell. The ae cells train together first.
@@ -274,10 +269,9 @@ def run_sweep(config: RunConfig, keep_going: bool = False, error_sink=None,
                     cell = evaluate_grid_point(config, scheme, n_spans)
             except Exception as exc:  # noqa: BLE001 - classified by _wrap_grid_error
                 wrapped = _wrap_grid_error(scheme, n_spans, exc)
-                if not keep_going:
+                if error_sink is None:
                     raise wrapped from exc
-                if error_sink is not None:
-                    error_sink(scheme, n_spans, wrapped)
+                error_sink(scheme, n_spans, wrapped)
                 continue
             rows.append(cell[0])
             if detail_sink is not None:

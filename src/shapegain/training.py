@@ -69,17 +69,17 @@ from .errors import NumericalError, ParameterError, build_section, check_field_t
 
 # Caps on the work one config can ask for: a million iterations of the
 # default batch take about 4 minutes at m = 4 (MLP receiver) and 1.5 hours
-# at m = 8 (Gaussian). A batch holds at most 2**16 symbols, so m <= 16.
-# The largest training arrays of a cell, the Gaussian receiver's (M, S)
-# log-likelihoods and the MLP receiver's (width, S) activations summed over
-# its hidden layers, hold at most 2**24 entries: 134 MB, m = 8 at the
-# largest batch. train_many stacks MLP cells in runs whose summed entries
-# stay within the same budget. Larger values are rejected when the config
-# is built, before any array is allocated.
+# at m = 8 (Gaussian). The largest training arrays of a cell, the Gaussian
+# receiver's (M, S) log-likelihoods and the MLP receiver's (width, S)
+# activations summed over its hidden layers, hold at most 2**24 entries:
+# 134 MB, m = 8 at the largest batch of 2**16 symbols. train_many stacks MLP
+# cells in runs whose summed entries stay within the same budget. Larger
+# values are rejected when the config is built, before any array is allocated.
 MAX_ITERATIONS = 10 ** 6
 MAX_BATCH_SYMBOLS = 2 ** 16
 MAX_CELL_ENTRIES = 2 ** 24
 HISTORY_STRIDE = 100  # train_many's, see TrainHistory
+REFRESH_EVERY = 200  # iterations between two resolutions of a cell's target
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,6 @@ class SnrTarget:
     """Train against a fixed effective SNR in dB."""
 
     snr_db: float
-    refresh_every = 0  # a class attribute, not a field: the SNR is never refreshed
 
     def __post_init__(self):
         check_field_types(self)
@@ -104,19 +103,16 @@ class LinkTarget:
 
     The noise variance depends on the constellation's own moments through
     the nonlinear-interference term, so it is refreshed from the current
-    points every `refresh_every` iterations and held constant in between
+    points every REFRESH_EVERY iterations and held constant in between
     (the dependence is weak; differentiating through it is out of scope).
     """
 
     link: LinkConfig
     launch_power: Union[float, str] = "optimal"
-    refresh_every: int = 200
 
     def __post_init__(self):
         check_field_types(self)
         check_launch_power(self.launch_power)
-        if self.refresh_every < 1:
-            raise ParameterError("refresh_every must be >= 1")
 
     def resolve(self, c: Constellation) -> float:
         return launch_channel(self.link, moments(c), self.launch_power)[1].noise_variance
@@ -132,13 +128,11 @@ class TrainConfig:
     mlp_hidden: tuple = (64, 64)
     learning_rate: float = 1e-3
     seed: int = 0
-    init: str = "qam"
 
     def __post_init__(self):
         check_field_types(self)
-        max_m = MAX_BATCH_SYMBOLS.bit_length() - 1
-        if not 1 <= self.m <= max_m:
-            raise ParameterError(f"m must be in [1, {max_m}], got {self.m}")
+        if not 1 <= self.m <= MAX_QAM_M:  # the mapper starts from Gray QAM
+            raise ParameterError(f"m must be in [1, {MAX_QAM_M}], got {self.m}")
         if not 0 <= self.iterations <= MAX_ITERATIONS:
             raise ParameterError(
                 f"iterations must be in [0, {MAX_ITERATIONS}], got {self.iterations}")
@@ -154,8 +148,6 @@ class TrainConfig:
                 f"got {self.batch_symbols}")
         if self.demapper_mode not in ("gaussian", "mlp"):
             raise ParameterError(f"unknown demapper_mode {self.demapper_mode!r}")
-        if self.init not in ("random", "qam"):
-            raise ParameterError(f"unknown init {self.init!r}")
         if not self.learning_rate > 0:
             raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
         object.__setattr__(self, "mlp_hidden", int_tuple("mlp_hidden", self.mlp_hidden))
@@ -169,9 +161,6 @@ class TrainConfig:
                 f"{units} * batch_symbols must be <= {MAX_CELL_ENTRIES} with the "
                 f"{self.demapper_mode} receiver, got "
                 f"{self.cell_entries // self.batch_symbols} * {self.batch_symbols}")
-        if self.init == "qam" and self.m > MAX_QAM_M:
-            raise ParameterError(
-                f"init 'qam' needs m <= MAX_QAM_M = {MAX_QAM_M}, got {self.m}")
 
     @property
     def cell_entries(self) -> int:
@@ -321,22 +310,11 @@ def init_mlp(m: int, hidden, rng: np.random.Generator) -> MlpDemapper:
 
 
 def init_mapper(config: TrainConfig, rng: np.random.Generator) -> np.ndarray:
-    """Initial free points, an (M, 2) float64 table: circular Gaussian at
-    unit power, or Gray QAM plus 0.01 times a standard-normal draw per
-    coordinate."""
-    M = 1 << config.m
-    if config.init == "random":
-        raw = rng.standard_normal((M, 2))
-        raw /= math.sqrt(float(np.mean(np.sum(raw ** 2, axis=1))))
-    else:
-        base = uniform_qam(config.m).points
-        raw = np.column_stack([base.real, base.imag])
-        raw = raw + 0.01 * rng.standard_normal((M, 2))
-    if not np.all(np.isfinite(raw)):
-        raise NumericalError("non-finite values in initial mapper parameters")
-    if np.unique(raw, axis=0).shape[0] < 2:
-        raise ParameterError("initial mapper must contain at least two distinct points")
-    return raw
+    """Initial free points, an (M, 2) float64 table: Gray QAM plus 0.01
+    times a standard-normal draw per coordinate."""
+    base = uniform_qam(config.m).points
+    raw = np.column_stack([base.real, base.imag])
+    return raw + 0.01 * rng.standard_normal((1 << config.m, 2))
 
 
 def trainable_arrays(raw: np.ndarray, demapper) -> dict:
@@ -609,7 +587,6 @@ def _emit_constellation(raw: np.ndarray, config: TrainConfig,
         "seed": config.seed,
         "demapper_mode": config.demapper_mode,
         "iterations": config.iterations,
-        "init": config.init,
     }
     return Constellation(m=config.m, points=emit(raw), metadata=meta)
 
@@ -619,7 +596,7 @@ def train(config: TrainConfig):
 
     Batches contain every label batch_symbols/M times. If those S/M
     samples factor as n1 x n2 with 8 <= n1, n2 <= 256, they take fixed
-    Gauss-Hermite noise offsets, rescaled at each refresh of a link target;
+    Gauss-Hermite noise offsets, rescaled at each refresh of the target;
     otherwise fresh noise is drawn every iteration. Deterministic for a
     fixed config (seed included).
     """
@@ -684,15 +661,14 @@ def _train_run(configs: list, stride: int) -> list:
     raws, noises, grad_rows = (a.reshape((K,) + a.shape[len(axis):])
                                for a in (raw, noise, grad))
 
-    def resolve(k: int) -> float:
-        return configs[k].target.resolve(
+    noise_variance = [0.0] * K  # each cell's, as retarget resolves it at its points
+
+    def retarget(k: int) -> None:
+        noise_variance[k] = configs[k].target.resolve(
             Constellation(m=first.m, points=emit(raws[k]), metadata={}))
+        if batch.offsets is not None:  # a grid batch's noise; else the rngs draw it
+            np.multiply(batch.offsets, math.sqrt(noise_variance[k]), out=noises[k])
 
-    def place_grid(k: int) -> None:
-        np.multiply(batch.offsets, math.sqrt(noise_variance[k]), out=noises[k])
-
-    refresh = [(k, config.target.refresh_every) for k, config in enumerate(configs)
-               if config.target.refresh_every]
     n = first.iterations
     rows = {it: row for row, it in enumerate(sorted({*range(0, n, stride), *range(n)[-1:]}))}
     loss_hist, sq_norm_hist = np.empty((2, K, len(rows)))
@@ -700,18 +676,13 @@ def _train_run(configs: list, stride: int) -> list:
     # power check after the update among them) raise, naming the iteration,
     # unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        noise_variance = [resolve(k) for k in range(K)]
-        quadrature = batch.offsets is not None  # else the rngs draw the noise
-        if quadrature:
-            for k in range(K):
-                place_grid(k)
+        for k in range(K):
+            retarget(k)
         for it in range(n):
-            for k, every in refresh:
-                if it > 0 and it % every == 0:
-                    noise_variance[k] = resolve(k)
-                    if quadrature:
-                        place_grid(k)
-            if not quadrature:
+            if it and it % REFRESH_EVERY == 0:
+                for k in range(K):
+                    retarget(k)
+            if batch.offsets is None:
                 # the draws of awgn_sample, noise_variance / 2 per real dimension
                 for k, rng in enumerate(rngs):
                     np.multiply(rng.standard_normal((S, 2)).T,

@@ -394,18 +394,20 @@ class TestTrainCommand:
 
     def test_llr_clip_is_rejected(self, tmp_path, capsys):
         # the LLR saturation is the constant demapper.LLR_CLIP, and Adam's
-        # decays and offset are the constants training.ADAM_*, no settings
-        for key in ("llr_clip", "adam_beta1", "adam_beta2", "adam_eps"):
+        # decays and offset are the constants training.ADAM_*, no settings,
+        # and the mapper always starts from jittered Gray QAM
+        for key in ("llr_clip", "adam_beta1", "adam_beta2", "adam_eps", "init"):
             err = self._rejected_with_one_line(
                 tmp_path, capsys, '{"m": 2, "iterations": 1, "batch_symbols": 4, '
                                   '"target": {"snr_db": 10}, "' + key + '": 0.5}')
             assert key in err
 
     def test_qam_init_above_max_qam_m_is_parameter_error(self, tmp_path, capsys):
+        # the mapper starts from Gray QAM, which exists up to m = 10
         err = self._rejected_with_one_line(
             tmp_path, capsys, '{"m": 11, "iterations": 1, "batch_symbols": 2048, '
                               '"target": {"snr_db": 10}}')
-        assert "init" in err and "MAX_QAM_M" in err and "Traceback" not in err
+        assert "m must be in [1, 10], got 11" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("iterations", [1, 3])
     def test_overflowing_step_names_the_iteration(self, tmp_path, capsys, iterations):
@@ -471,9 +473,9 @@ class TestSweepCommand:
     @pytest.mark.parametrize("train_m, sweep, name", [
         (2, {"schemes": ["ae", "qam"], "qam_m_list": [12]}, "qam_m_list"),
         (2, {"schemes": ["ae", "qam"], "qam_m_list": [2, 0]}, "qam_m_list"),
-        (11, {"schemes": ["ae", "qam"]}, "qam_m_list"),  # defaults to [11, 10]
-        (11, {"schemes": ["ae"]}, "train.m"),
-    ], ids=["order-12", "order-0", "default-order-11", "ae-order-11"])
+        # the train section refuses m = 11 before the default qam_m_list [11, 10]
+        (11, {"schemes": ["ae", "qam"]}, "bad train config: m must be in [1, 10], got 11"),
+    ], ids=["order-12", "order-0", "default-order-11"])
     def test_qam_order_out_of_range_exits_1_before_training(
             self, tmp_path, capsys, monkeypatch, train_m, sweep, name):
         import shapegain.sweep as sweep_mod
@@ -484,8 +486,7 @@ class TestSweepCommand:
         monkeypatch.setattr(sweep_mod, "train_many", spy)
         cfg = _write_run_config(tmp_path, sweep={"span_grid": [2, 4], **sweep})
         doc = json.loads(cfg.read_text())
-        # random, since the train section refuses init "qam" above m = 10
-        doc["train"].update(m=train_m, batch_symbols=1 << train_m, init="random")
+        doc["train"].update(m=train_m, batch_symbols=1 << train_m)
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "res.csv"
         rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--keep-going"])
@@ -579,7 +580,7 @@ _RUN = {
              "eps_accum": 0.0, "span_length_km": 100.0, "fec_rate": 0.75},
     "train": {"m": 2, "iterations": 2, "batch_symbols": 8, "target": {"snr_db": 10.0},
               "demapper_mode": "mlp", "mlp_hidden": [2], "learning_rate": 0.01,
-              "init": "qam", "seed": 1},
+              "seed": 1},
     "sweep": {"span_grid": [2], "launch_power": "optimal", "schemes": ["ae", "qam"],
               "qam_m_list": [2]},
     "eval": {"n_samples": 64, "seed": 4},
@@ -729,6 +730,40 @@ def test_repeated_scheme_exits_1(tmp_path, capsys, schemes):
     assert capsys.readouterr().err.splitlines() == [
         "shapegain: error: bad run config: bad sweep config: schemes must not repeat "
         f"a scheme, got {schemes}"]
+
+
+def _repeating_first_key(doc, path) -> tuple:
+    """(JSON text of doc in which the object at path lists its first key
+    twice, with the same value both times; that key)."""
+    obj = _lookup(doc, path)
+    key = next(iter(obj))
+    text = "{" + f"{json.dumps(key)}: {json.dumps(obj[key])}, " + json.dumps(obj)[1:]
+    return json.dumps(_replaced(doc, path, "\0")).replace('"\\u0000"', text), key
+
+
+# every nonempty object of every JSON file argument
+_OBJECT_ARGS = [(i, flag, path) for i, flag in _FILE_ARGS
+                for path in _value_paths(_COMMANDS[i][1][flag])
+                if isinstance(_lookup(_COMMANDS[i][1][flag], path), dict)
+                and _lookup(_COMMANDS[i][1][flag], path)]
+
+
+@pytest.mark.parametrize("index, flag, path", _OBJECT_ARGS, ids=[
+    f"{i}:{_COMMANDS[i][0]}{flag}:{'.'.join(path) or 'root'}" for i, flag, path in _OBJECT_ARGS])
+def test_repeated_key_exits_1_naming_it(tmp_path, capsys, index, flag, path):
+    # a repeated key is not read as its last value, even where both are equal
+    text, key = _repeating_first_key(_COMMANDS[index][1][flag], path)
+    assert json.loads(text) == _COMMANDS[index][1][flag]
+    capsys.readouterr()
+    assert main(_argv(tmp_path, index, flag, text.encode())) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith(f"in{flag}.json: repeated key {key!r}"), err
+
+
+def test_repeated_comment_key_is_read(tmp_path, capsys):
+    doc = _replaced(_RUN, ("train",), {**_RUN["train"], "_note": "a"})
+    text = json.dumps(doc).replace('"_note": "a"', '"_note": "a", "_note": "b"')
+    assert main(_argv(tmp_path, 0, "--config", text.encode())) == 0
 
 
 # the documents the program writes and reads back, which are held to the
@@ -936,15 +971,16 @@ def test_empty_mlp_hidden_is_parameter_error(tmp_path, capsys, command):
 
 # the counts that size a run: {case: (config, field path, cap)}; fuzzed values
 # are either small enough to finish at once or above the cap, never a long
-# run in between. At m = 12 the gaussian receiver's likelihood cap leaves
-# batch_symbols = 4096 alone, which no fuzzed value hits, so none trains.
-_GAUSSIAN_M12 = {**_RUN, "train": {**_RUN["train"], "m": 12, "demapper_mode": "gaussian"}}
+# run in between. At m = 10, the largest, the gaussian receiver's likelihood
+# cap leaves batch_symbols = 1024 k, k = 1 ... 16, which no fuzzed value
+# hits, so none trains.
+_GAUSSIAN_M10 = {**_RUN, "train": {**_RUN["train"], "m": 10, "demapper_mode": "gaussian"}}
 _CAPPED = {
     "iterations": (_RUN, ("train", "iterations"), MAX_ITERATIONS),
     "batch_symbols": (_RUN, ("train", "batch_symbols"), MAX_BATCH_SYMBOLS),
     "mlp_hidden": (_RUN, ("train", "mlp_hidden", 0), MAX_CELL_ENTRIES // 8),
-    "gaussian batch_symbols": (_GAUSSIAN_M12, ("train", "batch_symbols"),
-                               MAX_CELL_ENTRIES >> 12),
+    "gaussian batch_symbols": (_GAUSSIAN_M10, ("train", "batch_symbols"),
+                               MAX_CELL_ENTRIES >> 10),
     "n_samples": (_RUN, ("eval", "n_samples"), MAX_SAMPLES),
     "--samples": (None, ("eval", "n_samples"), MAX_SAMPLES),
 }

@@ -1,9 +1,13 @@
-"""README's Library example runs as written against the installed API."""
+"""README's Library example runs as written against the installed API, and
+its Configuration section names every key a run configuration takes."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
-from shapegain import RateAdaptPlan
+from shapegain import LinkConfig, RateAdaptPlan, SnrTarget, TrainConfig
+from shapegain.sweep import EvalSettings, OutputSettings, SweepSettings
+from shapegain.training import LinkTarget
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +20,16 @@ def test_library_example_runs(capsys):
     plan = namespace["plan"]
     assert isinstance(plan, RateAdaptPlan)
     assert capsys.readouterr().out == f"{plan.n_d} {plan.net_rate} {plan.dummy_positions}\n"
+
+
+# every object of a run configuration, whose fields are its keys
+_CONFIG_OBJECTS = (LinkConfig, TrainConfig, SnrTarget, LinkTarget, SweepSettings, EvalSettings,
+                   OutputSettings)
+
+
+def test_configuration_section_names_every_config_key():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## Configuration\n(.*?)^## ", text, re.S | re.M)[1]
+    missing = [f"{cls.__name__}.{f.name}" for cls in _CONFIG_OBJECTS for f in fields(cls)
+               if f"`{f.name}`" not in section]
+    assert missing == []

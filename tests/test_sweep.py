@@ -108,7 +108,7 @@ class TestRunConfigParsing:
         ("train", "target", {"snr_db": "abc"}),
         ("train", "target", {"snr_db": None}),
         ("train", "target", {"link": {"n_spans": 2, "ase_var_per_span": 0.004, "chi1": 0.3,
-                                      "chi2": 0.1}, "refresh_every": "x"}),
+                                      "chi2": 0.1}, "launch_power": "x"}),
         ("train", "mlp_hidden", 5),
         ("train", "iterations", 1.5),
         ("train", "seed", "x"),
@@ -277,8 +277,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_mod, "evaluate_grid_point", flaky)
         seen = []
-        rows = run_sweep(_tiny_config(), keep_going=True,
-                         error_sink=lambda s, n, e: seen.append((s, n)))
+        rows = run_sweep(_tiny_config(), error_sink=lambda s, n, e: seen.append((s, n)))
         assert seen == [("qam", 5)]
         assert [(r.scheme, r.n_spans) for r in rows] == [
             ("ae", 2), ("ae", 5), ("qam", 2)]
@@ -388,8 +387,7 @@ class TestStackedTraining:
         clean = run_sweep(config)
         self._break_ae_cell(monkeypatch, 5)
         seen = []
-        rows = run_sweep(config, keep_going=True,
-                         error_sink=lambda s, n, e: seen.append((s, n, e)))
+        rows = run_sweep(config, error_sink=lambda s, n, e: seen.append((s, n, e)))
         assert [(s, n) for s, n, _ in seen] == [("ae", 5)]
         assert isinstance(seen[0][2], NumericalError)
         assert rows == [r for r in clean if (r.scheme, r.n_spans) != ("ae", 5)]

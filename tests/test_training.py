@@ -73,10 +73,6 @@ class TestTrainConfig:
         with pytest.raises(ParameterError):
             _config(demapper_mode="viterbi")
 
-    def test_bad_init_rejected(self):
-        with pytest.raises(ParameterError):
-            _config(init="fourier")
-
     # samples per label: 32 = 4 x 8, 56 = 7 x 8 and the prime 67 give fewer
     # than 8 nodes on one axis, and 3208 = 8 x 401 more than the 256 of
     # MAX_HERMITE_ORDER on one, so those batches draw their noise
@@ -93,7 +89,8 @@ class TestTrainConfig:
         assert np.isfinite(hist.loss).all()
 
     def test_snr_target_is_never_refreshed_and_has_no_such_key(self):
-        assert SnrTarget(10.0).refresh_every == 0
+        # its resolution ignores the points, so REFRESH_EVERY changes nothing
+        # (TestTrain::test_snr_target_refresh_keeps_every_byte)
         assert [f.name for f in fields(SnrTarget)] == ["snr_db"]
         with pytest.raises(ParameterError, match="unknown key 'refresh_every'"):
             train_config_from_dict({"m": 2, "iterations": 1, "batch_symbols": 64,
@@ -116,10 +113,15 @@ class TestTrainConfig:
             {"m": 2, "iterations": 5, "batch_symbols": 64,
              "target": {"link": {"n_spans": 10, "ase_var_per_span": 0.004,
                                  "chi1": 0.3, "chi2": 0.1},
-                        "launch_power": "optimal", "refresh_every": 50}})
+                        "launch_power": "optimal"}})
         assert isinstance(cfg.target, LinkTarget)
         assert cfg.target.link.n_spans == 10
-        assert cfg.target.refresh_every == 50
+        # every target refreshes every training.REFRESH_EVERY iterations
+        assert [f.name for f in fields(LinkTarget)] == ["link", "launch_power"]
+        with pytest.raises(ParameterError, match="unknown key 'refresh_every'"):
+            train_config_from_dict({"m": 2, "iterations": 5, "batch_symbols": 64, "target": {
+                "link": {"n_spans": 10, "ase_var_per_span": 0.004, "chi1": 0.3, "chi2": 0.1},
+                "refresh_every": 50}})
 
     @pytest.mark.parametrize("field", ["m", "iterations", "batch_symbols", "seed"])
     @pytest.mark.parametrize("value", [2.0, "2", True])
@@ -142,7 +144,7 @@ class TestTrainConfig:
         mlp = dict(batch_symbols=64, demapper_mode="mlp")
         _config(iterations=training.MAX_ITERATIONS, batch_symbols=big)
         _config(m=8, batch_symbols=big)
-        _config(m=16, batch_symbols=big, demapper_mode="mlp", init="random")
+        _config(m=10, batch_symbols=big, demapper_mode="mlp")
         _config(**mlp, mlp_hidden=(cap // 64,))
         _config(mlp_hidden=(10 ** 6,))  # unused by the gaussian receiver
         for match, kw in [("iterations", dict(iterations=training.MAX_ITERATIONS + 1)),
@@ -150,13 +152,14 @@ class TestTrainConfig:
                           ("batch_symbols", dict(batch_symbols=2 * big)),
                           ("batch_symbols", dict(batch_symbols=4 ** 400)),
                           ("batch_symbols", dict(m=9, batch_symbols=big)),
-                          ("batch_symbols", dict(m=16, batch_symbols=big)),
+                          ("batch_symbols", dict(m=10, batch_symbols=big)),
                           ("mlp_hidden", dict(mlp, mlp_hidden=(cap // 64 + 1,))),
                           ("mlp_hidden", dict(mlp, mlp_hidden=(10 ** 6,))),
                           ("mlp_hidden", dict(mlp, mlp_hidden=(cap // 128, cap // 128, 1))),
-                          # uniform_qam builds no order above MAX_QAM_M
-                          ("init 'qam' needs m <= MAX_QAM_M = 10",
-                           dict(m=16, batch_symbols=big, demapper_mode="mlp")),
+                          # the mapper starts from Gray QAM, which uniform_qam
+                          # builds up to MAX_QAM_M = 10
+                          (r"m must be in \[1, 10\], got 11",
+                           dict(m=11, batch_symbols=big, demapper_mode="mlp")),
                           ("m must be in", dict(m=0)),
                           ("m must be in", dict(m=17)),
                           ("m must be in", dict(m=2 ** 40)),
@@ -167,22 +170,12 @@ class TestTrainConfig:
 
 class TestInitMapper:
     def test_qam_init_default_jitter_stays_close(self):
-        cfg = _config(m=4, init="qam")
+        cfg = _config(m=4)
         raw = init_mapper(cfg, np.random.default_rng(1))
         assert raw.shape == (16, 2) and raw.dtype == np.float64
         ref = uniform_qam(4).points
         assert np.max(np.abs(emit(raw) - ref)) < 0.1
         assert np.any(emit(raw) != ref)
-
-    def test_random_init_unit_power_and_seed_determinism(self):
-        cfg = _config(m=3, batch_symbols=64, init="random")
-        a = emit(init_mapper(cfg, np.random.default_rng(4)))
-        b = emit(init_mapper(cfg, np.random.default_rng(4)))
-        c = emit(init_mapper(cfg, np.random.default_rng(5)))
-        np.testing.assert_array_equal(a, b)
-        assert np.any(a != c)
-        assert np.mean(np.abs(a) ** 2) == pytest.approx(1.0, abs=1e-12)
-        assert len(np.unique(a)) >= 2
 
 
 # ------------------------------------------------------------- forward pass
@@ -760,14 +753,27 @@ class TestTrain:
         assert c.metadata["trained_snr_db"] == pytest.approx(10.0)
         assert c.metadata["demapper_mode"] == "gaussian"
 
-    def test_link_target_refresh_runs(self):
+    def test_link_target_refresh_runs(self, monkeypatch):
+        monkeypatch.setattr(training, "REFRESH_EVERY", 20)
         link = LinkConfig(n_spans=8, ase_var_per_span=0.0041, chi1=0.3,
                           chi2=0.1)
-        cfg = _config(m=2, iterations=45, batch_symbols=64,
-                      target=LinkTarget(link, refresh_every=20))
+        cfg = _config(m=2, iterations=45, batch_symbols=64, target=LinkTarget(link))
         c, hist = train(cfg)
         assert hist.loss.size == 45
         assert np.isfinite(c.metadata["trained_snr_db"])
+
+    def test_snr_target_refresh_keeps_every_byte(self, monkeypatch):
+        # a refresh of an SNR target resolves the same noise variance and,
+        # on the Gauss-Hermite batch (256 / 4 = 8 x 8), writes the same offsets
+        configs = [_config(m=2, iterations=30, batch_symbols=256, seed=1),
+                   _config(m=2, iterations=30, batch_symbols=64, demapper_mode="mlp",
+                           mlp_hidden=(4,), seed=2)]
+        runs = {}
+        for every in (200, 7):
+            monkeypatch.setattr(training, "REFRESH_EVERY", every)
+            runs[every] = [(c.points.tobytes(), hist.to_csv())
+                           for c, hist in map(train, configs)]
+        assert runs[7] == runs[200]
 
     def test_mlp_mode_trains(self):
         cfg = _config(m=2, iterations=40, batch_symbols=64,
@@ -803,7 +809,6 @@ def _public_api_train(config):
     labels = _balanced_labels(config.m, config.batch_symbols)
     opt = _Adam(trainable_arrays(raw, demapper), config)
     raw, demapper = with_arrays(demapper, opt.arrays)
-    refresh = config.target.refresh_every
 
     def resolve():
         return config.target.resolve(Constellation(m=config.m, points=emit(raw)))
@@ -811,7 +816,7 @@ def _public_api_train(config):
     nv = resolve()
     loss, gmi, norm = [], [], []
     for it in range(config.iterations):
-        if refresh and it > 0 and it % refresh == 0:
+        if it > 0 and it % training.REFRESH_EVERY == 0:
             nv = resolve()
         noise = None  # the Gauss-Hermite batch
         if training._grid_shape(config.batch_symbols >> config.m) is None:
@@ -839,10 +844,10 @@ class TestTrainMatchesPublicSteps:
         (_config(m=2, iterations=30, batch_symbols=64, demapper_mode="mlp",
                  mlp_hidden=(4,), seed=4,
                  target=LinkTarget(LinkConfig(n_spans=8, ase_var_per_span=0.0041,
-                                              chi1=0.3, chi2=0.1), refresh_every=7)), False),
+                                              chi1=0.3, chi2=0.1))), False),
         (_config(m=2, iterations=30, batch_symbols=64, seed=5,
                  target=LinkTarget(LinkConfig(n_spans=8, ase_var_per_span=0.0041,
-                                              chi1=0.3, chi2=0.1), refresh_every=7)), False),
+                                              chi1=0.3, chi2=0.1))), False),
         # about half of the LLRs lie beyond the clip in every step (the MLP's
         # from its second step on, its head grown by the large steps), and
         # the step zeros their entries of the workspace's dllr
@@ -850,17 +855,20 @@ class TestTrainMatchesPublicSteps:
         (_config(m=2, iterations=30, batch_symbols=64, demapper_mode="mlp",
                  mlp_hidden=(4,), seed=7, learning_rate=5.0), True),
         # the Gauss-Hermite batch: its offsets are rescaled at every refresh
+        # of the link target
         (_config(m=2, iterations=30, batch_symbols=256, demapper_mode="mlp",
                  mlp_hidden=(4,), seed=4,
                  target=LinkTarget(LinkConfig(n_spans=8, ase_var_per_span=0.0041,
-                                              chi1=0.3, chi2=0.1), refresh_every=7)), False),
+                                              chi1=0.3, chi2=0.1))), False),
         (_config(m=3, iterations=30, batch_symbols=768, seed=2,
                  target=LinkTarget(LinkConfig(n_spans=8, ase_var_per_span=0.0041,
-                                              chi1=0.3, chi2=0.1), refresh_every=7)), False),
+                                              chi1=0.3, chi2=0.1))), False),
     ], ids=["mlp", "mlp-two-hidden", "gaussian", "link-mlp", "link-gaussian",
             "gaussian-clipping", "mlp-clipping", "quadrature-link-mlp",
             "quadrature-link-gaussian"])
     def test_bit_identical(self, monkeypatch, config, clips):
+        # every target refreshes within the 30 or 40 iterations
+        monkeypatch.setattr(training, "REFRESH_EVERY", 7)
         clip_calls = _count_clips(monkeypatch)
         c, hist = train(config)
         if clips:
@@ -908,9 +916,9 @@ class TestTrainMany:
         (_example_ae_configs(25), False),
         ([_config(m=2, iterations=20, batch_symbols=64, demapper_mode="mlp",
                   mlp_hidden=(4,), seed=s, target=t)
-          for s, t in [(4, LinkTarget(_LINK, refresh_every=7)),
+          for s, t in [(4, LinkTarget(_LINK)),
                        (5, SnrTarget(8.0)),
-                       (6, LinkTarget(replace(_LINK, n_spans=20), refresh_every=3))]], False),
+                       (6, LinkTarget(replace(_LINK, n_spans=20)))]], False),
         # the large steps grow the heads past the clip: each cell clips in 6
         # to 18 of the 20 steps, and not all of them in the same ones
         ([_config(m=2, iterations=20, batch_symbols=64, demapper_mode="mlp",
@@ -919,11 +927,13 @@ class TestTrainMany:
         # the offsets of the link cells are rescaled at each refresh
         ([_config(m=2, iterations=20, batch_symbols=256, demapper_mode="mlp",
                   mlp_hidden=(4,), seed=s, target=t)
-          for s, t in [(4, LinkTarget(_LINK, refresh_every=7)),
+          for s, t in [(4, LinkTarget(_LINK)),
                        (5, SnrTarget(8.0)),
-                       (6, LinkTarget(replace(_LINK, n_spans=20), refresh_every=3))]], False),
+                       (6, LinkTarget(replace(_LINK, n_spans=20)))]], False),
     ], ids=["example-ae-cells", "link-mlp", "mlp-clipping", "link-mlp-quadrature"])
     def test_each_cell_equals_its_lone_run(self, monkeypatch, configs, clips):
+        # every cell's target is refreshed at iterations 7 and 14 (and 21)
+        monkeypatch.setattr(training, "REFRESH_EVERY", 7)
         clip_calls = _count_clips(monkeypatch)
         results = train_many(configs)
         if clips:
@@ -934,7 +944,7 @@ class TestTrainMany:
         {"m": 3}, {"iterations": 11}, {"batch_symbols": 128}, {"demapper_mode": "mlp"},
         {"mlp_hidden": (8,)}, {"learning_rate": 2e-3},
         {"mlp_hidden": (32, 96)},  # the same cell entries as the default (64, 64)
-        {"init": "random"}, {"learning_rate": math.nextafter(1e-3, 1.0)},
+        {"iterations": 0}, {"learning_rate": math.nextafter(1e-3, 1.0)},
     ])
     def test_configs_differing_beyond_seed_and_target_rejected(self, change):
         base = _config(iterations=10, seed=1)
@@ -1000,12 +1010,13 @@ class TestTrainMany:
         [_config(m=4, iterations=20, batch_symbols=256, seed=s, target=SnrTarget(db))
          for s, db in [(0, 9.3), (1, 12.0), (7, 4.0)]],
         [_config(m=2, iterations=20, batch_symbols=64, seed=s,
-                 target=LinkTarget(_LINK, launch_power=p, refresh_every=6))
+                 target=LinkTarget(_LINK, launch_power=p))
          for s, p in [(1, "optimal"), (2, 0.01)]],
     ], ids=["gaussian", "link-gaussian"])
     def test_gaussian_cells_run_one_per_run(self, monkeypatch, configs):
         # each Gaussian cell picks its own form of the bit metric, so stacking
         # batches nothing
+        monkeypatch.setattr(training, "REFRESH_EVERY", 6)
         results, runs = self._runs(monkeypatch, configs)
         assert runs == [[c.seed] for c in configs]
         self._assert_lone_results(configs, results)
