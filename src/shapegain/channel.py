@@ -15,15 +15,13 @@ interference scales as P**3 with a modulation-dependent factor
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constellation import Moments
-from .errors import (NumericalError, ParameterError, UnboundedOptimumError, _is_finite,
-                     check_field_types)
+from .errors import NumericalError, ParameterError, UnboundedOptimumError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -164,29 +162,6 @@ def optimal_launch_power(link: LinkConfig, mom: Moments) -> tuple[float, Effecti
     ase = link.n_spans * link.ase_var_per_span
     p_opt = (ase / (2.0 * eta * _span_accumulation(link))) ** (1.0 / 3.0)
     return p_opt, effective_snr(link, p_opt, mom)
-
-
-def check_launch_power(value):
-    """value, if it is "optimal" or a finite positive real number (not a
-    bool); anything else raises ParameterError naming launch_power."""
-    if isinstance(value, str) and value == "optimal":
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            _is_finite(value) and value > 0):
-        shown = repr(value) if isinstance(value, str) else value
-        raise ParameterError(
-            f"launch_power must be 'optimal' or a finite positive number, got {shown}")
-    return value
-
-
-def launch_channel(link: LinkConfig, mom: Moments,
-                   launch_power="optimal") -> tuple[float, EffectiveChannel]:
-    """(power, channel) of a scheme with moments mom: the optimal launch
-    power for "optimal", else the given power, checked by check_launch_power."""
-    if check_launch_power(launch_power) == "optimal":
-        return optimal_launch_power(link, mom)
-    power = float(launch_power)
-    return power, effective_snr(link, power, mom)
 
 
 def awgn_sample(rng: np.random.Generator, x, noise_variance: float):

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import launch_channel, linear_to_db, noise_variance_from_db
+from .channel import linear_to_db, noise_variance_from_db, optimal_launch_power
 from .constellation import (
     constellation_to_dict,
     load_constellation,
@@ -62,10 +62,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--constellation", required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--snr-db", type=float, help="effective SNR in dB")
-    src.add_argument("--link-from", help="run config whose link section sets the SNR")
+    src.add_argument("--link-from", help="run config whose link sets the SNR at optimal power")
     p.add_argument("--n-spans", type=int, help="span count, required with --link-from")
-    p.add_argument("--launch-power", type=float,
-                   help="fixed launch power for --link-from (default: optimal)")
     p.add_argument("--samples", type=int, default=200000,
                    help=f"Monte-Carlo sample count, at most {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=0)
@@ -101,8 +99,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _train_section(train, **other_sections):
-    """The train section alone, its target required: train reads no other."""
+def _train_section(train, link=None, sweep=None, eval=None, output=None):
+    """The train section alone, its target required: train reads no other,
+    and a key that names no section of a run config is unknown."""
     return train_config_from_dict(train)
 
 
@@ -123,15 +122,14 @@ def _resolve_eval_noise(args, c) -> float:
     if args.snr_db is not None:
         return noise_variance_from_db(args.snr_db, "--snr-db")
     link = replace(load_run_config(args.link_from).link, n_spans=args.n_spans)
-    power = "optimal" if args.launch_power is None else args.launch_power
-    return launch_channel(link, moments(c), power)[1].noise_variance
+    return optimal_launch_power(link, moments(c))[1].noise_variance
 
 
 def _cmd_eval(args) -> int:
     if args.seed < 0:
         raise ParameterError(f"--seed must be >= 0, got {args.seed}")
-    if args.link_from is None and (args.launch_power, args.n_spans) != (None, None):
-        raise ParameterError("--launch-power and --n-spans need --link-from")
+    if args.link_from is None and args.n_spans is not None:
+        raise ParameterError("--n-spans needs --link-from")
     if args.link_from is not None and args.n_spans is None:
         raise ParameterError("--link-from needs --n-spans")
     c = load_constellation(args.constellation)

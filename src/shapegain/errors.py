@@ -68,7 +68,8 @@ def _json_object(pairs: list) -> dict:
 
 
 # what Python says when a call's keywords do not bind: the key is quoted
-_UNKNOWN_KEY = re.compile(r"got an unexpected keyword argument '(.*?)'(?=$|\.)")
+_UNKNOWN_KEY = re.compile(
+    r"got (?:an unexpected keyword|multiple values for) argument '(.*?)'(?=$|\.)")
 _MISSING_KEY = re.compile(r"missing \d+ required (?:positional|keyword-only) arguments?: '(\w+)'")
 
 
@@ -77,8 +78,9 @@ def build_section(name: str, build, doc):
     ParameterError, TypeError, ValueError or OverflowError from build (an
     unknown or missing key, a wrongly typed or out-of-range value), is a
     "bad {name}: ..." ParameterError. A key that build or the constructor it
-    passes the keys to does not take is an "unknown key 'k'", one that it
-    requires a "missing key 'k'"; any other TypeError keeps its text."""
+    passes the keys to does not take, or binds itself, is an "unknown key
+    'k'", one that it requires a "missing key 'k'"; any other TypeError
+    keeps its text."""
     try:
         if not isinstance(doc, dict):
             raise ParameterError(f"expected an object, got {type(doc).__name__}")

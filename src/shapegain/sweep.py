@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .channel import LinkConfig, check_launch_power, launch_channel
+from .channel import LinkConfig, optimal_launch_power
 from .constellation import MAX_QAM_M, moments, uniform_qam
 from .demapper import MAX_SAMPLES, per_bit_gmi_mc
 from .errors import (
@@ -50,7 +50,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepSettings:
     span_grid: tuple
-    launch_power: Union[float, str] = "optimal"
     schemes: tuple = ("ae", "qam")
     qam_m_list: tuple = ()
 
@@ -68,7 +67,6 @@ class SweepSettings:
             raise ParameterError("span_grid entries must be >= 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("span_grid must be strictly increasing")
-        check_launch_power(self.launch_power)
         if not self.schemes or not set(self.schemes) <= {"ae", "qam"}:
             raise ParameterError(
                 f"schemes must be a nonempty subset of ae/qam, got {self.schemes}")
@@ -122,8 +120,8 @@ def load_run_config(path) -> RunConfig:
 
 def _run_config(link, train, sweep=None, eval={}, output={}) -> RunConfig:  # noqa: B006
     """A run config from its sections; the {} defaults are read, never mutated."""
-    # n_spans is a placeholder, the grid overrides it
-    link_cfg = build_section("link config", partial(LinkConfig, n_spans=1), link)
+    # n_spans is bound to a placeholder the grid overrides, so the section cannot set it
+    link_cfg = build_section("link config", partial(LinkConfig, 1), link)
     if isinstance(train, dict) and "target" not in train:
         # sweeps retarget every grid point, so a standalone target is optional here
         train = {**train, "target": {"snr_db": 10.0}}
@@ -190,8 +188,7 @@ def _ae_train_config(config: RunConfig, n_spans: int) -> TrainConfig:
     """The ae cell's training config: its derived seed, and the SNR that the
     grid point gives Gray QAM, a proxy for the untrained constellation."""
     link = replace(config.link, n_spans=int(n_spans))
-    _, ch0 = launch_channel(link, moments(uniform_qam(config.train.m)),
-                            config.sweep.launch_power)
+    _, ch0 = optimal_launch_power(link, moments(uniform_qam(config.train.m)))
     return replace(config.train, seed=derive_seed(config.train.seed, n_spans),
                    target=SnrTarget(ch0.snr_db))
 
@@ -202,7 +199,7 @@ def _evaluate_cell(config: RunConfig, scheme: str, n_spans: int, candidates: lis
     link = replace(config.link, n_spans=int(n_spans))
     best = None
     for c in candidates:
-        power, ch = launch_channel(link, moments(c), config.sweep.launch_power)
+        power, ch = optimal_launch_power(link, moments(c))
         report = per_bit_gmi_mc(c, ch.noise_variance, config.eval.n_samples,
                                 _eval_rng(config, n_spans, scheme, c.m))
         plan = best_plan(report, link.fec_rate)

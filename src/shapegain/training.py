@@ -51,13 +51,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .channel import (
-    LinkConfig,
-    check_launch_power,
-    launch_channel,
-    linear_to_db,
-    noise_variance_from_db,
-)
+from .channel import LinkConfig, linear_to_db, noise_variance_from_db, optimal_launch_power
 from .constellation import MAX_QAM_M, Constellation, bit_table, moments, uniform_qam
 from .demapper import (LN2, MAX_HERMITE_ORDER, GaussianDemapper, clip_llr,
                        gauss_hermite_grid, logistic)
@@ -99,7 +93,7 @@ class SnrTarget:
 
 @dataclass(frozen=True)
 class LinkTarget:
-    """Train against the effective SNR of a fiber link.
+    """Train against the effective SNR of a fiber link at the optimal launch power.
 
     The noise variance depends on the constellation's own moments through
     the nonlinear-interference term, so it is refreshed from the current
@@ -108,14 +102,9 @@ class LinkTarget:
     """
 
     link: LinkConfig
-    launch_power: Union[float, str] = "optimal"
-
-    def __post_init__(self):
-        check_field_types(self)
-        check_launch_power(self.launch_power)
 
     def resolve(self, c: Constellation) -> float:
-        return launch_channel(self.link, moments(c), self.launch_power)[1].noise_variance
+        return optimal_launch_power(self.link, moments(c))[1].noise_variance
 
 
 @dataclass(frozen=True)

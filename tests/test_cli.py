@@ -135,21 +135,9 @@ class TestEvalCommand:
         assert rc == 1
         assert len(err.splitlines()) == 1 and "average power" in err
 
-    @pytest.mark.parametrize("power", ["inf", "nan", "-1"])
-    def test_unusable_launch_power_is_parameter_error(self, tmp_path, capsys, power):
-        cfg = _write_run_config(tmp_path)
-        cpath = tmp_path / "c.json"
-        main(["qam", "--m", "2", "--out", str(cpath)])
-        capsys.readouterr()
-        rc = main(["eval", "--constellation", str(cpath), "--link-from", str(cfg),
-                   "--n-spans", "2", "--launch-power", power, "--samples", "64"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert len(err.splitlines()) == 1 and "launch_power" in err
-
-    @pytest.mark.parametrize("flags", [[], ["--launch-power", "0.1"]])
+    @pytest.mark.parametrize("flags", [[], ["--seed", "1"]])
     def test_link_from_needs_n_spans(self, tmp_path, capsys, flags):
-        # the link section's span count is a placeholder the grid overrides
+        # the link section holds no span count: the grid or --n-spans sets it
         cfg = _write_run_config(tmp_path)
         cpath = tmp_path / "c.json"
         main(["qam", "--m", "2", "--out", str(cpath)])
@@ -160,8 +148,8 @@ class TestEvalCommand:
         assert capsys.readouterr().err.splitlines() == [
             "shapegain: error: --link-from needs --n-spans"]
 
-    @pytest.mark.parametrize("flags", [["--launch-power", "-3", "--n-spans", "0"],
-                                       ["--launch-power", "0.1"], ["--n-spans", "8"]])
+    @pytest.mark.parametrize("flags", [["--n-spans", "0"], ["--n-spans", "-3"],
+                                       ["--n-spans", "8"]])
     def test_link_flags_need_link_from(self, tmp_path, capsys, flags):
         cpath = tmp_path / "c.json"
         main(["qam", "--m", "2", "--out", str(cpath)])
@@ -170,7 +158,7 @@ class TestEvalCommand:
                    "--samples", "64", *flags])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
-            "shapegain: error: --launch-power and --n-spans need --link-from"]
+            "shapegain: error: --n-spans needs --link-from"]
 
     def test_negative_seed_is_parameter_error(self, tmp_path, capsys):
         cpath = tmp_path / "c.json"
@@ -183,13 +171,18 @@ class TestEvalCommand:
             "shapegain: error: --seed must be >= 0, got -1"]
 
     def test_overflowing_link_is_numerical_error(self, tmp_path, capsys):
-        cfg = _write_run_config(tmp_path)
+        # the NLIN growth 2 ** (1 + eps_accum) overflows a double
+        cfg = _write_run_config(tmp_path, link={"ase_var_per_span": 0.0041, "chi1": 0.3,
+                                                "chi2": 0.1, "eps_accum": 1e4})
         cpath = tmp_path / "c.json"
         main(["qam", "--m", "2", "--out", str(cpath)])
+        capsys.readouterr()
         rc = main(["eval", "--constellation", str(cpath),
-                   "--link-from", str(cfg), "--n-spans", "2", "--launch-power", "1e150",
-                   "--samples", "2000"])
+                   "--link-from", str(cfg), "--n-spans", "2", "--samples", "2000"])
         assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "shapegain: numerical failure: NLIN accumulation overflowed: 2 spans, "
+            "eps_accum = 10000.0"]
 
 
 class TestAdaptCommand:
@@ -581,8 +574,7 @@ _RUN = {
     "train": {"m": 2, "iterations": 2, "batch_symbols": 8, "target": {"snr_db": 10.0},
               "demapper_mode": "mlp", "mlp_hidden": [2], "learning_rate": 0.01,
               "seed": 1},
-    "sweep": {"span_grid": [2], "launch_power": "optimal", "schemes": ["ae", "qam"],
-              "qam_m_list": [2]},
+    "sweep": {"span_grid": [2], "schemes": ["ae", "qam"], "qam_m_list": [2]},
     "eval": {"n_samples": 64, "seed": 4},
     "output": {"results_csv": "unused.csv"},
 }
@@ -847,12 +839,13 @@ def test_unknown_document_key_exits_1(tmp_path, capsys, case, key, value):
 
 
 # every object of every input document that its command reads: train reads
-# only the train section, and a constellation's metadata is free-form inside
+# the run config's root and its train section only, and a constellation's
+# metadata is free-form inside
 _OBJECT_PATHS = [(index, flag, path) for index, flag in _FILE_ARGS
                  for path in _value_paths(_COMMANDS[index][1][flag])
                  if isinstance(_lookup(_COMMANDS[index][1][flag], path), dict)
                  and path[:1] != ("metadata",)
-                 and (_COMMANDS[index][0] != "train" or path[:1] == ("train",))]
+                 and (_COMMANDS[index][0] != "train" or path[:1] in ((), ("train",)))]
 
 
 @pytest.mark.parametrize("case", _OBJECT_PATHS, ids=[
@@ -867,6 +860,18 @@ def test_unknown_key_in_any_object_exits_1(tmp_path, capsys, case):
     assert rc == 1
     assert len(err.splitlines()) == 1 and "unknown key 'bogus'" in err, err
     assert not re.search(r"__init__\(\)|\b_\w", err), err
+
+
+@pytest.mark.parametrize("index, flag", [(2, "--link-from"), (4, "--config")],
+                         ids=["eval", "sweep"])
+def test_run_config_link_rejects_n_spans(tmp_path, capsys, index, flag):
+    # the sweep grid or eval --n-spans sets the span count; a value here is refused,
+    # not dropped
+    doc = _replaced(_RUN, ("link",), {**_RUN["link"], "n_spans": 7})
+    capsys.readouterr()
+    assert main(_argv(tmp_path, index, flag, json.dumps(doc).encode())) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "shapegain: error: bad run config: bad link config: unknown key 'n_spans'"]
 
 
 # a required key of each kind of object that some command reads
@@ -920,8 +925,6 @@ _FLAG_CASES = {
                  "--samples", "64"],
     "--n-spans": ["eval", "--constellation", "in-c.json", "--link-from", "in-run.json",
                   "--n-spans", "{}", "--samples", "64"],
-    "--launch-power": ["eval", "--constellation", "in-c.json", "--link-from", "in-run.json",
-                       "--n-spans", "2", "--launch-power", "{}", "--samples", "64"],
     "--seed": ["eval", "--constellation", "in-c.json", "--snr-db", "5", "--samples", "64",
                "--seed", "{}"],
     "--nd": ["adapt", "--constellation", "in-c.json", "--report", "in-report.json",

@@ -139,8 +139,6 @@ class TestRunConfigParsing:
         with pytest.raises(ParameterError):
             SweepSettings(span_grid=(4, 2), qam_m_list=(2,))
         with pytest.raises(ParameterError):
-            SweepSettings(span_grid=(2, 4), launch_power=0.0, qam_m_list=(2,))
-        with pytest.raises(ParameterError):
             SweepSettings(span_grid=(2, 4), schemes=("qam",))  # needs m list
 
     @pytest.mark.parametrize("schemes", [["ae", "ae"], ("qam", "ae", "qam")],

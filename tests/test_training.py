@@ -112,12 +112,12 @@ class TestTrainConfig:
         cfg = train_config_from_dict(
             {"m": 2, "iterations": 5, "batch_symbols": 64,
              "target": {"link": {"n_spans": 10, "ase_var_per_span": 0.004,
-                                 "chi1": 0.3, "chi2": 0.1},
-                        "launch_power": "optimal"}})
+                                 "chi1": 0.3, "chi2": 0.1}}})
         assert isinstance(cfg.target, LinkTarget)
         assert cfg.target.link.n_spans == 10
-        # every target refreshes every training.REFRESH_EVERY iterations
-        assert [f.name for f in fields(LinkTarget)] == ["link", "launch_power"]
+        # every target refreshes every training.REFRESH_EVERY iterations, at the
+        # optimal launch power
+        assert [f.name for f in fields(LinkTarget)] == ["link"]
         with pytest.raises(ParameterError, match="unknown key 'refresh_every'"):
             train_config_from_dict({"m": 2, "iterations": 5, "batch_symbols": 64, "target": {
                 "link": {"n_spans": 10, "ase_var_per_span": 0.004, "chi1": 0.3, "chi2": 0.1},
@@ -1010,8 +1010,8 @@ class TestTrainMany:
         [_config(m=4, iterations=20, batch_symbols=256, seed=s, target=SnrTarget(db))
          for s, db in [(0, 9.3), (1, 12.0), (7, 4.0)]],
         [_config(m=2, iterations=20, batch_symbols=64, seed=s,
-                 target=LinkTarget(_LINK, launch_power=p))
-         for s, p in [(1, "optimal"), (2, 0.01)]],
+                 target=LinkTarget(replace(_LINK, n_spans=n)))
+         for s, n in [(1, 8), (2, 24)]],
     ], ids=["gaussian", "link-gaussian"])
     def test_gaussian_cells_run_one_per_run(self, monkeypatch, configs):
         # each Gaussian cell picks its own form of the bit metric, so stacking
