@@ -13,7 +13,9 @@ and the drawn-noise training pins were generated before training's batch
 took Gauss-Hermite noise offsets; the lone Gaussian and the stacked
 example pins were regenerated with that batch, which they use. The MLP
 link pin was regenerated from Gray QAM when the random initial mapper was
-removed, with the target refreshed every 7 iterations as before.
+removed, with the target refreshed every 7 iterations as before. The pin
+at the example's own batch was generated when the example moved to 64 drawn
+symbols per step.
 """
 
 import hashlib
@@ -42,6 +44,7 @@ from shapegain.sweep import _ae_train_config, load_run_config
 import shapegain.training as training
 from shapegain.training import LinkTarget, train_many
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 # the SNR at which Gray 16QAM's quadrature GMI is 3.0 bits (criterion 4)
 GRAY16_3BIT_SNR_DB = 9.308632135959519
 # the floored pins clip their LLRs at the exp floor's bound, 700, not at
@@ -78,7 +81,7 @@ def test_lone_gaussian_training_with_drawn_noise_is_pinned():
 def _example_cells_digests(batch_symbols: int) -> tuple:
     """The shipped example sweep's six ae cells, stacked into one MLP run;
     their histories hold iterations 0, 100, 200 and 299."""
-    rc = load_run_config(Path(__file__).resolve().parent.parent / "configs" / "example.json")
+    rc = load_run_config(REPO_ROOT / "configs" / "example.json")
     rc = replace(rc, train=replace(rc.train, iterations=300, batch_symbols=batch_symbols))
     results = train_many([_ae_train_config(rc, n) for n in rc.sweep.span_grid])
     assert len(results) == 6
@@ -87,13 +90,21 @@ def _example_cells_digests(batch_symbols: int) -> tuple:
 
 
 def test_stacked_mlp_training_of_the_example_cells_is_pinned():
-    # the example's batch, 64 samples per label
+    # the grid path: 1024 symbols, 64 samples per label on the 8 x 8 grid
     assert _example_cells_digests(1024) == (_MANY_POINTS_SHA256, _MANY_HISTORY_SHA256)
 
 
 def test_stacked_mlp_training_with_drawn_noise_is_pinned():
     assert _example_cells_digests(512) == (_DRAWN_MANY_POINTS_SHA256,
                                            _DRAWN_MANY_HISTORY_SHA256)
+
+
+def test_stacked_mlp_training_at_the_example_batch_is_pinned():
+    # the shipped path: the example's own batch, which draws its noise
+    train = load_run_config(REPO_ROOT / "configs" / "example.json").train
+    assert training._grid_shape(train.batch_symbols >> train.m) is None
+    assert _example_cells_digests(train.batch_symbols) == (_EXAMPLE_MANY_POINTS_SHA256,
+                                                           _EXAMPLE_MANY_HISTORY_SHA256)
 
 
 def test_lone_mlp_training_on_a_link_is_pinned(monkeypatch):
@@ -194,6 +205,8 @@ _MANY_POINTS_SHA256 = "fb3c50e5698d03e51eb31b40c7725a967c2114194500dc0bc6be0f5ab
 _MANY_HISTORY_SHA256 = "60783532cd0a7394b5b0272456eeca5cbe70eedb7bbefb9b05b079b876bb7e4f"
 _DRAWN_MANY_POINTS_SHA256 = "23e3aabc6118b4d90242077d48590c190a7feee727c7fadbbc227edc1103c4cd"
 _DRAWN_MANY_HISTORY_SHA256 = "185e9282401fe7afc7c9ce0c1f959be37d5226160b37c64abb7d5ffd5e5c340d"
+_EXAMPLE_MANY_POINTS_SHA256 = "4920a3c1e340c489b711715bf20861154e7644ed256f7ff34d73aeb688179fc6"
+_EXAMPLE_MANY_HISTORY_SHA256 = "f23ad32ccf94bc7ac71105f41da54b4a0f0dc15c5163b5c6ecc0a0b4d680aa1f"
 _MLP_POINTS_SHA256 = "36170e89f779ba9f5b6283e67c9c633c2dbe02b807dcfc268cc9dd05a7e5261e"
 _MLP_HISTORY_SHA256 = "0252af71bf40a679f6c3e4324c0c323ee2d80ae385d4b136e457ffd11c75498f"
 _MC_REPORTS = {

@@ -1,8 +1,10 @@
 """README's Library example runs as written against the installed API, its
-Command line section names every flag the parser takes and no other, and
-its Configuration section names every key a run configuration takes."""
+Command line section names every flag the parser takes and no other, its
+Configuration section names every key a run configuration takes, and it and
+the example config state how the example's training batch sees the noise."""
 
 import argparse
+import json
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -10,9 +12,10 @@ from pathlib import Path
 from shapegain import LinkConfig, RateAdaptPlan, SnrTarget, TrainConfig
 from shapegain.cli import _build_parser
 from shapegain.sweep import EvalSettings, OutputSettings, SweepSettings
-from shapegain.training import LinkTarget
+from shapegain.training import LinkTarget, _grid_shape
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.json"
 
 
 def test_library_example_runs(capsys):
@@ -30,9 +33,12 @@ _CONFIG_OBJECTS = (LinkConfig, TrainConfig, SnrTarget, LinkTarget, SweepSettings
                    OutputSettings)
 
 
+def _section(name: str, text: str) -> str:
+    return re.search(rf"^## {name}\n(.*?)^## ", text, re.S | re.M)[1]
+
+
 def test_configuration_section_names_every_config_key():
-    text = README.read_text(encoding="utf-8")
-    section = re.search(r"^## Configuration\n(.*?)^## ", text, re.S | re.M)[1]
+    section = _section("Configuration", README.read_text(encoding="utf-8"))
     missing = [f"{cls.__name__}.{f.name}" for cls in _CONFIG_OBJECTS for f in fields(cls)
                if f"`{f.name}`" not in section]
     assert missing == []
@@ -47,9 +53,36 @@ def _parser_flags() -> set:
 
 
 def test_command_line_section_names_every_flag():
-    text = README.read_text(encoding="utf-8")
-    section = re.search(r"^## Command line\n(.*?)^## ", text, re.S | re.M)[1]
+    section = _section("Command line", README.read_text(encoding="utf-8"))
     quoted = " ".join(re.findall(r"```.*?```|`[^`\n]*`", section, re.S))
     named = set(re.findall(r"--[a-z][a-z-]*", quoted))
     assert sorted(_parser_flags() - named) == []
     assert sorted(named - _parser_flags()) == []
+
+
+def _sentence_with(pattern: str, text: str) -> tuple:
+    """The one sentence of text that matches pattern, and the match."""
+    sentences = re.split(r"(?<=\.)\s+(?!\d)", " ".join(text.split()))  # not at "e.g. 8"
+    found = [(s, m) for s in sentences for m in [re.search(pattern, s)] if m]
+    assert len(found) == 1, f"{len(found)} sentences match {pattern!r}"
+    return found[0]
+
+
+def test_example_batch_is_described_as_the_code_trains_it():
+    """The example config's notes and README's Configuration give the
+    example's samples per label, and say that they take the Gauss-Hermite
+    grid and draw no noise, or draw fresh noise, as training decides."""
+    doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
+    batch, m = doc["train"]["batch_symbols"], doc["train"]["m"]
+    per_label = batch >> m
+    said, unsaid = (("draws no noise", "draws fresh noise") if _grid_shape(per_label)
+                    else ("draws fresh noise", "draws no noise"))
+
+    note, count = _sentence_with(r"= (\d+) samples per label", " ".join(doc["_notes"]))
+    assert int(count[1]) == per_label
+    assert said in note and unsaid not in note
+
+    section = _section("Configuration", README.read_text(encoding="utf-8"))
+    readme, counts = _sentence_with(r"[Tt]he example \((\d+) / (\d+) = (\d+)\)", section)
+    assert tuple(map(int, counts.groups())) == (batch, 1 << m, per_label)
+    assert said in readme and unsaid not in readme
