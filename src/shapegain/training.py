@@ -33,14 +33,16 @@ training never asks which one it holds:
 demapper.clip_llr clips the LLRs to +/- LLR_CLIP, their clipped entries of
 dllr zero, and fails the step on a NaN or +/-inf one with NumericalError.
 
-train_many() trains cells whose configs differ only in seed and target.
-MLP cells stack along a leading cell axis K, as many per run as keep their
-summed entries (TrainConfig.cell_entries) within MAX_CELL_ENTRIES; Gaussian
-cells run one per run. Cell k keeps its own default_rng(seed) and its
-scalars as Python floats, so it ends bit for bit where train() of its
-config ends; only its history is strided (TrainHistory). README's
-Performance section describes the loop's layout: one flat parameter array
-updated in place, the sorted batch, the workspace.
+train_many() trains cells whose configs differ only in seed and target;
+train() is train_many() of one config. MLP cells stack along a leading cell
+axis K, as many per run as keep their summed entries
+(TrainConfig.cell_entries) within MAX_CELL_ENTRIES; Gaussian cells run one
+per run. Cell k keeps its own default_rng(seed) and its scalars as Python
+floats, so it ends bit for bit where train() of its config ends, history
+included. Only every HISTORY_STRIDE-th iteration and the last compute the
+loss and gradient norm that TrainHistory records. README's Performance
+section describes the loop's layout: one flat parameter array updated in
+place, the sorted batch, the workspace.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .errors import NumericalError, ParameterError, build_section, check_field_t
 MAX_ITERATIONS = 10 ** 6
 MAX_BATCH_SYMBOLS = 2 ** 16
 MAX_CELL_ENTRIES = 2 ** 24
-HISTORY_STRIDE = 100  # train_many's, see TrainHistory
+HISTORY_STRIDE = 100  # iterations between two rows of a TrainHistory
 REFRESH_EVERY = 200  # iterations between two resolutions of a cell's target
 
 
@@ -551,9 +553,8 @@ def _adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
 
 @dataclass
 class TrainHistory:
-    """Loss, surrogate GMI (m - loss) and gradient norm at the listed
-    iterations: every one for train(); for train_many(), train()'s rows at
-    every HISTORY_STRIDE-th and the last."""
+    """Loss, surrogate GMI (m - loss) and gradient norm at every
+    HISTORY_STRIDE-th iteration and the last."""
 
     iteration: np.ndarray
     loss: np.ndarray
@@ -582,27 +583,19 @@ def _emit_constellation(raw: np.ndarray, config: TrainConfig,
 
 def train(config: TrainConfig):
     """Run the full optimization; returns (Constellation, TrainHistory).
-
-    Batches contain every label batch_symbols/M times. If those S/M
-    samples factor as n1 x n2 with 8 <= n1, n2 <= 256, they take fixed
-    Gauss-Hermite noise offsets, rescaled at each refresh of the target;
-    otherwise fresh noise is drawn every iteration. Deterministic for a
-    fixed config (seed included).
-    """
-    return _train_run([config], 1)[0]
+    Deterministic for a fixed config (seed included)."""
+    return train_many([config])[0]
 
 
 def train_many(configs) -> list:
     """Train one cell per config; returns [(Constellation, TrainHistory)] in
-    config order.
+    config order, each equal to train() of its config.
 
     The configs may differ only in seed and target, for either receiver.
     The runs are sized here (see the module docstring): MLP cells stack, in
     config order, as many per run as MAX_CELL_ENTRIES holds, and Gaussian
-    cells run one per run. Each cell's points equal train()'s of its config
-    bit for bit, and its history is train()'s rows at every
-    HISTORY_STRIDE-th iteration and the last. A NumericalError names the
-    iteration, not the cell; train the configs alone to find it.
+    cells run one per run. A NumericalError names the iteration, not the
+    cell; train the configs alone to find it.
     """
     configs = list(configs)
     for config in configs[1:]:
@@ -612,13 +605,13 @@ def train_many(configs) -> list:
     if configs and configs[0].demapper_mode == "mlp":
         per_run = MAX_CELL_ENTRIES // configs[0].cell_entries
     return [cell for lo in range(0, len(configs), per_run)
-            for cell in _train_run(configs[lo:lo + per_run], HISTORY_STRIDE)]
+            for cell in _train_run(configs[lo:lo + per_run])]
 
 
-def _train_run(configs: list, stride: int) -> list:
+def _train_run(configs: list) -> list:
     """One training loop over K cells whose configs differ only in seed and
     target; K > 1 needs MLP receivers within the MAX_CELL_ENTRIES budget.
-    Only every stride-th iteration and the last compute their loss."""
+    Only the iterations TrainHistory records compute their loss."""
     first = configs[0]
     K = len(configs)
     rngs = [np.random.default_rng(config.seed) for config in configs]
@@ -659,7 +652,8 @@ def _train_run(configs: list, stride: int) -> list:
             np.multiply(batch.offsets, math.sqrt(noise_variance[k]), out=noises[k])
 
     n = first.iterations
-    rows = {it: row for row, it in enumerate(sorted({*range(0, n, stride), *range(n)[-1:]}))}
+    recorded = sorted({*range(0, n, HISTORY_STRIDE), *range(n)[-1:]})
+    rows = {it: row for row, it in enumerate(recorded)}
     loss_hist, sq_norm_hist = np.empty((2, K, len(rows)))
     # an overflow leaves an inf or NaN, which the checks of the step (the
     # power check after the update among them) raise, naming the iteration,

@@ -26,7 +26,7 @@ from shapegain import (
     select_dummy_bits,
     uniform_qam,
 )
-from shapegain.constellation import MAX_QAM_M
+from shapegain.constellation import MAX_QAM_M, bit_table, labels_from_bits, normalize
 from shapegain.demapper import (
     _GEMM_UNTHREADED,
     LLR_CLIP,
@@ -465,18 +465,34 @@ class TestMonteCarloGmi:
 
 class TestFromSamples:
     def test_bit_reversal_permutes_per_bit_values(self):
-        """Relabeling that reverses bit order reverses the per-bit GMI."""
-        c = uniform_qam(3)
-        m = c.m
-        rev = np.array([int(format(i, f"0{m}b")[::-1], 2) for i in range(c.size)])
-        c_rev = type(c)(points=c.points[rev], m=m, metadata={})
-        rng = np.random.default_rng(21)
-        labels = rng.integers(0, c.size, 6000)
-        y = awgn_sample(rng, c.points[labels], 0.7)
-        a = per_bit_gmi_from_samples(c, labels, y, 0.7)
-        # same transmitted points, bit-reversed labels against reindexed table
-        b = per_bit_gmi_from_samples(c_rev, rev.argsort()[labels], y, 0.7)
-        np.testing.assert_allclose(b.per_bit, a.per_bit[::-1], atol=1e-12, rtol=0)
+        """Relabeling that permutes the bit positions permutes the per-bit
+        GMI alike, on the same draws, and keeps the quadrature total:
+        reversing the bit order reverses the values, and swapping two
+        positions swaps their two values.
+
+        Catches the bit-1 partitions taken in reversed bit order
+        (`bits[:, ::-1]` for the second `bits` in `partition_weights`).
+        """
+        rng16 = np.random.default_rng(16)
+        random16 = normalize(Constellation(4, rng16.standard_normal(16)
+                                           + 1j * rng16.standard_normal(16)))
+        # (constellation, order): new bit k is old bit order[k]
+        cases = [(uniform_qam(3), [2, 1, 0]), (random16, [3, 2, 1, 0]),
+                 (uniform_qam(4), [2, 1, 0, 3]), (uniform_qam(6), [0, 4, 2, 3, 1, 5])]
+        for c, order in cases:
+            # old label i is new label relabel[i], at the same point
+            relabel = labels_from_bits(bit_table(c.m)[:, order])
+            points = np.empty_like(c.points)
+            points[relabel] = c.points
+            c_perm = Constellation(c.m, points)
+            rng = np.random.default_rng(21)
+            labels = rng.integers(0, c.size, 6000)
+            y = awgn_sample(rng, c.points[labels], 0.7)
+            a = per_bit_gmi_from_samples(c, labels, y, 0.7)
+            b = per_bit_gmi_from_samples(c_perm, relabel[labels], y, 0.7)
+            np.testing.assert_allclose(b.per_bit, a.per_bit[order], atol=1e-12, rtol=0)
+            assert abs(gmi_oracle_quadrature(c_perm, 0.7)
+                       - gmi_oracle_quadrature(c, 0.7)) <= 1e-12
 
     def test_chunk_boundary_is_seamless(self):
         # spans the internal 32768-sample chunk edge

@@ -15,7 +15,9 @@ example pins were regenerated with that batch, which they use. The MLP
 link pin was regenerated from Gray QAM when the random initial mapper was
 removed, with the target refreshed every 7 iterations as before. The pin
 at the example's own batch was generated when the example moved to 64 drawn
-symbols per step.
+symbols per step. The three lone training history pins are the earlier
+per-iteration CSVs cut to the rows train() now records, every
+HISTORY_STRIDE-th iteration and the last.
 """
 
 import hashlib
@@ -198,9 +200,9 @@ def test_plan_and_lut_files_are_pinned(tmp_path, n_d):
 
 
 _TRAIN_POINTS_SHA256 = "1e9e800250563acb3c13de4eaec39b0b97f4b895e5b3ad9c18b31a9ee69a4bad"
-_TRAIN_HISTORY_SHA256 = "06afcf8ea57a67f0da925b9eb730382bdeeec3fb69e81b58b65197e5569a5726"
+_TRAIN_HISTORY_SHA256 = "489322b17c00ed515ed830f1d27e4c3b73e0ddecfd8c689f1f5e2f83f1cb3db4"
 _DRAWN_TRAIN_POINTS_SHA256 = "e259ad461fbcc2c29e16bb5b75f5adb456ee081321241379f0261074aec41eae"
-_DRAWN_TRAIN_HISTORY_SHA256 = "8b2c608c0d2e9b73b2240d171fa81a4d2f15ccdfd4cd6e312581634612a03bec"
+_DRAWN_TRAIN_HISTORY_SHA256 = "be77b412d03d7f5ade0b9f2d57bc934c11c67d5677f167d3001383e7012a4848"
 _MANY_POINTS_SHA256 = "fb3c50e5698d03e51eb31b40c7725a967c2114194500dc0bc6be0f5ab17a194a"
 _MANY_HISTORY_SHA256 = "60783532cd0a7394b5b0272456eeca5cbe70eedb7bbefb9b05b079b876bb7e4f"
 _DRAWN_MANY_POINTS_SHA256 = "23e3aabc6118b4d90242077d48590c190a7feee727c7fadbbc227edc1103c4cd"
@@ -208,7 +210,7 @@ _DRAWN_MANY_HISTORY_SHA256 = "185e9282401fe7afc7c9ce0c1f959be37d5226160b37c64abb
 _EXAMPLE_MANY_POINTS_SHA256 = "4920a3c1e340c489b711715bf20861154e7644ed256f7ff34d73aeb688179fc6"
 _EXAMPLE_MANY_HISTORY_SHA256 = "f23ad32ccf94bc7ac71105f41da54b4a0f0dc15c5163b5c6ecc0a0b4d680aa1f"
 _MLP_POINTS_SHA256 = "36170e89f779ba9f5b6283e67c9c633c2dbe02b807dcfc268cc9dd05a7e5261e"
-_MLP_HISTORY_SHA256 = "0252af71bf40a679f6c3e4324c0c323ee2d80ae385d4b136e457ffd11c75498f"
+_MLP_HISTORY_SHA256 = "d947bbdb7392adb9811412a6fc86c4ea344b084b647930eb678d5223ce4c633c"
 _MC_REPORTS = {
     (2, 3.0): ("1.4422300789635616",
               "cda48e8ab921d24e8b21a3d10ec0a2a9c9923d08566aa9ccd14339314278121b"),

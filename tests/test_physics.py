@@ -7,24 +7,32 @@ to the package that it was seen to fail on.
 
 import functools
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shapegain import (
     LinkConfig,
+    awgn_sample,
+    best_plan,
     db_to_linear,
     effective_snr,
     gmi_oracle_quadrature,
     moments,
     optimal_launch_power,
+    per_bit_gmi_from_samples,
+    per_bit_gmi_mc,
     uniform_qam,
 )
 from shapegain.constellation import Constellation, normalize
+from shapegain.sweep import load_run_config
 
 SNRS_DB = np.arange(-5.0, 30.0 + 1e-9, 2.5)
 # the example's link at 8 spans, with a sixth-moment term so that mu6 counts
 LINK = LinkConfig(n_spans=8, ase_var_per_span=0.0041, chi1=0.3, chi2=0.1, chi3=0.02)
+EXAMPLE = Path(__file__).resolve().parent.parent / "configs" / "example.json"
 
 
 def _constellation(name: str) -> Constellation:
@@ -92,3 +100,52 @@ def _link_view(c: Constellation) -> tuple:
     mom = moments(c)
     p_opt, at_opt = optimal_launch_power(LINK, mom)
     return effective_snr(LINK, 0.2, mom).snr_linear, p_opt, at_opt.snr_linear
+
+
+@pytest.mark.parametrize("snr_db", [3.0, 12.0, 30.0])
+@pytest.mark.parametrize("name", NAMES)
+def test_per_bit_gmi_is_invariant_under_conjugation(name, snr_db):
+    """Conjugating the points and the received samples mirrors the plane
+    about the in-phase axis, which keeps every distance and every product
+    of the metric up to signs that cancel, so the Monte-Carlo estimate on
+    the mirrored draws keeps every byte.
+
+    Catches the points' I and Q swapped in the GEMM form of the
+    log-likelihoods (`points[::-1].T` for `points.T` in `_loglik`), which
+    fails at 3 and 12 dB, and the subtraction form's Q difference taken
+    against the samples' I (`y[0]` for `y[1]`), which fails at 30 dB.
+    """
+    c = _constellation(name)
+    nv = 1.0 / db_to_linear(snr_db)
+    rng = np.random.default_rng(12)
+    labels = rng.integers(0, c.size, 4000)
+    y = awgn_sample(rng, c.points[labels], nv)
+    a = per_bit_gmi_from_samples(c, labels, y, nv)
+    b = per_bit_gmi_from_samples(Constellation(c.m, c.points.conj()), labels, y.conj(), nv)
+    assert a.per_bit.tobytes() == b.per_bit.tobytes()
+    assert a.stderr_total == b.stderr_total
+
+
+@pytest.mark.parametrize("name", ["qam2", "qam4", "qam6", "random16"])
+def test_net_rate_does_not_increase_with_spans(name):
+    """On the example link, at its optimal power, a fixed constellation's
+    Monte-Carlo GMI and best_plan's net rate never rise as spans are added.
+    Every span count draws from the same generator seed, so the draws
+    differ only in their scale.
+
+    Catches the Monte-Carlo draws given the SNR where they take the noise
+    variance (`1.0 / noise_variance` passed to `awgn_sample` in
+    per_bit_gmi_mc): the draws grow quieter as spans are added while the
+    receiver expects more noise, and Gray 16QAM's GMI rises from 0 to 0.98
+    bits over the 40 span counts.
+    """
+    c = _constellation(name)
+    link = load_run_config(EXAMPLE).link
+    totals, rates = [], []
+    for n_spans in range(1, 41):
+        _, ch = optimal_launch_power(replace(link, n_spans=n_spans), moments(c))
+        report = per_bit_gmi_mc(c, ch.noise_variance, 20000, np.random.default_rng(5))
+        totals.append(report.total)
+        rates.append(best_plan(report, link.fec_rate).net_rate)
+    assert all(b <= a for a, b in zip(rates, rates[1:])), rates
+    assert all(b <= a for a, b in zip(totals, totals[1:])), totals

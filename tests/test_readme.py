@@ -1,7 +1,8 @@
 """README's Library example runs as written against the installed API, its
 Command line section names every flag the parser takes and no other, its
 Configuration section names every key a run configuration takes, and it and
-the example config state how the example's training batch sees the noise."""
+the example config state how the example's training batch sees the noise,
+and it states which iterations a training history records."""
 
 import argparse
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 from shapegain import LinkConfig, RateAdaptPlan, SnrTarget, TrainConfig
 from shapegain.cli import _build_parser
 from shapegain.sweep import EvalSettings, OutputSettings, SweepSettings
-from shapegain.training import LinkTarget, _grid_shape
+from shapegain.training import HISTORY_STRIDE, LinkTarget, _grid_shape
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.json"
@@ -86,3 +87,19 @@ def test_example_batch_is_described_as_the_code_trains_it():
     readme, counts = _sentence_with(r"[Tt]he example \((\d+) / (\d+) = (\d+)\)", section)
     assert tuple(map(int, counts.groups())) == (batch, 1 << m, per_label)
     assert said in readme and unsaid not in readme
+
+
+def test_history_rows_are_described_as_training_records_them():
+    """README's Command line says which iterations `--history` holds, with
+    the row count of the example's training, and its Performance section
+    names the same stride."""
+    text = README.read_text(encoding="utf-8")
+    n = json.loads(EXAMPLE.read_text(encoding="utf-8"))["train"]["iterations"]
+    rows = len({*range(0, n, HISTORY_STRIDE), n - 1})
+    sentence, stride = _sentence_with(r"`--history` writes .* every (\d+)th iteration",
+                                      _section("Command line", text))
+    assert int(stride[1]) == HISTORY_STRIDE
+    assert f"{rows} rows for the example's {n} iterations" in sentence
+    _, stride = _sentence_with(r"`training\.HISTORY_STRIDE` = (\d+)th",
+                               _section("Performance", text))
+    assert int(stride[1]) == HISTORY_STRIDE

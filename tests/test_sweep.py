@@ -396,10 +396,10 @@ class TestStackedTraining:
         import shapegain.training as training
         real = training._train_run
 
-        def faulty(configs, stride):
+        def faulty(configs):
             if len(configs) > 1:
                 raise TypeError("fault in the stacked run")
-            return real(configs, stride)
+            return real(configs)
 
         monkeypatch.setattr(training, "_train_run", faulty)
         with pytest.raises(TypeError, match="fault in the stacked run"):

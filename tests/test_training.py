@@ -720,16 +720,16 @@ class TestTrain:
         assert np.any(a.points != c.points)
 
     def test_history_shape_and_identity(self):
-        cfg = _config(m=3, iterations=25, batch_symbols=128)
+        cfg = _config(m=3, iterations=250, batch_symbols=128)
         _, hist = train(cfg)
-        assert hist.loss.size == 25
+        assert hist.iteration.tolist() == [0, 100, 200, 249]
+        assert hist.loss.size == 4
         assert np.all(np.isfinite(hist.loss))
         np.testing.assert_allclose(hist.surrogate_gmi, 3.0 - hist.loss, atol=1e-12)
         csv = hist.to_csv()
         lines = csv.strip().split("\n")
         assert lines[0] == "iteration,loss,surrogate_gmi,grad_norm"
-        assert len(lines) == 26
-        assert lines[1].startswith("0,")
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "100", "200", "249"]
         # repr floats parse back exactly
         fields = lines[1].split(",")
         assert float(fields[1]) == hist.loss[0]
@@ -759,7 +759,8 @@ class TestTrain:
                           chi2=0.1)
         cfg = _config(m=2, iterations=45, batch_symbols=64, target=LinkTarget(link))
         c, hist = train(cfg)
-        assert hist.loss.size == 45
+        assert hist.iteration.tolist() == [0, 44]
+        assert hist.loss.size == 2
         assert np.isfinite(c.metadata["trained_snr_db"])
 
     def test_snr_target_refresh_keeps_every_byte(self, monkeypatch):
@@ -833,7 +834,11 @@ def _public_api_train(config):
 
 class TestTrainMatchesPublicSteps:
     """train() keeps its per-run invariants and one flat parameter vector;
-    it must still take exactly the steps stepcheck's functions define."""
+    it must still take exactly the steps stepcheck's functions define, and
+    each history row must be that iteration's loss, surrogate GMI and
+    gradient norm. Rows are recorded every 4th iteration here, so that
+    most of the steps skip the loss and the rows fall both on and between
+    the target's refreshes."""
 
     @pytest.mark.parametrize("config, clips", [
         (_config(m=4, iterations=40, batch_symbols=256, demapper_mode="mlp",
@@ -869,15 +874,19 @@ class TestTrainMatchesPublicSteps:
     def test_bit_identical(self, monkeypatch, config, clips):
         # every target refreshes within the 30 or 40 iterations
         monkeypatch.setattr(training, "REFRESH_EVERY", 7)
+        monkeypatch.setattr(training, "HISTORY_STRIDE", 4)
         clip_calls = _count_clips(monkeypatch)
         c, hist = train(config)
         if clips:
             assert clip_calls[0] > 0
         points, loss, gmi, norm = _public_api_train(config)
+        n = config.iterations
+        at = sorted({*range(0, n, training.HISTORY_STRIDE), n - 1})
+        assert hist.iteration.tolist() == at
         np.testing.assert_array_equal(c.points, points)
-        np.testing.assert_array_equal(hist.loss, loss)
-        np.testing.assert_array_equal(hist.surrogate_gmi, gmi)
-        np.testing.assert_array_equal(hist.grad_norm, norm)
+        np.testing.assert_array_equal(hist.loss, loss[at])
+        np.testing.assert_array_equal(hist.surrogate_gmi, gmi[at])
+        np.testing.assert_array_equal(hist.grad_norm, norm[at])
 
 
 _EXAMPLE = Path(__file__).resolve().parent.parent / "configs" / "example.json"
@@ -893,24 +902,44 @@ def _example_ae_configs(iterations):
     return [_ae_train_config(rc, n) for n in rc.sweep.span_grid]
 
 
+def _softplus_steps(monkeypatch, configs) -> tuple:
+    """Train the configs; returns the number of steps taken and the steps
+    whose forward pass took the softplus of the loss terms."""
+    real_forward, real_softplus = training._forward, demapper._log2_1p
+    steps, softplus_at = [0], []
+
+    def forward(*args, **kwargs):
+        st = real_forward(*args, **kwargs)
+        steps[0] += 1
+        return st
+
+    def softplus(*args, **kwargs):
+        softplus_at.append(steps[0])
+        return real_softplus(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_forward", forward)
+    monkeypatch.setattr(demapper, "_log2_1p", softplus)
+    train_many(configs)
+    return steps[0], softplus_at
+
+
 class TestTrainMany:
     """Cells trained together end exactly where each one trained alone does."""
 
     @staticmethod
     def _assert_lone_results(configs, results):
-        # the lone run records every iteration, the stacked one every
-        # HISTORY_STRIDE-th and the last, with the lone run's values there
+        # both runs record every HISTORY_STRIDE-th iteration and the last,
+        # with equal values there
         for config, (c, hist) in zip(configs, results, strict=True):
             c_alone, hist_alone = train(config)
             np.testing.assert_array_equal(c.points, c_alone.points)
             assert c.metadata == c_alone.metadata
             n = config.iterations
-            assert hist_alone.iteration.tolist() == list(range(n))
             at = [it for it in range(n) if it % HISTORY_STRIDE == 0 or it == n - 1]
-            assert hist.iteration.tolist() == at
-            np.testing.assert_array_equal(hist.loss, hist_alone.loss[at])
-            np.testing.assert_array_equal(hist.surrogate_gmi, hist_alone.surrogate_gmi[at])
-            np.testing.assert_array_equal(hist.grad_norm, hist_alone.grad_norm[at])
+            assert hist.iteration.tolist() == hist_alone.iteration.tolist() == at
+            np.testing.assert_array_equal(hist.loss, hist_alone.loss)
+            np.testing.assert_array_equal(hist.surrogate_gmi, hist_alone.surrogate_gmi)
+            np.testing.assert_array_equal(hist.grad_norm, hist_alone.grad_norm)
 
     @pytest.mark.parametrize("configs, clips", [
         (_example_ae_configs(25), False),
@@ -975,23 +1004,17 @@ class TestTrainMany:
             self, monkeypatch):
         # the six example cells stack into one run, and the loss terms of
         # its 250 steps are computed at iterations 0, 100, 200 and 249 only
-        real_forward, real_softplus = training._forward, demapper._log2_1p
-        steps, softplus_at = [0], []
+        assert _softplus_steps(monkeypatch, _example_ae_configs(250)) == (
+            250, [0, 100, 200, 249])
 
-        def forward(*args, **kwargs):
-            st = real_forward(*args, **kwargs)
-            steps[0] += 1
-            return st
-
-        def softplus(*args, **kwargs):
-            softplus_at.append(steps[0])
-            return real_softplus(*args, **kwargs)
-
-        monkeypatch.setattr(training, "_forward", forward)
-        monkeypatch.setattr(demapper, "_log2_1p", softplus)
-        train_many(_example_ae_configs(250))
-        assert steps[0] == 250
-        assert softplus_at == [0, 100, 200, 249]
+    @pytest.mark.parametrize("config", [
+        _example_ae_configs(250)[0],
+        _config(m=3, iterations=250, batch_symbols=128),
+    ], ids=["mlp", "gaussian"])
+    def test_lone_steps_take_the_softplus_only_where_history_is_recorded(
+            self, monkeypatch, config):
+        # train() is a run of one cell, with the same rows
+        assert _softplus_steps(monkeypatch, [config]) == (250, [0, 100, 200, 249])
 
     @staticmethod
     def _runs(monkeypatch, configs):
@@ -999,9 +1022,9 @@ class TestTrainMany:
         real = training._train_run
         runs = []
 
-        def recorded(run_configs, stride):
+        def recorded(run_configs):
             runs.append([c.seed for c in run_configs])
-            return real(run_configs, stride)
+            return real(run_configs)
 
         monkeypatch.setattr(training, "_train_run", recorded)
         return train_many(configs), runs
