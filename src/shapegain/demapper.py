@@ -82,6 +82,7 @@ eps T <= 2.5e-13 (Gray QAM: 1.4e-14 at m=4 and 9.3 dB, 2.3e-13 at m=8 and
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -476,6 +477,7 @@ def per_bit_gmi_mc(c: Constellation, noise_variance: float, n_samples: int,
 MAX_HERMITE_ORDER = 256
 
 
+@functools.lru_cache(maxsize=32)
 def gauss_hermite_grid(n1: int, n2: int):
     """The n1 x n2 Gauss-Hermite product grid for complex noise of unit variance.
 
@@ -483,14 +485,17 @@ def gauss_hermite_grid(n1: int, n2: int):
     index running fastest: offsets t1 + j t2 over the nodes of hermgauss(n1)
     and hermgauss(n2), and weights w1 w2 / pi, which sum to 1, so that
     E[f(n)] over n with E|n|^2 = v is sum_i weights_i f(sqrt(v) offsets_i).
-    An order above MAX_HERMITE_ORDER raises CapabilityError.
+    An order above MAX_HERMITE_ORDER raises CapabilityError. The grid is
+    built once per pair of orders and shared, so its arrays are read-only.
     """
     if max(n1, n2) > MAX_HERMITE_ORDER:
         raise CapabilityError(f"Gauss-Hermite n_nodes must be <= {MAX_HERMITE_ORDER} per "
                               f"dimension, got {n1} x {n2}")
     (t1, w1), (t2, w2) = hermgauss(n1), hermgauss(n2)
+    offsets = (t1[:, None] + 1j * t2[None, :]).ravel()
     weights = (w1[:, None] * w2[None, :]).ravel() / math.pi
-    return (t1[:, None] + 1j * t2[None, :]).ravel(), weights
+    offsets.flags.writeable = weights.flags.writeable = False
+    return offsets, weights
 
 
 def gmi_oracle_quadrature(c: Constellation, noise_variance: float,

@@ -8,8 +8,10 @@ receiver's arrays, if it has any. The loss is the GMI surrogate
 so surrogate GMI per symbol is m - loss by construction. When a label's
 S/M samples factor as n1 x n2 with 8 <= n1, n2 <= 256, they take the fixed
 Gauss-Hermite grid of noise offsets of those orders, and w_s is S/M times
-the node's weight; otherwise every w_s is 1 and fresh noise is drawn every
-iteration. Each term and its derivative sigmoid(z) / ln 2, z = -(1 - 2 b) L,
+the node's weight; otherwise every w_s is 1 and fresh noise is drawn for
+every iteration, from each cell's generator, one window of iterations at a
+time: NOISE_WINDOW_ENTRIES entries at most, ending at each refresh of the
+targets. Each term and its derivative sigmoid(z) / ln 2, z = -(1 - 2 b) L,
 come from the one kernel demapper.logistic. Unit average power is enforced
 inside the forward pass (differentiable normalization), never by
 projection. Gradients are derived by hand and guarded by finite-difference
@@ -74,6 +76,7 @@ from .errors import NumericalError, ParameterError, build_section, check_field_t
 MAX_ITERATIONS = 10 ** 6
 MAX_BATCH_SYMBOLS = 2 ** 16
 MAX_CELL_ENTRIES = 2 ** 24
+NOISE_WINDOW_ENTRIES = 2 ** 16  # 512 KB: the drawn noise of one window of iterations
 HISTORY_STRIDE = 100  # iterations between two rows of a TrainHistory
 REFRESH_EVERY = 200  # iterations between two resolutions of a cell's target
 
@@ -636,12 +639,14 @@ def _train_run(configs: list) -> list:
     grad, grads = _flatten(arrays, axis)  # _backward overwrites every entry
     moments = np.zeros((2,) + theta.shape)
     adam_scratch = np.empty((2,) + theta.shape)
-    noise = np.empty(axis + (2, S))
+    # the noise of a window of iterations, step j of the window taking noise[j]
+    window = max(1, NOISE_WINDOW_ENTRIES // (K * 2 * S)) if batch.offsets is None else 1
+    noise = np.empty((window,) + axis + (2, S))
     work = Workspace()
     power = None  # of the current points, once an iteration has computed it
-    # cell k's raw points, noise and gradient, as views with the cell axis first
-    raws, noises, grad_rows = (a.reshape((K,) + a.shape[len(axis):])
-                               for a in (raw, noise, grad))
+    # cell k's raw points and gradient, as views with the cell axis first
+    raws, grad_rows = (a.reshape((K,) + a.shape[len(axis):]) for a in (raw, grad))
+    noises = noise.reshape((window, K, 2, S))
 
     noise_variance = [0.0] * K  # each cell's, as retarget resolves it at its points
 
@@ -649,7 +654,7 @@ def _train_run(configs: list) -> list:
         noise_variance[k] = configs[k].target.resolve(
             Constellation(m=first.m, points=emit(raws[k]), metadata={}))
         if batch.offsets is not None:  # a grid batch's noise; else the rngs draw it
-            np.multiply(batch.offsets, math.sqrt(noise_variance[k]), out=noises[k])
+            np.multiply(batch.offsets, math.sqrt(noise_variance[k]), out=noises[0, k])
 
     n = first.iterations
     recorded = sorted({*range(0, n, HISTORY_STRIDE), *range(n)[-1:]})
@@ -662,16 +667,20 @@ def _train_run(configs: list) -> list:
         for k in range(K):
             retarget(k)
         for it in range(n):
-            if it and it % REFRESH_EVERY == 0:
+            since = it % REFRESH_EVERY  # windows end at each refresh of the targets
+            if it and since == 0:
                 for k in range(K):
                     retarget(k)
-            if batch.offsets is None:
-                # the draws of awgn_sample, noise_variance / 2 per real dimension
+            if batch.offsets is None and since % window == 0:
+                # the draws of awgn_sample, noise_variance / 2 per real
+                # dimension, w iterations' at once in the order they would come
+                w = min(window, REFRESH_EVERY - since, n - it)
                 for k, rng in enumerate(rngs):
-                    np.multiply(rng.standard_normal((S, 2)).T,
-                                math.sqrt(noise_variance[k] / 2.0), out=noises[k])
+                    np.multiply(rng.standard_normal((w, S, 2)).transpose(0, 2, 1),
+                                math.sqrt(noise_variance[k] / 2.0), out=noises[:w, k])
             try:
-                st = _forward(raw, demapper, batch, noise, noise_variance, work, power, it in rows)
+                st = _forward(raw, demapper, batch, noise[since % window], noise_variance,
+                              work, power, it in rows)
                 _backward(demapper, st, grad, grads)
                 _adam_update(theta, grad, *moments, it + 1, first, adam_scratch)
                 power = _mapper_power(raw)

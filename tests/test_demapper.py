@@ -584,6 +584,10 @@ class TestQuadratureOracle:
         assert weights.sum() == pytest.approx(1.0, abs=1e-14)
         # unit complex variance: E|t1 + j t2|^2 = 1
         assert weights @ np.abs(offsets) ** 2 == pytest.approx(1.0, abs=1e-14)
+        # built once per pair of orders and shared, so no caller may write into it
+        again = gauss_hermite_grid(n1, n2)
+        assert again[0] is offsets and again[1] is weights
+        assert not offsets.flags.writeable and not weights.flags.writeable
 
     def test_qpsk_equals_twice_bpsk(self):
         # QPSK is two orthogonal BPSKs at half the per-dimension energy

@@ -1069,6 +1069,60 @@ class TestTrainMany:
         assert shapes == [((2, 64), (2, 8), float)] * 4
 
 
+class TestNoiseWindows:
+    """The drawn path draws each cell's noise once per window of iterations,
+    and the windows change no bit. Here a window holds 3 iterations of the
+    run and the targets refresh every 7, so 19 iterations take windows of
+    3, 3, 1 | 3, 3, 1 | 3, 2: cut by the budget, by each refresh and by the
+    end of the run."""
+
+    WINDOWS = [3, 3, 1, 3, 3, 1, 3, 2]
+
+    @staticmethod
+    def _counted_rngs(monkeypatch) -> list:
+        """Record the shape of each standard_normal call of every generator
+        made from here on; returns one list of shapes per generator."""
+        real, draws = np.random.default_rng, []
+
+        class Counted:
+            def __init__(self, seed):
+                self._rng, self.shapes = real(seed), []
+                draws.append(self.shapes)
+
+            def standard_normal(self, shape):
+                self.shapes.append(shape)
+                return self._rng.standard_normal(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        return draws
+
+    @pytest.mark.parametrize("configs", [
+        [_config(m=2, iterations=19, batch_symbols=64, demapper_mode="mlp",
+                 mlp_hidden=(4,), seed=s, target=LinkTarget(replace(_LINK, n_spans=n)))
+         for s, n in [(4, 8), (5, 14), (6, 20)]],
+        [_config(m=2, iterations=19, batch_symbols=64, seed=5, target=LinkTarget(_LINK))],
+    ], ids=["stacked-link-mlp", "lone-link-gaussian"])
+    def test_one_draw_per_cell_per_window_and_the_same_bits(self, monkeypatch, configs):
+        K, S = len(configs), configs[0].batch_symbols
+        monkeypatch.setattr(training, "REFRESH_EVERY", 7)
+        # the entries of 4 iterations less one: the budget's floor holds 3
+        monkeypatch.setattr(training, "NOISE_WINDOW_ENTRIES", 4 * K * 2 * S - 1)
+        with monkeypatch.context() as patched:
+            draws = self._counted_rngs(patched)
+            results = train_many(configs)
+        assert len(draws) == K
+        for shapes in draws:
+            assert [s for s in shapes if s[-2:] == (S, 2)] == [(w, S, 2) for w in self.WINDOWS]
+        for config, (c, hist) in zip(configs, results, strict=True):
+            points, loss, gmi, norm = _public_api_train(config)
+            np.testing.assert_array_equal(c.points, points)
+            np.testing.assert_array_equal(hist.loss, loss[hist.iteration])
+            np.testing.assert_array_equal(hist.surrogate_gmi, gmi[hist.iteration])
+            np.testing.assert_array_equal(hist.grad_norm, norm[hist.iteration])
+        # alone, a stacked cell's window holds 4 K - 1 iterations, cut at each refresh
+        TestTrainMany._assert_lone_results(configs, results)
+
+
 class TestWorkspace:
     """A run's steps fill arrays allocated once; a step outside the loop
     takes its own."""
@@ -1150,7 +1204,8 @@ class TestTrainNumericalErrors:
 
             def standard_normal(self, shape):
                 draws = self._rng.standard_normal(shape)
-                return draws * 1e160 if shape == (64, 2) else draws  # the noise
+                # the noise, drawn one window of iterations at a time
+                return draws * 1e160 if shape[-2:] == (64, 2) else draws
 
         monkeypatch.setattr(np.random, "default_rng", FarNoise)
         monkeypatch.setattr(SnrTarget, "resolve", lambda self, c: 1e-320)
