@@ -31,13 +31,7 @@ from .demapper import (
     per_bit_gmi_from_samples,
     per_bit_gmi_mc,
 )
-from .errors import (
-    CapabilityError,
-    FramingError,
-    NumericalError,
-    ParameterError,
-    ShapegainError,
-)
+from .errors import NumericalError, ParameterError, ShapegainError
 from .lut import LutDocument, export_lut, parse_lut, render_lut
 from .rate_adapt import (
     RateAdaptPlan,

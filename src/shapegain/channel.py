@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constellation import Moments
-from .errors import NumericalError, ParameterError, UnboundedOptimumError, check_field_types
+from .errors import NumericalError, ParameterError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,6 @@ def effective_snr(link: LinkConfig, launch_power: float, mom: Moments) -> Effect
     if not 0 < launch_power < math.inf:
         raise ParameterError(f"launch_power must be finite and positive, got {launch_power}")
     noise = _total_noise(link, launch_power, nlin_factor(link, mom))
-    if noise <= 0:
-        raise NumericalError("zero total noise: SNR is unbounded")
     snr = launch_power / noise
     if not math.isfinite(snr):
         raise NumericalError("SNR overflowed: total noise vanished")
@@ -156,9 +154,7 @@ def optimal_launch_power(link: LinkConfig, mom: Moments) -> tuple[float, Effecti
     """
     eta = nlin_factor(link, mom)
     if eta <= 0:
-        raise UnboundedOptimumError(
-            "eta(mom) <= 0: SNR grows without bound in launch power"
-        )
+        raise ParameterError("eta(mom) <= 0: SNR grows without bound in launch power")
     ase = link.n_spans * link.ase_var_per_span
     p_opt = (ase / (2.0 * eta * _span_accumulation(link))) ** (1.0 / 3.0)
     return p_opt, effective_snr(link, p_opt, mom)

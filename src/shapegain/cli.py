@@ -31,6 +31,8 @@ from .rate_adapt import best_plan, load_plan, save_plan, select_dummy_bits
 from .sweep import load_run_config, rows_to_csv, run_sweep
 from .training import train, train_config_from_dict
 
+UNIT_POWER_TOL = 1e-9  # eval states the SNR of unit power, that of every file shapegain writes
+
 
 class _UsageError(Exception):
     def __init__(self, message: str, parser: argparse.ArgumentParser):
@@ -133,6 +135,8 @@ def _cmd_eval(args) -> int:
     if args.link_from is not None and args.n_spans is None:
         raise ParameterError("--link-from needs --n-spans")
     c = load_constellation(args.constellation)
+    if abs(c.average_power() - 1.0) > UNIT_POWER_TOL:
+        raise ParameterError(f"{args.constellation}: average power {c.average_power()!r} is not 1")
     noise_variance = _resolve_eval_noise(args, c)
     rng = np.random.default_rng(args.seed)
     report = per_bit_gmi_mc(c, noise_variance, args.samples, rng)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateInputError, ParameterError, build_section, check_field_types,
-                     check_value, float_tuple, load_json)
+from .errors import (ParameterError, build_section, check_field_types, check_value, float_tuple,
+                     load_json)
 
 CONSTELLATION_FORMAT_VERSION = 1
 MAX_QAM_M = 10  # the largest order uniform_qam builds
@@ -226,7 +226,7 @@ def normalize(c: Constellation) -> Constellation:
     """Scale all points by one common factor so the average power is 1."""
     power = c.average_power()
     if power <= 0.0:
-        raise DegenerateInputError("cannot normalize an all-zero constellation")
+        raise ParameterError("cannot normalize an all-zero constellation")
     return Constellation(c.m, c.points / np.sqrt(power), dict(c.metadata))
 
 
@@ -235,7 +235,7 @@ def moments(c: Constellation) -> Moments:
     p2 = np.abs(c.points) ** 2
     mu2 = float(np.mean(p2))
     if mu2 <= 0.0:
-        raise DegenerateInputError("moments undefined for an all-zero constellation")
+        raise ParameterError("moments undefined for an all-zero constellation")
     mu4 = float(np.mean(p2 ** 2))
     mu6 = float(np.mean(p2 ** 3))
     return Moments(mu2=mu2, mu4_hat=mu4 / mu2 ** 2, mu6_hat=mu6 / mu2 ** 3)

@@ -92,8 +92,8 @@ from numpy.polynomial.hermite import hermgauss
 
 from .channel import awgn_sample
 from .constellation import Constellation, check_labels, partition_weights
-from .errors import (CapabilityError, NumericalError, ParameterError, build_section,
-                     check_field_types, check_value, check_written, float_tuple)
+from .errors import (NumericalError, ParameterError, build_section, check_field_types,
+                     check_value, check_written, float_tuple)
 
 LN2 = math.log(2.0)
 # the saturation of every LLR the package uses, see the module docstring
@@ -215,16 +215,15 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
-                        noise_variance: float):
+def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, noise_variance: float):
     """Unclipped exact bit LLRs of I/Q rows y (2, S) against points (2, M).
 
-    bits is the (M, m) label table bit_table(m); the partition sums use
-    its cached partition_weights(m). Returns (llr_raw, cache): llr_raw has
-    shape (m, S) and is finite, beyond 700 where a partition's
-    entries were all clamped (see the module docstring); NaN only arises
-    from NaN inputs or a noise variance so small that every distance
-    overflows. cache feeds gaussian_bit_metric_grad.
+    points[:, i] carries label i, so M = 2**m gives the bit count m, and the
+    partition sums use the cached partition_weights(m). Returns (llr_raw,
+    cache): llr_raw has shape (m, S) and is finite, beyond 700 where a
+    partition's entries were all clamped (see the module docstring); NaN
+    only arises from NaN inputs or a noise variance so small that every
+    distance overflows. cache feeds gaussian_bit_metric_grad.
     """
     ymax, xmax = radii = _radii(y, points)
     p = _loglik(y, points, noise_variance, radii)
@@ -237,7 +236,7 @@ def gaussian_bit_metric(y: np.ndarray, points: np.ndarray, bits: np.ndarray,
         p -= top
         np.maximum(p, _EXP_FLOOR, out=p)
     np.exp(p, out=p)
-    m = bits.shape[1]
+    m = points.shape[1].bit_length() - 1
     w = partition_weights(m)
     z = _matmul(w.T, p)
     logz = np.log(z)
@@ -278,11 +277,10 @@ class GaussianDemapper:
     def with_arrays(self, arrays: dict) -> "GaussianDemapper":
         return self
 
-    def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, bits: np.ndarray,
-                noise_variance: float, work):
+    def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, noise_variance: float, work):
         """(llr_raw (m, S), cache) for I/Q rows y_iq (2, S) against points_iq (2, M);
         work goes unused, as the bit metric allocates its own arrays."""
-        llr_raw, metric = gaussian_bit_metric(y_iq, points_iq, bits, noise_variance)
+        llr_raw, metric = gaussian_bit_metric(y_iq, points_iq, noise_variance)
         return llr_raw, (metric, y_iq, points_iq, noise_variance)
 
     def backward(self, dllr: np.ndarray, cache, grads: dict, work):
@@ -328,8 +326,7 @@ def llr_exact(y, c: Constellation, noise_variance: float) -> np.ndarray:
     """
     _check_noise_variance(noise_variance)
     scalar = np.ndim(y) == 0
-    raw, _ = gaussian_bit_metric(_iq_rows(np.atleast_1d(y)), _iq_rows(c.points), c.bits(),
-                                 noise_variance)
+    raw, _ = gaussian_bit_metric(_iq_rows(np.atleast_1d(y)), _iq_rows(c.points), noise_variance)
     out = clip_llr(raw)
     return out[:, 0] if scalar else out.T
 
@@ -404,7 +401,7 @@ def make_report(per_bit: np.ndarray, n_samples: int, stderr_total: float) -> Gmi
 def _bit_penalties(y, c, labels, noise_variance):
     """log2(1 + exp(-(1-2b) L)) per bit level and sample, shape (m, S), of
     the exact LLRs L of samples y, clipped by clip_llr."""
-    raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), noise_variance)
+    raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), noise_variance)
     z = 2.0 * np.take(c.bits().T, labels, axis=1) - 1.0
     z *= clip_llr(raw)
     # the softplus of logistic, without the sigmoid, in place
@@ -485,12 +482,12 @@ def gauss_hermite_grid(n1: int, n2: int):
     index running fastest: offsets t1 + j t2 over the nodes of hermgauss(n1)
     and hermgauss(n2), and weights w1 w2 / pi, which sum to 1, so that
     E[f(n)] over n with E|n|^2 = v is sum_i weights_i f(sqrt(v) offsets_i).
-    An order above MAX_HERMITE_ORDER raises CapabilityError. The grid is
+    An order above MAX_HERMITE_ORDER raises ParameterError. The grid is
     built once per pair of orders and shared, so its arrays are read-only.
     """
     if max(n1, n2) > MAX_HERMITE_ORDER:
-        raise CapabilityError(f"Gauss-Hermite n_nodes must be <= {MAX_HERMITE_ORDER} per "
-                              f"dimension, got {n1} x {n2}")
+        raise ParameterError(f"Gauss-Hermite n_nodes must be <= {MAX_HERMITE_ORDER} per "
+                             f"dimension, got {n1} x {n2}")
     (t1, w1), (t2, w2) = hermgauss(n1), hermgauss(n2)
     offsets = (t1[:, None] + 1j * t2[None, :]).ravel()
     weights = (w1[:, None] * w2[None, :]).ravel() / math.pi
@@ -509,7 +506,7 @@ def gmi_oracle_quadrature(c: Constellation, noise_variance: float,
     grows as M^2 * n_nodes^2.
     """
     if c.size > 64:
-        raise CapabilityError(f"quadrature oracle supports M <= 64, got M = {c.size}")
+        raise ParameterError(f"quadrature oracle supports M <= 64, got M = {c.size}")
     _check_noise_variance(noise_variance)
     check_value("n_nodes", "int", n_nodes)
     if n_nodes < 1:

@@ -1,8 +1,8 @@
-"""Exception hierarchy and input-file checks shared across the package.
+"""Exception classes and input-file checks shared across the package.
 
-The CLI maps these onto exit codes: parameter/usage problems exit 1,
-numerical failures exit 2, I/O problems (plain OSError) exit 3. The checks
-below turn malformed input files into ParameterError.
+One class per exit code of the CLI: a ParameterError (a parameter or usage
+problem) exits 1, a NumericalError 2, and an I/O problem, a plain OSError,
+3. The checks below turn malformed input files into ParameterError.
 """
 
 import json
@@ -18,22 +18,6 @@ class ShapegainError(Exception):
 
 class ParameterError(ShapegainError, ValueError):
     """Invalid argument or configuration value."""
-
-
-class DegenerateInputError(ParameterError):
-    """Input is structurally valid but degenerate (e.g. all-zero constellation)."""
-
-
-class CapabilityError(ParameterError):
-    """Request exceeds a documented capability limit (e.g. oracle size cap)."""
-
-
-class UnboundedOptimumError(ParameterError):
-    """No finite optimum exists for the requested optimization."""
-
-
-class FramingError(ParameterError):
-    """Bit stream length incompatible with the symbol framing."""
 
 
 class NumericalError(ShapegainError, ArithmeticError):

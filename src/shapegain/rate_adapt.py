@@ -17,8 +17,8 @@ import numpy as np
 
 from .constellation import bit_table, check_labels, labels_from_bits
 from .demapper import GmiReport
-from .errors import (FramingError, ParameterError, build_section, check_field_types, check_value,
-                     check_written, float_tuple, int_tuple, load_json)
+from .errors import (ParameterError, build_section, check_field_types, check_value, check_written,
+                     float_tuple, int_tuple, load_json)
 
 
 def _check_fec_rate(fec_rate: float) -> float:
@@ -165,10 +165,10 @@ def assemble_labels(data_bits, plan: RateAdaptPlan, m: int,
     per_sym = 2 * m - plan.n_d
     if per_sym == 0:
         if data_bits.size:
-            raise FramingError("plan carries no data levels but data_bits is nonempty")
+            raise ParameterError("plan carries no data levels but data_bits is nonempty")
         return np.zeros((0, 2), dtype=np.int64)
     if data_bits.size % per_sym != 0:
-        raise FramingError(
+        raise ParameterError(
             f"stream of {data_bits.size} bits does not frame into symbols "
             f"of {per_sym} data bits")
     n_sym = data_bits.size // per_sym

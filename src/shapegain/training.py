@@ -23,8 +23,8 @@ training never asks which one it holds:
 
     arrays()             named trainable arrays, in backward order
     with_arrays(arrays)  the same receiver rebuilt from such arrays
-    forward(y_iq, points_iq, bits, noise_variance, work) -> (llr_raw, cache)
-                         y_iq (2, S), points_iq (2, M) and llr_raw (m, S);
+    forward(y_iq, points_iq, noise_variance, work) -> (llr_raw, cache)
+                         y_iq (2, S), points_iq (2, M = 2**m), llr_raw (m, S);
                          work is the run's Workspace
     backward(dllr, cache, grads, work) -> (gy, gp)
                          writes its parameter gradients into grads;
@@ -224,8 +224,8 @@ class MlpDemapper:
     def with_arrays(self, arrays: dict) -> "MlpDemapper":
         return MlpDemapper(layers=[arrays[f"mlp.layer{i}"] for i in range(len(self.layers))])
 
-    def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, bits: np.ndarray,
-                noise_variance: float, work: Workspace):
+    def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, noise_variance: float,
+                work: Workspace):
         """The cache is the list of layer inputs, (..., fan_in + 1, S) each;
         the rectifier is applied in place, as h > 0 exactly where its
         pre-activation is. The layer inputs and the LLRs are work's arrays."""
@@ -351,7 +351,6 @@ class _Batch:
     """Label-dependent invariants of a training batch, built by _make_batch."""
 
     labels: np.ndarray   # (S,), each label S // M times, sorted
-    bits: np.ndarray     # (M, m) bit table
     flip: np.ndarray     # (..., m, S), 2 b_{k,s} - 1, so that z = flip * L
     # (..., m, S), flip * S ln 2 (divided by weight if given), so that
     # d loss / d L = sigmoid / flip_norm
@@ -387,9 +386,7 @@ def _make_batch(M: int, S: int, cells: tuple = (), grid: Optional[tuple] = None)
         # flip_norm overflows to inf: those nodes get no gradient
         with np.errstate(over="ignore"):
             flip_norm /= weight
-    return _Batch(labels=labels, bits=bits, flip=flip, flip_norm=flip_norm,
-                  weight=weight, offsets=offsets)
-
+    return _Batch(labels=labels, flip=flip, flip_norm=flip_norm, weight=weight, offsets=offsets)
 
 
 @dataclass
@@ -458,9 +455,8 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     y = np.take(points, batch.labels, axis=-1, out=work("y", noise_iq.shape), mode="clip")
     y += noise_iq
 
-    stacked = raw.ndim == 3
-    llr_raw, cache = demapper.forward(y, points, batch.bits,
-                                      noise_variance if stacked else noise_variance[0], work)
+    llr_raw, cache = demapper.forward(
+        y, points, noise_variance if raw.ndim == 3 else noise_variance[0], work)
     llr = clip_llr(llr_raw)
     # z = flip * llr goes where its loss terms will, (..., m, S) each
     z = np.multiply(batch.flip, llr, out=work("penalties", llr.shape))

@@ -20,7 +20,8 @@ from shapegain import (
 )
 from shapegain.cli import _build_parser, _UsageError, main
 from shapegain.demapper import MAX_SAMPLES, make_report
-from shapegain.training import MAX_BATCH_SYMBOLS, MAX_CELL_ENTRIES, MAX_ITERATIONS
+from shapegain.training import (MAX_BATCH_SYMBOLS, MAX_CELL_ENTRIES, MAX_ITERATIONS, emit,
+                                init_mapper, train_config_from_dict)
 
 
 def _write_run_config(tmp_path, **extra):
@@ -134,6 +135,35 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and "average power" in err
+
+    @pytest.mark.parametrize("source", ["--snr-db", "--link-from"])
+    def test_constellation_off_unit_power_is_parameter_error(self, tmp_path, capsys, source):
+        # eval states the SNR of a unit-power constellation: Gray 16QAM at
+        # power 4 would be reported 6 dB below the SNR it was evaluated at
+        cpath = tmp_path / "c.json"
+        doc = constellation_to_dict(uniform_qam(4))
+        doc["points"] = [[2.0 * i, 2.0 * q] for i, q in doc["points"]]
+        cpath.write_text(json.dumps(doc))
+        flags = {"--snr-db": ["--snr-db", "7"],
+                 "--link-from": ["--link-from", str(_write_run_config(tmp_path)),
+                                 "--n-spans", "8"]}[source]
+        rc = main(["eval", "--constellation", str(cpath), "--samples", "64", *flags])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"shapegain: error: {cpath}: average power 4.0 is not 1"]
+
+    def test_unit_power_tolerance(self, tmp_path, capsys):
+        # within UNIT_POWER_TOL = 1e-9 of 1 the file is evaluated, beyond it refused
+        cpath = tmp_path / "c.json"
+        for power, rc in [(1.0 + 1e-10, 0), (1.0 - 1e-10, 0), (1.0 + 1e-8, 1), (1.0 - 1e-8, 1)]:
+            doc = constellation_to_dict(uniform_qam(2))
+            doc["points"] = [[math.sqrt(power) * i, math.sqrt(power) * q]
+                             for i, q in doc["points"]]
+            cpath.write_text(json.dumps(doc))
+            assert main(["eval", "--constellation", str(cpath), "--snr-db", "5",
+                         "--samples", "64"]) == rc
+            assert ("average power" in capsys.readouterr().err) == (rc == 1)
 
     @pytest.mark.parametrize("flags", [[], ["--seed", "1"]])
     def test_link_from_needs_n_spans(self, tmp_path, capsys, flags):
@@ -327,6 +357,18 @@ class TestTrainCommand:
         # the first and the last of the 3 iterations
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "2"]
 
+    def test_zero_iterations_writes_the_initial_points(self, tmp_path, capsys):
+        cfg = _write_run_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["train"]["iterations"] = 0
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "c.json"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out} (initialization only)"]
+        config = train_config_from_dict(doc["train"])
+        np.testing.assert_array_equal(load_constellation(out).points,
+                                      emit(init_mapper(config, np.random.default_rng(1))))
+
     def _link_config(self, tmp_path, **link_extra):
         link = {"_note": "notes may appear at any depth", "n_spans": 2,
                 "ase_var_per_span": 0.0041, "chi1": 0.3, "chi2": 0.1, **link_extra}
@@ -516,6 +558,27 @@ class TestSweepCommand:
         doc["eval"]["n_samples"] = 8  # the bound itself loads
         cfg.write_text(json.dumps(doc))
         assert sweep_mod.load_run_config(cfg).eval.n_samples == 8
+
+    def test_keep_going_reports_each_skipped_cell(self, tmp_path, capsys, monkeypatch):
+        import shapegain.sweep as sweep_mod
+        real = sweep_mod.evaluate_grid_point
+
+        def flaky(config, scheme, n_spans):
+            if n_spans == 4:
+                raise RuntimeError("synthetic failure")
+            return real(config, scheme, n_spans)
+
+        monkeypatch.setattr(sweep_mod, "evaluate_grid_point", flaky)
+        out = tmp_path / "res.csv"
+        rc = main(["sweep", "--config", str(self._sweep_config(tmp_path)), "--out", str(out),
+                   "--keep-going"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err.splitlines() == [
+            "shapegain: skipped grid point (scheme=qam, n_spans=4): synthetic failure"]
+        assert captured.out.splitlines() == [f"wrote {out} (1 rows)"]
+        assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [
+            ["qam", "2"]]
 
     def test_unexpected_cell_error_exits_1_naming_the_cell(self, tmp_path, capsys,
                                                            monkeypatch):

@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 
 from shapegain.constellation import (
     Constellation,
+    Moments,
     bit_table,
     constellation_from_dict,
     constellation_to_dict,
@@ -22,7 +23,7 @@ from shapegain.constellation import (
     uniform_qam,
 )
 from shapegain.demapper import make_report
-from shapegain.errors import DegenerateInputError, ParameterError
+from shapegain.errors import ParameterError
 from shapegain.lut import LutDocument
 
 
@@ -153,8 +154,14 @@ class TestNormalizeAndMoments:
         assert abs(c1.average_power() - 1.0) < 1e-12
 
     def test_normalize_zero_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ParameterError,
+                           match="^cannot normalize an all-zero constellation$"):
             normalize(make(1, [0.0, 0.0]))
+        with pytest.raises(ParameterError,
+                           match="^moments undefined for an all-zero constellation$"):
+            moments(make(1, [0.0, 0.0]))
+        with pytest.raises(ParameterError, match="^mu2 must be positive, got 0.0$"):
+            Moments(mu2=0.0, mu4_hat=1.0, mu6_hat=1.0)
 
     def test_qpsk_constant_modulus(self):
         mom = moments(uniform_qam(2))
@@ -329,6 +336,9 @@ class TestSerialization:
     def test_bool_m_rejected(self):
         with pytest.raises(ParameterError, match="m must be an integer"):
             Constellation(m=True, points=np.array([1.0, -1.0]))
+        # m = 0 with its 2^0 = 1 point
+        with pytest.raises(ParameterError, match="^m must be an integer >= 1, got 0$"):
+            Constellation(m=0, points=np.array([1.0]))
 
     def test_load_rejects_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -15,7 +15,6 @@ from shapegain import (
     Constellation,
     GmiReport,
     ParameterError,
-    CapabilityError,
     NumericalError,
     awgn_sample,
     db_to_linear,
@@ -149,7 +148,7 @@ class TestMatrixKernel:
         np.testing.assert_allclose(got, _llr_logsumexp_loop(y, c, s2, 50.0),
                                    atol=1e-12, rtol=0)
         if snr_db == 40.0:
-            raw, (_, z, _) = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), s2)
+            raw, (_, z, _) = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), s2)
             under = _emptied(z, c.m)
             assert under.any()  # some partition holds only clamped entries
             assert np.isfinite(raw).all()
@@ -208,7 +207,7 @@ class TestMatrixKernel:
         y = awgn_sample(rng, c.points[rng.integers(0, c.size, 500)], s2)
         pairs = rng.integers(0, c.size, (2, 100))  # midpoints keep unclipped LLRs at 40 dB
         y = np.concatenate([y, 0.5 * (c.points[pairs[0]] + c.points[pairs[1]])])
-        raw, cache = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), s2)
+        raw, cache = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), s2)
         dllr = rng.standard_normal(raw.shape)
         dllr[np.abs(raw) > 50.0] = 0.0
         da = gaussian_bit_metric_grad(dllr, cache)
@@ -230,7 +229,7 @@ class TestMatrixKernel:
         assert large.sum() >= 1000
         reach = np.abs(y).max() + np.abs(c.points).max()
         assert reach ** 2 / s2 > WIDE_CLIP
-        raw, _ = gaussian_bit_metric(_iq_rows(y[rows]), _iq_rows(c.points), c.bits(), s2)
+        raw, _ = gaussian_bit_metric(_iq_rows(y[rows]), _iq_rows(c.points), s2)
         got = np.clip(raw, -WIDE_CLIP, WIDE_CLIP).T
         np.testing.assert_allclose(got, ref[rows], atol=1e-12, rtol=0)
 
@@ -246,7 +245,7 @@ class TestMatrixKernel:
         reach = np.hypot(*y).max() + np.hypot(*x).max()
         assert reach ** 2 / s2 <= WIDE_CLIP
         l = _loglik(y, x, s2)
-        _, (p, *_) = gaussian_bit_metric(y, x, c.bits(), s2)
+        _, (p, *_) = gaussian_bit_metric(y, x, s2)
         np.testing.assert_array_equal(p, np.exp(l - l.max(axis=0)))
 
     @pytest.mark.parametrize("m, snr_db", [(m, s) for m in range(1, 7)
@@ -262,7 +261,7 @@ class TestMatrixKernel:
         rng = np.random.default_rng(50 + m)
         s2 = 1.0 / db_to_linear(snr_db)
         y = awgn_sample(rng, c.points[rng.integers(0, c.size, 1000)], s2)
-        raw, cache = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), s2)
+        raw, cache = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), s2)
         p, z, w = cache
         assert _floored(p) == (snr_db > 20.0)
         assert _emptied(z, m).any() == (snr_db == 40.0)
@@ -309,7 +308,7 @@ class TestRadii:
             assert _radii(y, x)[0] == math.inf
             dist = (x[0][:, None] - y[0]) ** 2 + (x[1][:, None] - y[1]) ** 2
             np.testing.assert_array_equal(_loglik(y, x, s2), dist / -s2)
-            _, (p, _, _) = gaussian_bit_metric(y, x, c.bits(), s2)
+            _, (p, _, _) = gaussian_bit_metric(y, x, s2)
         assert np.isnan(p[:, 0]).all()
         assert _floored(p[:, 1:])
 
@@ -526,7 +525,8 @@ class TestFromSamples:
 
 class TestQuadratureOracle:
     def test_refuses_large_constellations(self):
-        with pytest.raises(CapabilityError):
+        with pytest.raises(ParameterError,
+                           match="^quadrature oracle supports M <= 64, got M = 128$"):
             gmi_oracle_quadrature(uniform_qam(7), 1.0)
 
     @pytest.mark.parametrize("n_nodes", [0, -3, 2.5, True, "48"],
@@ -535,11 +535,12 @@ class TestQuadratureOracle:
         with pytest.raises(ParameterError, match="n_nodes"):
             gmi_oracle_quadrature(uniform_qam(2), 0.5, n_nodes=n_nodes)
 
-    def test_order_beyond_the_hermite_cap_is_capability_error(self):
+    def test_order_beyond_the_hermite_cap_rejected(self):
         # numpy's hermgauss gives non-finite nodes from order 372 on
-        with pytest.raises(CapabilityError, match="n_nodes"):
+        with pytest.raises(ParameterError, match=r"^Gauss-Hermite n_nodes must be <= 256 per "
+                                                 r"dimension, got 257 x 257$"):
             gmi_oracle_quadrature(uniform_qam(2), 0.5, n_nodes=MAX_HERMITE_ORDER + 1)
-        with pytest.raises(CapabilityError, match="8 x 401"):
+        with pytest.raises(ParameterError, match="8 x 401"):
             gauss_hermite_grid(8, 401)
         assert math.isfinite(gmi_oracle_quadrature(uniform_qam(2), 0.5,
                                                    n_nodes=MAX_HERMITE_ORDER))

@@ -1,5 +1,7 @@
 import pytest
 
+import shapegain
+from shapegain import errors
 from shapegain.errors import ParameterError, build_section
 
 
@@ -26,3 +28,12 @@ def test_build_section_keeps_other_type_errors(build, doc, reason):
     with pytest.raises(ParameterError) as info:
         build_section("thing", build, doc)
     assert str(info.value) == f"bad thing: {reason}"
+
+
+def test_one_exception_class_per_exit_code():
+    # the CLI exits 1 on a ParameterError and 2 on a NumericalError; no
+    # subclass draws a distinction that no handler acts on
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert defined == {"ShapegainError", "ParameterError", "NumericalError"}
+    assert {name for name in defined if hasattr(shapegain, name)} == defined

@@ -145,7 +145,7 @@ def test_floored_llrs_are_pinned(m, snr_db):
     c = uniform_qam(m)
     rng = np.random.default_rng([m, int(snr_db * 10)])
     y = awgn_sample(rng, c.points[rng.integers(0, c.size, 2000)], _nv(snr_db))
-    raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), _nv(snr_db))
+    raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), _nv(snr_db))
     got = np.clip(raw, -WIDE_CLIP, WIDE_CLIP).T  # the (S, m) layout of llr_exact
     assert _sha256(got.tobytes()) == _FLOORED_LLR_SHA256[m, snr_db]
 
@@ -161,7 +161,7 @@ def test_floored_penalties_are_pinned(m, snr_db):
     rng = np.random.default_rng([m, int(snr_db * 10)])
     labels = rng.integers(0, c.size, 2000)
     y = awgn_sample(rng, c.points[labels], _nv(snr_db))
-    raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), c.bits(), _nv(snr_db))
+    raw, _ = gaussian_bit_metric(_iq_rows(y), _iq_rows(c.points), _nv(snr_db))
     # the estimators' penalties, log2(1 + exp(z)) with z the label-signed LLR
     got = 2.0 * np.take(c.bits().T, labels, axis=1) - 1.0
     got *= np.clip(raw, -WIDE_CLIP, WIDE_CLIP)

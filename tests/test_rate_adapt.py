@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapegain import (
-    FramingError,
     ParameterError,
     RateAdaptPlan,
     assemble_labels,
@@ -317,7 +316,8 @@ class TestFraming:
 
     def test_indivisible_stream_rejected(self):
         plan = self._plan(3, 1)
-        with pytest.raises(FramingError):
+        with pytest.raises(ParameterError, match="^stream of 7 bits does not frame into "
+                                                 "symbols of 5 data bits$"):
             assemble_labels(np.zeros(7, np.uint8), plan, 3,
                             np.random.default_rng(0))
 
@@ -326,7 +326,8 @@ class TestFraming:
         out = assemble_labels(np.zeros(0, np.uint8), plan, 2,
                               np.random.default_rng(0))
         assert out.shape == (0, 2)
-        with pytest.raises(FramingError):
+        with pytest.raises(ParameterError, match="^plan carries no data levels but "
+                                                 "data_bits is nonempty$"):
             assemble_labels(np.ones(2, np.uint8), plan, 2,
                             np.random.default_rng(0))
 
@@ -343,6 +344,9 @@ class TestFraming:
         with pytest.raises(ParameterError):
             assemble_labels(np.array([0, 1, 2, 0]), plan, 2,
                             np.random.default_rng(0))
+        # a stream of one symbol's 4 bits, but not flat
+        with pytest.raises(ParameterError, match="^data_bits must be a flat bit stream$"):
+            assemble_labels(np.zeros((2, 2), np.uint8), plan, 2, np.random.default_rng(0))
 
     @pytest.mark.parametrize("bit", [0.5, 256, -1, "1"], ids=["0.5", "256", "-1", "str"])
     def test_non_bit_values_rejected(self, bit):

@@ -140,6 +140,8 @@ class TestRunConfigParsing:
             SweepSettings(span_grid=(4, 2), qam_m_list=(2,))
         with pytest.raises(ParameterError):
             SweepSettings(span_grid=(2, 4), schemes=("qam",))  # needs m list
+        with pytest.raises(ParameterError, match="^span_grid entries must be >= 1$"):
+            SweepSettings(span_grid=(0, 2), qam_m_list=(2,))
 
     @pytest.mark.parametrize("schemes", [["ae", "ae"], ("qam", "ae", "qam")],
                              ids=["list", "tuple"])
@@ -151,6 +153,8 @@ class TestRunConfigParsing:
         EvalSettings(n_samples=MAX_SAMPLES)
         with pytest.raises(ParameterError, match="n_samples"):
             EvalSettings(n_samples=MAX_SAMPLES + 1)
+        with pytest.raises(ParameterError, match="^seed must be >= 0$"):
+            EvalSettings(seed=-1)
 
 
 class TestDeriveSeed:
@@ -227,8 +231,10 @@ class TestEvaluateGridPoint:
 
     def test_config_without_sweep_rejected(self):
         config = _tiny_config(sweep=None)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^config has no sweep section$"):
             evaluate_grid_point(config, "qam", 2)
+        with pytest.raises(ParameterError, match="^config has no sweep section$"):
+            run_sweep(config)
 
 
 class TestRunSweep:

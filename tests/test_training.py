@@ -163,7 +163,8 @@ class TestTrainConfig:
                           ("m must be in", dict(m=0)),
                           ("m must be in", dict(m=17)),
                           ("m must be in", dict(m=2 ** 40)),
-                          ("m must be in", dict(m=10 ** 400))]:
+                          ("m must be in", dict(m=10 ** 400)),
+                          ("^seed must be >= 0$", dict(seed=-1))]:
             with pytest.raises(ParameterError, match=match):
                 _config(**kw)
 
@@ -435,7 +436,7 @@ class TestGradients:
         mlp = init_mlp(m, (16, 8), rng)
         y = rng.standard_normal((2, S))
         work = Workspace()
-        _, cache = mlp.forward(y, None, None, 1.0, work)
+        _, cache = mlp.forward(y, None, 1.0, work)
         dllr = rng.standard_normal((m, S))
         grads = {k: np.empty_like(v) for k, v in mlp.arrays().items()}
         mlp.backward(dllr.copy(), cache, grads, work)
@@ -1060,9 +1061,9 @@ class TestTrainMany:
         shapes = []
         real = GaussianDemapper.forward
 
-        def spy(self, y_iq, points_iq, bits, noise_variance, work):
+        def spy(self, y_iq, points_iq, noise_variance, work):
             shapes.append((y_iq.shape, points_iq.shape, type(noise_variance)))
-            return real(self, y_iq, points_iq, bits, noise_variance, work)
+            return real(self, y_iq, points_iq, noise_variance, work)
 
         monkeypatch.setattr(GaussianDemapper, "forward", spy)
         train(_config(m=3, iterations=4, batch_symbols=64))
@@ -1223,6 +1224,39 @@ class TestTrainNumericalErrors:
             cfg = _config(m=2, iterations=3, demapper_mode=mode, mlp_hidden=(4,))
             with pytest.raises(NumericalError, match=r"^iteration 0: mapper power is inf"):
                 train(cfg)
+
+    def test_non_finite_receiver_gradient_names_the_iteration_and_array(self, monkeypatch):
+        # real weights do not get there, as the LLRs clip first: a receiver
+        # behind a wrapper writes inf into one of its gradients at the third step
+        real_init = training.init_mlp
+        steps = [0]
+
+        class InfGradient:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def arrays(self):
+                return self.inner.arrays()
+
+            def with_arrays(self, arrays):
+                return InfGradient(self.inner.with_arrays(arrays))
+
+            def forward(self, *args):
+                return self.inner.forward(*args)
+
+            def backward(self, dllr, cache, grads, work):
+                out = self.inner.backward(dllr, cache, grads, work)
+                steps[0] += 1
+                if steps[0] == 3:
+                    grads["mlp.layer0"][0, 0] = math.inf
+                return out
+
+        monkeypatch.setattr(training, "init_mlp",
+                            lambda *args: InfGradient(real_init(*args)))
+        cfg = _config(m=2, iterations=5, demapper_mode="mlp", mlp_hidden=(4,))
+        with pytest.raises(NumericalError,
+                           match=r"^iteration 2: non-finite values in gradient mlp\.layer0$"):
+            train(cfg)
 
     def test_non_finite_gradient_names_the_iteration(self, monkeypatch):
         # a tiny mapper normalizes to finite points, but the chain rule
