@@ -2,7 +2,7 @@
 
 All quantities are in linear normalized units: unit symbol energy at
 launch power P = 1, so SNR = 1 / noise_variance for a unit-power
-constellation. dB conversion happens only at presentation boundaries.
+constellation. dB appears where an SNR is configured or reported (see cli).
 
 Noise model per link: ASE accumulates linearly over spans, nonlinear
 interference scales as P**3 with a modulation-dependent factor

@@ -2,8 +2,10 @@
 
 Subcommands: train, eval, adapt, sweep, export-lut, qam. Exit codes:
 0 success, 1 usage or parameter error, 2 numerical failure, 3 I/O error.
-All conversions between dB and linear happen here; library code is linear
-throughout.
+Library arithmetic is linear; dB appears where an SNR is configured or
+reported: `eval --snr-db` and the snr_db that eval prints, a training
+config's SnrTarget (the sweep hands each ae cell its proxy SNR as one), the
+sweep CSV's snr_eff_db and a trained constellation's trained_snr_db.
 """
 
 from __future__ import annotations

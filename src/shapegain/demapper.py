@@ -98,9 +98,9 @@ from .errors import (NumericalError, ParameterError, build_section, check_field_
 LN2 = math.log(2.0)
 # the saturation of every LLR the package uses, see the module docstring
 LLR_CLIP = 50.0
-# Cap on one Monte-Carlo estimate: 10**7 samples hold 240 MB of labels and
-# samples, and their stderr is about 1e-4 bits; more is rejected before
-# anything is drawn.
+# Cap on one Monte-Carlo estimate, counted after the round-up to a multiple of
+# M: 10**7 samples hold 240 MB of labels and samples, and their stderr is about
+# 1e-4 bits; more is rejected before anything is drawn.
 MAX_SAMPLES = 10 ** 7
 
 # the Monte-Carlo GMI runs in blocks of this many log-likelihoods, which
@@ -454,14 +454,14 @@ def per_bit_gmi_mc(c: Constellation, noise_variance: float, n_samples: int,
     noise_variance : float
         Total complex noise variance (1/SNR for unit-power constellations).
     n_samples : int
-        Requested sample count, in [M, MAX_SAMPLES].
+        Requested sample count, in [M, MAX_SAMPLES rounded down to a multiple of M].
     rng : numpy Generator
         Source of the noise draws; results are deterministic per state.
     """
     check_value("n_samples", "int", n_samples)
-    if not c.size <= n_samples <= MAX_SAMPLES:
-        raise ParameterError(
-            f"n_samples must be in [M = {c.size}, {MAX_SAMPLES}], got {n_samples}")
+    if not c.size <= n_samples <= MAX_SAMPLES // c.size * c.size:
+        raise ParameterError(f"n_samples must be in [M = {c.size}, "
+                             f"{MAX_SAMPLES // c.size * c.size}], got {n_samples}")
     _check_noise_variance(noise_variance)
     per_label = -(-n_samples // c.size)  # ceil division
     labels = np.repeat(np.arange(c.size), per_label)

@@ -1,12 +1,13 @@
 """Reach sweeps: net rate vs distance for learned and uniform QAM schemes.
 
 Every grid point (scheme, n_spans) is independent: the learned scheme
-retrains at the grid point's effective SNR with a seed derived from the
-base seed and the span count, the QAM scheme picks the best net rate over
-a list of modulation orders. run_sweep first trains every learned cell in
-one training.train_many call, which sizes its own runs, and each cell
-equals its lone train() bit for bit. The cells then run one by one in
-(scheme, n_spans) order, so results are reproducible byte for byte.
+trains with a seed derived from the base seed and the span count at a proxy
+SNR, the one the grid point gives Gray QAM, and is evaluated at the SNR of
+its own moments; the QAM scheme picks the best net rate over a list of
+modulation orders. run_sweep first trains every learned cell in one
+training.train_many call, which sizes its own runs, and each cell equals its
+lone train() bit for bit. The cells then run one by one in (scheme, n_spans)
+order, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -132,10 +133,12 @@ def _run_config(link, train, sweep=None, eval={}, output={}) -> RunConfig:  # no
     eval_cfg = build_section("eval config", EvalSettings, eval)
     if sweep_cfg is not None:
         orders = {"ae": [train_cfg.m], "qam": sweep_cfg.qam_m_list}
-        m = max(max(orders[scheme]) for scheme in sweep_cfg.schemes)
-        if eval_cfg.n_samples < 1 << m:
-            raise ParameterError(f"eval.n_samples must be at least M = {1 << m}, the largest "
-                                 f"constellation the sweep evaluates, got {eval_cfg.n_samples}")
+        size = 1 << max(max(orders[scheme]) for scheme in sweep_cfg.schemes)
+        # per_bit_gmi_mc rounds the count up to a multiple of M, most at the largest M
+        if not size <= eval_cfg.n_samples <= MAX_SAMPLES // size * size:
+            raise ParameterError(
+                f"eval.n_samples must be in [{size}, {MAX_SAMPLES // size * size}] for M = "
+                f"{size}, the largest constellation the sweep evaluates, got {eval_cfg.n_samples}")
     return RunConfig(link=link_cfg, train=train_cfg, sweep=sweep_cfg, eval=eval_cfg,
                      output=build_section("output config", OutputSettings, output))
 
@@ -155,8 +158,8 @@ def _splitmix64(x: int) -> int:
 
 
 def derive_seed(base_seed: int, n_spans: int) -> int:
-    """Per-grid-point training seed: base xor a bit-mixed span count."""
-    return (base_seed ^ _splitmix64(n_spans)) & _MASK64
+    """Per-grid-point training seed: the whole base seed xor a bit-mixed span count."""
+    return base_seed ^ _splitmix64(n_spans)
 
 
 def _eval_rng(config: RunConfig, n_spans: int, scheme: str, m: int):
@@ -164,38 +167,23 @@ def _eval_rng(config: RunConfig, n_spans: int, scheme: str, m: int):
     return np.random.default_rng([config.eval.seed, n_spans, code, m])
 
 
-def evaluate_grid_point(config: RunConfig, scheme: str, n_spans: int):
+def evaluate_grid_point(config: RunConfig, scheme: str, n_spans: int, candidates=None):
     """One sweep cell: returns (SweepRow, GmiReport, Constellation).
 
-    "qam" evaluates every order in qam_m_list and keeps the best net rate
-    (ties to the earlier list entry). "ae" resolves the grid point's SNR
-    with Gray-QAM moments as a proxy, trains at that SNR with a derived
-    seed, then re-resolves power and SNR with the trained constellation's
-    own moments before evaluation.
+    Each candidate is evaluated at its own power and SNR, on the cell's
+    Monte-Carlo draws for its order, and the best net rate wins (ties to the
+    earlier one). A nonempty list given is evaluated as given; without one,
+    "qam" takes every order of qam_m_list and "ae" trains the cell alone
+    (_ae_train_config).
     """
     if config.sweep is None:
         raise ParameterError("config has no sweep section")
-    if scheme == "qam":
-        candidates = [uniform_qam(int(m)) for m in config.sweep.qam_m_list]
-    elif scheme == "ae":
-        candidates = [train(_ae_train_config(config, n_spans))[0]]
-    else:
+    if scheme not in ("ae", "qam"):
         raise ParameterError(f"unknown scheme {scheme!r}")
-    return _evaluate_cell(config, scheme, n_spans, candidates)
-
-
-def _ae_train_config(config: RunConfig, n_spans: int) -> TrainConfig:
-    """The ae cell's training config: its derived seed, and the SNR that the
-    grid point gives Gray QAM, a proxy for the untrained constellation."""
-    link = replace(config.link, n_spans=int(n_spans))
-    _, ch0 = optimal_launch_power(link, moments(uniform_qam(config.train.m)))
-    return replace(config.train, seed=derive_seed(config.train.seed, n_spans),
-                   target=SnrTarget(ch0.snr_db))
-
-
-def _evaluate_cell(config: RunConfig, scheme: str, n_spans: int, candidates: list):
-    """The cell's row from its candidate constellations: each is evaluated
-    at its own power and SNR, and the best net rate wins."""
+    if candidates is None and scheme == "qam":
+        candidates = [uniform_qam(int(m)) for m in config.sweep.qam_m_list]
+    elif candidates is None:
+        candidates = [train(_ae_train_config(config, n_spans))[0]]
     link = replace(config.link, n_spans=int(n_spans))
     best = None
     for c in candidates:
@@ -220,8 +208,17 @@ def _evaluate_cell(config: RunConfig, scheme: str, n_spans: int, candidates: lis
     return row, report, c
 
 
+def _ae_train_config(config: RunConfig, n_spans: int) -> TrainConfig:
+    """The ae cell's training config: its derived seed, and the SNR that the
+    grid point gives Gray QAM, a proxy for the untrained constellation."""
+    link = replace(config.link, n_spans=int(n_spans))
+    _, ch0 = optimal_launch_power(link, moments(uniform_qam(config.train.m)))
+    return replace(config.train, seed=derive_seed(config.train.seed, n_spans),
+                   target=SnrTarget(ch0.snr_db))
+
+
 def _train_ae_cells(config: RunConfig) -> dict:
-    """{n_spans: trained Constellation} of the ae cells, from one train_many call.
+    """{("ae", n_spans): [trained Constellation]}, from one train_many call.
 
     A cell whose training config cannot be built is missing, and so is
     every cell when the call raises a ShapegainError; a missing cell trains
@@ -240,7 +237,7 @@ def _train_ae_cells(config: RunConfig) -> dict:
         runs = train_many(configs.values())
     except ShapegainError:
         return {}
-    return {n: c for n, (c, _) in zip(configs, runs)}
+    return {("ae", n): [c] for n, (c, _) in zip(configs, runs)}
 
 
 def run_sweep(config: RunConfig, error_sink=None, detail_sink=None) -> list:
@@ -260,10 +257,8 @@ def run_sweep(config: RunConfig, error_sink=None, detail_sink=None) -> list:
     for scheme in sorted(config.sweep.schemes):
         for n_spans in config.sweep.span_grid:
             try:
-                if scheme == "ae" and n_spans in trained:
-                    cell = _evaluate_cell(config, scheme, n_spans, [trained[n_spans]])
-                else:
-                    cell = evaluate_grid_point(config, scheme, n_spans)
+                cell = evaluate_grid_point(config, scheme, n_spans,
+                                           trained.get((scheme, n_spans)))
             except Exception as exc:  # noqa: BLE001 - classified by _wrap_grid_error
                 wrapped = _wrap_grid_error(scheme, n_spans, exc)
                 if error_sink is None:
@@ -294,9 +289,3 @@ def rows_to_csv(rows) -> str:
             f"{'true' if r.feasible else 'false'}")
     return "\n".join(lines) + "\n"
 
-
-def max_reach(rows, target_net_rate: float, scheme: str) -> Optional[float]:
-    """Largest feasible distance whose net rate meets the target, else None."""
-    good = [r.distance_km for r in rows
-            if r.scheme == scheme and r.feasible and r.net_rate >= target_net_rate]
-    return max(good) if good else None

@@ -563,10 +563,10 @@ class TestSweepCommand:
         import shapegain.sweep as sweep_mod
         real = sweep_mod.evaluate_grid_point
 
-        def flaky(config, scheme, n_spans):
+        def flaky(config, scheme, n_spans, candidates):
             if n_spans == 4:
                 raise RuntimeError("synthetic failure")
-            return real(config, scheme, n_spans)
+            return real(config, scheme, n_spans, candidates)
 
         monkeypatch.setattr(sweep_mod, "evaluate_grid_point", flaky)
         out = tmp_path / "res.csv"
@@ -584,7 +584,7 @@ class TestSweepCommand:
                                                            monkeypatch):
         import shapegain.sweep as sweep_mod
 
-        def broken(config, scheme, n_spans):
+        def broken(config, scheme, n_spans, candidates):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(sweep_mod, "evaluate_grid_point", broken)

@@ -414,6 +414,11 @@ class TestMonteCarloGmi:
         with pytest.raises(ParameterError, match="n_samples"):
             per_bit_gmi_mc(uniform_qam(2), 0.1, n, rng=None)
 
+    def test_sample_cap_counts_the_rounded_samples(self):
+        # 10**7 rounds up to 10,000,128 samples at M = 256
+        with pytest.raises(ParameterError, match=r"^n_samples must be in \[M = 256, 9999872\]"):
+            per_bit_gmi_mc(uniform_qam(8), 0.1, MAX_SAMPLES, rng=None)
+
     def test_qpsk_matches_quadrature_oracle(self):
         c = uniform_qam(2)
         s2 = 1.0 / db_to_linear(6.0)

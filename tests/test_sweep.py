@@ -27,7 +27,6 @@ from shapegain.sweep import (
     derive_seed,
     evaluate_grid_point,
     load_run_config,
-    max_reach,
     rows_to_csv,
     run_sweep,
 )
@@ -156,6 +155,21 @@ class TestRunConfigParsing:
         with pytest.raises(ParameterError, match="^seed must be >= 0$"):
             EvalSettings(seed=-1)
 
+    def test_sample_cap_counts_the_rounded_samples(self, tmp_path):
+        # 10**7 is no multiple of M = 256: every cell would draw 10,000,128
+        doc = {"link": {"ase_var_per_span": 0.004, "chi1": 0.3, "chi2": 0.1},
+               "train": {"m": 8, "iterations": 1, "batch_symbols": 256},
+               "sweep": {"span_grid": [1, 2], "schemes": ["ae"]},
+               "eval": {"n_samples": MAX_SAMPLES}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match=r"eval.n_samples must be in \[256, 9999872\] "
+                                                 r"for M = 256, .*got 10000000$"):
+            load_run_config(path)
+        doc["eval"]["n_samples"] = MAX_SAMPLES // 256 * 256
+        path.write_text(json.dumps(doc))
+        assert load_run_config(path).eval.n_samples == 9999872
+
 
 class TestDeriveSeed:
     def test_deterministic_and_span_sensitive(self):
@@ -169,6 +183,11 @@ class TestDeriveSeed:
     def test_stays_in_uint64(self):
         val = derive_seed(2 ** 63, 10 ** 6)
         assert 0 <= val < 2 ** 64
+
+    @pytest.mark.parametrize("n_spans", [4, 8, 12])
+    def test_base_seeds_above_uint64_keep_their_high_bits(self, n_spans):
+        # TrainConfig takes any seed >= 0, and train tells these two apart
+        assert derive_seed(2 ** 64 + 3, n_spans) != derive_seed(3, n_spans)
 
 
 class TestEvaluateGridPoint:
@@ -225,6 +244,14 @@ class TestEvaluateGridPoint:
         _, ch = optimal_launch_power(link, moments(c))
         assert row.snr_eff_db == pytest.approx(ch.snr_db, rel=1e-12)
 
+    def test_given_candidates_are_evaluated_as_given(self):
+        config = _tiny_config(sweep=SweepSettings(span_grid=(2,), schemes=("qam",),
+                                                  qam_m_list=(4,)))
+        row, report, c = evaluate_grid_point(config, "qam", 2, [uniform_qam(3)])
+        assert c.m == report.m == 3
+        assert row == evaluate_grid_point(
+            replace(config, sweep=replace(config.sweep, qam_m_list=(3,))), "qam", 2)[0]
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ParameterError):
             evaluate_grid_point(_tiny_config(), "psk", 2)
@@ -261,10 +288,10 @@ class TestRunSweep:
         import shapegain.sweep as sweep_mod
         real = sweep_mod.evaluate_grid_point
 
-        def flaky(config, scheme, n_spans):
+        def flaky(config, scheme, n_spans, candidates):
             if scheme == "qam" and n_spans == 5:
                 raise ParameterError("synthetic failure")
-            return real(config, scheme, n_spans)
+            return real(config, scheme, n_spans, candidates)
 
         monkeypatch.setattr(sweep_mod, "evaluate_grid_point", flaky)
         with pytest.raises(ParameterError, match=r"scheme=qam, n_spans=5"):
@@ -274,10 +301,10 @@ class TestRunSweep:
         import shapegain.sweep as sweep_mod
         real = sweep_mod.evaluate_grid_point
 
-        def flaky(config, scheme, n_spans):
+        def flaky(config, scheme, n_spans, candidates):
             if scheme == "qam" and n_spans == 5:
                 raise ParameterError("synthetic failure")
-            return real(config, scheme, n_spans)
+            return real(config, scheme, n_spans, candidates)
 
         monkeypatch.setattr(sweep_mod, "evaluate_grid_point", flaky)
         seen = []
@@ -289,7 +316,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("mode", ["mlp", "gaussian"])
     def test_first_failing_cell_stops_the_sweep(self, monkeypatch, mode):
         import shapegain.sweep as sweep_mod
-        real = sweep_mod._evaluate_cell
+        real = sweep_mod.evaluate_grid_point
         cells = []
 
         def spy(config, scheme, n_spans, candidates):
@@ -298,7 +325,7 @@ class TestRunSweep:
                 raise ParameterError("synthetic failure")
             return real(config, scheme, n_spans, candidates)
 
-        monkeypatch.setattr(sweep_mod, "_evaluate_cell", spy)
+        monkeypatch.setattr(sweep_mod, "evaluate_grid_point", spy)
         config = _tiny_config(train=replace(_tiny_config().train, demapper_mode=mode,
                                             mlp_hidden=(4,)))
         with pytest.raises(ParameterError, match=r"scheme=ae, n_spans=5"):
@@ -354,8 +381,8 @@ class TestStackedTraining:
         config = self._config(mode)
         cells = [evaluate_grid_point(config, s, n)[0]
                  for s in ("ae", "qam") for n in (2, 5)]
-        real = sweep_mod.train_many
-        runs = []
+        real, real_cell = sweep_mod.train_many, sweep_mod.evaluate_grid_point
+        runs, seen = [], []
 
         def recorded(configs):
             configs = list(configs)
@@ -365,10 +392,21 @@ class TestStackedTraining:
         def lone_train(config):
             raise AssertionError("an ae cell trained alone")
 
+        def cell(config, scheme, n_spans, candidates):
+            seen.append((scheme, n_spans, candidates))
+            return real_cell(config, scheme, n_spans, candidates)
+
         monkeypatch.setattr(sweep_mod, "train_many", recorded)
         monkeypatch.setattr(sweep_mod, "train", lone_train)
+        monkeypatch.setattr(sweep_mod, "evaluate_grid_point", cell)
         assert run_sweep(config) == cells
         assert runs == [[derive_seed(3, 2), derive_seed(3, 5)]]
+        # one call per cell, in row order; each ae cell's one candidate is its
+        # stacked-trained constellation, and qam cells take qam_m_list
+        assert [(s, n) for s, n, _ in seen] == [("ae", 2), ("ae", 5), ("qam", 2), ("qam", 5)]
+        for _, n, candidates in seen[:2]:
+            assert [c.metadata["seed"] for c in candidates] == [derive_seed(3, n)]
+        assert [candidates for _, _, candidates in seen[2:]] == [None, None]
 
     @staticmethod
     def _break_ae_cell(monkeypatch, n_spans):
@@ -439,14 +477,3 @@ class TestCsvAndReach:
     def test_booleans_lowercase(self):
         row = SweepRow("ae", 1, 100.0, 0.01, 20.0, 0, 8.0, 6.0, False)
         assert rows_to_csv([row]).strip().split("\n")[1].endswith(",false")
-
-    def test_max_reach_lookup(self):
-        rows = self._rows()
-        assert max_reach(rows, 4.5, "ae") == 800.0
-        assert max_reach(rows, 5.0, "ae") == 400.0
-        assert max_reach(rows, 4.5, "qam") == 400.0
-        assert max_reach(rows, 9.0, "ae") is None
-
-    def test_max_reach_ignores_infeasible_rows(self):
-        rows = [SweepRow("ae", 4, 400.0, 0.01, 10.0, 0, 3.0, 6.0, False)]
-        assert max_reach(rows, 1.0, "ae") is None
