@@ -21,19 +21,18 @@ from .errors import (ParameterError, build_section, check_field_types, check_val
                      float_tuple, int_tuple, load_json)
 
 
-def _check_fec_rate(fec_rate: float) -> float:
-    if not 0.0 < fec_rate <= 1.0:
-        raise ParameterError(f"fec_rate must be in (0, 1], got {fec_rate}")
-    return float(fec_rate)
-
-
 def net_rate(m: int, n_d: int, fec_rate: float) -> float:
     """Information bits per dual-pol symbol: (2m - n_d) * fec_rate."""
+    check_value("m", "int", m)
+    check_value("n_d", "int", n_d)
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     if not 0 <= n_d <= 2 * m:
         raise ParameterError(f"n_d must lie in [0, {2 * m}], got {n_d}")
-    return (2 * m - n_d) * _check_fec_rate(fec_rate)
+    check_value("fec_rate", "float", fec_rate)
+    if not 0.0 < fec_rate <= 1.0:
+        raise ParameterError(f"fec_rate must be in (0, 1], got {fec_rate}")
+    return (2 * m - n_d) * float(fec_rate)
 
 
 @dataclass(frozen=True)
@@ -120,17 +119,14 @@ def select_dummy_bits(report: GmiReport, n_d: int,
     smallest, ties to the lowest index: an odd n_d puts its extra dummy on X.
     """
     m = report.m
-    check_value("n_d", "int", n_d)
-    if not 0 <= n_d <= 2 * m:
-        raise ParameterError(f"n_d must lie in [0, {2 * m}], got {n_d}")
-    _check_fec_rate(fec_rate)
+    net_rate(m, n_d, fec_rate)  # rejects a bad n_d or fec_rate
     weakest = [int(i) for i in np.argsort(report.per_bit, kind="stable")]
     dummy = frozenset(weakest[:n_d - n_d // 2]) | frozenset(m + i for i in weakest[:n_d // 2])
     # summed over the kept levels in index order, so the all-dummy plan's data GMI is 0.0 exactly
     per_pol = tuple(float(sum(report.per_bit[i] for i in range(m) if pol + i not in dummy))
                     for pol in (0, m))
     return RateAdaptPlan(m=m, dummy_positions=dummy, per_pol_data_gmi=per_pol,
-                         fec_rate=fec_rate)
+                         fec_rate=float(fec_rate))
 
 
 def best_plan(report: GmiReport, fec_rate: float) -> RateAdaptPlan:
@@ -154,6 +150,7 @@ def assemble_labels(data_bits, plan: RateAdaptPlan, m: int,
     levels in index order; dummy levels get fresh uniform bits from rng.
     The stream length must divide evenly into symbols.
     """
+    check_value("m", "int", m)
     if m != plan.m:
         raise ParameterError(f"plan is for m = {plan.m}, got m = {m}")
     data_bits = np.asarray(data_bits)
@@ -182,6 +179,7 @@ def assemble_labels(data_bits, plan: RateAdaptPlan, m: int,
 
 def extract_data_bits(labels: np.ndarray, plan: RateAdaptPlan, m: int) -> np.ndarray:
     """Inverse of assemble_labels: strip dummy levels from label pairs."""
+    check_value("m", "int", m)
     if m != plan.m:
         raise ParameterError(f"plan is for m = {plan.m}, got m = {m}")
     labels = check_labels(labels, 1 << m)

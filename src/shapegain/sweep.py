@@ -1,13 +1,13 @@
 """Reach sweeps: net rate vs distance for learned and uniform QAM schemes.
 
-Every grid point (scheme, n_spans) is independent: the learned scheme
-trains with a seed derived from the base seed and the span count at a proxy
-SNR, the one the grid point gives Gray QAM, and is evaluated at the SNR of
-its own moments; the QAM scheme picks the best net rate over a list of
-modulation orders. run_sweep first trains every learned cell in one
-training.train_many call, which sizes its own runs, and each cell equals its
-lone train() bit for bit. The cells then run one by one in (scheme, n_spans)
-order, so results are reproducible byte for byte.
+run_sweep decides each grid point's candidates and evaluate_grid_point only
+scores them, each at the SNR of its own moments, keeping the best net rate.
+A learned cell's one candidate trains with a seed derived from the base seed
+and the span count at a proxy SNR, the one the grid point gives Gray QAM; a
+QAM cell's are the Gray constellations of qam_m_list. The learned cells
+train first in one training.train_many call, which sizes its own runs, and
+each equals its lone train() bit for bit. The cells then run one by one in
+(scheme, n_spans) order, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -167,23 +167,17 @@ def _eval_rng(config: RunConfig, n_spans: int, scheme: str, m: int):
     return np.random.default_rng([config.eval.seed, n_spans, code, m])
 
 
-def evaluate_grid_point(config: RunConfig, scheme: str, n_spans: int, candidates=None):
+def evaluate_grid_point(config: RunConfig, scheme: str, n_spans: int, candidates):
     """One sweep cell: returns (SweepRow, GmiReport, Constellation).
 
-    Each candidate is evaluated at its own power and SNR, on the cell's
-    Monte-Carlo draws for its order, and the best net rate wins (ties to the
-    earlier one). A nonempty list given is evaluated as given; without one,
-    "qam" takes every order of qam_m_list and "ae" trains the cell alone
-    (_ae_train_config).
+    Scores the candidates run_sweep decided, reading only config.link and
+    config.eval: each at its own power and SNR, on the cell's Monte-Carlo
+    draws for its order; the best net rate wins (ties to the earlier one).
     """
-    if config.sweep is None:
-        raise ParameterError("config has no sweep section")
     if scheme not in ("ae", "qam"):
         raise ParameterError(f"unknown scheme {scheme!r}")
-    if candidates is None and scheme == "qam":
-        candidates = [uniform_qam(int(m)) for m in config.sweep.qam_m_list]
-    elif candidates is None:
-        candidates = [train(_ae_train_config(config, n_spans))[0]]
+    if not candidates:
+        raise ParameterError("a grid point needs at least one candidate")
     link = replace(config.link, n_spans=int(n_spans))
     best = None
     for c in candidates:
@@ -218,11 +212,11 @@ def _ae_train_config(config: RunConfig, n_spans: int) -> TrainConfig:
 
 
 def _train_ae_cells(config: RunConfig) -> dict:
-    """{("ae", n_spans): [trained Constellation]}, from one train_many call.
+    """{n_spans: trained Constellation}, from one train_many call.
 
     A cell whose training config cannot be built is missing, and so is
     every cell when the call raises a ShapegainError; a missing cell trains
-    alone in evaluate_grid_point, whose row or error is exactly the cell's.
+    alone at its turn in run_sweep, whose row or error is exactly the cell's.
     Any other exception propagates: it is a fault of the program, or a
     MemoryError that training alone would meet too, since a stacked run
     stays within MAX_CELL_ENTRIES, the budget of one cell.
@@ -237,28 +231,36 @@ def _train_ae_cells(config: RunConfig) -> dict:
         runs = train_many(configs.values())
     except ShapegainError:
         return {}
-    return {("ae", n): [c] for n, (c, _) in zip(configs, runs)}
+    return {n: c for n, (c, _) in zip(configs, runs)}
 
 
 def run_sweep(config: RunConfig, error_sink=None, detail_sink=None) -> list:
     """Evaluate the whole grid, one cell after another in (scheme, n_spans)
-    order, which is the order of the rows returned.
+    order, which is the order of the rows returned. Only here are a cell's
+    candidates decided: qam_m_list's Gray constellations for qam, and for ae
+    the cell's stacked-trained one, or one trained alone at its turn.
 
     A failing grid point raises an error naming the point, and no later
     point is computed, unless error_sink is given: then the point is
     skipped and reported to error_sink(scheme, n_spans, exception).
     detail_sink, if given, receives (scheme, n_spans, row, report,
-    constellation) per cell. The ae cells train together first.
+    constellation) per cell.
     """
     if config.sweep is None:
         raise ParameterError("config has no sweep section")
     trained = _train_ae_cells(config) if "ae" in config.sweep.schemes else {}
+    gray = [uniform_qam(int(m)) for m in config.sweep.qam_m_list]
     rows = []
     for scheme in sorted(config.sweep.schemes):
         for n_spans in config.sweep.span_grid:
             try:
-                cell = evaluate_grid_point(config, scheme, n_spans,
-                                           trained.get((scheme, n_spans)))
+                if scheme == "qam":
+                    candidates = gray
+                elif n_spans in trained:
+                    candidates = [trained[n_spans]]
+                else:
+                    candidates = [train(_ae_train_config(config, n_spans))[0]]
+                cell = evaluate_grid_point(config, scheme, n_spans, candidates)
             except Exception as exc:  # noqa: BLE001 - classified by _wrap_grid_error
                 wrapped = _wrap_grid_error(scheme, n_spans, exc)
                 if error_sink is None:

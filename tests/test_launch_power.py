@@ -49,7 +49,7 @@ def test_train_target_sweep_and_eval_agree(tmp_path, capsys, monkeypatch, power)
 
     sweep = SweepSettings(span_grid=(8,), schemes=("qam",), qam_m_list=(4,))
     row, _, _ = evaluate_grid_point(
-        replace(run, sweep=sweep, eval=EvalSettings(n_samples=64)), "qam", 8)
+        replace(run, sweep=sweep, eval=EvalSettings(n_samples=64)), "qam", 8, [gray])
     assert (row.launch_power, row.snr_eff_db) == (want_power, want.snr_db)
 
     seen = []

@@ -51,6 +51,21 @@ class TestNetRate:
         with pytest.raises(ParameterError):
             net_rate(4, 0, 1.5)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda plan: net_rate(2, 1.5, 0.75), "^n_d must be an integer, got float$"),
+        (lambda plan: net_rate(2.5, 1, 0.75), "^m must be an integer, got float$"),
+        (lambda plan: extract_data_bits(np.zeros((3, 2), np.int64), plan, 2.0),
+         "^m must be an integer, got float$"),
+        (lambda plan: assemble_labels(np.zeros(3, np.uint8), plan, 2.0,
+                                      np.random.default_rng(0)),
+         "^m must be an integer, got float$"),
+    ], ids=["net_rate-n_d", "net_rate-m", "extract_data_bits-m", "assemble_labels-m"])
+    def test_non_integer_bit_counts_rejected(self, call, match):
+        # a bit count of 2.0 equals the plan's m = 2 but is no count of bits
+        plan = select_dummy_bits(_report([0.9, 0.1]), 1, 0.75)
+        with pytest.raises(ParameterError, match=match):
+            call(plan)
+
 
 # ---------------------------------------------------------- dummy selection
 
@@ -205,6 +220,23 @@ class TestPlanSerialization:
         save_plan(plan, path)
         back = load_plan(path)
         assert back == plan
+
+    @pytest.mark.parametrize("choose", [
+        lambda report: best_plan(report, True),
+        lambda report: select_dummy_bits(report, 2, True),
+    ], ids=["best_plan", "select_dummy_bits"])
+    def test_bool_fec_rate_rejected(self, choose):
+        # load_plan refuses a file with "fec_rate": true, so no plan may hold one
+        with pytest.raises(ParameterError, match="^fec_rate must be a number, got bool$"):
+            choose(_report([0.95, 0.9, 0.4, 0.05]))
+
+    @pytest.mark.parametrize("fec_rate", [1, np.float32(0.75)], ids=["int", "float32"])
+    def test_plan_stores_fec_rate_as_float_and_round_trips(self, tmp_path, fec_rate):
+        plan = select_dummy_bits(_report([0.95, 0.9, 0.4, 0.05]), 2, fec_rate)
+        assert type(plan.fec_rate) is float and plan.fec_rate == fec_rate
+        path = tmp_path / "plan.json"
+        save_plan(plan, path)
+        assert load_plan(path) == plan
 
     def test_dummy_mask_string(self):
         plan = select_dummy_bits(_report([0.95, 0.9, 0.4, 0.05]), 2, 0.75)

@@ -24,6 +24,7 @@ from shapegain.sweep import (
     RunConfig,
     SweepRow,
     SweepSettings,
+    _ae_train_config,
     derive_seed,
     evaluate_grid_point,
     load_run_config,
@@ -31,7 +32,7 @@ from shapegain.sweep import (
     run_sweep,
 )
 from shapegain.demapper import MAX_SAMPLES
-from shapegain.training import SnrTarget, TrainConfig
+from shapegain.training import SnrTarget, TrainConfig, train
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.json"
 
@@ -194,7 +195,7 @@ class TestEvaluateGridPoint:
     def test_qam_cell_matches_standalone_pipeline(self):
         """The cell must equal the same computation made from public calls."""
         config = _tiny_config()
-        row, report, c = evaluate_grid_point(config, "qam", 5)
+        row, report, c = evaluate_grid_point(config, "qam", 5, [uniform_qam(2)])
 
         link = LinkConfig(n_spans=5, ase_var_per_span=0.0041, chi1=0.3, chi2=0.1)
         ref = uniform_qam(2)
@@ -220,19 +221,21 @@ class TestEvaluateGridPoint:
                               batch_symbols=64, seed=3),
             sweep=SweepSettings(span_grid=(2,), schemes=("qam",),
                                 qam_m_list=(3, 4)))
-        row, _, c = evaluate_grid_point(config, "qam", 2)
+        row, _, c = evaluate_grid_point(config, "qam", 2, [uniform_qam(3), uniform_qam(4)])
         row_hi, _, c_hi = evaluate_grid_point(
             _tiny_config(
                 train=TrainConfig(m=4, target=SnrTarget(10.0), iterations=0,
                                   batch_symbols=64, seed=3),
                 sweep=SweepSettings(span_grid=(2,), schemes=("qam",),
-                                    qam_m_list=(4, 3))), "qam", 2)
+                                    qam_m_list=(4, 3))), "qam", 2,
+            [uniform_qam(4), uniform_qam(3)])
         assert row.net_rate == row_hi.net_rate
         assert c.m == c_hi.m
 
     def test_ae_cell_reports_trained_constellation(self):
         config = _tiny_config()
-        row, report, c = evaluate_grid_point(config, "ae", 2)
+        row, report, c = evaluate_grid_point(
+            config, "ae", 2, [train(_ae_train_config(config, 2))[0]])
         assert c.metadata["generator"] == "train"
         assert c.metadata["seed"] == derive_seed(3, 2)
         assert row.scheme == "ae"
@@ -250,16 +253,32 @@ class TestEvaluateGridPoint:
         row, report, c = evaluate_grid_point(config, "qam", 2, [uniform_qam(3)])
         assert c.m == report.m == 3
         assert row == evaluate_grid_point(
-            replace(config, sweep=replace(config.sweep, qam_m_list=(3,))), "qam", 2)[0]
+            replace(config, sweep=replace(config.sweep, qam_m_list=(3,))), "qam", 2,
+            [uniform_qam(3)])[0]
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ParameterError):
-            evaluate_grid_point(_tiny_config(), "psk", 2)
+            evaluate_grid_point(_tiny_config(), "psk", 2, [uniform_qam(2)])
+
+    @pytest.mark.parametrize("candidates", [[], ()])
+    def test_empty_candidate_list_rejected(self, candidates):
+        with pytest.raises(ParameterError, match="^a grid point needs at least one candidate$"):
+            evaluate_grid_point(_tiny_config(), "qam", 4, candidates)
+
+    def test_tie_goes_to_the_earlier_candidate(self):
+        # at 80 spans (-3.6 dB) neither Gray QAM order carries data: both plans
+        # are all-dummy, net rate 0, and the first candidate given must win
+        config = _tiny_config()
+        first, second = uniform_qam(2), uniform_qam(1)
+        rows = []
+        for pair in ([first, second], [second, first]):
+            row, report, c = evaluate_grid_point(config, "qam", 80, pair)
+            assert c is pair[0] and report.m == pair[0].m
+            rows.append(row)
+        assert [(r.net_rate, r.n_d) for r in rows] == [(0.0, 4), (0.0, 2)]
 
     def test_config_without_sweep_rejected(self):
         config = _tiny_config(sweep=None)
-        with pytest.raises(ParameterError, match="^config has no sweep section$"):
-            evaluate_grid_point(config, "qam", 2)
         with pytest.raises(ParameterError, match="^config has no sweep section$"):
             run_sweep(config)
 
@@ -365,9 +384,10 @@ qam,24,2400,0.206739,1.46336,8,0,0,true
 
 
 class TestStackedTraining:
-    """run_sweep trains the ae cells in one train_many call, which sizes its
-    own runs; a ShapegainError there sends every ae cell back to training
-    alone, as evaluate_grid_point does, and any other exception propagates."""
+    """run_sweep, which alone decides each cell's candidates, trains the ae
+    cells in one train_many call, which sizes its own runs; a ShapegainError
+    there sends every ae cell back to training alone at its turn in run_sweep,
+    and any other exception propagates. evaluate_grid_point only scores."""
 
     @staticmethod
     def _config(mode="mlp"):
@@ -379,8 +399,9 @@ class TestStackedTraining:
     def test_ae_cells_train_in_one_train_many_call(self, monkeypatch, mode):
         import shapegain.sweep as sweep_mod
         config = self._config(mode)
-        cells = [evaluate_grid_point(config, s, n)[0]
-                 for s in ("ae", "qam") for n in (2, 5)]
+        cells = [evaluate_grid_point(config, "ae", n, [train(_ae_train_config(config, n))[0]])[0]
+                 for n in (2, 5)]
+        cells += [evaluate_grid_point(config, "qam", n, [uniform_qam(2)])[0] for n in (2, 5)]
         real, real_cell = sweep_mod.train_many, sweep_mod.evaluate_grid_point
         runs, seen = [], []
 
@@ -402,11 +423,15 @@ class TestStackedTraining:
         assert run_sweep(config) == cells
         assert runs == [[derive_seed(3, 2), derive_seed(3, 5)]]
         # one call per cell, in row order; each ae cell's one candidate is its
-        # stacked-trained constellation, and qam cells take qam_m_list
+        # stacked-trained constellation, and qam cells take qam_m_list's Gray
+        # constellations in order
         assert [(s, n) for s, n, _ in seen] == [("ae", 2), ("ae", 5), ("qam", 2), ("qam", 5)]
         for _, n, candidates in seen[:2]:
             assert [c.metadata["seed"] for c in candidates] == [derive_seed(3, n)]
-        assert [candidates for _, _, candidates in seen[2:]] == [None, None]
+        for _, _, candidates in seen[2:]:
+            assert [c.m for c in candidates] == list(config.sweep.qam_m_list)
+            for c in candidates:
+                np.testing.assert_array_equal(c.points, uniform_qam(c.m).points)
 
     @staticmethod
     def _break_ae_cell(monkeypatch, n_spans):
