@@ -60,8 +60,8 @@ unless an input is NaN or a distance overflows, and the gradient divides
 by the partitions, each at least e^-700, without a mask.
 
 gauss_hermite_grid is the one Gauss-Hermite product grid, of
-gmi_oracle_quadrature and of training's noise-free batch. The oracle drops
-the product nodes of weight w_i w_j / pi below 1e-21. Of the default
+per_bit_gmi_quadrature and of training's noise-free batch. The quadrature
+drops the product nodes of weight w_i w_j / pi below 1e-21. Of the default
 48 x 48 grid it keeps 1224 of 2304 nodes, and the dropped weights sum to
 2.1e-20; with penalties of at most log2(1 + e^LLR_CLIP) = 72.2 bits each
 level moves by at most 1.6e-18 bits. The kept penalties are summed in the
@@ -111,8 +111,9 @@ _EPS = float(np.finfo(np.float64).eps)
 # the floored exp of gaussian_bit_metric, see the module docstring
 _EXP_FLOOR = -700.0
 _EXP_SHIFT = 64.0
-# product nodes of the quadrature oracle below this weight are dropped
+# product nodes of the quadrature below this weight are dropped
 _QUAD_MIN_WEIGHT = 1e-21
+MAX_QUADRATURE_M = 6  # the largest order the quadrature integrates, M = 64
 
 # OpenBLAS threads a GEMM once m*n*k exceeds 2**18. On the skinny products
 # below the threaded call saves no wall time and leaves its workers spinning
@@ -495,17 +496,15 @@ def gauss_hermite_grid(n1: int, n2: int):
     return offsets, weights
 
 
-def gmi_oracle_quadrature(c: Constellation, noise_variance: float,
-                          n_nodes: int = 48) -> float:
-    """Deterministic GMI via 2-D Gauss-Hermite quadrature over the noise.
+def per_bit_gmi_quadrature(c: Constellation, noise_variance: float,
+                           n_nodes: int = 48) -> GmiReport:
+    """Deterministic per-bit GMI via 2-D Gauss-Hermite quadrature over the noise.
 
-    Integrates the same per-bit integrand as per_bit_gmi_mc with n_nodes in
-    [1, MAX_HERMITE_ORDER] Hermite nodes per noise dimension (node span far
-    exceeds +/-6 sigma at the default order). Intended as an independent
-    oracle for Monte-Carlo validation; limited to M <= 64 since the cost
-    grows as M^2 * n_nodes^2.
+    Integrates per_bit_gmi_mc's per-bit integrand on n_nodes in [1, MAX_HERMITE_ORDER]
+    Hermite nodes per noise dimension, for M <= 64: the cost grows as M^2 n_nodes^2.
+    n_samples counts the kept product nodes times M; stderr_total is 0.0.
     """
-    if c.size > 64:
+    if c.m > MAX_QUADRATURE_M:
         raise ParameterError(f"quadrature oracle supports M <= 64, got M = {c.size}")
     _check_noise_variance(noise_variance)
     check_value("n_nodes", "int", n_nodes)
@@ -522,4 +521,9 @@ def gmi_oracle_quadrature(c: Constellation, noise_variance: float,
         t[:, kept] = _bit_penalties(y, c, np.full(offsets.size, label), noise_variance)
         penalty_per_bit += t @ w2
     per_bit = np.clip(1.0 - penalty_per_bit / c.size, 0.0, 1.0)
-    return float(per_bit.sum())
+    return make_report(per_bit, kept.size * c.size, 0.0)
+
+
+def gmi_oracle_quadrature(c: Constellation, noise_variance: float, n_nodes: int = 48) -> float:
+    """per_bit_gmi_quadrature's total, the oracle of Monte-Carlo validation."""
+    return per_bit_gmi_quadrature(c, noise_variance, n_nodes).total

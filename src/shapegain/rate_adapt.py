@@ -37,8 +37,8 @@ def net_rate(m: int, n_d: int, fec_rate: float) -> float:
 
 @dataclass(frozen=True)
 class RateAdaptPlan:
-    """Outcome of dummy-level selection for one constellation/SNR point;
-    n_d, net_rate and data_gmi are derived from the fields."""
+    """Outcome of dummy-level selection for one constellation/SNR point; n_d,
+    net_rate and data_gmi derive from the fields, checked once when built."""
 
     m: int
     dummy_positions: frozenset
@@ -51,7 +51,7 @@ class RateAdaptPlan:
 
     @property
     def net_rate(self) -> float:
-        return net_rate(self.m, self.n_d, self.fec_rate)
+        return (2 * self.m - self.n_d) * float(self.fec_rate)
 
     @property
     def data_gmi(self) -> float:
@@ -86,6 +86,7 @@ class RateAdaptPlan:
         keys are to_dict's, its fields are well typed and in range, and it is
         what to_dict writes for this plan (dummy_positions distinct and sorted,
         n_d, net_rate and data_gmi derived from the fields)."""
+        check_counts = net_rate  # inside build, net_rate is the document's
         def build(m, n_d, dummy_positions, net_rate, data_gmi, per_pol_data_gmi, fec_rate):
             positions = int_tuple("dummy_positions", dummy_positions)
             plan = cls(m, frozenset(positions), float_tuple("per_pol_data_gmi", per_pol_data_gmi),
@@ -96,7 +97,8 @@ class RateAdaptPlan:
                     f"dummy_positions must lie in [0, {2 * plan.m}), got {list(positions)}")
             if len(plan.per_pol_data_gmi) != 2:
                 raise ParameterError("per_pol_data_gmi must hold one value per polarization")
-            check_written(doc, plan.to_dict())  # net_rate checks m and fec_rate
+            check_counts(plan.m, plan.n_d, plan.fec_rate)  # m >= 1, fec_rate in (0, 1]
+            check_written(doc, plan.to_dict())
             return plan
         return build_section("rate-adaptation plan", build, doc)
 

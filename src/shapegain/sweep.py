@@ -1,7 +1,9 @@
 """Reach sweeps: net rate vs distance for learned and uniform QAM schemes.
 
 run_sweep decides each grid point's candidates and evaluate_grid_point only
-scores them, each at the SNR of its own moments, keeping the best net rate.
+scores them, each at the SNR of its own moments and by its per-bit
+Gauss-Hermite GMI (so M <= 64, and the eval section goes unread), keeping the
+best net rate.
 A learned cell's one candidate trains with a seed derived from the base seed
 and the span count at a proxy SNR, the one the grid point gives Gray QAM; a
 QAM cell's are the Gray constellations of qam_m_list. The learned cells
@@ -16,11 +18,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
-import numpy as np
-
 from .channel import LinkConfig, optimal_launch_power
 from .constellation import MAX_QAM_M, moments, uniform_qam
-from .demapper import MAX_SAMPLES, per_bit_gmi_mc
+from .demapper import MAX_QUADRATURE_M, MAX_SAMPLES, per_bit_gmi_quadrature
 from .errors import (
     ParameterError,
     ShapegainError,
@@ -33,6 +33,7 @@ from .rate_adapt import best_plan
 from .training import SnrTarget, TrainConfig, train, train_config_from_dict, train_many
 
 _MASK64 = (1 << 64) - 1
+SCORE_NODES = 32  # Hermite nodes per noise dimension of a cell's score, see README
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,10 @@ def _run_config(link, train, sweep=None, eval={}, output={}) -> RunConfig:  # no
     eval_cfg = build_section("eval config", EvalSettings, eval)
     if sweep_cfg is not None:
         orders = {"ae": [train_cfg.m], "qam": sweep_cfg.qam_m_list}
-        size = 1 << max(max(orders[scheme]) for scheme in sweep_cfg.schemes)
-        # per_bit_gmi_mc rounds the count up to a multiple of M, most at the largest M
-        if not size <= eval_cfg.n_samples <= MAX_SAMPLES // size * size:
-            raise ParameterError(
-                f"eval.n_samples must be in [{size}, {MAX_SAMPLES // size * size}] for M = "
-                f"{size}, the largest constellation the sweep evaluates, got {eval_cfg.n_samples}")
+        m = max(max(orders[scheme]) for scheme in sweep_cfg.schemes)
+        if m > MAX_QUADRATURE_M:
+            raise ParameterError(f"the sweep scores constellations of at most M = "
+                                 f"{1 << MAX_QUADRATURE_M}, got M = {1 << m}")
     return RunConfig(link=link_cfg, train=train_cfg, sweep=sweep_cfg, eval=eval_cfg,
                      output=build_section("output config", OutputSettings, output))
 
@@ -162,17 +161,12 @@ def derive_seed(base_seed: int, n_spans: int) -> int:
     return base_seed ^ _splitmix64(n_spans)
 
 
-def _eval_rng(config: RunConfig, n_spans: int, scheme: str, m: int):
-    code = 0 if scheme == "ae" else 1
-    return np.random.default_rng([config.eval.seed, n_spans, code, m])
-
-
 def evaluate_grid_point(config: RunConfig, scheme: str, n_spans: int, candidates):
     """One sweep cell: returns (SweepRow, GmiReport, Constellation).
 
-    Scores the candidates run_sweep decided, reading only config.link and
-    config.eval: each at its own power and SNR, on the cell's Monte-Carlo
-    draws for its order; the best net rate wins (ties to the earlier one).
+    Scores the candidates run_sweep decided, reading only config.link: each
+    at its own power and SNR, by its per-bit Gauss-Hermite GMI on SCORE_NODES
+    nodes per dimension; the best net rate wins (ties to the earlier one).
     """
     if scheme not in ("ae", "qam"):
         raise ParameterError(f"unknown scheme {scheme!r}")
@@ -182,8 +176,7 @@ def evaluate_grid_point(config: RunConfig, scheme: str, n_spans: int, candidates
     best = None
     for c in candidates:
         power, ch = optimal_launch_power(link, moments(c))
-        report = per_bit_gmi_mc(c, ch.noise_variance, config.eval.n_samples,
-                                _eval_rng(config, n_spans, scheme, c.m))
+        report = per_bit_gmi_quadrature(c, ch.noise_variance, SCORE_NODES)
         plan = best_plan(report, link.fec_rate)
         if best is None or plan.net_rate > best[4].net_rate:
             best = (c, power, ch, report, plan)

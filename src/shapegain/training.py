@@ -395,14 +395,14 @@ class ForwardState:
 
     Signals are real: points_iq (2, M) and y_iq (2, S) hold I and Q in
     their rows, and every per-sample array has the samples on its last
-    axis. Arrays carry the cell axis first in the stacked loop; scale holds
-    one Python float per cell, and loss is one value per cell. The
-    per-sample arrays are work's, which backward() writes into as well.
+    axis. Arrays carry the cell axis first in the stacked loop; scale is
+    the cells' scales as one _per_cell operand, and loss is one value per
+    cell. The per-sample arrays are work's, which backward() writes into.
     """
 
     batch: _Batch
     raw: np.ndarray
-    scale: list
+    scale: object
     points_iq: np.ndarray
     y_iq: np.ndarray
     llr_raw: np.ndarray  # (m, S)
@@ -449,8 +449,8 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
     """
     if power is None:
         power = _mapper_power(raw)
-    scale = [p ** -0.5 for p in power]
-    points = np.multiply(raw.swapaxes(-1, -2), _per_cell(scale, raw), order="C")
+    scale = _per_cell([p ** -0.5 for p in power], raw)
+    points = np.multiply(raw.swapaxes(-1, -2), scale, order="C")
     # every label is in range, and "clip" takes without buffering its output
     y = np.take(points, batch.labels, axis=-1, out=work("y", noise_iq.shape), mode="clip")
     y += noise_iq
@@ -496,11 +496,11 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
     dscale = dscale.reshape(*dscale.shape[:-2], -1).sum(axis=-1)
     try:
         dpower = [-0.5 * s ** 3 * d
-                  for s, d in zip(st.scale, dscale.reshape(-1).tolist())]
+                  for s, d in zip(np.ravel(st.scale).tolist(), dscale.reshape(-1).tolist())]
     except OverflowError as exc:  # a float power raises instead of giving inf
         raise NumericalError("non-finite values in gradient mapper.raw") from exc
     draw = grads["mapper.raw"]
-    np.multiply(dp, _per_cell(st.scale, raw), out=draw)
+    np.multiply(dp, st.scale, out=draw)
     draw += (2.0 / M) * raw * _per_cell(dpower, raw)
 
     if not np.isfinite(grad).all():

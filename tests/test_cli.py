@@ -531,33 +531,34 @@ class TestSweepCommand:
         assert len(err.splitlines()) == 1 and name in err, err
         assert not out.exists()
 
-    @pytest.mark.parametrize("train_m, sweep", [
-        (3, {"schemes": ["ae", "qam"], "qam_m_list": [2]}),   # the trained M = 8
-        (2, {"schemes": ["ae", "qam"], "qam_m_list": [3]}),   # QAM's largest M = 8
-        (3, {"schemes": ["qam"], "qam_m_list": [3, 2]}),
-    ], ids=["ae-order", "qam-order", "qam-only"])
-    def test_too_few_eval_samples_exit_1_before_training(self, tmp_path, capsys, monkeypatch,
-                                                         train_m, sweep):
+    @pytest.mark.parametrize("section, key, above, at_bound, size", [
+        ("train", "m", 7, 6, 128),
+        ("sweep", "qam_m_list", [2, 8], [2, 6], 256),
+    ], ids=["train-m-7", "qam-m-8"])
+    def test_order_above_64_points_exits_1_before_training(
+            self, tmp_path, capsys, monkeypatch, section, key, above, at_bound, size):
+        # a cell is scored by quadrature, which integrates at most M = 64
         import shapegain.sweep as sweep_mod
 
         def spy(configs):
             raise AssertionError("a cell trained")
 
         monkeypatch.setattr(sweep_mod, "train_many", spy)
-        cfg = _write_run_config(tmp_path, sweep={"span_grid": [2, 4], **sweep})
+        cfg = _write_run_config(tmp_path, sweep={"span_grid": [2, 4], "qam_m_list": [2]})
         doc = json.loads(cfg.read_text())
-        doc["train"].update(m=train_m, batch_symbols=1 << train_m)
-        doc["eval"]["n_samples"] = 7
+        doc["train"]["batch_symbols"] = 128
+        doc[section][key] = above
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "res.csv"
         rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--keep-going"])
         err = capsys.readouterr().err
         assert rc == 1
-        assert len(err.splitlines()) == 1 and "eval.n_samples" in err and "M = 8" in err, err
+        assert err.endswith(f"the sweep scores constellations of at most M = 64, got M = {size}\n")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
         assert not out.exists()
-        doc["eval"]["n_samples"] = 8  # the bound itself loads
+        doc[section][key] = at_bound  # the bound itself loads
         cfg.write_text(json.dumps(doc))
-        assert sweep_mod.load_run_config(cfg).eval.n_samples == 8
+        assert sweep_mod.load_run_config(cfg).sweep.span_grid == (2, 4)
 
     def test_keep_going_reports_each_skipped_cell(self, tmp_path, capsys, monkeypatch):
         import shapegain.sweep as sweep_mod

@@ -16,6 +16,8 @@ from shapegain import (
     GmiReport,
     ParameterError,
     NumericalError,
+    SnrTarget,
+    TrainConfig,
     awgn_sample,
     db_to_linear,
     gmi_oracle_quadrature,
@@ -23,6 +25,7 @@ from shapegain import (
     per_bit_gmi_from_samples,
     per_bit_gmi_mc,
     select_dummy_bits,
+    train,
     uniform_qam,
 )
 from shapegain.constellation import MAX_QAM_M, bit_table, labels_from_bits, normalize
@@ -43,7 +46,9 @@ from shapegain.demapper import (
     gaussian_bit_metric_grad,
     logistic,
     make_report,
+    per_bit_gmi_quadrature,
 )
+from shapegain.sweep import SCORE_NODES
 
 # the largest clip the floored exp serves with full precision, see the
 # demapper module docstring; the precision tests clip their raw LLRs to it
@@ -602,6 +607,65 @@ class TestQuadratureOracle:
         bpsk = gmi_oracle_quadrature(uniform_qam(1), 2.0 * s2)
         assert qpsk == pytest.approx(2.0 * bpsk, abs=1e-9)
 
+
+
+# gmi_oracle_quadrature at 9.3 dB, Gray m = 1..6, as the oracle gave it
+# before it became the total of per_bit_gmi_quadrature's report
+_ORACLE_AT_9_3_DB = {1: 0.9999212283348873, 2: 1.9855324596206179, 3: 2.574936944790948,
+                     4: 2.9979202646993137, 5: 2.7537098983921213, 6: 2.958691729181089}
+
+
+class TestPerBitQuadrature:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_total_is_the_oracle_bit_for_bit(self, m):
+        s2 = 1.0 / db_to_linear(9.3)
+        report = per_bit_gmi_quadrature(uniform_qam(m), s2)
+        assert report.total == gmi_oracle_quadrature(uniform_qam(m), s2) == _ORACLE_AT_9_3_DB[m]
+
+    def test_trained_constellation_is_the_oracle_and_agrees_with_monte_carlo(self):
+        c, _ = train(TrainConfig(m=3, target=SnrTarget(8.0), iterations=40, batch_symbols=64,
+                                 seed=1))
+        s2 = 1.0 / db_to_linear(8.0)
+        report = per_bit_gmi_quadrature(c, s2)
+        assert report.total == gmi_oracle_quadrature(c, s2) == 2.3775130153696242
+        mc = per_bit_gmi_mc(c, s2, 100_000, np.random.default_rng(3))
+        assert np.abs(report.per_bit - mc.per_bit).max() <= 4.0 * mc.stderr_total
+
+    @pytest.mark.parametrize("m, snr_db", [(2, 3.0), (3, 7.0), (4, 10.0), (5, 13.0),
+                                           (6, 16.0)])
+    def test_each_level_within_4_stderr_of_monte_carlo(self, m, snr_db):
+        c = uniform_qam(m)
+        s2 = 1.0 / db_to_linear(snr_db)
+        mc = per_bit_gmi_mc(c, s2, 100_000, np.random.default_rng(m))
+        gap = np.abs(per_bit_gmi_quadrature(c, s2).per_bit - mc.per_bit)
+        assert gap.max() <= 4.0 * mc.stderr_total, (gap, mc.stderr_total)
+
+    def test_node_counts_are_converged_per_level(self):
+        # the sweep's SCORE_NODES and the default 48 against 96 nodes, Gray
+        # QAM m = 1..6 at 0-30 dB in 2 dB steps; on a 0.25 dB grid the worst
+        # levels lie 4.4e-5 and 7.3e-6 bits off, near 18 dB at m = 5
+        worst = {SCORE_NODES: 0.0, 48: 0.0}
+        for m in range(1, 7):
+            for snr_db in range(0, 31, 2):
+                s2 = 1.0 / db_to_linear(snr_db)
+                ref = per_bit_gmi_quadrature(uniform_qam(m), s2, 96).per_bit
+                for n in worst:
+                    gap = np.abs(per_bit_gmi_quadrature(uniform_qam(m), s2, n).per_bit - ref)
+                    worst[n] = max(worst[n], float(gap.max()))
+        assert worst[SCORE_NODES] <= 1e-4 and worst[48] <= 2e-5, worst
+
+    @pytest.mark.parametrize("n_nodes, kept", [(SCORE_NODES, 776), (48, 1224)])
+    def test_report_counts_nodes_and_round_trips(self, n_nodes, kept):
+        report = per_bit_gmi_quadrature(uniform_qam(3), 0.3, n_nodes)
+        assert (report.m, report.n_samples, report.stderr_total) == (3, kept * 8, 0.0)
+        back = GmiReport.from_dict(json.loads(report.to_json()))
+        np.testing.assert_array_equal(back.per_bit, report.per_bit)
+        assert (back.n_samples, back.stderr_total) == (report.n_samples, 0.0)
+
+    def test_refuses_large_constellations(self):
+        with pytest.raises(ParameterError,
+                           match="^quadrature oracle supports M <= 64, got M = 128$"):
+            per_bit_gmi_quadrature(uniform_qam(7), 1.0)
 
 _NOISE_VARIANCE_ENTRY_POINTS = {
     "llr_exact": lambda nv: llr_exact(0.1 + 0j, uniform_qam(2), nv),

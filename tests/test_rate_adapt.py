@@ -238,6 +238,34 @@ class TestPlanSerialization:
         save_plan(plan, path)
         assert load_plan(path) == plan
 
+    def test_fields_are_checked_once_when_the_plan_is_built(self, monkeypatch):
+        # net_rate, feasible and to_dict are arithmetic on fields that
+        # select_dummy_bits and from_dict checked when they built the plan
+        import shapegain.rate_adapt as rate_adapt
+        real, seen = rate_adapt.check_value, []
+        monkeypatch.setattr(rate_adapt, "check_value",
+                            lambda name, kind, value: seen.append(name) or real(name, kind, value))
+        plan = select_dummy_bits(_report([0.95, 0.9, 0.4, 0.05]), 2, 0.75)
+        assert seen == ["m", "n_d", "fec_rate"]
+        assert (plan.net_rate, plan.feasible, plan.to_dict()["net_rate"]) == (4.5, True, 4.5)
+        assert seen == ["m", "n_d", "fec_rate"]
+        again = RateAdaptPlan.from_dict(plan.to_dict())
+        assert seen == ["m", "n_d", "fec_rate"] * 2
+        assert (again.net_rate, again.feasible) == (4.5, True)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"fec_rate": "x"}, "fec_rate must be a number, got str"),
+        ({"fec_rate": 7.0}, "m must be >= 1, got 0"),
+        ({"n_d": 1, "dummy_positions": [0], "fec_rate": 7.0},
+         r"dummy_positions must lie in \[0, 0\), got \[0\]"),
+    ], ids=["field-type", "count-range", "positions"])
+    def test_first_failing_check_names_the_plan(self, change, match):
+        # m = 0 fails too, and the checks run in the order the reader states
+        doc = {**select_dummy_bits(_report([0.95, 0.9, 0.4, 0.05]), 2, 0.75).to_dict(),
+               "m": 0, "n_d": 0, "dummy_positions": [], **change}
+        with pytest.raises(ParameterError, match=f"^bad rate-adaptation plan: {match}$"):
+            RateAdaptPlan.from_dict(doc)
+
     def test_dummy_mask_string(self):
         plan = select_dummy_bits(_report([0.95, 0.9, 0.4, 0.05]), 2, 0.75)
         assert plan.dummy_mask() == "00010001"
