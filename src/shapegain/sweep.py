@@ -7,8 +7,8 @@ best net rate.
 A learned cell's one candidate trains with a seed derived from the base seed
 and the span count at a proxy SNR, the one the grid point gives Gray QAM; a
 QAM cell's are the Gray constellations of qam_m_list. The learned cells
-train first in one training.train_many call, which sizes its own runs, and
-each equals its lone train() bit for bit. The cells then run one by one in
+train all in one training.train_many call, which sizes its own runs, or all
+alone at their turns, with the same bits. The cells then run one by one in
 (scheme, n_spans) order, so results are reproducible byte for byte.
 """
 
@@ -108,11 +108,21 @@ class OutputSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run's sections; building one refuses a sweep that would score M > 64."""
+
     link: LinkConfig
     train: TrainConfig
     sweep: Optional[SweepSettings] = None
     eval: EvalSettings = EvalSettings()
     output: OutputSettings = OutputSettings()
+
+    def __post_init__(self):
+        if self.sweep is not None:
+            orders = {"ae": [self.train.m], "qam": self.sweep.qam_m_list}
+            m = max(max(orders[scheme]) for scheme in self.sweep.schemes)
+            if m > MAX_QUADRATURE_M:
+                raise ParameterError(f"the sweep scores constellations of at most M = "
+                                     f"{1 << MAX_QUADRATURE_M}, got M = {1 << m}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -132,12 +142,6 @@ def _run_config(link, train, sweep=None, eval={}, output={}) -> RunConfig:  # no
     if sweep is not None:
         sweep_cfg = build_section("sweep config", partial(_sweep_settings, train_cfg.m), sweep)
     eval_cfg = build_section("eval config", EvalSettings, eval)
-    if sweep_cfg is not None:
-        orders = {"ae": [train_cfg.m], "qam": sweep_cfg.qam_m_list}
-        m = max(max(orders[scheme]) for scheme in sweep_cfg.schemes)
-        if m > MAX_QUADRATURE_M:
-            raise ParameterError(f"the sweep scores constellations of at most M = "
-                                 f"{1 << MAX_QUADRATURE_M}, got M = {1 << m}")
     return RunConfig(link=link_cfg, train=train_cfg, sweep=sweep_cfg, eval=eval_cfg,
                      output=build_section("output config", OutputSettings, output))
 
@@ -205,26 +209,20 @@ def _ae_train_config(config: RunConfig, n_spans: int) -> TrainConfig:
 
 
 def _train_ae_cells(config: RunConfig) -> dict:
-    """{n_spans: trained Constellation}, from one train_many call.
-
-    A cell whose training config cannot be built is missing, and so is
-    every cell when the call raises a ShapegainError; a missing cell trains
-    alone at its turn in run_sweep, whose row or error is exactly the cell's.
-    Any other exception propagates: it is a fault of the program, or a
-    MemoryError that training alone would meet too, since a stacked run
-    stays within MAX_CELL_ENTRIES, the budget of one cell.
+    """{n_spans: trained Constellation} for every grid span from one
+    train_many call, or {} when a ShapegainError is raised building a cell's
+    config or in the call: every cell then trains alone at its turn in
+    run_sweep, with the same bits or the cell's own error. Any other
+    exception propagates: a fault of the program, or a MemoryError that a
+    lone run would meet too, as a stacked run stays within
+    MAX_CELL_ENTRIES, the budget of one cell.
     """
-    configs = {}
-    for n in config.sweep.span_grid:
-        try:
-            configs[n] = _ae_train_config(config, n)
-        except Exception:  # noqa: BLE001 - the cell raises it again when it runs
-            continue
+    grid = config.sweep.span_grid
     try:
-        runs = train_many(configs.values())
+        runs = train_many([_ae_train_config(config, n) for n in grid])
     except ShapegainError:
         return {}
-    return {n: c for n, (c, _) in zip(configs, runs)}
+    return {n: c for n, (c, _) in zip(grid, runs)}
 
 
 def run_sweep(config: RunConfig, error_sink=None, detail_sink=None) -> list:

@@ -2,17 +2,27 @@
 Command line section names every flag the parser takes and no other, its
 Configuration section names every key a run configuration takes, and it and
 the example config state how the example's training batch sees the noise,
-and it states which iterations a training history records."""
+and it states which iterations a training history records and the
+quadrature sizes the sweep scores with."""
 
 import argparse
+import inspect
 import json
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from shapegain import LinkConfig, RateAdaptPlan, SnrTarget, TrainConfig
 from shapegain.cli import _build_parser
-from shapegain.sweep import EvalSettings, OutputSettings, SweepSettings
+from shapegain.demapper import (
+    _QUAD_MIN_WEIGHT,
+    MAX_QUADRATURE_M,
+    gauss_hermite_grid,
+    per_bit_gmi_quadrature,
+)
+from shapegain.sweep import SCORE_NODES, EvalSettings, OutputSettings, SweepSettings
 from shapegain.training import HISTORY_STRIDE, LinkTarget, _grid_shape
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -103,3 +113,35 @@ def test_history_rows_are_described_as_training_records_them():
     _, stride = _sentence_with(r"`training\.HISTORY_STRIDE` = (\d+)th",
                                _section("Performance", text))
     assert int(stride[1]) == HISTORY_STRIDE
+
+
+def _kept_nodes(n: int) -> int:
+    """Product nodes per label that the quadrature keeps at n nodes per dimension."""
+    return int(np.count_nonzero(gauss_hermite_grid(n, n)[1] >= _QUAD_MIN_WEIGHT))
+
+
+def test_quadrature_sizes_are_stated_as_the_code_has_them():
+    """README's Performance gives the sweep's nodes per dimension, the kept
+    product nodes per label there and at the quadrature's default, and the
+    nodes that default skips; its Configuration gives the largest order the
+    sweep scores."""
+    text = README.read_text(encoding="utf-8")
+    default = inspect.signature(per_bit_gmi_quadrature).parameters["n_nodes"].default
+    performance = _section("Performance", text)
+    _, nums = _sentence_with(r"`sweep\.SCORE_NODES` = (\d+) Hermite nodes per noise dimension: "
+                             r"(\d+) kept product nodes per label, against (\d+) at the "
+                             r"default (\d+)\.", performance)
+    assert tuple(map(int, nums.groups())) == (
+        SCORE_NODES, _kept_nodes(SCORE_NODES), _kept_nodes(default), default)
+    _, nums = _sentence_with(r"skips the product nodes of weight below (\S+), (\d+) of the "
+                             r"default (\d+) per label", performance)
+    assert float(nums[1]) == _QUAD_MIN_WEIGHT
+    assert (int(nums[2]), int(nums[3])) == (default ** 2 - _kept_nodes(default), default ** 2)
+    _, limit = _sentence_with(r"it stops at M = (\d+), and so does the sweep", performance)
+    assert int(limit[1]) == 1 << MAX_QUADRATURE_M
+
+    _, nums = _sentence_with(r"The sweep scores constellations of at most M = (\d+) "
+                             r"\(Performance\): an `ae` scheme with `train\.m` above (\d+), "
+                             r"or a `qam_m_list` entry above (\d+),",
+                             _section("Configuration", text))
+    assert tuple(map(int, nums.groups())) == ((1 << MAX_QUADRATURE_M,) + (MAX_QUADRATURE_M,) * 2)

@@ -52,6 +52,9 @@ def _tiny_config(**overrides):
     return RunConfig(**base)
 
 
+_QAM_256 = SweepSettings(span_grid=(2, 5), schemes=("qam",), qam_m_list=(8,))
+
+
 class TestRunConfigParsing:
     def test_shipped_example_parses(self):
         cfg = load_run_config(REPO_CONFIG)
@@ -148,6 +151,32 @@ class TestRunConfigParsing:
     def test_repeated_scheme_rejected(self, schemes):
         with pytest.raises(ParameterError, match=r"^schemes must not repeat a scheme, got \["):
             SweepSettings(span_grid=(2, 4), schemes=schemes, qam_m_list=(2,))
+
+    @pytest.mark.parametrize("build, size", [
+        (lambda: _tiny_config(sweep=_QAM_256), 256),
+        (lambda: replace(load_run_config(REPO_CONFIG), sweep=_QAM_256), 256),
+        (lambda: _tiny_config(train=TrainConfig(m=7, target=SnrTarget(10.0), iterations=0,
+                                                batch_symbols=128, seed=3)), 128),
+    ], ids=["built", "replaced", "train-m-7"])
+    def test_order_above_64_is_refused_where_the_config_is_built(
+            self, monkeypatch, build, size):
+        # a cell is scored by quadrature, which integrates at most M = 64
+        import shapegain.sweep as sweep_mod
+
+        def spy(configs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(sweep_mod, "train_many", spy)
+        with pytest.raises(ParameterError, match=rf"^the sweep scores constellations of at "
+                                                 rf"most M = 64, got M = {size}$"):
+            run_sweep(build(), error_sink=lambda *cell: None)
+
+    def test_order_64_builds(self):
+        config = _tiny_config(
+            train=TrainConfig(m=6, target=SnrTarget(10.0), iterations=0, batch_symbols=128,
+                              seed=3),
+            sweep=SweepSettings(span_grid=(2, 5), qam_m_list=(6, 2)))
+        assert (config.train.m, config.sweep.qam_m_list) == (6, (6, 2))
 
     def test_sample_cap(self):
         EvalSettings(n_samples=MAX_SAMPLES)
@@ -335,6 +364,24 @@ class TestRunSweep:
         with pytest.raises(ParameterError, match=r"scheme=ae, n_spans=5"):
             run_sweep(config)
         assert cells == [("ae", 2), ("ae", 5)]
+
+    def test_only_the_failing_cells_of_a_grid_are_reported(self):
+        # with eps_accum = 1 the NLIN accumulation overflows at 10^200 spans,
+        # so that span fails in both schemes and span 2 keeps its lone rows
+        base = load_run_config(REPO_CONFIG)
+        base = replace(base, link=replace(base.link, eps_accum=1.0),
+                       train=replace(base.train, iterations=200))
+        huge = 10 ** 200
+        seen = []
+        rows = run_sweep(replace(base, sweep=replace(base.sweep, span_grid=(2, huge))),
+                         error_sink=lambda s, n, e: seen.append((s, n, e)))
+        alone = run_sweep(replace(base, sweep=replace(base.sweep, span_grid=(2,))))
+        assert [(r.scheme, r.n_spans) for r in rows] == [("ae", 2), ("qam", 2)]
+        assert rows_to_csv(rows) == rows_to_csv(alone)
+        assert [(s, n) for s, n, _ in seen] == [("ae", huge), ("qam", huge)]
+        for _, _, e in seen:
+            assert isinstance(e, NumericalError)
+            assert "NLIN accumulation overflowed" in str(e)
 
     def test_detail_sink_sees_every_cell(self):
         cells = []
