@@ -111,7 +111,7 @@ def nlin_factor(link: LinkConfig, mom: Moments) -> float:
     return max(eta, 0.0)
 
 
-def _span_accumulation(link: LinkConfig) -> float:
+def span_accumulation(link: LinkConfig) -> float:
     """n_spans ** (1 + eps_accum), the growth of NLIN with the span count."""
     try:
         return link.n_spans ** (1.0 + link.eps_accum)
@@ -123,7 +123,7 @@ def _span_accumulation(link: LinkConfig) -> float:
 
 def _total_noise(link: LinkConfig, launch_power: float, eta: float) -> float:
     ase = link.n_spans * link.ase_var_per_span
-    growth = _span_accumulation(link)
+    growth = span_accumulation(link)
     try:
         nlin = launch_power ** 3 * eta * growth
     except OverflowError as exc:
@@ -156,7 +156,7 @@ def optimal_launch_power(link: LinkConfig, mom: Moments) -> tuple[float, Effecti
     if eta <= 0:
         raise ParameterError("eta(mom) <= 0: SNR grows without bound in launch power")
     ase = link.n_spans * link.ase_var_per_span
-    p_opt = (ase / (2.0 * eta * _span_accumulation(link))) ** (1.0 / 3.0)
+    p_opt = (ase / (2.0 * eta * span_accumulation(link))) ** (1.0 / 3.0)
     return p_opt, effective_snr(link, p_opt, mom)
 
 

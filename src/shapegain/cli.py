@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import linear_to_db, noise_variance_from_db, optimal_launch_power
+from .channel import LinkConfig, linear_to_db, noise_variance_from_db, optimal_launch_power
 from .constellation import (
     constellation_to_dict,
     load_constellation,
@@ -109,6 +109,11 @@ def _train_section(train, link=None, sweep=None, eval=None, output=None):
     return train_config_from_dict(train)
 
 
+def _link_section(link, train=None, sweep=None, eval=None, output=None):
+    """The link section alone, at a placeholder n_spans: eval --link-from reads no other."""
+    return build_section("link config", functools.partial(LinkConfig, 1), link)
+
+
 def _cmd_train(args) -> int:
     config = build_section("run config", _train_section, load_json(args.config))
     constellation, history = train(config)
@@ -125,7 +130,8 @@ def _cmd_train(args) -> int:
 def _resolve_eval_noise(args, c) -> float:
     if args.snr_db is not None:
         return noise_variance_from_db(args.snr_db, "--snr-db")
-    link = replace(load_run_config(args.link_from).link, n_spans=args.n_spans)
+    link = build_section("run config", _link_section, load_json(args.link_from))
+    link = replace(link, n_spans=args.n_spans)
     return optimal_launch_power(link, moments(c))[1].noise_variance
 
 

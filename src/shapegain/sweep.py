@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
-from .channel import LinkConfig, optimal_launch_power
+from .channel import LinkConfig, optimal_launch_power, span_accumulation
 from .constellation import MAX_QAM_M, moments, uniform_qam
 from .demapper import MAX_QUADRATURE_M, MAX_SAMPLES, per_bit_gmi_quadrature
 from .errors import (
@@ -108,29 +108,30 @@ class OutputSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A run's sections; building one refuses a sweep that would score M > 64."""
+    """A sweep's sections; building one refuses M > 64 and a grid span whose link overflows."""
 
     link: LinkConfig
     train: TrainConfig
-    sweep: Optional[SweepSettings] = None
+    sweep: SweepSettings
     eval: EvalSettings = EvalSettings()
     output: OutputSettings = OutputSettings()
 
     def __post_init__(self):
-        if self.sweep is not None:
-            orders = {"ae": [self.train.m], "qam": self.sweep.qam_m_list}
-            m = max(max(orders[scheme]) for scheme in self.sweep.schemes)
-            if m > MAX_QUADRATURE_M:
-                raise ParameterError(f"the sweep scores constellations of at most M = "
-                                     f"{1 << MAX_QUADRATURE_M}, got M = {1 << m}")
+        orders = {"ae": [self.train.m], "qam": self.sweep.qam_m_list}
+        m = max(max(orders[scheme]) for scheme in self.sweep.schemes)
+        if m > MAX_QUADRATURE_M:
+            raise ParameterError(f"the sweep scores constellations of at most M = "
+                                 f"{1 << MAX_QUADRATURE_M}, got M = {1 << m}")
+        for n_spans in self.sweep.span_grid:
+            span_accumulation(replace(self.link, n_spans=n_spans))
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse a JSON run-configuration file (link/train/sweep/eval/output sections)."""
+    """Parse a sweep's JSON run configuration (link/train/sweep, optional eval/output)."""
     return build_section("run config", _run_config, load_json(path))
 
 
-def _run_config(link, train, sweep=None, eval={}, output={}) -> RunConfig:  # noqa: B006
+def _run_config(link, train, sweep, eval={}, output={}) -> RunConfig:  # noqa: B006
     """A run config from its sections; the {} defaults are read, never mutated."""
     # n_spans is bound to a placeholder the grid overrides, so the section cannot set it
     link_cfg = build_section("link config", partial(LinkConfig, 1), link)
@@ -138,9 +139,7 @@ def _run_config(link, train, sweep=None, eval={}, output={}) -> RunConfig:  # no
         # sweeps retarget every grid point, so a standalone target is optional here
         train = {**train, "target": {"snr_db": 10.0}}
     train_cfg = train_config_from_dict(train)
-    sweep_cfg = None
-    if sweep is not None:
-        sweep_cfg = build_section("sweep config", partial(_sweep_settings, train_cfg.m), sweep)
+    sweep_cfg = build_section("sweep config", partial(_sweep_settings, train_cfg.m), sweep)
     eval_cfg = build_section("eval config", EvalSettings, eval)
     return RunConfig(link=link_cfg, train=train_cfg, sweep=sweep_cfg, eval=eval_cfg,
                      output=build_section("output config", OutputSettings, output))
@@ -226,10 +225,10 @@ def _train_ae_cells(config: RunConfig) -> dict:
 
 
 def run_sweep(config: RunConfig, error_sink=None, detail_sink=None) -> list:
-    """Evaluate the whole grid, one cell after another in (scheme, n_spans)
-    order, which is the order of the rows returned. Only here are a cell's
-    candidates decided: qam_m_list's Gray constellations for qam, and for ae
-    the cell's stacked-trained one, or one trained alone at its turn.
+    """Evaluate config's grid, checked when config was built, cell by cell in
+    (scheme, n_spans) order, the order of the rows returned. Only here are a
+    cell's candidates decided: qam_m_list's Gray constellations for qam, and
+    for ae the cell's stacked-trained one, or one trained alone at its turn.
 
     A failing grid point raises an error naming the point, and no later
     point is computed, unless error_sink is given: then the point is
@@ -237,8 +236,6 @@ def run_sweep(config: RunConfig, error_sink=None, detail_sink=None) -> list:
     detail_sink, if given, receives (scheme, n_spans, row, report,
     constellation) per cell.
     """
-    if config.sweep is None:
-        raise ParameterError("config has no sweep section")
     trained = _train_ae_cells(config) if "ae" in config.sweep.schemes else {}
     gray = [uniform_qam(int(m)) for m in config.sweep.qam_m_list]
     rows = []

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from shapegain.cli import _build_parser, _UsageError, main
 from shapegain.demapper import MAX_SAMPLES, make_report
 from shapegain.training import (MAX_BATCH_SYMBOLS, MAX_CELL_ENTRIES, MAX_ITERATIONS, emit,
                                 init_mapper, train_config_from_dict)
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.json"
 
 
 def _write_run_config(tmp_path, **extra):
@@ -93,6 +96,25 @@ class TestEvalCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("snr_db: ")
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {"link": doc["link"]},
+        lambda doc: {**doc, "train": {**doc["train"], "m": 8, "batch_symbols": 256}},
+        lambda doc: {**doc, "output": {"results_csv": 5}},
+    ], ids=["link-only", "train-m-8", "results-csv-5"])
+    def test_link_from_reads_only_the_link(self, tmp_path, capsys, edit):
+        # eval reads the link section alone, as train reads only train: a file
+        # holding only the example's link, and files whose other sections the
+        # sweep would refuse, give the example's link
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(edit(json.loads(EXAMPLE.read_text()))))
+        cpath = tmp_path / "c.json"
+        main(["qam", "--m", "4", "--out", str(cpath)])
+        capsys.readouterr()
+        rc = main(["eval", "--constellation", str(cpath), "--link-from", str(cfg),
+                   "--n-spans", "4", "--samples", "64"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == "snr_db: 9.2449"
 
     def test_snr_and_link_are_mutually_exclusive(self, tmp_path, capsys):
         cfg = _write_run_config(tmp_path)
@@ -560,6 +582,31 @@ class TestSweepCommand:
         cfg.write_text(json.dumps(doc))
         assert sweep_mod.load_run_config(cfg).sweep.span_grid == (2, 4)
 
+    @pytest.mark.parametrize("flags", [[], ["--keep-going"]], ids=["stop", "keep-going"])
+    def test_overflowing_grid_span_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, flags):
+        # with eps_accum = 1 the NLIN accumulation overflows at 10^200 spans,
+        # and the config is refused where it is built, before any cell trains
+        import shapegain.sweep as sweep_mod
+
+        def spy(config):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(sweep_mod, "train_many", spy)
+        monkeypatch.setattr(sweep_mod, "train", spy)
+        doc = json.loads(EXAMPLE.read_text())
+        doc["link"]["eps_accum"] = 1.0
+        doc["sweep"]["span_grid"] = [4, 8, 10 ** 200]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "res.csv"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"shapegain: numerical failure: NLIN accumulation overflowed: {10 ** 200} spans, "
+            "eps_accum = 1.0"]
+        assert not out.exists()
+
     def test_keep_going_reports_each_skipped_cell(self, tmp_path, capsys, monkeypatch):
         import shapegain.sweep as sweep_mod
         real = sweep_mod.evaluate_grid_point
@@ -904,13 +951,15 @@ def test_unknown_document_key_exits_1(tmp_path, capsys, case, key, value):
 
 
 # every object of every input document that its command reads: train reads
-# the run config's root and its train section only, and a constellation's
-# metadata is free-form inside
+# the run config's root and its train section only, eval --link-from its
+# root and its link section only, and a constellation's metadata is
+# free-form inside
+_READS_ONLY = {(0, "--config"): ("train",), (2, "--link-from"): ("link",)}
 _OBJECT_PATHS = [(index, flag, path) for index, flag in _FILE_ARGS
                  for path in _value_paths(_COMMANDS[index][1][flag])
                  if isinstance(_lookup(_COMMANDS[index][1][flag], path), dict)
                  and path[:1] != ("metadata",)
-                 and (_COMMANDS[index][0] != "train" or path[:1] in ((), ("train",)))]
+                 and path[:1] in ((), _READS_ONLY.get((index, flag), path[:1]))]
 
 
 @pytest.mark.parametrize("case", _OBJECT_PATHS, ids=[
@@ -946,6 +995,7 @@ _MISSING_KEYS = [(0, "--config", (), "train"), (0, "--config", ("train",), "m"),
                  (1, "--constellation", (), "points"), (2, "--link-from", (), "link"),
                  (2, "--link-from", ("link",), "ase_var_per_span"),
                  (3, "--report", (), "per_bit"), (4, "--config", (), "link"),
+                 (4, "--config", (), "sweep"),
                  (4, "--config", ("sweep",), "span_grid"),
                  (4, "--config", ("train",), "iterations"),
                  (5, "--plan", (), "dummy_positions")]

@@ -1,9 +1,9 @@
 """README's Library example runs as written against the installed API, its
 Command line section names every flag the parser takes and no other, its
-Configuration section names every key a run configuration takes, and it and
-the example config state how the example's training batch sees the noise,
-and it states which iterations a training history records and the
-quadrature sizes the sweep scores with."""
+Configuration section names every key a run configuration takes and the
+sections each command reads, and it and the example config state how the
+example's training batch sees the noise, and it states which iterations a
+training history records and the quadrature sizes the sweep scores with."""
 
 import argparse
 import inspect
@@ -15,14 +15,21 @@ from pathlib import Path
 import numpy as np
 
 from shapegain import LinkConfig, RateAdaptPlan, SnrTarget, TrainConfig
-from shapegain.cli import _build_parser
+from shapegain.cli import _build_parser, _link_section, _train_section
 from shapegain.demapper import (
     _QUAD_MIN_WEIGHT,
     MAX_QUADRATURE_M,
     gauss_hermite_grid,
     per_bit_gmi_quadrature,
 )
-from shapegain.sweep import SCORE_NODES, EvalSettings, OutputSettings, SweepSettings
+from shapegain.sweep import (
+    SCORE_NODES,
+    EvalSettings,
+    OutputSettings,
+    RunConfig,
+    SweepSettings,
+    _run_config,
+)
 from shapegain.training import HISTORY_STRIDE, LinkTarget, _grid_shape
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,8 +47,8 @@ def test_library_example_runs(capsys):
 
 
 # every object of a run configuration, whose fields are its keys
-_CONFIG_OBJECTS = (LinkConfig, TrainConfig, SnrTarget, LinkTarget, SweepSettings, EvalSettings,
-                   OutputSettings)
+_CONFIG_OBJECTS = (RunConfig, LinkConfig, TrainConfig, SnrTarget, LinkTarget, SweepSettings,
+                   EvalSettings, OutputSettings)
 
 
 def _section(name: str, text: str) -> str:
@@ -113,6 +120,23 @@ def test_history_rows_are_described_as_training_records_them():
     _, stride = _sentence_with(r"`training\.HISTORY_STRIDE` = (\d+)th",
                                _section("Performance", text))
     assert int(stride[1]) == HISTORY_STRIDE
+
+
+def _required(read) -> list:
+    """The parameters of a section reader that have no default, in order."""
+    return [p.name for p in inspect.signature(read).parameters.values() if p.default is p.empty]
+
+
+def test_sections_read_are_stated_as_the_commands_read_them():
+    """README's Configuration names the one section of a run configuration
+    that `train` and `eval --link-from` each read, and the sections that
+    `sweep` requires, as the readers of the three commands take them."""
+    _, names = _sentence_with(r"`shapegain train` reads only `(\w+)`, `eval --link-from` only "
+                              r"`(\w+)`, and `shapegain sweep` every section, of which `(\w+)`, "
+                              r"`(\w+)` and `(\w+)` are required",
+                              _section("Configuration", README.read_text(encoding="utf-8")))
+    assert list(names.groups()) == [*_required(_train_section), *_required(_link_section),
+                                    *_required(_run_config)]
 
 
 def _kept_nodes(n: int) -> int:

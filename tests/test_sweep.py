@@ -72,12 +72,13 @@ class TestRunConfigParsing:
                      "_why": "ignored too"},
             "train": {"m": 2, "iterations": 1, "batch_symbols": 16,
                       "target": {"snr_db": 9.0}},
+            "sweep": {"span_grid": [1, 2], "_why": "ignored as well"},
         }
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
         cfg = load_run_config(path)
         assert cfg.train.m == 2
-        assert cfg.sweep is None
+        assert cfg.sweep.span_grid == (1, 2)
 
     def test_qam_m_list_defaults_to_m_and_m_minus_one(self, tmp_path):
         doc = {
@@ -177,6 +178,18 @@ class TestRunConfigParsing:
                               seed=3),
             sweep=SweepSettings(span_grid=(2, 5), qam_m_list=(6, 2)))
         assert (config.train.m, config.sweep.qam_m_list) == (6, (6, 2))
+
+    def test_overflowing_grid_span_is_refused_where_the_config_is_built(self):
+        # with eps_accum = 1 the NLIN accumulation overflows at 10^200 spans:
+        # the cell's error comes when the config is built, so no cell trains
+        # (a grid that fails in some cells only: TestStackedTraining)
+        base = load_run_config(REPO_CONFIG)
+        base = replace(base, link=replace(base.link, eps_accum=1.0))
+        huge = 10 ** 200
+        with pytest.raises(NumericalError, match=rf"^NLIN accumulation overflowed: {huge} "
+                                                 r"spans, eps_accum = 1\.0$"):
+            replace(base, sweep=replace(base.sweep, span_grid=(2, huge)))
+        assert replace(base, sweep=replace(base.sweep, span_grid=(2,))).sweep.span_grid == (2,)
 
     def test_sample_cap(self):
         EvalSettings(n_samples=MAX_SAMPLES)
@@ -292,9 +305,10 @@ class TestEvaluateGridPoint:
         assert [(r.net_rate, r.n_d) for r in rows] == [(0.0, 4), (0.0, 2)]
 
     def test_config_without_sweep_rejected(self):
-        config = _tiny_config(sweep=None)
-        with pytest.raises(ParameterError, match="^config has no sweep section$"):
-            run_sweep(config)
+        # a run config serves the sweep alone, so it cannot be built without one
+        base = _tiny_config()
+        with pytest.raises(TypeError, match="required positional argument: 'sweep'"):
+            RunConfig(link=base.link, train=base.train)
 
 
 class TestRunSweep:
@@ -364,24 +378,6 @@ class TestRunSweep:
         with pytest.raises(ParameterError, match=r"scheme=ae, n_spans=5"):
             run_sweep(config)
         assert cells == [("ae", 2), ("ae", 5)]
-
-    def test_only_the_failing_cells_of_a_grid_are_reported(self):
-        # with eps_accum = 1 the NLIN accumulation overflows at 10^200 spans,
-        # so that span fails in both schemes and span 2 keeps its lone rows
-        base = load_run_config(REPO_CONFIG)
-        base = replace(base, link=replace(base.link, eps_accum=1.0),
-                       train=replace(base.train, iterations=200))
-        huge = 10 ** 200
-        seen = []
-        rows = run_sweep(replace(base, sweep=replace(base.sweep, span_grid=(2, huge))),
-                         error_sink=lambda s, n, e: seen.append((s, n, e)))
-        alone = run_sweep(replace(base, sweep=replace(base.sweep, span_grid=(2,))))
-        assert [(r.scheme, r.n_spans) for r in rows] == [("ae", 2), ("qam", 2)]
-        assert rows_to_csv(rows) == rows_to_csv(alone)
-        assert [(s, n) for s, n, _ in seen] == [("ae", huge), ("qam", huge)]
-        for _, _, e in seen:
-            assert isinstance(e, NumericalError)
-            assert "NLIN accumulation overflowed" in str(e)
 
     def test_detail_sink_sees_every_cell(self):
         cells = []
