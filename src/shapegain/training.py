@@ -13,9 +13,10 @@ every iteration, from each cell's generator, one window of iterations at a
 time: NOISE_WINDOW_ENTRIES entries at most, ending at each refresh of the
 targets. Each term and its derivative sigmoid(z) / ln 2, z = -(1 - 2 b) L,
 come from the one kernel demapper.logistic. Unit average power is enforced
-inside the forward pass (differentiable normalization), never by
-projection. Gradients are derived by hand and guarded by finite-difference
-checks (tests/stepcheck.py).
+inside the forward pass, never by projection, by the one rule that emit()
+shares, so a trained constellation is the points a step transmits.
+Gradients are derived by hand and guarded by finite-difference checks
+(tests/stepcheck.py).
 
 A receiver is one object with four methods; GaussianDemapper (the exact
 bit metric) and MlpDemapper (a small rectifier network) implement them, and
@@ -195,10 +196,9 @@ def _target(**fields) -> Union[SnrTarget, LinkTarget]:
 
 
 def emit(raw: np.ndarray) -> np.ndarray:
-    """Normalized complex points as transmitted, from one (M, 2) table of
-    free (pre-normalization) coordinates."""
-    scale = 1.0 / math.sqrt(float(np.mean(np.sum(raw ** 2, axis=1))))
-    return scale * (raw[:, 0] + 1j * raw[:, 1])
+    """The complex points a training step transmits from one (M, 2) table of
+    free coordinates, bit for bit: _forward's scale _mapper_power(raw) ** -0.5."""
+    return _mapper_power(raw)[0] ** -0.5 * (raw[:, 0] + 1j * raw[:, 1])
 
 
 @dataclass
@@ -433,22 +433,20 @@ def _per_cell(values: list, like: np.ndarray):
 
 
 def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
-             noise_variance: list, work: Workspace,
-             power: Optional[list] = None, with_loss: bool = True) -> ForwardState:
+             noise_variance: list, work: Workspace, power: list,
+             with_loss: bool = True) -> ForwardState:
     """The loss gradient's sigmoids of one batch per cell, and its loss if with_loss.
 
     raw is (M, 2) and noise_iq, the real noise, (2, S), or (K, M, 2) and
     (K, 2, S) for K stacked MLP cells. noise_variance (finite and positive,
-    as the targets resolve it) and power hold one Python float per cell;
-    power is _mapper_power(raw) when the caller has it already. The scale
-    power ** -0.5 is taken in Python: numpy's array power rounds it
+    as the targets resolve it) and power, _mapper_power(raw), hold one
+    Python float per cell. The scale power ** -0.5, the one unit-power rule
+    that emit() shares, is taken in Python: numpy's array power rounds it
     differently. The received samples, the LLRs' products with the label
     signs, the loss terms and the sigmoids are work's arrays. Only the LLRs
     are checked: a finite power gives finite points, a non-finite received
     sample shows in the LLRs, and clipped LLRs give finite loss terms.
     """
-    if power is None:
-        power = _mapper_power(raw)
     scale = _per_cell([p ** -0.5 for p in power], raw)
     points = np.multiply(raw.swapaxes(-1, -2), scale, order="C")
     # every label is in range, and "clip" takes without buffering its output
@@ -593,8 +591,8 @@ def train_many(configs) -> list:
     The configs may differ only in seed and target, for either receiver.
     The runs are sized here (see the module docstring): MLP cells stack, in
     config order, as many per run as MAX_CELL_ENTRIES holds, and Gaussian
-    cells run one per run. A NumericalError names the iteration, not the
-    cell; train the configs alone to find it.
+    cells run one per run. A NumericalError names the iteration, 0 before
+    the first step, not the cell; train the configs alone to find it.
     """
     configs = list(configs)
     for config in configs[1:]:
@@ -639,7 +637,6 @@ def _train_run(configs: list) -> list:
     window = max(1, NOISE_WINDOW_ENTRIES // (K * 2 * S)) if batch.offsets is None else 1
     noise = np.empty((window,) + axis + (2, S))
     work = Workspace()
-    power = None  # of the current points, once an iteration has computed it
     # cell k's raw points and gradient, as views with the cell axis first
     raws, grad_rows = (a.reshape((K,) + a.shape[len(axis):]) for a in (raw, grad))
     noises = noise.reshape((window, K, 2, S))
@@ -656,36 +653,38 @@ def _train_run(configs: list) -> list:
     recorded = sorted({*range(0, n, HISTORY_STRIDE), *range(n)[-1:]})
     rows = {it: row for row, it in enumerate(recorded)}
     loss_hist, sq_norm_hist = np.empty((2, K, len(rows)))
-    # an overflow leaves an inf or NaN, which the checks of the step (the
-    # power check after the update among them) raise, naming the iteration,
-    # unwarned
+    # an overflow leaves an inf or NaN, which a check of the run raises
+    # unwarned (the power check of each step's points among them), naming
+    # the iteration: 0 before the first step
+    it = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            retarget(k)
-        for it in range(n):
-            since = it % REFRESH_EVERY  # windows end at each refresh of the targets
-            if it and since == 0:
-                for k in range(K):
-                    retarget(k)
-            if batch.offsets is None and since % window == 0:
-                # the draws of awgn_sample, noise_variance / 2 per real
-                # dimension, w iterations' at once in the order they would come
-                w = min(window, REFRESH_EVERY - since, n - it)
-                for k, rng in enumerate(rngs):
-                    np.multiply(rng.standard_normal((w, S, 2)).transpose(0, 2, 1),
-                                math.sqrt(noise_variance[k] / 2.0), out=noises[:w, k])
-            try:
+        try:
+            power = _mapper_power(raw)  # of the points the next step transmits
+            for k in range(K):
+                retarget(k)
+            for it in range(n):
+                since = it % REFRESH_EVERY  # windows end at each refresh of the targets
+                if it and since == 0:
+                    for k in range(K):
+                        retarget(k)
+                if batch.offsets is None and since % window == 0:
+                    # the draws of awgn_sample, noise_variance / 2 per real
+                    # dimension, w iterations' at once in the order they would come
+                    w = min(window, REFRESH_EVERY - since, n - it)
+                    for k, rng in enumerate(rngs):
+                        np.multiply(rng.standard_normal((w, S, 2)).transpose(0, 2, 1),
+                                    math.sqrt(noise_variance[k] / 2.0), out=noises[:w, k])
                 st = _forward(raw, demapper, batch, noise[since % window], noise_variance,
                               work, power, it in rows)
                 _backward(demapper, st, grad, grads)
                 _adam_update(theta, grad, *moments, it + 1, first, adam_scratch)
                 power = _mapper_power(raw)
-            except NumericalError as exc:
-                raise NumericalError(f"iteration {it}: {exc}") from exc
-            if it in rows:
-                loss_hist[:, rows[it]] = st.loss
-                sq_norm_hist[:, rows[it]] = np.matmul(grad_rows[:, None, :],
-                                                      grad_rows[:, :, None]).reshape(K)
+                if it in rows:
+                    loss_hist[:, rows[it]] = st.loss
+                    sq_norm_hist[:, rows[it]] = np.matmul(grad_rows[:, None, :],
+                                                          grad_rows[:, :, None]).reshape(K)
+        except NumericalError as exc:
+            raise NumericalError(f"iteration {it}: {exc}") from exc
         constellations = [
             _emit_constellation(raws[k], config, noise_variance[k])
             for k, config in enumerate(configs)]

@@ -28,6 +28,7 @@ from shapegain.training import (
     _forward,
     _grid_shape,
     _make_batch,
+    _mapper_power,
     trainable_arrays,
     with_arrays,
 )
@@ -64,7 +65,8 @@ def forward_loss(raw: np.ndarray, demapper, labels: np.ndarray,
         noise_iq = np.stack([noise.real, noise.imag])
     if not np.array_equal(check_labels(labels, M), batch.labels):
         raise ParameterError("labels must list each label S // M times, in sorted order")
-    st = _forward(raw, demapper, batch, noise_iq, [noise_variance], Workspace())
+    st = _forward(raw, demapper, batch, noise_iq, [noise_variance], Workspace(),
+                  _mapper_power(raw))
     return float(st.loss), st
 
 

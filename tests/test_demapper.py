@@ -627,7 +627,7 @@ class TestPerBitQuadrature:
                                  seed=1))
         s2 = 1.0 / db_to_linear(8.0)
         report = per_bit_gmi_quadrature(c, s2)
-        assert report.total == gmi_oracle_quadrature(c, s2) == 2.3775130153696242
+        assert report.total == gmi_oracle_quadrature(c, s2) == 2.3775130153696233
         mc = per_bit_gmi_mc(c, s2, 100_000, np.random.default_rng(3))
         assert np.abs(report.per_bit - mc.per_bit).max() <= 4.0 * mc.stderr_total
 

@@ -17,7 +17,11 @@ removed, with the target refreshed every 7 iterations as before. The pin
 at the example's own batch was generated when the example moved to 64 drawn
 symbols per step. The three lone training history pins are the earlier
 per-iteration CSVs cut to the rows train() now records, every
-HISTORY_STRIDE-th iteration and the last.
+HISTORY_STRIDE-th iteration and the last. The six training points pins
+were regenerated when the emitted constellation took the training step's
+own unit-power scale; only the link pin's history moved with them, as its
+target now resolves at the points each step transmits. A training pin
+that fails prints the digests it computed.
 """
 
 import hashlib
@@ -71,13 +75,14 @@ def _lone_gaussian_digests(batch_symbols: int) -> tuple:
 
 def test_lone_gaussian_training_is_pinned():
     # 64 samples per label, the 8 x 8 Gauss-Hermite batch
-    assert _lone_gaussian_digests(1024) == (_TRAIN_POINTS_SHA256, _TRAIN_HISTORY_SHA256)
+    got = _lone_gaussian_digests(1024)
+    assert got == (_TRAIN_POINTS_SHA256, _TRAIN_HISTORY_SHA256), got
 
 
 def test_lone_gaussian_training_with_drawn_noise_is_pinned():
     # 32 samples per label, too few for the grid: fresh noise every iteration
-    assert _lone_gaussian_digests(512) == (_DRAWN_TRAIN_POINTS_SHA256,
-                                           _DRAWN_TRAIN_HISTORY_SHA256)
+    got = _lone_gaussian_digests(512)
+    assert got == (_DRAWN_TRAIN_POINTS_SHA256, _DRAWN_TRAIN_HISTORY_SHA256), got
 
 
 def _example_cells_digests(batch_symbols: int) -> tuple:
@@ -93,20 +98,21 @@ def _example_cells_digests(batch_symbols: int) -> tuple:
 
 def test_stacked_mlp_training_of_the_example_cells_is_pinned():
     # the grid path: 1024 symbols, 64 samples per label on the 8 x 8 grid
-    assert _example_cells_digests(1024) == (_MANY_POINTS_SHA256, _MANY_HISTORY_SHA256)
+    got = _example_cells_digests(1024)
+    assert got == (_MANY_POINTS_SHA256, _MANY_HISTORY_SHA256), got
 
 
 def test_stacked_mlp_training_with_drawn_noise_is_pinned():
-    assert _example_cells_digests(512) == (_DRAWN_MANY_POINTS_SHA256,
-                                           _DRAWN_MANY_HISTORY_SHA256)
+    got = _example_cells_digests(512)
+    assert got == (_DRAWN_MANY_POINTS_SHA256, _DRAWN_MANY_HISTORY_SHA256), got
 
 
 def test_stacked_mlp_training_at_the_example_batch_is_pinned():
     # the shipped path: the example's own batch, which draws its noise
     train = load_run_config(REPO_ROOT / "configs" / "example.json").train
     assert training._grid_shape(train.batch_symbols >> train.m) is None
-    assert _example_cells_digests(train.batch_symbols) == (_EXAMPLE_MANY_POINTS_SHA256,
-                                                           _EXAMPLE_MANY_HISTORY_SHA256)
+    got = _example_cells_digests(train.batch_symbols)
+    assert got == (_EXAMPLE_MANY_POINTS_SHA256, _EXAMPLE_MANY_HISTORY_SHA256), got
 
 
 def test_lone_mlp_training_on_a_link_is_pinned(monkeypatch):
@@ -116,8 +122,8 @@ def test_lone_mlp_training_on_a_link_is_pinned(monkeypatch):
                          batch_symbols=256, demapper_mode="mlp", mlp_hidden=(16, 8),
                          learning_rate=2e-3, seed=4)
     c, history = train(config)
-    assert _sha256(c.points.tobytes()) == _MLP_POINTS_SHA256
-    assert _sha256(history.to_csv().encode()) == _MLP_HISTORY_SHA256
+    got = _sha256(c.points.tobytes()), _sha256(history.to_csv().encode())
+    assert got == (_MLP_POINTS_SHA256, _MLP_HISTORY_SHA256), got
 
 
 # (m, SNR in dB): low SNR, criterion 4's SNR, and three cases whose blocks
@@ -199,18 +205,18 @@ def test_plan_and_lut_files_are_pinned(tmp_path, n_d):
         assert (_sha256(plan_fh.read()), _sha256(lut_fh.read())) == _PLAN_AND_LUT[n_d]
 
 
-_TRAIN_POINTS_SHA256 = "1e9e800250563acb3c13de4eaec39b0b97f4b895e5b3ad9c18b31a9ee69a4bad"
+_TRAIN_POINTS_SHA256 = "6a618cb7666412e57e65d3ad693d638b5c3e97be52b059963438603a185517fb"
 _TRAIN_HISTORY_SHA256 = "489322b17c00ed515ed830f1d27e4c3b73e0ddecfd8c689f1f5e2f83f1cb3db4"
-_DRAWN_TRAIN_POINTS_SHA256 = "e259ad461fbcc2c29e16bb5b75f5adb456ee081321241379f0261074aec41eae"
+_DRAWN_TRAIN_POINTS_SHA256 = "d4538ec587ae41e44e73379fc16f6b9750c50c7bdb9ff2977f2aaba2dbde4a7a"
 _DRAWN_TRAIN_HISTORY_SHA256 = "be77b412d03d7f5ade0b9f2d57bc934c11c67d5677f167d3001383e7012a4848"
-_MANY_POINTS_SHA256 = "fb3c50e5698d03e51eb31b40c7725a967c2114194500dc0bc6be0f5ab17a194a"
+_MANY_POINTS_SHA256 = "d97ccb8c93c26cb68468e1555efb805683709dfad5d18f4455954299de522257"
 _MANY_HISTORY_SHA256 = "60783532cd0a7394b5b0272456eeca5cbe70eedb7bbefb9b05b079b876bb7e4f"
-_DRAWN_MANY_POINTS_SHA256 = "23e3aabc6118b4d90242077d48590c190a7feee727c7fadbbc227edc1103c4cd"
+_DRAWN_MANY_POINTS_SHA256 = "ede5aa24d0c29c96e606835acd03d38f3f94ed715477615ac2c2943a6cdb0c87"
 _DRAWN_MANY_HISTORY_SHA256 = "185e9282401fe7afc7c9ce0c1f959be37d5226160b37c64abb7d5ffd5e5c340d"
-_EXAMPLE_MANY_POINTS_SHA256 = "4920a3c1e340c489b711715bf20861154e7644ed256f7ff34d73aeb688179fc6"
+_EXAMPLE_MANY_POINTS_SHA256 = "4eccd25efad4a76a966db4eaba8886a5208abe0fbbb4d9b09cd8ad39050513e2"
 _EXAMPLE_MANY_HISTORY_SHA256 = "f23ad32ccf94bc7ac71105f41da54b4a0f0dc15c5163b5c6ecc0a0b4d680aa1f"
-_MLP_POINTS_SHA256 = "36170e89f779ba9f5b6283e67c9c633c2dbe02b807dcfc268cc9dd05a7e5261e"
-_MLP_HISTORY_SHA256 = "d947bbdb7392adb9811412a6fc86c4ea344b084b647930eb678d5223ce4c633c"
+_MLP_POINTS_SHA256 = "34f2d716cdfb32702f272d5cacae6f5dc735bdc0d3b78f1474af7a27e69523bf"
+_MLP_HISTORY_SHA256 = "ba6f2dd57bd4b62f790cd1738ab089d5f6581c59db30d4a48fdf8e5ec97e473a"
 _MC_REPORTS = {
     (2, 3.0): ("1.4422300789635616",
               "cda48e8ab921d24e8b21a3d10ec0a2a9c9923d08566aa9ccd14339314278121b"),

@@ -785,6 +785,54 @@ class TestTrain:
         assert np.all(np.isfinite(hist.grad_norm))
 
 
+class TestOneUnitPowerRule:
+    """A trained constellation, and every constellation a target resolves
+    at, is the points a training step transmits, bit for bit."""
+
+    def test_emit_scales_as_the_step_does(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            raw = rng.standard_normal((int(rng.integers(2, 257)), 2))
+            sent = raw.T * training._mapper_power(raw)[0] ** -0.5
+            points = emit(raw)
+            np.testing.assert_array_equal(points.real, sent[0])
+            np.testing.assert_array_equal(points.imag, sent[1])
+
+    @pytest.mark.parametrize("spans", [(8,), (4, 8, 16)], ids=["lone", "stacked"])
+    def test_targets_resolve_at_the_next_steps_points(self, monkeypatch, spans):
+        # the config of the MLP link pin, its target refreshed every 7 iterations
+        monkeypatch.setattr(training, "REFRESH_EVERY", 7)
+        configs = [TrainConfig(m=3, target=LinkTarget(replace(_LINK, n_spans=n)),
+                               iterations=300 if len(spans) == 1 else 50,
+                               batch_symbols=256, demapper_mode="mlp", mlp_hidden=(16, 8),
+                               learning_rate=2e-3, seed=4 + k)
+                   for k, n in enumerate(spans)]
+        real_forward, real_resolve = training._forward, LinkTarget.resolve
+        sent, resolved = [], []
+
+        def forward(raw, *args, **kwargs):
+            st = real_forward(raw, *args, **kwargs)
+            sent.append((raw, st.points_iq.reshape(len(spans), 2, -1).copy()))
+            return st
+
+        def resolve(target, c):
+            resolved.append((len(sent), spans.index(target.link.n_spans), c.points))
+            return real_resolve(target, c)
+
+        monkeypatch.setattr(training, "_forward", forward)
+        monkeypatch.setattr(LinkTarget, "resolve", resolve)
+        results = train_many(configs)
+        assert len(resolved) == len(spans) * (1 + (configs[0].iterations - 1) // 7)
+        for step, k, points in resolved:
+            np.testing.assert_array_equal(points.real, sent[step][1][k, 0])
+            np.testing.assert_array_equal(points.imag, sent[step][1][k, 1])
+        # the step's raw is a view of the parameters Adam updates in place:
+        # after the run it holds the final table
+        final = sent[-1][0].reshape(len(spans), -1, 2)
+        for k, (c, _) in enumerate(results):
+            np.testing.assert_array_equal(c.points, emit(final[k]))
+
+
 def _count_clips(monkeypatch) -> list:
     """Count the step's calls of clip_llr that return a new array, made only
     when some LLR lies beyond the clip; returns the one-entry list holding
@@ -1256,6 +1304,26 @@ class TestTrainNumericalErrors:
         cfg = _config(m=2, iterations=5, demapper_mode="mlp", mlp_hidden=(4,))
         with pytest.raises(NumericalError,
                            match=r"^iteration 2: non-finite values in gradient mlp\.layer0$"):
+            train(cfg)
+
+    @pytest.mark.parametrize("call, iteration", [(1, 0), (3, 14)])
+    def test_failing_target_refresh_names_the_iteration(self, monkeypatch, call, iteration):
+        # the first resolution comes before the first step, the third at the
+        # refresh of iteration 14
+        monkeypatch.setattr(training, "REFRESH_EVERY", 7)
+        real_resolve, calls = LinkTarget.resolve, [0]
+
+        def resolve(target, c):
+            calls[0] += 1
+            if calls[0] == call:
+                raise NumericalError("NLIN accumulation overflowed")
+            return real_resolve(target, c)
+
+        monkeypatch.setattr(LinkTarget, "resolve", resolve)
+        cfg = _config(m=3, iterations=30, batch_symbols=256, demapper_mode="mlp",
+                      mlp_hidden=(16, 8), target=LinkTarget(_LINK), seed=4)
+        with pytest.raises(NumericalError,
+                           match=rf"^iteration {iteration}: NLIN accumulation overflowed$"):
             train(cfg)
 
     def test_non_finite_gradient_names_the_iteration(self, monkeypatch):
