@@ -5,7 +5,8 @@ scores them, each at the SNR of its own moments and by its per-bit
 Gauss-Hermite GMI (so M <= 64, and the eval section goes unread), keeping the
 best net rate.
 A learned cell's one candidate trains with a seed derived from the base seed
-and the span count at a proxy SNR, the one the grid point gives Gray QAM; a
+and the span count at its grid span's link target (training.link_target),
+the SNR the span gives Gray QAM, as a train section's link target trains; a
 QAM cell's are the Gray constellations of qam_m_list. The learned cells
 train all in one training.train_many call, which sizes its own runs, or all
 alone at their turns, with the same bits. The cells then run one by one in
@@ -30,7 +31,7 @@ from .errors import (
     load_json,
 )
 from .rate_adapt import best_plan
-from .training import SnrTarget, TrainConfig, train, train_config_from_dict, train_many
+from .training import TrainConfig, link_target, train, train_config_from_dict, train_many
 
 _MASK64 = (1 << 64) - 1
 SCORE_NODES = 32  # Hermite nodes per noise dimension of a cell's score, see README
@@ -136,7 +137,7 @@ def _run_config(link, train, sweep, eval={}, output={}) -> RunConfig:  # noqa: B
     # n_spans is bound to a placeholder the grid overrides, so the section cannot set it
     link_cfg = build_section("link config", partial(LinkConfig, 1), link)
     if isinstance(train, dict) and "target" not in train:
-        # sweeps retarget every grid point, so a standalone target is optional here
+        # each ae cell trains at its grid span's link target, so a standalone one is optional
         train = {**train, "target": {"snr_db": 10.0}}
     train_cfg = train_config_from_dict(train)
     sweep_cfg = build_section("sweep config", partial(_sweep_settings, train_cfg.m), sweep)
@@ -199,12 +200,11 @@ def evaluate_grid_point(config: RunConfig, scheme: str, n_spans: int, candidates
 
 
 def _ae_train_config(config: RunConfig, n_spans: int) -> TrainConfig:
-    """The ae cell's training config: its derived seed, and the SNR that the
-    grid point gives Gray QAM, a proxy for the untrained constellation."""
+    """The ae cell's training config: its derived seed, and the link target
+    of its grid span, the SNR the span gives Gray QAM (training.link_target)."""
     link = replace(config.link, n_spans=int(n_spans))
-    _, ch0 = optimal_launch_power(link, moments(uniform_qam(config.train.m)))
     return replace(config.train, seed=derive_seed(config.train.seed, n_spans),
-                   target=SnrTarget(ch0.snr_db))
+                   target=link_target(link, config.train.m))
 
 
 def _train_ae_cells(config: RunConfig) -> dict:

@@ -10,11 +10,13 @@ S/M samples factor as n1 x n2 with 8 <= n1, n2 <= 256, they take the fixed
 Gauss-Hermite grid of noise offsets of those orders, and w_s is S/M times
 the node's weight; otherwise every w_s is 1 and fresh noise is drawn for
 every iteration, from each cell's generator, one window of iterations at a
-time: NOISE_WINDOW_ENTRIES entries at most, ending at each refresh of the
-targets. Each term and its derivative sigmoid(z) / ln 2, z = -(1 - 2 b) L,
-come from the one kernel demapper.logistic. Unit average power is enforced
-inside the forward pass, never by projection, by the one rule that emit()
-shares, so a trained constellation is the points a step transmits.
+time: NOISE_WINDOW_ENTRIES entries at most, or up to the end of the run.
+Each cell trains at the one noise variance of its SnrTarget; link_target
+makes a link one, the SNR it gives Gray QAM. Each term and its derivative
+sigmoid(z) / ln 2, z = -(1 - 2 b) L, come from the one kernel
+demapper.logistic. Unit average power is enforced inside the forward pass,
+never by projection, by the one rule that emit() shares, so a trained
+constellation is the points a step transmits.
 Gradients are derived by hand and guarded by finite-difference checks
 (tests/stepcheck.py).
 
@@ -52,7 +54,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -79,7 +82,6 @@ MAX_BATCH_SYMBOLS = 2 ** 16
 MAX_CELL_ENTRIES = 2 ** 24
 NOISE_WINDOW_ENTRIES = 2 ** 16  # 512 KB: the drawn noise of one window of iterations
 HISTORY_STRIDE = 100  # iterations between two rows of a TrainHistory
-REFRESH_EVERY = 200  # iterations between two resolutions of a cell's target
 
 
 @dataclass(frozen=True)
@@ -92,31 +94,18 @@ class SnrTarget:
         check_field_types(self)
         noise_variance_from_db(self.snr_db)
 
-    def resolve(self, c: Constellation) -> float:
-        """Noise variance for a unit-power constellation; ignores c."""
-        return noise_variance_from_db(self.snr_db)
 
-
-@dataclass(frozen=True)
-class LinkTarget:
-    """Train against the effective SNR of a fiber link at the optimal launch power.
-
-    The noise variance depends on the constellation's own moments through
-    the nonlinear-interference term, so it is refreshed from the current
-    points every REFRESH_EVERY iterations and held constant in between
-    (the dependence is weak; differentiating through it is out of scope).
-    """
-
-    link: LinkConfig
-
-    def resolve(self, c: Constellation) -> float:
-        return optimal_launch_power(self.link, moments(c))[1].noise_variance
+def link_target(link: LinkConfig, m: int) -> SnrTarget:
+    """The SNR that link gives Gray QAM of order m at its optimal launch
+    power: the one target a link trains at, in a train section and in
+    every ae cell of a sweep."""
+    return SnrTarget(optimal_launch_power(link, moments(uniform_qam(m)))[1].snr_db)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     m: int
-    target: Union[SnrTarget, LinkTarget]
+    target: SnrTarget
     iterations: int
     batch_symbols: int = 1024
     demapper_mode: str = "gaussian"
@@ -181,13 +170,15 @@ def train_config_from_dict(doc: dict) -> TrainConfig:
 
 
 def _train_config(target, **fields) -> TrainConfig:
-    return TrainConfig(target=build_section("target config", _target, target), **fields)
+    config = TrainConfig(target=SnrTarget(0.0), **fields)  # m is checked before a link needs it
+    return replace(config, target=build_section("target config", partial(_target, config.m),
+                                                target))
 
 
-def _target(**fields) -> Union[SnrTarget, LinkTarget]:
+def _target(m: int, /, **fields) -> SnrTarget:
     if "link" in fields:
-        return LinkTarget(link=build_section("link config", LinkConfig, fields.pop("link")),
-                          **fields)
+        return link_target(build_section("link config", LinkConfig, fields.pop("link")), m,
+                           **fields)
     return SnrTarget(**fields)
 
 
@@ -439,7 +430,7 @@ def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
 
     raw is (M, 2) and noise_iq, the real noise, (2, S), or (K, M, 2) and
     (K, 2, S) for K stacked MLP cells. noise_variance (finite and positive,
-    as the targets resolve it) and power, _mapper_power(raw), hold one
+    as the cells' targets give it) and power, _mapper_power(raw), hold one
     Python float per cell. The scale power ** -0.5, the one unit-power rule
     that emit() shares, is taken in Python: numpy's array power rounds it
     differently. The received samples, the LLRs' products with the label
@@ -641,12 +632,9 @@ def _train_run(configs: list) -> list:
     raws, grad_rows = (a.reshape((K,) + a.shape[len(axis):]) for a in (raw, grad))
     noises = noise.reshape((window, K, 2, S))
 
-    noise_variance = [0.0] * K  # each cell's, as retarget resolves it at its points
-
-    def retarget(k: int) -> None:
-        noise_variance[k] = configs[k].target.resolve(
-            Constellation(m=first.m, points=emit(raws[k]), metadata={}))
-        if batch.offsets is not None:  # a grid batch's noise; else the rngs draw it
+    noise_variance = [noise_variance_from_db(config.target.snr_db) for config in configs]
+    if batch.offsets is not None:  # a grid batch's noise, else the rngs draw it
+        for k in range(K):
             np.multiply(batch.offsets, math.sqrt(noise_variance[k]), out=noises[0, k])
 
     n = first.iterations
@@ -660,21 +648,15 @@ def _train_run(configs: list) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             power = _mapper_power(raw)  # of the points the next step transmits
-            for k in range(K):
-                retarget(k)
             for it in range(n):
-                since = it % REFRESH_EVERY  # windows end at each refresh of the targets
-                if it and since == 0:
-                    for k in range(K):
-                        retarget(k)
-                if batch.offsets is None and since % window == 0:
+                if batch.offsets is None and it % window == 0:
                     # the draws of awgn_sample, noise_variance / 2 per real
                     # dimension, w iterations' at once in the order they would come
-                    w = min(window, REFRESH_EVERY - since, n - it)
+                    w = min(window, n - it)
                     for k, rng in enumerate(rngs):
                         np.multiply(rng.standard_normal((w, S, 2)).transpose(0, 2, 1),
                                     math.sqrt(noise_variance[k] / 2.0), out=noises[:w, k])
-                st = _forward(raw, demapper, batch, noise[since % window], noise_variance,
+                st = _forward(raw, demapper, batch, noise[it % window], noise_variance,
                               work, power, it in rows)
                 _backward(demapper, st, grad, grads)
                 _adam_update(theta, grad, *moments, it + 1, first, adam_scratch)

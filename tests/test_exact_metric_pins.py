@@ -20,8 +20,10 @@ per-iteration CSVs cut to the rows train() now records, every
 HISTORY_STRIDE-th iteration and the last. The six training points pins
 were regenerated when the emitted constellation took the training step's
 own unit-power scale; only the link pin's history moved with them, as its
-target now resolves at the points each step transmits. A training pin
-that fails prints the digests it computed.
+target now resolves at the points each step transmits. Both moved again
+when a link target became the SNR its link gives Gray QAM, trained from
+first step to last. A training pin that fails prints the digests it
+computed.
 """
 
 import hashlib
@@ -33,7 +35,6 @@ import numpy as np
 import pytest
 
 from shapegain import (
-    LinkConfig,
     SnrTarget,
     TrainConfig,
     awgn_sample,
@@ -48,7 +49,7 @@ from shapegain.cli import main
 from shapegain.demapper import _iq_rows, gaussian_bit_metric, make_report
 from shapegain.sweep import _ae_train_config, load_run_config
 import shapegain.training as training
-from shapegain.training import LinkTarget, train_many
+from shapegain.training import train_config_from_dict, train_many
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # the SNR at which Gray 16QAM's quadrature GMI is 3.0 bits (criterion 4)
@@ -115,12 +116,17 @@ def test_stacked_mlp_training_at_the_example_batch_is_pinned():
     assert got == (_EXAMPLE_MANY_POINTS_SHA256, _EXAMPLE_MANY_HISTORY_SHA256), got
 
 
-def test_lone_mlp_training_on_a_link_is_pinned(monkeypatch):
-    monkeypatch.setattr(training, "REFRESH_EVERY", 7)
-    link = LinkConfig(n_spans=8, ase_var_per_span=0.0041, chi1=0.3, chi2=0.1)
-    config = TrainConfig(m=3, target=LinkTarget(link), iterations=300,
-                         batch_symbols=256, demapper_mode="mlp", mlp_hidden=(16, 8),
-                         learning_rate=2e-3, seed=4)
+def test_lone_mlp_training_on_a_link_is_pinned():
+    # a link target is the SNR its link gives Gray QAM, so the config is
+    # that of an SnrTarget at that SNR, bit for bit
+    config = train_config_from_dict({
+        "m": 3, "iterations": 300, "batch_symbols": 256, "demapper_mode": "mlp",
+        "mlp_hidden": [16, 8], "learning_rate": 2e-3, "seed": 4,
+        "target": {"link": {"n_spans": 8, "ase_var_per_span": 0.0041, "chi1": 0.3,
+                            "chi2": 0.1}}})
+    assert config == TrainConfig(m=3, target=SnrTarget(6.158927937902639), iterations=300,
+                                 batch_symbols=256, demapper_mode="mlp", mlp_hidden=(16, 8),
+                                 learning_rate=2e-3, seed=4)
     c, history = train(config)
     got = _sha256(c.points.tobytes()), _sha256(history.to_csv().encode())
     assert got == (_MLP_POINTS_SHA256, _MLP_HISTORY_SHA256), got
@@ -215,8 +221,8 @@ _DRAWN_MANY_POINTS_SHA256 = "ede5aa24d0c29c96e606835acd03d38f3f94ed715477615ac2c
 _DRAWN_MANY_HISTORY_SHA256 = "185e9282401fe7afc7c9ce0c1f959be37d5226160b37c64abb7d5ffd5e5c340d"
 _EXAMPLE_MANY_POINTS_SHA256 = "4eccd25efad4a76a966db4eaba8886a5208abe0fbbb4d9b09cd8ad39050513e2"
 _EXAMPLE_MANY_HISTORY_SHA256 = "f23ad32ccf94bc7ac71105f41da54b4a0f0dc15c5163b5c6ecc0a0b4d680aa1f"
-_MLP_POINTS_SHA256 = "34f2d716cdfb32702f272d5cacae6f5dc735bdc0d3b78f1474af7a27e69523bf"
-_MLP_HISTORY_SHA256 = "ba6f2dd57bd4b62f790cd1738ab089d5f6581c59db30d4a48fdf8e5ec97e473a"
+_MLP_POINTS_SHA256 = "bef1559fbda961bcc446e8bc308703754a6e99ff3134cf255a2d06be35ba7448"
+_MLP_HISTORY_SHA256 = "c3644e74a71765379b85797f09225d23089de69667dbca4235652dd321484c13"
 _MC_REPORTS = {
     (2, 3.0): ("1.4422300789635616",
               "cda48e8ab921d24e8b21a3d10ec0a2a9c9923d08566aa9ccd14339314278121b"),

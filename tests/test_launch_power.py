@@ -1,8 +1,10 @@
 """Every scheme launches at its optimal power.
 
 The train target, the sweep and `eval --link-from` all resolve a link's
-power with channel.optimal_launch_power, so they agree to the bit; the
-fixed-power setting is gone, and each of its spellings exits 1 naming it.
+power with channel.optimal_launch_power, so they agree to the bit: a train
+section's link target and a sweep's ae cell train at the SNR the link gives
+Gray QAM, by training.link_target. The fixed-power setting is gone, and
+each of its spellings exits 1 naming it.
 """
 
 import json
@@ -15,9 +17,16 @@ import shapegain.cli as cli_mod
 from shapegain.channel import LinkConfig, effective_snr, optimal_launch_power
 from shapegain.cli import main
 from shapegain.constellation import moments, save_constellation, uniform_qam
-from shapegain.errors import ParameterError
-from shapegain.sweep import EvalSettings, SweepSettings, evaluate_grid_point, load_run_config
-from shapegain.training import LinkTarget
+from shapegain.errors import ParameterError, load_json
+from shapegain.sweep import (
+    EvalSettings,
+    SweepSettings,
+    _ae_train_config,
+    derive_seed,
+    evaluate_grid_point,
+    load_run_config,
+)
+from shapegain.training import link_target, train_many
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "configs" / "example.json"
 LINK = LinkConfig(n_spans=10, ase_var_per_span=0.004, chi1=0.3, chi2=0.1)
@@ -32,7 +41,7 @@ class TestLaunchChannel:
         # and the only power: a link target trains where no other power gives
         # the constellation a higher effective SNR
         power, ch = optimal_launch_power(LINK, QAM16_MOM)
-        assert LinkTarget(LINK).resolve(uniform_qam(4)) == ch.noise_variance
+        assert link_target(LINK, 4).snr_db == ch.snr_db
         for factor in (0.5, 0.99, 1.01, 2.0):
             assert effective_snr(LINK, factor * power, QAM16_MOM).snr_linear < ch.snr_linear
 
@@ -45,7 +54,7 @@ def test_train_target_sweep_and_eval_agree(tmp_path, capsys, monkeypatch, power)
     gray = uniform_qam(4)
     want_power, want = optimal_launch_power(link8, moments(gray))
 
-    assert LinkTarget(link8).resolve(gray) == want.noise_variance
+    assert link_target(link8, 4).snr_db == want.snr_db
 
     sweep = SweepSettings(span_grid=(8,), schemes=("qam",), qam_m_list=(4,))
     row, _, _ = evaluate_grid_point(
@@ -130,4 +139,51 @@ def test_epsilon_mom_is_rejected(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "epsilon_mom" in err
+    assert not out.exists()
+
+
+def test_train_on_a_link_writes_the_sweeps_cell(tmp_path):
+    # the example's train section, its target the example link at 8 spans
+    # and its seed the 8-span cell's: `shapegain train` writes the points and
+    # history of the example sweep's 8-span ae cell, bit for bit
+    doc = load_json(EXAMPLE)
+    section = {**doc["train"], "iterations": 300, "seed": derive_seed(doc["train"]["seed"], 8),
+               "target": {"link": {**doc["link"], "n_spans": 8}}}
+    config, out, history = (tmp_path / name for name in ("run.json", "c.json", "h.csv"))
+    config.write_text(json.dumps({"train": section}))
+    assert main(["train", "--config", str(config), "--out", str(out),
+                 "--history", str(history)]) == 0
+
+    run = load_run_config(EXAMPLE)
+    run = replace(run, train=replace(run.train, iterations=300))
+    cells = train_many([_ae_train_config(run, n) for n in run.sweep.span_grid])
+    c, hist = cells[run.sweep.span_grid.index(8)]
+    save_constellation(c, tmp_path / "cell.json")
+    assert out.read_bytes() == (tmp_path / "cell.json").read_bytes()
+    assert history.read_text() == hist.to_csv()
+
+
+# a link that Gray QAM's moments give no NLIN, and one whose NLIN
+# accumulation overflows
+_UNUSABLE_LINKS = [
+    ({**_LINK, "chi1": 0.0, "chi2": 0.0, "n_spans": 8}, 1,
+     "shapegain: error: bad run config: bad train config: bad target config: "
+     "eta(mom) <= 0: SNR grows without bound in launch power"),
+    ({**_LINK, "eps_accum": 100.0, "n_spans": 10 ** 6}, 2,
+     "shapegain: numerical failure: NLIN accumulation overflowed: 1000000 spans, "
+     "eps_accum = 100.0"),
+]
+
+
+@pytest.mark.parametrize("link, code, message", _UNUSABLE_LINKS, ids=["eta", "overflow"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_unusable_link_target_is_refused_where_the_train_section_is_parsed(
+        tmp_path, capsys, monkeypatch, command, link, code, message):
+    # the target's SNR is computed as the section is parsed, before anything trains
+    monkeypatch.setattr(cli_mod, "train", None)
+    monkeypatch.setattr(cli_mod, "run_sweep", None)
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, target={"link": link})
+    assert main([command, "--config", str(path), "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()

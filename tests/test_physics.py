@@ -220,7 +220,7 @@ def test_gaussian_training_does_not_lose_gmi(name):
     Catches Adam stepping up the gradient (`theta += a` in `_adam_update`),
     which ends gauss16 at 1.98 bits against its start's 3.00, and the grid
     batch's noise scaled by the variance for its square root (in
-    `_train_run`'s `retarget`), which ends gauss16 at 2.9725 bits.
+    `_train_run`), which ends gauss16 at 2.9725 bits.
     """
     config = _gaussian_cell(name)
     nv = 1.0 / db_to_linear(config.target.snr_db)

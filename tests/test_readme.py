@@ -30,7 +30,7 @@ from shapegain.sweep import (
     SweepSettings,
     _run_config,
 )
-from shapegain.training import HISTORY_STRIDE, LinkTarget, _grid_shape
+from shapegain.training import HISTORY_STRIDE, _grid_shape, link_target
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.json"
@@ -47,8 +47,8 @@ def test_library_example_runs(capsys):
 
 
 # every object of a run configuration, whose fields are its keys
-_CONFIG_OBJECTS = (RunConfig, LinkConfig, TrainConfig, SnrTarget, LinkTarget, SweepSettings,
-                   EvalSettings, OutputSettings)
+_CONFIG_OBJECTS = (RunConfig, LinkConfig, TrainConfig, SnrTarget, SweepSettings, EvalSettings,
+                   OutputSettings)
 
 
 def _section(name: str, text: str) -> str:
@@ -60,6 +60,9 @@ def test_configuration_section_names_every_config_key():
     missing = [f"{cls.__name__}.{f.name}" for cls in _CONFIG_OBJECTS for f in fields(cls)
                if f"`{f.name}`" not in section]
     assert missing == []
+    # a target holds an SnrTarget's key or a link, link_target's first parameter
+    link = next(iter(inspect.signature(link_target).parameters))
+    _sentence_with(rf"a `target` \(`snr_db`[^)]*, or a `{link}`", section)
 
 
 def _parser_flags() -> set:
