@@ -45,7 +45,6 @@ from .rate_adapt import (
 )
 from .sweep import (
     EvalSettings,
-    OutputSettings,
     RunConfig,
     SweepSettings,
     load_run_config,

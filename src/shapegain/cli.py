@@ -2,6 +2,9 @@
 
 Subcommands: train, eval, adapt, sweep, export-lut, qam. Exit codes:
 0 success, 1 usage or parameter error, 2 numerical failure, 3 I/O error.
+train and sweep write where their required --out points. Of a run config,
+train reads the train section, eval --link-from the link section, and sweep
+every section but the train target, which no sweep cell trains at.
 Library arithmetic is linear; dB appears where an SNR is configured or
 reported: `eval --snr-db` and the snr_db that eval prints, a training
 config's SnrTarget (training.link_target turns a link into one), the
@@ -86,8 +89,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="net rate vs distance over a span grid")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", help="results CSV (default: output.results_csv "
-                                 "from the config)")
+    p.add_argument("--out", required=True, help="results CSV")
     p.add_argument("--keep-going", action="store_true",
                    help="skip failing grid points instead of aborting")
 
@@ -103,13 +105,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _train_section(train, link=None, sweep=None, eval=None, output=None):
+def _train_section(train, link=None, sweep=None, eval=None):
     """The train section alone, its target required: train reads no other,
     and a key that names no section of a run config is unknown."""
     return train_config_from_dict(train)
 
 
-def _link_section(link, train=None, sweep=None, eval=None, output=None):
+def _link_section(link, train=None, sweep=None, eval=None):
     """The link section alone, at a placeholder n_spans: eval --link-from reads no other."""
     return build_section("link config", functools.partial(LinkConfig, 1), link)
 
@@ -183,17 +185,14 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_run_config(args.config)
-    out_path = args.out or config.output.results_csv
-    if not out_path:
-        raise ParameterError("no output path: pass --out or set output.results_csv")
 
     def _report_error(scheme, n_spans, exc):
         print(f"shapegain: skipped {exc}", file=sys.stderr)
 
     rows = run_sweep(config, error_sink=_report_error if args.keep_going else None)
-    with open(out_path, "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write(rows_to_csv(rows))
-    print(f"wrote {out_path} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 

@@ -505,7 +505,8 @@ def per_bit_gmi_quadrature(c: Constellation, noise_variance: float,
     n_samples counts the kept product nodes times M; stderr_total is 0.0.
     """
     if c.m > MAX_QUADRATURE_M:
-        raise ParameterError(f"quadrature oracle supports M <= 64, got M = {c.size}")
+        raise ParameterError(f"quadrature oracle supports M <= {1 << MAX_QUADRATURE_M}, "
+                             f"got M = {c.size}")
     _check_noise_variance(noise_variance)
     check_value("n_nodes", "int", n_nodes)
     if n_nodes < 1:

@@ -6,18 +6,18 @@ Gauss-Hermite GMI (so M <= 64, and the eval section goes unread), keeping the
 best net rate.
 A learned cell's one candidate trains with a seed derived from the base seed
 and the span count at its grid span's link target (training.link_target),
-the SNR the span gives Gray QAM, as a train section's link target trains; a
-QAM cell's are the Gray constellations of qam_m_list. The learned cells
-train all in one training.train_many call, which sizes its own runs, or all
-alone at their turns, with the same bits. The cells then run one by one in
-(scheme, n_spans) order, so results are reproducible byte for byte.
+the SNR the span gives Gray QAM, as a train section's link target trains,
+so a run config's train target goes unread; a QAM cell's are the Gray
+constellations of qam_m_list. The learned cells train all in one
+training.train_many call, which sizes its own runs, or all alone at their
+turns, with the same bits. The cells then run one by one in (scheme,
+n_spans) order, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Optional
 
 from .channel import LinkConfig, optimal_launch_power, span_accumulation
 from .constellation import MAX_QAM_M, moments, uniform_qam
@@ -99,15 +99,6 @@ class EvalSettings:
 
 
 @dataclass(frozen=True)
-class OutputSettings:
-    results_csv: Optional[str] = None
-
-    def __post_init__(self):
-        if not isinstance(self.results_csv, (str, type(None))):
-            raise ParameterError("results_csv must be a path string")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """A sweep's sections; building one refuses M > 64 and a grid span whose link overflows."""
 
@@ -115,7 +106,6 @@ class RunConfig:
     train: TrainConfig
     sweep: SweepSettings
     eval: EvalSettings = EvalSettings()
-    output: OutputSettings = OutputSettings()
 
     def __post_init__(self):
         orders = {"ae": [self.train.m], "qam": self.sweep.qam_m_list}
@@ -128,22 +118,21 @@ class RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse a sweep's JSON run configuration (link/train/sweep, optional eval/output)."""
+    """Parse a sweep's JSON run configuration (link/train/sweep, optional eval)."""
     return build_section("run config", _run_config, load_json(path))
 
 
-def _run_config(link, train, sweep, eval={}, output={}) -> RunConfig:  # noqa: B006
-    """A run config from its sections; the {} defaults are read, never mutated."""
-    # n_spans is bound to a placeholder the grid overrides, so the section cannot set it
+def _run_config(link, train, sweep, eval={}) -> RunConfig:  # noqa: B006
+    """A run config from its sections; the {} default is read, never mutated."""
+    # link.n_spans and train.target are bound to placeholders the grid spans
+    # override: the link cannot set the span count, and a target goes unread
     link_cfg = build_section("link config", partial(LinkConfig, 1), link)
-    if isinstance(train, dict) and "target" not in train:
-        # each ae cell trains at its grid span's link target, so a standalone one is optional
+    if isinstance(train, dict):
         train = {**train, "target": {"snr_db": 10.0}}
     train_cfg = train_config_from_dict(train)
     sweep_cfg = build_section("sweep config", partial(_sweep_settings, train_cfg.m), sweep)
     eval_cfg = build_section("eval config", EvalSettings, eval)
-    return RunConfig(link=link_cfg, train=train_cfg, sweep=sweep_cfg, eval=eval_cfg,
-                     output=build_section("output config", OutputSettings, output))
+    return RunConfig(link=link_cfg, train=train_cfg, sweep=sweep_cfg, eval=eval_cfg)
 
 
 def _sweep_settings(train_m: int, /, **sw) -> SweepSettings:

@@ -115,6 +115,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if not isinstance(self.target, SnrTarget):
+            raise ParameterError(f"target must be an SnrTarget, got {type(self.target).__name__}")
         if not 1 <= self.m <= MAX_QAM_M:  # the mapper starts from Gray QAM
             raise ParameterError(f"m must be in [1, {MAX_QAM_M}], got {self.m}")
         if not 0 <= self.iterations <= MAX_ITERATIONS:
@@ -622,7 +624,7 @@ def _train_run(configs: list) -> list:
                               for name in cells[0]}, axis)
     raw, demapper = with_arrays(demapper, arrays)
     grad, grads = _flatten(arrays, axis)  # _backward overwrites every entry
-    moments = np.zeros((2,) + theta.shape)
+    adam_moments = np.zeros((2,) + theta.shape)
     adam_scratch = np.empty((2,) + theta.shape)
     # the noise of a window of iterations, step j of the window taking noise[j]
     window = max(1, NOISE_WINDOW_ENTRIES // (K * 2 * S)) if batch.offsets is None else 1
@@ -659,7 +661,7 @@ def _train_run(configs: list) -> list:
                 st = _forward(raw, demapper, batch, noise[it % window], noise_variance,
                               work, power, it in rows)
                 _backward(demapper, st, grad, grads)
-                _adam_update(theta, grad, *moments, it + 1, first, adam_scratch)
+                _adam_update(theta, grad, *adam_moments, it + 1, first, adam_scratch)
                 power = _mapper_power(raw)
                 if it in rows:
                     loss_hist[:, rows[it]] = st.loss

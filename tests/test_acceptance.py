@@ -28,7 +28,6 @@ from shapegain import (
     GaussianDemapper,
     LinkConfig,
     Moments,
-    OutputSettings,
     RunConfig,
     SnrTarget,
     SweepSettings,
@@ -390,7 +389,6 @@ def test_criterion_9_round_trips_and_determinism(tmp_path):
             sweep=SweepSettings(span_grid=(2, 6), schemes=("ae", "qam"),
                                 qam_m_list=(2,)),
             eval=EvalSettings(n_samples=20_000, seed=7),
-            output=OutputSettings(),
         )
         csv1 = rows_to_csv(run_sweep(rc)).encode()
         csv2 = rows_to_csv(run_sweep(rc)).encode()

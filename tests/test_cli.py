@@ -100,8 +100,8 @@ class TestEvalCommand:
     @pytest.mark.parametrize("edit", [
         lambda doc: {"link": doc["link"]},
         lambda doc: {**doc, "train": {**doc["train"], "m": 8, "batch_symbols": 256}},
-        lambda doc: {**doc, "output": {"results_csv": 5}},
-    ], ids=["link-only", "train-m-8", "results-csv-5"])
+        lambda doc: {**doc, "sweep": {**doc["sweep"], "span_grid": [8, 4]}},
+    ], ids=["link-only", "train-m-8", "span-grid-decreasing"])
     def test_link_from_reads_only_the_link(self, tmp_path, capsys, edit):
         # eval reads the link section alone, as train reads only train: a file
         # holding only the example's link, and files whose other sections the
@@ -488,35 +488,26 @@ class TestTrainCommand:
 
 
 class TestSweepCommand:
-    def _sweep_config(self, tmp_path, with_output=True):
-        extra = {
-            "sweep": {"span_grid": [2, 4], "schemes": ["qam"],
-                      "qam_m_list": [2]},
-        }
-        if with_output:
-            extra["output"] = {"results_csv": str(tmp_path / "res.csv")}
-        return _write_run_config(tmp_path, **extra)
+    def _sweep_config(self, tmp_path):
+        return _write_run_config(tmp_path, sweep={"span_grid": [2, 4], "schemes": ["qam"],
+                                                  "qam_m_list": [2]})
 
     def test_writes_csv(self, tmp_path, capsys):
         cfg = self._sweep_config(tmp_path)
-        rc = main(["sweep", "--config", str(cfg)])
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "res.csv")])
         assert rc == 0
         lines = (tmp_path / "res.csv").read_text().strip().split("\n")
         assert len(lines) == 3
         assert lines[1].startswith("qam,2,")
         assert lines[2].startswith("qam,4,")
 
-    def test_out_flag_overrides_config(self, tmp_path, capsys):
-        cfg = self._sweep_config(tmp_path)
-        other = tmp_path / "other.csv"
-        rc = main(["sweep", "--config", str(cfg), "--out", str(other)])
-        assert rc == 0
-        assert other.exists()
-
-    def test_no_output_anywhere_rejected(self, tmp_path, capsys):
-        cfg = self._sweep_config(tmp_path, with_output=False)
-        rc = main(["sweep", "--config", str(cfg)])
+    def test_no_out_flag_is_a_usage_error(self, tmp_path, capsys):
+        # --out alone names the CSV, as it names train's constellation
+        rc = main(["sweep", "--config", str(self._sweep_config(tmp_path))])
+        err = capsys.readouterr().err.splitlines()
         assert rc == 1
+        assert err[0].startswith("usage: shapegain sweep ")
+        assert err[1:] == ["shapegain: error: the following arguments are required: --out"]
 
     def test_infinite_fixed_launch_power_is_parameter_error(self, tmp_path, capsys):
         path = tmp_path / "run.json"
@@ -636,7 +627,8 @@ class TestSweepCommand:
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(sweep_mod, "evaluate_grid_point", broken)
-        rc = main(["sweep", "--config", str(self._sweep_config(tmp_path))])
+        rc = main(["sweep", "--config", str(self._sweep_config(tmp_path)),
+                   "--out", str(tmp_path / "res.csv")])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.splitlines() == [
@@ -688,7 +680,6 @@ _RUN = {
               "seed": 1},
     "sweep": {"span_grid": [2], "schemes": ["ae", "qam"], "qam_m_list": [2]},
     "eval": {"n_samples": 64, "seed": 4},
-    "output": {"results_csv": "unused.csv"},
 }
 _CONSTELLATION = constellation_to_dict(uniform_qam(2))
 _REPORT = make_report(np.array([0.9, 0.6]), 64, 0.01).to_dict()
@@ -952,13 +943,14 @@ def test_unknown_document_key_exits_1(tmp_path, capsys, case, key, value):
 
 # every object of every input document that its command reads: train reads
 # the run config's root and its train section only, eval --link-from its
-# root and its link section only, and a constellation's metadata is
-# free-form inside
+# root and its link section only, sweep all but the train target, and a
+# constellation's metadata is free-form inside
 _READS_ONLY = {(0, "--config"): ("train",), (2, "--link-from"): ("link",)}
+_UNREAD = {(4, "--config"): ("train", "target")}
 _OBJECT_PATHS = [(index, flag, path) for index, flag in _FILE_ARGS
                  for path in _value_paths(_COMMANDS[index][1][flag])
                  if isinstance(_lookup(_COMMANDS[index][1][flag], path), dict)
-                 and path[:1] != ("metadata",)
+                 and path[:1] != ("metadata",) and path[:2] != _UNREAD.get((index, flag))
                  and path[:1] in ((), _READS_ONLY.get((index, flag), path[:1]))]
 
 
@@ -974,6 +966,18 @@ def test_unknown_key_in_any_object_exits_1(tmp_path, capsys, case):
     assert rc == 1
     assert len(err.splitlines()) == 1 and "unknown key 'bogus'" in err, err
     assert not re.search(r"__init__\(\)|\b_\w", err), err
+
+
+@pytest.mark.parametrize("index, flag", [(0, "--config"), (2, "--link-from"), (4, "--config")],
+                         ids=["train", "eval", "sweep"])
+def test_output_section_is_an_unknown_key(tmp_path, capsys, index, flag):
+    # `sweep --out` alone names the results CSV, so no section of a run config does
+    doc = {**_RUN, "output": {"results_csv": "res.csv"}}
+    capsys.readouterr()
+    assert main(_argv(tmp_path, index, flag, json.dumps(doc).encode())) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "shapegain: error: bad run config: unknown key 'output'"]
+    assert not (tmp_path / "res.csv").exists()
 
 
 @pytest.mark.parametrize("index, flag", [(2, "--link-from"), (4, "--config")],

@@ -94,14 +94,16 @@ def _write_config(tmp_path, sweep=None, target=None, literal="") -> Path:
 @pytest.mark.parametrize("section", ["sweep", "train"])
 def test_unusable_config_launch_power_exits_1_at_parse_time(tmp_path, capsys, section,
                                                             literal):
-    # every launch power is unusable now: the key is unknown in both places
+    # every launch power is unusable now: the key is unknown in both places,
+    # and a train target's is refused by `shapegain train` alone, as the sweep
+    # reads no target
     if section == "sweep":
         path = _write_config(tmp_path, sweep={"launch_power": "@"}, literal=literal)
+        with pytest.raises(ParameterError, match="unknown key 'launch_power'"):
+            load_run_config(path)
     else:
         path = _write_config(tmp_path, literal=literal, target={
             "link": {**_LINK, "n_spans": 8}, "launch_power": "@"})
-    with pytest.raises(ParameterError, match="unknown key 'launch_power'"):
-        load_run_config(path)
     out = tmp_path / "out"
     assert main([section, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -176,14 +178,29 @@ _UNUSABLE_LINKS = [
 
 
 @pytest.mark.parametrize("link, code, message", _UNUSABLE_LINKS, ids=["eta", "overflow"])
-@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("command", ["train"])  # the one command that reads a train target
 def test_unusable_link_target_is_refused_where_the_train_section_is_parsed(
         tmp_path, capsys, monkeypatch, command, link, code, message):
     # the target's SNR is computed as the section is parsed, before anything trains
     monkeypatch.setattr(cli_mod, "train", None)
-    monkeypatch.setattr(cli_mod, "run_sweep", None)
     out = tmp_path / "out"
     path = _write_config(tmp_path, target={"link": link})
     assert main([command, "--config", str(path), "--out", str(out)]) == code
     assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("link", [link for link, _, _ in _UNUSABLE_LINKS],
+                         ids=["eta", "overflow"])
+def test_unusable_link_target_is_unread_by_the_sweep(tmp_path, capsys, link):
+    # each ae cell trains at its grid span's link target, so the sweep writes
+    # the rows of the same config without a target
+    path = _write_config(tmp_path, sweep={"schemes": ["ae", "qam"]}, target={"link": link})
+    doc = json.loads(path.read_text())
+    out = tmp_path / "res.csv"
+    csvs = []
+    for train in (doc["train"], {k: v for k, v in doc["train"].items() if k != "target"}):
+        path.write_text(json.dumps({**doc, "train": train}))
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        csvs.append(out.read_text())
+    assert csvs[0] == csvs[1] and csvs[0].count("\n") == 3

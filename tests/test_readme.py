@@ -3,7 +3,9 @@ Command line section names every flag the parser takes and no other, its
 Configuration section names every key a run configuration takes and the
 sections each command reads, and it and the example config state how the
 example's training batch sees the noise, and it states which iterations a
-training history records and the quadrature sizes the sweep scores with."""
+training history records and the quadrature sizes the sweep scores with.
+The example config's notes name its train target as its link's operating
+point."""
 
 import argparse
 import inspect
@@ -25,7 +27,6 @@ from shapegain.demapper import (
 from shapegain.sweep import (
     SCORE_NODES,
     EvalSettings,
-    OutputSettings,
     RunConfig,
     SweepSettings,
     _run_config,
@@ -47,8 +48,7 @@ def test_library_example_runs(capsys):
 
 
 # every object of a run configuration, whose fields are its keys
-_CONFIG_OBJECTS = (RunConfig, LinkConfig, TrainConfig, SnrTarget, SweepSettings, EvalSettings,
-                   OutputSettings)
+_CONFIG_OBJECTS = (RunConfig, LinkConfig, TrainConfig, SnrTarget, SweepSettings, EvalSettings)
 
 
 def _section(name: str, text: str) -> str:
@@ -107,6 +107,19 @@ def test_example_batch_is_described_as_the_code_trains_it():
     readme, counts = _sentence_with(r"[Tt]he example \((\d+) / (\d+) = (\d+)\)", section)
     assert tuple(map(int, counts.groups())) == (batch, 1 << m, per_label)
     assert said in readme and unsaid not in readme
+
+
+def test_example_target_is_the_operating_point_its_notes_name():
+    """The example's notes call its train target the link's operating point
+    at a span count: it stays within 0.05 dB of the SNR that link gives Gray
+    QAM of the section's order there (training.link_target)."""
+    doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
+    _, said = _sentence_with(r"\(([\d.]+) dB is this link's (\d+)-span operating point\)",
+                             " ".join(doc["_notes"]))
+    snr_db, n_spans = float(said[1]), int(said[2])
+    assert doc["train"]["target"] == {"snr_db": snr_db}
+    link = LinkConfig(n_spans=n_spans, **doc["link"])
+    assert abs(link_target(link, doc["train"]["m"]).snr_db - snr_db) <= 0.05
 
 
 def test_history_rows_are_described_as_training_records_them():

@@ -20,7 +20,6 @@ from shapegain import (
 from shapegain.sweep import (
     SCORE_NODES,
     EvalSettings,
-    OutputSettings,
     RunConfig,
     SweepRow,
     SweepSettings,
@@ -32,7 +31,7 @@ from shapegain.sweep import (
     run_sweep,
 )
 from shapegain.demapper import MAX_SAMPLES, per_bit_gmi_quadrature
-from shapegain.training import SnrTarget, TrainConfig, train
+from shapegain.training import SnrTarget, TrainConfig, train, train_config_from_dict
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.json"
 
@@ -46,7 +45,6 @@ def _tiny_config(**overrides):
         sweep=SweepSettings(span_grid=(2, 5), schemes=("ae", "qam"),
                             qam_m_list=(2,)),
         eval=EvalSettings(n_samples=4000, seed=7),
-        output=OutputSettings(),
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -62,7 +60,6 @@ class TestRunConfigParsing:
         assert cfg.sweep.span_grid == (4, 8, 12, 16, 20, 24)
         assert cfg.sweep.qam_m_list == (4, 3)
         assert cfg.eval.n_samples == 200000
-        assert cfg.output.results_csv == "results.csv"
         assert cfg.link.fec_rate == 0.75
 
     def test_underscore_keys_are_comments(self, tmp_path):
@@ -109,10 +106,6 @@ class TestRunConfigParsing:
         ("link", None, 3),
         ("link", None, [1]),
         ("train", None, "train"),
-        ("train", "target", {"snr_db": "abc"}),
-        ("train", "target", {"snr_db": None}),
-        ("train", "target", {"link": {"n_spans": 2, "ase_var_per_span": 0.004, "chi1": 0.3,
-                                      "chi2": 0.1}, "launch_power": "x"}),
         ("train", "mlp_hidden", 5),
         ("train", "iterations", 1.5),
         ("train", "seed", "x"),
@@ -120,7 +113,6 @@ class TestRunConfigParsing:
         ("sweep", "span_grid", "ab"),
         ("sweep", "schemes", 5),
         ("eval", "n_samples", 1.5),
-        ("output", "results_csv", 5),
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, section, key, value):
         doc = {"link": {"ase_var_per_span": 0.004, "chi1": 0.3, "chi2": 0.1},
@@ -136,6 +128,28 @@ class TestRunConfigParsing:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParameterError):
             load_run_config(path)
+
+    @pytest.mark.parametrize("target", [
+        {"snr_db": "abc"},
+        {"snr_db": None},
+        {"link": {"n_spans": 2, "ase_var_per_span": 0.004, "chi1": 0.3, "chi2": 0.1},
+         "launch_power": "x"},
+        {"snr_db": 9.0, "bogus": 1},
+    ], ids=["snr-str", "snr-null", "link-launch-power", "unknown-key"])
+    def test_train_target_is_unread(self, tmp_path, target):
+        # each ae cell trains at its grid span's link target, so the sweep
+        # neither parses nor checks the section's own; `shapegain train` does
+        doc = {"link": {"ase_var_per_span": 0.004, "chi1": 0.3, "chi2": 0.1},
+               "train": {"m": 2, "iterations": 1, "batch_symbols": 16},
+               "sweep": {"span_grid": [1, 2]}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        without = load_run_config(path)
+        doc["train"]["target"] = target
+        path.write_text(json.dumps(doc))
+        assert load_run_config(path) == without
+        with pytest.raises(ParameterError, match="^bad train config: bad target config: "):
+            train_config_from_dict(doc["train"])
 
     def test_sweep_settings_validation(self):
         with pytest.raises(ParameterError):

@@ -142,6 +142,14 @@ class TestTrainConfig:
         with pytest.raises(ParameterError, match="snr_db"):
             SnrTarget(snr_db)
 
+    @pytest.mark.parametrize("target", [6.0, {"snr_db": 6.0}, None],
+                             ids=["float", "dict", "none"])
+    def test_target_that_is_no_snr_target_rejected(self, target):
+        # refused where the config is built, not as an AttributeError in train()
+        with pytest.raises(ParameterError, match=rf"^target must be an SnrTarget, "
+                                                 rf"got {type(target).__name__}$"):
+            TrainConfig(m=2, target=target, iterations=2, batch_symbols=64)
+
     def test_from_dict_missing_target_rejected(self):
         with pytest.raises(ParameterError):
             train_config_from_dict({"m": 2, "iterations": 5})
