@@ -28,7 +28,6 @@ from .demapper import (
     GmiReport,
     gmi_oracle_quadrature,
     llr_exact,
-    per_bit_gmi_from_samples,
     per_bit_gmi_mc,
 )
 from .errors import NumericalError, ParameterError, ShapegainError

@@ -14,8 +14,10 @@ sweep CSV's snr_eff_db and a trained constellation's trained_snr_db.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -116,13 +118,29 @@ def _link_section(link, train=None, sweep=None, eval=None):
     return build_section("link config", functools.partial(LinkConfig, 1), link)
 
 
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Open each given path for writing, without truncating it, before anything
+    trains; a file that this created is removed again if the run fails."""
+    created = [path for path in paths if path and not os.path.lexists(path)]
+    try:
+        for path in filter(None, paths):
+            open(path, "a").close()
+        yield
+    except BaseException:
+        for path in filter(os.path.lexists, created):
+            os.remove(path)
+        raise
+
+
 def _cmd_train(args) -> int:
     config = build_section("run config", _train_section, load_json(args.config))
-    constellation, history = train(config)
-    save_constellation(constellation, args.out)
-    if args.history:
-        with open(args.history, "w") as fh:
-            fh.write(history.to_csv())
+    with _outputs(args.out, args.history):
+        constellation, history = train(config)
+        save_constellation(constellation, args.out)
+        if args.history:
+            with open(args.history, "w") as fh:
+                fh.write(history.to_csv())
     print(f"wrote {args.out} ({config.iterations} iterations, "
           f"final loss {history.loss[-1]:.4f})" if config.iterations
           else f"wrote {args.out} (initialization only)")
@@ -189,9 +207,10 @@ def _cmd_sweep(args) -> int:
     def _report_error(scheme, n_spans, exc):
         print(f"shapegain: skipped {exc}", file=sys.stderr)
 
-    rows = run_sweep(config, error_sink=_report_error if args.keep_going else None)
-    with open(args.out, "w") as fh:
-        fh.write(rows_to_csv(rows))
+    with _outputs(args.out):
+        rows = run_sweep(config, error_sink=_report_error if args.keep_going else None)
+        with open(args.out, "w") as fh:
+            fh.write(rows_to_csv(rows))
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 

@@ -91,7 +91,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .channel import awgn_sample
-from .constellation import Constellation, check_labels, partition_weights
+from .constellation import Constellation, partition_weights
 from .errors import (NumericalError, ParameterError, build_section, check_field_types,
                      check_value, check_written, float_tuple)
 
@@ -410,35 +410,6 @@ def _bit_penalties(y, c, labels, noise_variance):
     return _log2_1p(z, out=z)
 
 
-def per_bit_gmi_from_samples(c: Constellation, labels: np.ndarray, y: np.ndarray,
-                             noise_variance: float) -> GmiReport:
-    """Deterministic GMI estimate from given (label, received sample) pairs,
-    at least one, each label an integer in [0, M).
-
-    This is the estimation core of per_bit_gmi_mc; it is exposed so tests
-    can replay identical noise realizations against modified labelings.
-    """
-    labels = check_labels(labels, c.size)
-    y = np.asarray(y, dtype=np.complex128)
-    if labels.shape != y.shape:
-        raise ParameterError("labels and samples must have matching shapes")
-    s_total = labels.size
-    if s_total == 0:
-        raise ParameterError("need at least one sample")
-    _check_noise_variance(noise_variance)
-    penalty_sums = np.zeros(c.m)
-    sample_totals = np.empty(s_total)
-    step = max(1, _MC_BLOCK // c.size)
-    for lo in range(0, s_total, step):
-        hi = min(lo + step, s_total)
-        t = _bit_penalties(y[lo:hi], c, labels[lo:hi], noise_variance)
-        penalty_sums += t.sum(axis=1)
-        sample_totals[lo:hi] = c.m - t.sum(axis=0)
-    per_bit = np.clip(1.0 - penalty_sums / s_total, 0.0, 1.0)
-    stderr = float(np.std(sample_totals, ddof=1) / math.sqrt(s_total)) if s_total > 1 else 0.0
-    return make_report(per_bit, s_total, stderr)
-
-
 def per_bit_gmi_mc(c: Constellation, noise_variance: float, n_samples: int,
                    rng: np.random.Generator) -> GmiReport:
     """Monte-Carlo per-bit GMI over the AWGN channel.
@@ -467,7 +438,17 @@ def per_bit_gmi_mc(c: Constellation, noise_variance: float, n_samples: int,
     per_label = -(-n_samples // c.size)  # ceil division
     labels = np.repeat(np.arange(c.size), per_label)
     y = awgn_sample(rng, c.points[labels], noise_variance)
-    return per_bit_gmi_from_samples(c, labels, y, noise_variance)
+    s_total = labels.size
+    penalty_sums = np.zeros(c.m)
+    sample_totals = np.empty(s_total)
+    step = max(1, _MC_BLOCK // c.size)
+    for lo in range(0, s_total, step):
+        t = _bit_penalties(y[lo:lo + step], c, labels[lo:lo + step], noise_variance)
+        penalty_sums += t.sum(axis=1)
+        sample_totals[lo:lo + step] = c.m - t.sum(axis=0)
+    per_bit = np.clip(1.0 - penalty_sums / s_total, 0.0, 1.0)
+    stderr = float(np.std(sample_totals, ddof=1) / math.sqrt(s_total))
+    return make_report(per_bit, s_total, stderr)
 
 
 # numpy's hermgauss gives non-finite nodes from order 372 on (numpy 2.4); 256

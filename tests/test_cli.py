@@ -487,6 +487,40 @@ class TestTrainCommand:
             "points cannot be normalized"]
 
 
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    def test_unwritable_output_exits_3_before_training(self, tmp_path, capsys, monkeypatch,
+                                                       flag):
+        # --out is opened before --history, so an unwritable history also
+        # shows that the check removes the constellation file it created
+        import shapegain.cli as cli_mod
+
+        def spy(config):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(cli_mod, "train", spy)
+        paths = {"--out": tmp_path / "c.json", "--history": tmp_path / "h.csv"}
+        paths[flag] = tmp_path / "missing" / paths[flag].name
+        rc = main(["train", "--config", str(_write_run_config(tmp_path)),
+                   *(arg for item in paths.items() for arg in map(str, item))])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("shapegain: I/O error: ") and len(err.splitlines()) == 1, err
+        assert not any(path.exists() for path in paths.values())
+
+    def test_failed_run_creates_no_file_and_keeps_an_existing_one(self, tmp_path, capsys):
+        # the overflowing step above: the run exits 2 in iteration 0
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"train": {
+            "m": 2, "iterations": 1, "batch_symbols": 4,
+            "target": {"snr_db": 10}, "learning_rate": 1e308}}))
+        out, hist = tmp_path / "c.json", tmp_path / "h.csv"
+        hist.write_bytes(b"kept\n")
+        rc = main(["train", "--config", str(path), "--out", str(out), "--history", str(hist)])
+        assert rc == 2
+        assert not out.exists()
+        assert hist.read_bytes() == b"kept\n"
+
+
 class TestSweepCommand:
     def _sweep_config(self, tmp_path):
         return _write_run_config(tmp_path, sweep={"span_grid": [2, 4], "schemes": ["qam"],
@@ -633,6 +667,38 @@ class TestSweepCommand:
         assert rc == 1
         assert err.splitlines() == [
             "shapegain: error: grid point (scheme=qam, n_spans=2): synthetic failure"]
+
+
+    def test_unwritable_out_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
+        import shapegain.sweep as sweep_mod
+
+        def spy(config):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(sweep_mod, "train_many", spy)
+        monkeypatch.setattr(sweep_mod, "train", spy)
+        out = tmp_path / "missing" / "res.csv"
+        rc = main(["sweep", "--config", str(EXAMPLE), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("shapegain: I/O error: ") and len(err.splitlines()) == 1, err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["new", "existing"])
+    def test_failed_sweep_creates_no_file_and_keeps_an_existing_one(
+            self, tmp_path, capsys, monkeypatch, existing):
+        import shapegain.sweep as sweep_mod
+
+        def broken(config, scheme, n_spans, candidates):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(sweep_mod, "evaluate_grid_point", broken)
+        out = tmp_path / "res.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        rc = main(["sweep", "--config", str(self._sweep_config(tmp_path)), "--out", str(out)])
+        assert rc == 1
+        assert (out.read_bytes() if out.exists() else None) == existing
 
 
 class TestUsageErrors:

@@ -22,7 +22,6 @@ from shapegain import (
     db_to_linear,
     gmi_oracle_quadrature,
     llr_exact,
-    per_bit_gmi_from_samples,
     per_bit_gmi_mc,
     select_dummy_bits,
     train,
@@ -348,11 +347,12 @@ class TestClipLlr:
             llr_exact(np.array([0.1, math.nan, 0.3j]), c, 0.5)
 
     def test_nan_sample_is_numerical_error_in_the_monte_carlo_estimate(self):
+        # the bit penalties that per_bit_gmi_mc averages, replayed on a NaN draw
         c = uniform_qam(2)
         y = c.points.copy()
         y[2] = complex(0.0, math.nan)
         with pytest.raises(NumericalError):
-            per_bit_gmi_from_samples(c, np.arange(c.size), y, 0.5)
+            _bit_penalties(y, c, np.arange(c.size), 0.5)
 
     def test_overflowing_noise_is_numerical_error_in_the_oracle(self):
         # offsets of 1e154 and more: their squared distances overflow, and
@@ -473,9 +473,12 @@ class TestMonteCarloGmi:
 
 
 class TestFromSamples:
+    """The Monte-Carlo estimate's per-sample bit penalties, replayed on given draws."""
+
     def test_bit_reversal_permutes_per_bit_values(self):
-        """Relabeling that permutes the bit positions permutes the per-bit
-        GMI alike, on the same draws, and keeps the quadrature total:
+        """Relabeling that permutes the bit positions permutes each level's
+        mean bit penalty (one minus its GMI estimate) alike, on the same
+        draws, and keeps the quadrature total:
         reversing the bit order reverses the values, and swapping two
         positions swaps their two values.
 
@@ -497,40 +500,17 @@ class TestFromSamples:
             rng = np.random.default_rng(21)
             labels = rng.integers(0, c.size, 6000)
             y = awgn_sample(rng, c.points[labels], 0.7)
-            a = per_bit_gmi_from_samples(c, labels, y, 0.7)
-            b = per_bit_gmi_from_samples(c_perm, relabel[labels], y, 0.7)
-            np.testing.assert_allclose(b.per_bit, a.per_bit[order], atol=1e-12, rtol=0)
+            a = _bit_penalties(y, c, labels, 0.7).mean(axis=1)
+            b = _bit_penalties(y, c_perm, relabel[labels], 0.7).mean(axis=1)
+            np.testing.assert_allclose(b, a[order], atol=1e-12, rtol=0)
             assert abs(gmi_oracle_quadrature(c_perm, 0.7)
                        - gmi_oracle_quadrature(c, 0.7)) <= 1e-12
 
     def test_chunk_boundary_is_seamless(self):
-        # spans the internal 32768-sample chunk edge
-        c = uniform_qam(1)
-        rng = np.random.default_rng(31)
-        labels = rng.integers(0, 2, 32_769)
-        y = awgn_sample(rng, c.points[labels], 1.0)
-        rep = per_bit_gmi_from_samples(c, labels, y, 1.0)
-        assert rep.n_samples == 32_769
+        # spans the internal 32768-sample block edge of M = 2
+        rep = per_bit_gmi_mc(uniform_qam(1), 1.0, 32_770, np.random.default_rng(31))
+        assert rep.n_samples == 32_770
         assert 0.0 <= rep.total <= 1.0
-
-    def test_shape_mismatch_rejected(self):
-        c = uniform_qam(2)
-        with pytest.raises(ParameterError):
-            per_bit_gmi_from_samples(c, np.zeros(4, int), np.zeros(5, complex), 1.0)
-
-    @pytest.mark.parametrize("noise_variance", [0.0, -1.0, math.nan])
-    def test_nonpositive_noise_rejected(self, noise_variance):
-        c = uniform_qam(2)
-        with pytest.raises(ParameterError):
-            per_bit_gmi_from_samples(c, np.zeros(4, int), np.zeros(4, complex), noise_variance)
-
-    @pytest.mark.parametrize("labels, message", [
-        (np.array([-1]), "labels must be integers"), (np.array([4]), "labels must be integers"),
-        (np.array([0.5]), "labels must be integers"), (np.zeros(0, int), "at least one sample")],
-        ids=["-1", "M", "0.5", "empty"])
-    def test_bad_labels_rejected(self, labels, message):
-        with pytest.raises(ParameterError, match=message):
-            per_bit_gmi_from_samples(uniform_qam(2), labels, np.full(labels.shape, 0.1 + 0j), 0.5)
 
 
 class TestQuadratureOracle:
@@ -671,8 +651,6 @@ _NOISE_VARIANCE_ENTRY_POINTS = {
     "llr_exact": lambda nv: llr_exact(0.1 + 0j, uniform_qam(2), nv),
     "per_bit_gmi_mc": lambda nv: per_bit_gmi_mc(uniform_qam(2), nv, 100,
                                                 np.random.default_rng(0)),
-    "per_bit_gmi_from_samples": lambda nv: per_bit_gmi_from_samples(
-        uniform_qam(2), np.arange(4), np.full(4, 0.1 + 0j), nv),
     "gmi_oracle_quadrature": lambda nv: gmi_oracle_quadrature(uniform_qam(2), nv),
 }
 

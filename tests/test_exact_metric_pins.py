@@ -8,10 +8,13 @@ floored cases (MC at m=6 and 30 dB, quadrature at m=4 and 40 dB, and the
 floored LLRs) were generated before the floored exp lost its drop mask.
 The plan and LUT pins were generated before dummy selection lost its
 second split rule, and the MLP training pins before the training loop
-lost its mapper and optimizer wrapper classes. The floored penalty pins
-and the drawn-noise training pins were generated before training's batch
-took Gauss-Hermite noise offsets; the lone Gaussian and the stacked
-example pins were regenerated with that batch, which they use. The MLP
+lost its mapper and optimizer wrapper classes. The Monte-Carlo block
+edge pins were generated before the estimator's block loop moved into
+per_bit_gmi_mc from the entry point that replayed given draws. The
+floored penalty pins and the drawn-noise training pins were generated
+before training's batch took Gauss-Hermite noise offsets; the lone
+Gaussian and the stacked example pins were regenerated with that batch,
+which they use. The MLP
 link pin was regenerated from Gray QAM when the random initial mapper was
 removed, with the target refreshed every 7 iterations as before. The pin
 at the example's own batch was generated when the example moved to 64 drawn
@@ -143,6 +146,20 @@ def test_monte_carlo_reports_are_pinned(m, snr_db):
     assert (repr(rep.total), _sha256(rep.to_json().encode())) == _MC_REPORTS[m, snr_db]
 
 
+# (m, SNR in dB, requested samples) against the estimate's blocks of
+# _MC_BLOCK / M samples: one sample past a block at M = 2, exactly two
+# blocks at M = 4, one block and the 16 samples that the round-up to a
+# multiple of M adds at M = 16, and 11 whole blocks at M = 256
+@pytest.mark.parametrize("m, snr_db, n_samples", [(1, 0.0, 32_770), (2, 3.0, 32_768),
+                                                  (4, 9.3, 4_097), (8, 21.0, 2_561)],
+                         ids=["m1-past-edge", "m2-two-blocks", "m4-round-up", "m8-11-blocks"])
+def test_monte_carlo_block_edges_are_pinned(m, snr_db, n_samples):
+    rep = per_bit_gmi_mc(uniform_qam(m), _nv(snr_db), n_samples,
+                         np.random.default_rng([m, n_samples]))
+    got = repr(rep.total), _sha256(rep.to_json().encode())
+    assert got == _MC_BLOCK_EDGE_REPORTS[m], got
+
+
 @pytest.mark.parametrize("m, snr_db", [(2, 3.0), (4, 9.3), (6, 15.0), (4, 40.0)],
                          ids=["m2-3dB", "m4-9.3dB", "m6-15dB", "m4-40dB"])
 def test_quadrature_oracle_is_pinned(m, snr_db):
@@ -234,6 +251,13 @@ _MC_REPORTS = {
               "9af81c6de94a7a2eee267aaa5a6f76160937d92444d928dd2edcf17d54599623"),
     (6, 30.0): ("6.0",
               "6841beb0d6b492e662cabfda799be8fa2f84de9bde43230b1d2d1139463c5ae9"),
+}
+_MC_BLOCK_EDGE_REPORTS = {
+    1: ("0.729089081439529", "9ab3173ca4be90ce517abb9ce9813f8a08cc77bea29788c489f14811ad361622"),
+    2: ("1.4366252148312733",
+        "079f167877181ba6a4b1794271f500e2e52239ee57331d99fcd671a9b8d8deac"),
+    4: ("3.011279911310356", "cc4d673ea9584b7dc79bf572e003229c1b6ee6d3dc3d0b3666e5b4e0181d8e0e"),
+    8: ("6.556893394736773", "c2a6fa47aff2a9f098593e337521f99dc6fa2a5af5a1b6e42fdc75417cf49c00"),
 }
 _QUADRATURE = {
     (2, 3.0): "1.441321671592549",

@@ -26,12 +26,12 @@ from shapegain import (
     gmi_oracle_quadrature,
     moments,
     optimal_launch_power,
-    per_bit_gmi_from_samples,
     per_bit_gmi_mc,
     train,
     uniform_qam,
 )
 from shapegain.constellation import Constellation, normalize
+from shapegain.demapper import _bit_penalties
 from shapegain.sweep import _ae_train_config, load_run_config
 from shapegain.training import emit, init_mapper
 
@@ -132,8 +132,8 @@ def _link_view(c: Constellation) -> tuple:
 def test_per_bit_gmi_is_invariant_under_conjugation(name, snr_db):
     """Conjugating the points and the received samples mirrors the plane
     about the in-phase axis, which keeps every distance and every product
-    of the metric up to signs that cancel, so the Monte-Carlo estimate on
-    the mirrored draws keeps every byte.
+    of the metric up to signs that cancel, so every per-sample bit penalty
+    of the Monte-Carlo estimate on the mirrored draws keeps every byte.
 
     Catches the points' I and Q swapped in the GEMM form of the
     log-likelihoods (`points[::-1].T` for `points.T` in `_loglik`), which
@@ -145,10 +145,9 @@ def test_per_bit_gmi_is_invariant_under_conjugation(name, snr_db):
     rng = np.random.default_rng(12)
     labels = rng.integers(0, c.size, 4000)
     y = awgn_sample(rng, c.points[labels], nv)
-    a = per_bit_gmi_from_samples(c, labels, y, nv)
-    b = per_bit_gmi_from_samples(Constellation(c.m, c.points.conj()), labels, y.conj(), nv)
-    assert a.per_bit.tobytes() == b.per_bit.tobytes()
-    assert a.stderr_total == b.stderr_total
+    a = _bit_penalties(y, c, labels, nv)
+    b = _bit_penalties(y.conj(), Constellation(c.m, c.points.conj()), labels, nv)
+    assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.1])
@@ -156,8 +155,8 @@ def test_per_bit_gmi_is_invariant_under_conjugation(name, snr_db):
 @pytest.mark.parametrize("name", NAMES)
 def test_per_bit_gmi_is_invariant_under_rotation(name, snr_db, theta):
     """Rotating the points and the received samples together keeps every
-    distance, so the Monte-Carlo estimate of each bit on the rotated draws
-    moves by rounding only.
+    distance, so each level's mean bit penalty, the Monte-Carlo estimate
+    of its GMI, on the rotated draws moves by rounding only.
 
     Catches log-likelihoods that weight Q unlike I, which conjugation
     keeps: `1.01 * points[1] ** 2` in `_loglik`'s GEMM form fails every case
@@ -171,9 +170,9 @@ def test_per_bit_gmi_is_invariant_under_rotation(name, snr_db, theta):
     rng = np.random.default_rng(13)
     labels = rng.integers(0, c.size, 4000)
     y = awgn_sample(rng, c.points[labels], nv)
-    a = per_bit_gmi_from_samples(c, labels, y, nv)
-    b = per_bit_gmi_from_samples(Constellation(c.m, c.points * turn), labels, y * turn, nv)
-    np.testing.assert_allclose(b.per_bit, a.per_bit, rtol=0.0, atol=1e-12)
+    a = _bit_penalties(y, c, labels, nv).mean(axis=1)
+    b = _bit_penalties(y * turn, Constellation(c.m, c.points * turn), labels, nv).mean(axis=1)
+    np.testing.assert_allclose(b, a, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["qam2", "qam4", "qam6", "random16", "gauss16", "ae24"])

@@ -791,7 +791,7 @@ class TestOneUnitPowerRule:
             np.testing.assert_array_equal(points.imag, sent[1])
 
     @pytest.mark.parametrize("spans", [(8,), (4, 8, 16)], ids=["lone", "stacked"])
-    def test_targets_resolve_at_the_next_steps_points(self, monkeypatch, spans):
+    def test_emitted_constellation_is_emit_of_the_final_table(self, monkeypatch, spans):
         # the config of the MLP link pin, and three stacked cells of its link
         configs = [TrainConfig(m=3, target=link_target(replace(_LINK, n_spans=n), 3),
                                iterations=300 if len(spans) == 1 else 50,
