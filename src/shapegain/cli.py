@@ -2,7 +2,9 @@
 
 Subcommands: train, eval, adapt, sweep, export-lut, qam. Exit codes:
 0 success, 1 usage or parameter error, 2 numerical failure, 3 I/O error.
-train and sweep write where their required --out points. Of a run config,
+train and sweep write where their required --out points, eval where its
+optional --out does; each opens it before the work starts, so a path that
+cannot be written exits 3 at once. Of a run config,
 train reads the train section, eval --link-from the link section, and sweep
 every section but the train target, which no sweep cell trains at.
 Library arithmetic is linear; dB appears where an SNR is configured or
@@ -120,8 +122,9 @@ def _link_section(link, train=None, sweep=None, eval=None):
 
 @contextlib.contextmanager
 def _outputs(*paths):
-    """Open each given path for writing, without truncating it, before anything
-    trains; a file that this created is removed again if the run fails."""
+    """Open each given path for writing, without truncating it, before the
+    training or the estimate starts; a file that this created is removed
+    again if the run fails."""
     created = [path for path in paths if path and not os.path.lexists(path)]
     try:
         for path in filter(None, paths):
@@ -167,10 +170,11 @@ def _cmd_eval(args) -> int:
         raise ParameterError(f"{args.constellation}: average power {c.average_power()!r} is not 1")
     noise_variance = _resolve_eval_noise(args, c)
     rng = np.random.default_rng(args.seed)
-    report = per_bit_gmi_mc(c, noise_variance, args.samples, rng)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json() + "\n")
+    with _outputs(args.out):
+        report = per_bit_gmi_mc(c, noise_variance, args.samples, rng)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(report.to_json() + "\n")
     if args.json:
         print(report.to_json())
     else:

@@ -278,13 +278,29 @@ class GaussianDemapper:
     def with_arrays(self, arrays: dict) -> "GaussianDemapper":
         return self
 
-    def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, noise_variance: float, work):
-        """(llr_raw (m, S), cache) for I/Q rows y_iq (2, S) against points_iq (2, M);
-        work goes unused, as the bit metric allocates its own arrays."""
-        llr_raw, metric = gaussian_bit_metric(y_iq, points_iq, noise_variance)
-        return llr_raw, (metric, y_iq, points_iq, noise_variance)
+    def bind(self, y_iq: np.ndarray, points_iq: np.ndarray, noise_variance: float, grads: dict):
+        """The receiver bound to a step's I/Q rows y_iq (2, S) and points_iq
+        (2, M); it binds nothing more, as the bit metric allocates its own
+        arrays, and has no gradient to write."""
+        return _GaussianStep(y_iq, points_iq, noise_variance)
 
-    def backward(self, dllr: np.ndarray, cache, grads: dict, work):
+
+@dataclass(eq=False)
+class _GaussianStep:
+    """A GaussianDemapper bound to a step's arrays; metric is the cache of
+    the last forward(), which backward() reads."""
+
+    y_iq: np.ndarray
+    points_iq: np.ndarray
+    noise_variance: float
+    metric: tuple = ()
+
+    def forward(self) -> np.ndarray:
+        """llr_raw (m, S) of y_iq against points_iq."""
+        llr_raw, self.metric = gaussian_bit_metric(self.y_iq, self.points_iq, self.noise_variance)
+        return llr_raw
+
+    def backward(self, dllr: np.ndarray):
         """(d loss / d y_iq (2, S), d loss / d points_iq (2, M) through the receiver).
 
         With da (M, S), dd2 = d loss / d |y_s - x_j|^2 = -da / noise_variance,
@@ -294,13 +310,12 @@ class GaussianDemapper:
         log-likelihoods leaves its LLRs unchanged), so the first term of
         d loss / d y vanishes.
         """
-        metric, y_iq, points_iq, noise_variance = cache
-        da = gaussian_bit_metric_grad(dllr, metric)
-        f = 2.0 / noise_variance
-        gy = _matmul(points_iq, da)
+        da = gaussian_bit_metric_grad(dllr, self.metric)
+        f = 2.0 / self.noise_variance
+        gy = _matmul(self.points_iq, da)
         gy *= f
-        gp = _matmul(y_iq, da.T)
-        gp -= points_iq * da.sum(axis=1)
+        gp = _matmul(self.y_iq, da.T)
+        gp -= self.points_iq * da.sum(axis=1)
         gp *= f
         return gy, gp
 

@@ -20,20 +20,27 @@ constellation is the points a step transmits.
 Gradients are derived by hand and guarded by finite-difference checks
 (tests/stepcheck.py).
 
-A receiver is one object with four methods; GaussianDemapper (the exact
+A receiver is one object with three methods; GaussianDemapper (the exact
 bit metric) and MlpDemapper (a small rectifier network) implement them, and
 training never asks which one it holds:
 
     arrays()             named trainable arrays, in backward order
     with_arrays(arrays)  the same receiver rebuilt from such arrays
-    forward(y_iq, points_iq, noise_variance, work) -> (llr_raw, cache)
-                         y_iq (2, S), points_iq (2, M = 2**m), llr_raw (m, S);
-                         work is the run's Workspace
-    backward(dllr, cache, grads, work) -> (gy, gp)
-                         writes its parameter gradients into grads;
-                         dllr (m, S); gy = d loss / d y_iq (2, S),
-                         gp = d loss / d points_iq (2, M) through the
-                         receiver, or None
+    bind(y_iq, points_iq, noise_variance, grads) -> bound
+                         the receiver's part of one run's step: y_iq (2, S)
+                         and points_iq (2, M = 2**m) are the step's arrays,
+                         which every step refills, and grads the named views
+                         its parameter gradients go to
+
+A run binds its step once, before the first; the bound receiver allocates
+what it needs then, and every step calls its two methods:
+
+    forward() -> llr_raw     llr_raw (m, S) of the arrays' current values
+    backward(dllr) -> (gy, gp)
+                             writes its parameter gradients into grads;
+                             dllr (m, S); gy = d loss / d y_iq (2, S),
+                             gp = d loss / d points_iq (2, M) through the
+                             receiver, or None
 
 demapper.clip_llr clips the LLRs to +/- LLR_CLIP, their clipped entries of
 dllr zero, and fails the step on a NaN or +/-inf one with NumericalError.
@@ -47,7 +54,7 @@ floats, so it ends bit for bit where train() of its config ends, history
 included. Only every HISTORY_STRIDE-th iteration and the last compute the
 loss and gradient norm that TrainHistory records. README's Performance
 section describes the loop's layout: one flat parameter array updated in
-place, the sorted batch, the workspace.
+place, the sorted batch, the step bound once per run.
 """
 
 from __future__ import annotations
@@ -190,7 +197,7 @@ def _target(m: int, /, **fields) -> SnrTarget:
 
 def emit(raw: np.ndarray) -> np.ndarray:
     """The complex points a training step transmits from one (M, 2) table of
-    free coordinates, bit for bit: _forward's scale _mapper_power(raw) ** -0.5."""
+    free coordinates, bit for bit: the step's scale _mapper_power(raw) ** -0.5."""
     return _mapper_power(raw)[0] ** -0.5 * (raw[:, 0] + 1j * raw[:, 1])
 
 
@@ -199,7 +206,7 @@ class MlpDemapper:
     """Fully-connected rectifier network mapping y = (I, Q) to m LLRs.
 
     A receiver as described in the module docstring; the points do not
-    enter it, so its backward() returns gp = None. Layer i is one
+    enter it, so its bound backward() returns gp = None. Layer i is one
     (fan_in + 1, fan_out) array, the weights in its first fan_in rows and
     the bias in its last. Each layer's input (y, then each rectified hidden
     layer) is (fan_in + 1, S) with a constant ones row last, so one GEMM
@@ -217,35 +224,56 @@ class MlpDemapper:
     def with_arrays(self, arrays: dict) -> "MlpDemapper":
         return MlpDemapper(layers=[arrays[f"mlp.layer{i}"] for i in range(len(self.layers))])
 
-    def forward(self, y_iq: np.ndarray, points_iq: np.ndarray, noise_variance: float,
-                work: Workspace):
-        """The cache is the list of layer inputs, (..., fan_in + 1, S) each;
-        the rectifier is applied in place, as h > 0 exactly where its
-        pre-activation is. The layer inputs and the LLRs are work's arrays."""
-        lead, samples = y_iq.shape[:-2], y_iq.shape[-1]
-        x = work("mlp.input0", y_iq.shape, _with_ones_row)
-        x[..., :-1, :] = y_iq
-        inputs = [x]
-        for i, layer in enumerate(self.layers[:-1], 1):
-            x = work(f"mlp.input{i}", lead + (layer.shape[-1], samples), _with_ones_row)
-            h = x[..., :-1, :]
-            np.matmul(layer.swapaxes(-1, -2), inputs[-1], out=h)
-            np.maximum(h, 0.0, out=h)
-            inputs.append(x)
-        head = self.layers[-1]
-        llr_raw = np.matmul(head.swapaxes(-1, -2), inputs[-1],
-                            out=work("mlp.llr", lead + (head.shape[-1], samples)))
-        return llr_raw, inputs
+    def bind(self, y_iq: np.ndarray, points_iq: np.ndarray, noise_variance, grads: dict):
+        return _MlpStep(self.layers, y_iq, grads)
 
-    def backward(self, dllr: np.ndarray, cache, grads: dict, work: Workspace):
-        """Each layer's dx and rectifier mask are work's arrays."""
-        dx = dllr
-        for i in range(len(self.layers) - 1, -1, -1):
-            np.matmul(cache[i], dx.swapaxes(-1, -2), out=grads[f"mlp.layer{i}"])
-            h = cache[i][..., :-1, :]  # the layer's input without its ones row
-            dx = np.matmul(self.layers[i][..., :-1, :], dx, out=work(f"mlp.dx{i}", h.shape))
-            if i > 0:
-                dx *= np.greater(h, 0.0, out=work(f"mlp.mask{i}", h.shape, _empty_mask))
+
+class _MlpStep:
+    """An MlpDemapper bound to a step's samples y_iq, (..., 2, S), and to its
+    gradient views grads; see MlpDemapper.bind.
+
+    It allocates the layer inputs, (..., fan_in + 1, S) each with its ones
+    row, the LLRs, and each layer's dx and rectifier mask once, and takes
+    the views its GEMMs read and write once: the layers keep their memory,
+    as Adam updates them in place. inputs is the list of layer inputs, the
+    rectifier applied in place, as h > 0 exactly where its pre-activation is.
+    """
+
+    def __init__(self, layers: list, y_iq: np.ndarray, grads: dict):
+        lead, samples = y_iq.shape[:-2], y_iq.shape[-1]
+        self.y_iq = y_iq
+        self.inputs = [_with_ones_row(lead + (layer.shape[-2] - 1, samples)) for layer in layers]
+        rows = [x[..., :-1, :] for x in self.inputs]  # each input without its ones row
+        self.y_rows = rows[0]
+        # forward: (W^T, the layer's input, its output's rows) per hidden layer
+        self.hidden = [(layer.swapaxes(-1, -2), x, h)
+                       for layer, x, h in zip(layers, self.inputs, rows[1:])]
+        self.head = layers[-1].swapaxes(-1, -2)
+        self.llr = np.empty(lead + (layers[-1].shape[-1], samples))
+        # backward, from the head down: (the layer's input, its gradient, its
+        # weights without the bias row, dx, dx^T, the input's rows, the mask)
+        self.back = []
+        for i in range(len(layers) - 1, -1, -1):
+            dx = np.empty(rows[i].shape)
+            self.back.append((self.inputs[i], grads[f"mlp.layer{i}"], layers[i][..., :-1, :],
+                              dx, dx.swapaxes(-1, -2), rows[i],
+                              np.empty(dx.shape, dtype=bool) if i > 0 else None))
+
+    def forward(self) -> np.ndarray:
+        np.copyto(self.y_rows, self.y_iq)
+        for weights_t, x, h in self.hidden:
+            np.matmul(weights_t, x, out=h)
+            np.maximum(h, 0.0, out=h)
+        return np.matmul(self.head, self.inputs[-1], out=self.llr)
+
+    def backward(self, dllr: np.ndarray):
+        dx, dx_t = dllr, dllr.swapaxes(-1, -2)
+        for x, grad, weights, out, out_t, h, mask in self.back:
+            np.matmul(x, dx_t, out=grad)
+            dx = np.matmul(weights, dx, out=out)
+            if mask is not None:
+                dx *= np.greater(h, 0.0, out=mask)
+            dx_t = out_t
         return dx, None
 
 
@@ -255,32 +283,6 @@ def _with_ones_row(shape: tuple) -> np.ndarray:
     x = np.empty(shape[:-2] + (shape[-2] + 1, shape[-1]))
     x[..., -1, :] = 1.0
     return x
-
-
-def _empty_mask(shape: tuple) -> np.ndarray:
-    return np.empty(shape, dtype=bool)
-
-
-class Workspace:
-    """The per-sample arrays of a training step, by name.
-
-    work(name, shape, make) returns make(shape) on the first request for
-    name and the same array on every later one; shape and make must not
-    change between requests. The training loop passes one workspace to
-    every step of a run, so each array is allocated once and a step's state
-    is valid only until the next step; a step outside the loop takes a
-    fresh workspace, and its state is its own.
-    """
-
-    def __init__(self):
-        self._arrays = {}
-
-    def __call__(self, name: str, shape: tuple, make=np.empty) -> np.ndarray:
-        try:
-            return self._arrays[name]
-        except KeyError:
-            array = self._arrays[name] = make(shape)
-            return array
 
 
 def init_mlp(m: int, hidden, rng: np.random.Generator) -> MlpDemapper:
@@ -382,31 +384,6 @@ def _make_batch(M: int, S: int, cells: tuple = (), grid: Optional[tuple] = None)
     return _Batch(labels=labels, flip=flip, flip_norm=flip_norm, weight=weight, offsets=offsets)
 
 
-@dataclass
-class ForwardState:
-    """Everything backward() needs, cached by _forward.
-
-    Signals are real: points_iq (2, M) and y_iq (2, S) hold I and Q in
-    their rows, and every per-sample array has the samples on its last
-    axis. Arrays carry the cell axis first in the stacked loop; scale is
-    the cells' scales as one _per_cell operand, and loss is one value per
-    cell. The per-sample arrays are work's, which backward() writes into.
-    """
-
-    batch: _Batch
-    raw: np.ndarray
-    scale: object
-    points_iq: np.ndarray
-    y_iq: np.ndarray
-    llr_raw: np.ndarray  # (m, S)
-    llr: np.ndarray  # (m, S), llr_raw clipped; llr_raw itself when nothing clips
-    sigmoid: np.ndarray  # (m, S) sigmoid(z), z = flip * llr
-    loss: Optional[np.ndarray]  # None when the step skipped the loss
-    penalties: Optional[np.ndarray]  # (m, S) loss terms in bits, times the weights
-    cache: object  # the receiver's forward() cache
-    work: Workspace
-
-
 def _mapper_power(raw: np.ndarray) -> list:
     """Mean power of each cell's raw mapper points, which must be finite and
     positive, as Python floats."""
@@ -425,78 +402,103 @@ def _per_cell(values: list, like: np.ndarray):
     return np.array(values).reshape((-1,) + (1,) * (like.ndim - 1))
 
 
-def _forward(raw: np.ndarray, demapper, batch: _Batch, noise_iq: np.ndarray,
-             noise_variance: list, work: Workspace, power: list,
-             with_loss: bool = True) -> ForwardState:
-    """The loss gradient's sigmoids of one batch per cell, and its loss if with_loss.
+class _Step:
+    """The training step of one run, bound when the run starts.
 
-    raw is (M, 2) and noise_iq, the real noise, (2, S), or (K, M, 2) and
-    (K, 2, S) for K stacked MLP cells. noise_variance (finite and positive,
-    as the cells' targets give it) and power, _mapper_power(raw), hold one
-    Python float per cell. The scale power ** -0.5, the one unit-power rule
-    that emit() shares, is taken in Python: numpy's array power rounds it
-    differently. The received samples, the LLRs' products with the label
-    signs, the loss terms and the sigmoids are work's arrays. Only the LLRs
-    are checked: a finite power gives finite points, a non-finite received
-    sample shows in the LLRs, and clipped LLRs give finite loss terms.
+    raw is the mapper table Adam updates in place, (M, 2), or (K, M, 2) for
+    K stacked MLP cells; grad is the flat gradient array and grads its named
+    views, which backward() overwrites. noise_variance (finite and positive,
+    as the cells' targets give it) holds one Python float per cell. Signals
+    are real: points_iq (2, M) and y_iq (2, S) hold I and Q in their rows,
+    and every per-sample array has the samples on its last axis, after the
+    cell axis of a stacked run. The step allocates its arrays once and binds
+    the receiver to them (the receiver's bind() allocates its own); every
+    step refills them, so a step's state is valid only until the next step.
+    A step outside a run binds its own, and its state is its own.
     """
-    scale = _per_cell([p ** -0.5 for p in power], raw)
-    points = np.multiply(raw.swapaxes(-1, -2), scale, order="C")
-    # every label is in range, and "clip" takes without buffering its output
-    y = np.take(points, batch.labels, axis=-1, out=work("y", noise_iq.shape), mode="clip")
-    y += noise_iq
 
-    llr_raw, cache = demapper.forward(
-        y, points, noise_variance if raw.ndim == 3 else noise_variance[0], work)
-    llr = clip_llr(llr_raw)
-    # z = flip * llr goes where its loss terms will, (..., m, S) each
-    z = np.multiply(batch.flip, llr, out=work("penalties", llr.shape))
-    penalties, sigmoid = logistic(z, (z, work("sigmoid", llr.shape)), softplus=with_loss)
-    if with_loss and batch.weight is not None:
-        penalties *= batch.weight
-    loss = (penalties.reshape(*penalties.shape[:-2], -1).sum(axis=-1) / batch.size
-            if with_loss else None)
-    return ForwardState(
-        batch=batch,
-        raw=raw, scale=scale, points_iq=points, y_iq=y,
-        llr_raw=llr_raw, llr=llr, sigmoid=sigmoid, loss=loss, penalties=penalties,
-        cache=cache, work=work,
-    )
+    def __init__(self, raw: np.ndarray, demapper, batch: _Batch, noise_variance: list,
+                 grad: np.ndarray, grads: dict):
+        lead, M = raw.shape[:-2], raw.shape[-2]
+        S = batch.size
+        self.raw, self.raw_t, self.batch, self.grad = raw, raw.swapaxes(-1, -2), batch, grad
+        self.points_iq = np.empty(lead + (2, M))
+        self.y_iq = np.empty(lead + (2, S))
+        # z = flip * llr goes where its loss terms will, (..., m, S) each
+        self.penalties = np.empty(batch.flip.shape)
+        self.penalty_rows = self.penalties.reshape(lead + (-1,))
+        self.sigmoid = np.empty(batch.flip.shape)
+        self.dllr = np.empty(batch.flip.shape)
+        self.receiver = demapper.bind(self.y_iq, self.points_iq,
+                                      noise_variance if lead else noise_variance[0], grads)
+        # backward: each label's run of samples, their sums (..., 2, M), the
+        # mapper's gradient and the terms of the normalization chain
+        self.label_runs = lead + (2, M, S // M)
+        self.dp = np.empty(lead + (2, M))
+        self.dp_t = self.dp.swapaxes(-1, -2)  # (..., M, 2), the layout of raw
+        self.dscale = np.empty(raw.shape)
+        self.dscale_rows = self.dscale.reshape(lead + (-1,))
+        self.draw = grads["mapper.raw"]
+        self.grads = grads
+        self.finite = np.empty(grad.shape, dtype=bool)
+        self.power_gain = 2.0 / M
 
+    def forward(self, noise_iq: np.ndarray, power: list, with_loss: bool = True) -> None:
+        """The loss gradient's sigmoids of one batch per cell, and its loss
+        if with_loss, one value per cell, else loss None.
 
-def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None:
-    """Write every gradient into grads, named views of the flat array grad."""
-    raw = st.raw
-    M = raw.shape[-2]
+        noise_iq is the real noise, (..., 2, S), and power, _mapper_power(raw),
+        one Python float per cell. The scale power ** -0.5, the one unit-power
+        rule that emit() shares, is taken in Python: numpy's array power
+        rounds it differently. Only the LLRs are checked: a finite power gives
+        finite points, a non-finite received sample shows in the LLRs, and
+        clipped LLRs give finite loss terms.
+        """
+        batch = self.batch
+        self.scale = scale = _per_cell([p ** -0.5 for p in power], self.raw)
+        np.multiply(self.raw_t, scale, out=self.points_iq)
+        # every label is in range, and "clip" takes without buffering its output
+        np.take(self.points_iq, batch.labels, axis=-1, out=self.y_iq, mode="clip")
+        self.y_iq += noise_iq
+        self.llr_raw = self.receiver.forward()
+        self.llr = llr = clip_llr(self.llr_raw)  # llr_raw itself when nothing clips
+        z = np.multiply(batch.flip, llr, out=self.penalties)
+        logistic(z, (z, self.sigmoid), softplus=with_loss)
+        if not with_loss:
+            self.loss = None
+            return
+        if batch.weight is not None:
+            z *= batch.weight  # the loss terms in bits, times the weights
+        self.loss = self.penalty_rows.sum(axis=-1) / batch.size
 
-    dllr = np.divide(st.sigmoid, st.batch.flip_norm,  # d loss / d llr
-                     out=st.work("dllr", st.sigmoid.shape))
-    if st.llr is not st.llr_raw:
-        dllr[st.llr != st.llr_raw] = 0.0  # the clipped entries
+    def backward(self) -> None:
+        """Write every gradient of the last forward() into grads."""
+        raw = self.raw
+        dllr = np.divide(self.sigmoid, self.batch.flip_norm, out=self.dllr)  # d loss / d llr
+        if self.llr is not self.llr_raw:
+            dllr[self.llr != self.llr_raw] = 0.0  # the clipped entries
 
-    gy, gp = demapper.backward(dllr, st.cache, grads, st.work)
-    # transmit path, y = points[labels] + noise: each label's samples form
-    # one run of the batch, summed in sample order into (..., 2, M)
-    dp = gy.reshape(*gy.shape[:-1], M, -1).sum(axis=-1)
-    if gp is not None:
-        dp += gp  # receiver path
-    dp = dp.swapaxes(-1, -2)  # (..., M, 2), the layout of raw
+        gy, gp = self.receiver.backward(dllr)
+        # transmit path, y = points[labels] + noise: each label's samples form
+        # one run of the batch, summed in sample order into (..., 2, M)
+        dp = gy.reshape(self.label_runs).sum(axis=-1, out=self.dp)
+        if gp is not None:
+            dp += gp  # receiver path
 
-    # normalization chain: points = scale * raw, scale = power^(-1/2)
-    dscale = np.multiply(dp, raw, order="C")
-    dscale = dscale.reshape(*dscale.shape[:-2], -1).sum(axis=-1)
-    try:
-        dpower = [-0.5 * s ** 3 * d
-                  for s, d in zip(np.ravel(st.scale).tolist(), dscale.reshape(-1).tolist())]
-    except OverflowError as exc:  # a float power raises instead of giving inf
-        raise NumericalError("non-finite values in gradient mapper.raw") from exc
-    draw = grads["mapper.raw"]
-    np.multiply(dp, st.scale, out=draw)
-    draw += (2.0 / M) * raw * _per_cell(dpower, raw)
+        # normalization chain: points = scale * raw, scale = power^(-1/2)
+        np.multiply(self.dp_t, raw, out=self.dscale)
+        dscale = self.dscale_rows.sum(axis=-1)
+        try:
+            dpower = [-0.5 * s ** 3 * d
+                      for s, d in zip(np.ravel(self.scale).tolist(), dscale.reshape(-1).tolist())]
+        except OverflowError as exc:  # a float power raises instead of giving inf
+            raise NumericalError("non-finite values in gradient mapper.raw") from exc
+        np.multiply(self.dp_t, self.scale, out=self.draw)
+        self.draw += self.power_gain * raw * _per_cell(dpower, raw)
 
-    if not np.isfinite(grad).all():
-        bad = next(name for name, g in grads.items() if not np.isfinite(g).all())
-        raise NumericalError(f"non-finite values in gradient {bad}")
+        if not np.isfinite(self.grad, out=self.finite).all():
+            bad = next(name for name, g in self.grads.items() if not np.isfinite(g).all())
+            raise NumericalError(f"non-finite values in gradient {bad}")
 
 
 # ---------------------------------------------------------------------------
@@ -504,30 +506,32 @@ def _backward(demapper, st: ForwardState, grad: np.ndarray, grads: dict) -> None
 
 # Adam's decays and offset as Kingma and Ba (ICLR 2015) recommend them
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the decays and gains of the two moments, as a (2, 1) operand of (2, n) arrays
+_ADAM_DECAY = np.array([[ADAM_BETA1], [ADAM_BETA2]])
+_ADAM_GAIN = 1.0 - _ADAM_DECAY
 
 
-def _adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
-                 v: np.ndarray, t: int, config: TrainConfig,
-                 scratch: np.ndarray) -> None:
-    """Adam step t on flat vectors, in place, with the config's learning
-    rate and ADAM_BETA1/2 and ADAM_EPS; scratch is (2, n).
+def _adam_update(theta: np.ndarray, grad: np.ndarray, moments: np.ndarray, t: int,
+                 config: TrainConfig, scratch: np.ndarray) -> None:
+    """Adam step t on flat vectors theta and grad, (n,), in place, with the
+    config's learning rate and ADAM_BETA1/2 and ADAM_EPS; moments is
+    [m; v], (2, n), and scratch is (2, n).
 
         m <- beta1 m + (1 - beta1) g
         v <- beta2 v + (1 - beta2) g g
         theta <- theta - lr (m / c1) / (sqrt(v / c2) + eps),  ci = 1 - betai^t
 
-    evaluated left to right in exactly this order.
+    evaluated left to right in exactly this order, both moments in one
+    multiply and one add.
     """
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
     a, b = scratch
-    np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
-    m *= ADAM_BETA1
-    m += a
-    np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
-    a *= grad
-    v *= ADAM_BETA2
-    v += a
+    m, v = moments
+    np.multiply(grad, _ADAM_GAIN, out=scratch)
+    b *= grad
+    moments *= _ADAM_DECAY
+    moments += scratch
     np.divide(m, c1, out=a)
     a *= config.learning_rate
     np.divide(v, c2, out=b)
@@ -623,18 +627,21 @@ def _train_run(configs: list) -> list:
                                                 axis + cells[0][name].shape)
                               for name in cells[0]}, axis)
     raw, demapper = with_arrays(demapper, arrays)
-    grad, grads = _flatten(arrays, axis)  # _backward overwrites every entry
-    adam_moments = np.zeros((2,) + theta.shape)
-    adam_scratch = np.empty((2,) + theta.shape)
+    grad, grads = _flatten(arrays, axis)  # the step's backward overwrites every entry
+    # Adam runs on flat views of theta and grad, with its moments [m; v]
+    flat_theta, flat_grad = theta.reshape(-1), grad.reshape(-1)
+    adam_moments = np.zeros((2, theta.size))
+    adam_scratch = np.empty((2, theta.size))
     # the noise of a window of iterations, step j of the window taking noise[j]
     window = max(1, NOISE_WINDOW_ENTRIES // (K * 2 * S)) if batch.offsets is None else 1
     noise = np.empty((window,) + axis + (2, S))
-    work = Workspace()
+    noise_steps = list(noise)
     # cell k's raw points and gradient, as views with the cell axis first
     raws, grad_rows = (a.reshape((K,) + a.shape[len(axis):]) for a in (raw, grad))
     noises = noise.reshape((window, K, 2, S))
 
     noise_variance = [noise_variance_from_db(config.target.snr_db) for config in configs]
+    step = _Step(raw, demapper, batch, noise_variance, grad, grads)
     if batch.offsets is not None:  # a grid batch's noise, else the rngs draw it
         for k in range(K):
             np.multiply(batch.offsets, math.sqrt(noise_variance[k]), out=noises[0, k])
@@ -658,13 +665,12 @@ def _train_run(configs: list) -> list:
                     for k, rng in enumerate(rngs):
                         np.multiply(rng.standard_normal((w, S, 2)).transpose(0, 2, 1),
                                     math.sqrt(noise_variance[k] / 2.0), out=noises[:w, k])
-                st = _forward(raw, demapper, batch, noise[it % window], noise_variance,
-                              work, power, it in rows)
-                _backward(demapper, st, grad, grads)
-                _adam_update(theta, grad, *adam_moments, it + 1, first, adam_scratch)
+                step.forward(noise_steps[it % window], power, it in rows)
+                step.backward()
+                _adam_update(flat_theta, flat_grad, adam_moments, it + 1, first, adam_scratch)
                 power = _mapper_power(raw)
                 if it in rows:
-                    loss_hist[:, rows[it]] = st.loss
+                    loss_hist[:, rows[it]] = step.loss
                     sq_norm_hist[:, rows[it]] = np.matmul(grad_rows[:, None, :],
                                                           grad_rows[:, :, None]).reshape(K)
         except NumericalError as exc:

@@ -1,8 +1,8 @@
 """Single training steps and their finite-difference check, for the tests.
 
 forward_loss and backward run one step of the package's training loop
-through the same step functions train() runs, so train() and a loop over
-them and the Adam update give identical bits. gradient_check compares
+through the same bound step train() runs, so train() and a loop over them
+and the Adam update give identical bits. gradient_check compares
 backward() with central differences of forward_loss on a fixed batch; it
 backs acceptance criterion 3. Either runs on a batch of given noise or,
 with noise None, on train's Gauss-Hermite batch.
@@ -20,15 +20,12 @@ from shapegain.constellation import check_labels
 from shapegain.demapper import LLR_CLIP, _check_noise_variance
 from shapegain.errors import ParameterError
 from shapegain.training import (
-    ForwardState,
     MlpDemapper,
-    Workspace,
-    _backward,
     _flatten,
-    _forward,
     _grid_shape,
     _make_batch,
     _mapper_power,
+    _Step,
     trainable_arrays,
     with_arrays,
 )
@@ -45,7 +42,7 @@ def forward_loss(raw: np.ndarray, demapper, labels: np.ndarray,
     batch, whose noise is its unit offsets times sqrt(noise_variance); that
     needs S // M = n1 n2 samples per label with n1, n2 >= 8. noise_variance
     must be finite and positive, which the step itself does not check. Each
-    call takes a fresh workspace, so the states of two calls share no array.
+    call binds a fresh step, so the steps of two calls share no array.
     """
     _check_noise_variance(noise_variance)
     labels = np.asarray(labels)
@@ -65,22 +62,24 @@ def forward_loss(raw: np.ndarray, demapper, labels: np.ndarray,
         noise_iq = np.stack([noise.real, noise.imag])
     if not np.array_equal(check_labels(labels, M), batch.labels):
         raise ParameterError("labels must list each label S // M times, in sorted order")
-    st = _forward(raw, demapper, batch, noise_iq, [noise_variance], Workspace(),
-                  _mapper_power(raw))
-    return float(st.loss), st
+    grad, grads = _flatten(trainable_arrays(raw, demapper))  # every entry is overwritten
+    step = _Step(raw, demapper, batch, [noise_variance], grad, grads)
+    step.forward(noise_iq, _mapper_power(raw))
+    return float(step.loss), step
 
 
-def backward(raw: np.ndarray, demapper, state: ForwardState) -> dict:
-    """Gradients of the surrogate loss w.r.t. every trainable array.
+def backward(step: _Step) -> dict:
+    """Gradients of the surrogate loss w.r.t. every trainable array, from
+    the step forward_loss returned.
 
     The differentiable path runs through the power normalization, the
     transmit symbols, and the receiver when the points enter it (Gaussian);
     clipped LLR entries receive zero gradient. The returned arrays are
-    views into one flat vector, in trainable_arrays() order.
+    views into one flat vector, in trainable_arrays() order, which the
+    step's next backward() overwrites.
     """
-    grad, grads = _flatten(trainable_arrays(raw, demapper))  # every entry is overwritten
-    _backward(demapper, state, grad, grads)
-    return grads
+    step.backward()
+    return step.grads
 
 
 @dataclass(frozen=True)
@@ -146,12 +145,12 @@ def finite_difference_check(loss_fn: Callable[[dict], float], arrays: dict,
     return GradCheckReport(probes=probes, max_rel_err=worst, passed=worst < tolerance)
 
 
-def _activation_pattern(demapper, st: ForwardState) -> list:
+def _activation_pattern(demapper, st: _Step) -> list:
     """The LLR clip saturation, then for an MLP the sign of each rectified
-    hidden layer (its cached input to the next layer, ones row dropped)."""
+    hidden layer (its input to the next layer, ones row dropped)."""
     pattern = [np.abs(st.llr_raw) > LLR_CLIP]
     if isinstance(demapper, MlpDemapper):
-        pattern += [x[..., :-1, :] > 0 for x in st.cache[1:]]
+        pattern += [x[..., :-1, :] > 0 for x in st.receiver.inputs[1:]]
     return pattern
 
 
@@ -170,7 +169,7 @@ def gradient_check(raw: np.ndarray, demapper, labels, noise,
     rng = rng if rng is not None else np.random.default_rng(0)
     arrays = trainable_arrays(raw, demapper)
     _, st = forward_loss(raw, demapper, labels, noise, noise_variance)
-    grads = backward(raw, demapper, st)
+    grads = backward(st)
 
     def loss_fn(replaced: dict) -> float:
         r2, d2 = with_arrays(demapper, replaced)

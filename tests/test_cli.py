@@ -116,6 +116,38 @@ class TestEvalCommand:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[0] == "snr_db: 9.2449"
 
+    def test_unwritable_out_exits_3_before_the_estimate(self, tmp_path, capsys, monkeypatch):
+        import shapegain.cli as cli_mod
+
+        def spy(*args):
+            raise AssertionError("the estimate ran")
+
+        cpath = tmp_path / "c.json"
+        main(["qam", "--m", "2", "--out", str(cpath)])
+        capsys.readouterr()
+        monkeypatch.setattr(cli_mod, "per_bit_gmi_mc", spy)
+        out = tmp_path / "missing" / "report.json"
+        rc = main(["eval", "--constellation", str(cpath), "--snr-db", "8", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("shapegain: I/O error: ") and len(err.splitlines()) == 1, err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["new", "existing"])
+    def test_failed_estimate_creates_no_file_and_keeps_an_existing_one(
+            self, tmp_path, capsys, existing):
+        # a sample count past MAX_SAMPLES is refused by the estimate itself
+        cpath = tmp_path / "c.json"
+        main(["qam", "--m", "2", "--out", str(cpath)])
+        out = tmp_path / "report.json"
+        if existing is not None:
+            out.write_bytes(existing)
+        rc = main(["eval", "--constellation", str(cpath), "--snr-db", "8",
+                   "--samples", str(MAX_SAMPLES + 1), "--out", str(out)])
+        assert rc == 1
+        assert "n_samples must be in" in capsys.readouterr().err
+        assert (out.read_bytes() if out.exists() else None) == existing
+
     def test_snr_and_link_are_mutually_exclusive(self, tmp_path, capsys):
         cfg = _write_run_config(tmp_path)
         cpath = tmp_path / "c.json"

@@ -1,5 +1,6 @@
 """Sweep orchestration tests: config parsing, seeding, grid evaluation, CSV."""
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -415,6 +416,9 @@ class TestRunSweep:
             ("ae", 4, 1, 5.25), ("ae", 8, 4, 3.0), ("ae", 12, 8, 0.0), ("ae", 16, 8, 0.0),
             ("ae", 20, 8, 0.0), ("ae", 24, 8, 0.0), ("qam", 4, 1, 5.25), ("qam", 8, 4, 1.5),
             ("qam", 12, 8, 0.0), ("qam", 16, 8, 0.0), ("qam", 20, 8, 0.0), ("qam", 24, 8, 0.0)]
+        # and every byte of its CSV, which no change to the program may move
+        assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == (
+            "f86e8e5e397d45703b6ca6ebdadba94e3b4aac557ae3c01bc1e1ff6c31309bcb")
 
 
 _SMOKE_CSV = """\

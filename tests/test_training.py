@@ -30,7 +30,6 @@ from shapegain.training import (
     SnrTarget,
     HISTORY_STRIDE,
     TrainConfig,
-    Workspace,
     _adam_update,
     _flatten,
     emit,
@@ -310,20 +309,19 @@ class TestSamplesLastLayout:
                     else GaussianDemapper())
         noise = awgn_sample(rng, np.zeros(S), 0.1)
         _, st = forward_loss(raw, demapper, _balanced_labels(m, S), noise, 0.1)
-        grads = {k: np.empty_like(v) for k, v in demapper.arrays().items()}
-        gy, gp = demapper.backward(np.ones((m, S)), st.cache, grads, st.work)
+        gy, gp = st.receiver.backward(np.ones((m, S)))
         rows = {"y_iq": (st.y_iq, 2), "llr_raw": (st.llr_raw, m), "llr": (st.llr, m),
                 "sigmoid": (st.sigmoid, m), "penalties": (st.penalties, m),
                 "flip": (st.batch.flip, m), "gy": (gy, 2)}
         if mode == "mlp":
             # each layer input carries a ones row below its fan_in rows
             for i, fan_in in enumerate((2, *cfg.mlp_hidden)):
-                rows[f"layer input {i}"] = (st.cache[i], fan_in + 1)
-                np.testing.assert_array_equal(st.cache[i][-1], 1.0)
-            np.testing.assert_array_equal(st.cache[0][:-1], st.y_iq)
+                rows[f"layer input {i}"] = (st.receiver.inputs[i], fan_in + 1)
+                np.testing.assert_array_equal(st.receiver.inputs[i][-1], 1.0)
+            np.testing.assert_array_equal(st.receiver.inputs[0][:-1], st.y_iq)
             assert gp is None
         else:
-            (p, z, *_), *_ = st.cache
+            p, z, _ = st.receiver.metric
             rows["loglik"] = (p, 1 << m)
             rows["partitions"] = (z, 2 * m)
             assert gp.shape == (2, 1 << m)
@@ -369,11 +367,11 @@ class TestGradients:
         edge = labels == 0
         noise[edge] += 0.5 * (pts[1] - pts[0])
         _, st = forward_loss(raw, GaussianDemapper(), labels, noise, nv)
-        (_, z, _), *_ = st.cache
+        _, z, _ = st.receiver.metric
         assert (z <= (1 << m) * math.exp(-700.0)).any()
         assert np.isfinite(st.llr_raw).all()
         assert (np.abs(st.llr_raw[:, edge]) < LLR_CLIP).any()
-        grads = backward(raw, GaussianDemapper(), st)
+        grads = backward(st)
         assert all(np.all(np.isfinite(g)) for g in grads.values())
         assert np.any(grads["mapper.raw"] != 0.0)
         rep = gradient_check(raw, GaussianDemapper(), labels, noise, nv,
@@ -408,7 +406,7 @@ class TestGradients:
         noise = awgn_sample(rng, np.zeros(S), 0.2)
         _, st = forward_loss(raw, mlp, labels, noise, 0.2)
         if kink == "rectifier":
-            pre = mlp.layers[0].T @ st.cache[0]
+            pre = mlp.layers[0].T @ st.receiver.inputs[0]
             mlp.layers[0][-1, 0] -= pre[0, 0] - 1e-7
         else:
             mlp.layers[-1][:, 0] *= (LLR_CLIP + 1e-7) / np.abs(st.llr_raw[0]).max()
@@ -450,11 +448,12 @@ class TestGradients:
         S, m = 1024, 4
         mlp = init_mlp(m, (16, 8), rng)
         y = rng.standard_normal((2, S))
-        work = Workspace()
-        _, cache = mlp.forward(y, None, 1.0, work)
-        dllr = rng.standard_normal((m, S))
         grads = {k: np.empty_like(v) for k, v in mlp.arrays().items()}
-        mlp.backward(dllr.copy(), cache, grads, work)
+        receiver = mlp.bind(y, None, 1.0, grads)
+        receiver.forward()
+        cache = receiver.inputs
+        dllr = rng.standard_normal((m, S))
+        receiver.backward(dllr.copy())
         dx = dllr
         for i in range(len(mlp.layers) - 1, -1, -1):
             bound = S * np.finfo(float).eps * np.abs(dx).max()
@@ -474,13 +473,14 @@ class TestGradients:
         _, st = forward_loss(raw, demapper, _balanced_labels(m, S), noise, 0.2)
         assert st.llr is st.llr_raw
         assert clip_llr(st.llr_raw) is st.llr_raw
+        unmasked = {name: g.copy() for name, g in backward(st).items()}
         # a clipped copy, which an unconditional clip would give, takes
         # backward's masked path
         clipped = np.clip(st.llr_raw, -LLR_CLIP, LLR_CLIP)
         np.testing.assert_array_equal(st.llr, clipped)
-        masked = backward(raw, demapper, replace(st, llr=clipped))
-        for name, g in backward(raw, demapper, st).items():
-            np.testing.assert_array_equal(g, masked[name], err_msg=name)
+        st.llr = clipped
+        for name, g in backward(st).items():
+            np.testing.assert_array_equal(unmasked[name], g, err_msg=name)
 
     def test_mlp_llrs_past_the_clip_get_zero_gradient(self):
         m, S = 2, 64
@@ -494,14 +494,14 @@ class TestGradients:
         beyond = np.abs(st.llr_raw) > LLR_CLIP
         assert beyond.any() and not beyond.all()
         seen = []
-        real = mlp.backward
+        real = st.receiver.backward
 
-        def spy(dllr, cache, grads, work):
+        def spy(dllr):
             seen.append(dllr.copy())
-            return real(dllr, cache, grads, work)
+            return real(dllr)
 
-        mlp.backward = spy
-        backward(raw, mlp, st)
+        st.receiver.backward = spy
+        backward(st)
         np.testing.assert_array_equal(seen[0] == 0.0, beyond)
 
     def test_checker_is_exact_on_quadratic_toy(self):
@@ -564,7 +564,7 @@ class TestGradients:
         labels = _balanced_labels(2, 64)
         noise = awgn_sample(rng, np.zeros(64), 0.1)
         _, st = forward_loss(raw, mlp, labels, noise, 0.1)
-        grads = backward(raw, mlp, st)
+        grads = backward(st)
         assert set(grads) == set(trainable_arrays(raw, mlp))
         for key, g in grads.items():
             assert g.shape == trainable_arrays(raw, mlp)[key].shape
@@ -572,14 +572,35 @@ class TestGradients:
 
 class TestPackageSurface:
     @pytest.mark.parametrize("receiver", [GaussianDemapper, training.MlpDemapper])
-    def test_receiver_has_the_four_interface_methods(self, receiver):
-        assert _public_methods(receiver) == {"arrays", "with_arrays", "forward", "backward"}
+    def test_receiver_has_the_three_interface_methods(self, receiver):
+        assert _public_methods(receiver) == {"arrays", "with_arrays", "bind"}
 
-    def test_four_methods_train_through_a_clipping_step(self):
+    @pytest.mark.parametrize("mode", ["gaussian", "mlp"])
+    def test_bound_receiver_has_the_two_step_methods(self, mode):
+        m, S = 2, 64
+        rng = np.random.default_rng(22)
+        raw = init_mapper(_config(m=m, batch_symbols=S), rng)
+        receiver = init_mlp(m, (4,), rng) if mode == "mlp" else GaussianDemapper()
+        _, st = forward_loss(raw, receiver, _balanced_labels(m, S),
+                             awgn_sample(rng, np.zeros(S), 0.1), 0.1)
+        assert _public_methods(type(st.receiver)) == {"forward", "backward"}
+
+    def test_three_methods_train_through_a_clipping_step(self):
         # a receiver with the interface and nothing else, GaussianDemapper
-        # behind a wrapper, on a 40 dB step whose LLRs clip but for those of
-        # the samples moved onto a decision boundary
-        class FourMethods:
+        # behind a wrapper whose bound receiver has the two step methods and
+        # nothing else, on a 40 dB step whose LLRs clip but for those of the
+        # samples moved onto a decision boundary
+        class Bound:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def forward(self):
+                return self.inner.forward()
+
+            def backward(self, dllr):
+                return self.inner.backward(dllr)
+
+        class ThreeMethods:
             def __init__(self, inner):
                 self.inner = inner
 
@@ -587,15 +608,13 @@ class TestPackageSurface:
                 return self.inner.arrays()
 
             def with_arrays(self, arrays):
-                return FourMethods(self.inner.with_arrays(arrays))
+                return ThreeMethods(self.inner.with_arrays(arrays))
 
-            def forward(self, *args):
-                return self.inner.forward(*args)
+            def bind(self, *args):
+                return Bound(self.inner.bind(*args))
 
-            def backward(self, *args):
-                return self.inner.backward(*args)
-
-        assert _public_methods(FourMethods) == _public_methods(GaussianDemapper)
+        assert _public_methods(ThreeMethods) == _public_methods(GaussianDemapper)
+        assert _public_methods(Bound) == {"forward", "backward"}
         cfg = _config(m=3, batch_symbols=128)
         rng = np.random.default_rng(21)
         raw = init_mapper(cfg, rng)
@@ -605,9 +624,9 @@ class TestPackageSurface:
         pts = emit(raw)
         noise[labels == 0] += 0.5 * (pts[1] - pts[0])
         steps = []
-        for receiver in (FourMethods(GaussianDemapper()), GaussianDemapper()):
+        for receiver in (ThreeMethods(GaussianDemapper()), GaussianDemapper()):
             loss, st = forward_loss(raw, receiver, labels, noise, nv)
-            steps.append((loss, st.llr, backward(raw, receiver, st)["mapper.raw"]))
+            steps.append((loss, st.llr, backward(st)["mapper.raw"]))
         (loss, llr, grad), want = steps
         assert (np.abs(llr) == LLR_CLIP).any()
         assert np.isfinite(grad).all() and np.any(grad != 0.0)
@@ -619,7 +638,11 @@ class TestPackageSurface:
         for name in ("forward_loss", "backward", "GradProbe", "GradCheckReport",
                      "finite_difference_check", "gradient_check"):
             assert not hasattr(training, name), name
-        assert "llr_clip" not in {f.name for f in fields(training.ForwardState)}
+        # one bound step, with no clip of its own
+        for name in ("Workspace", "ForwardState", "_forward", "_backward"):
+            assert not hasattr(training, name), name
+        for method in (training._Step, training._Step.forward):
+            assert "llr_clip" not in inspect.signature(method).parameters
 
     def test_gmi_report_stores_only_its_per_bit_values(self):
         # the totals and the dual-pol copy are properties derived from per_bit
@@ -636,13 +659,14 @@ class TestPackageSurface:
 
 class _Adam:
     """The training loop's Adam: _adam_update on one flat copy of named
-    arrays, with its moments as named views too."""
+    arrays, with its moments [m; v] as named views too."""
 
     def __init__(self, arrays: dict, config: TrainConfig):
         self.theta, self.arrays = _flatten(arrays)
-        zeros = {k: np.zeros_like(v) for k, v in arrays.items()}
-        self.m, self.m_views = _flatten(zeros)
-        self.v, self.v_views = _flatten(zeros)
+        self.moments, views = _flatten({k: np.zeros((2,) + np.shape(v))
+                                        for k, v in arrays.items()}, (2,))
+        self.m_views = {k: v[0] for k, v in views.items()}
+        self.v_views = {k: v[1] for k, v in views.items()}
         self.work = np.empty((2, self.theta.size))
         self.config = config
         self.t = 0
@@ -651,7 +675,7 @@ class _Adam:
         """One update from named gradients; returns the updated named arrays."""
         grad, _ = _flatten({k: grads[k] for k in self.arrays})
         self.t += 1
-        _adam_update(self.theta, grad, self.m, self.v, self.t, self.config, self.work)
+        _adam_update(self.theta, grad, self.moments, self.t, self.config, self.work)
         return self.arrays
 
 
@@ -661,7 +685,7 @@ class TestAdam:
         opt = _Adam(arrays, _config())
         out = opt.step({"w": np.zeros(3)})
         np.testing.assert_array_equal(out["w"], arrays["w"])
-        assert not opt.m.any() and not opt.v.any()
+        assert not opt.moments.any()
 
     def test_constant_gradient_moves_lr_per_step(self):
         # with g constant, m-hat/(sqrt(v-hat)+eps) == sign(g) at every step
@@ -674,11 +698,11 @@ class TestAdam:
 
     def test_step_does_not_mutate_inputs(self):
         # the update writes theta, its moments and its scratch, never the gradient
-        theta, m, v = np.array([1.0]), np.zeros(1), np.zeros(1)
+        theta, moments = np.array([1.0]), np.zeros((2, 1))
         grad = np.array([2.0])
-        _adam_update(theta, grad, m, v, 1, _config(), np.empty((2, 1)))
+        _adam_update(theta, grad, moments, 1, _config(), np.empty((2, 1)))
         assert grad[0] == 2.0
-        assert theta[0] != 1.0 and m[0] != 0.0 and v[0] != 0.0
+        assert theta[0] != 1.0 and moments.all()
 
     def test_matches_textbook_formula_bitwise(self):
         # the in-place update keeps the formula's evaluation order exactly
@@ -798,13 +822,14 @@ class TestOneUnitPowerRule:
                                batch_symbols=256, demapper_mode="mlp", mlp_hidden=(16, 8),
                                learning_rate=2e-3, seed=4 + k)
                    for k, n in enumerate(spans)]
-        real_forward, sent = training._forward, []
+        sent = []
 
-        def forward(raw, *args, **kwargs):
-            sent.append(raw)
-            return real_forward(raw, *args, **kwargs)
+        class Step(training._Step):
+            def forward(self, *args, **kwargs):
+                sent.append(self.raw)
+                return super().forward(*args, **kwargs)
 
-        monkeypatch.setattr(training, "_forward", forward)
+        monkeypatch.setattr(training, "_Step", Step)
         results = train_many(configs)
         # the step's raw is a view of the parameters Adam updates in place:
         # after the run it holds the final table
@@ -847,7 +872,7 @@ def _public_api_train(config):
         if training._grid_shape(config.batch_symbols >> config.m) is None:
             noise = awgn_sample(rng, np.zeros(config.batch_symbols), nv)
         val, st = forward_loss(raw, demapper, labels, noise, nv)
-        grads = backward(raw, demapper, st)
+        grads = backward(st)
         raw, demapper = with_arrays(demapper, opt.step(grads))
         loss.append(val)
         gmi.append(config.m - val)
@@ -878,7 +903,7 @@ class TestTrainMatchesPublicSteps:
                                                chi1=0.3, chi2=0.1), 2)), False),
         # about half of the LLRs lie beyond the clip in every step (the MLP's
         # from its second step on, its head grown by the large steps), and
-        # the step zeros their entries of the workspace's dllr
+        # the step zeros their entries of its dllr
         (_config(m=2, iterations=30, batch_symbols=64, seed=6, target=SnrTarget(14.0)), True),
         (_config(m=2, iterations=30, batch_symbols=64, demapper_mode="mlp",
                  mlp_hidden=(4,), seed=7, learning_rate=5.0), True),
@@ -925,19 +950,19 @@ def _example_ae_configs(iterations):
 def _softplus_steps(monkeypatch, configs) -> tuple:
     """Train the configs; returns the number of steps taken and the steps
     whose forward pass took the softplus of the loss terms."""
-    real_forward, real_softplus = training._forward, demapper._log2_1p
+    real_softplus = demapper._log2_1p
     steps, softplus_at = [0], []
 
-    def forward(*args, **kwargs):
-        st = real_forward(*args, **kwargs)
-        steps[0] += 1
-        return st
+    class Step(training._Step):
+        def forward(self, *args, **kwargs):
+            super().forward(*args, **kwargs)
+            steps[0] += 1
 
     def softplus(*args, **kwargs):
         softplus_at.append(steps[0])
         return real_softplus(*args, **kwargs)
 
-    monkeypatch.setattr(training, "_forward", forward)
+    monkeypatch.setattr(training, "_Step", Step)
     monkeypatch.setattr(demapper, "_log2_1p", softplus)
     train_many(configs)
     return steps[0], softplus_at
@@ -1073,16 +1098,27 @@ class TestTrainMany:
         self._assert_lone_results(configs, results)
 
     def test_lone_gaussian_run_has_no_cell_axis(self, monkeypatch):
-        # the receiver sees one cell's I/Q rows, samples (2, S) and points (2, M)
-        shapes = []
-        real = GaussianDemapper.forward
+        # the receiver is bound once to one cell's I/Q rows, samples (2, S)
+        # and points (2, M), and sees them at every step
+        bound, shapes = [], []
+        real = GaussianDemapper.bind
 
-        def spy(self, y_iq, points_iq, noise_variance, work):
-            shapes.append((y_iq.shape, points_iq.shape, type(noise_variance)))
-            return real(self, y_iq, points_iq, noise_variance, work)
+        def spy(self, y_iq, points_iq, noise_variance, grads):
+            bound.append((y_iq.shape, points_iq.shape, type(noise_variance)))
+            receiver = real(self, y_iq, points_iq, noise_variance, grads)
+            real_forward = receiver.forward
 
-        monkeypatch.setattr(GaussianDemapper, "forward", spy)
+            def forward():
+                shapes.append((receiver.y_iq.shape, receiver.points_iq.shape,
+                               type(receiver.noise_variance)))
+                return real_forward()
+
+            receiver.forward = forward
+            return receiver
+
+        monkeypatch.setattr(GaussianDemapper, "bind", spy)
         train(_config(m=3, iterations=4, batch_symbols=64))
+        assert bound == [((2, 64), (2, 8), float)]
         assert shapes == [((2, 64), (2, 8), float)] * 4
 
 
@@ -1138,9 +1174,25 @@ class TestNoiseWindows:
         TestTrainMany._assert_lone_results(configs, results)
 
 
-class TestWorkspace:
-    """A run's steps fill arrays allocated once; a step outside the loop
-    takes its own."""
+def _step_arrays(st) -> dict:
+    """The per-sample arrays of a bound step, by name, after its backward():
+    the step's own, then the MLP receiver's layer inputs, LLRs, dx and masks."""
+    arrays = {name: getattr(st, name) for name in
+              ("points_iq", "y_iq", "penalties", "sigmoid", "dllr", "dp", "dscale")}
+    if hasattr(st.receiver, "inputs"):
+        arrays.update({f"input{i}": x for i, x in enumerate(st.receiver.inputs)})
+        arrays["llr"] = st.receiver.llr
+        back = st.receiver.back  # from the head down
+        for i, (*_, dx, _, _, mask) in zip(range(len(back) - 1, -1, -1), back):
+            arrays[f"dx{i}"] = dx
+            if mask is not None:
+                arrays[f"mask{i}"] = mask
+    return arrays
+
+
+class TestBoundStep:
+    """A run binds its step once: every step fills the arrays allocated
+    when the run starts. A step outside the loop binds its own."""
 
     @staticmethod
     def _address(a: np.ndarray) -> int:
@@ -1155,25 +1207,29 @@ class TestWorkspace:
          for s, db in [(3, 8.0), (4, 10.0), (5, 12.0)]],
     ], ids=["gaussian", "mlp", "stacked-mlp"])
     def test_step_arrays_keep_one_address_per_run(self, monkeypatch, configs):
-        real = training._forward
-        seen, penalties = [], []
+        seen, steps = [], []
+        address = self._address
 
-        def recorded(*args, **kwargs):
-            st = real(*args, **kwargs)
-            arrays = [st.y_iq, st.sigmoid]
-            if configs[0].demapper_mode == "mlp":
-                arrays += st.cache  # the layer inputs
-            seen.append((st.y_iq.shape, tuple(self._address(a) for a in arrays)))
-            if st.penalties is not None:  # the steps train_many records
-                penalties.append(self._address(st.penalties))
-            return st
+        class Step(training._Step):
+            def __init__(self, *args):
+                super().__init__(*args)
+                steps.append(self)
 
-        monkeypatch.setattr(training, "_forward", recorded)
+            def backward(self):
+                super().backward()
+                arrays = _step_arrays(self)
+                seen.append((self.y_iq.shape, tuple(arrays),
+                             tuple(address(a) for a in arrays.values())))
+
+        monkeypatch.setattr(training, "_Step", Step)
         train_many(configs)
         stacked = (len(configs),) if len(configs) > 1 else ()
-        assert len(seen) == 6
-        assert set(seen) == {(stacked + (2, 64), seen[0][1])}
-        assert len(penalties) == 2 and len(set(penalties)) == 1  # iterations 0 and 5
+        assert len(steps) == 1 and len(seen) == 6
+        assert set(seen) == {seen[0]} and seen[0][0] == stacked + (2, 64)
+        names = seen[0][1]
+        assert len(set(seen[0][2])) == len(names)  # each array its own memory
+        if configs[0].demapper_mode == "mlp":
+            assert {"input0", "llr", "dx0", "mask1"} <= set(names)
 
     @pytest.mark.parametrize("mode", ["gaussian", "mlp"])
     def test_steps_outside_the_loop_share_no_memory(self, mode):
@@ -1184,10 +1240,11 @@ class TestWorkspace:
         noise = awgn_sample(rng, np.zeros(S), 0.1)
         first, second = (forward_loss(raw, demapper, _balanced_labels(m, S), noise, 0.1)[1]
                          for _ in range(2))
-        names = ["y_iq", "llr_raw", "sigmoid", "penalties"]
-        pairs = [(getattr(first, n), getattr(second, n)) for n in names]
-        if mode == "mlp":
-            pairs += zip(first.cache, second.cache)  # the layer inputs
+        pairs = [(first.llr_raw, second.llr_raw)]
+        for st in (first, second):
+            backward(st)
+        pairs += zip(_step_arrays(first).values(), _step_arrays(second).values())
+        pairs += zip(first.grads.values(), second.grads.values())
         for a, b in pairs:
             np.testing.assert_array_equal(a, b)
             assert not np.shares_memory(a, b)
@@ -1246,6 +1303,20 @@ class TestTrainNumericalErrors:
         real_init = training.init_mlp
         steps = [0]
 
+        class Bound:
+            def __init__(self, inner, grads):
+                self.inner, self.grads = inner, grads
+
+            def forward(self):
+                return self.inner.forward()
+
+            def backward(self, dllr):
+                out = self.inner.backward(dllr)
+                steps[0] += 1
+                if steps[0] == 3:
+                    self.grads["mlp.layer0"][0, 0] = math.inf
+                return out
+
         class InfGradient:
             def __init__(self, inner):
                 self.inner = inner
@@ -1256,15 +1327,8 @@ class TestTrainNumericalErrors:
             def with_arrays(self, arrays):
                 return InfGradient(self.inner.with_arrays(arrays))
 
-            def forward(self, *args):
-                return self.inner.forward(*args)
-
-            def backward(self, dllr, cache, grads, work):
-                out = self.inner.backward(dllr, cache, grads, work)
-                steps[0] += 1
-                if steps[0] == 3:
-                    grads["mlp.layer0"][0, 0] = math.inf
-                return out
+            def bind(self, y_iq, points_iq, noise_variance, grads):
+                return Bound(self.inner.bind(y_iq, points_iq, noise_variance, grads), grads)
 
         monkeypatch.setattr(training, "init_mlp",
                             lambda *args: InfGradient(real_init(*args)))
